@@ -14,7 +14,7 @@ from .fock import (
     trusted_cutoff,
 )
 from .graphs import (
-    AnticliqueParams,
+    CompressionResult,
     GeneratorParams,
     GraphElement,
     GraphSpec,
@@ -22,7 +22,6 @@ from .graphs import (
     compression_check,
     compression_constant,
     displaced_mode_amplitudes,
-    draw_anticlique_params,
     draw_generator_params,
     graph_displacement,
     graph_generator,
@@ -35,7 +34,6 @@ from .multimode import (
     ModeSpace,
     MultimodeState,
     apply_weyl_to_exponential_check,
-    block_max_deviation,
     creation_poly_state,
     exponential_vector_embed,
     index_of,
@@ -53,7 +51,6 @@ from .quadrature import (
     PolarScheme,
     RadialScheme,
     coherent_identity,
-    default_scheme,
     displaced_projector_identity,
     gauss_laguerre,
     graph_resolution,
@@ -61,6 +58,6 @@ from .quadrature import (
     unnormalized_coherent,
 )
 from .report import TOOL_VERSION, VerificationReport, emit_report, render_csv, render_json
-from .runner import run_experiment, run_suite
+from .runner import run_experiment
 
 __version__ = TOOL_VERSION

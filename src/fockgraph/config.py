@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import AnticliqueParams, GeneratorParams
+from .graphs import GeneratorParams
 from .multimode import validate_unitary
+from .quadrature import MAX_RADIAL_ORDER
 
 __all__ = [
     "ConfigError",
@@ -50,11 +51,13 @@ _DEFAULT_TOLERANCE = {
 }
 
 
-def _default_trusted(experiment: str, cutoff: int) -> int:
+def _default_trusted(experiment: str, n: int, cutoff: int) -> int:
     if experiment in ("covariant_gs", "convergence"):
         return min(8, cutoff // 2)
     if experiment in ("projection", "resolution"):
-        return cutoff // 2
+        # Every tuple of the block then has total occupation <= cutoff, the
+        # depth of the seed ladder.
+        return cutoff // n
     return cutoff
 
 
@@ -71,7 +74,7 @@ class ExperimentConfig:
     cutoff: int
     phi: np.ndarray
     generator_params: tuple[GeneratorParams, ...] | None
-    anticlique_params: AnticliqueParams | None
+    anticlique_params: GeneratorParams | None
     radial_order: int
     angular_order: int
     tolerance: float
@@ -125,7 +128,7 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -168,15 +171,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     phi = _parse_phi(data.get("phi"), n)
 
     radial_order = _require_int(data.get("radial_order", cutoff + 1), "radial_order", minimum=1)
+    if radial_order > MAX_RADIAL_ORDER:
+        raise ConfigError(f"radial_order must be <= {MAX_RADIAL_ORDER}, got {radial_order}")
     angular_order = _require_int(data.get("angular_order", 2 * cutoff + 2), "angular_order", minimum=1)
 
     tolerance = data.get("tolerance", _DEFAULT_TOLERANCE[experiment])
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or not tolerance > 0:
-        raise ConfigError(f"tolerance must be a positive real, got {tolerance!r}")
+    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
+        raise ConfigError(f"tolerance must be a positive finite real, got {tolerance!r}")
     tolerance = float(tolerance)
 
     trusted_block = _require_int(
-        data.get("trusted_block", _default_trusted(experiment, cutoff)), "trusted_block", minimum=0
+        data.get("trusted_block", _default_trusted(experiment, n, cutoff)), "trusted_block", minimum=0
     )
     if trusted_block > cutoff:
         raise ConfigError(f"trusted_block {trusted_block} exceeds cutoff {cutoff}")
@@ -221,6 +226,10 @@ def default_config(experiment: str, overrides: dict | None = None) -> Experiment
 def default_suite(overrides: dict | None = None) -> list[ExperimentConfig]:
     """The default verification suite: five experiments at the defaults."""
     return [default_config(name, overrides) for name in DEFAULT_SUITE]
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} in config")
 
 
 def _require_int(value, name: str, minimum: int) -> int:
@@ -290,6 +299,6 @@ def _parse_anticlique_params(raw, n: int):
     radii = _parse_real_list(raw["X"], n - 1, "anticlique_params X")
     phases = _parse_real_list(raw["Gamma"], n - 1, "anticlique_params Gamma")
     try:
-        return AnticliqueParams(radii=radii, phases=phases)
+        return GeneratorParams(radii=radii, phases=phases)
     except ValueError as exc:
         raise ConfigError(f"invalid anticlique_params: {exc}") from exc

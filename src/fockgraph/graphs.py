@@ -10,12 +10,11 @@ compression of the graph is a scalar multiple of themselves.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import report as report_mod
 from .fock import displacement_matrix
 from .multimode import (
     ModeSpace,
@@ -23,10 +22,10 @@ from .multimode import (
     kron_all,
     validate_unitary,
 )
-from .quadrature import PolarScheme, _node_iter, unnormalized_coherent
+from .quadrature import PolarScheme, integrate_dyads, unnormalized_coherent
 
 __all__ = [
-    "AnticliqueParams",
+    "CompressionResult",
     "GeneratorParams",
     "GraphElement",
     "GraphSpec",
@@ -34,7 +33,6 @@ __all__ = [
     "compression_check",
     "compression_constant",
     "displaced_mode_amplitudes",
-    "draw_anticlique_params",
     "draw_generator_params",
     "graph_displacement",
     "graph_generator",
@@ -75,7 +73,10 @@ def _normalize_params(params, spec: "GraphSpec"):
 
 @dataclass(frozen=True, eq=False)
 class GeneratorParams:
-    """Radial amplitudes and phases indexing one graph generator."""
+    """Radial amplitudes and phases of one displacement point.
+
+    Indexes a graph generator, or the anticlique projection at that point.
+    """
 
     radii: np.ndarray
     phases: np.ndarray
@@ -85,6 +86,8 @@ class GeneratorParams:
         phases = np.atleast_1d(np.asarray(self.phases, dtype=float))
         if radii.shape != phases.shape:
             raise ValueError("radii and phases must have equal length")
+        if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(phases))):
+            raise ValueError("radii and phases must be finite")
         if np.any(radii < 0):
             raise ValueError("radii must be nonnegative")
         object.__setattr__(self, "radii", radii)
@@ -94,25 +97,10 @@ class GeneratorParams:
         return self.radii * np.exp(1j * self.phases)
 
 
-@dataclass(frozen=True, eq=False)
-class AnticliqueParams:
-    """Radial amplitudes and phases selecting an anticlique projection."""
-
-    radii: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        radii = np.atleast_1d(np.asarray(self.radii, dtype=float))
-        phases = np.atleast_1d(np.asarray(self.phases, dtype=float))
-        if radii.shape != phases.shape:
-            raise ValueError("radii and phases must have equal length")
-        if np.any(radii < 0):
-            raise ValueError("radii must be nonnegative")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "phases", phases)
-
-    def displacements(self) -> np.ndarray:
-        return self.radii * np.exp(1j * self.phases)
+# GraphElement's acceptance bounds: largest entrywise |op - op^dag| and
+# smallest allowed eigenvalue.
+HERMITICITY_TOLERANCE = 1e-10
+PSD_TOLERANCE = -1e-8
 
 
 @dataclass(eq=False)
@@ -122,15 +110,13 @@ class GraphElement:
     op: np.ndarray
     params: GeneratorParams
     backend: str
-    hermiticity_tolerance: float = field(default=1e-10, repr=False)
-    psd_tolerance: float = field(default=-1e-8, repr=False)
 
     def __post_init__(self):
         herm = float(np.max(np.abs(self.op - self.op.conj().T)))
-        if herm > self.hermiticity_tolerance:
+        if herm > HERMITICITY_TOLERANCE:
             raise ValueError(f"generator not Hermitian (deviation {herm:.3e})")
         min_eig = float(np.linalg.eigvalsh(self.op)[0])
-        if min_eig < self.psd_tolerance:
+        if min_eig < PSD_TOLERANCE:
             raise ValueError(f"generator not positive semidefinite (min eigenvalue {min_eig:.3e})")
 
 
@@ -161,11 +147,11 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme) -> np.ndarra
     |alpha*phi_j1><alpha*phi_j1|, tail-factored.  Cross-checks the rank sum.
     """
     column = spec.phi[:, 0]
-    acc = np.zeros((spec.space.dim, spec.space.dim), dtype=complex)
-    for alpha, weight in _node_iter(scheme):
-        u = kron_all([unnormalized_coherent(alpha * c, spec.cutoff) for c in column])
-        acc += weight * np.outer(u, u.conj())
-    return acc
+    return integrate_dyads(
+        lambda alphas: kron_all([unnormalized_coherent(alphas[0] * c, spec.cutoff) for c in column]),
+        (scheme,),
+        spec.space.dim,
+    )
 
 
 def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:
@@ -199,19 +185,17 @@ def graph_generator(spec: GraphSpec, params: GeneratorParams, backend: str = "ra
     return GraphElement(op=op, params=params, backend=backend)
 
 
-def anticlique_projection(spec: GraphSpec, params: AnticliqueParams) -> np.ndarray:
+def anticlique_projection(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
     """Anticlique projection for the graph at the given parameters.
 
     Structurally identical to the graph generator evaluated at the anticlique
     parameters (both are the displaced seed projector), so the same code path
     builds it; the identity is asserted in the test suite.
     """
-    params = _normalize_params(params, spec)
-    as_generator = GeneratorParams(radii=params.radii, phases=params.phases)
-    return graph_generator(spec, as_generator, backend="rank").op
+    return graph_generator(spec, params, backend="rank").op
 
 
-def compression_constant(anticlique: AnticliqueParams, generator: GeneratorParams) -> float:
+def compression_constant(anticlique: GeneratorParams, generator: GeneratorParams) -> float:
     """Predicted compression scalar: the product over parameter pairs of the
     squared coherent overlap exp(-|r e^{i theta} - x e^{i gamma}|^2)."""
     a = anticlique.displacements()
@@ -221,20 +205,30 @@ def compression_constant(anticlique: AnticliqueParams, generator: GeneratorParam
     return float(np.exp(-np.sum(np.abs(g - a) ** 2)))
 
 
+class CompressionResult(NamedTuple):
+    """Deviations of P A P from c P, and the measured and predicted c."""
+
+    max_abs_deviation: float
+    frobenius_deviation: float
+    scalar_relative_error: float
+    scalar_measured: float
+    scalar_predicted: float
+
+
 def compression_check(
     spec: GraphSpec,
-    anticlique: AnticliqueParams,
+    anticlique: GeneratorParams,
     generators,
     weights=None,
-    tolerance: float = 1e-6,
     trusted_block: int | None = None,
-):
-    """Verify that the projection compresses a graph combination to a scalar.
+) -> CompressionResult:
+    """Measure how far the projection compresses a graph combination to a scalar.
 
     Forms A = sum_i w_i G_i from rank-backend generators, computes P A P,
-    extracts the least-squares scalar c = tr(P A P)/tr(P), and reports the
-    relative Frobenius deviation ||P A P - c P||_F / ||P||_F together with
-    the relative error of c against the predicted weighted constant sum.
+    extracts the least-squares scalar c = tr(P A P)/tr(P), and returns the
+    max-abs and relative Frobenius deviations of P A P - c P (the latter
+    against ||P||_F) together with the relative error of c against the
+    predicted weighted constant sum.  Real parts of c are returned.
 
     With ``trusted_block`` set, the traces and residual are taken over the
     sub-block of occupations at or below it.  The full-matrix comparison is
@@ -243,7 +237,6 @@ def compression_check(
     a block whose occupations stay clear of the displacement reach the
     truncated operators reproduce it to near machine precision.
     """
-    start = time.perf_counter()
     generators = list(generators)
     if not generators:
         raise ValueError("at least one generator parameter set is required")
@@ -275,31 +268,13 @@ def compression_check(
     frobenius = float(np.linalg.norm(residual) / np.linalg.norm(projection))
     max_abs = float(np.max(np.abs(residual)))
     scalar_error = abs(measured - predicted) / abs(predicted) if predicted != 0 else abs(measured)
-
-    passed = max(frobenius, scalar_error, max_abs) <= tolerance
-    runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
-    return report_mod.VerificationReport(
-        experiment="anticlique",
-        parameters={
-            "modes": spec.modes,
-            "cutoff": spec.cutoff,
-            "generators": len(generators),
-        },
+    return CompressionResult(
         max_abs_deviation=max_abs,
         frobenius_deviation=frobenius,
-        scalar_measured=_real_part(measured),
-        scalar_predicted=_real_part(predicted),
-        trusted_block=spec.cutoff if trusted_block is None else trusted_block,
-        passed=passed,
-        tolerance=tolerance,
-        runtime_ms=runtime_ms,
-        tool_version=report_mod.TOOL_VERSION,
         scalar_relative_error=float(scalar_error),
+        scalar_measured=float(measured.real),
+        scalar_predicted=float(predicted.real),
     )
-
-
-def _real_part(value: complex) -> float:
-    return float(value.real)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -311,14 +286,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def draw_generator_params(modes: int, rng: np.random.Generator, max_radius: float = 1.5) -> GeneratorParams:
-    """Seeded generator parameters: phases uniform on [0, 2*pi), radii on [0, max_radius]."""
+    """Seeded generator or anticlique parameters: phases uniform on [0, 2*pi), radii on [0, max_radius]."""
     radii = rng.uniform(0.0, max_radius, size=modes - 1)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=modes - 1)
     return GeneratorParams(radii=radii, phases=phases)
-
-
-def draw_anticlique_params(modes: int, rng: np.random.Generator, max_radius: float = 1.5) -> AnticliqueParams:
-    """Seeded anticlique parameters, same distribution as the generators."""
-    radii = rng.uniform(0.0, max_radius, size=modes - 1)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=modes - 1)
-    return AnticliqueParams(radii=radii, phases=phases)

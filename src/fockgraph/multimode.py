@@ -25,7 +25,6 @@ __all__ = [
     "ModeSpace",
     "MultimodeState",
     "apply_weyl_to_exponential_check",
-    "block_max_deviation",
     "creation_poly_state",
     "exponential_vector_embed",
     "index_of",
@@ -94,20 +93,13 @@ def trusted_mask(space: ModeSpace, max_occupation: int) -> np.ndarray:
     return space.occupations().max(axis=1) <= max_occupation
 
 
-def block_max_deviation(left: np.ndarray, right: np.ndarray, mask: np.ndarray) -> float:
-    """Max entrywise |left - right| over rows and columns inside the mask."""
-    idx = np.flatnonzero(mask)
-    sub = (left - right)[np.ix_(idx, idx)]
-    return float(np.max(np.abs(sub))) if sub.size else 0.0
-
-
 def validate_unitary(phi, tolerance: float = 1e-12) -> np.ndarray:
     """Return ``phi`` as a complex array after checking unitarity."""
     phi = np.asarray(phi, dtype=complex)
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
         raise ValueError(f"phi must be square, got shape {phi.shape}")
     deviation = np.max(np.abs(phi.conj().T @ phi - np.eye(phi.shape[0])))
-    if deviation > tolerance:
+    if not deviation <= tolerance:
         raise ValueError(f"phi not unitary (max deviation {deviation:.3e} > {tolerance:.0e})")
     return phi
 

@@ -11,13 +11,16 @@ elements carry exp(-s) analytically, so dividing it out leaves integrands
 polynomial in sqrt(s)*exp(+-i*theta) and the composite rule becomes exact
 once the orders clear the polynomial degree.
 
-Summation order is fixed (angular-major, then radial, accumulated
-sequentially per matrix entry) so identical inputs give identical bits.
+Every integrator sums weighted dyads w_k U_k U_k^dag over the product-rule
+nodes through :func:`integrate_dyads`.  The node order is fixed
+(angular-major, then radial; across parameter pairs the first is slowest)
+and nodes are stacked into chunks of at most CHUNK_COLUMNS columns, each
+added to the accumulator as one GEMM, so identical inputs give identical
+bits.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -32,7 +35,6 @@ __all__ = [
     "PolarScheme",
     "RadialScheme",
     "coherent_identity",
-    "default_scheme",
     "displaced_projector_identity",
     "gauss_laguerre",
     "graph_resolution",
@@ -41,6 +43,11 @@ __all__ = [
 ]
 
 MAX_RADIAL_ORDER = 64
+
+# Columns stacked per accumulation GEMM.  Chunks hold whole nodes, so the
+# cap bounds the stacked block's memory (dim x CHUNK_COLUMNS) independently
+# of the node count.
+CHUNK_COLUMNS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,11 +142,6 @@ def polar_scheme(radial_order: int, angular_count: int, radial_cap: float | None
     )
 
 
-def default_scheme(cutoff: int) -> PolarScheme:
-    """Default orders Q = cutoff+1, M = 2*cutoff+2, generous past exactness."""
-    return polar_scheme(cutoff + 1, 2 * cutoff + 2)
-
-
 def unnormalized_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     """Tail-factored coherent column alpha^m / sqrt(m!), m = 0..cutoff."""
     out = np.empty(cutoff + 1, dtype=complex)
@@ -149,15 +151,54 @@ def unnormalized_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     return out
 
 
-def _node_iter(scheme: PolarScheme):
-    """Yield (alpha, combined weight) angular-major, then radial."""
-    nodes, weights = scheme.active_radial()
-    count = scheme.angular.count
-    for theta in scheme.angular.angles:
-        phase = cmath.exp(1j * theta)
-        for s, w in zip(nodes, weights):
-            # (1/pi) * (2*pi/M) * (w/2) = w/M
-            yield math.sqrt(s) * phase, w / count
+def _node_table(schemes) -> tuple[np.ndarray, np.ndarray]:
+    """Product-rule nodes as (alphas (K, pairs), weights (K,)).
+
+    Within a scheme the order is angular-major, then radial; across schemes
+    the first is slowest.
+    """
+    alphas = np.ones((1, 0), dtype=complex)
+    weights = np.ones(1)
+    for scheme in schemes:
+        radial, radial_weights = scheme.active_radial()
+        count = scheme.angular.count
+        pair = (np.exp(1j * scheme.angular.angles)[:, None] * np.sqrt(radial)).ravel()
+        # (1/pi) * (2*pi/M) * (w/2) = w/M
+        pair_weights = np.tile(radial_weights / count, count)
+        alphas = np.hstack([np.repeat(alphas, pair.size, axis=0), np.tile(pair, len(alphas))[:, None]])
+        weights = (weights[:, None] * pair_weights).ravel()
+    return alphas, weights
+
+
+def _stacked_columns(columns, alphas, weights, dim: int):
+    """Yield sqrt(w_k) * columns(alpha_k) side by side, whole nodes per chunk.
+
+    A chunk holds at most CHUNK_COLUMNS columns unless one node alone is
+    wider.
+    """
+    pending, width = [], 0
+    for alpha, weight in zip(alphas, weights):
+        block = math.sqrt(weight) * np.reshape(columns(alpha), (dim, -1))
+        if pending and width + block.shape[1] > CHUNK_COLUMNS:
+            yield np.hstack(pending)
+            pending, width = [], 0
+        pending.append(block)
+        width += block.shape[1]
+    if pending:
+        yield np.hstack(pending)
+
+
+def integrate_dyads(columns, schemes, dim: int) -> np.ndarray:
+    """sum_k w_k U_k U_k^dag over the product of the polar schemes.
+
+    ``columns(alphas)`` maps one node's parameter-pair amplitudes (a vector
+    with one entry per scheme) to U_k, a dim-vector or a (dim, rank) block.
+    """
+    alphas, weights = _node_table(schemes)
+    acc = np.zeros((dim, dim), dtype=complex)
+    for stacked in _stacked_columns(columns, alphas, weights, dim):
+        acc += stacked @ stacked.conj().T
+    return acc
 
 
 def coherent_identity(cutoff: int, scheme: PolarScheme) -> np.ndarray:
@@ -169,11 +210,7 @@ def coherent_identity(cutoff: int, scheme: PolarScheme) -> np.ndarray:
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    acc = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for alpha, weight in _node_iter(scheme):
-        u = unnormalized_coherent(alpha, cutoff) if cutoff else np.ones(1, dtype=complex)
-        acc += weight * np.outer(u, u.conj())
-    return acc
+    return integrate_dyads(lambda alphas: unnormalized_coherent(alphas[0], cutoff), (scheme,), cutoff + 1)
 
 
 def displaced_projector_identity(beta: complex, cutoff: int, scheme: PolarScheme) -> np.ndarray:
@@ -184,11 +221,9 @@ def displaced_projector_identity(beta: complex, cutoff: int, scheme: PolarScheme
     so the deviation decays with the cutoff rather than vanishing outright.
     """
     seed = coherent_state(beta, cutoff)
-    acc = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for alpha, weight in _node_iter(scheme):
-        u = displacement_matrix(alpha, cutoff, include_gaussian=False) @ seed
-        acc += weight * np.outer(u, u.conj())
-    return acc
+    return integrate_dyads(
+        lambda alphas: displacement_matrix(alphas[0], cutoff, include_gaussian=False) @ seed, (scheme,), cutoff + 1
+    )
 
 
 def graph_resolution(spec, schemes, backend: str = "rank") -> np.ndarray:
@@ -196,9 +231,9 @@ def graph_resolution(spec, schemes, backend: str = "rank") -> np.ndarray:
 
     Computes (1/pi^(n-1)) Int D Q D^dag prod_k r_k dr_k dtheta_k over the
     product of one polar scheme per displacement parameter pair.  Backend
-    "rank" assembles each generator from its rank-(cutoff+1) vector sum;
-    "direct" conjugates the seed projector as a full matrix.  Both produce
-    the same operator; "rank" is cheaper and is the reference backend.
+    "rank" integrates the displaced rank-(cutoff+1) seed basis as dyads;
+    "direct" conjugates the seed projector as a full matrix node by node
+    and is kept as the oracle.  Both produce the same operator.
     """
     from .graphs import GraphSpec, seed_basis, seed_projector
 
@@ -215,32 +250,18 @@ def graph_resolution(spec, schemes, backend: str = "rank") -> np.ndarray:
     if len(schemes) != pairs:
         raise ValueError(f"expected {pairs} polar schemes, got {len(schemes)}")
 
+    def tail(alphas):
+        shifts = spec.phi[:, 1:] @ alphas
+        return kron_all([displacement_matrix(h, spec.cutoff, include_gaussian=False) for h in shifts])
+
+    dim = spec.space.dim
     if backend == "rank":
         basis = seed_basis(spec)
-    else:
-        projector = seed_projector(spec)
-
-    cutoff = spec.cutoff
-    acc = np.zeros((spec.space.dim, spec.space.dim), dtype=complex)
-    for combo in _product_nodes(schemes):
-        alphas = np.array([alpha for alpha, _ in combo])
-        weight = math.prod(w for _, w in combo)
-        shifts = spec.phi[:, 1:] @ alphas
-        tail = kron_all([displacement_matrix(h, cutoff, include_gaussian=False) for h in shifts])
-        if backend == "rank":
-            displaced = tail @ basis
-            acc += weight * (displaced @ displaced.conj().T)
-        else:
-            acc += weight * (tail @ projector @ tail.conj().T)
+        return integrate_dyads(lambda alphas: tail(alphas) @ basis, schemes, dim)
+    projector = seed_projector(spec)
+    alphas, weights = _node_table(schemes)
+    acc = np.zeros((dim, dim), dtype=complex)
+    for alpha, weight in zip(alphas, weights):
+        displacement = tail(alpha)
+        acc += weight * (displacement @ projector @ displacement.conj().T)
     return acc
-
-
-def _product_nodes(schemes):
-    """Nested node product, first parameter pair slowest."""
-    if len(schemes) == 1:
-        for node in _node_iter(schemes[0]):
-            yield (node,)
-        return
-    for node in _node_iter(schemes[0]):
-        for rest in _product_nodes(schemes[1:]):
-            yield (node,) + rest

@@ -51,6 +51,18 @@ class TestSingleExperiments:
         assert report["scalar_measured"] == pytest.approx(1.0, abs=1e-8)
         assert report["pass"] is True
 
+    # At n=3 the default trusted block is cutoff // 3; cutoff // 2 would
+    # reach the truncation edge (deviations near 1e-1).
+    @pytest.mark.parametrize("experiment, cutoff, block", [("projection", 8, 2), ("resolution", 4, 1)])
+    def test_three_mode_default_trusted_block(self, tmp_path, experiment, cutoff, block):
+        config = write_config(tmp_path, {"experiment": experiment, "n": 3, "cutoff": cutoff})
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 0
+        report = json.loads(out.read_text())
+        assert report["trusted_block"] == block
+        assert report["max_abs_deviation"] <= 1e-13
+        assert report["frobenius_deviation"] <= 1e-13
+
     def test_convergence_ladder_csv(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -95,6 +107,28 @@ class TestExitCodes:
         )
         assert main(["--config", str(path)]) == 2
         assert "phi not unitary" in capsys.readouterr().err
+
+    # 1e400 parses to infinity: in phi it makes the unitarity deviation NaN.
+    @pytest.mark.parametrize(
+        "text, argv, reason",
+        [
+            ('{"experiment": "gs", "tolerance": Infinity}', [], "non-finite number Infinity"),
+            ('{"experiment": "projection", "phi": [[1e400, 0], [0, 0], [0, 0], [1, 0]]}', [], "phi not unitary"),
+            ('{"experiment": "anticlique", "generator_params": [{"R": [1e400], "Theta": [0]}]}', [], "finite"),
+            (None, ["--experiment", "gs", "--cutoff", "64"], "radial_order must be <= 64"),
+        ],
+        ids=["infinite-tolerance", "nan-phi-deviation", "infinite-radius", "radial-order-65"],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_malformed_numbers_exit_two(self, tmp_path, capsys, text, argv, reason):
+        if text is not None:
+            path = tmp_path / "config.json"
+            path.write_text(text)
+            argv = ["--config", str(path)]
+        assert main([*argv, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert reason in err
 
     def test_unwritable_output_exits_three(self, tmp_path, capsys):
         config = write_config(tmp_path, {"experiment": "gs", "cutoff": 8})

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fockgraph import (
-    AnticliqueParams,
     GeneratorParams,
     GraphSpec,
     anticlique_projection,
@@ -14,7 +13,6 @@ from fockgraph import (
     compression_check,
     compression_constant,
     displaced_mode_amplitudes,
-    draw_anticlique_params,
     draw_generator_params,
     graph_displacement,
     graph_generator,
@@ -32,6 +30,11 @@ from fockgraph.multimode import trusted_mask
 def block(op, mask):
     idx = np.flatnonzero(mask)
     return op[np.ix_(idx, idx)]
+
+
+def within(result, tolerance):
+    deviations = (result.max_abs_deviation, result.frobenius_deviation, result.scalar_relative_error)
+    return max(deviations) <= tolerance
 
 
 class TestGraphSpec:
@@ -185,31 +188,28 @@ class TestGraphGenerator:
 class TestAnticliqueProjection:
     def test_zero_radii_reduce_to_seed_projector(self):
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=8)
-        params = AnticliqueParams(radii=[0.0], phases=[0.7])
+        params = GeneratorParams(radii=[0.0], phases=[0.7])
         assert np.abs(anticlique_projection(spec, params) - seed_projector(spec)).max() < 1e-13
 
     def test_is_generator_at_same_parameters(self):
         rng = np.random.default_rng(41)
         spec = GraphSpec(phi=haar_unitary(2, rng), modes=2, cutoff=10)
-        params = draw_anticlique_params(2, rng)
-        as_generator = GeneratorParams(radii=params.radii, phases=params.phases)
-        assert np.array_equal(
-            anticlique_projection(spec, params), graph_generator(spec, as_generator).op
-        )
+        params = draw_generator_params(2, rng)
+        assert np.array_equal(anticlique_projection(spec, params), graph_generator(spec, params).op)
 
     def test_idempotent_where_ladder_survives(self):
         # The top ladder states lose mass under mixing and truncation, so
         # idempotency holds on the low block (measured 4e-10 here, reaching
         # 4e-5 on the full matrix).
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=24)
-        params = AnticliqueParams(radii=[0.8], phases=[0.5])
+        params = GeneratorParams(radii=[0.8], phases=[0.5])
         proj = anticlique_projection(spec, params)
         mask = trusted_mask(spec.space, 8)
         assert np.abs(block(proj @ proj - proj, mask)).max() < 1e-8
 
     def test_rank_equals_ladder_length(self):
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=20)
-        params = AnticliqueParams(radii=[0.9], phases=[2.8])
+        params = GeneratorParams(radii=[0.9], phases=[2.8])
         eigs = np.sort(np.linalg.eigvalsh(anticlique_projection(spec, params)))[::-1]
         assert eigs[20] > 0.995
         assert eigs[21] < 0.005
@@ -219,10 +219,10 @@ class TestAnticliqueProjection:
 class TestCompressionConstant:
     def test_equal_parameters_give_one(self):
         params = dict(radii=[0.7, 1.2], phases=[0.3, 2.0])
-        assert compression_constant(AnticliqueParams(**params), GeneratorParams(**params)) == 1.0
+        assert compression_constant(GeneratorParams(**params), GeneratorParams(**params)) == 1.0
 
     def test_unit_distance(self):
-        ap = AnticliqueParams(radii=[1.0], phases=[0.0])
+        ap = GeneratorParams(radii=[1.0], phases=[0.0])
         gp = GeneratorParams(radii=[0.0], phases=[0.0])
         expected = math.fsum((-1.0) ** k / math.factorial(k) for k in range(40))
         assert compression_constant(ap, gp) == pytest.approx(expected, abs=1e-13)
@@ -230,18 +230,18 @@ class TestCompressionConstant:
 
     def test_common_phase_shift_invariance(self):
         rng = np.random.default_rng(43)
-        ap = draw_anticlique_params(3, rng)
+        ap = draw_generator_params(3, rng)
         gp = draw_generator_params(3, rng)
         base = compression_constant(ap, gp)
         for delta in (0.4, 1.9, 5.1):
-            shifted_ap = AnticliqueParams(radii=ap.radii, phases=ap.phases + delta)
+            shifted_ap = GeneratorParams(radii=ap.radii, phases=ap.phases + delta)
             shifted_gp = GeneratorParams(radii=gp.radii, phases=gp.phases + delta)
             assert compression_constant(shifted_ap, shifted_gp) == pytest.approx(base, rel=1e-12)
 
     def test_bounded_by_unit_interval(self):
         rng = np.random.default_rng(44)
         for _ in range(30):
-            value = compression_constant(draw_anticlique_params(2, rng), draw_generator_params(2, rng))
+            value = compression_constant(draw_generator_params(2, rng), draw_generator_params(2, rng))
             assert 0.0 <= value <= 1.0
 
 
@@ -251,66 +251,62 @@ class TestCompressionCheck:
         # the floor (1.6e-7 at this scale, falling ~20x per +4 cutoff).
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=24)
         params = dict(radii=[0.3], phases=[1.1])
-        report = compression_check(
-            spec, AnticliqueParams(**params), [GeneratorParams(**params)], tolerance=1e-5
-        )
-        assert report.scalar_measured == pytest.approx(1.0, abs=1e-6)
-        assert report.frobenius_deviation < 1e-5
-        assert report.passed
+        result = compression_check(spec, GeneratorParams(**params), [GeneratorParams(**params)])
+        assert result.scalar_measured == pytest.approx(1.0, abs=1e-6)
+        assert result.frobenius_deviation < 1e-5
+        assert within(result, 1e-5)
 
     def test_unmixed_graph_compresses_exactly(self):
         spec = GraphSpec(phi=np.eye(2, dtype=complex), modes=2, cutoff=16)
-        report = compression_check(
+        result = compression_check(
             spec,
-            AnticliqueParams(radii=[0.8], phases=[0.3]),
+            GeneratorParams(radii=[0.8], phases=[0.3]),
             [GeneratorParams(radii=[0.9], phases=[2.1])],
-            tolerance=1e-12,
         )
-        assert report.passed
-        assert report.scalar_relative_error < 1e-12
+        assert within(result, 1e-12)
+        assert result.scalar_relative_error < 1e-12
 
     def test_balanced_mixing_small_radii(self):
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=24)
-        report = compression_check(
+        result = compression_check(
             spec,
-            AnticliqueParams(radii=[0.4], phases=[0.3]),
+            GeneratorParams(radii=[0.4], phases=[0.3]),
             [GeneratorParams(radii=[0.45], phases=[2.1])],
-            tolerance=1e-6,
         )
-        assert report.passed
-        assert report.frobenius_deviation < 1e-6
-        assert report.scalar_relative_error < 1e-6
+        assert within(result, 1e-6)
+        assert result.frobenius_deviation < 1e-6
+        assert result.scalar_relative_error < 1e-6
 
     def test_weighted_combination_is_linear(self):
         rng = np.random.default_rng(47)
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=20)
-        ap = draw_anticlique_params(2, rng, max_radius=0.5)
+        ap = draw_generator_params(2, rng, max_radius=0.5)
         gps = [draw_generator_params(2, rng, max_radius=0.5) for _ in range(3)]
         weights = [1.0 + 0.5j, -0.25 + 1.0j, 0.8 - 0.1j]
-        report = compression_check(spec, ap, gps, weights=weights, tolerance=1e-4)
-        assert report.passed
-        assert report.scalar_relative_error < 1e-4
+        result = compression_check(spec, ap, gps, weights=weights)
+        assert within(result, 1e-4)
+        assert result.scalar_relative_error < 1e-4
 
     def test_deviation_decreases_along_cutoff_ladder(self):
         rng = np.random.default_rng(48)
         phi = haar_unitary(2, rng)
-        ap = AnticliqueParams(radii=[0.8], phases=[0.3])
+        ap = GeneratorParams(radii=[0.8], phases=[0.3])
         gp = GeneratorParams(radii=[0.9], phases=[2.1])
         deviations = []
         for cutoff in (12, 16, 20):
             spec = GraphSpec(phi=phi, modes=2, cutoff=cutoff)
-            report = compression_check(spec, ap, [gp])
-            deviations.append(report.frobenius_deviation)
+            result = compression_check(spec, ap, [gp])
+            deviations.append(result.frobenius_deviation)
         assert deviations[0] > deviations[1] > deviations[2]
 
     def test_rejects_empty_generators(self):
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=8)
         with pytest.raises(ValueError, match="generator"):
-            compression_check(spec, AnticliqueParams(radii=[0.5], phases=[0.0]), [])
+            compression_check(spec, GeneratorParams(radii=[0.5], phases=[0.0]), [])
 
     def test_rejects_weight_mismatch(self):
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=8)
-        ap = AnticliqueParams(radii=[0.5], phases=[0.0])
+        ap = GeneratorParams(radii=[0.5], phases=[0.0])
         gp = GeneratorParams(radii=[0.5], phases=[0.0])
         with pytest.raises(ValueError, match="weights"):
             compression_check(spec, ap, [gp], weights=[1.0, 2.0])

@@ -1,5 +1,7 @@
 """Quadrature tests: Gauss-Laguerre rules and identity integrators."""
 
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -9,13 +11,21 @@ from fockgraph import (
     AngularScheme,
     GraphSpec,
     coherent_identity,
+    coherent_state,
     displaced_projector_identity,
+    displacement_matrix,
     gauss_laguerre,
     graph_resolution,
     haar_unitary,
+    kron_all,
     polar_scheme,
+    seed_basis,
+    seed_projector,
+    seed_projector_quadrature,
+    unnormalized_coherent,
 )
 from fockgraph.multimode import trusted_mask
+from fockgraph.quadrature import integrate_dyads
 
 
 def identity_deviation(op, mask=None):
@@ -24,6 +34,106 @@ def identity_deviation(op, mask=None):
     idx = np.flatnonzero(mask)
     sub = op[np.ix_(idx, idx)]
     return np.abs(sub - np.eye(idx.size)).max()
+
+
+def oracle_nodes(scheme):
+    """(alpha, weight) one node at a time, angular-major, then radial."""
+    nodes, weights = scheme.active_radial()
+    count = scheme.angular.count
+    for theta in scheme.angular.angles:
+        phase = cmath.exp(1j * theta)
+        for s, w in zip(nodes, weights):
+            yield math.sqrt(s) * phase, w / count
+
+
+def oracle_dyad_sum(vector, scheme, dim):
+    """sum_k w_k u_k u_k^dag accumulated node by node with np.outer."""
+    acc = np.zeros((dim, dim), dtype=complex)
+    for alpha, weight in oracle_nodes(scheme):
+        u = vector(alpha)
+        acc += weight * np.outer(u, u.conj())
+    return acc
+
+
+def oracle_graph_resolution(spec, scheme, conjugate):
+    """sum_k w_k conjugate(D_k) over the node product, first pair slowest."""
+    acc = np.zeros((spec.space.dim, spec.space.dim), dtype=complex)
+    for combo in itertools.product(list(oracle_nodes(scheme)), repeat=spec.modes - 1):
+        alphas = np.array([alpha for alpha, _ in combo])
+        weight = math.prod(w for _, w in combo)
+        shifts = spec.phi[:, 1:] @ alphas
+        tail = kron_all([displacement_matrix(h, spec.cutoff, include_gaussian=False) for h in shifts])
+        acc += weight * conjugate(tail)
+    return acc
+
+
+class TestIntegrateDyads:
+    # With 128 columns a chunk, rank 1 fills a chunk with 128 nodes, rank 17
+    # with 7, and a node wider than the cap takes a chunk alone; the node
+    # counts fall below a chunk, on it and off a multiple of it.
+    @pytest.mark.parametrize(
+        "rank, orders",
+        [(1, (4, 5)), (1, (8, 16)), (1, (10, 20)), (17, (1, 5)), (17, (1, 7)), (17, (3, 10)), (130, (2, 3))],
+    )
+    def test_matches_per_node_outer_products(self, rank, orders):
+        scheme = polar_scheme(*orders)
+        base = np.random.default_rng(rank).standard_normal((5, rank))
+
+        def columns(alpha):
+            return base * alpha + np.arange(rank) / (1.0 + abs(alpha))
+
+        expected = np.zeros((5, 5), dtype=complex)
+        for alpha, weight in oracle_nodes(scheme):
+            block = columns(alpha)
+            for j in range(rank):
+                expected += weight * np.outer(block[:, j], block[:, j].conj())
+        got = integrate_dyads(lambda alphas: columns(alphas[0]), (scheme,), 5)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_radial_cap_dropping_every_node_gives_zeros(self):
+        scheme = polar_scheme(5, 6, radial_cap=0.1)
+        assert scheme.active_radial()[0].size == 0
+        op = integrate_dyads(lambda alphas: np.ones(3), (scheme,), 3)
+        assert np.array_equal(op, np.zeros((3, 3)))
+        assert np.array_equal(coherent_identity(4, scheme), np.zeros((5, 5)))
+
+    @pytest.mark.parametrize("orders", [(4, 5), (8, 16), (10, 20)])
+    def test_coherent_identity_matches_outer_sum(self, orders):
+        scheme = polar_scheme(*orders)
+        expected = oracle_dyad_sum(lambda a: unnormalized_coherent(a, 6), scheme, 7)
+        assert np.abs(coherent_identity(6, scheme) - expected).max() <= 1e-13
+
+    def test_displaced_projector_identity_matches_outer_sum(self):
+        scheme = polar_scheme(9, 20)
+        seed = coherent_state(1.0, 12)
+        expected = oracle_dyad_sum(
+            lambda a: displacement_matrix(a, 12, include_gaussian=False) @ seed, scheme, 13
+        )
+        assert np.abs(displaced_projector_identity(1.0, 12, scheme) - expected).max() <= 1e-13
+
+    def test_seed_projector_quadrature_matches_outer_sum(self):
+        spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(5)), modes=2, cutoff=6)
+        scheme = polar_scheme(7, 15)
+        column = spec.phi[:, 0]
+        expected = oracle_dyad_sum(
+            lambda a: kron_all([unnormalized_coherent(a * c, 6) for c in column]), scheme, spec.space.dim
+        )
+        assert np.abs(seed_projector_quadrature(spec, scheme) - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("orders", [(1, 5), (1, 7), (3, 10)])
+    def test_rank_17_graph_resolution_matches_per_node_sum(self, orders):
+        spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(6)), modes=2, cutoff=16)
+        scheme = polar_scheme(*orders)
+        basis = seed_basis(spec)
+        expected = oracle_graph_resolution(spec, scheme, lambda d: (d @ basis) @ (d @ basis).conj().T)
+        assert np.abs(graph_resolution(spec, scheme, backend="rank") - expected).max() <= 1e-13
+
+    def test_direct_graph_resolution_matches_per_node_sum(self):
+        spec = GraphSpec(phi=haar_unitary(3, np.random.default_rng(9)), modes=3, cutoff=3)
+        scheme = polar_scheme(3, 4)
+        projector = seed_projector(spec)
+        expected = oracle_graph_resolution(spec, scheme, lambda d: d @ projector @ d.conj().T)
+        assert np.abs(graph_resolution(spec, scheme, backend="direct") - expected).max() <= 1e-13
 
 
 class TestGaussLaguerre:
