@@ -16,7 +16,6 @@ from .fock import (
 from .graphs import (
     CompressionResult,
     GeneratorParams,
-    GraphElement,
     GraphSpec,
     anticlique_projection,
     compression_check,

@@ -37,6 +37,10 @@ DEFAULT_CUTOFF = 16
 DEFAULT_SEED = 42
 DEFAULT_LADDER = (12, 16, 20)
 
+# Largest row count of phi or of any operator a config may ask for: one
+# dense complex matrix of this size takes 1 GiB.
+MAX_DIM = 8192
+
 # Pass tolerances and trusted blocks per experiment.  Exact-identity
 # experiments sit at the floating-point floor; truncation-limited ones get
 # two orders of magnitude of headroom over measured deviations at the
@@ -168,6 +172,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"experiment {experiment!r} needs n >= 2, got {n}")
     cutoff = _require_int(data.get("cutoff", DEFAULT_CUTOFF), "cutoff", minimum=4)
 
+    _check_dim("phi", n, 1)
+    if experiment in ("projection", "resolution", "anticlique"):
+        _check_dim(f"the {n}-mode space at cutoff {cutoff}", cutoff + 1, n)
+    elif experiment in ("gs", "covariant_gs"):
+        _check_dim(f"the space at cutoff {cutoff}", cutoff + 1, 1)
     phi = _parse_phi(data.get("phi"), n)
 
     radial_order = _require_int(data.get("radial_order", cutoff + 1), "radial_order", minimum=1)
@@ -197,6 +206,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(raw_ladder, list) or not raw_ladder:
             raise ConfigError("cutoff_ladder must be a nonempty list of integers")
         cutoff_ladder = tuple(_require_int(v, "cutoff_ladder entry", minimum=4) for v in raw_ladder)
+        for cut in cutoff_ladder:
+            _check_dim(f"the space at cutoff_ladder entry {cut}", cut + 1, 1)
         if any(cut < trusted_block for cut in cutoff_ladder):
             raise ConfigError("every cutoff_ladder entry must be >= trusted_block")
 
@@ -238,6 +249,19 @@ def _require_int(value, name: str, minimum: int) -> int:
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def _check_dim(what: str, rows_per_mode: int, modes: int) -> None:
+    """Reject rows_per_mode ** modes > MAX_DIM.
+
+    Multiplies one mode at a time and stops past the budget, so a huge
+    ``modes`` from the config never sizes an integer power.
+    """
+    rows = 1
+    for _ in range(modes):
+        rows *= rows_per_mode
+        if rows > MAX_DIM:
+            raise ConfigError(f"{what} needs more than MAX_DIM = {MAX_DIM} rows")
 
 
 def _parse_complex_entry(entry, context: str) -> complex:

@@ -15,19 +15,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import displacement_matrix
 from .multimode import (
     ModeSpace,
     creation_poly_state,
     kron_all,
+    trusted_mask,
     validate_unitary,
+    weyl_operator,
 )
 from .quadrature import PolarScheme, integrate_dyads, unnormalized_coherent
 
 __all__ = [
     "CompressionResult",
     "GeneratorParams",
-    "GraphElement",
     "GraphSpec",
     "anticlique_projection",
     "compression_check",
@@ -65,12 +65,6 @@ class GraphSpec:
         return ModeSpace(self.modes, self.cutoff)
 
 
-def _normalize_params(params, spec: "GraphSpec"):
-    if params.radii.shape != (spec.modes - 1,):
-        raise ValueError(f"expected {spec.modes - 1} parameter pairs, got {params.radii.shape[0]}")
-    return params
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratorParams:
     """Radial amplitudes and phases of one displacement point.
@@ -95,29 +89,6 @@ class GeneratorParams:
 
     def displacements(self) -> np.ndarray:
         return self.radii * np.exp(1j * self.phases)
-
-
-# GraphElement's acceptance bounds: largest entrywise |op - op^dag| and
-# smallest allowed eigenvalue.
-HERMITICITY_TOLERANCE = 1e-10
-PSD_TOLERANCE = -1e-8
-
-
-@dataclass(eq=False)
-class GraphElement:
-    """A realized graph generator with its parameters and build backend."""
-
-    op: np.ndarray
-    params: GeneratorParams
-    backend: str
-
-    def __post_init__(self):
-        herm = float(np.max(np.abs(self.op - self.op.conj().T)))
-        if herm > HERMITICITY_TOLERANCE:
-            raise ValueError(f"generator not Hermitian (deviation {herm:.3e})")
-        min_eig = float(np.linalg.eigvalsh(self.op)[0])
-        if min_eig < PSD_TOLERANCE:
-            raise ValueError(f"generator not positive semidefinite (min eigenvalue {min_eig:.3e})")
 
 
 def seed_basis(spec: GraphSpec) -> np.ndarray:
@@ -156,33 +127,25 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme) -> np.ndarra
 
 def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:
     """Per-mode displacement h_j = sum_k e^{i theta_k} r_k phi_{j,k+1}."""
-    params = _normalize_params(params, spec)
+    if params.radii.shape != (spec.modes - 1,):
+        raise ValueError(f"expected {spec.modes - 1} parameter pairs, got {params.radii.shape[0]}")
     return spec.phi[:, 1:] @ params.displacements()
 
 
 def graph_displacement(spec: GraphSpec, params) -> np.ndarray:
     """Tensor displacement moving the seed projector to the parameter point."""
-    shifts = displaced_mode_amplitudes(spec, params)
-    return kron_all([displacement_matrix(h, spec.cutoff) for h in shifts])
+    return weyl_operator(displaced_mode_amplitudes(spec, params), spec.space)
 
 
-def graph_generator(spec: GraphSpec, params: GeneratorParams, backend: str = "rank") -> GraphElement:
+def graph_generator(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
     """Displaced seed projector D Q D^dag at the given parameters.
 
-    Backend "rank" sums the cutoff+1 displaced ladder dyads (cheaper, less
-    truncation mixing); "direct" conjugates the full projector matrix and is
-    kept as an oracle.  Both express the same operator.
+    Sums the cutoff+1 displaced ladder dyads as the Gram matrix Y Y^dag of
+    Y = D B, so the result is Hermitian and positive semidefinite by
+    construction; the test suite measures both.
     """
-    params = _normalize_params(params, spec)
-    if backend not in ("rank", "direct"):
-        raise ValueError(f"backend must be 'rank' or 'direct', got {backend!r}")
-    displacement = graph_displacement(spec, params)
-    if backend == "rank":
-        displaced = displacement @ seed_basis(spec)
-        op = displaced @ displaced.conj().T
-    else:
-        op = displacement @ seed_projector(spec) @ displacement.conj().T
-    return GraphElement(op=op, params=params, backend=backend)
+    displaced = graph_displacement(spec, params) @ seed_basis(spec)
+    return displaced @ displaced.conj().T
 
 
 def anticlique_projection(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
@@ -192,7 +155,7 @@ def anticlique_projection(spec: GraphSpec, params: GeneratorParams) -> np.ndarra
     parameters (both are the displaced seed projector), so the same code path
     builds it; the identity is asserted in the test suite.
     """
-    return graph_generator(spec, params, backend="rank").op
+    return graph_generator(spec, params)
 
 
 def compression_constant(anticlique: GeneratorParams, generator: GeneratorParams) -> float:
@@ -224,7 +187,7 @@ def compression_check(
 ) -> CompressionResult:
     """Measure how far the projection compresses a graph combination to a scalar.
 
-    Forms A = sum_i w_i G_i from rank-backend generators, computes P A P,
+    Forms A = sum_i w_i G_i from the graph generators, computes P A P,
     extracts the least-squares scalar c = tr(P A P)/tr(P), and returns the
     max-abs and relative Frobenius deviations of P A P - c P (the latter
     against ||P||_F) together with the relative error of c against the
@@ -246,19 +209,15 @@ def compression_check(
     if len(weights) != len(generators):
         raise ValueError("weights must match the number of generators")
 
-    anticlique = _normalize_params(anticlique, spec)
     projection = anticlique_projection(spec, anticlique)
     combined = np.zeros_like(projection)
     predicted = 0.0 + 0.0j
     for weight, params in zip(weights, generators):
-        params = _normalize_params(params, spec)
-        combined += weight * graph_generator(spec, params, backend="rank").op
+        combined += weight * graph_generator(spec, params)
         predicted += weight * compression_constant(anticlique, params)
 
     compressed = projection @ combined @ projection
     if trusted_block is not None:
-        from .multimode import trusted_mask
-
         idx = np.flatnonzero(trusted_mask(spec.space, trusted_block))
         projection = projection[np.ix_(idx, idx)]
         compressed = compressed[np.ix_(idx, idx)]

@@ -48,10 +48,8 @@ class VerificationReport:
     tolerance: float
     runtime_ms: int
     tool_version: str = TOOL_VERSION
-    # Extra, non-serialized detail: per-cutoff rows for convergence ladders
-    # and the relative scalar error for compression checks.
+    # Non-serialized detail: per-cutoff rows for convergence ladders.
     ladder: list[dict] | None = field(default=None, repr=False)
-    scalar_relative_error: float | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("max_abs_deviation", "frobenius_deviation", "tolerance"):

@@ -61,11 +61,20 @@ def _identity_deviations(operator: np.ndarray, mask: np.ndarray) -> tuple[float,
     return max_abs, frobenius
 
 
-def _report(cfg: ExperimentConfig, max_abs: float, frobenius: float, **extra) -> VerificationReport:
+def _report(
+    cfg: ExperimentConfig,
+    max_abs: float,
+    frobenius: float,
+    *,
+    scalar_relative_error: float | None = None,
+    scalar_measured: float | None = None,
+    scalar_predicted: float | None = None,
+    passed: bool | None = None,
+    ladder: list[dict] | None = None,
+) -> VerificationReport:
     deviations = [max_abs, frobenius]
-    if extra.get("scalar_relative_error") is not None:
-        deviations.append(extra["scalar_relative_error"])
-    passed = extra.pop("passed", None)
+    if scalar_relative_error is not None:
+        deviations.append(scalar_relative_error)
     if passed is None:
         passed = max(deviations) <= cfg.tolerance
     return VerificationReport(
@@ -73,14 +82,14 @@ def _report(cfg: ExperimentConfig, max_abs: float, frobenius: float, **extra) ->
         parameters=cfg.echo(),
         max_abs_deviation=max_abs,
         frobenius_deviation=frobenius,
-        scalar_measured=extra.pop("scalar_measured", None),
-        scalar_predicted=extra.pop("scalar_predicted", None),
+        scalar_measured=scalar_measured,
+        scalar_predicted=scalar_predicted,
         trusted_block=cfg.trusted_block,
         passed=passed,
         tolerance=cfg.tolerance,
         runtime_ms=0,
         tool_version=TOOL_VERSION,
-        **extra,
+        ladder=ladder,
     )
 
 
@@ -112,7 +121,8 @@ def _run_covariant(cfg: ExperimentConfig) -> VerificationReport:
 def _run_projection(cfg: ExperimentConfig) -> VerificationReport:
     spec = GraphSpec(phi=cfg.phi, modes=cfg.n, cutoff=cfg.cutoff)
     projector = seed_projector(spec)
-    idempotency = float(np.max(np.abs(projector @ projector - projector)))
+    idempotency_residual = projector @ projector - projector
+    idempotency = float(np.max(np.abs(idempotency_residual)))
     hermiticity = float(np.max(np.abs(projector - projector.conj().T)))
     trace_dev = abs(float(np.trace(projector).real) - (cfg.cutoff + 1))
     quad = seed_projector_quadrature(spec, polar_scheme(cfg.radial_order, cfg.angular_order))
@@ -120,7 +130,7 @@ def _run_projection(cfg: ExperimentConfig) -> VerificationReport:
     idx = np.flatnonzero(mask)
     backend_dev = float(np.max(np.abs((projector - quad)[np.ix_(idx, idx)])))
     max_abs = max(idempotency, hermiticity, trace_dev, backend_dev)
-    frobenius = float(np.linalg.norm(projector @ projector - projector) / np.linalg.norm(projector))
+    frobenius = float(np.linalg.norm(idempotency_residual) / np.linalg.norm(projector))
     return _report(cfg, max_abs, frobenius)
 
 

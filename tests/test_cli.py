@@ -6,6 +6,7 @@ import re
 import pytest
 
 from fockgraph.cli import main
+from fockgraph.config import config_from_dict
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -129,6 +130,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert reason in err
+
+    # Each of these asks for more than MAX_DIM = 8192 rows; the guard
+    # rejects them before any array is built, n = 10**9 included.
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            ({"experiment": "projection", "n": 4}, "4-mode space at cutoff 16"),
+            ({"experiment": "gs", "cutoff": 9000, "radial_order": 8}, "space at cutoff 9000"),
+            ({"experiment": "gs", "cutoff": 8192, "radial_order": 8}, "space at cutoff 8192"),
+            ({"experiment": "convergence", "cutoff_ladder": [12, 9000]}, "cutoff_ladder entry 9000"),
+            ({"experiment": "gs", "n": 10**9}, "phi"),
+        ],
+        ids=["projection-n4", "gs-cutoff-9000", "gs-cutoff-8192", "convergence-ladder-9000", "gs-n-1e9"],
+    )
+    def test_oversized_config_exits_two(self, tmp_path, capsys, data, reason):
+        path = write_config(tmp_path, data)
+        assert main(["--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert reason in err
+        assert "MAX_DIM = 8192" in err
+
+    # Parsed only: running these would build matrices of 0.4 to 1 GiB.
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"experiment": "anticlique", "n": 3, "cutoff": 16},
+            {"experiment": "gs", "cutoff": 8191, "radial_order": 8},
+        ],
+        ids=["anticlique-n3-dim-4913", "gs-dim-8192"],
+    )
+    def test_config_within_budget_parses(self, data):
+        assert config_from_dict(data).cutoff == data["cutoff"]
 
     def test_unwritable_output_exits_three(self, tmp_path, capsys):
         config = write_config(tmp_path, {"experiment": "gs", "cutoff": 8})

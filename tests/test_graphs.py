@@ -136,25 +136,24 @@ class TestGraphGenerator:
     def test_zero_params_reduce_to_seed_projector(self):
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=8)
         params = GeneratorParams(radii=[0.0], phases=[0.0])
-        element = graph_generator(spec, params)
-        assert np.abs(element.op - seed_projector(spec)).max() < 1e-13
+        assert np.abs(graph_generator(spec, params) - seed_projector(spec)).max() < 1e-13
 
     def test_backends_agree(self):
         rng = np.random.default_rng(33)
         spec = GraphSpec(phi=haar_unitary(2, rng), modes=2, cutoff=10)
         params = draw_generator_params(2, rng)
-        rank = graph_generator(spec, params, backend="rank")
-        direct = graph_generator(spec, params, backend="direct")
-        assert np.abs(rank.op - direct.op).max() < 1e-10
+        disp = graph_displacement(spec, params)
+        direct = disp @ seed_projector(spec) @ disp.conj().T
+        assert np.abs(graph_generator(spec, params) - direct).max() < 1e-10
 
     def test_trace_preserves_projector_rank(self):
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=24)
         params = GeneratorParams(radii=[0.3], phases=[1.0])
-        element = graph_generator(spec, params)
+        generator = graph_generator(spec, params)
         # Rank-(cutoff+1) projector displaced by a small amount: the trace
         # deficit is the mass the top ladder states lose past the cutoff,
         # measured 2e-6 here.
-        assert np.trace(element.op).real == pytest.approx(25.0, abs=1e-4)
+        assert np.trace(generator).real == pytest.approx(25.0, abs=1e-4)
 
     def test_trace_deficit_shrinks_with_cutoff(self):
         rng = np.random.default_rng(35)
@@ -163,16 +162,22 @@ class TestGraphGenerator:
         deficits = []
         for cutoff in (12, 16, 20):
             spec = GraphSpec(phi=phi, modes=2, cutoff=cutoff)
-            element = graph_generator(spec, params)
-            deficits.append(cutoff + 1 - np.trace(element.op).real)
+            deficits.append(cutoff + 1 - np.trace(graph_generator(spec, params)).real)
         assert deficits[0] > deficits[1] > deficits[2] > 0
 
-    def test_element_validates_hermiticity_and_psd(self):
-        spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=8)
-        params = GeneratorParams(radii=[0.6], phases=[2.2])
-        element = graph_generator(spec, params)
-        assert np.abs(element.op - element.op.conj().T).max() < 1e-10
-        assert np.linalg.eigvalsh(element.op).min() > -1e-8
+    # The build runs no check of its own: the Gram-matrix form makes every
+    # generator Hermitian and positive semidefinite, measured here.
+    @pytest.mark.parametrize("max_radius", [0.5, 1.5])
+    @pytest.mark.parametrize("mixing", ["dft", "haar"])
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8)])
+    def test_hermitian_and_psd(self, modes, cutoff, mixing, max_radius):
+        rng = np.random.default_rng(37)
+        phi = dft_matrix(modes) if mixing == "dft" else haar_unitary(modes, rng)
+        spec = GraphSpec(phi=phi, modes=modes, cutoff=cutoff)
+        for _ in range(3):
+            generator = graph_generator(spec, draw_generator_params(modes, rng, max_radius=max_radius))
+            assert np.abs(generator - generator.conj().T).max() <= 1e-10
+            assert np.linalg.eigvalsh(generator).min() >= -1e-8
 
     def test_displaced_ladder_nearly_orthonormal(self):
         # Orthonormality survives exactly where the ladder keeps its mass:
@@ -195,7 +200,7 @@ class TestAnticliqueProjection:
         rng = np.random.default_rng(41)
         spec = GraphSpec(phi=haar_unitary(2, rng), modes=2, cutoff=10)
         params = draw_generator_params(2, rng)
-        assert np.array_equal(anticlique_projection(spec, params), graph_generator(spec, params).op)
+        assert np.array_equal(anticlique_projection(spec, params), graph_generator(spec, params))
 
     def test_idempotent_where_ladder_survives(self):
         # The top ladder states lose mass under mixing and truncation, so
