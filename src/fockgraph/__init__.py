@@ -17,7 +17,6 @@ from .graphs import (
     CompressionResult,
     GeneratorParams,
     GraphSpec,
-    anticlique_projection,
     compression_check,
     compression_constant,
     displaced_mode_amplitudes,
@@ -33,7 +32,6 @@ from .multimode import (
     ModeSpace,
     MultimodeState,
     apply_weyl_to_exponential_check,
-    creation_poly_state,
     exponential_vector_embed,
     index_of,
     kron_all,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,11 @@ DEFAULT_LADDER = (12, 16, 20)
 # Largest row count of phi or of any operator a config may ask for: one
 # dense complex matrix of this size takes 1 GiB.
 MAX_DIM = 8192
+
+# Largest product-rule node count a config may ask for, per quadrature:
+# the node table of (alpha, weight) pairs then stays at or under 16 MB per
+# parameter pair.
+MAX_NODES = 2**20
 
 # Pass tolerances and trusted blocks per experiment.  Exact-identity
 # experiments sit at the floating-point floor; truncation-limited ones get
@@ -144,20 +149,7 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a validated config from a raw dict, applying defaults."""
-    unknown = set(data) - {
-        "experiment",
-        "n",
-        "cutoff",
-        "phi",
-        "generator_params",
-        "anticlique_params",
-        "radial_order",
-        "angular_order",
-        "tolerance",
-        "trusted_block",
-        "seed",
-        "cutoff_ladder",
-    }
+    unknown = set(data) - {field.name for field in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
 
@@ -172,17 +164,21 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"experiment {experiment!r} needs n >= 2, got {n}")
     cutoff = _require_int(data.get("cutoff", DEFAULT_CUTOFF), "cutoff", minimum=4)
 
-    _check_dim("phi", n, 1)
+    _check_size("phi", n, 1, "rows")
     if experiment in ("projection", "resolution", "anticlique"):
-        _check_dim(f"the {n}-mode space at cutoff {cutoff}", cutoff + 1, n)
+        _check_size(f"the {n}-mode space at cutoff {cutoff}", cutoff + 1, n, "rows")
     elif experiment in ("gs", "covariant_gs"):
-        _check_dim(f"the space at cutoff {cutoff}", cutoff + 1, 1)
+        _check_size(f"the space at cutoff {cutoff}", cutoff + 1, 1, "rows")
     phi = _parse_phi(data.get("phi"), n)
 
     radial_order = _require_int(data.get("radial_order", cutoff + 1), "radial_order", minimum=1)
     if radial_order > MAX_RADIAL_ORDER:
         raise ConfigError(f"radial_order must be <= {MAX_RADIAL_ORDER}, got {radial_order}")
     angular_order = _require_int(data.get("angular_order", 2 * cutoff + 2), "angular_order", minimum=1)
+    if experiment != "anticlique":
+        pairs = n - 1 if experiment == "resolution" else 1
+        rule = f"radial_order {radial_order} x angular_order {angular_order}"
+        _check_size(f"the {experiment} quadrature at {rule}", radial_order * angular_order, pairs, "nodes")
 
     tolerance = data.get("tolerance", _DEFAULT_TOLERANCE[experiment])
     if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
@@ -197,8 +193,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     seed = _require_int(data.get("seed", DEFAULT_SEED), "seed", minimum=0)
 
-    generator_params = _parse_generator_params(data.get("generator_params"), n)
-    anticlique_params = _parse_anticlique_params(data.get("anticlique_params"), n)
+    generator_params = None
+    raw_generators = data.get("generator_params")
+    if raw_generators is not None:
+        if not isinstance(raw_generators, list) or not raw_generators:
+            raise ConfigError("generator_params must be a nonempty list of {R, Theta} objects")
+        generator_params = tuple(
+            _parse_point(item, n, ("R", "Theta"), "generator_params entry") for item in raw_generators
+        )
+    anticlique_params = None
+    if data.get("anticlique_params") is not None:
+        anticlique_params = _parse_point(data["anticlique_params"], n, ("X", "Gamma"), "anticlique_params")
 
     cutoff_ladder = None
     if experiment == "convergence":
@@ -207,7 +212,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError("cutoff_ladder must be a nonempty list of integers")
         cutoff_ladder = tuple(_require_int(v, "cutoff_ladder entry", minimum=4) for v in raw_ladder)
         for cut in cutoff_ladder:
-            _check_dim(f"the space at cutoff_ladder entry {cut}", cut + 1, 1)
+            _check_size(f"the space at cutoff_ladder entry {cut}", cut + 1, 1, "rows")
         if any(cut < trusted_block for cut in cutoff_ladder):
             raise ConfigError("every cutoff_ladder entry must be >= trusted_block")
 
@@ -251,17 +256,18 @@ def _require_int(value, name: str, minimum: int) -> int:
     return value
 
 
-def _check_dim(what: str, rows_per_mode: int, modes: int) -> None:
-    """Reject rows_per_mode ** modes > MAX_DIM.
+def _check_size(what: str, base: int, exponent: int, unit: str) -> None:
+    """Reject base ** exponent past MAX_DIM ("rows") or MAX_NODES ("nodes").
 
-    Multiplies one mode at a time and stops past the budget, so a huge
-    ``modes`` from the config never sizes an integer power.
+    Multiplies one factor at a time and stops past the budget, so a huge
+    ``n`` from the config never sizes an integer power.
     """
-    rows = 1
-    for _ in range(modes):
-        rows *= rows_per_mode
-        if rows > MAX_DIM:
-            raise ConfigError(f"{what} needs more than MAX_DIM = {MAX_DIM} rows")
+    name, budget = ("MAX_DIM", MAX_DIM) if unit == "rows" else ("MAX_NODES", MAX_NODES)
+    size = 1
+    for _ in range(exponent):
+        size *= base
+        if size > budget:
+            raise ConfigError(f"{what} needs more than {name} = {budget} {unit}")
 
 
 def _parse_complex_entry(entry, context: str) -> complex:
@@ -297,32 +303,14 @@ def _parse_real_list(raw, length: int, name: str) -> np.ndarray:
     return np.asarray(raw, dtype=float)
 
 
-def _parse_generator_params(raw, n: int):
-    if raw is None:
-        return None
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("generator_params must be a nonempty list of {R, Theta} objects")
-    params = []
-    for item in raw:
-        if not isinstance(item, dict) or set(item) != {"R", "Theta"}:
-            raise ConfigError(f"generator_params entries must be objects with keys R and Theta, got {item!r}")
-        radii = _parse_real_list(item["R"], n - 1, "generator_params R")
-        phases = _parse_real_list(item["Theta"], n - 1, "generator_params Theta")
-        try:
-            params.append(GeneratorParams(radii=radii, phases=phases))
-        except ValueError as exc:
-            raise ConfigError(f"invalid generator_params: {exc}") from exc
-    return tuple(params)
-
-
-def _parse_anticlique_params(raw, n: int):
-    if raw is None:
-        return None
-    if not isinstance(raw, dict) or set(raw) != {"X", "Gamma"}:
-        raise ConfigError(f"anticlique_params must be an object with keys X and Gamma, got {raw!r}")
-    radii = _parse_real_list(raw["X"], n - 1, "anticlique_params X")
-    phases = _parse_real_list(raw["Gamma"], n - 1, "anticlique_params Gamma")
+def _parse_point(raw, n: int, keys: tuple[str, str], what: str) -> GeneratorParams:
+    """One displacement point from an object with radius and phase keys."""
+    radius_key, phase_key = keys
+    if not isinstance(raw, dict) or set(raw) != set(keys):
+        raise ConfigError(f"{what} must be an object with keys {radius_key} and {phase_key}, got {raw!r}")
+    radii = _parse_real_list(raw[radius_key], n - 1, f"{what} {radius_key}")
+    phases = _parse_real_list(raw[phase_key], n - 1, f"{what} {phase_key}")
     try:
         return GeneratorParams(radii=radii, phases=phases)
     except ValueError as exc:
-        raise ConfigError(f"invalid anticlique_params: {exc}") from exc
+        raise ConfigError(f"invalid {what}: {exc}") from exc

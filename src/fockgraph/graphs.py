@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammaln
 
 from .multimode import (
     ModeSpace,
-    creation_poly_state,
     kron_all,
     trusted_mask,
     validate_unitary,
@@ -29,7 +29,6 @@ __all__ = [
     "CompressionResult",
     "GeneratorParams",
     "GraphSpec",
-    "anticlique_projection",
     "compression_check",
     "compression_constant",
     "displaced_mode_amplitudes",
@@ -94,15 +93,17 @@ class GeneratorParams:
 def seed_basis(spec: GraphSpec) -> np.ndarray:
     """Columns k = 0..cutoff: (a^dag along phi's first column)^k / sqrt(k!) |vac>.
 
-    Exact in the truncated space because every contributing occupation stays
-    at or below the per-mode cutoff; the columns are orthonormal.
+    By the multinomial theorem the part of the product coherent vector
+    kron_j sum_m c_j^m / sqrt(m!) |m> with total occupation k is
+    (sum_j c_j a_j^dag)^k / k! |vac>, so column k is that part times
+    sqrt(k!).  Exact in the truncated space because every occupation of
+    total k <= cutoff stays at or below the per-mode cutoff; the columns are
+    orthonormal.
     """
-    space = spec.space
-    column = spec.phi[:, 0]
-    basis = np.empty((space.dim, spec.cutoff + 1), dtype=complex)
-    for k in range(spec.cutoff + 1):
-        basis[:, k] = creation_poly_state(column, k, space).amplitudes
-    return basis
+    ladder = kron_all([unnormalized_coherent(c, spec.cutoff) for c in spec.phi[:, 0]])
+    total = spec.space.occupations().sum(axis=1)
+    k = np.arange(spec.cutoff + 1)
+    return np.where(total[:, None] == k, ladder[:, None], 0.0) * np.exp(0.5 * gammaln(k + 1.0))
 
 
 def seed_projector(spec: GraphSpec) -> np.ndarray:
@@ -146,16 +147,6 @@ def graph_generator(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
     """
     displaced = graph_displacement(spec, params) @ seed_basis(spec)
     return displaced @ displaced.conj().T
-
-
-def anticlique_projection(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
-    """Anticlique projection for the graph at the given parameters.
-
-    Structurally identical to the graph generator evaluated at the anticlique
-    parameters (both are the displaced seed projector), so the same code path
-    builds it; the identity is asserted in the test suite.
-    """
-    return graph_generator(spec, params)
 
 
 def compression_constant(anticlique: GeneratorParams, generator: GeneratorParams) -> float:
@@ -209,7 +200,7 @@ def compression_check(
     if len(weights) != len(generators):
         raise ValueError("weights must match the number of generators")
 
-    projection = anticlique_projection(spec, anticlique)
+    projection = graph_generator(spec, anticlique)
     combined = np.zeros_like(projection)
     predicted = 0.0 + 0.0j
     for weight, params in zip(weights, generators):

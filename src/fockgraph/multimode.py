@@ -1,8 +1,7 @@
 """Truncated n-mode tensor Fock space.
 
 Occupation indexing, tensor assembly of Weyl (multimode displacement)
-operators, exponential vectors, ladder operators, and states produced by
-powers of a creation operator along a fixed direction.
+operators, exponential vectors and ladder operators.
 
 Occupation tuples map to flat indices row-major with mode 1 slowest.  States
 carry an optional real ``log_scale`` so unnormalized exponential vectors with
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import coherent_state, displacement_matrix, trusted_cutoff
 
@@ -25,7 +23,6 @@ __all__ = [
     "ModeSpace",
     "MultimodeState",
     "apply_weyl_to_exponential_check",
-    "creation_poly_state",
     "exponential_vector_embed",
     "index_of",
     "kron_all",
@@ -181,31 +178,6 @@ def apply_weyl_to_exponential_check(f, g, space: ModeSpace, trusted: int | None 
     return float(np.max(np.abs((lhs - rhs)[mask])))
 
 
-def creation_poly_state(coeffs, total: int, space: ModeSpace) -> MultimodeState:
-    """The state (sum_j c_j a_j^dag)^k / sqrt(k!) |vac> for k = ``total``.
-
-    By the multinomial expansion the amplitude at occupation (k_1,...,k_n)
-    with sum k_j = k is sqrt(k!/prod k_j!) * prod c_j^{k_j}.  Requires a unit
-    coefficient vector and k <= cutoff so every contributing tuple stays
-    below the per-mode cutoff and the expansion is exact.
-    """
-    coeffs = _as_coords(coeffs, space.modes)
-    norm = float(np.linalg.norm(coeffs))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"coefficient vector must be unit norm, got {norm!r}")
-    if not 0 <= total <= space.cutoff:
-        raise ValueError(f"total occupation {total} outside [0, {space.cutoff}]")
-    amplitudes = np.zeros(space.dim, dtype=complex)
-    log_total = gammaln(total + 1.0)
-    for occ in _compositions(total, space.modes):
-        log_coeff = 0.5 * (log_total - sum(gammaln(k + 1.0) for k in occ))
-        value = math.exp(log_coeff)
-        for c, k in zip(coeffs, occ):
-            value *= c**k
-        amplitudes[index_of(occ, space)] = value
-    return MultimodeState(amplitudes)
-
-
 def mode_ladder(space: ModeSpace, mode: int, kind: str) -> np.ndarray:
     """Truncated a_j ("annihilate") or a_j^dag ("create"), modes 1-based."""
     if not 1 <= mode <= space.modes:
@@ -227,12 +199,3 @@ def _as_coords(coords, modes: int) -> np.ndarray:
         raise ValueError(f"expected {modes} mode coordinates, got shape {coords.shape}")
     return coords
 
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest

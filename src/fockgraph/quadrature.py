@@ -93,22 +93,13 @@ class AngularScheme:
 
 @dataclass(frozen=True, eq=False)
 class PolarScheme:
-    """Composite radial x angular rule; radial_cap enables diagnostic mode.
-
-    With radial_cap set, nodes with s > radial_cap^2 are dropped, emulating
-    integration over |alpha| <= radial_cap.  That mode is approximate (the
-    rule was built for the full half-line) and is used only for diagnostics.
-    """
+    """Composite radial x angular rule."""
 
     radial: RadialScheme
     angular: AngularScheme
-    radial_cap: float | None = None
 
     def active_radial(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.radial_cap is None:
-            return self.radial.nodes, self.radial.weights
-        keep = self.radial.nodes <= self.radial_cap**2
-        return self.radial.nodes[keep], self.radial.weights[keep]
+        return self.radial.nodes, self.radial.weights
 
 
 def gauss_laguerre(order: int) -> RadialScheme:
@@ -134,12 +125,8 @@ def gauss_laguerre(order: int) -> RadialScheme:
     return RadialScheme(nodes=nodes, weights=weights)
 
 
-def polar_scheme(radial_order: int, angular_count: int, radial_cap: float | None = None) -> PolarScheme:
-    return PolarScheme(
-        radial=gauss_laguerre(radial_order),
-        angular=AngularScheme(angular_count),
-        radial_cap=radial_cap,
-    )
+def polar_scheme(radial_order: int, angular_count: int) -> PolarScheme:
+    return PolarScheme(radial=gauss_laguerre(radial_order), angular=AngularScheme(angular_count))
 
 
 def unnormalized_coherent(alpha: complex, cutoff: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from .graphs import (
     seed_projector,
     seed_projector_quadrature,
 )
-from .multimode import trusted_mask
+from .multimode import ModeSpace, trusted_mask
 from .quadrature import (
     coherent_identity,
     displaced_projector_identity,
@@ -93,12 +93,6 @@ def _report(
     )
 
 
-def _single_mode_mask(cutoff: int, trusted: int) -> np.ndarray:
-    mask = np.zeros(cutoff + 1, dtype=bool)
-    mask[: trusted + 1] = True
-    return mask
-
-
 def _rng(cfg: ExperimentConfig) -> np.random.Generator:
     # Counter-based and splittable, so every draw traces back to the seed.
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
@@ -107,14 +101,15 @@ def _rng(cfg: ExperimentConfig) -> np.random.Generator:
 def _run_gs(cfg: ExperimentConfig) -> VerificationReport:
     scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
     operator = coherent_identity(cfg.cutoff, scheme)
-    max_abs, frobenius = _identity_deviations(operator, _single_mode_mask(cfg.cutoff, cfg.cutoff))
+    max_abs, frobenius = _identity_deviations(operator, trusted_mask(ModeSpace(1, cfg.cutoff), cfg.cutoff))
     return _report(cfg, max_abs, frobenius)
 
 
 def _run_covariant(cfg: ExperimentConfig) -> VerificationReport:
     scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
     operator = displaced_projector_identity(COVARIANT_SEED_AMPLITUDE, cfg.cutoff, scheme)
-    max_abs, frobenius = _identity_deviations(operator, _single_mode_mask(cfg.cutoff, cfg.trusted_block))
+    mask = trusted_mask(ModeSpace(1, cfg.cutoff), cfg.trusted_block)
+    max_abs, frobenius = _identity_deviations(operator, mask)
     return _report(cfg, max_abs, frobenius)
 
 
@@ -172,7 +167,8 @@ def _run_convergence(cfg: ExperimentConfig) -> VerificationReport:
     rows = []
     for cutoff in cfg.cutoff_ladder:
         operator = displaced_projector_identity(COVARIANT_SEED_AMPLITUDE, cutoff, scheme)
-        max_abs, frobenius = _identity_deviations(operator, _single_mode_mask(cutoff, cfg.trusted_block))
+        mask = trusted_mask(ModeSpace(1, cutoff), cfg.trusted_block)
+        max_abs, frobenius = _identity_deviations(operator, mask)
         rows.append(
             {
                 "cutoff": cutoff,

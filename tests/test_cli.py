@@ -53,10 +53,16 @@ class TestSingleExperiments:
         assert report["pass"] is True
 
     # At n=3 the default trusted block is cutoff // 3; cutoff // 2 would
-    # reach the truncation edge (deviations near 1e-1).
-    @pytest.mark.parametrize("experiment, cutoff, block", [("projection", 8, 2), ("resolution", 4, 1)])
-    def test_three_mode_default_trusted_block(self, tmp_path, experiment, cutoff, block):
-        config = write_config(tmp_path, {"experiment": experiment, "n": 3, "cutoff": cutoff})
+    # reach the truncation edge (deviations near 1e-1).  The n=4 case runs
+    # projection at cutoff 4 (block 1); resolution at n=4 takes 125,000
+    # nodes at its defaults and is not run here.
+    @pytest.mark.parametrize(
+        "experiment, n, cutoff, block",
+        [("projection", 3, 8, 2), ("resolution", 3, 4, 1), ("projection", 4, 4, 1)],
+        ids=["projection-8-2", "resolution-4-1", "projection-n4-4-1"],
+    )
+    def test_three_mode_default_trusted_block(self, tmp_path, experiment, n, cutoff, block):
+        config = write_config(tmp_path, {"experiment": experiment, "n": n, "cutoff": cutoff})
         out = tmp_path / "report.json"
         assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 0
         report = json.loads(out.read_text())
@@ -131,35 +137,62 @@ class TestExitCodes:
         assert err.startswith("config error:")
         assert reason in err
 
-    # Each of these asks for more than MAX_DIM = 8192 rows; the guard
-    # rejects them before any array is built, n = 10**9 included.
+    # Each of these asks for more than MAX_DIM = 8192 rows or MAX_NODES =
+    # 1048576 quadrature nodes; the guard rejects them before any array or
+    # scheme is built, n = 10**9 and angular_order = 10**18 included.
     @pytest.mark.parametrize(
-        "data, reason",
+        "data, reason, limit",
         [
-            ({"experiment": "projection", "n": 4}, "4-mode space at cutoff 16"),
-            ({"experiment": "gs", "cutoff": 9000, "radial_order": 8}, "space at cutoff 9000"),
-            ({"experiment": "gs", "cutoff": 8192, "radial_order": 8}, "space at cutoff 8192"),
-            ({"experiment": "convergence", "cutoff_ladder": [12, 9000]}, "cutoff_ladder entry 9000"),
-            ({"experiment": "gs", "n": 10**9}, "phi"),
+            ({"experiment": "projection", "n": 4}, "4-mode space at cutoff 16", "MAX_DIM = 8192"),
+            ({"experiment": "gs", "cutoff": 9000, "radial_order": 8}, "space at cutoff 9000", "MAX_DIM = 8192"),
+            ({"experiment": "gs", "cutoff": 8192, "radial_order": 8}, "space at cutoff 8192", "MAX_DIM = 8192"),
+            (
+                {"experiment": "convergence", "cutoff_ladder": [12, 9000]},
+                "cutoff_ladder entry 9000",
+                "MAX_DIM = 8192",
+            ),
+            ({"experiment": "gs", "n": 10**9}, "phi", "MAX_DIM = 8192"),
+            (
+                {"experiment": "convergence", "cutoff": 200000, "radial_order": 8},
+                "angular_order 400002",
+                "MAX_NODES = 1048576",
+            ),
+            (
+                {"experiment": "gs", "cutoff": 16, "angular_order": 3000000},
+                "angular_order 3000000",
+                "MAX_NODES = 1048576",
+            ),
+            ({"experiment": "gs", "angular_order": 10**18}, "gs quadrature", "MAX_NODES = 1048576"),
         ],
-        ids=["projection-n4", "gs-cutoff-9000", "gs-cutoff-8192", "convergence-ladder-9000", "gs-n-1e9"],
+        ids=[
+            "projection-n4",
+            "gs-cutoff-9000",
+            "gs-cutoff-8192",
+            "convergence-ladder-9000",
+            "gs-n-1e9",
+            "convergence-cutoff-200000",
+            "gs-angular-3e6",
+            "gs-angular-1e18",
+        ],
     )
-    def test_oversized_config_exits_two(self, tmp_path, capsys, data, reason):
+    def test_oversized_config_exits_two(self, tmp_path, capsys, data, reason, limit):
         path = write_config(tmp_path, data)
         assert main(["--config", str(path), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert reason in err
-        assert "MAX_DIM = 8192" in err
+        assert limit in err
 
-    # Parsed only: running these would build matrices of 0.4 to 1 GiB.
+    # Parsed only: running these would build matrices of 0.4 to 1 GiB, or
+    # take 131,072 and 334,084 quadrature nodes.
     @pytest.mark.parametrize(
         "data",
         [
             {"experiment": "anticlique", "n": 3, "cutoff": 16},
             {"experiment": "gs", "cutoff": 8191, "radial_order": 8},
+            {"experiment": "resolution", "n": 3, "cutoff": 16},
         ],
-        ids=["anticlique-n3-dim-4913", "gs-dim-8192"],
+        ids=["anticlique-n3-dim-4913", "gs-dim-8192", "resolution-n3-nodes-334084"],
     )
     def test_config_within_budget_parses(self, data):
         assert config_from_dict(data).cutoff == data["cutoff"]

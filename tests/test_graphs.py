@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from fockgraph import (
     GeneratorParams,
     GraphSpec,
-    anticlique_projection,
     coherent_identity,
     compression_check,
     compression_constant,
@@ -24,12 +24,16 @@ from fockgraph import (
 )
 from fockgraph.config import dft_matrix
 from fockgraph.fock import displacement_matrix
-from fockgraph.multimode import trusted_mask
+from fockgraph.multimode import index_of, mode_ladder, trusted_mask
 
 
 def block(op, mask):
     idx = np.flatnonzero(mask)
     return op[np.ix_(idx, idx)]
+
+
+def mixing_matrix(modes, mixing, rng):
+    return dft_matrix(modes) if mixing == "dft" else haar_unitary(modes, rng)
 
 
 def within(result, tolerance):
@@ -95,10 +99,59 @@ class TestSeedProjector:
 
     def test_basis_columns_orthonormal(self):
         rng = np.random.default_rng(20)
-        spec = GraphSpec(phi=haar_unitary(3, rng), modes=3, cutoff=5)
+        for modes, cutoff in ((2, 8), (3, 4), (3, 5)):
+            for mixing in ("dft", "haar"):
+                spec = GraphSpec(phi=mixing_matrix(modes, mixing, rng), modes=modes, cutoff=cutoff)
+                basis = seed_basis(spec)
+                gram = basis.conj().T @ basis
+                assert np.abs(gram - np.eye(cutoff + 1)).max() < 1e-12
+
+
+def multinomial_oracle(spec):
+    """Column k entry at (k_1..k_n), sum k_j = k: sqrt(k!/prod k_j!) prod c_j^k_j."""
+    column = spec.phi[:, 0]
+    basis = np.zeros((spec.space.dim, spec.cutoff + 1), dtype=complex)
+    for index, occupation in enumerate(spec.space.occupations()):
+        total = int(occupation.sum())
+        if total <= spec.cutoff:
+            log_coeff = 0.5 * (gammaln(total + 1.0) - sum(gammaln(k + 1.0) for k in occupation))
+            basis[index, total] = math.exp(log_coeff) * math.prod(c ** int(k) for c, k in zip(column, occupation))
+    return basis
+
+
+class TestSeedBasis:
+    def test_zero_power_is_vacuum(self):
+        spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(24)), modes=2, cutoff=4)
+        vacuum = seed_basis(spec)[:, 0]
+        assert vacuum[0] == 1.0
+        assert np.abs(vacuum[1:]).max() == 0.0
+
+    def test_single_quantum_superposition(self):
+        spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=2)
+        expected = np.zeros(spec.space.dim, dtype=complex)
+        expected[index_of((1, 0), spec.space)] = 1 / math.sqrt(2)
+        expected[index_of((0, 1), spec.space)] = 1 / math.sqrt(2)
+        assert np.abs(seed_basis(spec)[:, 1] - expected).max() < 1e-15
+
+    # Brute force: apply (sum_j c_j a_j^dag)^k to the vacuum with dense
+    # ladder matrices and normalize by sqrt(k!).
+    @pytest.mark.parametrize("mixing", ["dft", "haar"])
+    @pytest.mark.parametrize("modes, cutoff", [(2, 6), (3, 4)])
+    def test_matches_ladder_operator_oracle(self, modes, cutoff, mixing):
+        spec = GraphSpec(phi=mixing_matrix(modes, mixing, np.random.default_rng(21)), modes=modes, cutoff=cutoff)
+        space = spec.space
+        lifted = sum(c * mode_ladder(space, j + 1, "create") for j, c in enumerate(spec.phi[:, 0]))
+        state = np.zeros(space.dim, dtype=complex)
+        state[0] = 1.0
         basis = seed_basis(spec)
-        gram = basis.conj().T @ basis
-        assert np.abs(gram - np.eye(6)).max() < 1e-12
+        for k in range(cutoff + 1):
+            assert np.abs(basis[:, k] - state).max() < 1e-12
+            state = lifted @ state / math.sqrt(k + 1)
+
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (2, 89), (3, 8)])
+    def test_matches_multinomial_formula(self, modes, cutoff):
+        spec = GraphSpec(phi=haar_unitary(modes, np.random.default_rng(cutoff)), modes=modes, cutoff=cutoff)
+        assert np.abs(seed_basis(spec) - multinomial_oracle(spec)).max() <= 1e-13
 
 
 class TestGraphDisplacement:
@@ -172,8 +225,7 @@ class TestGraphGenerator:
     @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8)])
     def test_hermitian_and_psd(self, modes, cutoff, mixing, max_radius):
         rng = np.random.default_rng(37)
-        phi = dft_matrix(modes) if mixing == "dft" else haar_unitary(modes, rng)
-        spec = GraphSpec(phi=phi, modes=modes, cutoff=cutoff)
+        spec = GraphSpec(phi=mixing_matrix(modes, mixing, rng), modes=modes, cutoff=cutoff)
         for _ in range(3):
             generator = graph_generator(spec, draw_generator_params(modes, rng, max_radius=max_radius))
             assert np.abs(generator - generator.conj().T).max() <= 1e-10
@@ -194,13 +246,17 @@ class TestAnticliqueProjection:
     def test_zero_radii_reduce_to_seed_projector(self):
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=8)
         params = GeneratorParams(radii=[0.0], phases=[0.7])
-        assert np.abs(anticlique_projection(spec, params) - seed_projector(spec)).max() < 1e-13
+        assert np.abs(graph_generator(spec, params) - seed_projector(spec)).max() < 1e-13
 
     def test_is_generator_at_same_parameters(self):
+        # compression_check projects with the generator at the anticlique
+        # point, so compressing that generator alone measures tr(P^3)/tr(P).
         rng = np.random.default_rng(41)
         spec = GraphSpec(phi=haar_unitary(2, rng), modes=2, cutoff=10)
         params = draw_generator_params(2, rng)
-        assert np.array_equal(anticlique_projection(spec, params), graph_generator(spec, params))
+        proj = graph_generator(spec, params)
+        expected = np.trace(proj @ proj @ proj).real / np.trace(proj).real
+        assert compression_check(spec, params, [params]).scalar_measured == pytest.approx(expected, abs=1e-14)
 
     def test_idempotent_where_ladder_survives(self):
         # The top ladder states lose mass under mixing and truncation, so
@@ -208,14 +264,14 @@ class TestAnticliqueProjection:
         # 4e-5 on the full matrix).
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=24)
         params = GeneratorParams(radii=[0.8], phases=[0.5])
-        proj = anticlique_projection(spec, params)
+        proj = graph_generator(spec, params)
         mask = trusted_mask(spec.space, 8)
         assert np.abs(block(proj @ proj - proj, mask)).max() < 1e-8
 
     def test_rank_equals_ladder_length(self):
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=20)
         params = GeneratorParams(radii=[0.9], phases=[2.8])
-        eigs = np.sort(np.linalg.eigvalsh(anticlique_projection(spec, params)))[::-1]
+        eigs = np.sort(np.linalg.eigvalsh(graph_generator(spec, params)))[::-1]
         assert eigs[20] > 0.995
         assert eigs[21] < 0.005
         assert eigs[20] - eigs[21] >= 0.99

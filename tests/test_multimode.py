@@ -10,7 +10,6 @@ from fockgraph import (
     ModeSpace,
     apply_weyl_to_exponential_check,
     coherent_state,
-    creation_poly_state,
     displacement_compose_phase,
     displacement_matrix,
     exponential_vector_embed,
@@ -188,59 +187,6 @@ class TestWeylOnExponentialVectors:
             f = random_coords(rng, 2, rng.uniform(0.2, 1.0))
             g = random_coords(rng, 2, rng.uniform(0.2, 1.0))
             assert apply_weyl_to_exponential_check(f, g, space) < 1e-8
-
-
-class TestCreationPolyState:
-    def test_zero_power_is_vacuum(self):
-        space = ModeSpace(2, 4)
-        state = creation_poly_state([1, 0], 0, space)
-        assert state.amplitudes[0] == 1.0
-        assert np.abs(state.amplitudes[1:]).max() == 0.0
-
-    def test_single_quantum_superposition(self):
-        space = ModeSpace(2, 2)
-        c = np.array([1, 1]) / math.sqrt(2)
-        state = creation_poly_state(c, 1, space)
-        expected = np.zeros(space.dim, dtype=complex)
-        expected[index_of((1, 0), space)] = 1 / math.sqrt(2)
-        expected[index_of((0, 1), space)] = 1 / math.sqrt(2)
-        assert np.abs(state.amplitudes - expected).max() < 1e-15
-
-    def test_matches_ladder_operator_oracle(self):
-        # Brute force: apply (sum_j c_j a_j^dag)^k to the vacuum with dense
-        # ladder matrices and normalize by sqrt(k!).
-        space = ModeSpace(2, 6)
-        rng = np.random.default_rng(21)
-        c = random_coords(rng, 2, 1.0)
-        lifted = c[0] * mode_ladder(space, 1, "create") + c[1] * mode_ladder(space, 2, "create")
-        vec = np.zeros(space.dim, dtype=complex)
-        vec[0] = 1.0
-        for k in (1, 3, 6):
-            brute = np.linalg.matrix_power(lifted, k) @ vec / math.sqrt(math.factorial(k))
-            state = creation_poly_state(c, k, space)
-            assert np.abs(state.amplitudes - brute).max() < 1e-12
-
-    def test_unit_norm(self):
-        space = ModeSpace(3, 5)
-        rng = np.random.default_rng(22)
-        c = random_coords(rng, 3, 1.0)
-        state = creation_poly_state(c, 4, space)
-        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-    def test_ladder_orthonormality(self):
-        space = ModeSpace(2, 8)
-        rng = np.random.default_rng(23)
-        c = random_coords(rng, 2, 1.0)
-        states = [creation_poly_state(c, k, space).amplitudes for k in range(9)]
-        gram = np.array([[np.vdot(a, b) for b in states] for a in states])
-        assert np.abs(gram - np.eye(9)).max() < 1e-12
-
-    def test_rejects_bad_inputs(self):
-        space = ModeSpace(2, 3)
-        with pytest.raises(ValueError, match="unit norm"):
-            creation_poly_state([1.0, 1.0], 1, space)
-        with pytest.raises(ValueError, match="total occupation"):
-            creation_poly_state([1.0, 0.0], 4, space)
 
 
 class TestModeLadder:

@@ -90,13 +90,6 @@ class TestIntegrateDyads:
         got = integrate_dyads(lambda alphas: columns(alphas[0]), (scheme,), 5)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    def test_radial_cap_dropping_every_node_gives_zeros(self):
-        scheme = polar_scheme(5, 6, radial_cap=0.1)
-        assert scheme.active_radial()[0].size == 0
-        op = integrate_dyads(lambda alphas: np.ones(3), (scheme,), 3)
-        assert np.array_equal(op, np.zeros((3, 3)))
-        assert np.array_equal(coherent_identity(4, scheme), np.zeros((5, 5)))
-
     @pytest.mark.parametrize("orders", [(4, 5), (8, 16), (10, 20)])
     def test_coherent_identity_matches_outer_sum(self, orders):
         scheme = polar_scheme(*orders)
@@ -214,15 +207,6 @@ class TestCoherentIdentity:
         a = coherent_identity(5, polar_scheme(7, 12))
         b = coherent_identity(5, polar_scheme(7, 12))
         assert np.array_equal(a, b)
-
-    def test_radial_cap_diagnostic_against_incomplete_gamma(self):
-        # Capped rule at level 0 approximates the integral of exp(-s) over
-        # s <= 4, i.e. 1 - e^-4 = 0.9816843611.  The cap truncates a smooth
-        # rule at a hard edge, so only ~1e-3 accuracy is available.
-        op = coherent_identity(0, polar_scheme(24, 1, radial_cap=2.0))
-        target = 1.0 - math.exp(-4.0)
-        assert target == pytest.approx(0.9816843611, abs=1e-10)
-        assert abs(op[0, 0].real - target) < 2e-3
 
 
 class TestDisplacedProjectorIdentity:
