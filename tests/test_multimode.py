@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fockgraph import (
+    GraphSpec,
     ModeSpace,
     apply_weyl_to_exponential_check,
     coherent_state,
@@ -16,6 +17,7 @@ from fockgraph import (
     index_of,
     kron_all,
     mode_ladder,
+    seed_basis,
     state_inner,
     trusted_cutoff,
     trusted_mask,
@@ -31,6 +33,14 @@ EULER_E = math.fsum(1.0 / math.factorial(k) for k in range(40))
 def random_coords(rng, modes, norm):
     raw = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
     return raw / np.linalg.norm(raw) * norm
+
+
+def unitary_with_first_column(c, rng):
+    """A unitary whose first column is the unit vector c."""
+    modes = len(c)
+    raw = np.column_stack([c, rng.standard_normal((modes, modes - 1)) + 1j * rng.standard_normal((modes, modes - 1))])
+    q, r = np.linalg.qr(raw)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestIndexing:
@@ -187,6 +197,27 @@ class TestWeylOnExponentialVectors:
             f = random_coords(rng, 2, rng.uniform(0.2, 1.0))
             g = random_coords(rng, 2, rng.uniform(0.2, 1.0))
             assert apply_weyl_to_exponential_check(f, g, space) < 1e-8
+
+
+class TestCreationPolyState:
+    """(sum_j c_j a_j^dag)^k / sqrt(k!) |vac>, column k of graphs.seed_basis."""
+
+    def test_unit_norm(self):
+        rng = np.random.default_rng(22)
+        c = random_coords(rng, 3, 1.0)
+        spec = GraphSpec(phi=unitary_with_first_column(c, rng), modes=3, cutoff=5)
+        assert np.abs(spec.phi[:, 0] - c).max() < 1e-14
+        state = seed_basis(spec)[:, 4]
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+
+    def test_ladder_orthonormality(self):
+        rng = np.random.default_rng(23)
+        c = random_coords(rng, 2, 1.0)
+        spec = GraphSpec(phi=unitary_with_first_column(c, rng), modes=2, cutoff=8)
+        assert np.abs(spec.phi[:, 0] - c).max() < 1e-14
+        states = seed_basis(spec).T
+        gram = np.array([[np.vdot(a, b) for b in states] for a in states])
+        assert np.abs(gram - np.eye(9)).max() < 1e-12
 
 
 class TestModeLadder:
