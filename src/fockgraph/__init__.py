@@ -12,6 +12,7 @@ from .fock import (
     laguerre_sequence,
     min_oracle_buffer,
     trusted_cutoff,
+    unnormalized_coherent,
 )
 from .graphs import (
     CompressionResult,
@@ -52,7 +53,6 @@ from .quadrature import (
     gauss_laguerre,
     graph_resolution,
     polar_scheme,
-    unnormalized_coherent,
 )
 from .report import TOOL_VERSION, VerificationReport, emit_report, render_csv, render_json
 from .runner import run_experiment

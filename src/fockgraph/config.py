@@ -138,7 +138,9 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -183,7 +185,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     tolerance = data.get("tolerance", _DEFAULT_TOLERANCE[experiment])
     if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
         raise ConfigError(f"tolerance must be a positive finite real, got {tolerance!r}")
-    tolerance = float(tolerance)
+    tolerance = _as_float(tolerance, "tolerance")
 
     trusted_block = _require_int(
         data.get("trusted_block", _default_trusted(experiment, n, cutoff)), "trusted_block", minimum=0
@@ -277,7 +279,7 @@ def _parse_complex_entry(entry, context: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
     ):
         raise ConfigError(f"malformed complex entry in {context}: expected [re, im] pair, got {entry!r}")
-    return complex(entry[0], entry[1])
+    return complex(_as_float(entry[0], context), _as_float(entry[1], context))
 
 
 def _parse_phi(raw, n: int) -> np.ndarray:
@@ -300,7 +302,15 @@ def _parse_real_list(raw, length: int, name: str) -> np.ndarray:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
     ):
         raise ConfigError(f"{name} must be a list of {length} reals, got {raw!r}")
-    return np.asarray(raw, dtype=float)
+    return np.array([_as_float(v, name) for v in raw])
+
+
+def _as_float(value, name: str) -> float:
+    """A JSON int or float as a float; ints past the float range are config errors."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} holds an integer outside the float range") from exc
 
 
 def _parse_point(raw, n: int, keys: tuple[str, str], what: str) -> GeneratorParams:

@@ -27,6 +27,7 @@ __all__ = [
     "laguerre_sequence",
     "min_oracle_buffer",
     "trusted_cutoff",
+    "unnormalized_coherent",
 ]
 
 
@@ -35,15 +36,19 @@ def _require_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
 
 
-def laguerre_sequence(count: int, order: int, x: float) -> np.ndarray:
+def laguerre_sequence(count: int, order, x) -> np.ndarray:
     """Associated Laguerre values L_n^(order)(x) for n = 0..count.
 
-    Uses the three-term recurrence ascending in n, which is stable at the
-    scales this package works at (n <= 64, arguments up to a few hundred).
+    ``order`` and ``x`` broadcast against each other and the result has shape
+    (count + 1, *broadcast shape), so scalars give a vector.  Uses the
+    three-term recurrence ascending in n, which is stable at the scales this
+    package works at (n <= 64, arguments up to a few hundred).
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    vals = np.empty(count + 1, dtype=float)
+    order = np.asarray(order)
+    x = np.asarray(x, dtype=float)
+    vals = np.empty((count + 1, *np.broadcast_shapes(order.shape, x.shape)), dtype=float)
     vals[0] = 1.0
     if count >= 1:
         vals[1] = 1.0 + order - x
@@ -52,16 +57,17 @@ def laguerre_sequence(count: int, order: int, x: float) -> np.ndarray:
     return vals
 
 
-def _integer_powers(base: complex, count: int) -> np.ndarray:
-    """[base**0, ..., base**count] by repeated multiplication.
+def _complex_product(a, b) -> np.ndarray:
+    """Elementwise a * b with each real product rounded once.
 
-    Repeated complex multiplication keeps conj(base)**k bitwise equal to
-    conj(base**k), which the displacement adjoint symmetry relies on.
+    numpy's vectorised complex multiply can round differently in the last
+    place from its scalar arithmetic; this schoolbook form gives the scalar
+    bits.  It is also conjugation-covariant: conj(a) * conj(b) is bitwise
+    conj(a * b).
     """
-    out = np.empty(count + 1, dtype=complex)
-    out[0] = 1.0
-    for k in range(1, count + 1):
-        out[k] = out[k - 1] * base
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
@@ -84,6 +90,20 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     return np.exp(log_mag + 1j * n * cmath.phase(alpha))
 
 
+def unnormalized_coherent(alpha, cutoff: int) -> np.ndarray:
+    """Tail-factored coherent column alpha^m / sqrt(m!), m = 0..cutoff.
+
+    An array of amplitudes gives one column per amplitude, along a new last
+    axis.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    out = np.empty((cutoff + 1, *alpha.shape), dtype=complex)
+    out[0] = 1.0
+    for m in range(1, cutoff + 1):
+        out[m] = _complex_product(out[m - 1], alpha) / math.sqrt(m)
+    return np.moveaxis(out, 0, -1)
+
+
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
     """Overlap <beta|alpha> = exp(-|a|^2/2 - |b|^2/2 + conj(b)*a).
 
@@ -103,34 +123,56 @@ def displacement_compose_phase(alpha: complex, beta: complex) -> complex:
     return cmath.exp(0.5 * (alpha * beta.conjugate() - alpha.conjugate() * beta))
 
 
-def displacement_matrix(alpha: complex, cutoff: int, include_gaussian: bool = True) -> np.ndarray:
+def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True) -> np.ndarray:
     """Exact matrix elements <m|D(alpha)|n> on the truncated ladder.
+
+    A scalar ``alpha`` gives one (dim, dim) matrix; a 1-D array of K
+    amplitudes gives the (K, dim, dim) stack, built in one vectorised pass
+    over the amplitudes.  Both go through the same code, and a matrix does
+    not depend on the batch it was built in.
 
     For m >= n the associated-Laguerre closed form gives
     sqrt(n!/m!) * alpha^(m-n) * exp(-|alpha|^2/2) * L_n^(m-n)(|alpha|^2);
     the upper triangle follows from D(alpha)^dag = D(-alpha).  Factorial
-    ratios are taken in log space.
+    ratios are taken in log space; the integer powers are built by repeated
+    schoolbook complex products, so D(-alpha) is bitwise D(alpha)^dag.
 
     With ``include_gaussian=False`` the exp(-|alpha|^2/2) prefactor is left
     out; quadrature code folds that factor into the radial weight instead.
     """
     _require_cutoff(cutoff)
-    alpha = complex(alpha)
+    alphas = np.asarray(alpha, dtype=complex)
+    if alphas.ndim > 1:
+        raise ValueError(f"alpha must be a scalar or a 1-D array, got shape {alphas.shape}")
+    batch = alphas.reshape(-1)
     dim = cutoff + 1
-    s = abs(alpha) ** 2
-    lower_pow = _integer_powers(alpha, cutoff)
-    upper_pow = _integer_powers(-alpha.conjugate(), cutoff)
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        n = np.arange(dim - k)
-        ratio = np.exp(0.5 * (gammaln(n + 1.0) - gammaln(n + k + 1.0)))
-        lag = laguerre_sequence(cutoff - k, k, s)
-        out[n + k, n] = ratio * lower_pow[k] * lag
-        if k:
-            out[n, n + k] = ratio * upper_pow[k] * lag
+    # |alpha|^2 and the Gaussian in Python floats (numpy's vectorised abs and
+    # exp round differently in the last place), so that every entry keeps the
+    # bits of the scalar closed form and reports reproduce byte for byte.
+    s = np.array([abs(a) ** 2 for a in batch.tolist()])
+    # Rows are the exponent k = m - n: [alpha^k, (-conj alpha)^k] per amplitude.
+    powers = np.empty((dim, 2, batch.size), dtype=complex)
+    powers[0] = 1.0
+    base = np.stack([batch, -batch.conj()])
+    for k in range(1, dim):
+        powers[k] = _complex_product(powers[k - 1], base)
+    # One row per entry (n + k, n) with n + k <= cutoff, and its mirror.
+    n, k = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) <= cutoff)
+    ratio = np.exp(0.5 * (gammaln(n + 1.0) - gammaln(n + k + 1.0)))
+    # The recurrence runs to n = cutoff for every order; values with
+    # n + k > cutoff are dropped, and past cutoffs of ~500 they may overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag = laguerre_sequence(cutoff, np.arange(dim)[:, None], s)
+    lag = lag[n, k]
+    lower = ratio[:, None] * powers[k, 0] * lag
+    upper = ratio[:, None] * powers[k, 1] * lag
+    out = np.zeros((batch.size, dim, dim), dtype=complex)
+    out[:, n + k, n] = lower.T
+    off = k > 0
+    out[:, n[off], n[off] + k[off]] = upper[off].T
     if include_gaussian:
-        out *= math.exp(-0.5 * s)
-    return out
+        out *= np.array([math.exp(-0.5 * v) for v in s])[:, None, None]
+    return out if alphas.ndim else out[0]
 
 
 def trusted_cutoff(cutoff: int, amplitude: float) -> int:

@@ -23,7 +23,8 @@ from .multimode import (
     validate_unitary,
     weyl_operator,
 )
-from .quadrature import PolarScheme, integrate_dyads, unnormalized_coherent
+from .fock import unnormalized_coherent
+from .quadrature import PolarScheme, integrate_dyads
 
 __all__ = [
     "CompressionResult",
@@ -100,7 +101,7 @@ def seed_basis(spec: GraphSpec) -> np.ndarray:
     total k <= cutoff stays at or below the per-mode cutoff; the columns are
     orthonormal.
     """
-    ladder = kron_all([unnormalized_coherent(c, spec.cutoff) for c in spec.phi[:, 0]])
+    ladder = kron_all(list(unnormalized_coherent(spec.phi[:, 0], spec.cutoff)))
     total = spec.space.occupations().sum(axis=1)
     k = np.arange(spec.cutoff + 1)
     return np.where(total[:, None] == k, ladder[:, None], 0.0) * np.exp(0.5 * gammaln(k + 1.0))
@@ -117,13 +118,18 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme) -> np.ndarra
 
     (1/pi) Int dtheta Int r dr of the tensor product over modes j of
     |alpha*phi_j1><alpha*phi_j1|, tail-factored.  Cross-checks the rank sum.
+    The product vectors of a node chunk are built as batched outer products,
+    first mode slowest.
     """
-    column = spec.phi[:, 0]
-    return integrate_dyads(
-        lambda alphas: kron_all([unnormalized_coherent(alphas[0] * c, spec.cutoff) for c in column]),
-        (scheme,),
-        spec.space.dim,
-    )
+
+    def product_vectors(alphas):
+        factors = unnormalized_coherent(alphas[:, :1] * spec.phi[:, 0], spec.cutoff)
+        out = factors[:, 0]
+        for mode in range(1, spec.modes):
+            out = (out[:, :, None] * factors[:, mode, None, :]).reshape(len(alphas), -1)
+        return out
+
+    return integrate_dyads(product_vectors, (scheme,), spec.space.dim)
 
 
 def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:

@@ -14,8 +14,11 @@ once the orders clear the polynomial degree.
 Every integrator sums weighted dyads w_k U_k U_k^dag over the product-rule
 nodes through :func:`integrate_dyads`.  The node order is fixed
 (angular-major, then radial; across parameter pairs the first is slowest)
-and nodes are stacked into chunks of at most CHUNK_COLUMNS columns, each
-added to the accumulator as one GEMM, so identical inputs give identical
+and nodes are taken in chunks of whole nodes, at most CHUNK_COLUMNS columns
+each.  An integrator builds a chunk's columns in one batched pass (one
+:func:`~fockgraph.fock.displacement_matrix` call for all of its nodes and
+modes, a mode-by-mode apply in place of Kronecker products), and the chunk
+is added to the accumulator as one GEMM, so identical inputs give identical
 bits.
 """
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .fock import coherent_state, displacement_matrix, laguerre_sequence
+from .fock import coherent_state, displacement_matrix, laguerre_sequence, unnormalized_coherent
 from .multimode import kron_all
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "gauss_laguerre",
     "graph_resolution",
     "polar_scheme",
-    "unnormalized_coherent",
 ]
 
 MAX_RADIAL_ORDER = 64
@@ -48,6 +50,11 @@ MAX_RADIAL_ORDER = 64
 # cap bounds the stacked block's memory (dim x CHUNK_COLUMNS) independently
 # of the node count.
 CHUNK_COLUMNS = 128
+
+# Matrix entries one displacement_matrix call builds for a rank-one chunk.
+# Such a chunk holds CHUNK_COLUMNS nodes but needs a dim x dim matrix for
+# each, so at large cutoffs its nodes are displaced in smaller batches.
+DISPLACEMENT_ENTRIES = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,21 +128,12 @@ def gauss_laguerre(order: int) -> RadialScheme:
     off_diagonal = np.arange(1.0, order)
     nodes = eigh_tridiagonal(diagonal, off_diagonal, eigvals_only=True)
     scale = float((order + 1) ** 2)
-    weights = np.array([s / (scale * laguerre_sequence(order + 1, 0, s)[-1] ** 2) for s in nodes])
+    weights = nodes / (scale * laguerre_sequence(order + 1, 0, nodes)[-1] ** 2)
     return RadialScheme(nodes=nodes, weights=weights)
 
 
 def polar_scheme(radial_order: int, angular_count: int) -> PolarScheme:
     return PolarScheme(radial=gauss_laguerre(radial_order), angular=AngularScheme(angular_count))
-
-
-def unnormalized_coherent(alpha: complex, cutoff: int) -> np.ndarray:
-    """Tail-factored coherent column alpha^m / sqrt(m!), m = 0..cutoff."""
-    out = np.empty(cutoff + 1, dtype=complex)
-    out[0] = 1.0
-    for m in range(1, cutoff + 1):
-        out[m] = out[m - 1] * alpha / math.sqrt(m)
-    return out
 
 
 def _node_table(schemes) -> tuple[np.ndarray, np.ndarray]:
@@ -157,33 +155,22 @@ def _node_table(schemes) -> tuple[np.ndarray, np.ndarray]:
     return alphas, weights
 
 
-def _stacked_columns(columns, alphas, weights, dim: int):
-    """Yield sqrt(w_k) * columns(alpha_k) side by side, whole nodes per chunk.
-
-    A chunk holds at most CHUNK_COLUMNS columns unless one node alone is
-    wider.
-    """
-    pending, width = [], 0
-    for alpha, weight in zip(alphas, weights):
-        block = math.sqrt(weight) * np.reshape(columns(alpha), (dim, -1))
-        if pending and width + block.shape[1] > CHUNK_COLUMNS:
-            yield np.hstack(pending)
-            pending, width = [], 0
-        pending.append(block)
-        width += block.shape[1]
-    if pending:
-        yield np.hstack(pending)
-
-
-def integrate_dyads(columns, schemes, dim: int) -> np.ndarray:
+def integrate_dyads(columns, schemes, dim: int, rank: int = 1) -> np.ndarray:
     """sum_k w_k U_k U_k^dag over the product of the polar schemes.
 
-    ``columns(alphas)`` maps one node's parameter-pair amplitudes (a vector
-    with one entry per scheme) to U_k, a dim-vector or a (dim, rank) block.
+    ``columns(alphas)`` maps a chunk of K nodes' parameter-pair amplitudes,
+    shape (K, pairs), to their U_k as a (K, dim, rank) stack ((K, dim) for
+    rank one).  A chunk holds max(1, CHUNK_COLUMNS // rank) whole nodes and
+    is added to the accumulator as one GEMM.
     """
     alphas, weights = _node_table(schemes)
+    step = max(1, CHUNK_COLUMNS // rank)
+    roots = np.sqrt(weights)
     acc = np.zeros((dim, dim), dtype=complex)
-    for stacked in _stacked_columns(columns, alphas, weights, dim):
+    for start in range(0, len(weights), step):
+        chunk = slice(start, start + step)
+        block = np.reshape(columns(alphas[chunk]), (-1, dim, rank))
+        stacked = (roots[chunk, None, None] * block).transpose(1, 0, 2).reshape(dim, -1)
         acc += stacked @ stacked.conj().T
     return acc
 
@@ -197,7 +184,7 @@ def coherent_identity(cutoff: int, scheme: PolarScheme) -> np.ndarray:
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    return integrate_dyads(lambda alphas: unnormalized_coherent(alphas[0], cutoff), (scheme,), cutoff + 1)
+    return integrate_dyads(lambda alphas: unnormalized_coherent(alphas[:, 0], cutoff), (scheme,), cutoff + 1)
 
 
 def displaced_projector_identity(beta: complex, cutoff: int, scheme: PolarScheme) -> np.ndarray:
@@ -208,9 +195,13 @@ def displaced_projector_identity(beta: complex, cutoff: int, scheme: PolarScheme
     so the deviation decays with the cutoff rather than vanishing outright.
     """
     seed = coherent_state(beta, cutoff)
-    return integrate_dyads(
-        lambda alphas: displacement_matrix(alphas[0], cutoff, include_gaussian=False) @ seed, (scheme,), cutoff + 1
-    )
+    batch = max(1, DISPLACEMENT_ENTRIES // (cutoff + 1) ** 2)
+
+    def displaced_seed(alphas):
+        parts = [alphas[start : start + batch, 0] for start in range(0, len(alphas), batch)]
+        return np.concatenate([displacement_matrix(part, cutoff, include_gaussian=False) @ seed for part in parts])
+
+    return integrate_dyads(displaced_seed, (scheme,), cutoff + 1)
 
 
 def graph_resolution(spec, schemes, backend: str = "rank") -> np.ndarray:
@@ -218,9 +209,10 @@ def graph_resolution(spec, schemes, backend: str = "rank") -> np.ndarray:
 
     Computes (1/pi^(n-1)) Int D Q D^dag prod_k r_k dr_k dtheta_k over the
     product of one polar scheme per displacement parameter pair.  Backend
-    "rank" integrates the displaced rank-(cutoff+1) seed basis as dyads;
-    "direct" conjugates the seed projector as a full matrix node by node
-    and is kept as the oracle.  Both produce the same operator.
+    "rank" integrates the displaced rank-(cutoff+1) seed basis as dyads,
+    applying D_1 x ... x D_n to it mode by mode; "direct" conjugates the
+    seed projector by the Kronecker-product matrix node by node and is kept
+    as the oracle.  Both produce the same operator.
     """
     from .graphs import GraphSpec, seed_basis, seed_projector
 
@@ -237,18 +229,35 @@ def graph_resolution(spec, schemes, backend: str = "rank") -> np.ndarray:
     if len(schemes) != pairs:
         raise ValueError(f"expected {pairs} polar schemes, got {len(schemes)}")
 
-    def tail(alphas):
-        shifts = spec.phi[:, 1:] @ alphas
-        return kron_all([displacement_matrix(h, spec.cutoff, include_gaussian=False) for h in shifts])
-
     dim = spec.space.dim
     if backend == "rank":
         basis = seed_basis(spec)
-        return integrate_dyads(lambda alphas: tail(alphas) @ basis, schemes, dim)
+        rank = spec.cutoff + 1
+        return integrate_dyads(lambda alphas: displace_modewise(spec, basis, alphas), schemes, dim, rank)
     projector = seed_projector(spec)
     alphas, weights = _node_table(schemes)
     acc = np.zeros((dim, dim), dtype=complex)
     for alpha, weight in zip(alphas, weights):
-        displacement = tail(alpha)
+        shifts = spec.phi[:, 1:] @ alpha
+        displacement = kron_all([displacement_matrix(h, spec.cutoff, include_gaussian=False) for h in shifts])
         acc += weight * (displacement @ projector @ displacement.conj().T)
     return acc
+
+
+def displace_modewise(spec, basis: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """(D_1 x ... x D_n) @ basis at each node, without forming the Kronecker product.
+
+    ``alphas`` (K, pairs) are node amplitudes; mode j is displaced by the
+    tail-factored D(h_j) with h = phi[:, 1:] @ alpha.  ``basis`` (dim, rank)
+    is reshaped to (side, ..., side, rank) and each mode's D_j is applied to
+    its axis with one batched matmul over the K nodes.  Returns the
+    (K, dim, rank) stack.
+    """
+    side = spec.cutoff + 1
+    shifts = (alphas @ spec.phi[:, 1:].T).ravel()
+    factors = displacement_matrix(shifts, spec.cutoff, include_gaussian=False)
+    factors = factors.reshape(len(alphas), spec.modes, side, side)
+    out = basis[None]
+    for mode in range(spec.modes):
+        out = factors[:, mode, None] @ out.reshape(len(out), side**mode, side, -1)
+    return out.reshape(len(alphas), spec.space.dim, -1)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import poisson
 
 from fockgraph import (
@@ -22,6 +23,7 @@ from fockgraph import (
     min_oracle_buffer,
     trusted_cutoff,
 )
+from fockgraph.fock import _complex_product
 
 # e^{-1/2} by direct series summation, independent of any exp() call path.
 EXP_MINUS_HALF = math.fsum((-0.5) ** k / math.factorial(k) for k in range(40))
@@ -83,11 +85,32 @@ class TestLaguerre:
                 exact = laguerre_direct(n, order, x)
                 assert seq[n] == pytest.approx(exact, rel=1e-10, abs=1e-12)
 
+    def test_broadcasts_over_order_and_argument(self):
+        orders = np.arange(6)[:, None]
+        xs = np.array([0.3, 5.0, 25.0, 120.0])
+        table = laguerre_sequence(9, orders, xs)
+        assert table.shape == (10, 6, 4)
+        for order in range(6):
+            for j, x in enumerate(xs):
+                assert np.array_equal(table[:, order, j], laguerre_sequence(9, order, x))
+
     def test_large_argument_stability(self):
         # Quadrature nodes reach s ~ 235 at the largest radial order.
         seq = laguerre_sequence(30, 10, 120.0)
         exact = laguerre_direct(30, 10, 120.0)
         assert seq[30] == pytest.approx(exact, rel=1e-12)
+
+
+class TestComplexProduct:
+    def test_matches_scalar_arithmetic_and_conjugation(self):
+        # The displacement powers rely on both: numpy's scalar complex
+        # multiply rounds each real product once, and so must the batch.
+        rng = np.random.default_rng(12)
+        a = 3.0 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
+        b = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        got = _complex_product(a, b)
+        assert np.array_equal(got, np.array([x * y for x, y in zip(a, b)]))
+        assert np.array_equal(_complex_product(a.conj(), b.conj()), got.conj())
 
 
 class TestDisplacementMatrix:
@@ -110,6 +133,45 @@ class TestDisplacementMatrix:
         left = displacement_matrix(alpha, 18).conj().T
         right = displacement_matrix(-alpha, 18)
         assert np.array_equal(left, right)
+        alphas = alpha * np.array([1.0, -0.5j, 0.3 + 2.0j, 2.5])
+        for gaussian in (True, False):
+            left = displacement_matrix(alphas, 18, include_gaussian=gaussian).conj().transpose(0, 2, 1)
+            right = displacement_matrix(-alphas, 18, include_gaussian=gaussian)
+            assert np.array_equal(left, right)
+
+    @pytest.mark.parametrize("cutoff", [4, 16, 32])
+    def test_array_form_matches_scalar_loop(self, cutoff):
+        # Amplitudes out to |alpha| ~ 7, the reach of the default radial
+        # nodes.  Batching changes no entry's arithmetic, so the stack equals
+        # the scalar matrices bitwise, well inside 1e-14 of the largest entry.
+        rng = np.random.default_rng(cutoff)
+        alphas = rng.uniform(0.0, 7.0, 40) * np.exp(2j * math.pi * rng.uniform(size=40))
+        for gaussian in (True, False):
+            stack = displacement_matrix(alphas, cutoff, include_gaussian=gaussian)
+            assert stack.shape == (40, cutoff + 1, cutoff + 1)
+            for alpha, got in zip(alphas, stack):
+                assert np.array_equal(got, displacement_matrix(alpha, cutoff, include_gaussian=gaussian))
+
+    def test_powers_round_like_scalar_arithmetic(self):
+        # Entry (k, 0) of the tail-factored matrix is alpha^k / sqrt(k!), with
+        # the power taken by repeated scalar complex multiplication.
+        alpha = 1.3 - 0.8j
+        column = displacement_matrix(np.array([alpha]), 24, include_gaussian=False)[0, :, 0]
+        power = 1.0 + 0.0j
+        for k in range(25):
+            assert column[k] == np.exp(0.5 * (gammaln(1.0) - gammaln(k + 1.0))) * power
+            power *= alpha
+
+    def test_array_form_against_expm_oracle(self):
+        alphas = np.array([0.7 + 0.3j, -1.2 + 0.5j, 1.9j, -0.4 - 1.1j])
+        stack = displacement_matrix(alphas, 10)
+        for alpha, got in zip(alphas, stack):
+            oracle = expm_displacement_oracle(alpha, 10, min_oracle_buffer(alpha))
+            assert np.abs(got - oracle).max() < 1e-10
+
+    def test_rejects_matrix_of_amplitudes(self):
+        with pytest.raises(ValueError, match="1-D"):
+            displacement_matrix(np.ones((2, 2)), 4)
 
     def test_gaussian_factoring(self):
         alpha = 1.1 - 0.4j

@@ -31,10 +31,16 @@ def test_every_target_is_bound(tracer_module):
 def test_traced_experiments_pass_and_count_nodes(tracer_module):
     experiments = ("gs", "covariant_gs", "projection", "resolution")
     tracer = tracer_module.Tracer()
+    codes, nodes = {}, {}
     tracer.install()
     try:
-        codes = {name: cli.main(["--quiet", "--experiment", name, "--cutoff", "6"]) for name in experiments}
+        for name in experiments:
+            start = len(tracer.counts)
+            codes[name] = cli.main(["--quiet", "--experiment", name, "--cutoff", "6"])
+            nodes[name] = [value for _, metric, value in tracer.counts[start:] if metric == "quadrature.nodes"]
     finally:
         tracer.uninstall()
     assert codes == {name: 0 for name in experiments}
-    assert any(metric == "quadrature.nodes" and value > 0 for _, metric, value in tracer.counts)
+    # One integrator call each, over radial_order * angular_order = 7 * 14
+    # nodes at cutoff 6, however the integrator batches them.
+    assert nodes == {name: [98] for name in experiments}

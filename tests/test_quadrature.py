@@ -24,8 +24,10 @@ from fockgraph import (
     seed_projector_quadrature,
     unnormalized_coherent,
 )
+from fockgraph import quadrature
+from fockgraph.config import dft_matrix
 from fockgraph.multimode import trusted_mask
-from fockgraph.quadrature import integrate_dyads
+from fockgraph.quadrature import CHUNK_COLUMNS, DISPLACEMENT_ENTRIES, displace_modewise, integrate_dyads
 
 
 def identity_deviation(op, mask=None):
@@ -87,7 +89,12 @@ class TestIntegrateDyads:
             block = columns(alpha)
             for j in range(rank):
                 expected += weight * np.outer(block[:, j], block[:, j].conj())
-        got = integrate_dyads(lambda alphas: columns(alphas[0]), (scheme,), 5)
+
+        def batched_columns(alphas):
+            assert alphas.shape[1] == 1 and 1 <= len(alphas) <= max(1, CHUNK_COLUMNS // rank)
+            return np.stack([columns(alpha) for alpha in alphas[:, 0]])
+
+        got = integrate_dyads(batched_columns, (scheme,), 5, rank=rank)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("orders", [(4, 5), (8, 16), (10, 20)])
@@ -103,6 +110,25 @@ class TestIntegrateDyads:
             lambda a: displacement_matrix(a, 12, include_gaussian=False) @ seed, scheme, 13
         )
         assert np.abs(displaced_projector_identity(1.0, 12, scheme) - expected).max() <= 1e-13
+
+    def test_displaced_projector_identity_bounds_kernel_batches(self, monkeypatch):
+        # At cutoff 40 a 128-node chunk is displaced in batches of 77 nodes.
+        scheme = polar_scheme(9, 20)
+        seed = coherent_state(1.0, 40)
+        expected = oracle_dyad_sum(
+            lambda a: displacement_matrix(a, 40, include_gaussian=False) @ seed, scheme, 41
+        )
+        sizes = []
+
+        def recording(alpha, cutoff, include_gaussian=True):
+            sizes.append(np.size(alpha))
+            return displacement_matrix(alpha, cutoff, include_gaussian)
+
+        monkeypatch.setattr(quadrature, "displacement_matrix", recording)
+        got = displaced_projector_identity(1.0, 40, scheme)
+        assert sizes == [77, 51, 52]
+        assert max(sizes) * 41**2 <= DISPLACEMENT_ENTRIES
+        assert np.abs(got - expected).max() <= 1e-13
 
     def test_seed_projector_quadrature_matches_outer_sum(self):
         spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(5)), modes=2, cutoff=6)
@@ -127,6 +153,23 @@ class TestIntegrateDyads:
         projector = seed_projector(spec)
         expected = oracle_graph_resolution(spec, scheme, lambda d: d @ projector @ d.conj().T)
         assert np.abs(graph_resolution(spec, scheme, backend="direct") - expected).max() <= 1e-13
+
+
+class TestDisplaceModewise:
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 4), (3, 5), (3, 6)])
+    def test_matches_kronecker_product(self, modes, cutoff):
+        # DFT mixing at n=2, Haar mixing at n=3.
+        rng = np.random.default_rng(10 * modes + cutoff)
+        phi = dft_matrix(modes) if modes == 2 else haar_unitary(modes, rng)
+        spec = GraphSpec(phi=phi, modes=modes, cutoff=cutoff)
+        basis = seed_basis(spec)
+        alphas = rng.uniform(0.0, 5.0, (6, modes - 1)) * np.exp(2j * math.pi * rng.uniform(size=(6, modes - 1)))
+        got = displace_modewise(spec, basis, alphas)
+        assert got.shape == (6, spec.space.dim, cutoff + 1)
+        for alpha, block in zip(alphas, got):
+            shifts = spec.phi[:, 1:] @ alpha
+            expected = kron_all([displacement_matrix(h, cutoff, include_gaussian=False) for h in shifts]) @ basis
+            assert np.abs(block - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestGaussLaguerre:
