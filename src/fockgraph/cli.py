@@ -91,6 +91,15 @@ def main(argv=None) -> int:
             if not args.quiet and not args.out:
                 render = render_csv if args.format == "csv" else render_json
                 print(render(report), end="")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``verify | head -1``); that is no
+        # numerical error, so the verdict's exit code stands.  Pointing
+        # stdout at devnull keeps the flush at exit from raising again, as
+        # the Python signal module's notes on SIGPIPE describe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except OSError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

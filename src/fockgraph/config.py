@@ -37,8 +37,10 @@ DEFAULT_CUTOFF = 16
 DEFAULT_SEED = 42
 DEFAULT_LADDER = (12, 16, 20)
 
-# Largest row count of phi or of any operator a config may ask for: one
-# dense complex matrix of this size takes 1 GiB.
+# Largest row count of any operator a config may ask for, where one dense
+# complex matrix takes 1 GiB, and largest entry count of phi.  The one-mode
+# experiments never use phi, but it is built and echoed in every report, so
+# its n x n entries are bounded as well.
 MAX_DIM = 8192
 
 # Largest product-rule node count a config may ask for, per quadrature:
@@ -166,7 +168,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"experiment {experiment!r} needs n >= 2, got {n}")
     cutoff = _require_int(data.get("cutoff", DEFAULT_CUTOFF), "cutoff", minimum=4)
 
-    _check_size("phi", n, 1, "rows")
+    _check_size("phi", n, 2, "entries")
     if experiment in ("projection", "resolution", "anticlique"):
         _check_size(f"the {n}-mode space at cutoff {cutoff}", cutoff + 1, n, "rows")
     elif experiment in ("gs", "covariant_gs"):
@@ -259,12 +261,12 @@ def _require_int(value, name: str, minimum: int) -> int:
 
 
 def _check_size(what: str, base: int, exponent: int, unit: str) -> None:
-    """Reject base ** exponent past MAX_DIM ("rows") or MAX_NODES ("nodes").
+    """Reject base ** exponent past MAX_DIM ("rows", "entries") or MAX_NODES ("nodes").
 
     Multiplies one factor at a time and stops past the budget, so a huge
     ``n`` from the config never sizes an integer power.
     """
-    name, budget = ("MAX_DIM", MAX_DIM) if unit == "rows" else ("MAX_NODES", MAX_NODES)
+    name, budget = ("MAX_NODES", MAX_NODES) if unit == "nodes" else ("MAX_DIM", MAX_DIM)
     size = 1
     for _ in range(exponent):
         size *= base

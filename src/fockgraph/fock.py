@@ -123,13 +123,15 @@ def displacement_compose_phase(alpha: complex, beta: complex) -> complex:
     return cmath.exp(0.5 * (alpha * beta.conjugate() - alpha.conjugate() * beta))
 
 
-def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True) -> np.ndarray:
+def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows: int | None = None) -> np.ndarray:
     """Exact matrix elements <m|D(alpha)|n> on the truncated ladder.
 
     A scalar ``alpha`` gives one (dim, dim) matrix; a 1-D array of K
     amplitudes gives the (K, dim, dim) stack, built in one vectorised pass
     over the amplitudes.  Both go through the same code, and a matrix does
-    not depend on the batch it was built in.
+    not depend on the batch it was built in.  With ``rows`` set, only rows
+    m < rows are built (shape (rows, dim) or (K, rows, dim)); they are
+    bitwise the rows of the whole matrix.
 
     For m >= n the associated-Laguerre closed form gives
     sqrt(n!/m!) * alpha^(m-n) * exp(-|alpha|^2/2) * L_n^(m-n)(|alpha|^2);
@@ -146,6 +148,9 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True) -> np
         raise ValueError(f"alpha must be a scalar or a 1-D array, got shape {alphas.shape}")
     batch = alphas.reshape(-1)
     dim = cutoff + 1
+    rows = dim if rows is None else rows
+    if not 1 <= rows <= dim:
+        raise ValueError(f"rows must be in [1, {dim}], got {rows}")
     # |alpha|^2 and the Gaussian in Python floats (numpy's vectorised abs and
     # exp round differently in the last place), so that every entry keeps the
     # bits of the scalar closed form and reports reproduce byte for byte.
@@ -156,18 +161,21 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True) -> np
     base = np.stack([batch, -batch.conj()])
     for k in range(1, dim):
         powers[k] = _complex_product(powers[k - 1], base)
-    # One row per entry (n + k, n) with n + k <= cutoff, and its mirror.
-    n, k = np.nonzero(np.add.outer(np.arange(dim), np.arange(dim)) <= cutoff)
+    # One row per pair (n, k) with n < rows and n + k <= cutoff: the entry
+    # (n, n + k) of the upper triangle, and its mirror (n + k, n) when that
+    # row is kept.
+    n, k = np.nonzero(np.add.outer(np.arange(rows), np.arange(dim)) <= cutoff)
     ratio = np.exp(0.5 * (gammaln(n + 1.0) - gammaln(n + k + 1.0)))
-    # The recurrence runs to n = cutoff for every order; values with
+    # The recurrence runs to n = rows - 1 for every order; values with
     # n + k > cutoff are dropped, and past cutoffs of ~500 they may overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        lag = laguerre_sequence(cutoff, np.arange(dim)[:, None], s)
+        lag = laguerre_sequence(rows - 1, np.arange(dim)[:, None], s)
     lag = lag[n, k]
-    lower = ratio[:, None] * powers[k, 0] * lag
+    low = n + k < rows
+    lower = ratio[low, None] * powers[k[low], 0] * lag[low]
     upper = ratio[:, None] * powers[k, 1] * lag
-    out = np.zeros((batch.size, dim, dim), dtype=complex)
-    out[:, n + k, n] = lower.T
+    out = np.zeros((batch.size, rows, dim), dtype=complex)
+    out[:, (n + k)[low], n[low]] = lower.T
     off = k > 0
     out[:, n[off], n[off] + k[off]] = upper[off].T
     if include_gaussian:

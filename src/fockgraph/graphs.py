@@ -24,7 +24,7 @@ from .multimode import (
     weyl_operator,
 )
 from .fock import unnormalized_coherent
-from .quadrature import PolarScheme, integrate_dyads
+from .quadrature import PolarScheme, box_side, integrate_dyads
 
 __all__ = [
     "CompressionResult",
@@ -113,23 +113,25 @@ def seed_projector(spec: GraphSpec) -> np.ndarray:
     return basis @ basis.conj().T
 
 
-def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme) -> np.ndarray:
+def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_block: int | None = None) -> np.ndarray:
     """Seed projector by phase-space integration of coherent product dyads.
 
     (1/pi) Int dtheta Int r dr of the tensor product over modes j of
     |alpha*phi_j1><alpha*phi_j1|, tail-factored.  Cross-checks the rank sum.
     The product vectors of a node chunk are built as batched outer products,
-    first mode slowest.
+    first mode slowest.  With ``trusted_block`` set, each mode's column stops
+    at that occupation, so the result is the block on the trusted box.
     """
+    top = box_side(spec.cutoff, trusted_block) - 1
 
     def product_vectors(alphas):
-        factors = unnormalized_coherent(alphas[:, :1] * spec.phi[:, 0], spec.cutoff)
+        factors = unnormalized_coherent(alphas[:, :1] * spec.phi[:, 0], top)
         out = factors[:, 0]
         for mode in range(1, spec.modes):
             out = (out[:, :, None] * factors[:, mode, None, :]).reshape(len(alphas), -1)
         return out
 
-    return integrate_dyads(product_vectors, (scheme,), spec.space.dim)
+    return integrate_dyads(product_vectors, (scheme,), (top + 1) ** spec.modes)
 
 
 def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:

@@ -14,12 +14,21 @@ once the orders clear the polynomial degree.
 Every integrator sums weighted dyads w_k U_k U_k^dag over the product-rule
 nodes through :func:`integrate_dyads`.  The node order is fixed
 (angular-major, then radial; across parameter pairs the first is slowest)
-and nodes are taken in chunks of whole nodes, at most CHUNK_COLUMNS columns
-each.  An integrator builds a chunk's columns in one batched pass (one
+and nodes are taken in chunks of whole nodes, as many as keep every array
+the chunk builds within CHUNK_ENTRIES entries.  An integrator builds a
+chunk's columns in one batched pass (one
 :func:`~fockgraph.fock.displacement_matrix` call for all of its nodes and
 modes, a mode-by-mode apply in place of Kronecker products), and the chunk
 is added to the accumulator as one GEMM, so identical inputs give identical
 bits.
+
+The verdicts read these operators only on the trusted box, the occupations
+at or below ``trusted_block`` in every mode.  Given that bound, the
+integrators build only the box rows of each U_k and return the box block:
+row (i_1, ..., i_n) of U_k depends only on row i_j of each mode's matrix,
+so the kernel builds just those rows, the block is exactly the one the full
+operator holds, and the accumulator shrinks from dim^2 to
+(trusted_block + 1)^(2n) entries.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .fock import coherent_state, displacement_matrix, laguerre_sequence, unnormalized_coherent
-from .multimode import kron_all
+from .multimode import kron_all, trusted_mask
 
 __all__ = [
     "AngularScheme",
@@ -46,15 +55,12 @@ __all__ = [
 
 MAX_RADIAL_ORDER = 64
 
-# Columns stacked per accumulation GEMM.  Chunks hold whole nodes, so the
-# cap bounds the stacked block's memory (dim x CHUNK_COLUMNS) independently
-# of the node count.
-CHUNK_COLUMNS = 128
-
-# Matrix entries one displacement_matrix call builds for a rank-one chunk.
-# Such a chunk holds CHUNK_COLUMNS nodes but needs a dim x dim matrix for
-# each, so at large cutoffs its nodes are displaced in smaller batches.
-DISPLACEMENT_ENTRIES = 2**17
+# Entries of the largest array one node chunk may build: the displacement
+# kernel's stack, the mode-by-mode apply's intermediates or the stacked GEMM
+# block.  Chunks hold whole nodes, so this bounds a chunk's memory
+# independently of the node count and the cutoff; a node wider than the
+# budget takes a chunk alone.
+CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,12 +119,15 @@ def gauss_laguerre(order: int) -> RadialScheme:
     """Gauss-Laguerre rule of the given order via the Jacobi matrix.
 
     The symmetric tridiagonal matrix with diagonal 2i+1 and off-diagonal
-    i+1 (i from 0) has the Laguerre roots as eigenvalues.  Weights are the
+    i+1 (i from 0) has the Laguerre roots as eigenvalues.  One Newton step
+    on L_order, with s L_Q'(s) = Q (L_Q(s) - L_{Q-1}(s)), polishes them:
+    the closed form below amplifies node errors, and with the raw
+    eigenvalues the order-60 weights sum to 1 - 2.0e-12.  Weights are the
     squared first components of the normalized eigenvectors, evaluated
     through the equivalent closed form s_i / ((order+1)^2 * L_{order+1}(s_i)^2):
     the eigensolver underflows the extreme components to zero beyond order
     ~30, while the closed form keeps every weight positive and the rule
-    exact (relative 1e-13) for polynomial degree <= 2*order - 1.
+    exact (relative 1e-12) for polynomial degree <= 2*order - 1.
     """
     if not 1 <= order <= MAX_RADIAL_ORDER:
         raise ValueError(f"order must be in [1, {MAX_RADIAL_ORDER}], got {order}")
@@ -127,6 +136,8 @@ def gauss_laguerre(order: int) -> RadialScheme:
     diagonal = 2.0 * np.arange(order) + 1.0
     off_diagonal = np.arange(1.0, order)
     nodes = eigh_tridiagonal(diagonal, off_diagonal, eigvals_only=True)
+    values = laguerre_sequence(order, 0, nodes)
+    nodes = nodes - nodes * values[-1] / (order * (values[-1] - values[-2]))
     scale = float((order + 1) ** 2)
     weights = nodes / (scale * laguerre_sequence(order + 1, 0, nodes)[-1] ** 2)
     return RadialScheme(nodes=nodes, weights=weights)
@@ -155,16 +166,27 @@ def _node_table(schemes) -> tuple[np.ndarray, np.ndarray]:
     return alphas, weights
 
 
-def integrate_dyads(columns, schemes, dim: int, rank: int = 1) -> np.ndarray:
+def box_side(cutoff: int, trusted_block: int | None) -> int:
+    """Rows per mode of the trusted box: all cutoff + 1 when the bound is None."""
+    if trusted_block is None:
+        return cutoff + 1
+    if not 0 <= trusted_block <= cutoff:
+        raise ValueError(f"trusted_block must be in [0, {cutoff}], got {trusted_block}")
+    return trusted_block + 1
+
+
+def integrate_dyads(columns, schemes, dim: int, rank: int = 1, node_entries: int = 0) -> np.ndarray:
     """sum_k w_k U_k U_k^dag over the product of the polar schemes.
 
     ``columns(alphas)`` maps a chunk of K nodes' parameter-pair amplitudes,
     shape (K, pairs), to their U_k as a (K, dim, rank) stack ((K, dim) for
-    rank one).  A chunk holds max(1, CHUNK_COLUMNS // rank) whole nodes and
-    is added to the accumulator as one GEMM.
+    rank one).  ``node_entries`` is the per-node size of the largest array
+    ``columns`` builds; with the stacked block's dim * rank, it sets the
+    chunk to max(1, CHUNK_ENTRIES // widest) whole nodes, and each chunk is
+    added to the accumulator as one GEMM.
     """
     alphas, weights = _node_table(schemes)
-    step = max(1, CHUNK_COLUMNS // rank)
+    step = max(1, CHUNK_ENTRIES // max(node_entries, dim * rank))
     roots = np.sqrt(weights)
     acc = np.zeros((dim, dim), dtype=complex)
     for start in range(0, len(weights), step):
@@ -187,24 +209,27 @@ def coherent_identity(cutoff: int, scheme: PolarScheme) -> np.ndarray:
     return integrate_dyads(lambda alphas: unnormalized_coherent(alphas[:, 0], cutoff), (scheme,), cutoff + 1)
 
 
-def displaced_projector_identity(beta: complex, cutoff: int, scheme: PolarScheme) -> np.ndarray:
+def displaced_projector_identity(
+    beta: complex, cutoff: int, scheme: PolarScheme, trusted_block: int | None = None
+) -> np.ndarray:
     """(1/pi) Int D(a) |beta><beta| D(a)^dag d^2 a with truncated D matrices.
 
     Approximates the identity on the trusted block; unlike
     :func:`coherent_identity` the integrand itself carries truncation error,
     so the deviation decays with the cutoff rather than vanishing outright.
+    With ``trusted_block`` set, only the block of occupations at or below it
+    is built and returned.
     """
     seed = coherent_state(beta, cutoff)
-    batch = max(1, DISPLACEMENT_ENTRIES // (cutoff + 1) ** 2)
+    rows = box_side(cutoff, trusted_block)
 
     def displaced_seed(alphas):
-        parts = [alphas[start : start + batch, 0] for start in range(0, len(alphas), batch)]
-        return np.concatenate([displacement_matrix(part, cutoff, include_gaussian=False) @ seed for part in parts])
+        return displacement_matrix(alphas[:, 0], cutoff, include_gaussian=False, rows=rows) @ seed
 
-    return integrate_dyads(displaced_seed, (scheme,), cutoff + 1)
+    return integrate_dyads(displaced_seed, (scheme,), rows, node_entries=rows * (cutoff + 1))
 
 
-def graph_resolution(spec, schemes, backend: str = "rank") -> np.ndarray:
+def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | None = None) -> np.ndarray:
     """Integral of the displaced graph generators against the polar measure.
 
     Computes (1/pi^(n-1)) Int D Q D^dag prod_k r_k dr_k dtheta_k over the
@@ -212,7 +237,10 @@ def graph_resolution(spec, schemes, backend: str = "rank") -> np.ndarray:
     "rank" integrates the displaced rank-(cutoff+1) seed basis as dyads,
     applying D_1 x ... x D_n to it mode by mode; "direct" conjugates the
     seed projector by the Kronecker-product matrix node by node and is kept
-    as the oracle.  Both produce the same operator.
+    as the oracle.  Both produce the same operator.  With ``trusted_block``
+    set, the result is its block on the occupations at or below the bound
+    in every mode (``trusted_mask`` order): "rank" builds only that block,
+    "direct" builds the whole operator and slices it.
     """
     from .graphs import GraphSpec, seed_basis, seed_projector
 
@@ -228,12 +256,19 @@ def graph_resolution(spec, schemes, backend: str = "rank") -> np.ndarray:
     schemes = tuple(schemes)
     if len(schemes) != pairs:
         raise ValueError(f"expected {pairs} polar schemes, got {len(schemes)}")
+    rows = box_side(spec.cutoff, trusted_block)
 
-    dim = spec.space.dim
     if backend == "rank":
         basis = seed_basis(spec)
-        rank = spec.cutoff + 1
-        return integrate_dyads(lambda alphas: displace_modewise(spec, basis, alphas), schemes, dim, rank)
+        side = rank = spec.cutoff + 1
+        # The widest per-node array is the first mode's output, box rows by
+        # the other modes' full sides; the kernel's rows x side matrices for
+        # every mode are no wider.
+        widest = rows * side ** (spec.modes - 1) * rank
+        return integrate_dyads(
+            lambda alphas: displace_modewise(spec, basis, alphas, rows), schemes, rows**spec.modes, rank, widest
+        )
+    dim = spec.space.dim
     projector = seed_projector(spec)
     alphas, weights = _node_table(schemes)
     acc = np.zeros((dim, dim), dtype=complex)
@@ -241,23 +276,31 @@ def graph_resolution(spec, schemes, backend: str = "rank") -> np.ndarray:
         shifts = spec.phi[:, 1:] @ alpha
         displacement = kron_all([displacement_matrix(h, spec.cutoff, include_gaussian=False) for h in shifts])
         acc += weight * (displacement @ projector @ displacement.conj().T)
-    return acc
+    if trusted_block is None:
+        return acc
+    idx = np.flatnonzero(trusted_mask(spec.space, trusted_block))
+    return acc[np.ix_(idx, idx)]
 
 
-def displace_modewise(spec, basis: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """(D_1 x ... x D_n) @ basis at each node, without forming the Kronecker product.
+def displace_modewise(spec, basis: np.ndarray, alphas: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Rows of (D_1 x ... x D_n) @ basis at each node, without forming the Kronecker product.
 
     ``alphas`` (K, pairs) are node amplitudes; mode j is displaced by the
     tail-factored D(h_j) with h = phi[:, 1:] @ alpha.  ``basis`` (dim, rank)
-    is reshaped to (side, ..., side, rank) and each mode's D_j is applied to
-    its axis with one batched matmul over the K nodes.  Returns the
-    (K, dim, rank) stack.
+    is reshaped to (side, ..., side, rank) and each mode's D_j, built for
+    its first ``rows`` rows only (all by default), is applied to its axis:
+    the first mode as one GEMM for all K nodes (they share the basis), the
+    others as one batched matmul over the nodes.  Returns the
+    (K, rows^n, rank) stack: the rows whose occupations are all below
+    ``rows``, in row-major order.
     """
     side = spec.cutoff + 1
+    rows = side if rows is None else rows
+    count = len(alphas)
     shifts = (alphas @ spec.phi[:, 1:].T).ravel()
-    factors = displacement_matrix(shifts, spec.cutoff, include_gaussian=False)
-    factors = factors.reshape(len(alphas), spec.modes, side, side)
-    out = basis[None]
-    for mode in range(spec.modes):
-        out = factors[:, mode, None] @ out.reshape(len(out), side**mode, side, -1)
-    return out.reshape(len(alphas), spec.space.dim, -1)
+    factors = displacement_matrix(shifts, spec.cutoff, include_gaussian=False, rows=rows)
+    factors = factors.reshape(count, spec.modes, rows, side)
+    out = factors[:, 0].reshape(count * rows, side) @ basis.reshape(side, -1)
+    for mode in range(1, spec.modes):
+        out = factors[:, mode, None] @ out.reshape(count, rows**mode, side, -1)
+    return out.reshape(count, rows**spec.modes, -1)

@@ -20,7 +20,7 @@ from .graphs import (
     seed_projector,
     seed_projector_quadrature,
 )
-from .multimode import ModeSpace, trusted_mask
+from .multimode import trusted_mask
 from .quadrature import (
     coherent_identity,
     displaced_projector_identity,
@@ -51,13 +51,11 @@ def run_experiment(cfg: ExperimentConfig) -> VerificationReport:
     return report
 
 
-def _identity_deviations(operator: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    """Max-abs and relative Frobenius deviation from the identity on a block."""
-    idx = np.flatnonzero(mask)
-    block = operator[np.ix_(idx, idx)]
-    delta = block - np.eye(idx.size)
+def _identity_deviations(block: np.ndarray) -> tuple[float, float]:
+    """Max-abs and relative Frobenius deviation of a square block from the identity."""
+    delta = block - np.eye(len(block))
     max_abs = float(np.max(np.abs(delta)))
-    frobenius = float(np.linalg.norm(delta) / np.sqrt(idx.size))
+    frobenius = float(np.linalg.norm(delta) / np.sqrt(len(block)))
     return max_abs, frobenius
 
 
@@ -100,16 +98,14 @@ def _rng(cfg: ExperimentConfig) -> np.random.Generator:
 
 def _run_gs(cfg: ExperimentConfig) -> VerificationReport:
     scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
-    operator = coherent_identity(cfg.cutoff, scheme)
-    max_abs, frobenius = _identity_deviations(operator, trusted_mask(ModeSpace(1, cfg.cutoff), cfg.cutoff))
+    max_abs, frobenius = _identity_deviations(coherent_identity(cfg.cutoff, scheme))
     return _report(cfg, max_abs, frobenius)
 
 
 def _run_covariant(cfg: ExperimentConfig) -> VerificationReport:
     scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
-    operator = displaced_projector_identity(COVARIANT_SEED_AMPLITUDE, cfg.cutoff, scheme)
-    mask = trusted_mask(ModeSpace(1, cfg.cutoff), cfg.trusted_block)
-    max_abs, frobenius = _identity_deviations(operator, mask)
+    block = displaced_projector_identity(COVARIANT_SEED_AMPLITUDE, cfg.cutoff, scheme, cfg.trusted_block)
+    max_abs, frobenius = _identity_deviations(block)
     return _report(cfg, max_abs, frobenius)
 
 
@@ -120,10 +116,9 @@ def _run_projection(cfg: ExperimentConfig) -> VerificationReport:
     idempotency = float(np.max(np.abs(idempotency_residual)))
     hermiticity = float(np.max(np.abs(projector - projector.conj().T)))
     trace_dev = abs(float(np.trace(projector).real) - (cfg.cutoff + 1))
-    quad = seed_projector_quadrature(spec, polar_scheme(cfg.radial_order, cfg.angular_order))
-    mask = trusted_mask(spec.space, cfg.trusted_block)
-    idx = np.flatnonzero(mask)
-    backend_dev = float(np.max(np.abs((projector - quad)[np.ix_(idx, idx)])))
+    quad = seed_projector_quadrature(spec, polar_scheme(cfg.radial_order, cfg.angular_order), cfg.trusted_block)
+    idx = np.flatnonzero(trusted_mask(spec.space, cfg.trusted_block))
+    backend_dev = float(np.max(np.abs(projector[np.ix_(idx, idx)] - quad)))
     max_abs = max(idempotency, hermiticity, trace_dev, backend_dev)
     frobenius = float(np.linalg.norm(idempotency_residual) / np.linalg.norm(projector))
     return _report(cfg, max_abs, frobenius)
@@ -132,9 +127,8 @@ def _run_projection(cfg: ExperimentConfig) -> VerificationReport:
 def _run_resolution(cfg: ExperimentConfig) -> VerificationReport:
     spec = GraphSpec(phi=cfg.phi, modes=cfg.n, cutoff=cfg.cutoff)
     scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
-    operator = graph_resolution(spec, scheme, backend="rank")
-    mask = trusted_mask(spec.space, cfg.trusted_block)
-    max_abs, frobenius = _identity_deviations(operator, mask)
+    block = graph_resolution(spec, scheme, backend="rank", trusted_block=cfg.trusted_block)
+    max_abs, frobenius = _identity_deviations(block)
     return _report(cfg, max_abs, frobenius)
 
 
@@ -166,9 +160,8 @@ def _run_convergence(cfg: ExperimentConfig) -> VerificationReport:
     scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
     rows = []
     for cutoff in cfg.cutoff_ladder:
-        operator = displaced_projector_identity(COVARIANT_SEED_AMPLITUDE, cutoff, scheme)
-        mask = trusted_mask(ModeSpace(1, cutoff), cfg.trusted_block)
-        max_abs, frobenius = _identity_deviations(operator, mask)
+        block = displaced_projector_identity(COVARIANT_SEED_AMPLITUDE, cutoff, scheme, cfg.trusted_block)
+        max_abs, frobenius = _identity_deviations(block)
         rows.append(
             {
                 "cutoff": cutoff,

@@ -1,10 +1,15 @@
 """CLI behaviour: exit codes, report emission, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fockgraph
 from fockgraph.cli import main
 from fockgraph.config import config_from_dict
 
@@ -53,13 +58,13 @@ class TestSingleExperiments:
         assert report["pass"] is True
 
     # At n=3 the default trusted block is cutoff // 3; cutoff // 2 would
-    # reach the truncation edge (deviations near 1e-1).  The n=4 case runs
-    # projection at cutoff 4 (block 1); resolution at n=4 takes 125,000
-    # nodes at its defaults and is not run here.
+    # reach the truncation edge (deviations near 1e-1).  The n=4 cases run at
+    # cutoff 4 (block 1); resolution there integrates 125,000 nodes at its
+    # defaults, building only the 16 x 16 trusted block (a few seconds).
     @pytest.mark.parametrize(
         "experiment, n, cutoff, block",
-        [("projection", 3, 8, 2), ("resolution", 3, 4, 1), ("projection", 4, 4, 1)],
-        ids=["projection-8-2", "resolution-4-1", "projection-n4-4-1"],
+        [("projection", 3, 8, 2), ("resolution", 3, 4, 1), ("projection", 4, 4, 1), ("resolution", 4, 4, 1)],
+        ids=["projection-8-2", "resolution-4-1", "projection-n4-4-1", "resolution-n4-4-1"],
     )
     def test_three_mode_default_trusted_block(self, tmp_path, experiment, n, cutoff, block):
         config = write_config(tmp_path, {"experiment": experiment, "n": n, "cutoff": cutoff})
@@ -152,6 +157,8 @@ class TestExitCodes:
                 "MAX_DIM = 8192",
             ),
             ({"experiment": "gs", "n": 10**9}, "phi", "MAX_DIM = 8192"),
+            ({"experiment": "gs", "n": 8192}, "phi needs more than MAX_DIM = 8192 entries", "MAX_DIM = 8192"),
+            ({"experiment": "convergence", "n": 91}, "phi needs more than MAX_DIM = 8192 entries", "MAX_DIM = 8192"),
             (
                 {"experiment": "convergence", "cutoff": 200000, "radial_order": 8},
                 "angular_order 400002",
@@ -170,6 +177,8 @@ class TestExitCodes:
             "gs-cutoff-8192",
             "convergence-ladder-9000",
             "gs-n-1e9",
+            "gs-n-8192",
+            "convergence-n-91",
             "convergence-cutoff-200000",
             "gs-angular-3e6",
             "gs-angular-1e18",
@@ -191,8 +200,9 @@ class TestExitCodes:
             {"experiment": "anticlique", "n": 3, "cutoff": 16},
             {"experiment": "gs", "cutoff": 8191, "radial_order": 8},
             {"experiment": "resolution", "n": 3, "cutoff": 16},
+            {"experiment": "covariant_gs", "n": 90, "cutoff": 16},
         ],
-        ids=["anticlique-n3-dim-4913", "gs-dim-8192", "resolution-n3-nodes-334084"],
+        ids=["anticlique-n3-dim-4913", "gs-dim-8192", "resolution-n3-nodes-334084", "covariant-phi-8100"],
     )
     def test_config_within_budget_parses(self, data):
         assert config_from_dict(data).cutoff == data["cutoff"]
@@ -255,3 +265,31 @@ class TestDefaultSuite:
         assert main(["--experiment", "anticlique", "--out", str(first), "--quiet"]) == 0
         assert main(["--experiment", "anticlique", "--out", str(second), "--quiet"]) == 0
         assert normalize_runtime(first.read_text()) == normalize_runtime(second.read_text())
+
+
+class TestClosedStdout:
+    # The read end of the pipe is closed before the process starts, so its
+    # first write to stdout fails with EPIPE, as under `verify | head -1`.
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--experiment", "gs"], 0), (["--experiment", "anticlique", "--seed", "3243419750"], 1)],
+        ids=["gs-pass", "anticlique-fail"],
+    )
+    def test_keeps_verdict_exit_code(self, argv, code):
+        package_root = str(Path(fockgraph.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "fockgraph", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == code
+        assert result.stderr == ""

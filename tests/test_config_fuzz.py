@@ -5,8 +5,9 @@ CLI exits 2 on every config that fails to parse, never 3 (internal error).
 Draws are derandomized, so every run checks the same configs.
 
 Configs that parse are not run.  Mode counts are drawn small or past
-`MAX_DIM`: a one-mode experiment accepts any n up to `MAX_DIM`, and its
-default phi is an n x n DFT matrix built at parse time.
+`MAX_DIM`: phi, an n x n DFT matrix by default, is built at parse time for
+every experiment, and a one-mode experiment accepts n up to 90
+(n*n <= `MAX_DIM`).
 """
 
 import json

@@ -151,6 +151,10 @@ class TestDisplacementMatrix:
             assert stack.shape == (40, cutoff + 1, cutoff + 1)
             for alpha, got in zip(alphas, stack):
                 assert np.array_equal(got, displacement_matrix(alpha, cutoff, include_gaussian=gaussian))
+            # Building only the first rows gives those rows bitwise.
+            for rows in (1, cutoff // 2 + 1, cutoff + 1):
+                assert np.array_equal(displacement_matrix(alphas, cutoff, gaussian, rows=rows), stack[:, :rows])
+                assert np.array_equal(displacement_matrix(alphas[0], cutoff, gaussian, rows=rows), stack[0, :rows])
 
     def test_powers_round_like_scalar_arithmetic(self):
         # Entry (k, 0) of the tail-factored matrix is alpha^k / sqrt(k!), with
@@ -172,6 +176,11 @@ class TestDisplacementMatrix:
     def test_rejects_matrix_of_amplitudes(self):
         with pytest.raises(ValueError, match="1-D"):
             displacement_matrix(np.ones((2, 2)), 4)
+
+    @pytest.mark.parametrize("rows", [0, 6])
+    def test_rejects_rows_outside_ladder(self, rows):
+        with pytest.raises(ValueError, match="rows"):
+            displacement_matrix(0.5, 4, rows=rows)
 
     def test_gaussian_factoring(self):
         alpha = 1.1 - 0.4j

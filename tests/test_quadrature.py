@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from fockgraph import (
 from fockgraph import quadrature
 from fockgraph.config import dft_matrix
 from fockgraph.multimode import trusted_mask
-from fockgraph.quadrature import CHUNK_COLUMNS, DISPLACEMENT_ENTRIES, displace_modewise, integrate_dyads
+from fockgraph.quadrature import CHUNK_ENTRIES, displace_modewise, integrate_dyads
 
 
 def identity_deviation(op, mask=None):
@@ -70,9 +71,13 @@ def oracle_graph_resolution(spec, scheme, conjugate):
 
 
 class TestIntegrateDyads:
-    # With 128 columns a chunk, rank 1 fills a chunk with 128 nodes, rank 17
-    # with 7, and a node wider than the cap takes a chunk alone; the node
-    # counts fall below a chunk, on it and off a multiple of it.
+    # A chunk holds CHUNK_ENTRIES // node_entries whole nodes.  The callbacks
+    # claim per-node widths that give 128 nodes a chunk at rank 1 and 7 at
+    # rank 17; at rank 130 a node is wider than the budget and takes a chunk
+    # alone.  The node counts fall below a chunk, on it and off a multiple
+    # of it.
+    NODES_PER_CHUNK = {1: 128, 17: 7, 130: 1}
+
     @pytest.mark.parametrize(
         "rank, orders",
         [(1, (4, 5)), (1, (8, 16)), (1, (10, 20)), (17, (1, 5)), (17, (1, 7)), (17, (3, 10)), (130, (2, 3))],
@@ -90,11 +95,18 @@ class TestIntegrateDyads:
             for j in range(rank):
                 expected += weight * np.outer(block[:, j], block[:, j].conj())
 
+        step = self.NODES_PER_CHUNK[rank]
+        node_entries = CHUNK_ENTRIES // step if step > 1 else CHUNK_ENTRIES + 1
+        sizes = []
+
         def batched_columns(alphas):
-            assert alphas.shape[1] == 1 and 1 <= len(alphas) <= max(1, CHUNK_COLUMNS // rank)
+            assert alphas.shape[1] == 1
+            sizes.append(len(alphas))
             return np.stack([columns(alpha) for alpha in alphas[:, 0]])
 
-        got = integrate_dyads(batched_columns, (scheme,), 5, rank=rank)
+        got = integrate_dyads(batched_columns, (scheme,), 5, rank=rank, node_entries=node_entries)
+        assert sizes[:-1] == [step] * (len(sizes) - 1) and 1 <= sizes[-1] <= step
+        assert sum(sizes) == orders[0] * orders[1]
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("orders", [(4, 5), (8, 16), (10, 20)])
@@ -112,7 +124,8 @@ class TestIntegrateDyads:
         assert np.abs(displaced_projector_identity(1.0, 12, scheme) - expected).max() <= 1e-13
 
     def test_displaced_projector_identity_bounds_kernel_batches(self, monkeypatch):
-        # At cutoff 40 a 128-node chunk is displaced in batches of 77 nodes.
+        # At cutoff 40 a chunk's kernel stack holds 41 x 41 entries a node, so
+        # the 180 nodes go in chunks of CHUNK_ENTRIES // 41**2 = 38.
         scheme = polar_scheme(9, 20)
         seed = coherent_state(1.0, 40)
         expected = oracle_dyad_sum(
@@ -120,14 +133,14 @@ class TestIntegrateDyads:
         )
         sizes = []
 
-        def recording(alpha, cutoff, include_gaussian=True):
+        def recording(alpha, cutoff, include_gaussian=True, rows=None):
             sizes.append(np.size(alpha))
-            return displacement_matrix(alpha, cutoff, include_gaussian)
+            return displacement_matrix(alpha, cutoff, include_gaussian, rows)
 
         monkeypatch.setattr(quadrature, "displacement_matrix", recording)
         got = displaced_projector_identity(1.0, 40, scheme)
-        assert sizes == [77, 51, 52]
-        assert max(sizes) * 41**2 <= DISPLACEMENT_ENTRIES
+        assert sizes == [38, 38, 38, 38, 28]
+        assert max(sizes) * 41**2 <= CHUNK_ENTRIES
         assert np.abs(got - expected).max() <= 1e-13
 
     def test_seed_projector_quadrature_matches_outer_sum(self):
@@ -155,6 +168,104 @@ class TestIntegrateDyads:
         assert np.abs(graph_resolution(spec, scheme, backend="direct") - expected).max() <= 1e-13
 
 
+class TestTrustedBox:
+    """Integrators bounded by the trusted box return the box block of the full operator."""
+
+    @pytest.mark.parametrize(
+        "modes, cutoff, block, orders", [(2, 16, 8, (17, 34)), (3, 6, 2, (4, 8))], ids=["n2-c16-t8", "n3-c6-t2"]
+    )
+    def test_rank_box_matches_full_block(self, modes, cutoff, block, orders):
+        spec = GraphSpec(phi=haar_unitary(modes, np.random.default_rng(cutoff)), modes=modes, cutoff=cutoff)
+        scheme = polar_scheme(*orders)
+        full = graph_resolution(spec, scheme, backend="rank")
+        boxed = graph_resolution(spec, scheme, backend="rank", trusted_block=block)
+        idx = np.flatnonzero(trusted_mask(spec.space, block))
+        assert boxed.shape == (idx.size, idx.size) == ((block + 1) ** modes,) * 2
+        expected = full[np.ix_(idx, idx)]
+        assert np.abs(boxed - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_single_mode_integrators_match_full_block(self):
+        scheme = polar_scheme(9, 20)
+        full = displaced_projector_identity(1.0, 12, scheme)
+        boxed = displaced_projector_identity(1.0, 12, scheme, trusted_block=5)
+        assert np.abs(boxed - full[:6, :6]).max() <= 1e-13 * np.abs(full).max()
+        spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(3)), modes=2, cutoff=8)
+        full = seed_projector_quadrature(spec, scheme)
+        boxed = seed_projector_quadrature(spec, scheme, trusted_block=4)
+        idx = np.flatnonzero(trusted_mask(spec.space, 4))
+        assert np.abs(boxed - full[np.ix_(idx, idx)]).max() <= 1e-13 * np.abs(full).max()
+
+    def test_box_at_cutoff_is_full_operator(self):
+        spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(4)), modes=2, cutoff=6)
+        scheme = polar_scheme(7, 14)
+        for backend in ("rank", "direct"):
+            full = graph_resolution(spec, scheme, backend=backend)
+            assert np.array_equal(graph_resolution(spec, scheme, backend=backend, trusted_block=6), full)
+        full = displaced_projector_identity(1.0, 6, scheme)
+        assert np.array_equal(displaced_projector_identity(1.0, 6, scheme, trusted_block=6), full)
+        full = seed_projector_quadrature(spec, scheme)
+        assert np.array_equal(seed_projector_quadrature(spec, scheme, trusted_block=6), full)
+
+    def test_direct_backend_slices_full_operator(self):
+        spec = GraphSpec(phi=haar_unitary(3, np.random.default_rng(9)), modes=3, cutoff=3)
+        scheme = polar_scheme(3, 4)
+        full = graph_resolution(spec, scheme, backend="direct")
+        idx = np.flatnonzero(trusted_mask(spec.space, 1))
+        boxed = graph_resolution(spec, scheme, backend="direct", trusted_block=1)
+        assert np.array_equal(boxed, full[np.ix_(idx, idx)])
+        rank = graph_resolution(spec, scheme, backend="rank", trusted_block=1)
+        assert np.abs(rank - boxed).max() <= 1e-13
+
+    @pytest.mark.parametrize("block", [-1, 7])
+    def test_rejects_box_outside_cutoff(self, block):
+        spec = GraphSpec(phi=np.eye(2, dtype=complex), modes=2, cutoff=6)
+        scheme = polar_scheme(3, 6)
+        with pytest.raises(ValueError, match="trusted_block"):
+            graph_resolution(spec, scheme, trusted_block=block)
+        with pytest.raises(ValueError, match="trusted_block"):
+            displaced_projector_identity(1.0, 6, scheme, trusted_block=block)
+        with pytest.raises(ValueError, match="trusted_block"):
+            seed_projector_quadrature(spec, scheme, trusted_block=block)
+
+    def test_small_box_at_large_cutoff_stays_within_budget(self, monkeypatch):
+        # n=2 at cutoff 64 (dim 4225, rank 65) on the vacuum box: the first
+        # mode's output, 65 x 65 entries a node, is the widest per-node array,
+        # so the 32 nodes go in chunks of CHUNK_ENTRIES // 4225 = 15, and the
+        # kernel builds one row of each mode's matrix.  From the first chunk
+        # on, memory holds the 4.4 MB seed basis and a few chunk arrays; the
+        # full operator's accumulator alone would take 285 MB.
+        spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(11)), modes=2, cutoff=64)
+        scheme = polar_scheme(4, 8)
+        basis = seed_basis(spec)
+        sizes = []
+
+        def recording(alpha, cutoff, include_gaussian=True, rows=None):
+            if not sizes:
+                tracemalloc.reset_peak()
+            out = displacement_matrix(alpha, cutoff, include_gaussian, rows)
+            sizes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(quadrature, "displacement_matrix", recording)
+        tracemalloc.start()
+        try:
+            got = graph_resolution(spec, scheme, backend="rank", trusted_block=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [(15 * 2, 1, 65)] * 2 + [(2 * 2, 1, 65)]
+        assert 15 * 65**2 <= CHUNK_ENTRIES
+        assert peak <= basis.nbytes + 4 * CHUNK_ENTRIES * 16
+        # Oracle: the vacuum row of D_1 x D_2 is the Kronecker product of
+        # the rows, so each node adds |row @ basis|^2.
+        expected = 0.0
+        for alpha, weight in oracle_nodes(scheme):
+            rows = [displacement_matrix(h, 64, include_gaussian=False)[0] for h in spec.phi[:, 1] * alpha]
+            expected += weight * np.sum(np.abs(kron_all(rows) @ basis) ** 2)
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - expected) <= 1e-13 * expected
+
+
 class TestDisplaceModewise:
     @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 4), (3, 5), (3, 6)])
     def test_matches_kronecker_product(self, modes, cutoff):
@@ -166,10 +277,16 @@ class TestDisplaceModewise:
         alphas = rng.uniform(0.0, 5.0, (6, modes - 1)) * np.exp(2j * math.pi * rng.uniform(size=(6, modes - 1)))
         got = displace_modewise(spec, basis, alphas)
         assert got.shape == (6, spec.space.dim, cutoff + 1)
-        for alpha, block in zip(alphas, got):
+        # Rows cut to the trusted box give its rows of the full product.
+        box = cutoff // modes
+        idx = np.flatnonzero(trusted_mask(spec.space, box))
+        boxed = displace_modewise(spec, basis, alphas, box + 1)
+        assert boxed.shape == (6, idx.size, cutoff + 1)
+        for alpha, block, box_block in zip(alphas, got, boxed):
             shifts = spec.phi[:, 1:] @ alpha
             expected = kron_all([displacement_matrix(h, cutoff, include_gaussian=False) for h in shifts]) @ basis
             assert np.abs(block - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert np.abs(box_block - expected[idx]).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestGaussLaguerre:
@@ -209,6 +326,13 @@ class TestGaussLaguerre:
         nodes, vectors = eigh_tridiagonal(2.0 * np.arange(order) + 1.0, np.arange(1.0, order))
         scheme = gauss_laguerre(order)
         assert scheme.weights == pytest.approx(vectors[0] ** 2, rel=1e-10)
+
+    @pytest.mark.parametrize("order", range(1, 65))
+    def test_every_order_builds(self, order):
+        # RadialScheme checks that the weights sum to 1 within 1e-12; order
+        # 60 missed it before its nodes were polished.
+        scheme = gauss_laguerre(order)
+        assert scheme.order == order
 
     def test_rejects_out_of_range_order(self):
         with pytest.raises(ValueError, match="order"):
