@@ -202,6 +202,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if raw_generators is not None:
         if not isinstance(raw_generators, list) or not raw_generators:
             raise ConfigError("generator_params must be a nonempty list of {R, Theta} objects")
+        _check_size("generator_params", len(raw_generators), 1, "entries")
         generator_params = tuple(
             _parse_point(item, n, ("R", "Theta"), "generator_params entry") for item in raw_generators
         )

@@ -24,7 +24,7 @@ from .multimode import (
     weyl_operator,
 )
 from .fock import unnormalized_coherent
-from .quadrature import PolarScheme, box_side, integrate_dyads
+from .quadrature import CHUNK_ENTRIES, PolarScheme, box_side, displace_modewise, integrate_dyads
 
 __all__ = [
     "CompressionResult",
@@ -186,18 +186,28 @@ def compression_check(
 ) -> CompressionResult:
     """Measure how far the projection compresses a graph combination to a scalar.
 
-    Forms A = sum_i w_i G_i from the graph generators, computes P A P,
-    extracts the least-squares scalar c = tr(P A P)/tr(P), and returns the
-    max-abs and relative Frobenius deviations of P A P - c P (the latter
-    against ||P||_F) together with the relative error of c against the
-    predicted weighted constant sum.  Real parts of c are returned.
+    The projection is P = Y_x Y_x^dag and the combination A = sum_i w_i Y_i Y_i^dag,
+    with Y = D(h) B the displaced seed ladder (dim x (cutoff+1)) at each
+    point.  Then P A P = Y_x M Y_x^dag with the small matrix
+    M = sum_i w_i G_i G_i^dag, G_i = Y_x^dag Y_i: the Knill-Laflamme form of
+    the anticlique as a code for the graph.  On the rows Y_t of Y_x kept by
+    ``trusted_block`` (all rows when it is None), with S = Y_t^dag Y_t, the
+    least-squares scalar is c = tr(M S)/tr(S) and the residual is
+    Y_t (M - c I) Y_t^dag.  Returns its max-abs and Frobenius deviations (the
+    latter against ||P_t||_F = ||S||_F) with the relative error of c against
+    the predicted weighted constant sum.  Real parts of c are returned.
 
-    With ``trusted_block`` set, the traces and residual are taken over the
-    sub-block of occupations at or below it.  The full-matrix comparison is
-    limited by the mass the top ladder states lose to truncation (first
-    order in that loss); the identity is exact in infinite dimension, so on
-    a block whose occupations stay clear of the displacement reach the
-    truncated operators reproduce it to near machine precision.
+    The ladders are built mode by mode (:func:`displace_modewise`) in
+    chunks of whole points within CHUNK_ENTRIES entries, and the residual
+    in row blocks within that budget, so no array has more than
+    max(CHUNK_ENTRIES, dim * (cutoff+1)) entries and no dim x dim product
+    is formed.
+
+    The full-matrix comparison is limited by the mass the top ladder states
+    lose to truncation (first order in that loss); the identity is exact in
+    infinite dimension, so on a block whose occupations stay clear of the
+    displacement reach the truncated operators reproduce it to near machine
+    precision.
     """
     generators = list(generators)
     if not generators:
@@ -208,23 +218,41 @@ def compression_check(
     if len(weights) != len(generators):
         raise ValueError("weights must match the number of generators")
 
-    projection = graph_generator(spec, anticlique)
-    combined = np.zeros_like(projection)
     predicted = 0.0 + 0.0j
     for weight, params in zip(weights, generators):
-        combined += weight * graph_generator(spec, params)
         predicted += weight * compression_constant(anticlique, params)
 
-    compressed = projection @ combined @ projection
+    basis = seed_basis(spec)
+
+    def ladders(points):
+        # D(h) B with the Gaussian exp(-|h|^2/2) the tail-factored apply leaves out.
+        shifts = np.array([displaced_mode_amplitudes(spec, p) for p in points])
+        gauss = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))
+        alphas = np.array([p.displacements() for p in points])
+        return gauss[:, None, None] * displace_modewise(spec, basis, alphas)
+
+    ladder = ladders([anticlique])[0]
+    adjoint = ladder.conj().T
+    rank = basis.shape[1]
+    step = max(1, CHUNK_ENTRIES // basis.size)
+    combined = np.zeros((rank, rank), dtype=complex)
+    for start in range(0, len(generators), step):
+        gram = adjoint @ ladders(generators[start : start + step])
+        combined += np.einsum("k,kij,klj->il", np.asarray(weights[start : start + step]), gram, gram.conj())
+
     if trusted_block is not None:
-        idx = np.flatnonzero(trusted_mask(spec.space, trusted_block))
-        projection = projection[np.ix_(idx, idx)]
-        compressed = compressed[np.ix_(idx, idx)]
-    trace_p = complex(np.trace(projection))
-    measured = complex(np.trace(compressed)) / trace_p
-    residual = compressed - measured * projection
-    frobenius = float(np.linalg.norm(residual) / np.linalg.norm(projection))
-    max_abs = float(np.max(np.abs(residual)))
+        ladder = ladder[trusted_mask(spec.space, trusted_block)]
+        adjoint = ladder.conj().T
+    overlap = adjoint @ ladder
+    measured = complex(np.sum(combined * overlap.T)) / complex(np.trace(overlap))
+    kernel = combined - measured * np.eye(rank)
+    rows = max(1, CHUNK_ENTRIES // len(ladder))
+    max_abs = squares = 0.0
+    for start in range(0, len(ladder), rows):
+        magnitude = np.abs(ladder[start : start + rows] @ kernel @ adjoint)
+        max_abs = max(max_abs, float(magnitude.max()))
+        squares += float(np.sum(magnitude**2))
+    frobenius = math.sqrt(squares) / float(np.linalg.norm(overlap))
     scalar_error = abs(measured - predicted) / abs(predicted) if predicted != 0 else abs(measured)
     return CompressionResult(
         max_abs_deviation=max_abs,

@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import fockgraph
 from fockgraph.cli import main
-from fockgraph.config import config_from_dict
+from fockgraph.config import MAX_DIM, config_from_dict
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -56,6 +57,22 @@ class TestSingleExperiments:
         report = json.loads(out.read_text())
         assert report["scalar_measured"] == pytest.approx(1.0, abs=1e-8)
         assert report["pass"] is True
+
+    def test_anticlique_dim_4913_runs_in_bounded_memory(self, tmp_path):
+        # The dense P A P at dim 4913 would hold 386 MB per matrix; the
+        # ladder-Gram check keeps every array within max(CHUNK_ENTRIES,
+        # dim * (cutoff+1)) entries (1.3 MB here).
+        config = write_config(tmp_path, {"experiment": "anticlique", "n": 3, "cutoff": 16})
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            code = main(["--config", str(config), "--out", str(out), "--quiet"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out.read_text())["pass"] is True
+        assert peak < 64 * 2**20
 
     # At n=3 the default trusted block is cutoff // 3; cutoff // 2 would
     # reach the truncation edge (deviations near 1e-1).  The n=4 cases run at
@@ -170,6 +187,11 @@ class TestExitCodes:
                 "MAX_NODES = 1048576",
             ),
             ({"experiment": "gs", "angular_order": 10**18}, "gs quadrature", "MAX_NODES = 1048576"),
+            (
+                {"experiment": "anticlique", "generator_params": [{"R": [0.1], "Theta": [0.0]}] * (MAX_DIM + 1)},
+                "generator_params needs more than MAX_DIM = 8192 entries",
+                "MAX_DIM = 8192",
+            ),
         ],
         ids=[
             "projection-n4",
@@ -182,6 +204,7 @@ class TestExitCodes:
             "convergence-cutoff-200000",
             "gs-angular-3e6",
             "gs-angular-1e18",
+            "anticlique-generators-8193",
         ],
     )
     def test_oversized_config_exits_two(self, tmp_path, capsys, data, reason, limit):
@@ -192,8 +215,9 @@ class TestExitCodes:
         assert reason in err
         assert limit in err
 
-    # Parsed only: running these would build matrices of 0.4 to 1 GiB, or
-    # take 131,072 and 334,084 quadrature nodes.
+    # Budget edges, parsed only: the gs case would build a 1 GiB matrix and
+    # the resolution case take 334,084 quadrature nodes.  The anticlique
+    # n=3 case also runs, in bounded memory, in TestSingleExperiments.
     @pytest.mark.parametrize(
         "data",
         [
@@ -201,8 +225,15 @@ class TestExitCodes:
             {"experiment": "gs", "cutoff": 8191, "radial_order": 8},
             {"experiment": "resolution", "n": 3, "cutoff": 16},
             {"experiment": "covariant_gs", "n": 90, "cutoff": 16},
+            {"experiment": "anticlique", "cutoff": 16, "generator_params": [{"R": [0.1], "Theta": [0.0]}] * MAX_DIM},
         ],
-        ids=["anticlique-n3-dim-4913", "gs-dim-8192", "resolution-n3-nodes-334084", "covariant-phi-8100"],
+        ids=[
+            "anticlique-n3-dim-4913",
+            "gs-dim-8192",
+            "resolution-n3-nodes-334084",
+            "covariant-phi-8100",
+            "anticlique-generators-8192",
+        ],
     )
     def test_config_within_budget_parses(self, data):
         assert config_from_dict(data).cutoff == data["cutoff"]

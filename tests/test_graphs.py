@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import fockgraph.graphs
 from fockgraph import (
+    CompressionResult,
     GeneratorParams,
     GraphSpec,
     coherent_identity,
@@ -25,6 +27,7 @@ from fockgraph import (
 from fockgraph.config import dft_matrix
 from fockgraph.fock import displacement_matrix
 from fockgraph.multimode import index_of, mode_ladder, trusted_mask
+from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS
 
 
 def block(op, mask):
@@ -371,6 +374,96 @@ class TestCompressionCheck:
         gp = GeneratorParams(radii=[0.5], phases=[0.0])
         with pytest.raises(ValueError, match="weights"):
             compression_check(spec, ap, [gp], weights=[1.0, 2.0])
+
+
+def dense_compression(spec, anticlique, generators, weights=None, trusted_block=None):
+    """Oracle: P A P - c P formed as dim x dim matrices from graph_generator."""
+    weights = [complex(w) for w in (weights or [1.0] * len(generators))]
+    projection = graph_generator(spec, anticlique)
+    combined = np.zeros_like(projection)
+    predicted = 0.0 + 0.0j
+    for weight, params in zip(weights, generators):
+        combined += weight * graph_generator(spec, params)
+        predicted += weight * compression_constant(anticlique, params)
+    compressed = projection @ combined @ projection
+    if trusted_block is not None:
+        mask = trusted_mask(spec.space, trusted_block)
+        projection = block(projection, mask)
+        compressed = block(compressed, mask)
+    measured = complex(np.trace(compressed)) / complex(np.trace(projection))
+    residual = compressed - measured * projection
+    return CompressionResult(
+        max_abs_deviation=float(np.max(np.abs(residual))),
+        frobenius_deviation=float(np.linalg.norm(residual) / np.linalg.norm(projection)),
+        scalar_relative_error=float(abs(measured - predicted) / abs(predicted)),
+        scalar_measured=float(measured.real),
+        scalar_predicted=float(predicted.real),
+    )
+
+
+def runner_case(modes, cutoff, seed):
+    """The anticlique runner's inputs at a seed: DFT mixing and its seeded draws."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    draws = [
+        draw_generator_params(modes, rng, max_radius=DEFAULT_DRAW_RADIUS) for _ in range(1 + DEFAULT_GENERATOR_DRAWS)
+    ]
+    return GraphSpec(phi=dft_matrix(modes), modes=modes, cutoff=cutoff), draws[0], draws[1:]
+
+
+def criterion_5_combination():
+    """The complex-weighted three-generator case of acceptance criterion 5, replayed from its seed."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+    for _ in range(10):
+        haar_unitary(2, rng)
+        draw_generator_params(2, rng, max_radius=1.0)
+        draw_generator_params(2, rng, max_radius=1.0)
+    spec = GraphSpec(phi=haar_unitary(2, rng), modes=2, cutoff=20)
+    anticlique = draw_generator_params(2, rng, max_radius=1.0)
+    generators = [draw_generator_params(2, rng, max_radius=1.0) for _ in range(3)]
+    return spec, anticlique, generators, [1.0 + 0.5j, -0.25 + 1.0j, 0.8 - 0.1j]
+
+
+class TestCompressionOracle:
+    # The ladder-Gram path reorders the arithmetic of the dense P A P; at the
+    # anticlique tolerance 1e-4 the verdict must not move.  Seed 3243419750
+    # at n=2 and seeds 5 and 6 at n=3 are known truncation FAILs.
+    @pytest.mark.parametrize(
+        "modes, cutoff, seed, trusted_block",
+        [
+            (2, 16, 42, None),
+            (2, 16, 3243419750, None),
+            (3, 8, 0, None),
+            (3, 8, 5, None),
+            (3, 8, 6, None),
+            (3, 8, 5, 6),
+            (4, 6, 0, None),
+        ],
+        ids=["n2-seed42", "n2-seed3243419750", "n3-seed0", "n3-seed5", "n3-seed6", "n3-seed5-block6", "n4-seed0"],
+    )
+    def test_matches_dense_oracle(self, modes, cutoff, seed, trusted_block):
+        spec, anticlique, generators = runner_case(modes, cutoff, seed)
+        self.check(spec, anticlique, generators, None, trusted_block)
+
+    def test_complex_weights_match_dense_oracle(self):
+        spec, anticlique, generators, weights = criterion_5_combination()
+        self.check(spec, anticlique, generators, weights, 6)
+
+    @staticmethod
+    def check(spec, anticlique, generators, weights, trusted_block):
+        result = compression_check(spec, anticlique, generators, weights=weights, trusted_block=trusted_block)
+        oracle = dense_compression(spec, anticlique, generators, weights=weights, trusted_block=trusted_block)
+        for field, value, expected in zip(CompressionResult._fields, result, oracle):
+            assert abs(value - expected) <= 1e-13, field
+        assert within(result, 1e-4) == within(oracle, 1e-4)
+
+    def test_builds_no_dense_operator(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense operator built")
+
+        monkeypatch.setattr(fockgraph.graphs, "weyl_operator", forbidden)
+        monkeypatch.setattr(fockgraph.graphs, "graph_generator", forbidden)
+        spec, anticlique, generators = runner_case(3, 8, 0)
+        assert within(compression_check(spec, anticlique, generators), 1e-4)
 
 
 class TestSampling:
