@@ -167,6 +167,16 @@ def compression_constant(anticlique: GeneratorParams, generator: GeneratorParams
     return float(np.exp(-np.sum(np.abs(g - a) ** 2)))
 
 
+# OpenBLAS runs a complex GEMM of fewer than 2**16 multiply-adds on the
+# calling thread and hands a larger one to its worker threads, which keep
+# spinning on another core after the call returns.  When one point's ladder
+# is built within this many multiply-adds (n=3 up to cutoff 8, n=2 up to
+# cutoff 14), the whole compression check is cut into GEMMs of that size.
+# Such a check takes about 10 ms; with larger GEMMs the woken worker spun
+# through most of every check, taking a second core without speeding it up.
+SERIAL_GEMM_MACS = 2**16 - 1
+
+
 class CompressionResult(NamedTuple):
     """Deviations of P A P from c P, and the measured and predicted c."""
 
@@ -198,10 +208,11 @@ def compression_check(
     the predicted weighted constant sum.  Real parts of c are returned.
 
     The ladders are built mode by mode (:func:`displace_modewise`) in
-    chunks of whole points within CHUNK_ENTRIES entries, and the residual
-    in row blocks within that budget, so no array has more than
-    max(CHUNK_ENTRIES, dim * (cutoff+1)) entries and no dim x dim product
-    is formed.
+    chunks of whole points, and the residual in row blocks.  Chunks and
+    blocks stay within CHUNK_ENTRIES entries or, where one point's ladder
+    fits, within SERIAL_GEMM_MACS multiply-adds per GEMM.  So no array has
+    more than max(CHUNK_ENTRIES, dim * (cutoff+1)) entries, no dim x dim
+    product is formed and, at n=3 cutoff 8, no BLAS worker thread is woken.
 
     The full-matrix comparison is limited by the mass the top ladder states
     lose to truncation (first order in that loss); the identity is exact in
@@ -223,6 +234,8 @@ def compression_check(
         predicted += weight * compression_constant(anticlique, params)
 
     basis = seed_basis(spec)
+    # One point's mode-0 GEMM in displace_modewise is the check's widest.
+    serial = (spec.cutoff + 1) * basis.size <= SERIAL_GEMM_MACS
 
     def ladders(points):
         # D(h) B with the Gaussian exp(-|h|^2/2) the tail-factored apply leaves out.
@@ -234,7 +247,10 @@ def compression_check(
     ladder = ladders([anticlique])[0]
     adjoint = ladder.conj().T
     rank = basis.shape[1]
-    step = max(1, CHUNK_ENTRIES // basis.size)
+    if serial:
+        step = SERIAL_GEMM_MACS // ((spec.cutoff + 1) * basis.size)
+    else:
+        step = max(1, CHUNK_ENTRIES // basis.size)
     combined = np.zeros((rank, rank), dtype=complex)
     for start in range(0, len(generators), step):
         gram = adjoint @ ladders(generators[start : start + step])
@@ -245,13 +261,16 @@ def compression_check(
         adjoint = ladder.conj().T
     overlap = adjoint @ ladder
     measured = complex(np.sum(combined * overlap.T)) / complex(np.trace(overlap))
-    kernel = combined - measured * np.eye(rank)
-    rows = max(1, CHUNK_ENTRIES // len(ladder))
+    scaled = ladder @ (combined - measured * np.eye(rank))
+    if serial:
+        rows = SERIAL_GEMM_MACS // (len(ladder) * rank)
+    else:
+        rows = max(1, CHUNK_ENTRIES // len(ladder))
     max_abs = squares = 0.0
     for start in range(0, len(ladder), rows):
-        magnitude = np.abs(ladder[start : start + rows] @ kernel @ adjoint)
+        magnitude = np.abs(scaled[start : start + rows] @ adjoint)
         max_abs = max(max_abs, float(magnitude.max()))
-        squares += float(np.sum(magnitude**2))
+        squares += float(np.sum(np.square(magnitude, out=magnitude)))
     frobenius = math.sqrt(squares) / float(np.linalg.norm(overlap))
     scalar_error = abs(measured - predicted) / abs(predicted) if predicted != 0 else abs(measured)
     return CompressionResult(
