@@ -4,13 +4,9 @@ structure, and quantum anticliques, all verified to quantified tolerances."""
 
 from .config import ConfigError, ExperimentConfig, default_config, default_suite, dft_matrix, parse_config
 from .fock import (
-    coherent_overlap,
     coherent_state,
-    displacement_compose_phase,
     displacement_matrix,
-    expm_displacement_oracle,
     laguerre_sequence,
-    min_oracle_buffer,
     trusted_cutoff,
     unnormalized_coherent,
 )

@@ -24,7 +24,7 @@ from .multimode import (
     weyl_operator,
 )
 from .fock import unnormalized_coherent
-from .quadrature import CHUNK_ENTRIES, PolarScheme, box_side, displace_modewise, integrate_dyads
+from .quadrature import CHUNK_ENTRIES, PolarScheme, box_charges, box_side, displace_modewise, integrate_dyads
 
 __all__ = [
     "CompressionResult",
@@ -131,7 +131,8 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_bloc
             out = (out[:, :, None] * factors[:, mode, None, :]).reshape(len(alphas), -1)
         return out
 
-    return integrate_dyads(product_vectors, (scheme,), (top + 1) ** spec.modes)
+    side = top + 1
+    return integrate_dyads(product_vectors, (scheme,), side**spec.modes, charges=box_charges(spec.modes, side))
 
 
 def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:

@@ -22,6 +22,19 @@ modes, a mode-by-mode apply in place of Kronecker products), and the chunk
 is added to the accumulator as one GEMM, so identical inputs give identical
 bits.
 
+The measure is rotation invariant and <m|D(e^{i theta} h)|n> =
+e^{i (m-n) theta} <m|D(h)|n>, so when every node amplitude turns by theta,
+row r of an integrand column turns by exp(i c_r theta), c_r its total
+occupation, times a phase common to the column.  Turning every parameter
+pair by 2*pi/g, with g the gcd of the angular counts, maps the product grid
+onto itself.  Given the row charges, :func:`integrate_dyads` evaluates only
+the first 1/g of the node table, one node per orbit, and multiplies the sum
+entrywise by the orbit's phase sum, which keeps the rule's aliasing.
+:func:`coherent_identity`, the "rank" backend of :func:`graph_resolution`
+and ``graphs.seed_projector_quadrature`` pass charges;
+:func:`displaced_projector_identity` displaces a coherent seed, which is not
+rotation covariant, and evaluates every node.
+
 The verdicts read these operators only on the trusted box, the occupations
 at or below ``trusted_block`` in every mode.  Given that bound, the
 integrators build only the box rows of each U_k and return the box block:
@@ -175,7 +188,14 @@ def box_side(cutoff: int, trusted_block: int | None) -> int:
     return trusted_block + 1
 
 
-def integrate_dyads(columns, schemes, dim: int, rank: int = 1, node_entries: int = 0) -> np.ndarray:
+def box_charges(modes: int, side: int) -> np.ndarray:
+    """Total occupation of each row of a ``side``^``modes`` box, in row-major order."""
+    return np.indices((side,) * modes).reshape(modes, -1).sum(axis=0)
+
+
+def integrate_dyads(
+    columns, schemes, dim: int, rank: int = 1, node_entries: int = 0, charges: np.ndarray | None = None
+) -> np.ndarray:
     """sum_k w_k U_k U_k^dag over the product of the polar schemes.
 
     ``columns(alphas)`` maps a chunk of K nodes' parameter-pair amplitudes,
@@ -184,16 +204,37 @@ def integrate_dyads(columns, schemes, dim: int, rank: int = 1, node_entries: int
     ``columns`` builds; with the stacked block's dim * rank, it sets the
     chunk to max(1, CHUNK_ENTRIES // widest) whole nodes, and each chunk is
     added to the accumulator as one GEMM.
+
+    ``charges`` declares the columns rotation-covariant: rotating every
+    amplitude by theta multiplies row r of U_k by exp(i c_r theta) and each
+    rank column by a phase common to its rows.  Rotating every pair by
+    2*pi*j/g, with g the gcd of the angular counts, then maps the product
+    grid onto itself and U_k U_k^dag onto its entrywise product with
+    exp(2*pi*i j (c_r - c_r')/g).  So only the first 1/g of the node table
+    (the first pair's first M/g angles) is evaluated, and the sum is
+    multiplied entrywise by T[r, r'] = sum_{j<g} exp(2*pi*i j (c_r - c_r')/g),
+    which is g where g divides c_r - c_r' and 0 elsewhere: charges that
+    differ by a nonzero multiple of g alias exactly as on the full grid.
+    Without charges, g = 1 and every node is evaluated.
     """
     alphas, weights = _node_table(schemes)
+    orbit = 1
+    if charges is not None:
+        charges = np.asarray(charges)
+        if charges.shape != (dim,):
+            raise ValueError(f"charges must have one entry per row ({dim}), got shape {charges.shape}")
+        orbit = math.gcd(*(scheme.angular.count for scheme in schemes))
+    domain = len(weights) // orbit
+    alphas, roots = alphas[:domain], np.sqrt(weights[:domain])
     step = max(1, CHUNK_ENTRIES // max(node_entries, dim * rank))
-    roots = np.sqrt(weights)
     acc = np.zeros((dim, dim), dtype=complex)
-    for start in range(0, len(weights), step):
+    for start in range(0, domain, step):
         chunk = slice(start, start + step)
         block = np.reshape(columns(alphas[chunk]), (-1, dim, rank))
         stacked = (roots[chunk, None, None] * block).transpose(1, 0, 2).reshape(dim, -1)
         acc += stacked @ stacked.conj().T
+    if orbit > 1:
+        acc *= np.where(np.subtract.outer(charges, charges) % orbit == 0, orbit, 0)
     return acc
 
 
@@ -206,7 +247,9 @@ def coherent_identity(cutoff: int, scheme: PolarScheme) -> np.ndarray:
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    return integrate_dyads(lambda alphas: unnormalized_coherent(alphas[:, 0], cutoff), (scheme,), cutoff + 1)
+    return integrate_dyads(
+        lambda alphas: unnormalized_coherent(alphas[:, 0], cutoff), (scheme,), cutoff + 1, charges=np.arange(cutoff + 1)
+    )
 
 
 def displaced_projector_identity(
@@ -266,7 +309,12 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
         # every mode are no wider.
         widest = rows * side ** (spec.modes - 1) * rank
         return integrate_dyads(
-            lambda alphas: displace_modewise(spec, basis, alphas, rows), schemes, rows**spec.modes, rank, widest
+            lambda alphas: displace_modewise(spec, basis, alphas, rows),
+            schemes,
+            rows**spec.modes,
+            rank,
+            widest,
+            charges=box_charges(spec.modes, rows),
         )
     dim = spec.space.dim
     projector = seed_projector(spec)

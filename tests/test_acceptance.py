@@ -26,7 +26,6 @@ from fockgraph import (
     displacement_matrix,
     displaced_projector_identity,
     draw_generator_params,
-    expm_displacement_oracle,
     exponential_vector_embed,
     graph_resolution,
     haar_unitary,
@@ -40,6 +39,7 @@ from fockgraph import (
 )
 from fockgraph.config import dft_matrix
 from fockgraph.multimode import ModeSpace, trusted_mask
+from oracles import expm_displacement_oracle
 
 FLOOR_ALLOWANCE = 1e-12
 

@@ -113,6 +113,34 @@ class TestSingleExperiments:
         assert json.loads(out.read_text())["pass"] is True
 
 
+class TestAliasingPins:
+    """Under-resolved angular rules keep the deviations of the full node grid.
+
+    Each angular count here is at or below a charge difference the verdict
+    reads, so the equispaced rule aliases; the values are those of the
+    node-by-node sum over every product node, to 1e-12.
+    """
+
+    @pytest.mark.parametrize(
+        "data, deviation",
+        [
+            ({"experiment": "gs", "cutoff": 16, "angular_order": 10}, 0.3252218177939952),
+            ({"experiment": "resolution", "n": 2, "cutoff": 16, "angular_order": 12}, 0.06542968749999978),
+            (
+                {"experiment": "resolution", "n": 2, "cutoff": 16, "radial_order": 4, "angular_order": 6},
+                0.33344029017857074,
+            ),
+            ({"experiment": "projection", "n": 2, "cutoff": 16, "angular_order": 9}, 0.09765107460736858),
+        ],
+    )
+    def test_aliased_rule_fails_at_pinned_deviation(self, tmp_path, data, deviation):
+        out = tmp_path / "report.json"
+        assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out), "--quiet"]) == 1
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert abs(report["max_abs_deviation"] - deviation) <= 1e-12
+
+
 class TestExitCodes:
     def test_verification_failure_exits_one(self, tmp_path, capsys):
         config = write_config(

@@ -14,16 +14,13 @@ from scipy.special import gammaln
 from scipy.stats import poisson
 
 from fockgraph import (
-    coherent_overlap,
     coherent_state,
-    displacement_compose_phase,
     displacement_matrix,
-    expm_displacement_oracle,
     laguerre_sequence,
-    min_oracle_buffer,
     trusted_cutoff,
 )
 from fockgraph.fock import _complex_product
+from oracles import coherent_overlap, displacement_compose_phase, expm_displacement_oracle, min_oracle_buffer
 
 # e^{-1/2} by direct series summation, independent of any exp() call path.
 EXP_MINUS_HALF = math.fsum((-0.5) ** k / math.factorial(k) for k in range(40))

@@ -11,7 +11,6 @@ from fockgraph import (
     ModeSpace,
     apply_weyl_to_exponential_check,
     coherent_state,
-    displacement_compose_phase,
     displacement_matrix,
     exponential_vector_embed,
     index_of,
@@ -26,6 +25,7 @@ from fockgraph import (
     weyl_operator,
     weyl_phase,
 )
+from oracles import displacement_compose_phase
 
 EULER_E = math.fsum(1.0 / math.factorial(k) for k in range(40))
 

@@ -230,12 +230,13 @@ class TestTrustedBox:
     def test_small_box_at_large_cutoff_stays_within_budget(self, monkeypatch):
         # n=2 at cutoff 64 (dim 4225, rank 65) on the vacuum box: the first
         # mode's output, 65 x 65 entries a node, is the widest per-node array,
-        # so the 32 nodes go in chunks of CHUNK_ENTRIES // 4225 = 15, and the
-        # kernel builds one row of each mode's matrix.  From the first chunk
-        # on, memory holds the 4.4 MB seed basis and a few chunk arrays; the
-        # full operator's accumulator alone would take 285 MB.
+        # so the 16 orbit nodes of the 16 x 8 rule go in chunks of
+        # CHUNK_ENTRIES // 4225 = 15, and the kernel builds one row of each
+        # mode's matrix.  From the first chunk on, memory holds the 4.4 MB
+        # seed basis and a few chunk arrays; the full operator's accumulator
+        # alone would take 285 MB.
         spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(11)), modes=2, cutoff=64)
-        scheme = polar_scheme(4, 8)
+        scheme = polar_scheme(16, 8)
         basis = seed_basis(spec)
         sizes = []
 
@@ -253,7 +254,7 @@ class TestTrustedBox:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sizes == [(15 * 2, 1, 65)] * 2 + [(2 * 2, 1, 65)]
+        assert sizes == [(15 * 2, 1, 65), (1 * 2, 1, 65)]
         assert 15 * 65**2 <= CHUNK_ENTRIES
         assert peak <= basis.nbytes + 4 * CHUNK_ENTRIES * 16
         # Oracle: the vacuum row of D_1 x D_2 is the Kronecker product of
@@ -264,6 +265,97 @@ class TestTrustedBox:
             expected += weight * np.sum(np.abs(kron_all(rows) @ basis) ** 2)
         assert got.shape == (1, 1)
         assert abs(got[0, 0] - expected) <= 1e-13 * expected
+
+
+class TestRotationOrbit:
+    """With charges, integrate_dyads evaluates one node per rotation orbit of the product grid."""
+
+    @staticmethod
+    def covariant_columns(charges, rank, seed):
+        """Columns whose row r turns by exp(i (c_r - k) theta) when every amplitude turns by theta."""
+        coef = np.random.default_rng(seed).standard_normal((len(charges), rank, 2)) @ [1.0, 1.0j]
+
+        def columns(alpha):
+            # |a_j|^2 and a_0 conj(a_last) are rotation invariants.
+            invariant = 1.0 + np.sum(np.abs(alpha) ** 2) / 4 + alpha[0] * np.conj(alpha[-1])
+            out = np.empty((len(charges), rank), dtype=complex)
+            for r, charge in enumerate(charges):
+                for k in range(rank):
+                    d = charge - k
+                    lead = alpha[0] ** d if d >= 0 else np.conj(alpha[-1]) ** -d
+                    out[r, k] = coef[r, k] * lead * invariant ** (r % 3)
+            return out
+
+        return columns
+
+    @pytest.mark.parametrize(
+        "orders, charges, rank, aliased",
+        [
+            (((4, 5), (3, 7)), [0, 1, 2, 3, 5], 1, False),  # g = 1: every node is its own orbit
+            (((4, 7),), [0, 1, 2, 5, 8, 9], 1, True),  # g = 7 prime: 8 - 1 aliases
+            (((4, 7),), [0, 1, 2, 5, 8, 9], 3, True),
+            (((3, 6), (2, 12)), [0, 1, 3, 6, 7, 4], 2, True),  # g = 6 composite: 7 - 1 aliases
+            (((3, 12), (2, 18)), [0, 1, 3, 6, 7, 4], 2, False),  # g = 6, but 12 and 18 resolve 6
+            (((5, 4),), [0, 1, 2, 3, 4, 5, 6], 1, True),  # g = 4 below the largest charge
+            (((6, 12),), [0, 2, 3, 5, 9], 2, False),  # g = 12 above every charge difference
+        ],
+    )
+    def test_matches_per_node_outer_products_over_every_node(self, orders, charges, rank, aliased):
+        schemes = tuple(polar_scheme(*pair) for pair in orders)
+        orbit = math.gcd(*(angular for _, angular in orders))
+        columns = self.covariant_columns(charges, rank, seed=len(charges) + rank)
+        dim = len(charges)
+        expected = np.zeros((dim, dim), dtype=complex)
+        count = 0
+        for combo in itertools.product(*(list(oracle_nodes(scheme)) for scheme in schemes)):
+            alpha = np.array([a for a, _ in combo])
+            block = columns(alpha)
+            weight = math.prod(w for _, w in combo)
+            for k in range(rank):
+                expected += weight * np.outer(block[:, k], block[:, k].conj())
+            count += 1
+        sizes = []
+
+        def batched_columns(alphas):
+            sizes.append(len(alphas))
+            return np.stack([columns(alpha) for alpha in alphas])
+
+        got = integrate_dyads(batched_columns, schemes, dim, rank, node_entries=CHUNK_ENTRIES // 5, charges=charges)
+        assert sum(sizes) * orbit == count
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        # A fold by g * delta would zero the entries whose charges differ by
+        # a nonzero multiple of g; where the full rule aliases, they stand far
+        # above the bound.
+        difference = np.subtract.outer(charges, charges)
+        folded = (difference % orbit == 0) & (difference != 0)
+        alias = np.max(np.abs(expected[folded]), initial=0.0) if orbit > 1 else 0.0
+        assert (alias > 1e-6 * np.abs(expected).max()) == aliased
+
+    @pytest.mark.parametrize("angular", [(6, 9), (6, 7), (8, 12)])
+    def test_three_mode_rank_matches_direct(self, angular):
+        spec = GraphSpec(phi=haar_unitary(3, np.random.default_rng(sum(angular))), modes=3, cutoff=3)
+        schemes = tuple(polar_scheme(3, count) for count in angular)
+        rank = graph_resolution(spec, schemes, backend="rank")
+        direct = graph_resolution(spec, schemes, backend="direct")
+        assert np.abs(rank - direct).max() <= 1e-13
+
+    def test_default_resolution_evaluates_one_node_per_orbit(self, monkeypatch):
+        # n=2 c=16 at the defaults: 17 radial x 34 angular nodes fold into 17
+        # orbits, and each node displaces both modes.
+        spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=16)
+        amplitudes = []
+
+        def recording(alpha, cutoff, include_gaussian=True, rows=None):
+            amplitudes.append(np.size(alpha))
+            return displacement_matrix(alpha, cutoff, include_gaussian, rows)
+
+        monkeypatch.setattr(quadrature, "displacement_matrix", recording)
+        graph_resolution(spec, polar_scheme(17, 34), backend="rank", trusted_block=8)
+        assert sum(amplitudes) == 17 * spec.modes
+
+    def test_rejects_charges_of_wrong_length(self):
+        with pytest.raises(ValueError, match="charges"):
+            integrate_dyads(lambda alphas: np.ones((len(alphas), 3)), (polar_scheme(2, 4),), 3, charges=[0, 1])
 
 
 class TestDisplaceModewise:
