@@ -24,7 +24,16 @@ from .multimode import (
     weyl_operator,
 )
 from .fock import unnormalized_coherent
-from .quadrature import CHUNK_ENTRIES, PolarScheme, box_charges, box_side, displace_modewise, integrate_dyads
+from .quadrature import (
+    CHUNK_ENTRIES,
+    SERIAL_GEMM_MACS,
+    PolarScheme,
+    box_charges,
+    box_side,
+    displace_modewise,
+    integrate_dyads,
+    serial_matmul,
+)
 
 __all__ = [
     "CompressionResult",
@@ -110,7 +119,7 @@ def seed_basis(spec: GraphSpec) -> np.ndarray:
 def seed_projector(spec: GraphSpec) -> np.ndarray:
     """Rank-structured seed projector: sum of its orthonormal ladder dyads."""
     basis = seed_basis(spec)
-    return basis @ basis.conj().T
+    return serial_matmul(basis, basis.conj().T)
 
 
 def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_block: int | None = None) -> np.ndarray:
@@ -168,16 +177,6 @@ def compression_constant(anticlique: GeneratorParams, generator: GeneratorParams
     return float(np.exp(-np.sum(np.abs(g - a) ** 2)))
 
 
-# OpenBLAS runs a complex GEMM of fewer than 2**16 multiply-adds on the
-# calling thread and hands a larger one to its worker threads, which keep
-# spinning on another core after the call returns.  When one point's ladder
-# is built within this many multiply-adds (n=3 up to cutoff 8, n=2 up to
-# cutoff 14), the whole compression check is cut into GEMMs of that size.
-# Such a check takes about 10 ms; with larger GEMMs the woken worker spun
-# through most of every check, taking a second core without speeding it up.
-SERIAL_GEMM_MACS = 2**16 - 1
-
-
 class CompressionResult(NamedTuple):
     """Deviations of P A P from c P, and the measured and predicted c."""
 
@@ -210,10 +209,11 @@ def compression_check(
 
     The ladders are built mode by mode (:func:`displace_modewise`) in
     chunks of whole points, and the residual in row blocks.  Chunks and
-    blocks stay within CHUNK_ENTRIES entries or, where one point's ladder
-    fits, within SERIAL_GEMM_MACS multiply-adds per GEMM.  So no array has
-    more than max(CHUNK_ENTRIES, dim * (cutoff+1)) entries, no dim x dim
-    product is formed and, at n=3 cutoff 8, no BLAS worker thread is woken.
+    blocks stay within CHUNK_ENTRIES entries or, where eight output rows of
+    a ladder fit, within SERIAL_GEMM_MACS multiply-adds per GEMM.  So no
+    array has more than max(CHUNK_ENTRIES, dim * (cutoff+1)) entries, no
+    dim x dim product is formed and, at n=3 cutoff 8 and n=2 cutoff 16, no
+    BLAS worker thread is woken.
 
     The full-matrix comparison is limited by the mass the top ladder states
     lose to truncation (first order in that loss); the identity is exact in
@@ -235,8 +235,13 @@ def compression_check(
         predicted += weight * compression_constant(anticlique, params)
 
     basis = seed_basis(spec)
-    # One point's mode-0 GEMM in displace_modewise is the check's widest.
-    serial = (spec.cutoff + 1) * basis.size <= SERIAL_GEMM_MACS
+    # An output row of the ladder, Gram and residual GEMMs costs at most
+    # dim * rank multiply-adds.  Where eight fit the serial budget (n=2 up to
+    # cutoff 19, n=3 up to 8, n=4 up to 5), every GEMM is cut into row
+    # blocks that OpenBLAS runs on the calling thread; wider ladders would
+    # make so many small GEMMs that threaded chunks are faster.
+    serial = 8 * basis.size <= SERIAL_GEMM_MACS
+    matmul = serial_matmul if serial else np.matmul
 
     def ladders(points):
         # D(h) B with the Gaussian exp(-|h|^2/2) the tail-factored apply leaves out.
@@ -248,21 +253,22 @@ def compression_check(
     ladder = ladders([anticlique])[0]
     adjoint = ladder.conj().T
     rank = basis.shape[1]
-    if serial:
-        step = SERIAL_GEMM_MACS // ((spec.cutoff + 1) * basis.size)
-    else:
-        step = max(1, CHUNK_ENTRIES // basis.size)
+    # Points per ladder chunk: where one point's ladder is a single serial
+    # GEMM (n=3 up to cutoff 8), as many as that GEMM holds; otherwise as
+    # many as CHUNK_ENTRIES allows, and serial_matmul cuts the GEMM.
+    step = SERIAL_GEMM_MACS // ((spec.cutoff + 1) * basis.size) if serial else 0
+    step = step or max(1, CHUNK_ENTRIES // basis.size)
     combined = np.zeros((rank, rank), dtype=complex)
     for start in range(0, len(generators), step):
-        gram = adjoint @ ladders(generators[start : start + step])
+        gram = np.stack([matmul(adjoint, point) for point in ladders(generators[start : start + step])])
         combined += np.einsum("k,kij,klj->il", np.asarray(weights[start : start + step]), gram, gram.conj())
 
     if trusted_block is not None:
         ladder = ladder[trusted_mask(spec.space, trusted_block)]
         adjoint = ladder.conj().T
-    overlap = adjoint @ ladder
+    overlap = matmul(adjoint, ladder)
     measured = complex(np.sum(combined * overlap.T)) / complex(np.trace(overlap))
-    scaled = ladder @ (combined - measured * np.eye(rank))
+    scaled = matmul(ladder, combined - measured * np.eye(rank))
     if serial:
         rows = SERIAL_GEMM_MACS // (len(ladder) * rank)
     else:

@@ -19,8 +19,13 @@ the chunk builds within CHUNK_ENTRIES entries.  An integrator builds a
 chunk's columns in one batched pass (one
 :func:`~fockgraph.fock.displacement_matrix` call for all of its nodes and
 modes, a mode-by-mode apply in place of Kronecker products), and the chunk
-is added to the accumulator as one GEMM, so identical inputs give identical
-bits.
+is added to the accumulator as one product over fixed row blocks, so
+identical inputs give identical bits.
+
+Products whose output rows are narrow enough are cut into row blocks of at
+most SERIAL_GEMM_MACS multiply-adds (:func:`serial_matmul`), which OpenBLAS
+runs on the calling thread.  Wider products are left whole for BLAS to
+thread.
 
 The measure is rotation invariant and <m|D(e^{i theta} h)|n> =
 e^{i (m-n) theta} <m|D(h)|n>, so when every node amplitude turns by theta,
@@ -74,6 +79,16 @@ MAX_RADIAL_ORDER = 64
 # independently of the node count and the cutoff; a node wider than the
 # budget takes a chunk alone.
 CHUNK_ENTRIES = 2**16
+
+# OpenBLAS runs a complex GEMM of fewer than 2**16 multiply-adds on the
+# calling thread and hands a larger one to its worker threads, which then
+# spin on another core for a while after the call returns.  At the sizes of
+# the default suite (n=2, cutoff 16) a threaded GEMM is barely faster, the
+# woken worker doubles the CPU an op takes, and while another process holds
+# the second core a two-thread op slows by 40% or more.  So every product
+# whose output rows fit two to this budget is cut into row blocks that stay
+# within it.
+SERIAL_GEMM_MACS = 2**16 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +203,24 @@ def box_side(cutoff: int, trusted_block: int | None) -> int:
     return trusted_block + 1
 
 
+def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D operands, in GEMMs that OpenBLAS runs on the calling thread.
+
+    Where two output rows fit in SERIAL_GEMM_MACS multiply-adds, the rows
+    are taken in blocks within that budget.  A one-row remainder is taken
+    with the row before it: numpy hands a one-row product to GEMV, which
+    OpenBLAS threads from 4096 multiply-adds.  A product with wider rows is
+    taken whole, for BLAS to thread.
+    """
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    count, row = a.shape[0], a.shape[1] * b.shape[1]
+    step = SERIAL_GEMM_MACS // row if 0 < 2 * row <= SERIAL_GEMM_MACS else max(count, 1)
+    for start in range(0, count, step):
+        start = min(start, max(count - 2, 0))
+        np.matmul(a[start : start + step], b, out=out[start : start + step])
+    return out
+
+
 def box_charges(modes: int, side: int) -> np.ndarray:
     """Total occupation of each row of a ``side``^``modes`` box, in row-major order."""
     return np.indices((side,) * modes).reshape(modes, -1).sum(axis=0)
@@ -203,7 +236,7 @@ def integrate_dyads(
     rank one).  ``node_entries`` is the per-node size of the largest array
     ``columns`` builds; with the stacked block's dim * rank, it sets the
     chunk to max(1, CHUNK_ENTRIES // widest) whole nodes, and each chunk is
-    added to the accumulator as one GEMM.
+    added to the accumulator as one :func:`serial_matmul` product.
 
     ``charges`` declares the columns rotation-covariant: rotating every
     amplitude by theta multiplies row r of U_k by exp(i c_r theta) and each
@@ -232,7 +265,7 @@ def integrate_dyads(
         chunk = slice(start, start + step)
         block = np.reshape(columns(alphas[chunk]), (-1, dim, rank))
         stacked = (roots[chunk, None, None] * block).transpose(1, 0, 2).reshape(dim, -1)
-        acc += stacked @ stacked.conj().T
+        acc += serial_matmul(stacked, stacked.conj().T)
     if orbit > 1:
         acc *= np.where(np.subtract.outer(charges, charges) % orbit == 0, orbit, 0)
     return acc
@@ -337,8 +370,8 @@ def displace_modewise(spec, basis: np.ndarray, alphas: np.ndarray, rows: int | N
     tail-factored D(h_j) with h = phi[:, 1:] @ alpha.  ``basis`` (dim, rank)
     is reshaped to (side, ..., side, rank) and each mode's D_j, built for
     its first ``rows`` rows only (all by default), is applied to its axis:
-    the first mode as one GEMM for all K nodes (they share the basis), the
-    others as one batched matmul over the nodes.  Returns the
+    the first mode as one :func:`serial_matmul` for all K nodes (they share
+    the basis), the others as one batched matmul over the nodes.  Returns the
     (K, rows^n, rank) stack: the rows whose occupations are all below
     ``rows``, in row-major order.
     """
@@ -348,7 +381,7 @@ def displace_modewise(spec, basis: np.ndarray, alphas: np.ndarray, rows: int | N
     shifts = (alphas @ spec.phi[:, 1:].T).ravel()
     factors = displacement_matrix(shifts, spec.cutoff, include_gaussian=False, rows=rows)
     factors = factors.reshape(count, spec.modes, rows, side)
-    out = factors[:, 0].reshape(count * rows, side) @ basis.reshape(side, -1)
+    out = serial_matmul(factors[:, 0].reshape(count * rows, side), basis.reshape(side, -1))
     for mode in range(1, spec.modes):
         out = factors[:, mode, None] @ out.reshape(count, rows**mode, side, -1)
     return out.reshape(count, rows**spec.modes, -1)

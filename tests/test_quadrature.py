@@ -28,7 +28,7 @@ from fockgraph import (
 from fockgraph import quadrature
 from fockgraph.config import dft_matrix
 from fockgraph.multimode import trusted_mask
-from fockgraph.quadrature import CHUNK_ENTRIES, displace_modewise, integrate_dyads
+from fockgraph.quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, displace_modewise, integrate_dyads, serial_matmul
 
 
 def identity_deviation(op, mask=None):
@@ -379,6 +379,39 @@ class TestDisplaceModewise:
             expected = kron_all([displacement_matrix(h, cutoff, include_gaussian=False) for h in shifts]) @ basis
             assert np.abs(block - expected).max() <= 1e-13 * np.abs(expected).max()
             assert np.abs(box_block - expected[idx]).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestSerialMatmul:
+    # Shapes of the default suite (n=2, cutoff 16): the seed projector, the
+    # dyad accumulate of an orbit chunk (81 rows in two-row blocks, so a
+    # one-row remainder), a ladder Gram and its residual factor; then a
+    # product too small to cut, rows too wide to cut, and a single row.
+    @pytest.mark.parametrize(
+        "m, k, n",
+        [(289, 17, 289), (81, 289, 81), (17, 289, 17), (289, 17, 17), (40, 10, 10), (3, 200, 200), (1, 17, 5)],
+    )
+    def test_gemms_stay_serial_and_match_the_product(self, monkeypatch, m, k, n):
+        rng = np.random.default_rng(m * k * n)
+        a = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        b = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))).conj().T
+        gemms = []
+        matmul = np.matmul
+
+        def recording(x, y, **kwargs):
+            gemms.append((len(x), x.shape[1], y.shape[1]))
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        got = serial_matmul(a, b)
+        monkeypatch.undo()
+        expected = a @ b
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        if m > 1 and 2 * k * n <= SERIAL_GEMM_MACS:
+            # Within the budget and never one row: numpy hands a one-row
+            # product to GEMV, which OpenBLAS threads from 4096 multiply-adds.
+            assert all(2 <= rows and rows * k * n <= SERIAL_GEMM_MACS for rows, _, _ in gemms)
+        else:
+            assert gemms == [(m, k, n)]
 
 
 class TestGaussLaguerre:
