@@ -36,9 +36,11 @@ onto itself.  Given the row charges, :func:`integrate_dyads` evaluates only
 the first 1/g of the node table, one node per orbit, and multiplies the sum
 entrywise by the orbit's phase sum, which keeps the rule's aliasing.
 :func:`coherent_identity`, the "rank" backend of :func:`graph_resolution`
-and ``graphs.seed_projector_quadrature`` pass charges;
+and ``graphs.seed_projector_quadrature`` pass charges.
 :func:`displaced_projector_identity` displaces a coherent seed, which is not
-rotation covariant, and evaluates every node.
+rotation covariant, so it splits each displaced column into residue columns
+(entries whose m - n agree mod M), each turning by a common phase, and
+passes them as the rank with zero charges: one node per radius.
 
 The verdicts read these operators only on the trusted box, the occupations
 at or below ``trusted_block`` in every mode.  Given that bound, the
@@ -175,20 +177,24 @@ def polar_scheme(radial_order: int, angular_count: int) -> PolarScheme:
     return PolarScheme(radial=gauss_laguerre(radial_order), angular=AngularScheme(angular_count))
 
 
-def _node_table(schemes) -> tuple[np.ndarray, np.ndarray]:
+def _node_table(schemes, orbit: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Product-rule nodes as (alphas (K, pairs), weights (K,)).
 
     Within a scheme the order is angular-major, then radial; across schemes
-    the first is slowest.
+    the first is slowest.  With ``orbit`` g, the table stops after its first
+    1/g: the first scheme keeps only its first M/g angles.
     """
     alphas = np.ones((1, 0), dtype=complex)
     weights = np.ones(1)
-    for scheme in schemes:
+    for index, scheme in enumerate(schemes):
         radial, radial_weights = scheme.active_radial()
         count = scheme.angular.count
-        pair = (np.exp(1j * scheme.angular.angles)[:, None] * np.sqrt(radial)).ravel()
+        taken = count // orbit if index == 0 else count
+        # The first ``taken`` of scheme.angular.angles, without the rest.
+        angles = 2.0 * math.pi * np.arange(taken) / count
+        pair = (np.exp(1j * angles)[:, None] * np.sqrt(radial)).ravel()
         # (1/pi) * (2*pi/M) * (w/2) = w/M
-        pair_weights = np.tile(radial_weights / count, count)
+        pair_weights = np.tile(radial_weights / count, taken)
         alphas = np.hstack([np.repeat(alphas, pair.size, axis=0), np.tile(pair, len(alphas))[:, None]])
         weights = (weights[:, None] * pair_weights).ravel()
     return alphas, weights
@@ -244,24 +250,23 @@ def integrate_dyads(
     2*pi*j/g, with g the gcd of the angular counts, then maps the product
     grid onto itself and U_k U_k^dag onto its entrywise product with
     exp(2*pi*i j (c_r - c_r')/g).  So only the first 1/g of the node table
-    (the first pair's first M/g angles) is evaluated, and the sum is
+    (the first pair's first M/g angles) is built and evaluated, and the sum is
     multiplied entrywise by T[r, r'] = sum_{j<g} exp(2*pi*i j (c_r - c_r')/g),
     which is g where g divides c_r - c_r' and 0 elsewhere: charges that
     differ by a nonzero multiple of g alias exactly as on the full grid.
     Without charges, g = 1 and every node is evaluated.
     """
-    alphas, weights = _node_table(schemes)
     orbit = 1
     if charges is not None:
         charges = np.asarray(charges)
         if charges.shape != (dim,):
             raise ValueError(f"charges must have one entry per row ({dim}), got shape {charges.shape}")
         orbit = math.gcd(*(scheme.angular.count for scheme in schemes))
-    domain = len(weights) // orbit
-    alphas, roots = alphas[:domain], np.sqrt(weights[:domain])
+    alphas, weights = _node_table(schemes, orbit)
+    roots = np.sqrt(weights)
     step = max(1, CHUNK_ENTRIES // max(node_entries, dim * rank))
     acc = np.zeros((dim, dim), dtype=complex)
-    for start in range(0, domain, step):
+    for start in range(0, len(roots), step):
         chunk = slice(start, start + step)
         block = np.reshape(columns(alphas[chunk]), (-1, dim, rank))
         stacked = (roots[chunk, None, None] * block).transpose(1, 0, 2).reshape(dim, -1)
@@ -295,14 +300,36 @@ def displaced_projector_identity(
     so the deviation decays with the cutoff rather than vanishing outright.
     With ``trusted_block`` set, only the block of occupations at or below it
     is built and returned.
+
+    The seed is not rotation covariant, but each term of its displaced
+    column is: at theta = 2*pi*j/M, D(e^{i theta} r)_mn = e^{i (m-n) theta}
+    D(r)_mn, so the column splits into residue columns
+    V_c(r)_m = sum over n with m - n = c (mod M) of D(r)_mn beta_n, each
+    turning by e^{i c theta}, and the M angles of a radius sum to
+    M sum_c V_c V_c^dag.  The residue columns go to :func:`integrate_dyads`
+    as the rank, with zero charges, so it evaluates one node per radius and
+    multiplies by M.  Only the residues of the differences
+    -cutoff..rows-1 occur: min(M, rows + cutoff) of them.
     """
     seed = coherent_state(beta, cutoff)
     rows = box_side(cutoff, trusted_block)
+    span = rows + cutoff
+    rank = min(span, scheme.angular.count)
+    # Entry (m, n) goes to diagonal column m - n + cutoff; a diagonal d
+    # folds onto residue d mod M, so widths beyond M are padded to whole
+    # multiples of M and summed.
+    width = -(-span // rank) * rank
+    m, n = np.indices((rows, cutoff + 1))
 
-    def displaced_seed(alphas):
-        return displacement_matrix(alphas[:, 0], cutoff, include_gaussian=False, rows=rows) @ seed
+    def residue_columns(alphas):
+        kernel = displacement_matrix(alphas[:, 0], cutoff, include_gaussian=False, rows=rows)
+        diagonals = np.zeros((len(alphas), rows, width), dtype=complex)
+        diagonals[:, m, m - n + cutoff] = kernel * seed
+        return diagonals.reshape(len(alphas), rows, -1, rank).sum(axis=2)
 
-    return integrate_dyads(displaced_seed, (scheme,), rows, node_entries=rows * (cutoff + 1))
+    return integrate_dyads(
+        residue_columns, (scheme,), rows, rank, rows * max(cutoff + 1, width), charges=np.zeros(rows, dtype=int)
+    )
 
 
 def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | None = None) -> np.ndarray:

@@ -61,11 +61,6 @@ def _identity_deviations(block: np.ndarray) -> tuple[float, float]:
     return max_abs, frobenius
 
 
-def _frobenius_norm(matrix: np.ndarray) -> float:
-    # Summed elementwise: np.linalg.norm's BLAS dot threads past 10,000 entries.
-    return math.sqrt(float(np.sum(matrix.real**2 + matrix.imag**2)))
-
-
 def _report(
     cfg: ExperimentConfig,
     max_abs: float,
@@ -118,21 +113,45 @@ def _run_covariant(cfg: ExperimentConfig) -> VerificationReport:
 
 def _run_projection(cfg: ExperimentConfig) -> VerificationReport:
     spec = GraphSpec(phi=cfg.phi, modes=cfg.n, cutoff=cfg.cutoff)
-    basis = seed_basis(spec)
-    adjoint = basis.conj().T
-    projector = serial_matmul(basis, adjoint)
-    # P @ P as B (B^dag B) B^dag: a row of the dense product, dim^2
-    # multiply-adds, is too wide for serial GEMMs.
-    idempotency_residual = serial_matmul(serial_matmul(basis, serial_matmul(adjoint, basis)), adjoint) - projector
-    idempotency = float(np.max(np.abs(idempotency_residual)))
-    hermiticity = float(np.max(np.abs(projector - projector.conj().T)))
-    trace_dev = abs(float(np.trace(projector).real) - (cfg.cutoff + 1))
     quad = seed_projector_quadrature(spec, polar_scheme(cfg.radial_order, cfg.angular_order), cfg.trusted_block)
-    idx = np.flatnonzero(trusted_mask(spec.space, cfg.trusted_block))
-    backend_dev = float(np.max(np.abs(projector[np.ix_(idx, idx)] - quad)))
-    max_abs = max(idempotency, hermiticity, trace_dev, backend_dev)
-    frobenius = _frobenius_norm(idempotency_residual) / _frobenius_norm(projector)
-    return _report(cfg, max_abs, frobenius)
+    deviations = _projection_deviations(spec, seed_basis(spec), quad, cfg.trusted_block)
+    frobenius = deviations.pop("frobenius")
+    return _report(cfg, max(deviations.values()), frobenius)
+
+
+def _projection_deviations(spec: GraphSpec, basis: np.ndarray, quad: np.ndarray, trusted_block: int) -> dict:
+    """Projector checks of P = B B^dag, grade by grade, and its box against ``quad``.
+
+    Column k of the seed basis lives on the rows of total occupation k, so P
+    is the direct sum of the blocks p_k = b_k b_k^dag, b_k = B[total == k, k],
+    and every other entry of P, P^2 - P and P - P^dag is an exact zero of the
+    grading.  The largest off-grade entry of B is reported with the rest, so
+    a basis that breaks the grading fails the check.  "frobenius" is
+    ||P^2 - P||_F / ||P||_F; the other values are absolute deviations.
+    """
+    total = spec.space.occupations().sum(axis=1)
+    graded = total[:, None] == np.arange(spec.cutoff + 1)
+    idempotency = hermiticity = trace = residual_squares = projector_squares = 0.0
+    for k in range(spec.cutoff + 1):
+        column = basis[graded[:, k], k]
+        block = np.multiply.outer(column, column.conj())
+        # p_k^2 - p_k = b_k (b_k^dag b_k) b_k^dag - p_k.  The squares are
+        # summed elementwise: numpy's BLAS dot threads past 10,000 entries.
+        residual = np.multiply.outer(column * np.vdot(column, column), column.conj()) - block
+        idempotency = max(idempotency, float(np.max(np.abs(residual))))
+        hermiticity = max(hermiticity, float(np.max(np.abs(block - block.conj().T))))
+        trace += float(np.trace(block).real)
+        residual_squares += float(np.sum(residual.real**2 + residual.imag**2))
+        projector_squares += float(np.sum(block.real**2 + block.imag**2))
+    box = basis[trusted_mask(spec.space, trusted_block)]
+    return {
+        "off_grade": float(np.max(np.abs(basis[~graded]), initial=0.0)),
+        "idempotency": idempotency,
+        "hermiticity": hermiticity,
+        "trace": abs(trace - (spec.cutoff + 1)),
+        "backend": float(np.max(np.abs(serial_matmul(box, box.conj().T) - quad))),
+        "frobenius": math.sqrt(residual_squares) / math.sqrt(projector_squares),
+    }
 
 
 def _run_resolution(cfg: ExperimentConfig) -> VerificationReport:

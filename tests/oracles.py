@@ -1,9 +1,10 @@
-"""Independent oracles for the single-mode kernel, kept with the tests.
+"""Independent oracles, kept with the tests.
 
 Closed forms for coherent overlaps and the displacement composition phase,
 and the displacement matrix by exponentiating the truncated generator: none
 of them shares a code path with ``fockgraph.fock``, which is what makes them
-oracles for it.
+oracles for it.  The seed projector checks on the dense ``dim x dim``
+projector, which the runner reads grade by grade.
 """
 
 import cmath
@@ -72,3 +73,21 @@ def _expm_taylor(matrix: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def dense_projection_deviations(basis: np.ndarray, quad: np.ndarray, box: np.ndarray) -> dict:
+    """Projector checks of the dense P = B B^dag, and of its box rows against ``quad``.
+
+    ``box`` holds the indices of the rows and columns ``quad`` is the block
+    of.  Keys and meanings as in the runner's grade-by-grade check, which
+    adds the off-grade entries of B.
+    """
+    projector = basis @ basis.conj().T
+    residual = projector @ projector - projector
+    return {
+        "idempotency": float(np.abs(residual).max()),
+        "hermiticity": float(np.abs(projector - projector.conj().T).max()),
+        "trace": abs(float(np.trace(projector).real) - basis.shape[1]),
+        "backend": float(np.abs(projector[np.ix_(box, box)] - quad).max()),
+        "frobenius": float(np.linalg.norm(residual) / np.linalg.norm(projector)),
+    }

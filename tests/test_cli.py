@@ -1,10 +1,12 @@
 """CLI behaviour: exit codes, report emission, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -73,6 +75,29 @@ class TestSingleExperiments:
         assert code == 0
         assert json.loads(out.read_text())["pass"] is True
         assert peak < 64 * 2**20
+
+    def test_covariant_gs_at_max_nodes_folds_to_one_node(self, tmp_path):
+        # One radius and 2**20 angles, MAX_NODES: the fold evaluates one node
+        # with 25 residue columns and builds no row of the node table past
+        # it, so the run takes milliseconds.
+        data = {"experiment": "covariant_gs", "radial_order": 1, "angular_order": 2**20}
+        config = write_config(tmp_path, data)
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = main(["--config", str(config), "--out", str(out), "--quiet"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads(out.read_text())
+        # One radius cannot resolve the integrand: a FAIL, not an error.
+        assert code == 1 and report["pass"] is False
+        assert report["experiment"] == "covariant_gs" and report["parameters"]["angular_order"] == 2**20
+        assert math.isfinite(report["max_abs_deviation"]) and math.isfinite(report["frobenius_deviation"])
+        assert elapsed < 1.0
+        assert peak < 2**20
 
     # At n=3 the default trusted block is cutoff // 3; cutoff // 2 would
     # reach the truncation edge (deviations near 1e-1).  The n=4 cases run at

@@ -1,6 +1,7 @@
 """Operator-graph tests: seed projectors, generators, anticliques, compression."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,12 @@ from fockgraph import (
     seed_projector,
     seed_projector_quadrature,
 )
-from fockgraph.config import dft_matrix
+from fockgraph import runner
+from fockgraph.config import config_from_dict, dft_matrix
 from fockgraph.fock import displacement_matrix
 from fockgraph.multimode import index_of, mode_ladder, trusted_mask
-from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS
+from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
+from oracles import dense_projection_deviations
 
 
 def block(op, mask):
@@ -108,6 +111,67 @@ class TestSeedProjector:
                 basis = seed_basis(spec)
                 gram = basis.conj().T @ basis
                 assert np.abs(gram - np.eye(cutoff + 1)).max() < 1e-12
+
+
+class TestProjectionCheck:
+    """The runner's grade-by-grade projector check against the dense one."""
+
+    @staticmethod
+    def projection_config(modes, cutoff):
+        return config_from_dict({"experiment": "projection", "n": modes, "cutoff": cutoff})
+
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8), (4, 4)])
+    def test_matches_dense_oracle(self, modes, cutoff):
+        cfg = self.projection_config(modes, cutoff)
+        spec = GraphSpec(phi=cfg.phi, modes=modes, cutoff=cutoff)
+        basis = seed_basis(spec)
+        scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
+        quad = seed_projector_quadrature(spec, scheme, cfg.trusted_block)
+        box = np.flatnonzero(trusted_mask(spec.space, cfg.trusted_block))
+        got = runner._projection_deviations(spec, basis, quad, cfg.trusted_block)
+        expected = dense_projection_deviations(basis, quad, box)
+        assert got.pop("off_grade") == 0.0
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert abs(got[key] - value) <= 1e-15, key
+        assert run_experiment(cfg).passed == (max(expected.values()) <= cfg.tolerance)
+
+    def test_off_grade_entry_fails(self, monkeypatch):
+        # Column 3 given a vacuum component: the grades no longer split P.
+        def broken(spec):
+            basis = seed_basis(spec)
+            basis[0, 3] = 1e-6
+            return basis
+
+        monkeypatch.setattr(runner, "seed_basis", broken)
+        report = run_experiment(self.projection_config(2, 16))
+        assert report.passed is False
+        assert report.max_abs_deviation >= 1e-6
+
+    def test_scaled_column_fails_on_idempotency(self, monkeypatch):
+        def scaled(spec):
+            basis = seed_basis(spec)
+            basis[:, 5] *= 1.001
+            return basis
+
+        monkeypatch.setattr(runner, "seed_basis", scaled)
+        cfg = self.projection_config(2, 16)
+        report = run_experiment(cfg)
+        assert report.passed is False
+        # The Frobenius deviation is ||P^2 - P||_F / ||P||_F alone.
+        assert report.frobenius_deviation > 1e3 * cfg.tolerance
+
+    def test_builds_no_dense_projector(self):
+        # n=3 cutoff 12 (dim 2197): a dense P alone would hold 77 MB.
+        cfg = self.projection_config(3, 12)
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed is True
+        assert peak < 5 * 2**20
 
 
 def multinomial_oracle(spec):

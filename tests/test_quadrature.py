@@ -28,7 +28,14 @@ from fockgraph import (
 from fockgraph import quadrature
 from fockgraph.config import dft_matrix
 from fockgraph.multimode import trusted_mask
-from fockgraph.quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, displace_modewise, integrate_dyads, serial_matmul
+from fockgraph.quadrature import (
+    CHUNK_ENTRIES,
+    SERIAL_GEMM_MACS,
+    box_side,
+    displace_modewise,
+    integrate_dyads,
+    serial_matmul,
+)
 
 
 def identity_deviation(op, mask=None):
@@ -124,8 +131,10 @@ class TestIntegrateDyads:
         assert np.abs(displaced_projector_identity(1.0, 12, scheme) - expected).max() <= 1e-13
 
     def test_displaced_projector_identity_bounds_kernel_batches(self, monkeypatch):
-        # At cutoff 40 a chunk's kernel stack holds 41 x 41 entries a node, so
-        # the 180 nodes go in chunks of CHUNK_ENTRIES // 41**2 = 38.
+        # At cutoff 40 the 81 differences m - n fold onto the 20 residues, so
+        # a node's diagonal stack, 41 x 100 entries (81 padded to 5 x 20),
+        # is its widest array and a chunk holds CHUNK_ENTRIES // 4100 = 15
+        # nodes: the 9 nodes of the fold, one per radius, go in one chunk.
         scheme = polar_scheme(9, 20)
         seed = coherent_state(1.0, 40)
         expected = oracle_dyad_sum(
@@ -139,8 +148,8 @@ class TestIntegrateDyads:
 
         monkeypatch.setattr(quadrature, "displacement_matrix", recording)
         got = displaced_projector_identity(1.0, 40, scheme)
-        assert sizes == [38, 38, 38, 38, 28]
-        assert max(sizes) * 41**2 <= CHUNK_ENTRIES
+        assert sizes == [9]
+        assert max(sizes) * 41 * 100 <= CHUNK_ENTRIES
         assert np.abs(got - expected).max() <= 1e-13
 
     def test_seed_projector_quadrature_matches_outer_sum(self):
@@ -356,6 +365,51 @@ class TestRotationOrbit:
     def test_rejects_charges_of_wrong_length(self):
         with pytest.raises(ValueError, match="charges"):
             integrate_dyads(lambda alphas: np.ones((len(alphas), 3)), (polar_scheme(2, 4),), 3, charges=[0, 1])
+
+
+class TestDisplacedSeedFold:
+    """displaced_projector_identity folds each radius's angles onto its residue columns."""
+
+    # Cutoff 16 with 17 radii: the default covariant_gs rule at 34 angles, and
+    # counts at or below the 25 (box) or 33 (full) differences m - n, where
+    # the rule aliases.
+    @pytest.mark.parametrize("angular", [1, 5, 7, 17, 34])
+    @pytest.mark.parametrize("block", [8, None])
+    def test_matches_per_node_outer_products_over_every_node(self, monkeypatch, angular, block):
+        scheme = polar_scheme(17, angular)
+        rows = box_side(16, block)
+        seed = coherent_state(1.0, 16)
+        expected = oracle_dyad_sum(
+            lambda a: displacement_matrix(a, 16, include_gaussian=False, rows=rows) @ seed, scheme, rows
+        )
+        amplitudes = []
+
+        def recording(alpha, cutoff, include_gaussian=True, rows=None):
+            amplitudes.append(np.size(alpha))
+            return displacement_matrix(alpha, cutoff, include_gaussian, rows)
+
+        monkeypatch.setattr(quadrature, "displacement_matrix", recording)
+        got = displaced_projector_identity(1.0, 16, scheme, trusted_block=block)
+        assert sum(amplitudes) == 17
+        assert np.abs(got - expected).max() <= 1e-13
+
+    # On the default 9-row box at cutoff 16 the differences m - n run over
+    # -16..8, 25 values, which take min(M, 25) residues mod M; the diagonal
+    # stack is padded to a multiple of M (28 wide at M = 7).
+    @pytest.mark.parametrize(
+        "angular, rank, width", [(1, 1, 25), (7, 7, 28), (25, 25, 25), (26, 25, 25), (2**17, 25, 25)]
+    )
+    def test_rank_is_the_residues_that_occur(self, monkeypatch, angular, rank, width):
+        calls = []
+
+        def recording(columns, schemes, dim, rank=1, node_entries=0, charges=None):
+            calls.append((dim, rank, node_entries))
+            return integrate_dyads(columns, schemes, dim, rank, node_entries, charges)
+
+        monkeypatch.setattr(quadrature, "integrate_dyads", recording)
+        got = displaced_projector_identity(1.0, 16, polar_scheme(1, angular), trusted_block=8)
+        assert calls == [(9, rank, 9 * width)]
+        assert got.shape == (9, 9)
 
 
 class TestDisplaceModewise:
