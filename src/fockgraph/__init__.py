@@ -7,7 +7,6 @@ from .fock import (
     coherent_state,
     displacement_matrix,
     laguerre_sequence,
-    trusted_cutoff,
     unnormalized_coherent,
 )
 from .graphs import (
@@ -22,23 +21,16 @@ from .graphs import (
     graph_generator,
     haar_unitary,
     seed_basis,
+    seed_ladders,
     seed_projector,
     seed_projector_quadrature,
 )
 from .multimode import (
     ModeSpace,
-    MultimodeState,
-    apply_weyl_to_exponential_check,
-    exponential_vector_embed,
-    index_of,
     kron_all,
-    mode_ladder,
-    state_inner,
     trusted_mask,
-    tuple_of,
     validate_unitary,
     weyl_operator,
-    weyl_phase,
 )
 from .quadrature import (
     AngularScheme,

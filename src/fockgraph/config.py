@@ -15,7 +15,7 @@ import numpy as np
 
 from .graphs import GeneratorParams
 from .multimode import validate_unitary
-from .quadrature import MAX_RADIAL_ORDER
+from .quadrature import MAX_RADIAL_ORDER, gauss_laguerre
 
 __all__ = [
     "ConfigError",
@@ -220,6 +220,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             _check_size(f"the space at cutoff_ladder entry {cut}", cut + 1, 1, "rows")
         if any(cut < trusted_block for cut in cutoff_ladder):
             raise ConfigError("every cutoff_ladder entry must be >= trusted_block")
+    if experiment in ("covariant_gs", "convergence"):
+        # The kernel's powers alpha^k, k <= cutoff, overflow at the largest radial node past this limit.
+        node = float(gauss_laguerre(radial_order).nodes[-1])
+        limit = int(math.log(np.finfo(float).max) / (0.5 * math.log(node))) if node > 1.0 else math.inf
+        top = max(cutoff_ladder or (cutoff,))
+        if top > limit:
+            raise ConfigError(f"cutoff {top} exceeds {limit}: alpha^cutoff overflows at radial_order {radial_order}")
 
     return ExperimentConfig(
         experiment=experiment,

@@ -5,8 +5,7 @@ on a photon-number ladder truncated at a finite occupation.
 
 Matrix elements are taken from the infinite-dimensional closed forms, so
 truncation error never enters through an entry itself, only through later
-matrix products.  The ``trusted_cutoff`` heuristic marks the sub-block of
-occupations on which such products still approximate the untruncated values.
+matrix products.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "coherent_state",
     "displacement_matrix",
     "laguerre_sequence",
-    "trusted_cutoff",
     "unnormalized_coherent",
 ]
 
@@ -158,15 +156,3 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
         out *= np.array([math.exp(-0.5 * v) for v in s])[:, None, None]
     return out if alphas.ndim else out[0]
 
-
-def trusted_cutoff(cutoff: int, amplitude: float) -> int:
-    """Highest occupation still trusted after displacing by ``amplitude``.
-
-    Displacement adds a mean of |a|^2 photons with Poisson spread; dropping
-    the mean plus ~3 standard deviations from the cutoff leaves the block
-    where truncated products agree with the untruncated operator.
-    """
-    a = float(amplitude)
-    if a < 0:
-        raise ValueError("amplitude must be nonnegative")
-    return max(0, cutoff - math.ceil(a * a + 3.0 * a))

@@ -9,6 +9,7 @@ compression of the graph is a scalar multiple of themselves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +31,6 @@ from .quadrature import (
     PolarScheme,
     box_charges,
     box_side,
-    displace_modewise,
     integrate_dyads,
     serial_matmul,
 )
@@ -47,6 +47,7 @@ __all__ = [
     "graph_generator",
     "haar_unitary",
     "seed_basis",
+    "seed_ladders",
     "seed_projector",
     "seed_projector_quadrature",
 ]
@@ -144,6 +145,39 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_bloc
     return integrate_dyads(product_vectors, (scheme,), side**spec.modes, charges=box_charges(spec.modes, side))
 
 
+def seed_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarray:
+    """Tail-factored displaced seed ladders Y = D(h) B on the box of ``rows`` per mode.
+
+    Each shift h (row of ``shifts``, (K, modes)) must be orthogonal to phi's
+    first column c, as h = phi[:, 1:] @ alpha is.  Weyl covariance gives
+    a_j Y_k = h_j Y_k + sqrt(k) c_j Y_{k-1}, which the number operator turns
+    into a sweep over total occupation N from the vacuum row (1, 0, ..., 0),
+    N Y_k[m] = sum_j sqrt(m_j) (h_j Y_k + sqrt(k) c_j Y_{k-1})[m - e_j], stable
+    and exact on any box (README, numerical notes): a (K, rows^n, cutoff+1) stack.
+    """
+    ladder = np.zeros((rows**spec.modes + 1, spec.cutoff + 1, len(shifts)), dtype=complex)
+    ladder[0, 0] = 1.0
+    raising = (spec.phi[:, :1] * np.sqrt(np.arange(1, spec.cutoff + 1)))[..., None]
+    for occupation, (at, lower, weight) in enumerate(_occupation_sweep(spec.modes, rows), start=1):
+        top = min(occupation, spec.cutoff)
+        below = ladder[lower, : top + 1]
+        below *= weight
+        ladder[at, : top + 1] = (shifts.T[:, None] * below).sum(axis=1)
+        ladder[at, 1 : top + 1] += (raising[:, :top] * below[:, :, :-1]).sum(axis=1)
+    return ladder[:-1].transpose(2, 0, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _occupation_sweep(modes: int, rows: int) -> tuple:
+    """Per total occupation N >= 1: its rows, their rows m - e_j (else the zero row) and sqrt(m_j) / N."""
+    occupations = np.indices((rows,) * modes).reshape(modes, -1).T
+    total = occupations.sum(axis=1)
+    lower = np.where(occupations > 0, np.arange(len(total))[:, None] - rows ** np.arange(modes)[::-1], len(total))
+    weight = (np.sqrt(occupations) / np.maximum(total, 1)[:, None])[..., None, None]
+    sectors = (np.flatnonzero(total == occupation) for occupation in range(1, total.max() + 1))
+    return tuple((at, lower[at], weight[at]) for at in sectors)
+
+
 def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:
     """Per-mode displacement h_j = sum_k e^{i theta_k} r_k phi_{j,k+1}."""
     if params.radii.shape != (spec.modes - 1,):
@@ -207,13 +241,12 @@ def compression_check(
     latter against ||P_t||_F = ||S||_F) with the relative error of c against
     the predicted weighted constant sum.  Real parts of c are returned.
 
-    The ladders are built mode by mode (:func:`displace_modewise`) in
-    chunks of whole points, and the residual in row blocks.  Chunks and
-    blocks stay within CHUNK_ENTRIES entries or, where eight output rows of
-    a ladder fit, within SERIAL_GEMM_MACS multiply-adds per GEMM.  So no
-    array has more than max(CHUNK_ENTRIES, dim * (cutoff+1)) entries, no
-    dim x dim product is formed and, at n=3 cutoff 8 and n=2 cutoff 16, no
-    BLAS worker thread is woken.
+    The ladders (:func:`seed_ladders`) are built in chunks of whole points
+    within CHUNK_ENTRIES entries, the anticlique's first with weight 0 in M,
+    and the residual in row blocks: no array has more than
+    max(CHUNK_ENTRIES, dim * (cutoff+1)) entries and no dim x dim product is
+    formed.  Up to n=2 cutoff 19, n=3 cutoff 8 and n=4 cutoff 5 every GEMM
+    stays within SERIAL_GEMM_MACS, and no BLAS worker thread is woken.
 
     The full-matrix comparison is limited by the mass the top ladder states
     lose to truncation (first order in that loss); the identity is exact in
@@ -234,34 +267,29 @@ def compression_check(
     for weight, params in zip(weights, generators):
         predicted += weight * compression_constant(anticlique, params)
 
-    basis = seed_basis(spec)
-    # An output row of the ladder, Gram and residual GEMMs costs at most
-    # dim * rank multiply-adds.  Where eight fit the serial budget (n=2 up to
-    # cutoff 19, n=3 up to 8, n=4 up to 5), every GEMM is cut into row
-    # blocks that OpenBLAS runs on the calling thread; wider ladders would
-    # make so many small GEMMs that threaded chunks are faster.
-    serial = 8 * basis.size <= SERIAL_GEMM_MACS
+    rank = spec.cutoff + 1
+    entries = spec.space.dim * rank
+    # Where eight output rows of a GEMM (dim * rank multiply-adds each) fit the serial budget, every GEMM
+    # is cut into row blocks that OpenBLAS runs on the calling thread; wider ones are faster threaded.
+    serial = 8 * entries <= SERIAL_GEMM_MACS
     matmul = serial_matmul if serial else np.matmul
 
     def ladders(points):
-        # D(h) B with the Gaussian exp(-|h|^2/2) the tail-factored apply leaves out.
+        # D(h) B with the Gaussian exp(-|h|^2/2) the tail-factored ladder leaves out.
         shifts = np.array([displaced_mode_amplitudes(spec, p) for p in points])
-        gauss = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))
-        alphas = np.array([p.displacements() for p in points])
-        return gauss[:, None, None] * displace_modewise(spec, basis, alphas)
+        ladder = seed_ladders(spec, shifts, rank)
+        ladder *= np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))[:, None, None]
+        return ladder
 
-    ladder = ladders([anticlique])[0]
-    adjoint = ladder.conj().T
-    rank = basis.shape[1]
-    # Points per ladder chunk: where one point's ladder is a single serial
-    # GEMM (n=3 up to cutoff 8), as many as that GEMM holds; otherwise as
-    # many as CHUNK_ENTRIES allows, and serial_matmul cuts the GEMM.
-    step = SERIAL_GEMM_MACS // ((spec.cutoff + 1) * basis.size) if serial else 0
-    step = step or max(1, CHUNK_ENTRIES // basis.size)
+    points, scale = [anticlique, *generators], np.array([0.0, *weights])
+    step = max(1, CHUNK_ENTRIES // entries)
     combined = np.zeros((rank, rank), dtype=complex)
-    for start in range(0, len(generators), step):
-        gram = np.stack([matmul(adjoint, point) for point in ladders(generators[start : start + step])])
-        combined += np.einsum("k,kij,klj->il", np.asarray(weights[start : start + step]), gram, gram.conj())
+    for start in range(0, len(points), step):
+        chunk = ladders(points[start : start + step])
+        if start == 0:
+            ladder, adjoint = chunk[0], chunk[0].conj().T
+        gram = np.stack([matmul(adjoint, point) for point in chunk])
+        combined += np.einsum("k,kij,klj->il", scale[start : start + step], gram, gram.conj())
 
     if trusted_block is not None:
         ladder = ladder[trusted_mask(spec.space, trusted_block)]
@@ -269,10 +297,7 @@ def compression_check(
     overlap = matmul(adjoint, ladder)
     measured = complex(np.sum(combined * overlap.T)) / complex(np.trace(overlap))
     scaled = matmul(ladder, combined - measured * np.eye(rank))
-    if serial:
-        rows = SERIAL_GEMM_MACS // (len(ladder) * rank)
-    else:
-        rows = max(1, CHUNK_ENTRIES // len(ladder))
+    rows = SERIAL_GEMM_MACS // (len(ladder) * rank) if serial else max(1, CHUNK_ENTRIES // len(ladder))
     max_abs = squares = 0.0
     for start in range(0, len(ladder), rows):
         magnitude = np.abs(scaled[start : start + rows] @ adjoint)

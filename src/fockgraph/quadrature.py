@@ -16,11 +16,10 @@ nodes through :func:`integrate_dyads`.  The node order is fixed
 (angular-major, then radial; across parameter pairs the first is slowest)
 and nodes are taken in chunks of whole nodes, as many as keep every array
 the chunk builds within CHUNK_ENTRIES entries.  An integrator builds a
-chunk's columns in one batched pass (one
-:func:`~fockgraph.fock.displacement_matrix` call for all of its nodes and
-modes, a mode-by-mode apply in place of Kronecker products), and the chunk
-is added to the accumulator as one product over fixed row blocks, so
-identical inputs give identical bits.
+chunk's columns in one batched pass (one :func:`~fockgraph.fock.displacement_matrix`
+call, or for the graph ``graphs.seed_ladders``), and the chunk is added to
+the accumulator as one product over fixed row blocks, so identical inputs
+give identical bits.
 
 Products whose output rows are narrow enough are cut into row blocks of at
 most SERIAL_GEMM_MACS multiply-adds (:func:`serial_matmul`), which OpenBLAS
@@ -45,14 +44,15 @@ passes them as the rank with zero charges: one node per radius.
 The verdicts read these operators only on the trusted box, the occupations
 at or below ``trusted_block`` in every mode.  Given that bound, the
 integrators build only the box rows of each U_k and return the box block:
-row (i_1, ..., i_n) of U_k depends only on row i_j of each mode's matrix,
-so the kernel builds just those rows, the block is exactly the one the full
-operator holds, and the accumulator shrinks from dim^2 to
+the kernel builds just the box rows of each displacement matrix and the
+ladders read only lower occupations, so the block is exactly the one the
+full operator holds, and the accumulator shrinks from dim^2 to
 (trusted_block + 1)^(2n) entries.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,10 +76,9 @@ __all__ = [
 MAX_RADIAL_ORDER = 64
 
 # Entries of the largest array one node chunk may build: the displacement
-# kernel's stack, the mode-by-mode apply's intermediates or the stacked GEMM
-# block.  Chunks hold whole nodes, so this bounds a chunk's memory
-# independently of the node count and the cutoff; a node wider than the
-# budget takes a chunk alone.
+# kernel's stack, the displaced ladders or the stacked GEMM block.  Chunks
+# hold whole nodes, so this bounds a chunk's memory independently of the
+# node count and the cutoff; a node wider than the budget takes a chunk alone.
 CHUNK_ENTRIES = 2**16
 
 # OpenBLAS runs a complex GEMM of fewer than 2**16 multiply-adds on the
@@ -111,6 +110,7 @@ class RadialScheme:
             raise ValueError("weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 (zeroth moment of exp(-s))")
+        nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -145,6 +145,7 @@ class PolarScheme:
         return self.radial.nodes, self.radial.weights
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_laguerre(order: int) -> RadialScheme:
     """Gauss-Laguerre rule of the given order via the Jacobi matrix.
 
@@ -157,7 +158,8 @@ def gauss_laguerre(order: int) -> RadialScheme:
     through the equivalent closed form s_i / ((order+1)^2 * L_{order+1}(s_i)^2):
     the eigensolver underflows the extreme components to zero beyond order
     ~30, while the closed form keeps every weight positive and the rule
-    exact (relative 1e-12) for polynomial degree <= 2*order - 1.
+    exact (relative 1e-12) for polynomial degree <= 2*order - 1.  Rules are
+    cached per order; their arrays are read-only.
     """
     if not 1 <= order <= MAX_RADIAL_ORDER:
         raise ValueError(f"order must be in [1, {MAX_RADIAL_ORDER}], got {order}")
@@ -337,15 +339,15 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
 
     Computes (1/pi^(n-1)) Int D Q D^dag prod_k r_k dr_k dtheta_k over the
     product of one polar scheme per displacement parameter pair.  Backend
-    "rank" integrates the displaced rank-(cutoff+1) seed basis as dyads,
-    applying D_1 x ... x D_n to it mode by mode; "direct" conjugates the
+    "rank" integrates the displaced rank-(cutoff+1) seed ladders as dyads,
+    built by Weyl covariance (``graphs.seed_ladders``); "direct" conjugates the
     seed projector by the Kronecker-product matrix node by node and is kept
     as the oracle.  Both produce the same operator.  With ``trusted_block``
     set, the result is its block on the occupations at or below the bound
     in every mode (``trusted_mask`` order): "rank" builds only that block,
     "direct" builds the whole operator and slices it.
     """
-    from .graphs import GraphSpec, seed_basis, seed_projector
+    from .graphs import GraphSpec, seed_ladders, seed_projector
 
     if not isinstance(spec, GraphSpec):
         raise TypeError("spec must be a GraphSpec")
@@ -362,20 +364,12 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
     rows = box_side(spec.cutoff, trusted_block)
 
     if backend == "rank":
-        basis = seed_basis(spec)
-        side = rank = spec.cutoff + 1
-        # The widest per-node array is the first mode's output, box rows by
-        # the other modes' full sides; the kernel's rows x side matrices for
-        # every mode are no wider.
-        widest = rows * side ** (spec.modes - 1) * rank
-        return integrate_dyads(
-            lambda alphas: displace_modewise(spec, basis, alphas, rows),
-            schemes,
-            rows**spec.modes,
-            rank,
-            widest,
-            charges=box_charges(spec.modes, rows),
-        )
+
+        def columns(alphas):
+            return seed_ladders(spec, alphas @ spec.phi[:, 1:].T, rows)
+
+        charges = box_charges(spec.modes, rows)
+        return integrate_dyads(columns, schemes, rows**spec.modes, spec.cutoff + 1, charges=charges)
     dim = spec.space.dim
     projector = seed_projector(spec)
     alphas, weights = _node_table(schemes)
@@ -389,26 +383,3 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
     idx = np.flatnonzero(trusted_mask(spec.space, trusted_block))
     return acc[np.ix_(idx, idx)]
 
-
-def displace_modewise(spec, basis: np.ndarray, alphas: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """Rows of (D_1 x ... x D_n) @ basis at each node, without forming the Kronecker product.
-
-    ``alphas`` (K, pairs) are node amplitudes; mode j is displaced by the
-    tail-factored D(h_j) with h = phi[:, 1:] @ alpha.  ``basis`` (dim, rank)
-    is reshaped to (side, ..., side, rank) and each mode's D_j, built for
-    its first ``rows`` rows only (all by default), is applied to its axis:
-    the first mode as one :func:`serial_matmul` for all K nodes (they share
-    the basis), the others as one batched matmul over the nodes.  Returns the
-    (K, rows^n, rank) stack: the rows whose occupations are all below
-    ``rows``, in row-major order.
-    """
-    side = spec.cutoff + 1
-    rows = side if rows is None else rows
-    count = len(alphas)
-    shifts = (alphas @ spec.phi[:, 1:].T).ravel()
-    factors = displacement_matrix(shifts, spec.cutoff, include_gaussian=False, rows=rows)
-    factors = factors.reshape(count, spec.modes, rows, side)
-    out = serial_matmul(factors[:, 0].reshape(count * rows, side), basis.reshape(side, -1))
-    for mode in range(1, spec.modes):
-        out = factors[:, mode, None] @ out.reshape(count, rows**mode, side, -1)
-    return out.reshape(count, rows**spec.modes, -1)

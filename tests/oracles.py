@@ -1,16 +1,25 @@
-"""Independent oracles, kept with the tests.
+"""Independent oracles and test-only helpers, kept with the tests.
 
 Closed forms for coherent overlaps and the displacement composition phase,
 and the displacement matrix by exponentiating the truncated generator: none
 of them shares a code path with ``fockgraph.fock``, which is what makes them
 oracles for it.  The seed projector checks on the dense ``dim x dim``
-projector, which the runner reads grade by grade.
+projector, which the runner reads grade by grade.  The displaced seed ladder
+by applying truncated displacement matrices mode by mode, the oracle for
+``graphs.seed_ladders``, which builds it by Weyl covariance.  Exponential
+vectors, the Weyl composition phase, ladder operators and occupation
+indexing on the multimode space, which only the tests use.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from fockgraph import coherent_state, displacement_matrix, kron_all, trusted_mask, weyl_operator
+from fockgraph.multimode import ModeSpace
+from fockgraph.quadrature import serial_matmul
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
@@ -91,3 +100,147 @@ def dense_projection_deviations(basis: np.ndarray, quad: np.ndarray, box: np.nda
         "backend": float(np.abs(projector[np.ix_(box, box)] - quad).max()),
         "frobenius": float(np.linalg.norm(residual) / np.linalg.norm(projector)),
     }
+
+
+def displace_modewise(spec, basis: np.ndarray, alphas: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Rows of (D_1 x ... x D_n) @ basis at each node, without forming the Kronecker product.
+
+    ``alphas`` (K, pairs) are node amplitudes; mode j is displaced by the
+    tail-factored D(h_j) with h = phi[:, 1:] @ alpha.  ``basis`` (dim, rank)
+    is reshaped to (side, ..., side, rank) and each mode's D_j, built for
+    its first ``rows`` rows only (all by default), is applied to its axis:
+    the first mode as one :func:`serial_matmul` for all K nodes (they share
+    the basis), the others as one batched matmul over the nodes.  Returns the
+    (K, rows^n, rank) stack: the rows whose occupations are all below
+    ``rows``, in row-major order.
+    """
+    side = spec.cutoff + 1
+    rows = side if rows is None else rows
+    count = len(alphas)
+    shifts = (alphas @ spec.phi[:, 1:].T).ravel()
+    factors = displacement_matrix(shifts, spec.cutoff, include_gaussian=False, rows=rows)
+    factors = factors.reshape(count, spec.modes, rows, side)
+    out = serial_matmul(factors[:, 0].reshape(count * rows, side), basis.reshape(side, -1))
+    for mode in range(1, spec.modes):
+        out = factors[:, mode, None] @ out.reshape(count, rows**mode, side, -1)
+    return out.reshape(count, rows**spec.modes, -1)
+
+
+def index_of(occupation, space: ModeSpace) -> int:
+    """Flat index of an occupation tuple (row-major, mode 1 slowest)."""
+    occupation = tuple(int(v) for v in occupation)
+    if len(occupation) != space.modes:
+        raise ValueError(f"expected {space.modes} occupation numbers, got {len(occupation)}")
+    for v in occupation:
+        if not 0 <= v <= space.cutoff:
+            raise ValueError(f"occupation {v} outside [0, {space.cutoff}]")
+    return int(np.ravel_multi_index(occupation, space.shape))
+
+
+def tuple_of(index: int, space: ModeSpace) -> tuple[int, ...]:
+    """Occupation tuple of a flat index; inverse of :func:`index_of`."""
+    if not 0 <= index < space.dim:
+        raise ValueError(f"index {index} outside [0, {space.dim})")
+    return tuple(int(v) for v in np.unravel_index(index, space.shape))
+
+
+@dataclass(frozen=True, eq=False)
+class MultimodeState:
+    """Vector on the truncated register, physically exp(log_scale)*amplitudes."""
+
+    amplitudes: np.ndarray
+    log_scale: float = 0.0
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if not np.all(np.isfinite(amps.view(float))):
+            raise ValueError("state amplitudes must be finite")
+        object.__setattr__(self, "amplitudes", amps)
+
+    def physical(self) -> np.ndarray:
+        return math.exp(self.log_scale) * self.amplitudes
+
+
+def state_inner(left: MultimodeState, right: MultimodeState) -> complex:
+    """Inner product <left, right>, antilinear in the left argument."""
+    return complex(np.vdot(left.amplitudes, right.amplitudes) * math.exp(left.log_scale + right.log_scale))
+
+
+def weyl_phase(f, g) -> complex:
+    """Unit phase in W(f)W(g) = phase * W(f+g).
+
+    Equals the product of the per-mode displacement composition phases,
+    exp(i*Im (g,f)) with (g,f) antilinear in the first argument.
+    """
+    f = np.asarray(f, dtype=complex)
+    g = np.asarray(g, dtype=complex)
+    if f.shape != g.shape:
+        raise ValueError("coordinate vectors must have equal length")
+    return cmath.exp(1j * float(np.imag(np.vdot(g, f))))
+
+
+def exponential_vector_embed(coords, space: ModeSpace) -> MultimodeState:
+    """Exponential vector e(f) as a tensor product of coherent states.
+
+    The normalized coherent amplitudes are stored; the unnormalized
+    exponential-vector scale exp(sum |f_j|^2 / 2) goes into log_scale.
+    """
+    coords = _as_coords(coords, space.modes)
+    amplitudes = kron_all([coherent_state(c, space.cutoff) for c in coords])
+    return MultimodeState(amplitudes, log_scale=0.5 * float(np.sum(np.abs(coords) ** 2)))
+
+
+def _as_coords(coords, modes: int) -> np.ndarray:
+    coords = np.atleast_1d(np.asarray(coords, dtype=complex))
+    if coords.shape != (modes,):
+        raise ValueError(f"expected {modes} mode coordinates, got shape {coords.shape}")
+    return coords
+
+
+def apply_weyl_to_exponential_check(f, g, space: ModeSpace, trusted: int | None = None) -> float:
+    """Deviation of W(f) e(g) from its predicted closed form.
+
+    The prediction is exp(-||f||^2/2 - (f,g)) * e(f+g) with (f,g) antilinear
+    in the first argument; the deviation is the max entrywise difference of
+    the physical vectors on the trusted block.
+    """
+    f = _as_coords(f, space.modes)
+    g = _as_coords(g, space.modes)
+    lhs_state = exponential_vector_embed(g, space)
+    lhs = math.exp(lhs_state.log_scale) * (weyl_operator(f, space) @ lhs_state.amplitudes)
+    target = exponential_vector_embed(f + g, space)
+    prefactor = cmath.exp(-0.5 * float(np.sum(np.abs(f) ** 2)) - complex(np.vdot(f, g)))
+    rhs = prefactor * target.physical()
+    if trusted is None:
+        total = float(np.linalg.norm(f) + np.linalg.norm(g))
+        trusted = trusted_cutoff(space.cutoff, total)
+    mask = trusted_mask(space, trusted)
+    return float(np.max(np.abs((lhs - rhs)[mask])))
+
+
+def mode_ladder(space: ModeSpace, mode: int, kind: str) -> np.ndarray:
+    """Truncated a_j ("annihilate") or a_j^dag ("create"), modes 1-based."""
+    if not 1 <= mode <= space.modes:
+        raise ValueError(f"mode {mode} outside [1, {space.modes}]")
+    if kind not in ("annihilate", "create"):
+        raise ValueError(f"kind must be 'annihilate' or 'create', got {kind!r}")
+    single = np.diag(np.sqrt(np.arange(1.0, space.cutoff + 1)), 1).astype(complex)
+    if kind == "create":
+        single = single.T.copy()
+    eye = np.eye(space.cutoff + 1, dtype=complex)
+    factors = [eye] * space.modes
+    factors[mode - 1] = single
+    return kron_all(factors)
+
+
+def trusted_cutoff(cutoff: int, amplitude: float) -> int:
+    """Highest occupation still trusted after displacing by ``amplitude``.
+
+    Displacement adds a mean of |a|^2 photons with Poisson spread; dropping
+    the mean plus ~3 standard deviations from the cutoff leaves the block
+    where truncated products agree with the untruncated operator.
+    """
+    a = float(amplitude)
+    if a < 0:
+        raise ValueError("amplitude must be nonnegative")
+    return max(0, cutoff - math.ceil(a * a + 3.0 * a))

@@ -20,26 +20,28 @@ import numpy as np
 import fockgraph
 from fockgraph import (
     GraphSpec,
-    apply_weyl_to_exponential_check,
     coherent_identity,
     compression_check,
     displacement_matrix,
     displaced_projector_identity,
     draw_generator_params,
-    exponential_vector_embed,
     graph_resolution,
     haar_unitary,
     polar_scheme,
     seed_projector,
     seed_projector_quadrature,
-    state_inner,
-    trusted_cutoff,
     weyl_operator,
-    weyl_phase,
 )
 from fockgraph.config import dft_matrix
 from fockgraph.multimode import ModeSpace, trusted_mask
-from oracles import expm_displacement_oracle
+from oracles import (
+    apply_weyl_to_exponential_check,
+    expm_displacement_oracle,
+    exponential_vector_embed,
+    state_inner,
+    trusted_cutoff,
+    weyl_phase,
+)
 
 FLOOR_ALLOWANCE = 1e-12
 

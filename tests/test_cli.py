@@ -245,6 +245,18 @@ class TestExitCodes:
                 "generator_params needs more than MAX_DIM = 8192 entries",
                 "MAX_DIM = 8192",
             ),
+            # alpha^cutoff overflows at the rule's outermost radial node.
+            (
+                {"experiment": "covariant_gs", "cutoff": 280, "radial_order": 64, "angular_order": 16},
+                "cutoff 280",
+                "exceeds 260",
+            ),
+            (
+                {"experiment": "covariant_gs", "cutoff": 480, "radial_order": 8, "angular_order": 16},
+                "cutoff 480",
+                "exceeds 453",
+            ),
+            ({"experiment": "convergence", "cutoff_ladder": [700]}, "cutoff 700", "exceeds 353"),
         ],
         ids=[
             "projection-n4",
@@ -258,6 +270,9 @@ class TestExitCodes:
             "gs-angular-3e6",
             "gs-angular-1e18",
             "anticlique-generators-8193",
+            "covariant-cutoff-280-radial-64",
+            "covariant-cutoff-480-radial-8",
+            "convergence-ladder-700",
         ],
     )
     def test_oversized_config_exits_two(self, tmp_path, capsys, data, reason, limit):

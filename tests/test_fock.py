@@ -17,10 +17,15 @@ from fockgraph import (
     coherent_state,
     displacement_matrix,
     laguerre_sequence,
-    trusted_cutoff,
 )
 from fockgraph.fock import _complex_product
-from oracles import coherent_overlap, displacement_compose_phase, expm_displacement_oracle, min_oracle_buffer
+from oracles import (
+    coherent_overlap,
+    displacement_compose_phase,
+    expm_displacement_oracle,
+    min_oracle_buffer,
+    trusted_cutoff,
+)
 
 # e^{-1/2} by direct series summation, independent of any exp() call path.
 EXP_MINUS_HALF = math.fsum((-0.5) ** k / math.factorial(k) for k in range(40))

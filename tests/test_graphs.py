@@ -1,6 +1,7 @@
 """Operator-graph tests: seed projectors, generators, anticliques, compression."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,15 +23,16 @@ from fockgraph import (
     haar_unitary,
     polar_scheme,
     seed_basis,
+    seed_ladders,
     seed_projector,
     seed_projector_quadrature,
 )
 from fockgraph import runner
 from fockgraph.config import config_from_dict, dft_matrix
 from fockgraph.fock import displacement_matrix
-from fockgraph.multimode import index_of, mode_ladder, trusted_mask
+from fockgraph.multimode import trusted_mask
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
-from oracles import dense_projection_deviations
+from oracles import dense_projection_deviations, displace_modewise, index_of, mode_ladder
 
 
 def block(op, mask):
@@ -250,6 +252,53 @@ class TestGraphDisplacement:
         product = disp.conj().T @ disp
         mask = trusted_mask(spec.space, 10)
         assert np.abs(block(product, mask) - np.eye(int(mask.sum()))).max() < 1e-8
+
+
+class TestSeedLadders:
+    """seed_ladders builds D(h) B by Weyl covariance, without displacement matrices."""
+
+    @staticmethod
+    def case(modes, cutoff, seed, max_radius=1.5, count=4):
+        rng = np.random.default_rng(seed)
+        spec = GraphSpec(phi=mixing_matrix(modes, "dft" if modes == 2 else "haar", rng), modes=modes, cutoff=cutoff)
+        points = [draw_generator_params(modes, rng, max_radius=max_radius) for _ in range(count)]
+        return spec, points, np.array([p.displacements() for p in points])
+
+    # Box rows per mode; None is every row.  At one row only the vacuum row
+    # is built, where every column past the first vanishes.
+    @pytest.mark.parametrize(
+        "modes, cutoff, rows", [(2, 16, 9), (2, 16, None), (3, 8, None), (4, 4, 2), (4, 6, None), (2, 64, 1)]
+    )
+    def test_matches_modewise_oracle(self, modes, cutoff, rows):
+        spec, _, alphas = self.case(modes, cutoff, seed=modes * cutoff)
+        rows = cutoff + 1 if rows is None else rows
+        expected = displace_modewise(spec, seed_basis(spec), alphas, rows)
+        got = seed_ladders(spec, alphas @ spec.phi[:, 1:].T, rows)
+        assert got.shape == expected.shape == (len(alphas), rows**modes, cutoff + 1)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.all(got[:, 0, 1:] == 0)
+
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8), (4, 4)])
+    def test_matches_dense_displacement(self, modes, cutoff):
+        # With the Gaussian exp(-|h|^2/2) the tail-factored ladder leaves out.
+        spec, points, alphas = self.case(modes, cutoff, seed=7 * modes)
+        shifts = alphas @ spec.phi[:, 1:].T
+        got = seed_ladders(spec, shifts, cutoff + 1)
+        for point, shift, ladder in zip(points, shifts, got):
+            expected = graph_displacement(spec, point) @ seed_basis(spec)
+            gauss = math.exp(-0.5 * float(np.sum(np.abs(shift) ** 2)))
+            assert np.abs(gauss * ladder - expected).max() <= 1e-14
+
+    def test_stays_accurate_at_large_cutoff(self):
+        # Cutoff 64 on the 33-row box at |alpha| up to 7, the reach of a
+        # resolution rule's middle nodes.  A single raising step
+        # Y_k = a_phi^dag Y_{k-1} / sqrt(k) loses seven digits here to
+        # cancellation between the modes; the sweep over total occupation
+        # keeps the oracle's accuracy.
+        spec, _, alphas = self.case(2, 64, seed=64, max_radius=7.0)
+        expected = displace_modewise(spec, seed_basis(spec), alphas, 33)
+        got = seed_ladders(spec, alphas @ spec.phi[:, 1:].T, 33)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestGraphGenerator:
@@ -528,6 +577,37 @@ class TestCompressionOracle:
         monkeypatch.setattr(fockgraph.graphs, "graph_generator", forbidden)
         spec, anticlique, generators = runner_case(3, 8, 0)
         assert within(compression_check(spec, anticlique, generators), 1e-4)
+
+
+class TestNoDisplacementKernel:
+    """The graph experiments build their ladders by Weyl covariance alone."""
+
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 6)])
+    def test_graph_experiments_never_call_the_kernel(self, monkeypatch, modes, cutoff):
+        configs = [
+            config_from_dict({"experiment": name, "n": modes, "cutoff": cutoff})
+            for name in ("projection", "resolution", "anticlique")
+        ]
+        expected = [run_experiment(cfg) for cfg in configs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("displacement_matrix called")
+
+        bound = [
+            module
+            for name, module in sys.modules.items()
+            if name.split(".")[0] == "fockgraph" and vars(module).get("displacement_matrix") is displacement_matrix
+        ]
+        assert {"fockgraph", "fockgraph.fock", "fockgraph.quadrature"} <= {module.__name__ for module in bound}
+        for module in bound:
+            monkeypatch.setattr(module, "displacement_matrix", forbidden)
+        for cfg, before in zip(configs, expected):
+            report = run_experiment(cfg)
+            assert (report.passed, report.max_abs_deviation, report.frobenius_deviation) == (
+                before.passed,
+                before.max_abs_deviation,
+                before.frobenius_deviation,
+            )
 
 
 class TestSampling:

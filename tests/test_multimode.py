@@ -9,23 +9,25 @@ import pytest
 from fockgraph import (
     GraphSpec,
     ModeSpace,
-    apply_weyl_to_exponential_check,
     coherent_state,
     displacement_matrix,
-    exponential_vector_embed,
-    index_of,
     kron_all,
-    mode_ladder,
     seed_basis,
-    state_inner,
-    trusted_cutoff,
     trusted_mask,
-    tuple_of,
     validate_unitary,
     weyl_operator,
+)
+from oracles import (
+    apply_weyl_to_exponential_check,
+    displacement_compose_phase,
+    exponential_vector_embed,
+    index_of,
+    mode_ladder,
+    state_inner,
+    trusted_cutoff,
+    tuple_of,
     weyl_phase,
 )
-from oracles import displacement_compose_phase
 
 EULER_E = math.fsum(1.0 / math.factorial(k) for k in range(40))
 

@@ -2,7 +2,7 @@
 
 `perfbench/tracer.py` binds functions by module and name and reads some of
 their arguments by name; a rename or signature change would break
-`perfbench/run.py --trace 1`.  This runs the tracer over four quick
+`perfbench/run.py --trace 1`.  This runs the tracer over five quick
 experiments.
 """
 
@@ -29,18 +29,22 @@ def test_every_target_is_bound(tracer_module):
 
 
 def test_traced_experiments_pass_and_count_nodes(tracer_module):
-    experiments = ("gs", "covariant_gs", "projection", "resolution")
+    # The quadrature experiments at cutoff 6; anticlique at its default
+    # cutoff 16, where it passes (at cutoff 6 truncation fails it).
+    integrators = ("gs", "covariant_gs", "projection", "resolution")
+    runs = {**{name: ["--cutoff", "6"] for name in integrators}, "anticlique": []}
     tracer = tracer_module.Tracer()
     codes, nodes = {}, {}
     tracer.install()
     try:
-        for name in experiments:
+        for name, flags in runs.items():
             start = len(tracer.counts)
-            codes[name] = cli.main(["--quiet", "--experiment", name, "--cutoff", "6"])
+            codes[name] = cli.main(["--quiet", "--experiment", name, *flags])
             nodes[name] = [value for _, metric, value in tracer.counts[start:] if metric == "quadrature.nodes"]
     finally:
         tracer.uninstall()
-    assert codes == {name: 0 for name in experiments}
+    assert codes == {name: 0 for name in runs}
     # One integrator call each, over radial_order * angular_order = 7 * 14
-    # nodes at cutoff 6, however the integrator batches them.
-    assert nodes == {name: [98] for name in experiments}
+    # nodes at cutoff 6, however the integrator batches them; anticlique
+    # integrates nothing.
+    assert nodes == {**{name: [98] for name in integrators}, "anticlique": []}

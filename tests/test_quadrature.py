@@ -21,21 +21,22 @@ from fockgraph import (
     kron_all,
     polar_scheme,
     seed_basis,
+    seed_ladders,
     seed_projector,
     seed_projector_quadrature,
     unnormalized_coherent,
 )
-from fockgraph import quadrature
+from fockgraph import graphs, quadrature
 from fockgraph.config import dft_matrix
 from fockgraph.multimode import trusted_mask
 from fockgraph.quadrature import (
     CHUNK_ENTRIES,
     SERIAL_GEMM_MACS,
     box_side,
-    displace_modewise,
     integrate_dyads,
     serial_matmul,
 )
+from oracles import displace_modewise
 
 
 def identity_deviation(op, mask=None):
@@ -237,34 +238,33 @@ class TestTrustedBox:
             seed_projector_quadrature(spec, scheme, trusted_block=block)
 
     def test_small_box_at_large_cutoff_stays_within_budget(self, monkeypatch):
-        # n=2 at cutoff 64 (dim 4225, rank 65) on the vacuum box: the first
-        # mode's output, 65 x 65 entries a node, is the widest per-node array,
-        # so the 16 orbit nodes of the 16 x 8 rule go in chunks of
-        # CHUNK_ENTRIES // 4225 = 15, and the kernel builds one row of each
-        # mode's matrix.  From the first chunk on, memory holds the 4.4 MB
-        # seed basis and a few chunk arrays; the full operator's accumulator
-        # alone would take 285 MB.
+        # n=2 at cutoff 64 (dim 4225, rank 65) on the vacuum box: a node's
+        # stacked ladder is 1 x 65 entries, so the 16 orbit nodes of the
+        # 16 x 8 rule go in one chunk, each evaluated once, and seed_ladders
+        # builds only the vacuum row.  From the first chunk on, memory holds a
+        # few chunk arrays, within the bound that once also held the 4.4 MB
+        # seed basis; the full operator's accumulator alone would take 285 MB.
         spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(11)), modes=2, cutoff=64)
         scheme = polar_scheme(16, 8)
         basis = seed_basis(spec)
         sizes = []
 
-        def recording(alpha, cutoff, include_gaussian=True, rows=None):
+        def recording(spec, shifts, rows):
             if not sizes:
                 tracemalloc.reset_peak()
-            out = displacement_matrix(alpha, cutoff, include_gaussian, rows)
+            out = seed_ladders(spec, shifts, rows)
             sizes.append(out.shape)
             return out
 
-        monkeypatch.setattr(quadrature, "displacement_matrix", recording)
+        monkeypatch.setattr(graphs, "seed_ladders", recording)
         tracemalloc.start()
         try:
             got = graph_resolution(spec, scheme, backend="rank", trusted_block=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sizes == [(15 * 2, 1, 65), (1 * 2, 1, 65)]
-        assert 15 * 65**2 <= CHUNK_ENTRIES
+        assert sizes == [(16, 1, 65)]
+        assert 16 * 65 <= CHUNK_ENTRIES
         assert peak <= basis.nbytes + 4 * CHUNK_ENTRIES * 16
         # Oracle: the vacuum row of D_1 x D_2 is the Kronecker product of
         # the rows, so each node adds |row @ basis|^2.
@@ -350,17 +350,17 @@ class TestRotationOrbit:
 
     def test_default_resolution_evaluates_one_node_per_orbit(self, monkeypatch):
         # n=2 c=16 at the defaults: 17 radial x 34 angular nodes fold into 17
-        # orbits, and each node displaces both modes.
+        # orbits, and each orbit node's ladder is built once.
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=16)
-        amplitudes = []
+        shifts = []
 
-        def recording(alpha, cutoff, include_gaussian=True, rows=None):
-            amplitudes.append(np.size(alpha))
-            return displacement_matrix(alpha, cutoff, include_gaussian, rows)
+        def recording(spec, nodes, rows):
+            shifts.append(nodes)
+            return seed_ladders(spec, nodes, rows)
 
-        monkeypatch.setattr(quadrature, "displacement_matrix", recording)
+        monkeypatch.setattr(graphs, "seed_ladders", recording)
         graph_resolution(spec, polar_scheme(17, 34), backend="rank", trusted_block=8)
-        assert sum(amplitudes) == 17 * spec.modes
+        assert sum(len(nodes) for nodes in shifts) == 17
 
     def test_rejects_charges_of_wrong_length(self):
         with pytest.raises(ValueError, match="charges"):
