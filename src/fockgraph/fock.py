@@ -14,7 +14,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "coherent_state",
@@ -24,27 +23,43 @@ __all__ = [
 ]
 
 
+# displacement_matrix keeps Laguerre values below exp(_LAGUERRE_LOG_CEILING),
+# which leaves the recurrence's coefficients, below 3 * 8192 + s, room under
+# the float maximum (about exp(709.8)).
+_LAGUERRE_LOG_CEILING = 690.0
+_LN2 = math.log(2.0)
+
+
 def _require_cutoff(cutoff: int) -> None:
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
 
 
-def laguerre_sequence(count: int, order, x) -> np.ndarray:
-    """Associated Laguerre values L_n^(order)(x) for n = 0..count.
+def _log_factorials(top: int) -> np.ndarray:
+    """log(m!) for m = 0..top, one ``math.lgamma`` call per entry."""
+    return np.array([math.lgamma(m + 1) for m in range(top + 1)])
 
-    ``order`` and ``x`` broadcast against each other and the result has shape
-    (count + 1, *broadcast shape), so scalars give a vector.  Uses the
-    three-term recurrence ascending in n, which is stable at the scales this
-    package works at (n <= 64, arguments up to a few hundred).
+
+def laguerre_sequence(count: int, order, x, scale=1.0) -> np.ndarray:
+    """Associated Laguerre values scale * L_n^(order)(x) for n = 0..count.
+
+    ``order``, ``x`` and ``scale`` broadcast against each other and the
+    result has shape (count + 1, *broadcast shape), so scalars give a
+    vector.  Uses the three-term recurrence ascending in n, which is stable
+    at the scales this package works at (n <= 64, arguments up to a few
+    hundred).  The recurrence is linear, so a power-of-two ``scale`` scales
+    every value exactly, away from the float range's ends; it keeps values
+    that would overflow in range.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     order = np.asarray(order)
     x = np.asarray(x, dtype=float)
-    vals = np.empty((count + 1, *np.broadcast_shapes(order.shape, x.shape)), dtype=float)
-    vals[0] = 1.0
+    scale = np.asarray(scale, dtype=float)
+    vals = np.empty((count + 1, *np.broadcast_shapes(order.shape, x.shape, scale.shape)), dtype=float)
+    vals[0] = scale
     if count >= 1:
-        vals[1] = 1.0 + order - x
+        vals[1] = (1.0 + order - x) * scale
     for n in range(1, count):
         vals[n + 1] = ((2 * n + 1 + order - x) * vals[n] - (n + order) * vals[n - 1]) / (n + 1)
     return vals
@@ -79,7 +94,7 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
         return out
     n = np.arange(cutoff + 1)
     mag = abs(alpha)
-    log_mag = -0.5 * mag * mag + n * math.log(mag) - 0.5 * gammaln(n + 1.0)
+    log_mag = -0.5 * mag * mag + n * math.log(mag) - 0.5 * _log_factorials(cutoff)
     return np.exp(log_mag + 1j * n * cmath.phase(alpha))
 
 
@@ -139,15 +154,25 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     # (n, n + k) of the upper triangle, and its mirror (n + k, n) when that
     # row is kept.
     n, k = np.nonzero(np.add.outer(np.arange(rows), np.arange(dim)) <= cutoff)
-    ratio = np.exp(0.5 * (gammaln(n + 1.0) - gammaln(n + k + 1.0)))
+    # |L_n^(k)(s)| <= C(n + k, n) exp(s/2) (Szego).  Where that bound at the
+    # deepest kept n of order k passes exp(_LAGUERRE_LOG_CEILING), the order's
+    # recurrence runs on L * 2^-shift and the shift goes back in through the
+    # factorial ratio, so L_n^(k) cannot overflow to inf where sqrt(n!/m!)
+    # underflows to 0.  Below the ceiling the shift is 0 and changes no bit.
+    log_factorial = _log_factorials(cutoff)
+    orders = np.arange(dim)
+    deepest = np.minimum(rows - 1, cutoff - orders)
+    log_bound = log_factorial[deepest + orders] - log_factorial[deepest] - log_factorial[orders]
+    shift = np.maximum(0.0, np.ceil((log_bound[:, None] + 0.5 * s - _LAGUERRE_LOG_CEILING) / _LN2))
+    ratio = np.exp(0.5 * (log_factorial[n] - log_factorial[n + k])[:, None] + _LN2 * shift[k])
     # The recurrence runs to n = rows - 1 for every order; values with
-    # n + k > cutoff are dropped, and past cutoffs of ~500 they may overflow.
+    # n + k > cutoff are dropped, and may overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        lag = laguerre_sequence(rows - 1, np.arange(dim)[:, None], s)
+        lag = laguerre_sequence(rows - 1, orders[:, None], s, scale=np.exp2(-shift))
     lag = lag[n, k]
     low = n + k < rows
-    lower = ratio[low, None] * powers[k[low], 0] * lag[low]
-    upper = ratio[:, None] * powers[k, 1] * lag
+    lower = ratio[low] * powers[k[low], 0] * lag[low]
+    upper = ratio * powers[k, 1] * lag
     out = np.zeros((batch.size, rows, dim), dtype=complex)
     out[:, (n + k)[low], n[low]] = lower.T
     off = k > 0

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .multimode import (
     ModeSpace,
@@ -24,7 +23,7 @@ from .multimode import (
     validate_unitary,
     weyl_operator,
 )
-from .fock import unnormalized_coherent
+from .fock import _log_factorials, unnormalized_coherent
 from .quadrature import (
     CHUNK_ENTRIES,
     SERIAL_GEMM_MACS,
@@ -114,7 +113,7 @@ def seed_basis(spec: GraphSpec) -> np.ndarray:
     ladder = kron_all(list(unnormalized_coherent(spec.phi[:, 0], spec.cutoff)))
     total = spec.space.occupations().sum(axis=1)
     k = np.arange(spec.cutoff + 1)
-    return np.where(total[:, None] == k, ladder[:, None], 0.0) * np.exp(0.5 * gammaln(k + 1.0))
+    return np.where(total[:, None] == k, ladder[:, None], 0.0) * np.exp(0.5 * _log_factorials(spec.cutoff))
 
 
 def seed_projector(spec: GraphSpec) -> np.ndarray:

@@ -57,7 +57,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .fock import coherent_state, displacement_matrix, laguerre_sequence, unnormalized_coherent
 from .multimode import kron_all, trusted_mask
@@ -150,10 +149,11 @@ def gauss_laguerre(order: int) -> RadialScheme:
     """Gauss-Laguerre rule of the given order via the Jacobi matrix.
 
     The symmetric tridiagonal matrix with diagonal 2i+1 and off-diagonal
-    i+1 (i from 0) has the Laguerre roots as eigenvalues.  One Newton step
-    on L_order, with s L_Q'(s) = Q (L_Q(s) - L_{Q-1}(s)), polishes them:
-    the closed form below amplifies node errors, and with the raw
-    eigenvalues the order-60 weights sum to 1 - 2.0e-12.  Weights are the
+    i+1 (i from 0) has the Laguerre roots as eigenvalues; at order <= 64 a
+    dense symmetric eigensolve finds them.  One Newton step on L_order,
+    with s L_Q'(s) = Q (L_Q(s) - L_{Q-1}(s)), polishes them: the closed
+    form below amplifies node errors, and with the raw eigenvalues the
+    order-60 weights sum to 1 - 2.0e-12.  Weights are the
     squared first components of the normalized eigenvectors, evaluated
     through the equivalent closed form s_i / ((order+1)^2 * L_{order+1}(s_i)^2):
     the eigensolver underflows the extreme components to zero beyond order
@@ -165,9 +165,9 @@ def gauss_laguerre(order: int) -> RadialScheme:
         raise ValueError(f"order must be in [1, {MAX_RADIAL_ORDER}], got {order}")
     if order == 1:
         return RadialScheme(nodes=np.array([1.0]), weights=np.array([1.0]))
-    diagonal = 2.0 * np.arange(order) + 1.0
     off_diagonal = np.arange(1.0, order)
-    nodes = eigh_tridiagonal(diagonal, off_diagonal, eigvals_only=True)
+    jacobi = np.diag(2.0 * np.arange(order) + 1.0) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
+    nodes = np.linalg.eigvalsh(jacobi)
     values = laguerre_sequence(order, 0, nodes)
     nodes = nodes - nodes * values[-1] / (order * (values[-1] - values[-2]))
     scale = float((order + 1) ** 2)

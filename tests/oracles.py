@@ -3,12 +3,15 @@
 Closed forms for coherent overlaps and the displacement composition phase,
 and the displacement matrix by exponentiating the truncated generator: none
 of them shares a code path with ``fockgraph.fock``, which is what makes them
-oracles for it.  The seed projector checks on the dense ``dim x dim``
-projector, which the runner reads grade by grade.  The displaced seed ladder
-by applying truncated displacement matrices mode by mode, the oracle for
-``graphs.seed_ladders``, which builds it by Weyl covariance.  Exponential
-vectors, the Weyl composition phase, ladder operators and occupation
-indexing on the multimode space, which only the tests use.
+oracles for it.  The Gauss-Laguerre rule with its Jacobi eigenvalues from
+scipy's tridiagonal eigensolver, the oracle for the dense one in
+``quadrature.gauss_laguerre``.  The seed projector checks on the dense
+``dim x dim`` projector, which the runner reads grade by grade.  The
+displaced seed ladder by applying truncated displacement matrices mode by
+mode, the oracle for ``graphs.seed_ladders``, which builds it by Weyl
+covariance.  Exponential vectors, the Weyl composition phase, ladder
+operators and occupation indexing on the multimode space, which only the
+tests use.
 """
 
 import cmath
@@ -16,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from fockgraph import coherent_state, displacement_matrix, kron_all, trusted_mask, weyl_operator
 from fockgraph.multimode import ModeSpace
@@ -39,6 +43,30 @@ def displacement_compose_phase(alpha: complex, beta: complex) -> complex:
     alpha = complex(alpha)
     beta = complex(beta)
     return cmath.exp(0.5 * (alpha * beta.conjugate() - alpha.conjugate() * beta))
+
+
+def gauss_laguerre_reference(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``quadrature.gauss_laguerre(order)``, eigenvalues by ``eigh_tridiagonal``.
+
+    The same Newton polish and closed-form weights, with the Laguerre
+    recurrence at order 0 written out, so that a rule equal to this one bit
+    for bit differs only in its eigensolver.
+    """
+    if order == 1:
+        return np.array([1.0]), np.array([1.0])
+
+    def laguerre(x):
+        # L_0..L_(order+1) at x by the three-term recurrence.
+        vals = [np.ones_like(x), 1.0 - x]
+        for n in range(1, order + 1):
+            vals.append(((2 * n + 1 - x) * vals[n] - n * vals[n - 1]) / (n + 1))
+        return vals
+
+    nodes = eigh_tridiagonal(2.0 * np.arange(order) + 1.0, np.arange(1.0, order), eigvals_only=True)
+    values = laguerre(nodes)
+    nodes = nodes - nodes * values[order] / (order * (values[order] - values[order - 1]))
+    weights = nodes / (float((order + 1) ** 2) * laguerre(nodes)[order + 1] ** 2)
+    return nodes, weights
 
 
 def min_oracle_buffer(alpha: complex) -> int:

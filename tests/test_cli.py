@@ -27,6 +27,12 @@ def normalize_runtime(text):
     return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text)
 
 
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH, for subprocesses."""
+    package_root = str(Path(fockgraph.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
 class TestSingleExperiments:
     def test_gs_passes_at_machine_precision(self, tmp_path, capsys):
         config = write_config(
@@ -167,6 +173,21 @@ class TestAliasingPins:
 
 
 class TestExitCodes:
+    def test_large_trusted_block_reaches_a_verdict(self, tmp_path):
+        # At cutoff 1200, L_n^(k)(1) passes the float range near n = k = 600
+        # while sqrt(n!/(n+k)!) underflows; the kernel keeps every entry
+        # finite, so the four-node rule ends in a FAIL, not an internal error.
+        config = write_config(
+            tmp_path,
+            {"experiment": "covariant_gs", "cutoff": 1200, "radial_order": 1, "angular_order": 4, "trusted_block": 600},
+        )
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 1
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert math.isfinite(report["max_abs_deviation"])
+        assert math.isfinite(report["frobenius_deviation"])
+
     def test_verification_failure_exits_one(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -375,8 +396,6 @@ class TestClosedStdout:
         ids=["gs-pass", "anticlique-fail"],
     )
     def test_keeps_verdict_exit_code(self, argv, code):
-        package_root = str(Path(fockgraph.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -385,10 +404,41 @@ class TestClosedStdout:
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 text=True,
-                env=env,
+                env=package_env(),
                 timeout=120,
             )
         finally:
             os.close(write_end)
         assert result.returncode == code
         assert result.stderr == ""
+
+
+class TestWithoutScipy:
+    # scipy is a test-only dependency: the package imports none of it.
+    def test_import_loads_no_scipy(self):
+        code = "import sys, fockgraph.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_default_suite_runs_with_scipy_blocked(self, tmp_path):
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from fockgraph.cli import main\n"
+            "raise SystemExit(main(sys.argv[1:]))"
+        )
+        blocked = tmp_path / "blocked.json"
+        result = subprocess.run(
+            [sys.executable, "-c", code, "--out", str(blocked), "--quiet"],
+            capture_output=True,
+            text=True,
+            env=package_env(),
+            timeout=120,
+        )
+        assert result.returncode in (0, 1), result.stderr
+        assert main(["--out", str(tmp_path / "here.json"), "--quiet"]) == result.returncode
+        for name in ("gs", "covariant_gs", "projection", "resolution", "anticlique"):
+            got = (tmp_path / f"blocked_{name}.json").read_text()
+            assert normalize_runtime(got) == normalize_runtime((tmp_path / f"here_{name}.json").read_text())

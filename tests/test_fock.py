@@ -18,7 +18,8 @@ from fockgraph import (
     displacement_matrix,
     laguerre_sequence,
 )
-from fockgraph.fock import _complex_product
+from fockgraph.config import MAX_DIM
+from fockgraph.fock import _complex_product, _log_factorials
 from oracles import (
     coherent_overlap,
     displacement_compose_phase,
@@ -31,14 +32,23 @@ from oracles import (
 EXP_MINUS_HALF = math.fsum((-0.5) ** k / math.factorial(k) for k in range(40))
 
 
-def laguerre_direct(n, order, x):
-    """Exact-rational associated Laguerre polynomial evaluation."""
+def laguerre_direct(n, order, x, scale=1):
+    """Exact-rational associated Laguerre polynomial evaluation, times ``scale``."""
     xf = Fraction(x)
     total = sum(
         Fraction((-1) ** i * math.comb(n + order, n - i), math.factorial(i)) * xf**i
         for i in range(n + 1)
     )
-    return float(total)
+    return float(total * scale)
+
+
+class TestLogFactorials:
+    def test_matches_gammaln_to_the_largest_cutoff(self):
+        # Every cutoff the schema accepts has cutoff + 1 <= MAX_DIM.
+        got = _log_factorials(MAX_DIM - 1)
+        expected = gammaln(np.arange(MAX_DIM) + 1.0)
+        assert got[:2].tolist() == [0.0, 0.0]
+        assert np.all(np.abs(got[2:] - expected[2:]) <= 1e-15 * expected[2:])
 
 
 class TestCoherentState:
@@ -102,6 +112,17 @@ class TestLaguerre:
         exact = laguerre_direct(30, 10, 120.0)
         assert seq[30] == pytest.approx(exact, rel=1e-12)
 
+    def test_power_of_two_scale_keeps_values_in_range(self):
+        # L_600^(600)(1) is about C(1200, 600) ~ 4e359, past the float range.
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = laguerre_sequence(600, 600, 1.0)
+        scaled = laguerre_sequence(600, 600, 1.0, scale=2.0**-300)
+        finite = np.isfinite(plain)
+        assert not finite.all() and np.all(np.isfinite(scaled))
+        assert np.array_equal(scaled[finite], plain[finite] * 2.0**-300)
+        for n in (1, 37, 300, 600):
+            assert scaled[n] == pytest.approx(laguerre_direct(n, 600, 1.0, Fraction(1, 2**300)), rel=1e-12)
+
 
 class TestComplexProduct:
     def test_matches_scalar_arithmetic_and_conjugation(self):
@@ -163,10 +184,19 @@ class TestDisplacementMatrix:
         # the power taken by repeated scalar complex multiplication.
         alpha = 1.3 - 0.8j
         column = displacement_matrix(np.array([alpha]), 24, include_gaussian=False)[0, :, 0]
+        log_factorial = _log_factorials(24)
         power = 1.0 + 0.0j
         for k in range(25):
-            assert column[k] == np.exp(0.5 * (gammaln(1.0) - gammaln(k + 1.0))) * power
+            assert column[k] == np.exp(0.5 * (log_factorial[0] - log_factorial[k])) * power
             power *= alpha
+
+    def test_rows_stay_unit_where_laguerre_values_overflow(self):
+        # At cutoff 1200, L_n^(k)(1) passes the float range near n = k = 600
+        # while sqrt(n!/(n+k)!) underflows; the matrix must stay finite and
+        # its first 601 rows, which lose no mass past the cutoff, unit.
+        rows = displacement_matrix(np.exp(0.4j), 1200, rows=601)
+        assert np.all(np.isfinite(rows))
+        assert np.abs(np.sum(np.abs(rows) ** 2, axis=1) - 1.0).max() < 1e-12
 
     def test_array_form_against_expm_oracle(self):
         alphas = np.array([0.7 + 0.3j, -1.2 + 0.5j, 1.9j, -0.4 - 1.1j])

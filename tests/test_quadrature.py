@@ -36,7 +36,7 @@ from fockgraph.quadrature import (
     integrate_dyads,
     serial_matmul,
 )
-from oracles import displace_modewise
+from oracles import displace_modewise, gauss_laguerre_reference
 
 
 def identity_deviation(op, mask=None):
@@ -505,6 +505,15 @@ class TestGaussLaguerre:
         nodes, vectors = eigh_tridiagonal(2.0 * np.arange(order) + 1.0, np.arange(1.0, order))
         scheme = gauss_laguerre(order)
         assert scheme.weights == pytest.approx(vectors[0] ** 2, rel=1e-10)
+
+    @pytest.mark.parametrize("order", range(1, 65))
+    def test_bitwise_equal_to_tridiagonal_reference(self, order):
+        # The dense eigensolve and scipy's tridiagonal one give the same rule
+        # after the Newton polish, bit for bit.
+        nodes, weights = gauss_laguerre_reference(order)
+        scheme = gauss_laguerre(order)
+        assert np.array_equal(scheme.nodes, nodes)
+        assert np.array_equal(scheme.weights, weights)
 
     @pytest.mark.parametrize("order", range(1, 65))
     def test_every_order_builds(self, order):
