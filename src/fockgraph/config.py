@@ -175,7 +175,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _check_size(f"the space at cutoff {cutoff}", cutoff + 1, 1, "rows")
     phi = _parse_phi(data.get("phi"), n)
 
-    radial_order = _require_int(data.get("radial_order", cutoff + 1), "radial_order", minimum=1)
+    # anticlique reads no quadrature, so its derived default must not exceed the rule's bound.
+    default_radial = min(cutoff + 1, MAX_RADIAL_ORDER) if experiment == "anticlique" else cutoff + 1
+    radial_order = _require_int(data.get("radial_order", default_radial), "radial_order", minimum=1)
     if radial_order > MAX_RADIAL_ORDER:
         raise ConfigError(f"radial_order must be <= {MAX_RADIAL_ORDER}, got {radial_order}")
     angular_order = _require_int(data.get("angular_order", 2 * cutoff + 2), "angular_order", minimum=1)

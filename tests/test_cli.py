@@ -188,6 +188,14 @@ class TestExitCodes:
         assert math.isfinite(report["max_abs_deviation"])
         assert math.isfinite(report["frobenius_deviation"])
 
+    def test_anticlique_past_the_radial_bound_reaches_a_verdict(self, tmp_path):
+        # anticlique reads no quadrature: its default radial_order stops at 64, where cutoff + 1 would not.
+        out = tmp_path / "report.json"
+        assert main(["--experiment", "anticlique", "--cutoff", "64", "--out", str(out), "--quiet"]) in (0, 1)
+        report = json.loads(out.read_text())
+        assert report["parameters"]["radial_order"] == 64
+        assert math.isfinite(report["max_abs_deviation"])
+
     def test_verification_failure_exits_one(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -219,8 +227,15 @@ class TestExitCodes:
             ('{"experiment": "projection", "phi": [[1e400, 0], [0, 0], [0, 0], [1, 0]]}', [], "phi not unitary"),
             ('{"experiment": "anticlique", "generator_params": [{"R": [1e400], "Theta": [0]}]}', [], "finite"),
             (None, ["--experiment", "gs", "--cutoff", "64"], "radial_order must be <= 64"),
+            ('{"experiment": "anticlique", "cutoff": 64, "radial_order": 65}', [], "radial_order must be <= 64"),
         ],
-        ids=["infinite-tolerance", "nan-phi-deviation", "infinite-radius", "radial-order-65"],
+        ids=[
+            "infinite-tolerance",
+            "nan-phi-deviation",
+            "infinite-radius",
+            "radial-order-65",
+            "anticlique-radial-order-65",
+        ],
     )
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_malformed_numbers_exit_two(self, tmp_path, capsys, text, argv, reason):

@@ -32,7 +32,9 @@ from fockgraph.config import config_from_dict, dft_matrix
 from fockgraph.fock import displacement_matrix
 from fockgraph.multimode import trusted_mask
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
-from oracles import dense_projection_deviations, displace_modewise, index_of, mode_ladder
+from fockgraph.cli import main
+from fockgraph.quadrature import serial_matmul
+from oracles import dense_projection_deviations, displace_modewise, full_residual_deviations, index_of, mode_ladder
 
 
 def block(op, mask):
@@ -536,6 +538,19 @@ def criterion_5_combination():
     return spec, anticlique, generators, [1.0 + 0.5j, -0.25 + 1.0j, 0.8 - 0.1j]
 
 
+def matches_full_sweep(spec, anticlique, generators, weights=None, trusted_block=None):
+    """compression_check's result, after checking it against every residual entry formed.
+
+    The pruned sweep takes the full sweep's entries, so its max-abs must be
+    equal bit for bit; the rank-space Frobenius norm reorders the sum.
+    """
+    result = compression_check(spec, anticlique, generators, weights=weights, trusted_block=trusted_block)
+    max_abs, frobenius = full_residual_deviations(spec, anticlique, generators, weights, trusted_block)
+    assert result.max_abs_deviation == max_abs
+    assert abs(result.frobenius_deviation - frobenius) <= 1e-15 * frobenius
+    return result
+
+
 class TestCompressionOracle:
     # The ladder-Gram path reorders the arithmetic of the dense P A P; at the
     # anticlique tolerance 1e-4 the verdict must not move.  Seed 3243419750
@@ -563,7 +578,7 @@ class TestCompressionOracle:
 
     @staticmethod
     def check(spec, anticlique, generators, weights, trusted_block):
-        result = compression_check(spec, anticlique, generators, weights=weights, trusted_block=trusted_block)
+        result = matches_full_sweep(spec, anticlique, generators, weights, trusted_block)
         oracle = dense_compression(spec, anticlique, generators, weights=weights, trusted_block=trusted_block)
         for field, value, expected in zip(CompressionResult._fields, result, oracle):
             assert abs(value - expected) <= 1e-13, field
@@ -577,6 +592,68 @@ class TestCompressionOracle:
         monkeypatch.setattr(fockgraph.graphs, "graph_generator", forbidden)
         spec, anticlique, generators = runner_case(3, 8, 0)
         assert within(compression_check(spec, anticlique, generators), 1e-4)
+
+
+class TestResidualPruning:
+    """The pruned max-abs sweep and the rank-space Frobenius norm against the full residual."""
+
+    # n=2 cutoff 24 has wider GEMMs than SERIAL_GEMM_MACS, so its blocks are threaded and larger.
+    @pytest.mark.parametrize(
+        "modes, cutoff, seed, trusted_block",
+        [
+            (2, 16, 42, 1),
+            (2, 16, 3243419750, 13),
+            (3, 8, 5, 1),
+            (3, 8, 6, 5),
+            (4, 6, 0, 1),
+            (4, 6, 0, 3),
+            (2, 24, 42, None),
+            (2, 24, 42, 21),
+        ],
+    )
+    def test_trusted_blocks_match_full_sweep(self, modes, cutoff, seed, trusted_block):
+        matches_full_sweep(*runner_case(modes, cutoff, seed), trusted_block=trusted_block)
+
+    @pytest.mark.parametrize("trusted_block", [None, 1, 17])
+    def test_complex_weights_match_full_sweep(self, trusted_block):
+        spec, anticlique, generators, weights = criterion_5_combination()
+        matches_full_sweep(spec, anticlique, generators, weights, trusted_block)
+
+    # Without mixing the row norms are flat, so the bound prunes little.
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8)])
+    def test_unmixed_graph_matches_full_sweep(self, modes, cutoff):
+        spec, anticlique, generators = runner_case(modes, cutoff, 7)
+        spec = GraphSpec(phi=np.eye(modes, dtype=complex), modes=modes, cutoff=cutoff)
+        matches_full_sweep(spec, anticlique, generators)
+
+    def test_sweep_takes_a_tenth_of_the_rows(self, monkeypatch):
+        # Counted from the residual row blocks taken, each one GEMM against Y_t^dag.
+        spec, anticlique, generators = runner_case(3, 8, 0)
+        shape = (spec.cutoff + 1, spec.space.dim)
+        taken = []
+
+        def counting(a, b):
+            if b.shape == shape:
+                taken.append(len(a))
+            return serial_matmul(a, b)
+
+        monkeypatch.setattr(fockgraph.graphs, "serial_matmul", counting)
+        compression_check(spec, anticlique, generators)
+        assert 0 < sum(taken) <= spec.space.dim // 10
+
+    def test_nan_in_a_deep_ladder_row_exits_three(self, monkeypatch, tmp_path):
+        def poisoned(spec, shifts, rows):
+            ladder = seed_ladders(spec, shifts, rows)
+            ladder[0, -1, -1] = np.nan
+            return ladder
+
+        monkeypatch.setattr(fockgraph.graphs, "seed_ladders", poisoned)
+        result = compression_check(*runner_case(3, 8, 0))
+        assert not math.isfinite(result.max_abs_deviation)
+        assert not math.isfinite(result.frobenius_deviation)
+        config = tmp_path / "config.json"
+        config.write_text('{"experiment": "anticlique", "n": 3, "cutoff": 8, "seed": 0}')
+        assert main(["--config", str(config), "--out", str(tmp_path / "report.json"), "--quiet"]) == 3
 
 
 class TestNoDisplacementKernel:
