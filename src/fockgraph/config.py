@@ -179,7 +179,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     default_radial = min(cutoff + 1, MAX_RADIAL_ORDER) if experiment == "anticlique" else cutoff + 1
     radial_order = _require_int(data.get("radial_order", default_radial), "radial_order", minimum=1)
     if radial_order > MAX_RADIAL_ORDER:
-        raise ConfigError(f"radial_order must be <= {MAX_RADIAL_ORDER}, got {radial_order}")
+        if "radial_order" in data:
+            raise ConfigError(f"radial_order must be <= {MAX_RADIAL_ORDER}, got {radial_order}")
+        raise ConfigError(
+            f"radial_order must be <= {MAX_RADIAL_ORDER}, got the default cutoff + 1 = {radial_order}; "
+            f"set radial_order <= {MAX_RADIAL_ORDER} in the config"
+        )
     angular_order = _require_int(data.get("angular_order", 2 * cutoff + 2), "angular_order", minimum=1)
     if experiment != "anticlique":
         pairs = n - 1 if experiment == "resolution" else 1

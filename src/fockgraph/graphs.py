@@ -152,29 +152,81 @@ def seed_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarray:
     a_j Y_k = h_j Y_k + sqrt(k) c_j Y_{k-1}, which the number operator turns
     into a sweep over total occupation N from the vacuum row (1, 0, ..., 0),
     N Y_k[m] = sum_j sqrt(m_j) (h_j Y_k + sqrt(k) c_j Y_{k-1})[m - e_j], stable
-    and exact on any box (README, numerical notes): a (K, rows^n, cutoff+1) stack.
+    and exact on any box (README, numerical notes).  Returns a
+    (K, rows^n, cutoff+1) stack in row-major box order, gathered from
+    :func:`_sector_ladders`.
     """
-    ladder = np.zeros((rows**spec.modes + 1, spec.cutoff + 1, len(shifts)), dtype=complex)
-    ladder[0, 0] = 1.0
-    raising = (spec.phi[:, :1] * np.sqrt(np.arange(1, spec.cutoff + 1)))[..., None]
-    for occupation, (at, lower, weight) in enumerate(_occupation_sweep(spec.modes, rows), start=1):
-        top = min(occupation, spec.cutoff)
-        below = ladder[lower, : top + 1]
-        below *= weight
-        ladder[at, : top + 1] = (shifts.T[:, None] * below).sum(axis=1)
-        ladder[at, 1 : top + 1] += (raising[:, :top] * below[:, :, :-1]).sum(axis=1)
-    return ladder[:-1].transpose(2, 0, 1)
+    ladder = _sector_ladders(spec, shifts, rows)[_sector_plan(spec.modes, rows).position]
+    return ladder.reshape(rows**spec.modes, spec.cutoff + 1, len(shifts)).transpose(2, 0, 1)
+
+
+def _sector_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarray:
+    """The ladders of :func:`seed_ladders`, sector-major: a (rows^n, (cutoff+1) K) matrix.
+
+    Row ``_sector_plan(...).position[b]`` holds box row b, so each sector
+    (the rows of one total occupation N) is one contiguous slice, and column
+    k K + p holds level k of shift p.  Sector N has levels k <= N, so it
+    reads the first min(N, cutoff+1) K columns of sector N-1, gathered once
+    as (modes, rows of N, columns), and weighted by sqrt(m_j)/N in place.
+    Two contractions over the modes then fill the sector's slice: the shift
+    term against h_j spread over the levels, and the raising term against
+    c_j sqrt(k), one level up.
+    """
+    plan = _sector_plan(spec.modes, rows)
+    count, rank = len(shifts), spec.cutoff + 1
+    ladder = np.zeros((len(plan.order), rank * count), dtype=complex)
+    ladder[0, :count] = 1.0
+    spread = np.tile(shifts.T, rank)[:, None]
+    raising = (spec.phi[:, :1] * np.repeat(np.sqrt(np.arange(1, rank)), count))[:, None]
+    for occupation, (at, lower, weight) in enumerate(zip(plan.sectors, plan.lower, plan.weight), start=1):
+        below, top = min(occupation, rank) * count, min(occupation + 1, rank) * count
+        terms = ladder[lower, :below]
+        np.multiply(terms.view(float), weight, out=terms.view(float))
+        raised = (terms[..., : top - count] * raising[..., : top - count]).sum(axis=0)
+        sector = ladder[at]
+        np.multiply(terms, spread[..., :below], out=terms).sum(axis=0, out=sector[:, :below])
+        sector[:, count:top] += raised
+    return ladder
+
+
+class _SectorPlan(NamedTuple):
+    """The box in sector-major order, with each sector's predecessors and weights."""
+
+    order: np.ndarray  # box row at each position
+    position: np.ndarray  # position of each box row
+    sectors: tuple  # per sector N >= 1: the slice of its positions
+    lower: tuple  # per sector N >= 1: (modes, size) positions of m - e_j
+    weight: tuple  # per sector N >= 1: (modes, size, 1) sqrt(m_j) / N
 
 
 @functools.lru_cache(maxsize=None)
-def _occupation_sweep(modes: int, rows: int) -> tuple:
-    """Per total occupation N >= 1: its rows, their rows m - e_j (else the zero row) and sqrt(m_j) / N."""
+def _sector_plan(modes: int, rows: int) -> _SectorPlan:
+    """The rows of the ``rows``^``modes`` box by total occupation N, from the vacuum up, row-major within a sector.
+
+    Where m_j = 0 the predecessor m - e_j is the last position, the box's
+    top row (every mode at rows - 1): it is the whole last sector, which
+    reads no such predecessor, so it is still zero when any other sector
+    reads it.
+    """
     occupations = np.indices((rows,) * modes).reshape(modes, -1).T
     total = occupations.sum(axis=1)
-    lower = np.where(occupations > 0, np.arange(len(total))[:, None] - rows ** np.arange(modes)[::-1], len(total))
-    weight = (np.sqrt(occupations) / np.maximum(total, 1)[:, None])[..., None, None]
-    sectors = (np.flatnonzero(total == occupation) for occupation in range(1, total.max() + 1))
-    return tuple((at, lower[at], weight[at]) for at in sectors)
+    order = np.argsort(total, kind="stable")
+    position = np.argsort(order)
+    occupations, total = occupations[order], total[order]
+    lowered = np.maximum(order[:, None] - rows ** np.arange(modes)[::-1], 0)
+    lower = np.where(occupations > 0, position[lowered], len(order) - 1)
+    weight = np.sqrt(occupations) / np.maximum(total, 1)[:, None]
+    sectors = [slice(at[0], at[-1] + 1) for at in (np.flatnonzero(total == n) for n in range(1, total[-1] + 1))]
+    plan = _SectorPlan(
+        order,
+        position,
+        tuple(sectors),
+        tuple(np.ascontiguousarray(lower[at].T) for at in sectors),
+        tuple(np.ascontiguousarray(weight[at].T)[..., None] for at in sectors),
+    )
+    for array in (order, position, *plan.lower, *plan.weight):
+        array.flags.writeable = False
+    return plan
 
 
 def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:
@@ -220,6 +272,17 @@ class CompressionResult(NamedTuple):
     scalar_predicted: float
 
 
+class _Residual(NamedTuple):
+    """The factors of the residual Y_t (M - c I) Y_t^dag that compression_check sweeps."""
+
+    ladder: np.ndarray  # Y_t, its rows from the top sector down
+    scaled: np.ndarray  # Y_t (M - c I): the residual is scaled @ ladder^dag
+    deviation: np.ndarray  # M - c I
+    overlap: np.ndarray  # S = Y_t^dag Y_t
+    measured: complex
+    predicted: complex
+
+
 def compression_check(
     spec: GraphSpec,
     anticlique: GeneratorParams,
@@ -240,24 +303,39 @@ def compression_check(
     latter against ||P_t||_F = ||S||_F) with the relative error of c against
     the predicted weighted constant sum.  Real parts of c are returned.
 
-    The ladders (:func:`seed_ladders`) are built in chunks of whole points
-    within CHUNK_ENTRIES entries, the anticlique's first with weight 0 in M.
-    No dim_t x dim_t residual is formed.  With K = M - c I, the Frobenius norm
-    is taken in rank space, ||Y_t K Y_t^dag||_F^2 = tr(K S K^dag S), in
-    O((cutoff+1)^3).  The max-abs is exact.  Entry (a, b) of the residual is
-    at most |(Y_t K)_a| |Y_b| (Cauchy-Schwarz), so rows are taken by
+    The ladders are swept in sector-major order (:func:`_sector_ladders`),
+    a whole number of points at a time, the anticlique's first with weight 0
+    in M, and every Gram of a sweep comes from one product
+    Y_x^dag [Y_x, Y_1, ...] (none for the anticlique swept alone).  Y_x is
+    the first sweep's point-0 columns, copied once with its Gaussian
+    exp(-|h_x|^2/2); the other Gaussians the tail-factored ladders leave
+    out scale the (cutoff+1)-square Grams, not the ladders.  Y_t keeps the
+    rows of the trusted mask, permuted into sector order and taken from the
+    top sector down, and S is its own product over them: it sums a ladder's
+    small entries first, where summed large entries first it rounded
+    further from the full residual.  No dim_t x dim_t residual is formed.
+    With K = M - c I, the Frobenius norm is taken in rank space,
+    ||Y_t K Y_t^dag||_F^2 = tr(K S K^dag S), in O((cutoff+1)^3).  The
+    max-abs is exact.  Entry (a, b) of the residual
+    is at most |(Y_t K)_a| |Y_b| (Cauchy-Schwarz), so rows are taken by
     decreasing |(Y_t K)_a| in row blocks, each one GEMM against Y_t^dag, and
     the sweep stops at the first block whose bound |(Y_t K)_a| max_b |Y_b|,
     widened by 1 + 8 (cutoff+3) eps, cannot exceed the running max.  That
     margin covers the rounding of a (cutoff+1)-long complex dot product, of
     np.abs and of the norms, so the skipped entries cannot hold the max and
-    it equals that of the full sweep bit for bit.  A NaN norm sorts first
-    and keeps every row in play.  Beyond the ladders the cost is
-    O(dim (cutoff+1)^2) plus dim_t (cutoff+1) per row taken; at n=3 cutoff 8
-    the sweep takes 18 to 90 of 729 rows on seeds 0-7.  No array has more than
-    max(CHUNK_ENTRIES, dim * (cutoff+1)) entries.  Up to n=2 cutoff 19, n=3
-    cutoff 8 and n=4 cutoff 5 every GEMM stays within SERIAL_GEMM_MACS, and
-    no BLAS worker thread is woken.
+    it equals that of the full sweep bit for bit.  A NaN norm sorts first and
+    keeps every row in play.  Beyond the ladders the cost is
+    O(dim (cutoff+1)^2) per point plus dim_t (cutoff+1) per row taken; at
+    n=3 cutoff 8 the sweep takes 18 to 90 of 729 rows on seeds 0-7.
+
+    A sweep holds as many points as fit CHUNK_ENTRIES entries, so no array
+    has more than max(CHUNK_ENTRIES, dim * (cutoff+1)) entries.  Where eight
+    output rows of a ladder GEMM fit SERIAL_GEMM_MACS (up to n=2 cutoff 19,
+    n=3 cutoff 8 and n=4 cutoff 5), a sweep also holds no more points than
+    keep two rows of its Gram product within that budget (four at n=3
+    cutoff 8, the default anticlique's four points in one sweep), every GEMM
+    is cut into row blocks within it, and no BLAS worker thread is woken;
+    the sector contractions are elementwise and call no BLAS.
 
     The full-matrix comparison is limited by the mass the top ladder states
     lose to truncation (first order in that loss); the identity is exact in
@@ -265,6 +343,41 @@ def compression_check(
     displacement reach the truncated operators reproduce it to near machine
     precision.
     """
+    residual = _compression_residual(spec, anticlique, generators, weights, trusted_block)
+    ladder, scaled, deviation, overlap = residual.ladder, residual.scaled, residual.deviation, residual.overlap
+    rank = spec.cutoff + 1
+    serial = 8 * spec.space.dim * rank <= SERIAL_GEMM_MACS
+    matmul = serial_matmul if serial else np.matmul
+    # tr(K S K^dag S) is >= 0 but can round below it where the residual vanishes; NaN passes max().
+    squares = float(np.sum((deviation @ overlap) * (overlap @ deviation).conj()).real)
+    frobenius = math.sqrt(max(squares, 0.0)) / float(np.linalg.norm(overlap))
+
+    # Largest bound first; argsort puts NaN norms last, so the reversal takes them first, and
+    # np.maximum keeps a NaN entry where Python's max would drop it.
+    adjoint = ladder.conj().T
+    norms = np.linalg.norm(scaled, axis=1)
+    reach = float(np.linalg.norm(ladder, axis=1).max()) * (1.0 + 8 * (rank + 2) * np.finfo(float).eps)
+    order = np.argsort(norms)[::-1]
+    rows = SERIAL_GEMM_MACS // (len(ladder) * rank) if serial else max(1, CHUNK_ENTRIES // len(ladder))
+    max_abs = 0.0
+    for start in range(0, len(order), rows):
+        block = order[start : start + rows]
+        if norms[block[0]] * reach <= max_abs:
+            break
+        max_abs = np.maximum(max_abs, np.abs(matmul(scaled[block], adjoint)).max())
+    measured, predicted = residual.measured, residual.predicted
+    scalar_error = abs(measured - predicted) / abs(predicted) if predicted != 0 else abs(measured)
+    return CompressionResult(
+        max_abs_deviation=float(max_abs),
+        frobenius_deviation=frobenius,
+        scalar_relative_error=float(scalar_error),
+        scalar_measured=float(measured.real),
+        scalar_predicted=float(predicted.real),
+    )
+
+
+def _compression_residual(spec, anticlique, generators, weights, trusted_block) -> _Residual:
+    """compression_check's ladders, M, c and Y_t (M - c I): everything before its two deviations."""
     generators = list(generators)
     if not generators:
         raise ValueError("at least one generator parameter set is required")
@@ -285,54 +398,33 @@ def compression_check(
     serial = 8 * entries <= SERIAL_GEMM_MACS
     matmul = serial_matmul if serial else np.matmul
 
-    def ladders(points):
-        # D(h) B with the Gaussian exp(-|h|^2/2) the tail-factored ladder leaves out.
-        shifts = np.array([displaced_mode_amplitudes(spec, p) for p in points])
-        ladder = seed_ladders(spec, shifts, rank)
-        ladder *= np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))[:, None, None]
-        return ladder
-
-    points, scale = [anticlique, *generators], np.array([0.0, *weights])
-    step = max(1, CHUNK_ENTRIES // entries)
+    points = [anticlique, *generators]
+    shifts = np.array([displaced_mode_amplitudes(spec, p) for p in points])
+    gauss = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))
+    scale = np.array([0.0, *weights])
+    # A Gram product row takes entries multiply-adds per point, and serial_matmul needs two rows in budget.
+    step = max(1, (SERIAL_GEMM_MACS // 2 if serial else CHUNK_ENTRIES) // entries)
     combined = np.zeros((rank, rank), dtype=complex)
     for start in range(0, len(points), step):
-        chunk = ladders(points[start : start + step])
+        chunk = slice(start, start + step)
+        sweep = _sector_ladders(spec, shifts[chunk], rank)
         if start == 0:
-            ladder, adjoint = chunk[0], chunk[0].conj().T
-        gram = np.stack([matmul(adjoint, point) for point in chunk])
-        combined += np.einsum("k,kij,klj->il", scale[start : start + step], gram, gram.conj())
+            ladder = sweep[:, :: len(shifts[chunk])] * gauss[0]
+            adjoint = ladder.conj().T
+        if not scale[chunk].any():
+            continue  # weight-0 points only (the anticlique swept alone) add nothing to M
+        gram = matmul(adjoint, sweep).reshape(rank, rank, -1)
+        gram *= gauss[chunk]
+        combined += np.einsum("p,ikp,lkp->il", scale[chunk], gram, gram.conj())
 
-    if trusted_block is not None:
-        ladder = ladder[trusted_mask(spec.space, trusted_block)]
-        adjoint = ladder.conj().T
-    overlap = matmul(adjoint, ladder)
+    order = _sector_plan(spec.modes, rank).order
+    keep = np.ones(len(order), bool) if trusted_block is None else trusted_mask(spec.space, trusted_block)[order]
+    # Y_t from the top sector down, so that S sums a ladder's small entries first.
+    ladder = ladder[np.flatnonzero(keep)[::-1]]
+    overlap = matmul(ladder.conj().T, ladder)
     measured = complex(np.sum(combined * overlap.T)) / complex(np.trace(overlap))
     deviation = combined - measured * np.eye(rank)
-    scaled = matmul(ladder, deviation)
-    # tr(K S K^dag S) is >= 0 but can round below it where the residual vanishes; NaN passes max().
-    squares = float(np.sum((deviation @ overlap) * (overlap @ deviation).conj()).real)
-    frobenius = math.sqrt(max(squares, 0.0)) / float(np.linalg.norm(overlap))
-
-    # Largest bound first; argsort puts NaN norms last, so the reversal takes them first, and
-    # np.maximum keeps a NaN entry where Python's max would drop it.
-    norms = np.linalg.norm(scaled, axis=1)
-    reach = float(np.linalg.norm(ladder, axis=1).max()) * (1.0 + 8 * (rank + 2) * np.finfo(float).eps)
-    order = np.argsort(norms)[::-1]
-    rows = SERIAL_GEMM_MACS // (len(ladder) * rank) if serial else max(1, CHUNK_ENTRIES // len(ladder))
-    max_abs = 0.0
-    for start in range(0, len(order), rows):
-        block = order[start : start + rows]
-        if norms[block[0]] * reach <= max_abs:
-            break
-        max_abs = np.maximum(max_abs, np.abs(matmul(scaled[block], adjoint)).max())
-    scalar_error = abs(measured - predicted) / abs(predicted) if predicted != 0 else abs(measured)
-    return CompressionResult(
-        max_abs_deviation=float(max_abs),
-        frobenius_deviation=frobenius,
-        scalar_relative_error=float(scalar_error),
-        scalar_measured=float(measured.real),
-        scalar_predicted=float(predicted.real),
-    )
+    return _Residual(ladder, matmul(ladder, deviation), deviation, overlap, measured, predicted)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from fockgraph import coherent_state, displacement_matrix, kron_all, trusted_mask, weyl_operator
-from fockgraph.graphs import displaced_mode_amplitudes, seed_ladders
+from fockgraph.graphs import _compression_residual
 from fockgraph.multimode import ModeSpace
 from fockgraph.quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, serial_matmul
 
@@ -160,46 +160,23 @@ def displace_modewise(spec, basis: np.ndarray, alphas: np.ndarray, rows: int | N
 def full_residual_deviations(spec, anticlique, generators, weights=None, trusted_block=None) -> tuple[float, float]:
     """Max-abs and Frobenius deviations of ``graphs.compression_check``, every residual entry formed.
 
-    The check's arithmetic before its pruning: the same ladders, ``M``,
-    scalar and ``Y_t (M - c I)``, then ``Y_t (M - c I) Y_t^dag`` row block by
-    row block in row order, with the max and the sum of squares of the
-    magnitudes of each block.
+    The check's own ladders, ``M``, scalar and ``Y_t (M - c I)`` (its
+    ``_compression_residual``), then the residual row block by row block
+    in row order, with the max and the sum of squares of the magnitudes of
+    each block.
     """
-    weights = [complex(w) for w in (weights or [1.0] * len(generators))]
+    residual = _compression_residual(spec, anticlique, generators, weights, trusted_block)
+    ladder, scaled = residual.ladder, residual.scaled
+    adjoint = ladder.conj().T
     rank = spec.cutoff + 1
-    entries = spec.space.dim * rank
-    serial = 8 * entries <= SERIAL_GEMM_MACS
-    matmul = serial_matmul if serial else np.matmul
-
-    def ladders(points):
-        shifts = np.array([displaced_mode_amplitudes(spec, p) for p in points])
-        ladder = seed_ladders(spec, shifts, rank)
-        ladder *= np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))[:, None, None]
-        return ladder
-
-    points, scale = [anticlique, *generators], np.array([0.0, *weights])
-    step = max(1, CHUNK_ENTRIES // entries)
-    combined = np.zeros((rank, rank), dtype=complex)
-    for start in range(0, len(points), step):
-        chunk = ladders(points[start : start + step])
-        if start == 0:
-            ladder, adjoint = chunk[0], chunk[0].conj().T
-        gram = np.stack([matmul(adjoint, point) for point in chunk])
-        combined += np.einsum("k,kij,klj->il", scale[start : start + step], gram, gram.conj())
-
-    if trusted_block is not None:
-        ladder = ladder[trusted_mask(spec.space, trusted_block)]
-        adjoint = ladder.conj().T
-    overlap = matmul(adjoint, ladder)
-    measured = complex(np.sum(combined * overlap.T)) / complex(np.trace(overlap))
-    scaled = matmul(ladder, combined - measured * np.eye(rank))
+    serial = 8 * spec.space.dim * rank <= SERIAL_GEMM_MACS
     rows = SERIAL_GEMM_MACS // (len(ladder) * rank) if serial else max(1, CHUNK_ENTRIES // len(ladder))
     max_abs = squares = 0.0
     for start in range(0, len(ladder), rows):
         magnitude = np.abs(scaled[start : start + rows] @ adjoint)
         max_abs = max(max_abs, float(magnitude.max()))
         squares += float(np.sum(np.square(magnitude, out=magnitude)))
-    return max_abs, math.sqrt(squares) / float(np.linalg.norm(overlap))
+    return max_abs, math.sqrt(squares) / float(np.linalg.norm(residual.overlap))
 
 
 def index_of(occupation, space: ModeSpace) -> int:

@@ -248,6 +248,20 @@ class TestExitCodes:
         assert err.startswith("config error:")
         assert reason in err
 
+    # From cutoff 64 the quadrature experiments' derived default radial_order = cutoff + 1
+    # passes the rule's bound; the message names that default, where the config never set it.
+    @pytest.mark.parametrize("experiment", ["projection", "gs", "covariant_gs", "resolution"])
+    def test_derived_radial_order_names_the_default(self, tmp_path, capsys, experiment):
+        out = tmp_path / "report.json"
+        assert main(["--experiment", experiment, "--cutoff", "64", "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "got the default cutoff + 1 = 65; set radial_order <= 64 in the config" in err
+        assert not out.exists()
+        path = write_config(tmp_path, {"experiment": experiment, "cutoff": 64, "radial_order": 65})
+        assert main(["--config", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == "config error: radial_order must be <= 64, got 65\n"
+
     # Each of these asks for more than MAX_DIM = 8192 rows or MAX_NODES =
     # 1048576 quadrature nodes; the guard rejects them before any array or
     # scheme is built, n = 10**9 and angular_order = 10**18 included.

@@ -33,7 +33,8 @@ from fockgraph.fock import displacement_matrix
 from fockgraph.multimode import trusted_mask
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
 from fockgraph.cli import main
-from fockgraph.quadrature import serial_matmul
+from fockgraph.graphs import _sector_ladders, _sector_plan
+from fockgraph.quadrature import SERIAL_GEMM_MACS, serial_matmul
 from oracles import dense_projection_deviations, displace_modewise, full_residual_deviations, index_of, mode_ladder
 
 
@@ -267,12 +268,25 @@ class TestSeedLadders:
         return spec, points, np.array([p.displacements() for p in points])
 
     # Box rows per mode; None is every row.  At one row only the vacuum row
-    # is built, where every column past the first vanishes.
+    # is built, where every column past the first vanishes.  17 points: a
+    # sweep wider than the levels, at n=3 on a box cut below the cutoff and
+    # at n=2 as the default resolution's chunk (9 rows, 17 orbit nodes).
     @pytest.mark.parametrize(
-        "modes, cutoff, rows", [(2, 16, 9), (2, 16, None), (3, 8, None), (4, 4, 2), (4, 6, None), (2, 64, 1)]
+        "modes, cutoff, rows, count",
+        [
+            (2, 16, 9, 4),
+            (2, 16, None, 4),
+            (3, 8, None, 4),
+            (4, 4, 2, 4),
+            (4, 6, None, 4),
+            (2, 64, 1, 4),
+            (3, 8, 5, 17),
+            (2, 16, 9, 17),
+        ],
+        ids=["2-16-9", "2-16-None", "3-8-None", "4-4-2", "4-6-None", "2-64-1", "3-8-5-17points", "2-16-9-17points"],
     )
-    def test_matches_modewise_oracle(self, modes, cutoff, rows):
-        spec, _, alphas = self.case(modes, cutoff, seed=modes * cutoff)
+    def test_matches_modewise_oracle(self, modes, cutoff, rows, count):
+        spec, _, alphas = self.case(modes, cutoff, seed=modes * cutoff, count=count)
         rows = cutoff + 1 if rows is None else rows
         expected = displace_modewise(spec, seed_basis(spec), alphas, rows)
         got = seed_ladders(spec, alphas @ spec.phi[:, 1:].T, rows)
@@ -301,6 +315,47 @@ class TestSeedLadders:
         expected = displace_modewise(spec, seed_basis(spec), alphas, 33)
         got = seed_ladders(spec, alphas @ spec.phi[:, 1:].T, 33)
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+class TestSectorPlan:
+    """The sweep's layout: the box by total occupation, each sector one slice read from the one before."""
+
+    @staticmethod
+    def occupations(modes, rows, plan):
+        return np.indices((rows,) * modes).reshape(modes, -1).T[plan.order]
+
+    @pytest.mark.parametrize("modes, rows", [(2, 9), (2, 17), (3, 9), (3, 5), (4, 7), (2, 1), (3, 2)])
+    def test_sectors_partition_the_box_by_occupation(self, modes, rows):
+        plan = _sector_plan(modes, rows)
+        total = self.occupations(modes, rows, plan).sum(axis=1)
+        assert np.array_equal(np.sort(plan.order), np.arange(rows**modes))
+        assert np.array_equal(plan.order[plan.position], np.arange(rows**modes))
+        # The vacuum first, then each sector N >= 1 as one slice, just after sector N - 1.
+        start = 1
+        for occupation, at in enumerate(plan.sectors, start=1):
+            assert at.start == start and np.all(total[at] == occupation)
+            start = at.stop
+        assert start == rows**modes and total[0] == 0
+
+    @pytest.mark.parametrize("modes, rows", [(2, 9), (3, 9), (4, 7), (3, 2)])
+    def test_predecessors_lie_in_the_previous_sector(self, modes, rows):
+        plan = _sector_plan(modes, rows)
+        occupations = self.occupations(modes, rows, plan)
+        for occupation, (at, lower, weight) in enumerate(zip(plan.sectors, plan.lower, plan.weight), start=1):
+            here = occupations[at]
+            assert lower.shape == weight.shape[:2] == (modes, len(here))
+            for mode in range(modes):
+                held = here[:, mode] > 0
+                # m - e_j where m_j > 0, in sector N - 1, with weight sqrt(m_j) / N.
+                below = occupations[lower[mode, held]]
+                assert np.array_equal(below, here[held] - np.eye(modes, dtype=int)[mode])
+                assert np.all(below.sum(axis=1) == occupation - 1)
+                assert np.array_equal(weight[mode, held, 0], np.sqrt(here[held, mode]) / occupation)
+                # Else the zero row, the last position, with weight 0.
+                assert np.all(lower[mode, ~held] == rows**modes - 1) and np.all(weight[mode, ~held] == 0)
+        # The zero row is the box's top row: the last sector built, which reads no zero row.
+        last = rows**modes - 1
+        assert plan.sectors[-1] == slice(last, last + 1) and np.all(plan.lower[-1] != last)
 
 
 class TestGraphGenerator:
@@ -594,6 +649,49 @@ class TestCompressionOracle:
         assert within(compression_check(spec, anticlique, generators), 1e-4)
 
 
+class TestGramSweep:
+    """compression_check sweeps whole points in sector order and takes their Grams in one product each."""
+
+    @staticmethod
+    def recording(monkeypatch, sweeps):
+        def recording(spec, shifts, rows):
+            sweeps.append(len(shifts))
+            return _sector_ladders(spec, shifts, rows)
+
+        monkeypatch.setattr(fockgraph.graphs, "_sector_ladders", recording)
+
+    # n=3 cutoff 8: the anticlique and its three generators in one sweep.  At cutoff 16 one
+    # point's ladder (4913 x 17) passes CHUNK_ENTRIES, so each point is swept alone.
+    @pytest.mark.parametrize("cutoff, sweeps", [(8, [4]), (16, [1, 1, 1, 1])], ids=["n3-c8", "n3-c16"])
+    def test_default_points_share_a_sweep_within_budget(self, monkeypatch, cutoff, sweeps):
+        recorded = []
+        self.recording(monkeypatch, recorded)
+        compression_check(*runner_case(3, cutoff, 0))
+        assert recorded == sweeps
+
+    def test_serial_sweeps_keep_every_gemm_within_budget(self, monkeypatch):
+        # Nine points at n=3 cutoff 8 go four to a sweep, so two rows of a Gram product
+        # (4 x 729 x 9 multiply-adds each) fit SERIAL_GEMM_MACS; every GEMM is cut within it.
+        spec, anticlique, generators = runner_case(3, 8, 0)
+        generators = [*generators, *runner_case(3, 8, 1)[2], *runner_case(3, 8, 2)[2][:2]]
+        expected = compression_check(spec, anticlique, generators)
+        sweeps, gemms = [], []
+        matmul = np.matmul
+
+        def recording(x, y, **kwargs):
+            gemms.append((len(x), x.shape[1], y.shape[1]))
+            return matmul(x, y, **kwargs)
+
+        self.recording(monkeypatch, sweeps)
+        monkeypatch.setattr(np, "matmul", recording)
+        result = compression_check(spec, anticlique, generators)
+        monkeypatch.undo()
+        assert result == expected
+        assert sweeps == [4, 4, 1]
+        assert (2, 729, 36) in gemms
+        assert all(2 <= rows and rows * k * n <= SERIAL_GEMM_MACS for rows, k, n in gemms)
+
+
 class TestResidualPruning:
     """The pruned max-abs sweep and the rank-space Frobenius norm against the full residual."""
 
@@ -642,12 +740,13 @@ class TestResidualPruning:
         assert 0 < sum(taken) <= spec.space.dim // 10
 
     def test_nan_in_a_deep_ladder_row_exits_three(self, monkeypatch, tmp_path):
+        # The anticlique's top level on the box's last row, in the sector-major sweep the check reads.
         def poisoned(spec, shifts, rows):
-            ladder = seed_ladders(spec, shifts, rows)
-            ladder[0, -1, -1] = np.nan
+            ladder = _sector_ladders(spec, shifts, rows)
+            ladder[_sector_plan(spec.modes, rows).position[-1], -len(shifts)] = np.nan
             return ladder
 
-        monkeypatch.setattr(fockgraph.graphs, "seed_ladders", poisoned)
+        monkeypatch.setattr(fockgraph.graphs, "_sector_ladders", poisoned)
         result = compression_check(*runner_case(3, 8, 0))
         assert not math.isfinite(result.max_abs_deviation)
         assert not math.isfinite(result.frobenius_deviation)
