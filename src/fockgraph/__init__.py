@@ -17,9 +17,7 @@ from .graphs import (
     compression_constant,
     displaced_mode_amplitudes,
     draw_generator_params,
-    graph_displacement,
     graph_generator,
-    haar_unitary,
     seed_basis,
     seed_ladders,
     seed_projector,
@@ -30,7 +28,6 @@ from .multimode import (
     kron_all,
     trusted_mask,
     validate_unitary,
-    weyl_operator,
 )
 from .quadrature import (
     AngularScheme,

@@ -16,13 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multimode import (
-    ModeSpace,
-    kron_all,
-    trusted_mask,
-    validate_unitary,
-    weyl_operator,
-)
+from .multimode import ModeSpace, trusted_mask, validate_unitary
 from .fock import _log_factorials, unnormalized_coherent
 from .quadrature import (
     CHUNK_ENTRIES,
@@ -42,9 +36,7 @@ __all__ = [
     "compression_constant",
     "displaced_mode_amplitudes",
     "draw_generator_params",
-    "graph_displacement",
     "graph_generator",
-    "haar_unitary",
     "seed_basis",
     "seed_ladders",
     "seed_projector",
@@ -110,7 +102,7 @@ def seed_basis(spec: GraphSpec) -> np.ndarray:
     total k <= cutoff stays at or below the per-mode cutoff; the columns are
     orthonormal.
     """
-    ladder = kron_all(list(unnormalized_coherent(spec.phi[:, 0], spec.cutoff)))
+    ladder = _product_vectors(spec, spec.cutoff, np.ones((1, 1)))[0]
     total = spec.space.occupations().sum(axis=1)
     k = np.arange(spec.cutoff + 1)
     return np.where(total[:, None] == k, ladder[:, None], 0.0) * np.exp(0.5 * _log_factorials(spec.cutoff))
@@ -127,21 +119,26 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_bloc
 
     (1/pi) Int dtheta Int r dr of the tensor product over modes j of
     |alpha*phi_j1><alpha*phi_j1|, tail-factored.  Cross-checks the rank sum.
-    The product vectors of a node chunk are built as batched outer products,
-    first mode slowest.  With ``trusted_block`` set, each mode's column stops
-    at that occupation, so the result is the block on the trusted box.
+    With ``trusted_block`` set, each mode's column stops at that occupation,
+    so the result is the block on the trusted box.
     """
-    top = box_side(spec.cutoff, trusted_block) - 1
+    side = box_side(spec.cutoff, trusted_block)
+    columns = functools.partial(_product_vectors, spec, side - 1)
+    return integrate_dyads(columns, (scheme,), side**spec.modes, charges=box_charges(spec.modes, side))
 
-    def product_vectors(alphas):
-        factors = unnormalized_coherent(alphas[:, :1] * spec.phi[:, 0], top)
-        out = factors[:, 0]
-        for mode in range(1, spec.modes):
-            out = (out[:, :, None] * factors[:, mode, None, :]).reshape(len(alphas), -1)
-        return out
 
-    side = top + 1
-    return integrate_dyads(product_vectors, (scheme,), side**spec.modes, charges=box_charges(spec.modes, side))
+def _product_vectors(spec: GraphSpec, top: int, alphas: np.ndarray) -> np.ndarray:
+    """Tail-factored product coherent vectors along c = phi[:, 0], one row per amplitude.
+
+    For a (K, 1) column of amplitudes alpha_p, row p is the tensor product
+    over modes j of sum_{m <= top} (alpha_p c_j)^m / sqrt(m!) |m>, built as
+    batched outer products, first mode slowest: a (K, (top+1)^n) array.
+    """
+    factors = unnormalized_coherent(alphas * spec.phi[:, 0], top)
+    out = factors[:, 0]
+    for mode in range(1, spec.modes):
+        out = (out[:, :, None] * factors[:, mode, None, :]).reshape(len(alphas), -1)
+    return out
 
 
 def seed_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarray:
@@ -236,19 +233,17 @@ def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:
     return spec.phi[:, 1:] @ params.displacements()
 
 
-def graph_displacement(spec: GraphSpec, params) -> np.ndarray:
-    """Tensor displacement moving the seed projector to the parameter point."""
-    return weyl_operator(displaced_mode_amplitudes(spec, params), spec.space)
-
-
 def graph_generator(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
     """Displaced seed projector D Q D^dag at the given parameters.
 
     Sums the cutoff+1 displaced ladder dyads as the Gram matrix Y Y^dag of
     Y = D B, so the result is Hermitian and positive semidefinite by
-    construction; the test suite measures both.
+    construction; the test suite measures both.  Y is :func:`seed_ladders` on
+    the whole box with its Gaussian exp(-|h|^2/2): B lives on total occupation
+    <= cutoff, so the truncated D B is the exact one on every box row.
     """
-    displaced = graph_displacement(spec, params) @ seed_basis(spec)
+    shift = displaced_mode_amplitudes(spec, params)
+    displaced = seed_ladders(spec, shift[None], spec.cutoff + 1)[0] * np.exp(-0.5 * np.sum(np.abs(shift) ** 2))
     return displaced @ displaced.conj().T
 
 
@@ -297,11 +292,12 @@ def compression_check(
     point.  Then P A P = Y_x M Y_x^dag with the small matrix
     M = sum_i w_i G_i G_i^dag, G_i = Y_x^dag Y_i: the Knill-Laflamme form of
     the anticlique as a code for the graph.  On the rows Y_t of Y_x kept by
-    ``trusted_block`` (all rows when it is None), with S = Y_t^dag Y_t, the
-    least-squares scalar is c = tr(M S)/tr(S) and the residual is
-    Y_t (M - c I) Y_t^dag.  Returns its max-abs and Frobenius deviations (the
-    latter against ||P_t||_F = ||S||_F) with the relative error of c against
-    the predicted weighted constant sum.  Real parts of c are returned.
+    ``trusted_block`` (in [0, cutoff]; all rows when it is None), with
+    S = Y_t^dag Y_t, the least-squares scalar is c = tr(M S)/tr(S) and the
+    residual is Y_t (M - c I) Y_t^dag.  Returns its max-abs and Frobenius
+    deviations (the latter against ||P_t||_F = ||S||_F) with the relative
+    error of c against the predicted weighted constant sum.  Real parts of c
+    are returned.
 
     The ladders are swept in sector-major order (:func:`_sector_ladders`),
     a whole number of points at a time, the anticlique's first with weight 0
@@ -386,6 +382,7 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
     weights = [complex(w) for w in weights]
     if len(weights) != len(generators):
         raise ValueError("weights must match the number of generators")
+    top = box_side(spec.cutoff, trusted_block) - 1
 
     predicted = 0.0 + 0.0j
     for weight, params in zip(weights, generators):
@@ -417,22 +414,13 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
         gram *= gauss[chunk]
         combined += np.einsum("p,ikp,lkp->il", scale[chunk], gram, gram.conj())
 
-    order = _sector_plan(spec.modes, rank).order
-    keep = np.ones(len(order), bool) if trusted_block is None else trusted_mask(spec.space, trusted_block)[order]
+    keep = trusted_mask(spec.space, top)[_sector_plan(spec.modes, rank).order]
     # Y_t from the top sector down, so that S sums a ladder's small entries first.
     ladder = ladder[np.flatnonzero(keep)[::-1]]
     overlap = matmul(ladder.conj().T, ladder)
     measured = complex(np.sum(combined * overlap.T)) / complex(np.trace(overlap))
     deviation = combined - measured * np.eye(rank)
     return _Residual(ladder, matmul(ladder, deviation), deviation, overlap, measured, predicted)
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def draw_generator_params(modes: int, rng: np.random.Generator, max_radius: float = 1.5) -> GeneratorParams:

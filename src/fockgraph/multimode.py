@@ -1,9 +1,8 @@
 """Truncated n-mode tensor Fock space.
 
-The mode register, tensor assembly of Weyl (multimode displacement)
-operators, trusted-box masks and the unitarity check of a mode-mixing
-matrix.  Occupation tuples map to flat indices row-major with mode 1
-slowest.
+The mode register, Kronecker products, trusted-box masks and the
+unitarity check of a mode-mixing matrix.  Occupation tuples map to flat
+indices row-major with mode 1 slowest.
 """
 
 from __future__ import annotations
@@ -13,14 +12,11 @@ from functools import reduce
 
 import numpy as np
 
-from .fock import displacement_matrix
-
 __all__ = [
     "ModeSpace",
     "kron_all",
     "trusted_mask",
     "validate_unitary",
-    "weyl_operator",
 ]
 
 
@@ -69,16 +65,3 @@ def validate_unitary(phi, tolerance: float = 1e-12) -> np.ndarray:
     if not deviation <= tolerance:
         raise ValueError(f"phi not unitary (max deviation {deviation:.3e} > {tolerance:.0e})")
     return phi
-
-
-def weyl_operator(coords, space: ModeSpace) -> np.ndarray:
-    """Multimode displacement: the tensor product of D(coords_j) over modes.
-
-    Valid because the coordinates refer to an orthonormal mode basis, so the
-    Weyl operator acts mode-locally.
-    """
-    coords = np.atleast_1d(np.asarray(coords, dtype=complex))
-    if coords.shape != (space.modes,):
-        raise ValueError(f"expected {space.modes} mode coordinates, got shape {coords.shape}")
-    return kron_all([displacement_matrix(c, space.cutoff) for c in coords])
-

@@ -174,8 +174,7 @@ def _run_anticlique(cfg: ExperimentConfig) -> VerificationReport:
             draw_generator_params(cfg.n, rng, max_radius=DEFAULT_DRAW_RADIUS)
             for _ in range(DEFAULT_GENERATOR_DRAWS)
         )
-    trusted = None if cfg.trusted_block >= cfg.cutoff else cfg.trusted_block
-    result = compression_check(spec, anticlique, generators, trusted_block=trusted)
+    result = compression_check(spec, anticlique, generators, trusted_block=cfg.trusted_block)
     return _report(
         cfg,
         result.max_abs_deviation,

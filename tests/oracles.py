@@ -9,11 +9,16 @@ scipy's tridiagonal eigensolver, the oracle for the dense one in
 ``dim x dim`` projector, which the runner reads grade by grade.  The
 displaced seed ladder by applying truncated displacement matrices mode by
 mode, the oracle for ``graphs.seed_ladders``, which builds it by Weyl
-covariance.  The anticlique residual with each of its ``dim_t^2`` entries
-formed, the oracle for ``graphs.compression_check``, which prunes its
-max-abs sweep and takes its Frobenius norm in rank space.  Exponential
-vectors, the Weyl composition phase, ladder operators and occupation
-indexing on the multimode space, which only the tests use.
+covariance.  The dense Kronecker Weyl operator (``weyl_operator``,
+``graph_displacement``) and the displaced seed projector built from it
+(``dense_generator``), the oracles for ``graphs.graph_generator`` and for
+the dense ``P A P`` that ``graphs.compression_check`` never forms: both
+functions read their ladders from that sweep.  The anticlique residual
+with each of its ``dim_t^2`` entries formed, the oracle for
+``graphs.compression_check``, which prunes its max-abs sweep and takes its
+Frobenius norm in rank space.  Exponential vectors, the Weyl composition
+phase, ladder operators and occupation indexing on the multimode space,
+and Haar-random mixing matrices, which only the tests use.
 """
 
 import cmath
@@ -23,7 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from fockgraph import coherent_state, displacement_matrix, kron_all, trusted_mask, weyl_operator
+from fockgraph import (
+    coherent_state,
+    displaced_mode_amplitudes,
+    displacement_matrix,
+    kron_all,
+    seed_basis,
+    trusted_mask,
+)
 from fockgraph.graphs import _compression_residual
 from fockgraph.multimode import ModeSpace
 from fockgraph.quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, serial_matmul
@@ -131,6 +143,35 @@ def dense_projection_deviations(basis: np.ndarray, quad: np.ndarray, box: np.nda
         "backend": float(np.abs(projector[np.ix_(box, box)] - quad).max()),
         "frobenius": float(np.linalg.norm(residual) / np.linalg.norm(projector)),
     }
+
+
+def weyl_operator(coords, space: ModeSpace) -> np.ndarray:
+    """Multimode displacement: the tensor product of D(coords_j) over modes.
+
+    Valid because the coordinates refer to an orthonormal mode basis, so the
+    Weyl operator acts mode-locally.
+    """
+    coords = _as_coords(coords, space.modes)
+    return kron_all([displacement_matrix(c, space.cutoff) for c in coords])
+
+
+def graph_displacement(spec, params) -> np.ndarray:
+    """Tensor displacement moving the seed projector to the parameter point."""
+    return weyl_operator(displaced_mode_amplitudes(spec, params), spec.space)
+
+
+def dense_generator(spec, params) -> np.ndarray:
+    """``graphs.graph_generator`` as Y Y^dag with Y the dense Kronecker displacement times the seed basis."""
+    displaced = graph_displacement(spec, params) @ seed_basis(spec)
+    return displaced @ displaced.conj().T
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Ginibre matrix."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def displace_modewise(spec, basis: np.ndarray, alphas: np.ndarray, rows: int | None = None) -> np.ndarray:

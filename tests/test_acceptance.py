@@ -26,11 +26,9 @@ from fockgraph import (
     displaced_projector_identity,
     draw_generator_params,
     graph_resolution,
-    haar_unitary,
     polar_scheme,
     seed_projector,
     seed_projector_quadrature,
-    weyl_operator,
 )
 from fockgraph.config import dft_matrix
 from fockgraph.multimode import ModeSpace, trusted_mask
@@ -38,8 +36,10 @@ from oracles import (
     apply_weyl_to_exponential_check,
     expm_displacement_oracle,
     exponential_vector_embed,
+    haar_unitary,
     state_inner,
     trusted_cutoff,
+    weyl_operator,
     weyl_phase,
 )
 

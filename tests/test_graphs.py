@@ -18,9 +18,7 @@ from fockgraph import (
     compression_constant,
     displaced_mode_amplitudes,
     draw_generator_params,
-    graph_displacement,
     graph_generator,
-    haar_unitary,
     polar_scheme,
     seed_basis,
     seed_ladders,
@@ -35,7 +33,16 @@ from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_e
 from fockgraph.cli import main
 from fockgraph.graphs import _sector_ladders, _sector_plan
 from fockgraph.quadrature import SERIAL_GEMM_MACS, serial_matmul
-from oracles import dense_projection_deviations, displace_modewise, full_residual_deviations, index_of, mode_ladder
+from oracles import (
+    dense_generator,
+    dense_projection_deviations,
+    displace_modewise,
+    full_residual_deviations,
+    graph_displacement,
+    haar_unitary,
+    index_of,
+    mode_ladder,
+)
 
 
 def block(op, mask):
@@ -364,10 +371,16 @@ class TestGraphGenerator:
         params = GeneratorParams(radii=[0.0], phases=[0.0])
         assert np.abs(graph_generator(spec, params) - seed_projector(spec)).max() < 1e-13
 
-    def test_backends_agree(self):
+    # The sweep against the dense Kronecker displacement of tests/oracles.py.
+    @pytest.mark.parametrize(
+        "modes, cutoff, mixing",
+        [(2, 10, "haar"), (3, 8, "dft"), (3, 8, "haar"), (4, 4, "dft"), (4, 4, "haar")],
+        ids=["n2-c10-haar", "n3-c8-dft", "n3-c8-haar", "n4-c4-dft", "n4-c4-haar"],
+    )
+    def test_backends_agree(self, modes, cutoff, mixing):
         rng = np.random.default_rng(33)
-        spec = GraphSpec(phi=haar_unitary(2, rng), modes=2, cutoff=10)
-        params = draw_generator_params(2, rng)
+        spec = GraphSpec(phi=mixing_matrix(modes, mixing, rng), modes=modes, cutoff=cutoff)
+        params = draw_generator_params(modes, rng)
         disp = graph_displacement(spec, params)
         direct = disp @ seed_projector(spec) @ disp.conj().T
         assert np.abs(graph_generator(spec, params) - direct).max() < 1e-10
@@ -547,13 +560,13 @@ class TestCompressionCheck:
 
 
 def dense_compression(spec, anticlique, generators, weights=None, trusted_block=None):
-    """Oracle: P A P - c P formed as dim x dim matrices from graph_generator."""
+    """Oracle: P A P - c P formed as dim x dim matrices from the dense Kronecker generators."""
     weights = [complex(w) for w in (weights or [1.0] * len(generators))]
-    projection = graph_generator(spec, anticlique)
+    projection = dense_generator(spec, anticlique)
     combined = np.zeros_like(projection)
     predicted = 0.0 + 0.0j
     for weight, params in zip(weights, generators):
-        combined += weight * graph_generator(spec, params)
+        combined += weight * dense_generator(spec, params)
         predicted += weight * compression_constant(anticlique, params)
     compressed = projection @ combined @ projection
     if trusted_block is not None:
@@ -643,10 +656,17 @@ class TestCompressionOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense operator built")
 
-        monkeypatch.setattr(fockgraph.graphs, "weyl_operator", forbidden)
         monkeypatch.setattr(fockgraph.graphs, "graph_generator", forbidden)
         spec, anticlique, generators = runner_case(3, 8, 0)
-        assert within(compression_check(spec, anticlique, generators), 1e-4)
+        tracemalloc.start()
+        try:
+            result = compression_check(spec, anticlique, generators)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert within(result, 1e-4)
+        # One dense dim x dim complex matrix: 8.5 MB at dim 729.
+        assert peak < 16 * spec.space.dim**2
 
 
 class TestGramSweep:

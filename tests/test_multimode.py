@@ -15,7 +15,6 @@ from fockgraph import (
     seed_basis,
     trusted_mask,
     validate_unitary,
-    weyl_operator,
 )
 from oracles import (
     apply_weyl_to_exponential_check,
@@ -26,6 +25,7 @@ from oracles import (
     state_inner,
     trusted_cutoff,
     tuple_of,
+    weyl_operator,
     weyl_phase,
 )
 

@@ -10,14 +10,15 @@ import pytest
 
 from fockgraph import (
     AngularScheme,
+    GeneratorParams,
     GraphSpec,
     coherent_identity,
     coherent_state,
+    compression_check,
     displaced_projector_identity,
     displacement_matrix,
     gauss_laguerre,
     graph_resolution,
-    haar_unitary,
     kron_all,
     polar_scheme,
     seed_basis,
@@ -36,7 +37,7 @@ from fockgraph.quadrature import (
     integrate_dyads,
     serial_matmul,
 )
-from oracles import displace_modewise, gauss_laguerre_reference
+from oracles import displace_modewise, gauss_laguerre_reference, haar_unitary
 
 
 def identity_deviation(op, mask=None):
@@ -236,6 +237,9 @@ class TestTrustedBox:
             displaced_projector_identity(1.0, 6, scheme, trusted_block=block)
         with pytest.raises(ValueError, match="trusted_block"):
             seed_projector_quadrature(spec, scheme, trusted_block=block)
+        point = GeneratorParams(radii=[0.5], phases=[0.0])
+        with pytest.raises(ValueError, match="trusted_block"):
+            compression_check(spec, point, [point], trusted_block=block)
 
     def test_small_box_at_large_cutoff_stays_within_budget(self, monkeypatch):
         # n=2 at cutoff 64 (dim 4225, rank 65) on the vacuum box: a node's

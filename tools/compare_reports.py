@@ -1,0 +1,104 @@
+"""Print the verification reports of a fixed comparison set, one canonical JSON line per case.
+
+Each line holds the case name, the ``verify`` exit code and the JSON
+reports the case wrote, without ``runtime_ms``, the one field that is not
+deterministic.  The set covers the default suite over thirteen seeds, every
+experiment at n = 2, 3 and 4, and one-mode rules from exact to aliased and
+past the kernel's scaling range.  Two checkouts give byte-identical output
+exactly when every report and exit code agrees:
+
+    PYTHONPATH=<parent>/src python tools/compare_reports.py > parent.jsonl
+    PYTHONPATH=<change>/src python tools/compare_reports.py > change.jsonl
+    cmp parent.jsonl change.jsonl
+
+The package is imported from ``PYTHONPATH``.  Run both sides with the same
+``OPENBLAS_NUM_THREADS``: threaded products may round differently at
+another thread count.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import tempfile
+
+from fockgraph import cli
+
+# (name, config) pairs: a config dict is run with --config, a list of strings is the argument list.
+CASES = [
+    *((f"suite seed {seed}", ["--seed", str(seed)]) for seed in (*range(12), 3243419750)),
+    ("convergence", ["--experiment", "convergence"]),
+    *(
+        (f"anticlique n3 c8 seed {seed}", {"experiment": "anticlique", "n": 3, "cutoff": 8, "seed": seed})
+        for seed in range(10)
+    ),
+    ("resolution n3 c6", {"experiment": "resolution", "n": 3, "cutoff": 6}),
+    ("resolution n4 c4", {"experiment": "resolution", "n": 4, "cutoff": 4}),
+    ("anticlique n4 c6", {"experiment": "anticlique", "n": 4, "cutoff": 6}),
+    ("anticlique n3 c16", {"experiment": "anticlique", "n": 3, "cutoff": 16}),
+    ("anticlique n2 c16 seed 3243419750", {"experiment": "anticlique", "n": 2, "cutoff": 16, "seed": 3243419750}),
+    ("projection n3 c6", {"experiment": "projection", "n": 3, "cutoff": 6}),
+    ("gs c40", {"experiment": "gs", "cutoff": 40}),
+    ("gs c4 Q60 M10", {"experiment": "gs", "cutoff": 4, "radial_order": 60, "angular_order": 10}),
+    ("gs c63 Q64", {"experiment": "gs", "cutoff": 63, "radial_order": 64}),
+    ("gs c16 Q9 M7", {"experiment": "gs", "cutoff": 16, "radial_order": 9, "angular_order": 7}),
+    ("covariant_gs c40", {"experiment": "covariant_gs", "cutoff": 40}),
+    (
+        "covariant_gs c100 Q17 t40",
+        {"experiment": "covariant_gs", "cutoff": 100, "radial_order": 17, "trusted_block": 40},
+    ),
+    (
+        "covariant_gs c300 Q17 t100",
+        {"experiment": "covariant_gs", "cutoff": 300, "radial_order": 17, "trusted_block": 100},
+    ),
+    (
+        "covariant_gs c260 Q64 M8",
+        {"experiment": "covariant_gs", "cutoff": 260, "radial_order": 64, "angular_order": 8},
+    ),
+    (
+        "covariant_gs c400 Q2 M4 t200",
+        {"experiment": "covariant_gs", "cutoff": 400, "radial_order": 2, "angular_order": 4, "trusted_block": 200},
+    ),
+    ("convergence ladder 8-64", {"experiment": "convergence", "cutoff_ladder": [8, 16, 32, 64]}),
+    ("resolution n2 c40", {"experiment": "resolution", "n": 2, "cutoff": 40}),
+    *(
+        (
+            f"covariant_gs c1200 Q1 M4 t{block}",
+            {"experiment": "covariant_gs", "cutoff": 1200, "radial_order": 1, "angular_order": 4, "trusted_block": block},
+        )
+        for block in (600, 800, 1000, 1200)
+    ),
+]
+
+
+def run_case(config, workdir: str) -> tuple[int, list[dict]]:
+    """Exit code of ``verify`` on one case, and its reports in file-name order without ``runtime_ms``."""
+    out = os.path.join(workdir, "report.json")
+    argv = config
+    if isinstance(config, dict):
+        path = os.path.join(workdir, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)
+        argv = ["--config", path]
+    code = cli.main([*argv, "--quiet", "--out", out])
+    reports = []
+    for name in sorted(os.listdir(workdir)):
+        if name.startswith("report"):
+            with open(os.path.join(workdir, name), encoding="utf-8") as handle:
+                report = json.load(handle)
+            del report["runtime_ms"]
+            reports.append(report)
+    return code, reports
+
+
+def main() -> None:
+    for name, config in CASES:
+        with tempfile.TemporaryDirectory() as workdir:
+            code, reports = run_case(config, workdir)
+        line = json.dumps({"case": name, "exit": code, "reports": reports}, separators=(",", ":"))
+        sys.stdout.write(line + "\n")
+
+
+if __name__ == "__main__":
+    main()
