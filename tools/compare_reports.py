@@ -3,8 +3,9 @@
 Each line holds the case name, the ``verify`` exit code and the JSON
 reports the case wrote, without ``runtime_ms``, the one field that is not
 deterministic.  The set covers the default suite over thirteen seeds, every
-experiment at n = 2, 3 and 4, and one-mode rules from exact to aliased and
-past the kernel's scaling range.  Two checkouts give byte-identical output
+experiment at n = 2, 3 and 4, ``resolution`` at n = 5 and with an aliased
+rule and a non-DFT ``phi`` at n = 3, and one-mode rules from exact to
+aliased and past the kernel's scaling range.  Two checkouts give byte-identical output
 exactly when every report and exit code agrees:
 
     PYTHONPATH=<parent>/src python tools/compare_reports.py > parent.jsonl
@@ -24,6 +25,14 @@ import sys
 import tempfile
 
 from fockgraph import cli
+
+# A fixed non-DFT 3-mode unitary: the real orthogonal (1/3)[[1, 2, 2], [2, 1, -2], [2, -2, 1]] with its
+# columns turned by the phases 1, i and (3 + 4i)/5, as row-major [re, im] pairs.
+FIXED_PHI = [
+    [entry * phase.real / 3, entry * phase.imag / 3]
+    for row in ((1, 2, 2), (2, 1, -2), (2, -2, 1))
+    for entry, phase in zip(row, (1, 1j, 0.6 + 0.8j))
+]
 
 # (name, config) pairs: a config dict is run with --config, a list of strings is the argument list.
 CASES = [
@@ -62,6 +71,9 @@ CASES = [
     ),
     ("convergence ladder 8-64", {"experiment": "convergence", "cutoff_ladder": [8, 16, 32, 64]}),
     ("resolution n2 c40", {"experiment": "resolution", "n": 2, "cutoff": 40}),
+    ("resolution n5 c5", {"experiment": "resolution", "n": 5, "cutoff": 5}),
+    ("resolution n3 c6 Q2 M5", {"experiment": "resolution", "n": 3, "cutoff": 6, "radial_order": 2, "angular_order": 5}),
+    ("resolution n3 c6 fixed phi", {"experiment": "resolution", "n": 3, "cutoff": 6, "phi": FIXED_PHI}),
     *(
         (
             f"covariant_gs c1200 Q1 M4 t{block}",
