@@ -43,9 +43,8 @@ DEFAULT_LADDER = (12, 16, 20)
 # its n x n entries are bounded as well.
 MAX_DIM = 8192
 
-# Largest product-rule node count a config may ask for, per quadrature:
-# the node table of (alpha, weight) pairs then stays at or under 16 MB per
-# parameter pair.
+# Largest polar rule, radial_order x angular_order nodes (one pair's for resolution), a config may
+# ask for.  No experiment evaluates more than one node per radius, so it bounds no array.
 MAX_NODES = 2**20
 
 # Pass tolerances and trusted blocks per experiment.  Exact-identity
@@ -187,9 +186,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         )
     angular_order = _require_int(data.get("angular_order", 2 * cutoff + 2), "angular_order", minimum=1)
     if experiment != "anticlique":
-        pairs = n - 1 if experiment == "resolution" else 1
         rule = f"radial_order {radial_order} x angular_order {angular_order}"
-        _check_size(f"the {experiment} quadrature at {rule}", radial_order * angular_order, pairs, "nodes")
+        _check_size(f"the {experiment} quadrature at {rule}", radial_order * angular_order, 1, "nodes")
 
     tolerance = data.get("tolerance", _DEFAULT_TOLERANCE[experiment])
     if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or not 0 < tolerance < math.inf:

@@ -18,15 +18,7 @@ import numpy as np
 
 from .multimode import ModeSpace, trusted_mask, validate_unitary
 from .fock import _log_factorials, unnormalized_coherent
-from .quadrature import (
-    CHUNK_ENTRIES,
-    SERIAL_GEMM_MACS,
-    PolarScheme,
-    box_charges,
-    box_side,
-    integrate_dyads,
-    serial_matmul,
-)
+from .quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, PolarScheme, _rule_operator, box_side, serial_matmul
 
 __all__ = [
     "CompressionResult",
@@ -95,17 +87,11 @@ class GeneratorParams:
 def seed_basis(spec: GraphSpec) -> np.ndarray:
     """Columns k = 0..cutoff: (a^dag along phi's first column)^k / sqrt(k!) |vac>.
 
-    By the multinomial theorem the part of the product coherent vector
-    kron_j sum_m c_j^m / sqrt(m!) |m> with total occupation k is
-    (sum_j c_j a_j^dag)^k / k! |vac>, so column k is that part times
-    sqrt(k!).  Exact in the truncated space because every occupation of
-    total k <= cutoff stays at or below the per-mode cutoff; the columns are
-    orthonormal.
+    The graded ladder (:func:`_graded_ladder`) on the rows of total k, exact
+    because those rows stay within the cutoff; the columns are orthonormal.
     """
-    ladder = _product_vectors(spec, spec.cutoff, np.ones((1, 1)))[0]
-    total = spec.space.occupations().sum(axis=1)
-    k = np.arange(spec.cutoff + 1)
-    return np.where(total[:, None] == k, ladder[:, None], 0.0) * np.exp(0.5 * _log_factorials(spec.cutoff))
+    ladder, total = _graded_ladder(spec, spec.cutoff)
+    return np.where(total[:, None] == np.arange(spec.cutoff + 1), ladder[:, None], 0.0)
 
 
 def seed_projector(spec: GraphSpec) -> np.ndarray:
@@ -119,26 +105,29 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_bloc
 
     (1/pi) Int dtheta Int r dr of the tensor product over modes j of
     |alpha*phi_j1><alpha*phi_j1|, tail-factored.  Cross-checks the rank sum.
-    With ``trusted_block`` set, each mode's column stops at that occupation,
-    so the result is the block on the trusted box.
+    With ``trusted_block`` set, it is the block on the trusted box.  Row m of
+    the product column is alpha^N b_m / sqrt(N!), N = total[m], with b the
+    graded ladder on the box, so the integral is B C B^dag, C the rule
+    operator: entrywise b_m C[N_m, N_m'] conj(b_m'), as B's rows hold one entry.
     """
-    side = box_side(spec.cutoff, trusted_block)
-    columns = functools.partial(_product_vectors, spec, side - 1)
-    return integrate_dyads(columns, (scheme,), side**spec.modes, charges=box_charges(spec.modes, side))
+    ladder, total = _graded_ladder(spec, box_side(spec.cutoff, trusted_block) - 1)
+    rule = _rule_operator(int(total[-1]) + 1, scheme)
+    return np.multiply.outer(ladder, ladder.conj()) * rule[np.ix_(total, total)]
 
 
-def _product_vectors(spec: GraphSpec, top: int, alphas: np.ndarray) -> np.ndarray:
-    """Tail-factored product coherent vectors along c = phi[:, 0], one row per amplitude.
+def _graded_ladder(spec: GraphSpec, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seed ladder on the box of ``top + 1`` rows per mode, graded: (entries, total occupations).
 
-    For a (K, 1) column of amplitudes alpha_p, row p is the tensor product
-    over modes j of sum_{m <= top} (alpha_p c_j)^m / sqrt(m!) |m>, built as
-    batched outer products, first mode slowest: a (K, (top+1)^n) array.
+    By the multinomial theorem the part of kron_j sum_{m <= top} c_j^m / sqrt(m!) |m>,
+    c = phi[:, 0], at total k is (sum_j c_j a_j^dag)^k / k! |vac>; times sqrt(k!)
+    it is ladder column k.  Row m (row-major) holds its entry of column total[m].
     """
-    factors = unnormalized_coherent(alphas * spec.phi[:, 0], top)
-    out = factors[:, 0]
+    factors = unnormalized_coherent(spec.phi[:, 0], top)
+    ladder = factors[0]
     for mode in range(1, spec.modes):
-        out = (out[:, :, None] * factors[:, mode, None, :]).reshape(len(alphas), -1)
-    return out
+        ladder = (ladder[:, None] * factors[mode, None, :]).reshape(-1)
+    total = np.indices((top + 1,) * spec.modes).reshape(spec.modes, -1).sum(axis=0)
+    return ladder * np.exp(0.5 * _log_factorials(spec.modes * top))[total], total
 
 
 def seed_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarray:
@@ -187,43 +176,78 @@ def _sector_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarra
 
 
 class _SectorPlan(NamedTuple):
-    """The box in sector-major order, with each sector's predecessors and weights."""
+    """Occupation tuples in sector-major order, with each sector's predecessors and weights."""
 
-    order: np.ndarray  # box row at each position
-    position: np.ndarray  # position of each box row
+    order: np.ndarray  # at each position, the tuple's index in row-major order (its box row, for a box)
+    position: np.ndarray  # position of each tuple, by that index
+    occupations: np.ndarray  # (size, modes) tuple at each position
     sectors: tuple  # per sector N >= 1: the slice of its positions
     lower: tuple  # per sector N >= 1: (modes, size) positions of m - e_j
     weight: tuple  # per sector N >= 1: (modes, size, 1) sqrt(m_j) / N
 
 
 @functools.lru_cache(maxsize=None)
-def _sector_plan(modes: int, rows: int) -> _SectorPlan:
-    """The rows of the ``rows``^``modes`` box by total occupation N, from the vacuum up, row-major within a sector.
+def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
+    """The ``rows``^``modes`` box's tuples of total at most ``top`` (default: all), sector by sector, row-major within.
 
-    Where m_j = 0 the predecessor m - e_j is the last position, the box's
-    top row (every mode at rows - 1): it is the whole last sector, which
-    reads no such predecessor, so it is still zero when any other sector
-    reads it.
+    Enumerated mode by mode, so a capped plan never builds the box.  Where
+    m_j = 0 the predecessor m - e_j is the last position.  For the whole box
+    that is its top row, the whole last sector, which reads no such
+    predecessor, so it is still zero when any other sector reads it.
     """
-    occupations = np.indices((rows,) * modes).reshape(modes, -1).T
+    top = modes * (rows - 1) if top is None else top
+    occupations = np.zeros((1, 0), dtype=int)
+    for _ in range(modes):
+        counts = np.minimum(rows - 1, top - occupations.sum(axis=1)) + 1
+        values = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        occupations = np.column_stack([np.repeat(occupations, counts, axis=0), values])
+    strides = rows ** np.arange(modes)[::-1]
+    keys = occupations @ strides
     total = occupations.sum(axis=1)
     order = np.argsort(total, kind="stable")
     position = np.argsort(order)
     occupations, total = occupations[order], total[order]
-    lowered = np.maximum(order[:, None] - rows ** np.arange(modes)[::-1], 0)
+    lowered = np.minimum(np.searchsorted(keys, keys[order, None] - strides), len(order) - 1)
     lower = np.where(occupations > 0, position[lowered], len(order) - 1)
     weight = np.sqrt(occupations) / np.maximum(total, 1)[:, None]
     sectors = [slice(at[0], at[-1] + 1) for at in (np.flatnonzero(total == n) for n in range(1, total[-1] + 1))]
-    plan = _SectorPlan(
-        order,
-        position,
-        tuple(sectors),
-        tuple(np.ascontiguousarray(lower[at].T) for at in sectors),
-        tuple(np.ascontiguousarray(weight[at].T)[..., None] for at in sectors),
-    )
-    for array in (order, position, *plan.lower, *plan.weight):
+    lower = tuple(np.ascontiguousarray(lower[at].T) for at in sectors)
+    weight = tuple(np.ascontiguousarray(weight[at].T)[..., None] for at in sectors)
+    plan = _SectorPlan(order, position, occupations, tuple(sectors), lower, weight)
+    for array in (order, position, occupations, *plan.lower, *plan.weight):
         array.flags.writeable = False
     return plan
+
+
+def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """V[a, m] = <a|U(phi)|m> for the rows a of the ``rows``-per-mode box, one block per total occupation.
+
+    U(phi), U a_j^dag U^dag = sum_i phi_ij a_i^dag, takes |k, 0, ..., 0> to
+    seed ladder column k and D(0, alpha) to the shift D(phi[:, 1:] alpha).
+    It keeps total occupation: V_N maps the box rows of total N to every
+    rotated tuple of total N.  From V_0 = 1 the number operator gives
+    N V_N[a, m] = sum_{i,j} sqrt(a_i) phi_ij sqrt(m_j) V_{N-1}[a - e_i, m - e_j],
+    stable where the single raising step cancels between the modes (README,
+    numerical notes).  Returns per N = 0..modes (rows - 1) the box rows
+    (row-major indices), the rotated tuples (size, modes) and V_N.
+    """
+    box = _sector_plan(spec.modes, rows)
+    top = spec.modes * (rows - 1)
+    rotated = _sector_plan(spec.modes, top + 1, top)
+    sectors = [(box.order[:1], rotated.occupations[:1], np.ones((1, 1), dtype=complex))]
+    box_start = rotated_start = 0
+    for at, lower, weight, here, below in zip(box.sectors, box.lower, box.weight, rotated.sectors, rotated.lower):
+        previous = sectors[-1][2]
+        # Positions within sector N-1.  A predecessor of a_i = 0 or m_j = 0, the plan's last position, has
+        # weight 0: the modulus takes it to some position of the sector and leaves the others as they are.
+        lifted = previous[(lower - box_start) % len(previous)] * weight
+        mixed = np.einsum("ij,iac->jac", spec.phi, lifted)
+        tuples = rotated.occupations[here]
+        columns = (below - rotated_start) % previous.shape[1]
+        ladder = sum(mixed[j][:, columns[j]] * np.sqrt(tuples[:, j]) for j in range(spec.modes))
+        sectors.append((box.order[at], tuples, ladder))
+        box_start, rotated_start = at.start, here.start
+    return sectors
 
 
 def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:

@@ -84,8 +84,8 @@ class TestSingleExperiments:
 
     def test_covariant_gs_at_max_nodes_folds_to_one_node(self, tmp_path):
         # One radius and 2**20 angles, MAX_NODES: the fold evaluates one node
-        # with 25 residue columns and builds no row of the node table past
-        # it, so the run takes milliseconds.
+        # with 25 residue columns and builds nothing for the other angles, so
+        # the run takes milliseconds.
         data = {"experiment": "covariant_gs", "radial_order": 1, "angular_order": 2**20}
         config = write_config(tmp_path, data)
         out = tmp_path / "report.json"
@@ -107,12 +107,19 @@ class TestSingleExperiments:
 
     # At n=3 the default trusted block is cutoff // 3; cutoff // 2 would
     # reach the truncation edge (deviations near 1e-1).  The n=4 cases run at
-    # cutoff 4 (block 1); resolution there integrates 125,000 nodes at its
-    # defaults, building only the 16 x 16 trusted block (a few seconds).
+    # cutoff 4 (block 1), and n=5 at cutoff 5 (block 1), where the product
+    # grid of four 6 x 12 rules once exceeded MAX_NODES; resolution reads one
+    # rule operator per pair and builds only the trusted block.
     @pytest.mark.parametrize(
         "experiment, n, cutoff, block",
-        [("projection", 3, 8, 2), ("resolution", 3, 4, 1), ("projection", 4, 4, 1), ("resolution", 4, 4, 1)],
-        ids=["projection-8-2", "resolution-4-1", "projection-n4-4-1", "resolution-n4-4-1"],
+        [
+            ("projection", 3, 8, 2),
+            ("resolution", 3, 4, 1),
+            ("projection", 4, 4, 1),
+            ("resolution", 4, 4, 1),
+            ("resolution", 5, 5, 1),
+        ],
+        ids=["projection-8-2", "resolution-4-1", "projection-n4-4-1", "resolution-n4-4-1", "resolution-n5-5-1"],
     )
     def test_three_mode_default_trusted_block(self, tmp_path, experiment, n, cutoff, block):
         config = write_config(tmp_path, {"experiment": experiment, "n": n, "cutoff": cutoff})
@@ -291,6 +298,11 @@ class TestExitCodes:
             ),
             ({"experiment": "gs", "angular_order": 10**18}, "gs quadrature", "MAX_NODES = 1048576"),
             (
+                {"experiment": "resolution", "n": 3, "cutoff": 6, "angular_order": 2**20},
+                "resolution quadrature at radial_order 7 x angular_order 1048576",
+                "MAX_NODES = 1048576",
+            ),
+            (
                 {"experiment": "anticlique", "generator_params": [{"R": [0.1], "Theta": [0.0]}] * (MAX_DIM + 1)},
                 "generator_params needs more than MAX_DIM = 8192 entries",
                 "MAX_DIM = 8192",
@@ -319,6 +331,7 @@ class TestExitCodes:
             "convergence-cutoff-200000",
             "gs-angular-3e6",
             "gs-angular-1e18",
+            "resolution-n3-angular-2e20",
             "anticlique-generators-8193",
             "covariant-cutoff-280-radial-64",
             "covariant-cutoff-480-radial-8",
@@ -334,7 +347,7 @@ class TestExitCodes:
         assert limit in err
 
     # Budget edges, parsed only: the gs case would build a 1 GiB matrix and
-    # the resolution case take 334,084 quadrature nodes.  The anticlique
+    # the resolution case works on 4913 rows.  The anticlique
     # n=3 case also runs, in bounded memory, in TestSingleExperiments.
     @pytest.mark.parametrize(
         "data",
@@ -348,7 +361,7 @@ class TestExitCodes:
         ids=[
             "anticlique-n3-dim-4913",
             "gs-dim-8192",
-            "resolution-n3-nodes-334084",
+            "resolution-n3-dim-4913",
             "covariant-phi-8100",
             "anticlique-generators-8192",
         ],

@@ -277,7 +277,7 @@ class TestSeedLadders:
     # Box rows per mode; None is every row.  At one row only the vacuum row
     # is built, where every column past the first vanishes.  17 points: a
     # sweep wider than the levels, at n=3 on a box cut below the cutoff and
-    # at n=2 as the default resolution's chunk (9 rows, 17 orbit nodes).
+    # at n=2 on the default resolution's 9-row box.
     @pytest.mark.parametrize(
         "modes, cutoff, rows, count",
         [

@@ -22,13 +22,12 @@ from fockgraph import (
     kron_all,
     polar_scheme,
     seed_basis,
-    seed_ladders,
     seed_projector,
     seed_projector_quadrature,
     unnormalized_coherent,
 )
 from fockgraph import graphs, quadrature
-from fockgraph.config import dft_matrix
+from fockgraph.config import config_from_dict, dft_matrix
 from fockgraph.multimode import trusted_mask
 from fockgraph.quadrature import (
     CHUNK_ENTRIES,
@@ -37,6 +36,7 @@ from fockgraph.quadrature import (
     integrate_dyads,
     serial_matmul,
 )
+from fockgraph.runner import run_experiment
 from oracles import displace_modewise, gauss_laguerre_reference, haar_unitary
 
 
@@ -67,10 +67,12 @@ def oracle_dyad_sum(vector, scheme, dim):
     return acc
 
 
-def oracle_graph_resolution(spec, scheme, conjugate):
-    """sum_k w_k conjugate(D_k) over the node product, first pair slowest."""
+def oracle_graph_resolution(spec, schemes, conjugate):
+    """sum_k w_k conjugate(D_k) over the product of the pairs' nodes, first pair slowest."""
+    if not isinstance(schemes, tuple):
+        schemes = (schemes,) * (spec.modes - 1)
     acc = np.zeros((spec.space.dim, spec.space.dim), dtype=complex)
-    for combo in itertools.product(list(oracle_nodes(scheme)), repeat=spec.modes - 1):
+    for combo in itertools.product(*(list(oracle_nodes(scheme)) for scheme in schemes)):
         alphas = np.array([alpha for alpha, _ in combo])
         weight = math.prod(w for _, w in combo)
         shifts = spec.phi[:, 1:] @ alphas
@@ -80,23 +82,25 @@ def oracle_graph_resolution(spec, scheme, conjugate):
 
 
 class TestIntegrateDyads:
-    # A chunk holds CHUNK_ENTRIES // node_entries whole nodes.  The callbacks
-    # claim per-node widths that give 128 nodes a chunk at rank 1 and 7 at
-    # rank 17; at rank 130 a node is wider than the budget and takes a chunk
-    # alone.  The node counts fall below a chunk, on it and off a multiple
-    # of it.
-    NODES_PER_CHUNK = {1: 128, 17: 7, 130: 1}
+    # integrate_dyads builds one node per radius; a chunk holds
+    # CHUNK_ENTRIES // node_entries of them.  The callbacks claim per-node
+    # widths that give 3 nodes a chunk at rank 1 and 2 at rank 17; at rank
+    # 130 a node is wider than the budget and takes a chunk alone.  The
+    # radial orders fall below a chunk, on it and off a multiple of it.
+    NODES_PER_CHUNK = {1: 3, 17: 2, 130: 1}
 
     @pytest.mark.parametrize(
         "rank, orders",
-        [(1, (4, 5)), (1, (8, 16)), (1, (10, 20)), (17, (1, 5)), (17, (1, 7)), (17, (3, 10)), (130, (2, 3))],
+        [(1, (2, 5)), (1, (3, 16)), (1, (10, 20)), (17, (1, 5)), (17, (2, 7)), (17, (3, 10)), (130, (2, 3))],
     )
     def test_matches_per_node_outer_products(self, rank, orders):
+        # Column k turns by e^{i k theta} with the amplitude, so the M angles
+        # of a radius sum to M times its dyads at angle 0.
         scheme = polar_scheme(*orders)
         base = np.random.default_rng(rank).standard_normal((5, rank))
 
         def columns(alpha):
-            return base * alpha + np.arange(rank) / (1.0 + abs(alpha))
+            return base * alpha ** np.arange(rank) * (1.0 + np.arange(5)[:, None] / (1.0 + abs(alpha)))
 
         expected = np.zeros((5, 5), dtype=complex)
         for alpha, weight in oracle_nodes(scheme):
@@ -109,13 +113,12 @@ class TestIntegrateDyads:
         sizes = []
 
         def batched_columns(alphas):
-            assert alphas.shape[1] == 1
             sizes.append(len(alphas))
-            return np.stack([columns(alpha) for alpha in alphas[:, 0]])
+            return np.stack([columns(alpha) for alpha in alphas])
 
-        got = integrate_dyads(batched_columns, (scheme,), 5, rank=rank, node_entries=node_entries)
+        got = integrate_dyads(batched_columns, scheme, 5, rank=rank, node_entries=node_entries)
         assert sizes[:-1] == [step] * (len(sizes) - 1) and 1 <= sizes[-1] <= step
-        assert sum(sizes) == orders[0] * orders[1]
+        assert sum(sizes) == orders[0]
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("orders", [(4, 5), (8, 16), (10, 20)])
@@ -241,35 +244,22 @@ class TestTrustedBox:
         with pytest.raises(ValueError, match="trusted_block"):
             compression_check(spec, point, [point], trusted_block=block)
 
-    def test_small_box_at_large_cutoff_stays_within_budget(self, monkeypatch):
-        # n=2 at cutoff 64 (dim 4225, rank 65) on the vacuum box: a node's
-        # stacked ladder is 1 x 65 entries, so the 16 orbit nodes of the
-        # 16 x 8 rule go in one chunk, each evaluated once, and seed_ladders
-        # builds only the vacuum row.  From the first chunk on, memory holds a
-        # few chunk arrays, within the bound that once also held the 4.4 MB
-        # seed basis; the full operator's accumulator alone would take 285 MB.
+    def test_small_box_at_large_cutoff_stays_within_budget(self):
+        # n=2 at cutoff 64 (dim 4225, rank 65) on the vacuum box: the rank
+        # backend reads the 16 x 8 rule through its 1 x 1 rule operator and
+        # V_0 = 1, with no ladder and no node, so memory stays within a few
+        # chunk arrays; the full operator's accumulator alone would take
+        # 285 MB.
         spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(11)), modes=2, cutoff=64)
         scheme = polar_scheme(16, 8)
         basis = seed_basis(spec)
-        sizes = []
-
-        def recording(spec, shifts, rows):
-            if not sizes:
-                tracemalloc.reset_peak()
-            out = seed_ladders(spec, shifts, rows)
-            sizes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(graphs, "seed_ladders", recording)
         tracemalloc.start()
         try:
             got = graph_resolution(spec, scheme, backend="rank", trusted_block=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sizes == [(16, 1, 65)]
-        assert 16 * 65 <= CHUNK_ENTRIES
-        assert peak <= basis.nbytes + 4 * CHUNK_ENTRIES * 16
+        assert peak <= 4 * CHUNK_ENTRIES * 16
         # Oracle: the vacuum row of D_1 x D_2 is the Kronecker product of
         # the rows, so each node adds |row @ basis|^2.
         expected = 0.0
@@ -280,69 +270,56 @@ class TestTrustedBox:
         assert abs(got[0, 0] - expected) <= 1e-13 * expected
 
 
-class TestRotationOrbit:
-    """With charges, integrate_dyads evaluates one node per rotation orbit of the product grid."""
+class TestRuleAliasing:
+    """The integrators read the polar rule through its operator C, aliasing and all, as the node-by-node sum does."""
+
+    # Rules per parameter pair and whether the node-by-node sum aliases:
+    # entries whose total occupations differ by a nonzero multiple of the
+    # gcd g of the angular counts stand far above 1e-6 of the largest.  At
+    # cutoff 4 (n=2) and 3 (n=3) the full box's totals reach 8 and 9.
+    RULES = [
+        (((4, 5), (3, 7)), False),  # g = 1: no fold to alias
+        (((4, 7),), True),  # g = 7 prime: 8 - 1 aliases
+        (((3, 6), (2, 12)), True),  # g = 6 composite: 7 - 1 aliases
+        (((3, 12), (2, 18)), False),  # g = 6, but 12 and 18 resolve 6
+        (((5, 4),), True),  # g = 4 below the largest total
+        (((6, 12),), False),  # g = 12 above every total difference
+    ]
 
     @staticmethod
-    def covariant_columns(charges, rank, seed):
-        """Columns whose row r turns by exp(i (c_r - k) theta) when every amplitude turns by theta."""
-        coef = np.random.default_rng(seed).standard_normal((len(charges), rank, 2)) @ [1.0, 1.0j]
+    def aliases(expected, totals, orders) -> bool:
+        gcd = math.gcd(*(angular for _, angular in orders))
+        difference = np.subtract.outer(totals, totals)
+        folded = (difference % gcd == 0) & (difference != 0)
+        alias = np.max(np.abs(expected[folded]), initial=0.0) if gcd > 1 else 0.0
+        return bool(alias > 1e-6 * np.abs(expected).max())
 
-        def columns(alpha):
-            # |a_j|^2 and a_0 conj(a_last) are rotation invariants.
-            invariant = 1.0 + np.sum(np.abs(alpha) ** 2) / 4 + alpha[0] * np.conj(alpha[-1])
-            out = np.empty((len(charges), rank), dtype=complex)
-            for r, charge in enumerate(charges):
-                for k in range(rank):
-                    d = charge - k
-                    lead = alpha[0] ** d if d >= 0 else np.conj(alpha[-1]) ** -d
-                    out[r, k] = coef[r, k] * lead * invariant ** (r % 3)
-            return out
-
-        return columns
-
-    @pytest.mark.parametrize(
-        "orders, charges, rank, aliased",
-        [
-            (((4, 5), (3, 7)), [0, 1, 2, 3, 5], 1, False),  # g = 1: every node is its own orbit
-            (((4, 7),), [0, 1, 2, 5, 8, 9], 1, True),  # g = 7 prime: 8 - 1 aliases
-            (((4, 7),), [0, 1, 2, 5, 8, 9], 3, True),
-            (((3, 6), (2, 12)), [0, 1, 3, 6, 7, 4], 2, True),  # g = 6 composite: 7 - 1 aliases
-            (((3, 12), (2, 18)), [0, 1, 3, 6, 7, 4], 2, False),  # g = 6, but 12 and 18 resolve 6
-            (((5, 4),), [0, 1, 2, 3, 4, 5, 6], 1, True),  # g = 4 below the largest charge
-            (((6, 12),), [0, 2, 3, 5, 9], 2, False),  # g = 12 above every charge difference
-        ],
-    )
-    def test_matches_per_node_outer_products_over_every_node(self, orders, charges, rank, aliased):
+    @pytest.mark.parametrize("orders, aliased", RULES)
+    def test_graph_resolution_matches_per_node_sum(self, orders, aliased):
+        modes = len(orders) + 1
+        phi = haar_unitary(modes, np.random.default_rng(len(orders) + orders[0][1]))
+        spec = GraphSpec(phi=phi, modes=modes, cutoff=6 - modes)
         schemes = tuple(polar_scheme(*pair) for pair in orders)
-        orbit = math.gcd(*(angular for _, angular in orders))
-        columns = self.covariant_columns(charges, rank, seed=len(charges) + rank)
-        dim = len(charges)
-        expected = np.zeros((dim, dim), dtype=complex)
-        count = 0
-        for combo in itertools.product(*(list(oracle_nodes(scheme)) for scheme in schemes)):
-            alpha = np.array([a for a, _ in combo])
-            block = columns(alpha)
-            weight = math.prod(w for _, w in combo)
-            for k in range(rank):
-                expected += weight * np.outer(block[:, k], block[:, k].conj())
-            count += 1
-        sizes = []
-
-        def batched_columns(alphas):
-            sizes.append(len(alphas))
-            return np.stack([columns(alpha) for alpha in alphas])
-
-        got = integrate_dyads(batched_columns, schemes, dim, rank, node_entries=CHUNK_ENTRIES // 5, charges=charges)
-        assert sum(sizes) * orbit == count
+        basis = seed_basis(spec)
+        expected = oracle_graph_resolution(spec, schemes, lambda d: (d @ basis) @ (d @ basis).conj().T)
+        got = graph_resolution(spec, schemes, backend="rank")
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-        # A fold by g * delta would zero the entries whose charges differ by
-        # a nonzero multiple of g; where the full rule aliases, they stand far
-        # above the bound.
-        difference = np.subtract.outer(charges, charges)
-        folded = (difference % orbit == 0) & (difference != 0)
-        alias = np.max(np.abs(expected[folded]), initial=0.0) if orbit > 1 else 0.0
-        assert (alias > 1e-6 * np.abs(expected).max()) == aliased
+        assert self.aliases(expected, spec.space.occupations().sum(axis=1), orders) == aliased
+
+    @pytest.mark.parametrize("orders, aliased", [rule for rule in RULES if len(rule[0]) == 1])
+    def test_single_mode_integrators_match_per_node_sum(self, orders, aliased):
+        scheme = polar_scheme(*orders[0])
+        expected = oracle_dyad_sum(lambda a: unnormalized_coherent(a, 8), scheme, 9)
+        assert np.abs(coherent_identity(8, scheme) - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert self.aliases(expected, np.arange(9), orders) == aliased
+        spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(orders[0][1])), modes=2, cutoff=4)
+        column = spec.phi[:, 0]
+        expected = oracle_dyad_sum(
+            lambda a: kron_all([unnormalized_coherent(a * c, 4) for c in column]), scheme, spec.space.dim
+        )
+        got = seed_projector_quadrature(spec, scheme)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert self.aliases(expected, spec.space.occupations().sum(axis=1), orders) == aliased
 
     @pytest.mark.parametrize("angular", [(6, 9), (6, 7), (8, 12)])
     def test_three_mode_rank_matches_direct(self, angular):
@@ -352,23 +329,49 @@ class TestRotationOrbit:
         direct = graph_resolution(spec, schemes, backend="direct")
         assert np.abs(rank - direct).max() <= 1e-13
 
-    def test_default_resolution_evaluates_one_node_per_orbit(self, monkeypatch):
-        # n=2 c=16 at the defaults: 17 radial x 34 angular nodes fold into 17
-        # orbits, and each orbit node's ladder is built once.
+    def test_five_mode_rank_matches_direct(self):
+        # Cutoff 1 (dim 32) under an aliased rule per pair, (2 x 3)^4 = 1296 product nodes for the oracle.
+        spec = GraphSpec(phi=haar_unitary(5, np.random.default_rng(5)), modes=5, cutoff=1)
+        schemes = (polar_scheme(2, 3), polar_scheme(1, 2), polar_scheme(2, 3), polar_scheme(1, 4))
+        rank = graph_resolution(spec, schemes, backend="rank")
+        direct = graph_resolution(spec, schemes, backend="direct")
+        assert np.abs(rank - direct).max() <= 1e-13
+
+    def test_default_resolution_evaluates_no_node(self, monkeypatch):
+        # n=2 c=16 at the defaults: the 17 x 34 rule is read through its
+        # operator C, so no ladder sweep and no displacement matrix runs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a node column was built")
+
+        builders = ((graphs, "seed_ladders"), (graphs, "_sector_ladders"), (quadrature, "displacement_matrix"))
+        for module, name in builders:
+            monkeypatch.setattr(module, name, refuse)
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=16)
-        shifts = []
+        got = graph_resolution(spec, polar_scheme(17, 34), backend="rank", trusted_block=8)
+        assert identity_deviation(got) <= 1e-13
 
-        def recording(spec, nodes, rows):
-            shifts.append(nodes)
-            return seed_ladders(spec, nodes, rows)
-
-        monkeypatch.setattr(graphs, "seed_ladders", recording)
-        graph_resolution(spec, polar_scheme(17, 34), backend="rank", trusted_block=8)
-        assert sum(len(nodes) for nodes in shifts) == 17
-
-    def test_rejects_charges_of_wrong_length(self):
-        with pytest.raises(ValueError, match="charges"):
-            integrate_dyads(lambda alphas: np.ones((len(alphas), 3)), (polar_scheme(2, 4),), 3, charges=[0, 1])
+    def test_aliased_full_box_stays_within_budget(self):
+        # n=3 cutoff 6 with trusted_block = cutoff: the 343 x 343 result
+        # (1.9 MB) over rotated tuples of total up to 18, 1330 of them, where
+        # one dense X over them would take 28 MB.  Sector blocks of X are
+        # taken in chunks of CHUNK_ENTRIES entries.  The 2 x 5 rule aliases;
+        # the oracle is the node-by-node sum of the displaced ladders.
+        spec = GraphSpec(phi=haar_unitary(3, np.random.default_rng(36)), modes=3, cutoff=6)
+        scheme = polar_scheme(2, 5)
+        tracemalloc.start()
+        try:
+            got = graph_resolution(spec, scheme, backend="rank", trusted_block=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= got.nbytes + 2 * CHUNK_ENTRIES * 16
+        nodes = list(itertools.product(list(oracle_nodes(scheme)), repeat=2))
+        alphas = np.array([[alpha for alpha, _ in combo] for combo in nodes])
+        weights = np.array([math.prod(w for _, w in combo) for combo in nodes])
+        ladders = displace_modewise(spec, seed_basis(spec), alphas) * np.sqrt(weights)[:, None, None]
+        stacked = ladders.transpose(1, 0, 2).reshape(spec.space.dim, -1)
+        expected = stacked @ stacked.conj().T
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestDisplacedSeedFold:
@@ -406,9 +409,9 @@ class TestDisplacedSeedFold:
     def test_rank_is_the_residues_that_occur(self, monkeypatch, angular, rank, width):
         calls = []
 
-        def recording(columns, schemes, dim, rank=1, node_entries=0, charges=None):
+        def recording(columns, scheme, dim, rank=1, node_entries=0):
             calls.append((dim, rank, node_entries))
-            return integrate_dyads(columns, schemes, dim, rank, node_entries, charges)
+            return integrate_dyads(columns, scheme, dim, rank, node_entries)
 
         monkeypatch.setattr(quadrature, "integrate_dyads", recording)
         got = displaced_projector_identity(1.0, 16, polar_scheme(1, angular), trusted_block=8)
@@ -440,8 +443,8 @@ class TestDisplaceModewise:
 
 
 class TestSerialMatmul:
-    # Shapes of the default suite (n=2, cutoff 16): the seed projector, the
-    # dyad accumulate of an orbit chunk (81 rows in two-row blocks, so a
+    # Shapes of the default suite (n=2, cutoff 16): the seed projector, an
+    # 81-row dyad accumulate on the resolution box (two-row blocks, so a
     # one-row remainder), a ladder Gram and its residual factor; then a
     # product too small to cut, rows too wide to cut, and a single row.
     @pytest.mark.parametrize(
@@ -593,6 +596,14 @@ class TestDisplacedProjectorIdentity:
 
 
 class TestGraphResolution:
+    @pytest.mark.parametrize("cutoff", [56, 63])
+    def test_default_rule_stays_exact_at_large_cutoff(self, cutoff):
+        # V comes from the number-operator recurrence; built by the single
+        # raising step it read 1.7e-10 and 1.9e-9 here.
+        report = run_experiment(config_from_dict({"experiment": "resolution", "cutoff": cutoff}))
+        assert report.passed
+        assert max(report.max_abs_deviation, report.frobenius_deviation) <= 1e-10
+
     def test_identity_mixing_is_exact_on_full_block(self):
         spec = GraphSpec(phi=np.eye(2, dtype=complex), modes=2, cutoff=4)
         op = graph_resolution(spec, polar_scheme(8, 16), backend="rank")

@@ -72,7 +72,10 @@ CASES = [
     ("convergence ladder 8-64", {"experiment": "convergence", "cutoff_ladder": [8, 16, 32, 64]}),
     ("resolution n2 c40", {"experiment": "resolution", "n": 2, "cutoff": 40}),
     ("resolution n5 c5", {"experiment": "resolution", "n": 5, "cutoff": 5}),
-    ("resolution n3 c6 Q2 M5", {"experiment": "resolution", "n": 3, "cutoff": 6, "radial_order": 2, "angular_order": 5}),
+    (
+        "resolution n3 c6 Q2 M5",
+        {"experiment": "resolution", "n": 3, "cutoff": 6, "radial_order": 2, "angular_order": 5},
+    ),
     ("resolution n3 c6 fixed phi", {"experiment": "resolution", "n": 3, "cutoff": 6, "phi": FIXED_PHI}),
     *(
         (
