@@ -599,7 +599,7 @@ class TestGraphResolution:
     @pytest.mark.parametrize("cutoff", [56, 63])
     def test_default_rule_stays_exact_at_large_cutoff(self, cutoff):
         # V comes from the number-operator recurrence; built by the single
-        # raising step it read 1.7e-10 and 1.9e-9 here.
+        # raising step (the first occupied mode) it read 9.0e-10 and 6.7e-9 here.
         report = run_experiment(config_from_dict({"experiment": "resolution", "cutoff": cutoff}))
         assert report.passed
         assert max(report.max_abs_deviation, report.frobenius_deviation) <= 1e-10
