@@ -215,6 +215,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if data.get("anticlique_params") is not None:
         anticlique_params = _parse_point(data["anticlique_params"], n, ("X", "Gamma"), "anticlique_params")
 
+    if experiment == "anticlique":
+        limit = _ladder_radius_limit(n, cutoff)
+        named = [("anticlique_params", anticlique_params)]
+        named += [(f"generator_params entry {i}", point) for i, point in enumerate(generator_params or ())]
+        for what, point in named:
+            radius = math.hypot(*map(float, point.radii)) if point is not None else 0.0
+            if radius > limit:
+                raise ConfigError(
+                    f"{what} radius {radius:.6g} exceeds {limit:.6g}: "
+                    f"the tail-factored ladders overflow at n {n}, cutoff {cutoff}"
+                )
+
     cutoff_ladder = None
     if experiment == "convergence":
         raw_ladder = data.get("cutoff_ladder", list(DEFAULT_LADDER))
@@ -259,6 +271,20 @@ def default_config(experiment: str, overrides: dict | None = None) -> Experiment
 def default_suite(overrides: dict | None = None) -> list[ExperimentConfig]:
     """The default verification suite: five experiments at the defaults."""
     return [default_config(name, overrides) for name in DEFAULT_SUITE]
+
+
+def _ladder_radius_limit(n: int, cutoff: int) -> float:
+    """Largest radius |R| of an anticlique point whose tail-factored ladders stay finite.
+
+    At total occupation N the rotated-frame ladder Y_k = e^{|h|^2/2} D(h) B_k
+    holds the sector mass rho^(2s) / s!, s = N - k, rho = |h| = |R|, so every
+    entry is at most max_s rho^s / sqrt(s!) over s <= n cutoff.  The sweep's
+    sums and the Gram products add at most dim = (cutoff+1)^n such terms, so
+    the check stays finite while dim max_s rho^s / sqrt(s!) is a double:
+    rho <= min_s ((log(max / dim) + log(s!) / 2) / s), in logs.
+    """
+    budget = math.log(np.finfo(float).max) - n * math.log(cutoff + 1)
+    return math.exp(min((budget + 0.5 * math.lgamma(s + 1)) / s for s in range(1, n * cutoff + 1)))
 
 
 def _reject_constant(name: str):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multimode import ModeSpace, trusted_mask, validate_unitary
+from .multimode import ModeSpace, validate_unitary
 from .fock import _log_factorials, unnormalized_coherent
 from .quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, PolarScheme, _rule_operator, box_side, serial_matmul
 
@@ -219,6 +219,104 @@ def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
     return plan
 
 
+class _GradePairs(NamedTuple):
+    """The seed basis's graded entries (m, total of m), total <= cutoff, in sector order, and their same-grade pairs."""
+
+    rows: np.ndarray  # box row m (row-major index) of each entry
+    entries: np.ndarray  # flat index of entry (m, total of m) in the (rows^n, cutoff+1) basis
+    grades: np.ndarray  # the grade (total occupation) of each entry
+    starts: np.ndarray  # first entry of each grade
+    chunks: tuple  # per run of whole grades: (left, right, transpose) over its pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _grade_pairs(modes: int, cutoff: int) -> _GradePairs:
+    """Pairs (i, j) of entries of one grade: grade k is sector k of ``_sector_plan(modes, cutoff + 1)``.
+
+    Column k of the seed basis lives on the rows of total occupation k, so
+    the projector B B^dag is the direct sum of the blocks of its same-grade
+    pairs, grade by grade, each row-major.  ``left`` and ``right`` hold a
+    pair's entries and ``transpose`` the position of pair (j, i) within the
+    chunk.  A chunk holds whole grades and at most CHUNK_ENTRIES pairs,
+    unless one grade alone has more.
+    """
+    plan = _sector_plan(modes, cutoff + 1)
+    bounds = [0, 1, *(at.stop for at in plan.sectors[:cutoff])]
+    grades = np.repeat(np.arange(cutoff + 1), np.diff(bounds))
+    rows = plan.order[: bounds[-1]]
+    chunks, pending = [], []
+    for low, high in zip(bounds, bounds[1:]):
+        if pending and sum(len(grade) ** 2 for grade in pending) + (high - low) ** 2 > CHUNK_ENTRIES:
+            chunks.append(_pair_chunk(pending))
+            pending = []
+        pending.append(np.arange(low, high))
+    chunks.append(_pair_chunk(pending))
+    layout = _GradePairs(rows, rows * (cutoff + 1) + grades, grades, np.array(bounds[:-1]), tuple(chunks))
+    for array in (*layout[:4], *(array for chunk in chunks for array in chunk)):
+        array.flags.writeable = False
+    return layout
+
+
+def _pair_chunk(grades: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, transpose) of the same-grade pairs of the given grades' entries, grade by grade."""
+    left, right, transpose = [], [], []
+    offset = 0
+    for entries in grades:
+        size = len(entries)
+        within = np.arange(size * size)
+        left.append(np.repeat(entries, size))
+        right.append(np.tile(entries, size))
+        transpose.append(offset + within % size * size + within // size)
+        offset += size * size
+    return tuple(np.concatenate(parts) for parts in (left, right, transpose))
+
+
+class _RotationPlan(NamedTuple):
+    """The box-only index arrays of ``_rotation_sectors``, per total occupation N (the lifts from N >= 1)."""
+
+    rows: tuple  # per N: the box rows of total N (row-major indices)
+    tuples: tuple  # per N: the rotated tuples of total N, (size, modes)
+    lower: tuple  # per N >= 1: (modes, rows) positions of a - e_i within sector N-1 of the box
+    weight: tuple  # per N >= 1: (modes, rows, 1) sqrt(a_i) / N
+    columns: tuple  # per N >= 1: (modes, size) j * (size of N-1) + position of m - e_j within rotated sector N-1
+    roots: tuple  # per N >= 1: (modes, size) sqrt(m_j)
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation_plan(modes: int, rows: int) -> _RotationPlan:
+    """The sector plans of the ``rows``-per-mode box and of its rotated tuples, read as positions within sectors.
+
+    The rotated tuples of total N <= T = modes (rows - 1) come from
+    ``_sector_plan(modes, T + 1, T)``, enumerated without the (T+1)^n box.
+    A predecessor of a_i = 0 or m_j = 0, a plan's last position, has weight
+    0: the modulus takes it to some position of sector N-1 and leaves the
+    others as they are.
+    """
+    box = _sector_plan(modes, rows)
+    top = modes * (rows - 1)
+    rotated = _sector_plan(modes, top + 1, top)
+    previous, previous_rotated = slice(0, 1), slice(0, 1)
+    lower, columns, roots = [], [], []
+    for at, box_lower, here, below in zip(box.sectors, box.lower, rotated.sectors, rotated.lower):
+        size = previous_rotated.stop - previous_rotated.start
+        lower.append((box_lower - previous.start) % (previous.stop - previous.start))
+        columns.append((below - previous_rotated.start) % size + size * np.arange(modes)[:, None])
+        roots.append(np.sqrt(rotated.occupations[here].T))
+        previous, previous_rotated = at, here
+    sectors = (slice(0, 1), *box.sectors)
+    plan = _RotationPlan(
+        tuple(box.order[at] for at in sectors),
+        tuple(rotated.occupations[here] for here in (slice(0, 1), *rotated.sectors)),
+        tuple(lower),
+        box.weight,
+        tuple(columns),
+        tuple(roots),
+    )
+    for array in (*plan.rows, *plan.tuples, *plan.lower, *plan.columns, *plan.roots):
+        array.flags.writeable = False
+    return plan
+
+
 def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """V[a, m] = <a|U(phi)|m> for the rows a of the ``rows``-per-mode box, one block per total occupation.
 
@@ -228,25 +326,23 @@ def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.n
     rotated tuple of total N.  From V_0 = 1 the number operator gives
     N V_N[a, m] = sum_{i,j} sqrt(a_i) phi_ij sqrt(m_j) V_{N-1}[a - e_i, m - e_j],
     stable where the single raising step cancels between the modes (README,
-    numerical notes).  Returns per N = 0..modes (rows - 1) the box rows
-    (row-major indices), the rotated tuples (size, modes) and V_N.
+    numerical notes).  Each step reads its index arrays from the cached
+    :func:`_rotation_plan`, mixes the lifted rows by phi and takes the sum
+    over j as one gather over (mode, column), the terms added in mode order.
+    Returns per N = 0..modes (rows - 1) the box rows (row-major indices),
+    the rotated tuples (size, modes) and V_N, column-major as per-mode
+    column gathers leave it, so the products that read it round the same.
     """
-    box = _sector_plan(spec.modes, rows)
-    top = spec.modes * (rows - 1)
-    rotated = _sector_plan(spec.modes, top + 1, top)
-    sectors = [(box.order[:1], rotated.occupations[:1], np.ones((1, 1), dtype=complex))]
-    box_start = rotated_start = 0
-    for at, lower, weight, here, below in zip(box.sectors, box.lower, box.weight, rotated.sectors, rotated.lower):
-        previous = sectors[-1][2]
-        # Positions within sector N-1.  A predecessor of a_i = 0 or m_j = 0, the plan's last position, has
-        # weight 0: the modulus takes it to some position of the sector and leaves the others as they are.
-        lifted = previous[(lower - box_start) % len(previous)] * weight
-        mixed = np.einsum("ij,iac->jac", spec.phi, lifted)
-        tuples = rotated.occupations[here]
-        columns = (below - rotated_start) % previous.shape[1]
-        ladder = sum(mixed[j][:, columns[j]] * np.sqrt(tuples[:, j]) for j in range(spec.modes))
-        sectors.append((box.order[at], tuples, ladder))
-        box_start, rotated_start = at.start, here.start
+    plan = _rotation_plan(spec.modes, rows)
+    ladder = np.ones((1, 1), dtype=complex)
+    sectors = [(plan.rows[0], plan.tuples[0], ladder)]
+    for at, tuples, lower, weight, columns, roots in zip(
+        plan.rows[1:], plan.tuples[1:], plan.lower, plan.weight, plan.columns, plan.roots
+    ):
+        mixed = np.einsum("ij,iac->ajc", spec.phi, ladder[lower] * weight).reshape(len(at), -1)
+        out = np.empty((len(at), len(tuples)), dtype=complex, order="F")
+        ladder = np.add.reduce(mixed[:, columns] * roots, axis=1, out=out)
+        sectors.append((at, tuples, ladder))
     return sectors
 
 
@@ -438,7 +534,7 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
         gram *= gauss[chunk]
         combined += np.einsum("p,ikp,lkp->il", scale[chunk], gram, gram.conj())
 
-    keep = trusted_mask(spec.space, top)[_sector_plan(spec.modes, rank).order]
+    keep = _sector_plan(spec.modes, rank).occupations.max(axis=1) <= top
     # Y_t from the top sector down, so that S sums a ladder's small entries first.
     ladder = ladder[np.flatnonzero(keep)[::-1]]
     overlap = matmul(ladder.conj().T, ladder)

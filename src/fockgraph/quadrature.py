@@ -305,7 +305,9 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
     l's rule operator and V from ``graphs._rotation_sectors``, block by
     block: C_l links occupations equal mod M_l, so sectors N <= N' couple
     only where the gcd of the angular counts divides N' - N, and each block
-    V_N X V_N'^dag takes X's rows in chunks of CHUNK_ENTRIES entries.
+    V_N X V_N'^dag takes X's rows in chunks of CHUNK_ENTRIES entries (one
+    chunk's product is the block); a block with N < N' is written with its
+    adjoint, a diagonal one once.
     "direct" conjugates the seed projector by the Kronecker-product matrix
     at every node of the product grid and is kept as the oracle.  With
     ``trusted_block`` set, the result is the block on the occupations at or
@@ -334,9 +336,9 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
         step = math.gcd(*(scheme.angular.count for scheme in schemes))
         out = np.zeros((rows**spec.modes,) * 2, dtype=complex)
         for low, (at, tuples, ladder) in enumerate(sectors):
-            for at_high, tuples_high, ladder_high in sectors[low::step]:
+            for high in range(low, len(sectors), step):
+                at_high, tuples_high, ladder_high = sectors[high]
                 adjoint = ladder_high.conj().T
-                block = np.zeros((len(at), len(at_high)), dtype=complex)
                 chunk = max(1, CHUNK_ENTRIES // len(tuples_high))
                 for start in range(0, len(tuples), chunk):
                     part = tuples[start : start + chunk]
@@ -344,8 +346,13 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
                     rule = np.equal.outer(part[:, 0], tuples_high[:, 0]) & (part[:, :1] <= spec.cutoff)
                     for pair, operator in enumerate(rules, start=1):
                         rule = rule * operator[part[:, pair, None], tuples_high[:, pair]]
-                    block += serial_matmul(ladder[:, start : start + chunk], serial_matmul(rule, adjoint))
-                out[at_high[:, None], at] = block.conj().T
+                    product = serial_matmul(ladder[:, start : start + chunk], serial_matmul(rule, adjoint))
+                    if start == 0:
+                        block = product
+                    else:
+                        block += product
+                if high != low:
+                    out[at_high[:, None], at] = block.conj().T
                 out[at[:, None], at_high] = block
         return out
     dim = spec.space.dim

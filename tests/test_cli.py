@@ -14,7 +14,7 @@ import pytest
 
 import fockgraph
 from fockgraph.cli import main
-from fockgraph.config import MAX_DIM, config_from_dict
+from fockgraph.config import MAX_DIM, _ladder_radius_limit, config_from_dict
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -203,6 +203,18 @@ class TestExitCodes:
         assert report["parameters"]["radial_order"] == 64
         assert math.isfinite(report["max_abs_deviation"])
 
+    @pytest.mark.parametrize("n, cutoff, radius", [(2, 8, 1e14), (2, 8, None), (3, 8, None), (2, 40, None)])
+    def test_anticlique_radius_within_the_ladder_limit_reaches_a_verdict(self, tmp_path, n, cutoff, radius):
+        # Up to the config's radius limit (None: just below it) the ladders stay finite.
+        if radius is None:
+            radius = 0.999 * _ladder_radius_limit(n, cutoff)
+        point = {"R": [radius] + [0.0] * (n - 2), "Theta": [0.3] * (n - 1)}
+        config = write_config(tmp_path, {"experiment": "anticlique", "n": n, "cutoff": cutoff, "generator_params": [point]})
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 0
+        report = json.loads(out.read_text())
+        assert all(math.isfinite(report[key]) for key in ("max_abs_deviation", "frobenius_deviation", "scalar_measured"))
+
     def test_verification_failure_exits_one(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -319,6 +331,22 @@ class TestExitCodes:
                 "exceeds 453",
             ),
             ({"experiment": "convergence", "cutoff_ladder": [700]}, "cutoff 700", "exceeds 353"),
+            # The tail-factored anticlique ladders overflow past the radius limit.
+            (
+                {"experiment": "anticlique", "n": 2, "cutoff": 40, "generator_params": [{"R": [1e6], "Theta": [0.3]}]},
+                "generator_params entry 0 radius 1e+06",
+                "exceeds 35950.6",
+            ),
+            (
+                {"experiment": "anticlique", "n": 2, "cutoff": 8, "generator_params": [{"R": [1e20], "Theta": [0.3]}]},
+                "generator_params entry 0 radius 1e+20",
+                "exceeds 3.65518e+19",
+            ),
+            (
+                {"experiment": "anticlique", "n": 2, "cutoff": 8, "anticlique_params": {"X": [1e200], "Gamma": [0.3]}},
+                "anticlique_params radius 1e+200",
+                "exceeds 3.65518e+19",
+            ),
         ],
         ids=[
             "projection-n4",
@@ -336,6 +364,9 @@ class TestExitCodes:
             "covariant-cutoff-280-radial-64",
             "covariant-cutoff-480-radial-8",
             "convergence-ladder-700",
+            "anticlique-n2-c40-radius-1e6",
+            "anticlique-n2-c8-radius-1e20",
+            "anticlique-n2-c8-anticlique-radius-1e200",
         ],
     )
     def test_oversized_config_exits_two(self, tmp_path, capsys, data, reason, limit):

@@ -32,7 +32,7 @@ from fockgraph.multimode import trusted_mask
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
 from fockgraph.cli import main
 from fockgraph.graphs import _sector_ladders, _sector_plan
-from fockgraph.quadrature import SERIAL_GEMM_MACS, serial_matmul
+from fockgraph.quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, serial_matmul
 from oracles import (
     dense_generator,
     dense_projection_deviations,
@@ -126,15 +126,17 @@ class TestSeedProjector:
 
 
 class TestProjectionCheck:
-    """The runner's grade-by-grade projector check against the dense one."""
+    """The runner's one-pass graded projector check against the dense one."""
 
     @staticmethod
-    def projection_config(modes, cutoff):
-        return config_from_dict({"experiment": "projection", "n": modes, "cutoff": cutoff})
+    def projection_config(modes, cutoff, phi=None):
+        data = {"experiment": "projection", "n": modes, "cutoff": cutoff}
+        if phi is not None:
+            data["phi"] = [[float(z.real), float(z.imag)] for z in phi.ravel()]
+        return config_from_dict(data)
 
-    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8), (4, 4)])
-    def test_matches_dense_oracle(self, modes, cutoff):
-        cfg = self.projection_config(modes, cutoff)
+    def check_against_dense_oracle(self, modes, cutoff, phi=None):
+        cfg = self.projection_config(modes, cutoff, phi)
         spec = GraphSpec(phi=cfg.phi, modes=modes, cutoff=cutoff)
         basis = seed_basis(spec)
         scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
@@ -147,6 +149,39 @@ class TestProjectionCheck:
         for key, value in expected.items():
             assert abs(got[key] - value) <= 1e-15, key
         assert run_experiment(cfg).passed == (max(expected.values()) <= cfg.tolerance)
+
+    # n=3 cutoff 16 takes two chunks of whole grades, the largest grade 153 rows.
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8), (4, 4), (3, 16)])
+    def test_matches_dense_oracle(self, modes, cutoff):
+        self.check_against_dense_oracle(modes, cutoff)
+
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8), (3, 16)])
+    def test_matches_dense_oracle_for_haar_mixing(self, modes, cutoff):
+        self.check_against_dense_oracle(modes, cutoff, haar_unitary(modes, np.random.default_rng(modes * cutoff)))
+
+    def test_layout_is_read_for_its_own_shape(self):
+        # A layout cached for one (modes, cutoff) must not serve another.
+        fockgraph.graphs._grade_pairs.cache_clear()
+        for modes, cutoff in [(2, 16), (3, 8), (2, 16)]:
+            self.check_against_dense_oracle(modes, cutoff)
+
+    @pytest.mark.parametrize("modes, cutoff, chunks", [(2, 16, 1), (3, 16, 2), (4, 8, 1), (2, 89, 4)])
+    def test_layout_chunks_whole_grades(self, modes, cutoff, chunks):
+        layout = fockgraph.graphs._grade_pairs(modes, cutoff)
+        plan = _sector_plan(modes, cutoff + 1)
+        assert np.array_equal(plan.occupations[: len(layout.rows)].sum(axis=1), layout.grades)
+        assert np.array_equal(plan.order[: len(layout.rows)], layout.rows)
+        assert len(layout.chunks) == chunks
+        sizes = np.bincount(layout.grades)
+        pairs = 0
+        for left, right, transpose in layout.chunks:
+            grades = np.unique(layout.grades[left])
+            assert np.array_equal(layout.grades[left], layout.grades[right])
+            assert len(left) == np.sum(sizes[grades] ** 2)
+            assert len(left) <= CHUNK_ENTRIES or len(grades) == 1
+            assert np.array_equal(left[transpose], right) and np.array_equal(right[transpose], left)
+            pairs += len(left)
+        assert pairs == np.sum(sizes**2)
 
     def test_off_grade_entry_fails(self, monkeypatch):
         # Column 3 given a vacuum component: the grades no longer split P.

@@ -37,7 +37,7 @@ from fockgraph.quadrature import (
     serial_matmul,
 )
 from fockgraph.runner import run_experiment
-from oracles import displace_modewise, gauss_laguerre_reference, haar_unitary
+from oracles import displace_modewise, gauss_laguerre_reference, haar_unitary, rotation_sectors_loop
 
 
 def identity_deviation(op, mask=None):
@@ -173,6 +173,18 @@ class TestIntegrateDyads:
         basis = seed_basis(spec)
         expected = oracle_graph_resolution(spec, scheme, lambda d: (d @ basis) @ (d @ basis).conj().T)
         assert np.abs(graph_resolution(spec, scheme, backend="rank") - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("modes, cutoff, rows", [(2, 16, 9), (2, 40, 21), (3, 6, 3), (3, 8, 9), (4, 6, 5), (5, 5, 2)])
+    def test_rotation_sectors_match_the_step_by_step_sweep(self, modes, cutoff, rows):
+        # The cached plan changes no product and no order of summation: V is bitwise the same.
+        for phi in (dft_matrix(modes), haar_unitary(modes, np.random.default_rng(rows))):
+            spec = GraphSpec(phi=phi, modes=modes, cutoff=cutoff)
+            expected = rotation_sectors_loop(spec, rows)
+            got = graphs._rotation_sectors(spec, rows)
+            assert len(got) == len(expected) == modes * (rows - 1) + 1
+            for (at, tuples, ladder), (at_ref, tuples_ref, ladder_ref) in zip(got, expected):
+                assert np.array_equal(at, at_ref) and np.array_equal(tuples, tuples_ref)
+                assert ladder.flags.f_contiguous and np.array_equal(ladder, ladder_ref)
 
     def test_direct_graph_resolution_matches_per_node_sum(self):
         spec = GraphSpec(phi=haar_unitary(3, np.random.default_rng(9)), modes=3, cutoff=3)
