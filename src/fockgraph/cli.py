@@ -8,6 +8,7 @@ failure, 2 config error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -18,7 +19,13 @@ from .runner import run_experiment
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The ``verify`` argument parser, built by the first :func:`main` call and reused by every later one.
+
+    Keyed on nothing: one parser per process.  ``parse_args`` reads it and
+    never changes it; no caller may add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Verify resolutions of identity, projections and anticliques "
@@ -59,7 +66,7 @@ def _out_path(base: str, experiment: str, multiple: bool) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         configs = _load_configs(args)
     except ConfigError as exc:
@@ -70,6 +77,9 @@ def main(argv=None) -> int:
     try:
         for cfg in configs:
             reports.append(run_experiment(cfg))
+    except ConfigError as exc:  # a valid config whose check cannot be computed
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # no result may masquerade as a pass
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

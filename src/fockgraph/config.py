@@ -7,6 +7,7 @@ flows from the single ``seed`` field through a counter-based generator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -121,9 +122,20 @@ class ExperimentConfig:
 
 
 def dft_matrix(n: int) -> np.ndarray:
-    """Discrete-Fourier unitary of size n."""
+    """Discrete-Fourier unitary of size n, built fresh and writable."""
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return np.exp(-2j * math.pi * j * k / n) / math.sqrt(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _default_phi(n: int) -> np.ndarray:
+    """The default ``phi``, :func:`dft_matrix` of size n, cached per ``n`` and read-only.
+
+    Every config that omits ``phi`` shares it: a write raises.
+    """
+    phi = dft_matrix(n)
+    phi.flags.writeable = False
+    return phi
 
 
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -273,8 +285,11 @@ def default_suite(overrides: dict | None = None) -> list[ExperimentConfig]:
     return [default_config(name, overrides) for name in DEFAULT_SUITE]
 
 
+@functools.lru_cache(maxsize=None)
 def _ladder_radius_limit(n: int, cutoff: int) -> float:
     """Largest radius |R| of an anticlique point whose tail-factored ladders stay finite.
+
+    Cached per ``(n, cutoff)``; the value is an immutable float.
 
     At total occupation N the rotated-frame ladder Y_k = e^{|h|^2/2} D(h) B_k
     holds the sector mass rho^(2s) / s!, s = N - k, rho = |h| = |R|, so every
@@ -325,7 +340,7 @@ def _parse_complex_entry(entry, context: str) -> complex:
 
 def _parse_phi(raw, n: int) -> np.ndarray:
     if raw is None:
-        return dft_matrix(n)
+        return _default_phi(n)
     if not isinstance(raw, list) or len(raw) != n * n:
         raise ConfigError(f"phi must be a row-major list of {n * n} complex entries")
     values = [_parse_complex_entry(entry, "phi") for entry in raw]

@@ -11,7 +11,9 @@ matrix products.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +37,52 @@ def _require_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
 
 
+@functools.lru_cache(maxsize=None)
 def _log_factorials(top: int) -> np.ndarray:
-    """log(m!) for m = 0..top, one ``math.lgamma`` call per entry."""
-    return np.array([math.lgamma(m + 1) for m in range(top + 1)])
+    """log(m!) for m = 0..top, one ``math.lgamma`` call per entry.
+
+    Cached per ``top``; the array is shared and read-only.
+    """
+    values = np.array([math.lgamma(m + 1) for m in range(top + 1)])
+    values.flags.writeable = False
+    return values
+
+
+class _KernelLayout(NamedTuple):
+    """The amplitude-free index arrays and log-factorial terms of :func:`displacement_matrix`."""
+
+    n: np.ndarray  # per pair (n, k): the column n of upper-triangle entry (n, n + k)
+    k: np.ndarray  # per pair: the order k = m - n
+    low: np.ndarray  # per pair: whether its mirror row n + k is kept
+    off: np.ndarray  # per pair: k > 0, an entry above the diagonal
+    lower_at: tuple  # (rows, columns) of the kept mirror entries (n + k, n)
+    upper_at: tuple  # (rows, columns) of the entries (n, n + k), k > 0
+    log_bound: np.ndarray  # per order k: log C(n + k, n) at the deepest kept n
+    half_log_ratio: np.ndarray  # per pair: log sqrt(n! / (n + k)!)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_layout(cutoff: int, rows: int) -> _KernelLayout:
+    """The pairs (n, k) with n < ``rows`` and n + k <= ``cutoff``, cached per ``(cutoff, rows)``; arrays read-only."""
+    dim = cutoff + 1
+    n, k = np.nonzero(np.add.outer(np.arange(rows), np.arange(dim)) <= cutoff)
+    log_factorial = _log_factorials(cutoff)
+    orders = np.arange(dim)
+    deepest = np.minimum(rows - 1, cutoff - orders)
+    low, off = n + k < rows, k > 0
+    layout = _KernelLayout(
+        n,
+        k,
+        low,
+        off,
+        ((n + k)[low], n[low]),
+        (n[off], (n + k)[off]),
+        log_factorial[deepest + orders] - log_factorial[deepest] - log_factorial[orders],
+        0.5 * (log_factorial[n] - log_factorial[n + k]),
+    )
+    for array in (n, k, low, off, *layout.lower_at, *layout.upper_at, layout.log_bound, layout.half_log_ratio):
+        array.flags.writeable = False
+    return layout
 
 
 def laguerre_sequence(count: int, order, x, scale=1.0) -> np.ndarray:
@@ -153,30 +198,25 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     # One row per pair (n, k) with n < rows and n + k <= cutoff: the entry
     # (n, n + k) of the upper triangle, and its mirror (n + k, n) when that
     # row is kept.
-    n, k = np.nonzero(np.add.outer(np.arange(rows), np.arange(dim)) <= cutoff)
+    layout = _kernel_layout(cutoff, rows)
+    n, k, low, off = layout.n, layout.k, layout.low, layout.off
     # |L_n^(k)(s)| <= C(n + k, n) exp(s/2) (Szego).  Where that bound at the
     # deepest kept n of order k passes exp(_LAGUERRE_LOG_CEILING), the order's
     # recurrence runs on L * 2^-shift and the shift goes back in through the
     # factorial ratio, so L_n^(k) cannot overflow to inf where sqrt(n!/m!)
     # underflows to 0.  Below the ceiling the shift is 0 and changes no bit.
-    log_factorial = _log_factorials(cutoff)
-    orders = np.arange(dim)
-    deepest = np.minimum(rows - 1, cutoff - orders)
-    log_bound = log_factorial[deepest + orders] - log_factorial[deepest] - log_factorial[orders]
-    shift = np.maximum(0.0, np.ceil((log_bound[:, None] + 0.5 * s - _LAGUERRE_LOG_CEILING) / _LN2))
-    ratio = np.exp(0.5 * (log_factorial[n] - log_factorial[n + k])[:, None] + _LN2 * shift[k])
+    shift = np.maximum(0.0, np.ceil((layout.log_bound[:, None] + 0.5 * s - _LAGUERRE_LOG_CEILING) / _LN2))
+    ratio = np.exp(layout.half_log_ratio[:, None] + _LN2 * shift[k])
     # The recurrence runs to n = rows - 1 for every order; values with
     # n + k > cutoff are dropped, and may overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        lag = laguerre_sequence(rows - 1, orders[:, None], s, scale=np.exp2(-shift))
+        lag = laguerre_sequence(rows - 1, np.arange(dim)[:, None], s, scale=np.exp2(-shift))
     lag = lag[n, k]
-    low = n + k < rows
     lower = ratio[low] * powers[k[low], 0] * lag[low]
     upper = ratio * powers[k, 1] * lag
     out = np.zeros((batch.size, rows, dim), dtype=complex)
-    out[:, (n + k)[low], n[low]] = lower.T
-    off = k > 0
-    out[:, n[off], n[off] + k[off]] = upper[off].T
+    out[:, layout.lower_at[0], layout.lower_at[1]] = lower.T
+    out[:, layout.upper_at[0], layout.upper_at[1]] = upper[off].T
     if include_gaussian:
         out *= np.array([math.exp(-0.5 * v) for v in s])[:, None, None]
     return out if alphas.ndim else out[0]

@@ -24,6 +24,7 @@ __all__ = [
     "CompressionResult",
     "GeneratorParams",
     "GraphSpec",
+    "LadderUnderflow",
     "compression_check",
     "compression_constant",
     "displaced_mode_amplitudes",
@@ -219,6 +220,19 @@ def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
     return plan
 
 
+@functools.lru_cache(maxsize=None)
+def _trusted_sector_rows(modes: int, rows: int, top: int) -> np.ndarray:
+    """Positions in ``_sector_plan(modes, rows)`` of the tuples with every occupation <= ``top``, top sector first.
+
+    compression_check's Y_t takes these rows of Y_x, so that S = Y_t^dag Y_t
+    sums a ladder's small entries first.  With ``top = rows - 1`` they are
+    the whole box, reversed.  Cached per ``(modes, rows, top)``; read-only.
+    """
+    positions = np.flatnonzero(_sector_plan(modes, rows).occupations.max(axis=1) <= top)[::-1].copy()
+    positions.flags.writeable = False
+    return positions
+
+
 class _GradePairs(NamedTuple):
     """The seed basis's graded entries (m, total of m), total <= cutoff, in sector order, and their same-grade pairs."""
 
@@ -317,6 +331,20 @@ def _rotation_plan(modes: int, rows: int) -> _RotationPlan:
     return plan
 
 
+@functools.lru_cache(maxsize=None)
+def _ladder_levels(modes: int, rows: int, cutoff: int) -> tuple:
+    """Per total occupation N, the ladder level (mode-0 occupation) of each rotated tuple of ``_rotation_plan``.
+
+    A level past ``cutoff`` reads -1, which equals no level, so
+    ``graph_resolution``'s P_ladder mask of a block is one equality test.
+    Cached per ``(modes, rows, cutoff)``; the arrays are read-only.
+    """
+    levels = tuple(np.where(tuples[:, 0] <= cutoff, tuples[:, 0], -1) for tuples in _rotation_plan(modes, rows).tuples)
+    for level in levels:
+        level.flags.writeable = False
+    return levels
+
+
 def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """V[a, m] = <a|U(phi)|m> for the rows a of the ``rows``-per-mode box, one block per total occupation.
 
@@ -387,6 +415,10 @@ class CompressionResult(NamedTuple):
     scalar_predicted: float
 
 
+class LadderUnderflow(ArithmeticError):
+    """The anticlique ladder underflows on the trusted box, so compression_check has no scale to measure against."""
+
+
 class _Residual(NamedTuple):
     """The factors of the residual Y_t (M - c I) Y_t^dag that compression_check sweeps."""
 
@@ -394,6 +426,7 @@ class _Residual(NamedTuple):
     scaled: np.ndarray  # Y_t (M - c I): the residual is scaled @ ladder^dag
     deviation: np.ndarray  # M - c I
     overlap: np.ndarray  # S = Y_t^dag Y_t
+    overlap_norm: float  # ||S||_F, positive
     measured: complex
     predicted: complex
 
@@ -457,7 +490,9 @@ def compression_check(
     lose to truncation (first order in that loss); the identity is exact in
     infinite dimension, so on a block whose occupations stay clear of the
     displacement reach the truncated operators reproduce it to near machine
-    precision.
+    precision.  Far enough out the anticlique's Gaussian underflows the
+    trusted rows, ||S||_F rounds to 0 and there is nothing to compare:
+    :class:`LadderUnderflow` is raised.
     """
     residual = _compression_residual(spec, anticlique, generators, weights, trusted_block)
     ladder, scaled, deviation, overlap = residual.ladder, residual.scaled, residual.deviation, residual.overlap
@@ -466,7 +501,7 @@ def compression_check(
     matmul = serial_matmul if serial else np.matmul
     # tr(K S K^dag S) is >= 0 but can round below it where the residual vanishes; NaN passes max().
     squares = float(np.sum((deviation @ overlap) * (overlap @ deviation).conj()).real)
-    frobenius = math.sqrt(max(squares, 0.0)) / float(np.linalg.norm(overlap))
+    frobenius = math.sqrt(max(squares, 0.0)) / residual.overlap_norm
 
     # Largest bound first; argsort puts NaN norms last, so the reversal takes them first, and
     # np.maximum keeps a NaN entry where Python's max would drop it.
@@ -534,13 +569,15 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
         gram *= gauss[chunk]
         combined += np.einsum("p,ikp,lkp->il", scale[chunk], gram, gram.conj())
 
-    keep = _sector_plan(spec.modes, rank).occupations.max(axis=1) <= top
-    # Y_t from the top sector down, so that S sums a ladder's small entries first.
-    ladder = ladder[np.flatnonzero(keep)[::-1]]
+    ladder = ladder[_trusted_sector_rows(spec.modes, rank, top)]
     overlap = matmul(ladder.conj().T, ladder)
+    overlap_norm = float(np.linalg.norm(overlap))
+    if overlap_norm == 0.0:
+        # Far out, exp(-|h_x|^2/2) leaves S too small to square: c and the Frobenius ratio are 0/0.
+        raise LadderUnderflow("||Y_t^dag Y_t||_F rounds to 0 on the trusted box")
     measured = complex(np.sum(combined * overlap.T)) / complex(np.trace(overlap))
     deviation = combined - measured * np.eye(rank)
-    return _Residual(ladder, matmul(ladder, deviation), deviation, overlap, measured, predicted)
+    return _Residual(ladder, matmul(ladder, deviation), deviation, overlap, overlap_norm, measured, predicted)
 
 
 def draw_generator_params(modes: int, rng: np.random.Generator, max_radius: float = 1.5) -> GeneratorParams:

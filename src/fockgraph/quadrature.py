@@ -314,7 +314,7 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
     below it in every mode (``trusted_mask`` order): "rank" builds only that
     block, "direct" builds the whole operator and slices it.
     """
-    from .graphs import GraphSpec, _rotation_sectors, seed_projector
+    from .graphs import GraphSpec, _ladder_levels, _rotation_sectors, seed_projector
 
     if not isinstance(spec, GraphSpec):
         raise TypeError("spec must be a GraphSpec")
@@ -332,6 +332,7 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
 
     if backend == "rank":
         sectors = _rotation_sectors(spec, rows)
+        levels = _ladder_levels(spec.modes, rows, spec.cutoff)
         rules = [_rule_operator(len(sectors), scheme) for scheme in schemes]
         step = math.gcd(*(scheme.angular.count for scheme in schemes))
         out = np.zeros((rows**spec.modes,) * 2, dtype=complex)
@@ -343,7 +344,7 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
                 for start in range(0, len(tuples), chunk):
                     part = tuples[start : start + chunk]
                     # P_ladder: the same ladder level on both sides, at most the cutoff.
-                    rule = np.equal.outer(part[:, 0], tuples_high[:, 0]) & (part[:, :1] <= spec.cutoff)
+                    rule = np.equal.outer(levels[low][start : start + chunk], tuples_high[:, 0])
                     for pair, operator in enumerate(rules, start=1):
                         rule = rule * operator[part[:, pair, None], tuples_high[:, pair]]
                     product = serial_matmul(ladder[:, start : start + chunk], serial_matmul(rule, adjoint))

@@ -13,16 +13,17 @@ import time
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .graphs import (
     GraphSpec,
+    LadderUnderflow,
     _grade_pairs,
     compression_check,
     draw_generator_params,
     seed_basis,
     seed_projector_quadrature,
 )
-from .multimode import trusted_mask
+from .multimode import _trusted_rows
 from .quadrature import (
     coherent_identity,
     displaced_projector_identity,
@@ -52,6 +53,11 @@ def run_experiment(cfg: ExperimentConfig) -> VerificationReport:
     report = runner(cfg)
     report.runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
     return report
+
+
+def _cannot_check(cfg: ExperimentConfig, cause: str) -> ConfigError:
+    """The config error for a valid config whose check cannot be computed: neither a PASS nor a FAIL (exit 2)."""
+    return ConfigError(f"{cfg.experiment} at n {cfg.n}, cutoff {cfg.cutoff} cannot be checked: {cause}")
 
 
 def _identity_deviations(block: np.ndarray) -> tuple[float, float]:
@@ -154,7 +160,7 @@ def _projection_deviations(spec: GraphSpec, basis: np.ndarray, quad: np.ndarray,
     diagonal.real[pairs.rows] = squares
     off_grade = np.abs(basis)
     off_grade.put(pairs.entries, 0.0)
-    box = basis[trusted_mask(spec.space, trusted_block)]
+    box = basis[_trusted_rows(spec.modes, spec.cutoff, trusted_block)]
     return {
         "off_grade": float(np.max(off_grade, initial=0.0)),
         "idempotency": idempotency,
@@ -185,7 +191,11 @@ def _run_anticlique(cfg: ExperimentConfig) -> VerificationReport:
             draw_generator_params(cfg.n, rng, max_radius=DEFAULT_DRAW_RADIUS)
             for _ in range(DEFAULT_GENERATOR_DRAWS)
         )
-    result = compression_check(spec, anticlique, generators, trusted_block=cfg.trusted_block)
+    try:
+        result = compression_check(spec, anticlique, generators, trusted_block=cfg.trusted_block)
+    except LadderUnderflow as exc:
+        radius = math.hypot(*map(float, anticlique.radii))
+        raise _cannot_check(cfg, f"the anticlique ladder at radius {radius:.6g} underflows: {exc}") from exc
     return _report(
         cfg,
         result.max_abs_deviation,

@@ -215,6 +215,29 @@ class TestExitCodes:
         report = json.loads(out.read_text())
         assert all(math.isfinite(report[key]) for key in ("max_abs_deviation", "frobenius_deviation", "scalar_measured"))
 
+    @pytest.mark.parametrize("n, radii", [(2, [30.0]), (3, [25.0, 3.0])], ids=["n2-X30", "n3-X25-3"])
+    def test_anticlique_ladder_underflow_cannot_be_checked(self, tmp_path, capsys, n, radii):
+        # Far out, exp(-|h|^2/2) underflows the trusted rows of the anticlique ladder at cutoff 8:
+        # there is nothing to compare, so it is a config error, neither a PASS nor a FAIL.
+        point = {"X": radii, "Gamma": [0.3] * (n - 1)}
+        config = write_config(tmp_path, {"experiment": "anticlique", "n": n, "cutoff": 8, "anticlique_params": point})
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: anticlique at n") and "cannot be checked" in err
+        assert f"radius {math.hypot(*radii):.6g}" in err
+        assert not out.exists()
+
+    def test_anticlique_far_but_representable_keeps_its_fail(self, tmp_path):
+        # At radius 20 the ladder is tiny but still has a scale: the verdict stays a finite FAIL.
+        point = {"X": [20.0], "Gamma": [0.3]}
+        config = write_config(tmp_path, {"experiment": "anticlique", "n": 2, "cutoff": 8, "anticlique_params": point})
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 1
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert all(math.isfinite(report[key]) for key in ("max_abs_deviation", "frobenius_deviation", "scalar_measured"))
+
     def test_verification_failure_exits_one(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

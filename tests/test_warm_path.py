@@ -1,0 +1,213 @@
+"""The warm path: what one process builds once, and what every call still computes.
+
+A process caches only what depends on the process (the argument parser) or
+on a shape (the default DFT phi per n, log-factorials, index layouts).  Each
+cache returns read-only arrays and keys on every shape argument it takes;
+nothing computed from phi, the seed, explicit points or the rule weights is
+cached, so a warm call redoes all of its numerics.
+"""
+
+import argparse
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from fockgraph import cli, config, fock, graphs, multimode, quadrature
+from fockgraph.cli import main
+from fockgraph.config import dft_matrix
+from fockgraph.graphs import GraphSpec, _sector_plan
+from fockgraph.multimode import ModeSpace, trusted_mask
+from oracles import expm_displacement_oracle
+from test_cli import normalize_runtime, package_env, write_config
+
+UNDERFLOW = {"experiment": "anticlique", "n": 2, "cutoff": 8, "anticlique_params": {"X": [30], "Gamma": [0.3]}}
+
+# (name, argv before --out, config or None) in the order one process runs them.
+WARM_CASES = [
+    ("suite-seed-0", ["--seed", "0"], None),
+    ("anticlique-n3-c8-seed-5", [], {"experiment": "anticlique", "n": 3, "cutoff": 8, "seed": 5}),
+    ("config-error", [], UNDERFLOW),
+    ("resolution-n3-c6", [], {"experiment": "resolution", "n": 3, "cutoff": 6}),
+    ("suite-seed-0-again", ["--seed", "0"], None),
+]
+
+
+def case_argv(directory, argv, data):
+    directory.mkdir()
+    config_argv = [] if data is None else ["--config", str(write_config(directory, data))]
+    return [*config_argv, *argv, "--quiet", "--out", str(directory / "report.json")]
+
+
+def reports(directory) -> dict:
+    return {path.name: normalize_runtime(path.read_text()) for path in sorted(directory.glob("report*.json"))}
+
+
+class TestWarmProcess:
+    def test_reports_match_fresh_processes_and_the_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        warm = {}
+        (tmp_path / "warm").mkdir()
+        for name, argv, data in WARM_CASES:
+            code = main(case_argv(tmp_path / "warm" / name, argv, data))
+            warm[name] = (code, capsys.readouterr().err, reports(tmp_path / "warm" / name))
+        assert built == ["verify"]
+
+        (tmp_path / "fresh").mkdir()
+        for name, argv, data in WARM_CASES:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "fockgraph", *case_argv(tmp_path / "fresh" / name, argv, data)],
+                capture_output=True,
+                text=True,
+                env=package_env(),
+                timeout=120,
+            )
+            assert warm[name] == (fresh.returncode, fresh.stderr, reports(tmp_path / "fresh" / name)), name
+        # Seed 5 is one of the n=3 truncation FAILs (ROADMAP item 1); the radius-30 point cannot be checked.
+        assert [warm[name][0] for name, _, _ in WARM_CASES] == [0, 1, 2, 0, 0]
+        assert len(warm["suite-seed-0"][2]) == 5 and warm["suite-seed-0"][2] == warm["suite-seed-0-again"][2]
+
+
+def reference_sector_rows(modes, rows, top):
+    occupations = _sector_plan(modes, rows).occupations
+    return np.flatnonzero(occupations.max(axis=1) <= top)[::-1]
+
+
+def reference_levels(modes, rows, cutoff):
+    plan = graphs._rotation_plan(modes, rows)
+    return tuple(np.where(tuples[:, 0] > cutoff, -1, tuples[:, 0]) for tuples in plan.tuples)
+
+
+def reference_radius_limit(n, cutoff):
+    budget = math.log(np.finfo(float).max) - n * math.log(cutoff + 1)
+    return math.exp(min((budget + 0.5 * math.lgamma(s + 1)) / s for s in range(1, n * cutoff + 1)))
+
+
+# Per cache: the cached helper, an independent reference, and keys that
+# each change one argument of the key before, then return to the first.
+CACHES = {
+    "default_phi": (config._default_phi, dft_matrix, [(2,), (3,), (4,), (2,)]),
+    "log_factorials": (
+        fock._log_factorials,
+        lambda top: np.array([math.lgamma(m + 1) for m in range(top + 1)]),
+        [(8,), (16,), (8,)],
+    ),
+    "trusted_rows": (
+        multimode._trusted_rows,
+        lambda modes, cutoff, bound: np.flatnonzero(trusted_mask(ModeSpace(modes, cutoff), bound)),
+        [(2, 16, 8), (3, 16, 8), (3, 8, 8), (3, 8, 4), (2, 16, 8)],
+    ),
+    "trusted_sector_rows": (
+        graphs._trusted_sector_rows,
+        reference_sector_rows,
+        [(3, 9, 8), (2, 9, 8), (2, 17, 8), (2, 17, 16), (2, 17, 4), (3, 9, 8)],
+    ),
+    "ladder_levels": (
+        graphs._ladder_levels,
+        reference_levels,
+        [(3, 3, 6), (2, 3, 6), (2, 9, 6), (2, 9, 16), (3, 3, 6)],
+    ),
+    "ladder_radius_limit": (config._ladder_radius_limit, reference_radius_limit, [(2, 8), (3, 8), (3, 16), (2, 8)]),
+}
+
+
+def leaves(value):
+    """The arrays (or the float) a cache returns, flattened out of tuples."""
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in leaves(item)]
+    return [value]
+
+
+class TestCacheContract:
+    @pytest.mark.parametrize("name", sorted(CACHES))
+    def test_keys_on_every_shape_argument(self, name):
+        cached, reference, keys = CACHES[name]
+        cached.cache_clear()
+        for key in keys:
+            got, expected = leaves(cached(*key)), leaves(reference(*key))
+            assert len(got) == len(expected), (name, key)
+            for value, want in zip(got, expected):
+                assert np.array_equal(value, want), (name, key)
+
+    @pytest.mark.parametrize("name", sorted(set(CACHES) - {"ladder_radius_limit"}))
+    def test_returns_read_only_arrays(self, name):
+        cached, _, keys = CACHES[name]
+        for array in leaves(cached(*keys[0])):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_radius_limit_is_an_immutable_float(self):
+        assert type(config._ladder_radius_limit(3, 8)) is float
+
+    def test_kernel_layout_is_read_only_and_keyed_on_cutoff_and_rows(self):
+        # Each (cutoff, rows) against the expm oracle, changing one argument at a time.
+        fock._kernel_layout.cache_clear()
+        alpha = 0.6 - 0.3j
+        for cutoff, rows in [(12, 7), (12, 13), (16, 13), (16, 5), (12, 7)]:
+            got = fock.displacement_matrix(alpha, cutoff, rows=rows)
+            oracle = expm_displacement_oracle(alpha, cutoff, 40)[:rows]
+            assert got.shape == (rows, cutoff + 1)
+            assert np.max(np.abs(got - oracle)) < 1e-13, (cutoff, rows)
+        layout = fock._kernel_layout(12, 7)
+        for array in (*layout[:4], *layout.lower_at, *layout.upper_at, *layout[6:]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_public_dft_matrix_stays_fresh_and_writable(self):
+        shared = config._default_phi(3)
+        fresh = dft_matrix(3)
+        assert fresh is not shared and fresh.flags.writeable
+        fresh[0, 0] = 7.0
+        assert np.array_equal(config._default_phi(3), dft_matrix(3))
+
+    def test_configs_without_phi_share_the_default(self):
+        first = config.config_from_dict({"experiment": "projection", "n": 3, "cutoff": 6})
+        second = config.config_from_dict({"experiment": "anticlique", "n": 3, "cutoff": 8, "seed": 9})
+        assert first.phi is second.phi is config._default_phi(3)
+
+
+class TestNumericsRunOnEveryCall:
+    @pytest.mark.parametrize(
+        "data, module, helper",
+        [
+            ({"experiment": "gs", "cutoff": 8}, quadrature, "_rule_operator"),
+            ({"experiment": "anticlique", "n": 3, "cutoff": 8, "seed": 0}, graphs, "_sector_ladders"),
+        ],
+        ids=["gs", "anticlique"],
+    )
+    def test_a_repeated_call_is_no_lookup(self, tmp_path, monkeypatch, data, module, helper):
+        # Every call of the same config computes the helper's result afresh: a new, writable
+        # array each time, never one a cache hands back again.
+        results = []
+        original = getattr(module, helper)
+
+        def recording(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(module, helper, recording)
+        path = write_config(tmp_path, data)
+        seen = []
+        for _ in range(3):
+            assert main(["--config", str(path), "--quiet", "--out", str(tmp_path / "report.json")]) == 0
+            seen.append(len(results))
+        assert seen[0] >= 1 and seen == [seen[0] * (i + 1) for i in range(3)]
+        assert all(result.flags.writeable for result in results)
+        assert len({id(result) for result in results}) == len(results)
+
+    def test_a_spec_cannot_change_the_shared_default_phi(self):
+        cfg = config.config_from_dict({"experiment": "anticlique", "n": 2, "cutoff": 8})
+        spec = GraphSpec(phi=cfg.phi, modes=2, cutoff=8)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.phi[0, 0] = 1.0
+        assert np.array_equal(config.config_from_dict({"experiment": "gs"}).phi, dft_matrix(2))
