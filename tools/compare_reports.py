@@ -4,7 +4,8 @@ Each line holds the case name, the ``verify`` exit code and the JSON
 reports the case wrote, without ``runtime_ms``, the one field that is not
 deterministic.  The set covers the default suite over thirteen seeds, every
 experiment at n = 2, 3 and 4, ``resolution`` at n = 5 and with an aliased
-rule, ``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3, and
+rule, ``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3,
+``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40), and
 one-mode rules from exact to aliased and past the kernel's scaling range.
 Two checkouts give byte-identical output exactly when every report and exit
 code agrees:
@@ -50,6 +51,8 @@ CASES = [
     ("anticlique n2 c16 seed 3243419750", {"experiment": "anticlique", "n": 2, "cutoff": 16, "seed": 3243419750}),
     ("projection n3 c6", {"experiment": "projection", "n": 3, "cutoff": 6}),
     ("projection n4 c4", {"experiment": "projection", "n": 4, "cutoff": 4}),
+    ("projection n3 c16", {"experiment": "projection", "n": 3, "cutoff": 16}),
+    ("projection n2 c40", {"experiment": "projection", "n": 2, "cutoff": 40}),
     ("projection n3 c6 fixed phi", {"experiment": "projection", "n": 3, "cutoff": 6, "phi": FIXED_PHI}),
     ("gs c40", {"experiment": "gs", "cutoff": 40}),
     ("gs c4 Q60 M10", {"experiment": "gs", "cutoff": 4, "radial_order": 60, "angular_order": 10}),
