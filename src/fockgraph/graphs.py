@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class GraphSpec:
     cutoff: int
 
     def __post_init__(self):
-        phi = validate_unitary(self.phi)
+        phi = validate_unitary(np.array(self.phi, dtype=complex))
         if phi.shape != (self.modes, self.modes):
             raise ValueError(f"phi must be {self.modes}x{self.modes}, got {phi.shape}")
         if self.cutoff < 1:
@@ -70,8 +70,8 @@ class GeneratorParams:
     phases: np.ndarray
 
     def __post_init__(self):
-        radii = np.atleast_1d(np.asarray(self.radii, dtype=float))
-        phases = np.atleast_1d(np.asarray(self.phases, dtype=float))
+        radii = np.atleast_1d(np.array(self.radii, dtype=float))
+        phases = np.atleast_1d(np.array(self.phases, dtype=float))
         if radii.shape != phases.shape:
             raise ValueError("radii and phases must have equal length")
         if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(phases))):
@@ -233,58 +233,6 @@ def _trusted_sector_rows(modes: int, rows: int, top: int) -> np.ndarray:
     return positions
 
 
-class _GradePairs(NamedTuple):
-    """The seed basis's graded entries (m, total of m), total <= cutoff, in sector order, and their same-grade pairs."""
-
-    rows: np.ndarray  # box row m (row-major index) of each entry
-    entries: np.ndarray  # flat index of entry (m, total of m) in the (rows^n, cutoff+1) basis
-    grades: np.ndarray  # the grade (total occupation) of each entry
-    starts: np.ndarray  # first entry of each grade
-    chunks: tuple  # per run of whole grades: (left, right, transpose) over its pairs
-
-
-@functools.lru_cache(maxsize=None)
-def _grade_pairs(modes: int, cutoff: int) -> _GradePairs:
-    """Pairs (i, j) of entries of one grade: grade k is sector k of ``_sector_plan(modes, cutoff + 1)``.
-
-    Column k of the seed basis lives on the rows of total occupation k, so
-    the projector B B^dag is the direct sum of the blocks of its same-grade
-    pairs, grade by grade, each row-major.  ``left`` and ``right`` hold a
-    pair's entries and ``transpose`` the position of pair (j, i) within the
-    chunk.  A chunk holds whole grades and at most CHUNK_ENTRIES pairs,
-    unless one grade alone has more.
-    """
-    plan = _sector_plan(modes, cutoff + 1)
-    bounds = [0, 1, *(at.stop for at in plan.sectors[:cutoff])]
-    grades = np.repeat(np.arange(cutoff + 1), np.diff(bounds))
-    rows = plan.order[: bounds[-1]]
-    chunks, pending = [], []
-    for low, high in zip(bounds, bounds[1:]):
-        if pending and sum(len(grade) ** 2 for grade in pending) + (high - low) ** 2 > CHUNK_ENTRIES:
-            chunks.append(_pair_chunk(pending))
-            pending = []
-        pending.append(np.arange(low, high))
-    chunks.append(_pair_chunk(pending))
-    layout = _GradePairs(rows, rows * (cutoff + 1) + grades, grades, np.array(bounds[:-1]), tuple(chunks))
-    for array in (*layout[:4], *(array for chunk in chunks for array in chunk)):
-        array.flags.writeable = False
-    return layout
-
-
-def _pair_chunk(grades: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(left, right, transpose) of the same-grade pairs of the given grades' entries, grade by grade."""
-    left, right, transpose = [], [], []
-    offset = 0
-    for entries in grades:
-        size = len(entries)
-        within = np.arange(size * size)
-        left.append(np.repeat(entries, size))
-        right.append(np.tile(entries, size))
-        transpose.append(offset + within % size * size + within // size)
-        offset += size * size
-    return tuple(np.concatenate(parts) for parts in (left, right, transpose))
-
-
 class _RotationPlan(NamedTuple):
     """The box-only index arrays of ``_rotation_sectors``, per total occupation N (the lifts from N >= 1)."""
 
@@ -429,6 +377,8 @@ class _Residual(NamedTuple):
     overlap_norm: float  # ||S||_F, positive
     measured: complex
     predicted: complex
+    serial: bool  # every GEMM is cut into row blocks on the calling thread
+    matmul: Callable[..., np.ndarray]  # serial_matmul if serial, else np.matmul
 
 
 def compression_check(
@@ -496,9 +446,7 @@ def compression_check(
     """
     residual = _compression_residual(spec, anticlique, generators, weights, trusted_block)
     ladder, scaled, deviation, overlap = residual.ladder, residual.scaled, residual.deviation, residual.overlap
-    rank = spec.cutoff + 1
-    serial = 8 * spec.space.dim * rank <= SERIAL_GEMM_MACS
-    matmul = serial_matmul if serial else np.matmul
+    rank, serial, matmul = spec.cutoff + 1, residual.serial, residual.matmul
     # tr(K S K^dag S) is >= 0 but can round below it where the residual vanishes; NaN passes max().
     squares = float(np.sum((deviation @ overlap) * (overlap @ deviation).conj()).real)
     frobenius = math.sqrt(max(squares, 0.0)) / residual.overlap_norm
@@ -577,7 +525,8 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
         raise LadderUnderflow("||Y_t^dag Y_t||_F rounds to 0 on the trusted box")
     measured = complex(np.sum(combined * overlap.T)) / complex(np.trace(overlap))
     deviation = combined - measured * np.eye(rank)
-    return _Residual(ladder, matmul(ladder, deviation), deviation, overlap, overlap_norm, measured, predicted)
+    scaled = matmul(ladder, deviation)
+    return _Residual(ladder, scaled, deviation, overlap, overlap_norm, measured, predicted, serial, matmul)
 
 
 def draw_generator_params(modes: int, rng: np.random.Generator, max_radius: float = 1.5) -> GeneratorParams:

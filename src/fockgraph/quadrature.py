@@ -86,8 +86,8 @@ class RadialScheme:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
             raise ValueError("nodes and weights must be matching nonempty vectors")
         if not (np.all(nodes > 0) and np.all(np.diff(nodes) > 0)):

@@ -17,7 +17,7 @@ from .config import ConfigError, ExperimentConfig
 from .graphs import (
     GraphSpec,
     LadderUnderflow,
-    _grade_pairs,
+    _sector_plan,
     compression_check,
     draw_generator_params,
     seed_basis,
@@ -127,47 +127,40 @@ def _run_projection(cfg: ExperimentConfig) -> VerificationReport:
 
 
 def _projection_deviations(spec: GraphSpec, basis: np.ndarray, quad: np.ndarray, trusted_block: int) -> dict:
-    """Projector checks of P = B B^dag, in one pass over its same-grade pairs, and its box against ``quad``.
+    """Projector checks of P = B B^dag from B's column norms, and its box against ``quad``.
 
-    Column k of the seed basis lives on the rows of total occupation k, so P
-    is the direct sum of the blocks p_k = b_k b_k^dag, b_k = B[total == k, k],
-    and every other entry of P, P^2 - P and P - P^dag is an exact zero of the
-    grading.  The pairs (i, j) of entries of one grade come from the cached
-    ``graphs._grade_pairs`` layout, in chunks of whole grades, so every check
-    is a few vector operations on all grades at once.  The largest off-grade
-    entry of B is reported with the rest, so a basis that breaks the grading
-    fails the check.  "frobenius" is ||P^2 - P||_F / ||P||_F; the other
-    values are absolute deviations.
+    Column k of the seed basis lives on the rows of total occupation k,
+    sector k of ``graphs._sector_plan(modes, cutoff + 1)``, so B^dag B is the
+    diagonal of the column norms s_k = ||b_k||^2, and P^2 - P =
+    B (B^dag B - I) B^dag is the direct sum of (s_k - 1) b_k b_k^dag.  Its
+    max-abs is max_k |s_k - 1| max_m |B[m, k]|^2, and "frobenius" is
+    ||P^2 - P||_F / ||P||_F = sqrt(sum (s_k - 1)^2 s_k^2 / sum s_k^2).  P is
+    Hermitian by construction.  The largest off-grade entry of B is reported
+    with the rest, so a basis that breaks the grading, and with it this
+    closed form, fails the check.  The other values are absolute deviations.
     """
-    pairs = _grade_pairs(spec.modes, spec.cutoff)
-    column = np.take(basis, pairs.entries)
-    conj = column.conj()
-    # p_k^2 - p_k = b_k (b_k^dag b_k) b_k^dag - p_k.  The squares are summed
-    # elementwise: numpy's BLAS dot threads past 10,000 entries.
+    plan = _sector_plan(spec.modes, spec.cutoff + 1)
+    bounds = [0, 1, *(at.stop for at in plan.sectors[: spec.cutoff])]
+    starts = bounds[:-1]
+    rows = plan.order[: bounds[-1]]
+    entries = rows * (spec.cutoff + 1) + np.repeat(np.arange(spec.cutoff + 1), np.diff(bounds))
+    column = np.take(basis, entries)
     squares = column.real**2 + column.imag**2
-    scaled = column * np.add.reduceat(squares, pairs.starts)[pairs.grades]
-    idempotency = hermiticity = residual_squares = projector_squares = 0.0
-    for left, right, transpose in pairs.chunks:
-        paired = conj[right]
-        block = column[left] * paired
-        residual = scaled[left] * paired - block
-        idempotency = max(idempotency, float(np.max(np.abs(residual))))
-        hermiticity = max(hermiticity, float(np.max(np.abs(block - block[transpose].conj()))))
-        residual_squares += float(np.sum(residual.real**2 + residual.imag**2))
-        projector_squares += float(np.sum(block.real**2 + block.imag**2))
+    norms = np.add.reduceat(squares, starts)
+    idempotency = float(np.max(np.abs(norms - 1.0) * np.maximum.reduceat(squares, starts)))
+    frobenius = math.sqrt(float(np.sum((norms - 1.0) ** 2 * norms**2))) / math.sqrt(float(np.sum(norms**2)))
     # The trace sums P's diagonal |b_m|^2 over the box rows in index order, as a dense complex trace does.
     diagonal = np.zeros(len(basis), dtype=complex)
-    diagonal.real[pairs.rows] = squares
+    diagonal.real[rows] = squares
     off_grade = np.abs(basis)
-    off_grade.put(pairs.entries, 0.0)
+    off_grade.put(entries, 0.0)
     box = basis[_trusted_rows(spec.modes, spec.cutoff, trusted_block)]
     return {
         "off_grade": float(np.max(off_grade, initial=0.0)),
         "idempotency": idempotency,
-        "hermiticity": hermiticity,
         "trace": abs(float(np.sum(diagonal).real) - (spec.cutoff + 1)),
         "backend": float(np.max(np.abs(serial_matmul(box, box.conj().T) - quad))),
-        "frobenius": math.sqrt(residual_squares) / math.sqrt(projector_squares),
+        "frobenius": frobenius,
     }
 
 

@@ -32,6 +32,7 @@ from fockgraph.multimode import trusted_mask
 from fockgraph.quadrature import (
     CHUNK_ENTRIES,
     SERIAL_GEMM_MACS,
+    RadialScheme,
     box_side,
     integrate_dyads,
     serial_matmul,
@@ -546,6 +547,14 @@ class TestGaussLaguerre:
             gauss_laguerre(0)
         with pytest.raises(ValueError, match="order"):
             gauss_laguerre(65)
+
+
+class TestRadialScheme:
+    def test_caller_arrays_stay_their_own(self):
+        nodes, weights = np.array([0.5, 2.0]), np.array([0.75, 0.25])
+        scheme = RadialScheme(nodes=nodes, weights=weights)
+        nodes[0], weights[0] = -1.0, 3.0
+        assert scheme.nodes.tolist() == [0.5, 2.0] and scheme.weights.tolist() == [0.75, 0.25]
 
 
 class TestAngularScheme:
