@@ -5,8 +5,9 @@ reports the case wrote, without ``runtime_ms``, the one field that is not
 deterministic.  The set covers the default suite over thirteen seeds, every
 experiment at n = 2, 3 and 4, ``resolution`` at n = 5 and with an aliased
 rule, ``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3,
-``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40), and
-one-mode rules from exact to aliased and past the kernel's scaling range.
+``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40, n = 4
+cutoff 8) and with trusted boxes past ``cutoff // n``, and one-mode rules
+from exact to aliased and past the kernel's scaling range.
 Two checkouts give byte-identical output exactly when every report and exit
 code agrees:
 
@@ -54,6 +55,9 @@ CASES = [
     ("projection n3 c16", {"experiment": "projection", "n": 3, "cutoff": 16}),
     ("projection n2 c40", {"experiment": "projection", "n": 2, "cutoff": 40}),
     ("projection n3 c6 fixed phi", {"experiment": "projection", "n": 3, "cutoff": 6, "phi": FIXED_PHI}),
+    ("projection n2 c16 t9", {"experiment": "projection", "n": 2, "cutoff": 16, "trusted_block": 9}),
+    ("projection n3 c8 t3", {"experiment": "projection", "n": 3, "cutoff": 8, "trusted_block": 3}),
+    ("projection n4 c8", {"experiment": "projection", "n": 4, "cutoff": 8}),
     ("gs c40", {"experiment": "gs", "cutoff": 40}),
     ("gs c4 Q60 M10", {"experiment": "gs", "cutoff": 4, "radial_order": 60, "angular_order": 10}),
     ("gs c63 Q64", {"experiment": "gs", "cutoff": 63, "radial_order": 64}),
