@@ -91,8 +91,9 @@ def seed_basis(spec: GraphSpec) -> np.ndarray:
     The graded ladder (:func:`_graded_ladder`) on the rows of total k, exact
     because those rows stay within the cutoff; the columns are orthonormal.
     """
-    ladder, total = _graded_ladder(spec, spec.cutoff)
-    return np.where(total[:, None] == np.arange(spec.cutoff + 1), ladder[:, None], 0.0)
+    occupations = spec.space.occupations()
+    total = occupations.sum(axis=1)
+    return np.where(total[:, None] == np.arange(spec.cutoff + 1), _graded_ladder(spec, occupations)[:, None], 0.0)
 
 
 def seed_projector(spec: GraphSpec) -> np.ndarray:
@@ -111,24 +112,26 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_bloc
     graded ladder on the box, so the integral is B C B^dag, C the rule
     operator: entrywise b_m C[N_m, N_m'] conj(b_m'), as B's rows hold one entry.
     """
-    ladder, total = _graded_ladder(spec, box_side(spec.cutoff, trusted_block) - 1)
+    occupations = np.indices((box_side(spec.cutoff, trusted_block),) * spec.modes).reshape(spec.modes, -1).T
+    ladder, total = _graded_ladder(spec, occupations), occupations.sum(axis=1)
     rule = _rule_operator(int(total[-1]) + 1, scheme)
     return np.multiply.outer(ladder, ladder.conj()) * rule[np.ix_(total, total)]
 
 
-def _graded_ladder(spec: GraphSpec, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The seed ladder on the box of ``top + 1`` rows per mode, graded: (entries, total occupations).
+def _graded_ladder(spec: GraphSpec, occupations: np.ndarray) -> np.ndarray:
+    """The seed ladder graded: at each occupation tuple (row of ``occupations``), its entry of column sum(tuple).
 
-    By the multinomial theorem the part of kron_j sum_{m <= top} c_j^m / sqrt(m!) |m>,
+    By the multinomial theorem the part of kron_j sum_m c_j^m / sqrt(m!) |m>,
     c = phi[:, 0], at total k is (sum_j c_j a_j^dag)^k / k! |vac>; times sqrt(k!)
-    it is ladder column k.  Row m (row-major) holds its entry of column total[m].
+    it is ladder column k.  Each entry is the ascending product over the
+    modes of c_j^m_j / sqrt(m_j!), times sqrt(k!).
     """
+    top = int(occupations.max())
     factors = unnormalized_coherent(spec.phi[:, 0], top)
-    ladder = factors[0]
+    ladder = factors[0, occupations[:, 0]]
     for mode in range(1, spec.modes):
-        ladder = (ladder[:, None] * factors[mode, None, :]).reshape(-1)
-    total = np.indices((top + 1,) * spec.modes).reshape(spec.modes, -1).sum(axis=0)
-    return ladder * np.exp(0.5 * _log_factorials(spec.modes * top))[total], total
+        ladder = ladder * factors[mode, occupations[:, mode]]
+    return ladder * np.exp(0.5 * _log_factorials(spec.modes * top))[occupations.sum(axis=1)]
 
 
 def seed_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarray:

@@ -8,7 +8,7 @@ indices row-major with mode 1 slowest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -54,14 +54,6 @@ def kron_all(factors) -> np.ndarray:
 def trusted_mask(space: ModeSpace, max_occupation: int) -> np.ndarray:
     """Boolean mask of basis states with every mode occupation <= bound."""
     return space.occupations().max(axis=1) <= max_occupation
-
-
-@lru_cache(maxsize=None)
-def _trusted_rows(modes: int, cutoff: int, max_occupation: int) -> np.ndarray:
-    """Indices of :func:`trusted_mask`'s states, ascending; cached per ``(modes, cutoff, max_occupation)``, read-only."""
-    rows = np.flatnonzero(trusted_mask(ModeSpace(modes, cutoff), max_occupation))
-    rows.flags.writeable = False
-    return rows
 
 
 def validate_unitary(phi, tolerance: float = 1e-12) -> np.ndarray:

@@ -17,20 +17,13 @@ from .config import ConfigError, ExperimentConfig
 from .graphs import (
     GraphSpec,
     LadderUnderflow,
+    _graded_ladder,
     _sector_plan,
     compression_check,
     draw_generator_params,
-    seed_basis,
     seed_projector_quadrature,
 )
-from .multimode import _trusted_rows
-from .quadrature import (
-    coherent_identity,
-    displaced_projector_identity,
-    graph_resolution,
-    polar_scheme,
-    serial_matmul,
-)
+from .quadrature import box_side, coherent_identity, displaced_projector_identity, graph_resolution, polar_scheme
 from .report import TOOL_VERSION, VerificationReport
 
 __all__ = ["run_experiment"]
@@ -121,45 +114,45 @@ def _run_covariant(cfg: ExperimentConfig) -> VerificationReport:
 def _run_projection(cfg: ExperimentConfig) -> VerificationReport:
     spec = GraphSpec(phi=cfg.phi, modes=cfg.n, cutoff=cfg.cutoff)
     quad = seed_projector_quadrature(spec, polar_scheme(cfg.radial_order, cfg.angular_order), cfg.trusted_block)
-    deviations = _projection_deviations(spec, seed_basis(spec), quad, cfg.trusted_block)
+    deviations = _projection_deviations(spec, quad, cfg.trusted_block)
     frobenius = deviations.pop("frobenius")
     return _report(cfg, max(deviations.values()), frobenius)
 
 
-def _projection_deviations(spec: GraphSpec, basis: np.ndarray, quad: np.ndarray, trusted_block: int) -> dict:
-    """Projector checks of P = B B^dag from B's column norms, and its box against ``quad``.
+def _projection_deviations(spec: GraphSpec, quad: np.ndarray, trusted_block: int) -> dict:
+    """Projector checks of P = B B^dag from B's graded entries, and its box against ``quad``.
 
-    Column k of the seed basis lives on the rows of total occupation k,
-    sector k of ``graphs._sector_plan(modes, cutoff + 1)``, so B^dag B is the
-    diagonal of the column norms s_k = ||b_k||^2, and P^2 - P =
+    Column k of the seed basis B lives on the tuples of total occupation k,
+    sector k of ``graphs._sector_plan(modes, cutoff + 1, cutoff)``, so B is
+    read as its entry on each tuple of total <= cutoff, and B^dag B is the
+    diagonal of the column norms s_k = ||b_k||^2.  P^2 - P =
     B (B^dag B - I) B^dag is the direct sum of (s_k - 1) b_k b_k^dag.  Its
     max-abs is max_k |s_k - 1| max_m |B[m, k]|^2, and "frobenius" is
     ||P^2 - P||_F / ||P||_F = sqrt(sum (s_k - 1)^2 s_k^2 / sum s_k^2).  P is
-    Hermitian by construction.  The largest off-grade entry of B is reported
-    with the rest, so a basis that breaks the grading, and with it this
-    closed form, fails the check.  The other values are absolute deviations.
+    Hermitian by construction.  On the trusted box P[m, m'] is
+    b_m conj(b_m') where N_m = N_m' <= cutoff, and zero elsewhere.  The
+    other values are absolute deviations.
     """
-    plan = _sector_plan(spec.modes, spec.cutoff + 1)
-    bounds = [0, 1, *(at.stop for at in plan.sectors[: spec.cutoff])]
-    starts = bounds[:-1]
-    rows = plan.order[: bounds[-1]]
-    entries = rows * (spec.cutoff + 1) + np.repeat(np.arange(spec.cutoff + 1), np.diff(bounds))
-    column = np.take(basis, entries)
-    squares = column.real**2 + column.imag**2
+    plan = _sector_plan(spec.modes, spec.cutoff + 1, spec.cutoff)
+    entries = _graded_ladder(spec, plan.occupations)
+    starts = [0, *(at.start for at in plan.sectors)]
+    squares = entries.real**2 + entries.imag**2
     norms = np.add.reduceat(squares, starts)
     idempotency = float(np.max(np.abs(norms - 1.0) * np.maximum.reduceat(squares, starts)))
     frobenius = math.sqrt(float(np.sum((norms - 1.0) ** 2 * norms**2))) / math.sqrt(float(np.sum(norms**2)))
     # The trace sums P's diagonal |b_m|^2 over the box rows in index order, as a dense complex trace does.
-    diagonal = np.zeros(len(basis), dtype=complex)
-    diagonal.real[rows] = squares
-    off_grade = np.abs(basis)
-    off_grade.put(entries, 0.0)
-    box = basis[_trusted_rows(spec.modes, spec.cutoff, trusted_block)]
+    rows, side = spec.cutoff + 1, box_side(spec.cutoff, trusted_block)
+    diagonal = np.zeros(rows**spec.modes, dtype=complex)
+    diagonal.real[plan.occupations @ rows ** np.arange(spec.modes)[::-1]] = squares
+    inside = plan.occupations.max(axis=1) < side
+    boxed = np.zeros(side**spec.modes, dtype=complex)
+    boxed[plan.occupations[inside] @ side ** np.arange(spec.modes)[::-1]] = entries[inside]
+    total = np.indices((side,) * spec.modes).reshape(spec.modes, -1).sum(axis=0)
+    block = np.multiply.outer(boxed, boxed.conj()) * np.equal.outer(total, total)
     return {
-        "off_grade": float(np.max(off_grade, initial=0.0)),
         "idempotency": idempotency,
-        "trace": abs(float(np.sum(diagonal).real) - (spec.cutoff + 1)),
-        "backend": float(np.max(np.abs(serial_matmul(box, box.conj().T) - quad))),
+        "trace": abs(float(np.sum(diagonal).real) - rows),
+        "backend": float(np.max(np.abs(block - quad))),
         "frobenius": frobenius,
     }
 

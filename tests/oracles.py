@@ -6,9 +6,12 @@ of them shares a code path with ``fockgraph.fock``, which is what makes them
 oracles for it.  The Gauss-Laguerre rule with its Jacobi eigenvalues from
 scipy's tridiagonal eigensolver, the oracle for the dense one in
 ``quadrature.gauss_laguerre``.  The seed projector checks on the
-projector ``B B^dag`` formed densely, which the runner reads in one pass
-over its same-grade pairs.  ``graphs._rotation_sectors`` step by step,
-each sector's index arrays rebuilt, the reference for its cached plan.  The
+projector ``B B^dag`` formed densely, which the runner reads from the
+column norms of the graded ``B``.  The graded seed entries to 50 digits
+with ``fractions`` and ``decimal``, for a rational ``phi``: the precision
+reference for ``graphs._graded_ladder``.  ``graphs._rotation_sectors``
+step by step, each sector's index arrays rebuilt, the reference for its
+cached plan.  The
 displaced seed ladder by applying truncated displacement matrices mode by
 mode, the oracle for ``graphs.seed_ladders``, which builds it by Weyl
 covariance.  The dense Kronecker Weyl operator (``weyl_operator``,
@@ -26,6 +29,8 @@ and Haar-random mixing matrices, which only the tests use.
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -137,7 +142,7 @@ def dense_projection_deviations(basis: np.ndarray, quad: np.ndarray, box: np.nda
     column of P is an exact zero, and at n=3 cutoff 16 (dim 4913) only 969
     rows remain.  The trace sums P's whole diagonal in index order, zeros
     included, as ``np.trace`` of the full P does.  Keys and meanings as in
-    the runner's graded check, which adds the off-grade entries of B.
+    the runner's graded check, which omits the hermiticity.
     """
     support = np.flatnonzero(np.any(basis != 0, axis=1))
     rows = basis[support]
@@ -153,6 +158,25 @@ def dense_projection_deviations(basis: np.ndarray, quad: np.ndarray, box: np.nda
         "backend": float(np.abs(boxed @ boxed.conj().T - quad).max()),
         "frobenius": float(np.linalg.norm(residual) / np.linalg.norm(projector)),
     }
+
+
+def graded_entries_reference(column, cutoff: int) -> list[Decimal]:
+    """The seed entries sqrt(k!/prod m_j!) prod c_j^m_j of ``graphs._graded_ladder``, to 50 digits.
+
+    ``column`` is phi's first column as Fractions, so every product of
+    powers and the integer multinomial coefficient are exact, and only the
+    square root and the one division round, at 50 digits.  In
+    ``graphs._sector_plan(len(column), cutoff + 1, cutoff)`` order.
+    """
+    modes = len(column)
+    entries = []
+    with localcontext() as context:
+        context.prec = 50
+        for occupation in _sector_plan(modes, cutoff + 1, cutoff).occupations.tolist():
+            multinomial = math.factorial(sum(occupation)) // math.prod(map(math.factorial, occupation))
+            power = math.prod((c**m for c, m in zip(column, occupation)), start=Fraction(1))
+            entries.append(Decimal(multinomial).sqrt() * Decimal(power.numerator) / Decimal(power.denominator))
+    return entries
 
 
 def rotation_sectors_loop(spec, rows: int) -> list:

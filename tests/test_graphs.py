@@ -1,8 +1,11 @@
 """Operator-graph tests: seed projectors, generators, anticliques, compression."""
 
+import json
 import math
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,13 +34,14 @@ from fockgraph.fock import displacement_matrix
 from fockgraph.multimode import trusted_mask
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
 from fockgraph.cli import main
-from fockgraph.graphs import _sector_ladders, _sector_plan
+from fockgraph.graphs import _graded_ladder, _sector_ladders, _sector_plan
 from fockgraph.quadrature import SERIAL_GEMM_MACS, serial_matmul
 from oracles import (
     dense_generator,
     dense_projection_deviations,
     displace_modewise,
     full_residual_deviations,
+    graded_entries_reference,
     graph_displacement,
     haar_unitary,
     index_of,
@@ -159,10 +163,11 @@ class TestProjectionCheck:
 
     def check_against_dense_oracle(self, modes, cutoff, phi=None):
         cfg = self.projection_config(modes, cutoff, phi)
-        spec, basis, quad, expected = self.dense_oracle(cfg)
-        got = runner._projection_deviations(spec, basis, quad, cfg.trusted_block)
-        assert got.pop("off_grade") == 0.0
+        spec, _, quad, expected = self.dense_oracle(cfg)
+        got = runner._projection_deviations(spec, quad, cfg.trusted_block)
         assert got.keys() == expected.keys() - {"hermiticity"}
+        # Summed over the whole box diagonal in index order, the trace rounds as the dense one does.
+        assert got["trace"] == expected["trace"]
         for key, value in got.items():
             assert abs(value - expected[key]) <= 1e-15, key
         assert run_experiment(cfg).passed == (max(expected.values()) <= cfg.tolerance)
@@ -185,25 +190,45 @@ class TestProjectionCheck:
             _, basis, _, expected = self.dense_oracle(cfg)
             assert expected["hermiticity"] <= np.finfo(float).eps * np.abs(basis).max() ** 2
 
-    def test_off_grade_entry_fails(self, monkeypatch):
-        # Column 3 given a vacuum component: the grades no longer split P.
-        def broken(spec):
-            basis = seed_basis(spec)
-            basis[0, 3] = 1e-6
-            return basis
+    @pytest.mark.parametrize("mixing", ["dft", "haar"])
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8), (4, 6)])
+    def test_graded_entries_are_the_seed_basis_nonzeros(self, modes, cutoff, mixing):
+        # The check reads B graded, one entry per tuple of total <= cutoff; the dense basis holds
+        # those entries bit for bit at (tuple, total) and exact zeros everywhere else.
+        spec = GraphSpec(phi=mixing_matrix(modes, mixing, np.random.default_rng(modes)), modes=modes, cutoff=cutoff)
+        occupations = _sector_plan(modes, cutoff + 1, cutoff).occupations
+        rows = occupations @ (cutoff + 1) ** np.arange(modes)[::-1]
+        basis = seed_basis(spec)
+        entries = _graded_ladder(spec, occupations)
+        assert np.array_equal(basis[rows, occupations.sum(axis=1)], entries)
+        assert np.all(entries != 0)
+        basis[rows, occupations.sum(axis=1)] = 0.0
+        assert not basis.any()
 
-        monkeypatch.setattr(runner, "seed_basis", broken)
-        report = run_experiment(self.projection_config(2, 16))
-        assert report.passed is False
-        assert report.max_abs_deviation >= 1e-6
+    @pytest.mark.parametrize(
+        "modes, cutoff, block, deviation",
+        [(2, 16, 9, 0.18547058105468733), (2, 16, 16, 0.18547058105468733), (3, 8, 3, 0.08535284255448858)],
+    )
+    def test_box_past_the_grades_keeps_its_fail(self, tmp_path, modes, cutoff, block, deviation):
+        # The box holds rows of total above the cutoff: P has no grade there, the integral over the
+        # coherent dyads does, and the backend reads that mass against P's exact zeros.
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"experiment": "projection", "n": modes, "cutoff": cutoff, "trusted_block": block})
+        )
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 1
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert abs(report["max_abs_deviation"] - deviation) <= 1e-12
 
     def test_scaled_column_fails_on_idempotency(self, monkeypatch):
-        def scaled(spec):
-            basis = seed_basis(spec)
-            basis[:, 5] *= 1.001
-            return basis
+        def scaled(spec, occupations):
+            entries = _graded_ladder(spec, occupations)
+            entries[occupations.sum(axis=1) == 5] *= 1.001
+            return entries
 
-        monkeypatch.setattr(runner, "seed_basis", scaled)
+        monkeypatch.setattr(runner, "_graded_ladder", scaled)
         cfg = self.projection_config(2, 16)
         report = run_experiment(cfg)
         assert report.passed is False
@@ -268,6 +293,33 @@ class TestSeedBasis:
     def test_matches_multinomial_formula(self, modes, cutoff):
         spec = GraphSpec(phi=haar_unitary(modes, np.random.default_rng(cutoff)), modes=modes, cutoff=cutoff)
         assert np.abs(seed_basis(spec) - multinomial_oracle(spec)).max() <= 1e-13
+
+
+# Rational orthogonal phi = rows / denominator and cutoffs, with the max-abs error of graphs._graded_ladder
+# against the 50-digit reference as measured; the float phi is the nearest double of each entry.  A pin
+# holds within PRECISION_MARGIN of its value both ways, so neither a lost digit nor a reference that
+# rounds as the float code does goes unseen.
+ROTATION_2 = ((3, 4), (4, -3))
+ROTATION_3 = ((1, 2, 2), (2, 1, -2), (2, -2, 1))
+PRECISION_PINS = [
+    (ROTATION_2, 5, 40, 2.89e-15),
+    (ROTATION_2, 5, 56, 6.21e-15),
+    (ROTATION_2, 5, 63, 6.21e-15),
+    (ROTATION_3, 3, 16, 4.99e-16),
+]
+PRECISION_MARGIN = 1.25
+
+
+@pytest.mark.parametrize("rows, denominator, cutoff, pin", PRECISION_PINS)
+def test_graded_entries_match_the_50_digit_reference(rows, denominator, cutoff, pin):
+    spec = GraphSpec(phi=np.array(rows) / denominator, modes=len(rows), cutoff=cutoff)
+    entries = _graded_ladder(spec, _sector_plan(spec.modes, cutoff + 1, cutoff).occupations)
+    reference = graded_entries_reference([Fraction(row[0], denominator) for row in rows], cutoff)
+    assert not entries.imag.any()
+    with localcontext() as context:
+        context.prec = 50
+        error = float(max(abs(Decimal(x) - y) for x, y in zip(entries.real.tolist(), reference)))
+    assert pin / PRECISION_MARGIN <= error <= pin * PRECISION_MARGIN
 
 
 class TestGraphDisplacement:

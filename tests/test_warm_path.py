@@ -15,11 +15,10 @@ import sys
 import numpy as np
 import pytest
 
-from fockgraph import cli, config, fock, graphs, multimode, quadrature
+from fockgraph import cli, config, fock, graphs, quadrature
 from fockgraph.cli import main
 from fockgraph.config import dft_matrix
 from fockgraph.graphs import GraphSpec, _sector_plan
-from fockgraph.multimode import ModeSpace, trusted_mask
 from oracles import expm_displacement_oracle
 from test_cli import normalize_runtime, package_env, write_config
 
@@ -101,11 +100,6 @@ CACHES = {
         fock._log_factorials,
         lambda top: np.array([math.lgamma(m + 1) for m in range(top + 1)]),
         [(8,), (16,), (8,)],
-    ),
-    "trusted_rows": (
-        multimode._trusted_rows,
-        lambda modes, cutoff, bound: np.flatnonzero(trusted_mask(ModeSpace(modes, cutoff), bound)),
-        [(2, 16, 8), (3, 16, 8), (3, 8, 8), (3, 8, 4), (2, 16, 8)],
     ),
     "trusted_sector_rows": (
         graphs._trusted_sector_rows,
