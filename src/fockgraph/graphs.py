@@ -91,7 +91,7 @@ def seed_basis(spec: GraphSpec) -> np.ndarray:
     The graded ladder (:func:`_graded_ladder`) on the rows of total k, exact
     because those rows stay within the cutoff; the columns are orthonormal.
     """
-    occupations = spec.space.occupations()
+    occupations = np.indices((spec.cutoff + 1,) * spec.modes).reshape(spec.modes, -1).T
     total = occupations.sum(axis=1)
     return np.where(total[:, None] == np.arange(spec.cutoff + 1), _graded_ladder(spec, occupations)[:, None], 0.0)
 

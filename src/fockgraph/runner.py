@@ -23,7 +23,7 @@ from .graphs import (
     draw_generator_params,
     seed_projector_quadrature,
 )
-from .quadrature import box_side, coherent_identity, displaced_projector_identity, graph_resolution, polar_scheme
+from .quadrature import coherent_identity, displaced_projector_identity, graph_resolution, polar_scheme
 from .report import TOOL_VERSION, VerificationReport
 
 __all__ = ["run_experiment"]
@@ -141,7 +141,7 @@ def _projection_deviations(spec: GraphSpec, quad: np.ndarray, trusted_block: int
     idempotency = float(np.max(np.abs(norms - 1.0) * np.maximum.reduceat(squares, starts)))
     frobenius = math.sqrt(float(np.sum((norms - 1.0) ** 2 * norms**2))) / math.sqrt(float(np.sum(norms**2)))
     # The trace sums P's diagonal |b_m|^2 over the box rows in index order, as a dense complex trace does.
-    rows, side = spec.cutoff + 1, box_side(spec.cutoff, trusted_block)
+    rows, side = spec.cutoff + 1, trusted_block + 1
     diagonal = np.zeros(rows**spec.modes, dtype=complex)
     diagonal.real[plan.occupations @ rows ** np.arange(spec.modes)[::-1]] = squares
     inside = plan.occupations.max(axis=1) < side

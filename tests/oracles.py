@@ -11,12 +11,11 @@ column norms of the graded ``B``.  The graded seed entries to 50 digits
 with ``fractions`` and ``decimal``, for a rational ``phi``: the precision
 reference for ``graphs._graded_ladder``.  ``graphs._rotation_sectors``
 step by step, each sector's index arrays rebuilt, the reference for its
-cached plan.  The
-displaced seed ladder by applying truncated displacement matrices mode by
-mode, the oracle for ``graphs.seed_ladders``, which builds it by Weyl
-covariance.  The dense Kronecker Weyl operator (``weyl_operator``,
-``graph_displacement``) and the displaced seed projector built from it
-(``dense_generator``), the oracles for ``graphs.graph_generator`` and for
+cached plan.  The displaced seed ladder by applying truncated displacement
+matrices mode by mode, the oracle for ``graphs.seed_ladders``, which
+builds it by Weyl covariance.  The dense Kronecker Weyl operator
+(``weyl_operator``, ``graph_displacement``) and the displaced seed
+projector built from it (``dense_generator``), the oracles for ``graphs.graph_generator`` and for
 the dense ``P A P`` that ``graphs.compression_check`` never forms: both
 functions read their ladders from that sweep.  The anticlique residual
 with each of its ``dim_t^2`` entries formed, the oracle for

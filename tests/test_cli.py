@@ -156,7 +156,9 @@ class TestAliasingPins:
 
     Each angular count here is at or below a charge difference the verdict
     reads, so the equispaced rule aliases; the values are those of the
-    node-by-node sum over every product node, to 1e-12.
+    node-by-node sum over every product node, to 1e-12.  The last three
+    projection boxes reach past the grades instead: rows of total above the
+    cutoff, where the integral has mass and P has none, decide the FAIL.
     """
 
     @pytest.mark.parametrize(
@@ -169,6 +171,9 @@ class TestAliasingPins:
                 0.33344029017857074,
             ),
             ({"experiment": "projection", "n": 2, "cutoff": 16, "angular_order": 9}, 0.09765107460736858),
+            ({"experiment": "projection", "n": 2, "cutoff": 16, "trusted_block": 9}, 0.18547058105468733),
+            ({"experiment": "projection", "n": 2, "cutoff": 16, "trusted_block": 16}, 0.18547058105468733),
+            ({"experiment": "projection", "n": 3, "cutoff": 8, "trusted_block": 3}, 0.08535284255448858),
         ],
     )
     def test_aliased_rule_fails_at_pinned_deviation(self, tmp_path, data, deviation):
