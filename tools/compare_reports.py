@@ -3,8 +3,9 @@
 Each line holds the case name, the ``verify`` exit code and the JSON
 reports the case wrote, without ``runtime_ms``, the one field that is not
 deterministic.  The set covers the default suite over thirteen seeds, every
-experiment at n = 2, 3 and 4, ``resolution`` at n = 5 and with an aliased
-rule, ``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3,
+experiment at n = 2, 3 and 4, ``resolution`` at n = 5, n = 3 cutoff 18 and
+n = 4 cutoff 8 and with aliased rules (at M = 1 every sector pair couples),
+``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3,
 ``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40, n = 4
 cutoff 8) and with trusted boxes past ``cutoff // n``, and one-mode rules
 from exact to aliased and past the kernel's scaling range.
@@ -87,6 +88,12 @@ CASES = [
         {"experiment": "resolution", "n": 3, "cutoff": 6, "radial_order": 2, "angular_order": 5},
     ),
     ("resolution n3 c6 fixed phi", {"experiment": "resolution", "n": 3, "cutoff": 6, "phi": FIXED_PHI}),
+    ("resolution n3 c18", {"experiment": "resolution", "n": 3, "cutoff": 18}),
+    ("resolution n4 c8", {"experiment": "resolution", "n": 4, "cutoff": 8}),
+    (
+        "resolution n3 c8 t8 Q1 M1",
+        {"experiment": "resolution", "n": 3, "cutoff": 8, "trusted_block": 8, "radial_order": 1, "angular_order": 1},
+    ),
     *(
         (
             f"covariant_gs c1200 Q1 M4 t{block}",
