@@ -283,20 +283,43 @@ def _rotation_plan(modes: int, rows: int) -> _RotationPlan:
 
 
 @functools.lru_cache(maxsize=None)
-def _ladder_levels(modes: int, rows: int, cutoff: int) -> tuple:
-    """Per total occupation N, the ladder level (mode-0 occupation) of each rotated tuple of ``_rotation_plan``.
+def _class_plan(modes: int, rows: int, cutoff: int, angular: int) -> tuple:
+    """The ordered sector pairs (N, N') of ``_rotation_plan(modes, rows)``'s tuples that share a residue class.
 
-    A level past ``cutoff`` reads -1, which equals no level, so
-    ``graph_resolution``'s P_ladder mask of a block is one equality test.
-    Cached per ``(modes, rows, cutoff)``; the arrays are read-only.
+    P_ladder (x) C (x) ... (x) C links two rotated tuples exactly within one
+    class (m_0 <= cutoff, m_1 mod M, ..., m_{n-1} mod M), M = ``angular``.
+    Per pair (N, N', runs, starts, matches, reads): the positions in N' of
+    the tuples matched to each tuple of N, run by run (its position, the run
+    starts), and the entries m_l (T+1) + m'_l of C each match reads.  Cached per shape; read-only.
     """
-    levels = tuple(np.where(tuples[:, 0] <= cutoff, tuples[:, 0], -1) for tuples in _rotation_plan(modes, rows).tuples)
-    for level in levels:
-        level.flags.writeable = False
-    return levels
+    tuples = _rotation_plan(modes, rows).tuples
+    sector = np.repeat(np.arange(len(tuples)), [len(block) for block in tuples])
+    occupations = np.concatenate(tuples)
+    position = np.arange(len(sector)) - np.searchsorted(sector, sector)
+    members = np.flatnonzero(occupations[:, 0] <= cutoff)
+    residues = np.column_stack([occupations[members, :1], occupations[members, 1:] % angular]).T
+    keys = np.ravel_multi_index(residues, (cutoff + 1, *(min(angular, len(tuples)),) * (modes - 1)))
+    _, classes, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    order = np.argsort(classes, kind="stable")
+    members, size, first = members[order], counts[classes[order]], (np.cumsum(counts) - counts)[classes[order]]
+    # Each member pairs with every member of its class (itself included), as the left tuple.
+    left = np.repeat(members, size)
+    right = members[np.repeat(first, size) + np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)]
+    order = np.lexsort((right, left, sector[right]))
+    left, right = left[order], right[order]
+    reads = np.ascontiguousarray((occupations[left, 1:] * len(tuples) + occupations[right, 1:]).T)
+    bounds = np.flatnonzero(np.diff(sector[left] * len(tuples) + sector[right], prepend=-1, append=-1))
+    plan = []
+    for begin, end in zip(bounds[:-1], bounds[1:]):
+        runs, starts = np.unique(left[begin:end], return_index=True)
+        pair = (position[runs], starts, position[right[begin:end]], reads[:, begin:end])
+        for array in pair:
+            array.flags.writeable = False
+        plan.append((int(sector[runs[0]]), int(sector[right[begin]]), *pair))
+    return tuple(plan)
 
 
-def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """V[a, m] = <a|U(phi)|m> for the rows a of the ``rows``-per-mode box, one block per total occupation.
 
     U(phi), U a_j^dag U^dag = sum_i phi_ij a_i^dag, takes |k, 0, ..., 0> to
@@ -308,20 +331,17 @@ def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.n
     numerical notes).  Each step reads its index arrays from the cached
     :func:`_rotation_plan`, mixes the lifted rows by phi and takes the sum
     over j as one gather over (mode, column), the terms added in mode order.
-    Returns per N = 0..modes (rows - 1) the box rows (row-major indices),
-    the rotated tuples (size, modes) and V_N, column-major as per-mode
-    column gathers leave it, so the products that read it round the same.
+    Returns per N = 0..modes (rows - 1) the box rows (row-major indices) and
+    V_N, column-major, its columns the rotated tuples of ``_rotation_plan``.
     """
     plan = _rotation_plan(spec.modes, rows)
     ladder = np.ones((1, 1), dtype=complex)
-    sectors = [(plan.rows[0], plan.tuples[0], ladder)]
-    for at, tuples, lower, weight, columns, roots in zip(
-        plan.rows[1:], plan.tuples[1:], plan.lower, plan.weight, plan.columns, plan.roots
-    ):
+    sectors = [(plan.rows[0], ladder)]
+    for at, lower, weight, columns, roots in zip(plan.rows[1:], plan.lower, plan.weight, plan.columns, plan.roots):
         mixed = np.einsum("ij,iac->ajc", spec.phi, ladder[lower] * weight).reshape(len(at), -1)
-        out = np.empty((len(at), len(tuples)), dtype=complex, order="F")
+        out = np.empty((len(at), roots.shape[1]), dtype=complex, order="F")
         ladder = np.add.reduce(mixed[:, columns] * roots, axis=1, out=out)
-        sectors.append((at, tuples, ladder))
+        sectors.append((at, ladder))
     return sectors
 
 

@@ -9,7 +9,9 @@ scipy's tridiagonal eigensolver, the oracle for the dense one in
 projector ``B B^dag`` formed densely, which the runner reads from the
 column norms of the graded ``B``.  The graded seed entries to 50 digits
 with ``fractions`` and ``decimal``, for a rational ``phi``: the precision
-reference for ``graphs._graded_ladder``.  ``graphs._rotation_sectors``
+reference for ``graphs._graded_ladder``, and the rule operator to 50
+digits, the precision reference for ``quadrature._rule_operator``.
+``graphs._rotation_sectors``
 step by step, each sector's index arrays rebuilt, the reference for its
 cached plan.  The displaced seed ladder by applying truncated displacement
 matrices mode by mode, the oracle for ``graphs.seed_ladders``, which
@@ -176,6 +178,29 @@ def graded_entries_reference(column, cutoff: int) -> list[Decimal]:
             power = math.prod((c**m for c, m in zip(column, occupation)), start=Fraction(1))
             entries.append(Decimal(multinomial).sqrt() * Decimal(power.numerator) / Decimal(power.denominator))
     return entries
+
+
+def rule_operator_reference(size: int, scheme) -> list[list[Decimal]]:
+    """The rule operator C[m, n] = [M | m - n] sum_i w_i s_i^((m+n)/2) / sqrt(m! n!) of ``quadrature._rule_operator``, to 50 digits.
+
+    The float64 nodes s_i and weights w_i are taken as exact.  C is Hankel
+    in m + n before the factorials, so the sums H[k] = sum_i w_i sqrt(s_i)^k,
+    k < 2 size - 1, are formed once and each entry is H[m + n] / sqrt(m! n!),
+    every operation rounding at 50 digits.
+    """
+    with localcontext() as context:
+        context.prec = 50
+        roots = [Decimal(s).sqrt() for s in scheme.radial.nodes.tolist()]
+        terms = [Decimal(w) for w in scheme.radial.weights.tolist()]
+        hankel = []
+        for _ in range(2 * size - 1):
+            hankel.append(sum(terms, Decimal(0)))
+            terms = [term * root for term, root in zip(terms, roots)]
+        norms = [Decimal(math.factorial(m)).sqrt() for m in range(size)]
+        return [
+            [hankel[m + n] / (norms[m] * norms[n]) if (m - n) % scheme.angular.count == 0 else Decimal(0) for n in range(size)]
+            for m in range(size)
+        ]
 
 
 def rotation_sectors_loop(spec, rows: int) -> list:

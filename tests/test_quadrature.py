@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -38,7 +39,15 @@ from fockgraph.quadrature import (
     serial_matmul,
 )
 from fockgraph.runner import run_experiment
-from oracles import displace_modewise, gauss_laguerre_reference, haar_unitary, rotation_sectors_loop
+from oracles import (
+    displace_modewise,
+    gauss_laguerre_reference,
+    haar_unitary,
+    rotation_sectors_loop,
+    rule_operator_reference,
+)
+
+PRECISION_MARGIN = 1.25
 
 
 def identity_deviation(op, mask=None):
@@ -68,12 +77,10 @@ def oracle_dyad_sum(vector, scheme, dim):
     return acc
 
 
-def oracle_graph_resolution(spec, schemes, conjugate):
-    """sum_k w_k conjugate(D_k) over the product of the pairs' nodes, first pair slowest."""
-    if not isinstance(schemes, tuple):
-        schemes = (schemes,) * (spec.modes - 1)
+def oracle_graph_resolution(spec, scheme, conjugate):
+    """sum_k w_k conjugate(D_k) over the product of the scheme's nodes, one factor per pair, first pair slowest."""
     acc = np.zeros((spec.space.dim, spec.space.dim), dtype=complex)
-    for combo in itertools.product(*(list(oracle_nodes(scheme)) for scheme in schemes)):
+    for combo in itertools.product(list(oracle_nodes(scheme)), repeat=spec.modes - 1):
         alphas = np.array([alpha for alpha, _ in combo])
         weight = math.prod(w for _, w in combo)
         shifts = spec.phi[:, 1:] @ alphas
@@ -182,9 +189,10 @@ class TestIntegrateDyads:
             spec = GraphSpec(phi=phi, modes=modes, cutoff=cutoff)
             expected = rotation_sectors_loop(spec, rows)
             got = graphs._rotation_sectors(spec, rows)
-            assert len(got) == len(expected) == modes * (rows - 1) + 1
-            for (at, tuples, ladder), (at_ref, tuples_ref, ladder_ref) in zip(got, expected):
-                assert np.array_equal(at, at_ref) and np.array_equal(tuples, tuples_ref)
+            tuples = graphs._rotation_plan(modes, rows).tuples
+            assert len(got) == len(expected) == len(tuples) == modes * (rows - 1) + 1
+            for (at, ladder), here, (at_ref, tuples_ref, ladder_ref) in zip(got, tuples, expected):
+                assert np.array_equal(at, at_ref) and np.array_equal(here, tuples_ref)
                 assert ladder.flags.f_contiguous and np.array_equal(ladder, ladder_ref)
 
     def test_direct_graph_resolution_matches_per_node_sum(self):
@@ -286,68 +294,74 @@ class TestTrustedBox:
 class TestRuleAliasing:
     """The integrators read the polar rule through its operator C, aliasing and all, as the node-by-node sum does."""
 
-    # Rules per parameter pair and whether the node-by-node sum aliases:
-    # entries whose total occupations differ by a nonzero multiple of the
-    # gcd g of the angular counts stand far above 1e-6 of the largest.  At
-    # cutoff 4 (n=2) and 3 (n=3) the full box's totals reach 8 and 9.
+    # (modes, radial order, angular count M) of one rule that every parameter
+    # pair shares, and whether the node-by-node sum aliases: entries whose
+    # total occupations differ by a nonzero multiple of M stand far above
+    # 1e-6 of the largest.  At cutoff 6 - n the full box's totals reach 8
+    # (n=2), 9 (n=3) and 5 (n=5).
     RULES = [
-        (((4, 5), (3, 7)), False),  # g = 1: no fold to alias
-        (((4, 7),), True),  # g = 7 prime: 8 - 1 aliases
-        (((3, 6), (2, 12)), True),  # g = 6 composite: 7 - 1 aliases
-        (((3, 12), (2, 18)), False),  # g = 6, but 12 and 18 resolve 6
-        (((5, 4),), True),  # g = 4 below the largest total
-        (((6, 12),), False),  # g = 12 above every total difference
+        ((3, 4, 10), False),  # M = 10 above every total difference
+        ((2, 4, 7), True),  # M = 7 prime: 8 - 1 aliases
+        ((3, 3, 6), True),  # M = 6 composite: 7 - 1 aliases
+        ((5, 1, 6), False),  # M = 6 above every total difference
+        ((5, 2, 3), True),  # M = 3: 4 - 1 aliases
+        ((2, 6, 12), False),  # M = 12 above every total difference
+    ]
+    # One-mode rules at cutoff 8 (n=2 cutoff 4 for the seed projector).
+    SINGLE_MODE_RULES = [
+        ((4, 7), True),  # 8 - 1 aliases
+        ((5, 4), True),  # M = 4 below the largest occupation
+        ((6, 12), False),  # M = 12 above every difference
     ]
 
     @staticmethod
-    def aliases(expected, totals, orders) -> bool:
-        gcd = math.gcd(*(angular for _, angular in orders))
+    def aliases(expected, totals, angular) -> bool:
         difference = np.subtract.outer(totals, totals)
-        folded = (difference % gcd == 0) & (difference != 0)
-        alias = np.max(np.abs(expected[folded]), initial=0.0) if gcd > 1 else 0.0
-        return bool(alias > 1e-6 * np.abs(expected).max())
+        folded = (difference % angular == 0) & (difference != 0)
+        return bool(np.max(np.abs(expected[folded]), initial=0.0) > 1e-6 * np.abs(expected).max())
 
     @pytest.mark.parametrize("orders, aliased", RULES)
     def test_graph_resolution_matches_per_node_sum(self, orders, aliased):
-        modes = len(orders) + 1
-        phi = haar_unitary(modes, np.random.default_rng(len(orders) + orders[0][1]))
+        modes, radial, angular = orders
+        phi = haar_unitary(modes, np.random.default_rng(modes + angular))
         spec = GraphSpec(phi=phi, modes=modes, cutoff=6 - modes)
-        schemes = tuple(polar_scheme(*pair) for pair in orders)
+        scheme = polar_scheme(radial, angular)
         basis = seed_basis(spec)
-        expected = oracle_graph_resolution(spec, schemes, lambda d: (d @ basis) @ (d @ basis).conj().T)
-        got = graph_resolution(spec, schemes, backend="rank")
+        expected = oracle_graph_resolution(spec, scheme, lambda d: (d @ basis) @ (d @ basis).conj().T)
+        got = graph_resolution(spec, scheme, backend="rank")
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-        assert self.aliases(expected, spec.space.occupations().sum(axis=1), orders) == aliased
+        assert self.aliases(expected, spec.space.occupations().sum(axis=1), angular) == aliased
 
-    @pytest.mark.parametrize("orders, aliased", [rule for rule in RULES if len(rule[0]) == 1])
+    @pytest.mark.parametrize("orders, aliased", SINGLE_MODE_RULES)
     def test_single_mode_integrators_match_per_node_sum(self, orders, aliased):
-        scheme = polar_scheme(*orders[0])
+        scheme = polar_scheme(*orders)
         expected = oracle_dyad_sum(lambda a: unnormalized_coherent(a, 8), scheme, 9)
         assert np.abs(coherent_identity(8, scheme) - expected).max() <= 1e-13 * np.abs(expected).max()
-        assert self.aliases(expected, np.arange(9), orders) == aliased
-        spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(orders[0][1])), modes=2, cutoff=4)
+        assert self.aliases(expected, np.arange(9), orders[1]) == aliased
+        spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(orders[1])), modes=2, cutoff=4)
         column = spec.phi[:, 0]
         expected = oracle_dyad_sum(
             lambda a: kron_all([unnormalized_coherent(a * c, 4) for c in column]), scheme, spec.space.dim
         )
         got = seed_projector_quadrature(spec, scheme)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-        assert self.aliases(expected, spec.space.occupations().sum(axis=1), orders) == aliased
+        assert self.aliases(expected, spec.space.occupations().sum(axis=1), orders[1]) == aliased
 
-    @pytest.mark.parametrize("angular", [(6, 9), (6, 7), (8, 12)])
+    # Cutoff 3: the full box's totals reach 9, so M = 4 and 7 alias and 10 does not.
+    @pytest.mark.parametrize("angular", [4, 7, 10])
     def test_three_mode_rank_matches_direct(self, angular):
-        spec = GraphSpec(phi=haar_unitary(3, np.random.default_rng(sum(angular))), modes=3, cutoff=3)
-        schemes = tuple(polar_scheme(3, count) for count in angular)
-        rank = graph_resolution(spec, schemes, backend="rank")
-        direct = graph_resolution(spec, schemes, backend="direct")
+        spec = GraphSpec(phi=haar_unitary(3, np.random.default_rng(angular)), modes=3, cutoff=3)
+        scheme = polar_scheme(3, angular)
+        rank = graph_resolution(spec, scheme, backend="rank")
+        direct = graph_resolution(spec, scheme, backend="direct")
         assert np.abs(rank - direct).max() <= 1e-13
 
     def test_five_mode_rank_matches_direct(self):
-        # Cutoff 1 (dim 32) under an aliased rule per pair, (2 x 3)^4 = 1296 product nodes for the oracle.
+        # Cutoff 1 (dim 32, totals up to 5) under the aliased 2 x 3 rule, (2 x 3)^4 = 1296 product nodes for the oracle.
         spec = GraphSpec(phi=haar_unitary(5, np.random.default_rng(5)), modes=5, cutoff=1)
-        schemes = (polar_scheme(2, 3), polar_scheme(1, 2), polar_scheme(2, 3), polar_scheme(1, 4))
-        rank = graph_resolution(spec, schemes, backend="rank")
-        direct = graph_resolution(spec, schemes, backend="direct")
+        scheme = polar_scheme(2, 3)
+        rank = graph_resolution(spec, scheme, backend="rank")
+        direct = graph_resolution(spec, scheme, backend="direct")
         assert np.abs(rank - direct).max() <= 1e-13
 
     def test_default_resolution_evaluates_no_node(self, monkeypatch):
@@ -366,8 +380,9 @@ class TestRuleAliasing:
     def test_aliased_full_box_stays_within_budget(self):
         # n=3 cutoff 6 with trusted_block = cutoff: the 343 x 343 result
         # (1.9 MB) over rotated tuples of total up to 18, 1330 of them, where
-        # one dense X over them would take 28 MB.  Sector blocks of X are
-        # taken in chunks of CHUNK_ENTRIES entries.  The 2 x 5 rule aliases;
+        # one dense X over them would take 28 MB.  X is never formed: each
+        # sector pair sums the columns of V_N matched within a residue class,
+        # and its class plan is built here too.  The 2 x 5 rule aliases;
         # the oracle is the node-by-node sum of the displaced ladders.
         spec = GraphSpec(phi=haar_unitary(3, np.random.default_rng(36)), modes=3, cutoff=6)
         scheme = polar_scheme(2, 5)
@@ -591,6 +606,20 @@ class TestCoherentIdentity:
         b = coherent_identity(5, polar_scheme(7, 12))
         assert np.array_equal(a, b)
 
+    # The max-abs error of the size-64 rule operator against the 50-digit
+    # reference (float64 nodes and weights exact), pinned within a factor
+    # PRECISION_MARGIN both ways: a larger error is a regression, a smaller
+    # one a change that should move the pin.
+    @pytest.mark.parametrize("orders, pin", [((32, 128), 2.53e-15), ((33, 66), 4.40e-15), ((17, 34), 4.26e-15)])
+    def test_rule_operator_matches_the_50_digit_reference(self, orders, pin):
+        scheme = polar_scheme(*orders)
+        reference = rule_operator_reference(64, scheme)
+        with localcontext() as context:
+            context.prec = 50
+            rows = zip(quadrature._rule_operator(64, scheme).tolist(), reference)
+            error = float(max(abs(Decimal(x) - y) for got, want in rows for x, y in zip(got, want)))
+        assert pin / PRECISION_MARGIN <= error <= pin * PRECISION_MARGIN
+
 
 class TestDisplacedProjectorIdentity:
     def test_vacuum_seed_reduces_to_coherent_identity(self):
@@ -665,10 +694,10 @@ class TestGraphResolution:
         with pytest.raises(ValueError, match="two modes"):
             graph_resolution(spec, polar_scheme(4, 8))
 
-    def test_rejects_wrong_scheme_count(self):
+    def test_rejects_a_scheme_per_pair(self):
         spec = GraphSpec(phi=np.eye(3, dtype=complex), modes=3, cutoff=2)
-        with pytest.raises(ValueError, match="schemes"):
-            graph_resolution(spec, (polar_scheme(4, 8),))
+        with pytest.raises(TypeError, match="PolarScheme"):
+            graph_resolution(spec, (polar_scheme(4, 8),) * 2)
 
     def test_rejects_unknown_backend(self):
         spec = GraphSpec(phi=np.eye(2, dtype=complex), modes=2, cutoff=2)

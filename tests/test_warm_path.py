@@ -82,9 +82,22 @@ def reference_sector_rows(modes, rows, top):
     return np.flatnonzero(occupations.max(axis=1) <= top)[::-1]
 
 
-def reference_levels(modes, rows, cutoff):
-    plan = graphs._rotation_plan(modes, rows)
-    return tuple(np.where(tuples[:, 0] > cutoff, -1, tuples[:, 0]) for tuples in plan.tuples)
+def reference_class_plan(modes, rows, cutoff, angular):
+    # Every pair of rotated tuples, compared densely sector pair by sector pair: a pair matches where
+    # the mode-0 occupations agree within the cutoff and every other occupation agrees mod M.
+    tuples = graphs._rotation_plan(modes, rows).tuples
+    top = len(tuples)
+    plan = []
+    for other, there in enumerate(tuples):
+        for sector, here in enumerate(tuples):
+            level = np.equal.outer(here[:, 0], there[:, 0]) & (here[:, 0] <= cutoff)[:, None]
+            residues = np.equal.outer(here[:, 1:] % angular, there[:, 1:] % angular)
+            tuple_rows, matches = np.nonzero(level & np.all(np.diagonal(residues, axis1=1, axis2=3), axis=-1))
+            if matches.size:
+                runs, starts = np.unique(tuple_rows, return_index=True)
+                reads = (here[tuple_rows, 1:] * top + there[matches, 1:]).T
+                plan.append((sector, other, runs, starts, matches, reads))
+    return tuple(plan)
 
 
 def reference_radius_limit(n, cutoff):
@@ -106,10 +119,10 @@ CACHES = {
         reference_sector_rows,
         [(3, 9, 8), (2, 9, 8), (2, 17, 8), (2, 17, 16), (2, 17, 4), (3, 9, 8)],
     ),
-    "ladder_levels": (
-        graphs._ladder_levels,
-        reference_levels,
-        [(3, 3, 6), (2, 3, 6), (2, 9, 6), (2, 9, 16), (3, 3, 6)],
+    "class_plan": (
+        graphs._class_plan,
+        reference_class_plan,
+        [(3, 3, 4, 5), (2, 3, 4, 5), (2, 4, 4, 5), (2, 4, 2, 5), (2, 4, 2, 3), (3, 3, 4, 5)],
     ),
     "ladder_radius_limit": (config._ladder_radius_limit, reference_radius_limit, [(2, 8), (3, 8), (3, 16), (2, 8)]),
 }
@@ -135,8 +148,9 @@ class TestCacheContract:
 
     @pytest.mark.parametrize("name", sorted(set(CACHES) - {"ladder_radius_limit"}))
     def test_returns_read_only_arrays(self, name):
+        # Plain ints (the class plan's sector numbers) are immutable; every other leaf is an array.
         cached, _, keys = CACHES[name]
-        for array in leaves(cached(*keys[0])):
+        for array in (leaf for leaf in leaves(cached(*keys[0])) if type(leaf) is not int):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
