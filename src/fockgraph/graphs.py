@@ -240,7 +240,6 @@ class _RotationPlan(NamedTuple):
     """The box-only index arrays of ``_rotation_sectors``, per total occupation N (the lifts from N >= 1)."""
 
     rows: tuple  # per N: the box rows of total N (row-major indices)
-    tuples: tuple  # per N: the rotated tuples of total N, (size, modes)
     lower: tuple  # per N >= 1: (modes, rows) positions of a - e_i within sector N-1 of the box
     weight: tuple  # per N >= 1: (modes, rows, 1) sqrt(a_i) / N
     columns: tuple  # per N >= 1: (modes, size) j * (size of N-1) + position of m - e_j within rotated sector N-1
@@ -271,34 +270,34 @@ def _rotation_plan(modes: int, rows: int) -> _RotationPlan:
     sectors = (slice(0, 1), *box.sectors)
     plan = _RotationPlan(
         tuple(box.order[at] for at in sectors),
-        tuple(rotated.occupations[here] for here in (slice(0, 1), *rotated.sectors)),
         tuple(lower),
         box.weight,
         tuple(columns),
         tuple(roots),
     )
-    for array in (*plan.rows, *plan.tuples, *plan.lower, *plan.columns, *plan.roots):
+    for array in (*plan.rows, *plan.lower, *plan.columns, *plan.roots):
         array.flags.writeable = False
     return plan
 
 
 @functools.lru_cache(maxsize=None)
 def _class_plan(modes: int, rows: int, cutoff: int, angular: int) -> tuple:
-    """The ordered sector pairs (N, N') of ``_rotation_plan(modes, rows)``'s tuples that share a residue class.
+    """The ordered sector pairs (N, N') of the rotated tuples that share a residue class.
 
-    P_ladder (x) C (x) ... (x) C links two rotated tuples exactly within one
-    class (m_0 <= cutoff, m_1 mod M, ..., m_{n-1} mod M), M = ``angular``.
-    Per pair (N, N', runs, starts, matches, reads): the positions in N' of
-    the tuples matched to each tuple of N, run by run (its position, the run
-    starts), and the entries m_l (T+1) + m'_l of C each match reads.  Cached per shape; read-only.
+    The tuples are ``_sector_plan(modes, T+1, T)``'s, T = modes (rows - 1), and
+    P_ladder (x) C (x) ... (x) C links two exactly within one class (m_0 <=
+    cutoff, m_1 mod M, ..., m_{n-1} mod M), M = ``angular``.  Per pair (N, N',
+    runs, starts, matches, reads): each tuple of N with matches, where its run
+    starts, the matched tuples' positions in N', and the entries m_l (T+1) +
+    m'_l of C they read.  Cached per shape argument; the arrays are read-only.
     """
-    tuples = _rotation_plan(modes, rows).tuples
-    sector = np.repeat(np.arange(len(tuples)), [len(block) for block in tuples])
-    occupations = np.concatenate(tuples)
+    top = modes * (rows - 1)
+    occupations = _sector_plan(modes, top + 1, top).occupations
+    sector = occupations.sum(axis=1)
     position = np.arange(len(sector)) - np.searchsorted(sector, sector)
     members = np.flatnonzero(occupations[:, 0] <= cutoff)
-    residues = np.column_stack([occupations[members, :1], occupations[members, 1:] % angular]).T
-    keys = np.ravel_multi_index(residues, (cutoff + 1, *(min(angular, len(tuples)),) * (modes - 1)))
+    moduli = np.minimum((cutoff + 1, *(angular,) * (modes - 1)), top + 1)  # occupations <= T: same residues
+    keys = np.ravel_multi_index((occupations[members] % moduli).T, moduli)
     _, classes, counts = np.unique(keys, return_inverse=True, return_counts=True)
     order = np.argsort(classes, kind="stable")
     members, size, first = members[order], counts[classes[order]], (np.cumsum(counts) - counts)[classes[order]]
@@ -307,15 +306,17 @@ def _class_plan(modes: int, rows: int, cutoff: int, angular: int) -> tuple:
     right = members[np.repeat(first, size) + np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)]
     order = np.lexsort((right, left, sector[right]))
     left, right = left[order], right[order]
-    reads = np.ascontiguousarray((occupations[left, 1:] * len(tuples) + occupations[right, 1:]).T)
-    bounds = np.flatnonzero(np.diff(sector[left] * len(tuples) + sector[right], prepend=-1, append=-1))
+    reads = np.ascontiguousarray((occupations[left, 1:] * (top + 1) + occupations[right, 1:]).T)
+    bounds = np.flatnonzero(np.diff(sector[left] * (top + 1) + sector[right], prepend=-1, append=-1))
+    # Runs of one left tuple never cross pairs: a tuple last in one pair and first in the next is alone in its class.
+    runs = np.flatnonzero(np.diff(left, prepend=-1))
+    groups = np.split(runs, np.searchsorted(runs, bounds[1:-1]))
     plan = []
-    for begin, end in zip(bounds[:-1], bounds[1:]):
-        runs, starts = np.unique(left[begin:end], return_index=True)
-        pair = (position[runs], starts, position[right[begin:end]], reads[:, begin:end])
+    for begin, end, starts in zip(bounds, bounds[1:], groups):
+        pair = (position[left[starts]], starts - begin, position[right[begin:end]], reads[:, begin:end])
         for array in pair:
             array.flags.writeable = False
-        plan.append((int(sector[runs[0]]), int(sector[right[begin]]), *pair))
+        plan.append((int(sector[left[begin]]), int(sector[right[begin]]), *pair))
     return tuple(plan)
 
 
@@ -332,7 +333,7 @@ def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.n
     :func:`_rotation_plan`, mixes the lifted rows by phi and takes the sum
     over j as one gather over (mode, column), the terms added in mode order.
     Returns per N = 0..modes (rows - 1) the box rows (row-major indices) and
-    V_N, column-major, its columns the rotated tuples of ``_rotation_plan``.
+    V_N, column-major, its columns the rotated tuples of total N in order.
     """
     plan = _rotation_plan(spec.modes, rows)
     ladder = np.ones((1, 1), dtype=complex)

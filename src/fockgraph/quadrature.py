@@ -23,8 +23,7 @@ with no angular node evaluated; the mask is the rule's aliasing.
 the seed ladder is |k> on mode 0 and the graph shift displaces modes
 1..n-1 by the parameter pairs, so ``graphs.seed_projector_quadrature`` is
 B C B^dag (B the graded seed ladder) and :func:`graph_resolution` is
-V (P_ladder (x) C (x) ... (x) C) V^dag, V[a, m] = <a|U(phi)|m>, summed
-over the residue classes of the rotated tuples, where the middle factor lives.
+V (P_ladder (x) C (x) ... (x) C) V^dag by residue class, V[a, m] = <a|U(phi)|m>.
 :func:`displaced_projector_identity`'s displaced coherent seed is not
 rotation covariant but its residue columns are: :func:`integrate_dyads`
 evaluates one node per radius, in chunks within CHUNK_ENTRIES entries,

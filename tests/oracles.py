@@ -212,16 +212,16 @@ def rotation_sectors_loop(spec, rows: int) -> list:
     box = _sector_plan(spec.modes, rows)
     top = spec.modes * (rows - 1)
     rotated = _sector_plan(spec.modes, top + 1, top)
-    sectors = [(box.order[:1], rotated.occupations[:1], np.ones((1, 1), dtype=complex))]
+    sectors = [(box.order[:1], np.ones((1, 1), dtype=complex))]
     box_start = rotated_start = 0
     for at, lower, weight, here, below in zip(box.sectors, box.lower, box.weight, rotated.sectors, rotated.lower):
-        previous = sectors[-1][2]
+        previous = sectors[-1][1]
         lifted = previous[(lower - box_start) % len(previous)] * weight
         mixed = np.einsum("ij,iac->jac", spec.phi, lifted)
         tuples = rotated.occupations[here]
         columns = (below - rotated_start) % previous.shape[1]
         ladder = sum(mixed[j][:, columns[j]] * np.sqrt(tuples[:, j]) for j in range(spec.modes))
-        sectors.append((box.order[at], tuples, ladder))
+        sectors.append((box.order[at], ladder))
         box_start, rotated_start = at.start, here.start
     return sectors
 

@@ -83,9 +83,11 @@ def reference_sector_rows(modes, rows, top):
 
 
 def reference_class_plan(modes, rows, cutoff, angular):
-    # Every pair of rotated tuples, compared densely sector pair by sector pair: a pair matches where
-    # the mode-0 occupations agree within the cutoff and every other occupation agrees mod M.
-    tuples = graphs._rotation_plan(modes, rows).tuples
+    # The rotated tuples, total by total from the (T+1)^n box, and every pair of them compared densely,
+    # sector pair by sector pair: a pair matches where the mode-0 occupations agree within the cutoff
+    # and every other occupation agrees mod M.
+    box = np.indices((modes * (rows - 1) + 1,) * modes).reshape(modes, -1).T
+    tuples = [box[box.sum(axis=1) == total] for total in range(modes * (rows - 1) + 1)]
     top = len(tuples)
     plan = []
     for other, there in enumerate(tuples):
