@@ -11,9 +11,8 @@ column norms of the graded ``B``.  The graded seed entries to 50 digits
 with ``fractions`` and ``decimal``, for a rational ``phi``: the precision
 reference for ``graphs._graded_ladder``, and the rule operator to 50
 digits, the precision reference for ``quadrature._rule_operator``.
-``graphs._rotation_sectors``
-step by step, each sector's index arrays rebuilt, the reference for its
-cached plan.  The displaced seed ladder by applying truncated displacement
+``graphs._rotation_sectors`` step by step, each sector's index arrays
+rebuilt, the reference for its cached plan.  The displaced seed ladder by applying truncated displacement
 matrices mode by mode, the oracle for ``graphs.seed_ladders``, which
 builds it by Weyl covariance.  The dense Kronecker Weyl operator
 (``weyl_operator``, ``graph_displacement``) and the displaced seed
@@ -181,7 +180,7 @@ def graded_entries_reference(column, cutoff: int) -> list[Decimal]:
 
 
 def rule_operator_reference(size: int, scheme) -> list[list[Decimal]]:
-    """The rule operator C[m, n] = [M | m - n] sum_i w_i s_i^((m+n)/2) / sqrt(m! n!) of ``quadrature._rule_operator``, to 50 digits.
+    """``quadrature._rule_operator``'s C[m, n] = [M | m - n] sum_i w_i s_i^((m+n)/2) / sqrt(m! n!) to 50 digits.
 
     The float64 nodes s_i and weights w_i are taken as exact.  C is Hankel
     in m + n before the factorials, so the sums H[k] = sum_i w_i sqrt(s_i)^k,
@@ -197,8 +196,9 @@ def rule_operator_reference(size: int, scheme) -> list[list[Decimal]]:
             hankel.append(sum(terms, Decimal(0)))
             terms = [term * root for term, root in zip(terms, roots)]
         norms = [Decimal(math.factorial(m)).sqrt() for m in range(size)]
+        count = scheme.angular.count
         return [
-            [hankel[m + n] / (norms[m] * norms[n]) if (m - n) % scheme.angular.count == 0 else Decimal(0) for n in range(size)]
+            [hankel[m + n] / (norms[m] * norms[n]) if (m - n) % count == 0 else Decimal(0) for n in range(size)]
             for m in range(size)
         ]
 
