@@ -280,44 +280,58 @@ def _rotation_plan(modes: int, rows: int) -> _RotationPlan:
     return plan
 
 
+class _ClassPlan(NamedTuple):
+    """The residue classes of the rotated tuples and the sector pairs that share one, as flat arrays."""
+
+    members: np.ndarray  # tuples with m_0 <= cutoff, sector by sector and class by class: position in their sector
+    right: np.ndarray  # (members, modes - 1) each member's occupations of modes 1..n-1
+    pairs: np.ndarray  # (pairs, 4): N >= N' of each sector pair sharing a class, and the range of its runs
+    left: np.ndarray  # per run, pair by pair: the member of N it sums for, in position order
+    first: np.ndarray  # per run: the first member of its class in N'
+    count: np.ndarray  # per run: the size of its class in N'
+
+
 @functools.lru_cache(maxsize=None)
-def _class_plan(modes: int, rows: int, cutoff: int, angular: int) -> tuple:
-    """The ordered sector pairs (N, N') of the rotated tuples that share a residue class.
+def _class_plan(modes: int, rows: int, cutoff: int, angular: int) -> _ClassPlan:
+    """The residue classes of the rotated tuples, as ``graph_resolution`` reads them.
 
     The tuples are ``_sector_plan(modes, T+1, T)``'s, T = modes (rows - 1), and
     P_ladder (x) C (x) ... (x) C links two exactly within one class (m_0 <=
-    cutoff, m_1 mod M, ..., m_{n-1} mod M), M = ``angular``.  Per pair (N, N',
-    runs, starts, matches, reads): each tuple of N with matches, where its run
-    starts, the matched tuples' positions in N', and the entries m_l (T+1) +
-    m'_l of C they read.  Cached per shape argument; the arrays are read-only.
+    cutoff, m_1 mod M, ..., m_{n-1} mod M), M = ``angular``.  A run is a
+    member of N with its class's members in N' (N >= N'): members ``first``
+    to ``first + count``, consecutive.  So the plan holds one entry per
+    tuple and per run, at most one per tuple and sector pair, and none per
+    matched tuple pair.  Cached per shape argument; the arrays are read-only.
     """
     top = modes * (rows - 1)
-    occupations = _sector_plan(modes, top + 1, top).occupations
-    sector = occupations.sum(axis=1)
-    position = np.arange(len(sector)) - np.searchsorted(sector, sector)
-    members = np.flatnonzero(occupations[:, 0] <= cutoff)
+    sectors = _sector_plan(modes, top + 1, top)
+    total = sectors.occupations.sum(axis=1)
+    members = np.flatnonzero(sectors.occupations[:, 0] <= cutoff)
     moduli = np.minimum((cutoff + 1, *(angular,) * (modes - 1)), top + 1)  # occupations <= T: same residues
-    keys = np.ravel_multi_index((occupations[members] % moduli).T, moduli)
-    _, classes, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    order = np.argsort(classes, kind="stable")
-    members, size, first = members[order], counts[classes[order]], (np.cumsum(counts) - counts)[classes[order]]
-    # Each member pairs with every member of its class (itself included), as the left tuple.
-    left = np.repeat(members, size)
-    right = members[np.repeat(first, size) + np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)]
-    order = np.lexsort((right, left, sector[right]))
-    left, right = left[order], right[order]
-    reads = np.ascontiguousarray((occupations[left, 1:] * (top + 1) + occupations[right, 1:]).T)
-    bounds = np.flatnonzero(np.diff(sector[left] * (top + 1) + sector[right], prepend=-1, append=-1))
-    # Runs of one left tuple never cross pairs: a tuple last in one pair and first in the next is alone in its class.
-    runs = np.flatnonzero(np.diff(left, prepend=-1))
-    groups = np.split(runs, np.searchsorted(runs, bounds[1:-1]))
-    plan = []
-    for begin, end, starts in zip(bounds, bounds[1:], groups):
-        pair = (position[left[starts]], starts - begin, position[right[begin:end]], reads[:, begin:end])
-        for array in pair:
-            array.flags.writeable = False
-        plan.append((int(sector[left[begin]]), int(sector[right[begin]]), *pair))
-    return tuple(plan)
+    keys = np.ravel_multi_index((sectors.occupations[members] % moduli).T, moduli)
+    order = np.lexsort((keys, total[members]))
+    members = members[order]
+    keys = keys[order]
+    sector = total[members]
+    # A group is a class within one sector; each member pairs with its class's groups in its own and earlier sectors.
+    heads = np.flatnonzero(np.diff(keys, prepend=-1) | np.diff(sector, prepend=-1))
+    size = np.diff(heads, append=len(members))
+    by = np.lexsort((sector[heads], keys[heads]))
+    rank = np.argsort(by)[np.repeat(np.arange(len(heads)), size)]
+    lowest = np.searchsorted(keys[heads[by]], keys)
+    partners = rank - lowest + 1
+    left = np.repeat(np.arange(len(members)), partners)
+    group = by[np.repeat(lowest - np.cumsum(partners) + partners, partners) + np.arange(len(left))]
+    order = np.lexsort((members[left], sector[heads[group]], sector[left]))
+    left = left[order]
+    group = group[order]
+    cuts = np.flatnonzero(np.diff(sector[left] * (top + 1) + sector[heads[group]], prepend=-1, append=-1))
+    pairs = np.column_stack((sector[left[cuts[:-1]]], sector[heads[group[cuts[:-1]]]], cuts[:-1], cuts[1:]))
+    start = np.array([0, *(at.start for at in sectors.sectors)])
+    plan = _ClassPlan(members - start[sector], sectors.occupations[members, 1:], pairs, left, heads[group], size[group])
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -303,9 +303,14 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
     polar scheme ``schemes`` taken once per displacement parameter pair.
     Backend "rank" is V (P_ladder (x) C (x) ... (x) C) V^dag, with C the
     rule operator and V from ``graphs._rotation_sectors``.  Per sector pair
-    (N, N') of ``graphs._class_plan`` the columns of V_N' matched to each
+    N >= N' of ``graphs._class_plan`` the columns of V_N' matched to each
     tuple of N are weighted by prod_l C[m_l, m'_l] and summed, and one
-    product of those columns of V_N with the sums' adjoint is the block.
+    product of those columns of V_N with the sums' adjoint is the block
+    (N, N'); block (N', N) is written as its adjoint.  The matches are
+    formed a window of whole runs at a time, at most CHUNK_ENTRIES //
+    (widest box sector + modes) of them (a wider run takes a window alone),
+    so a gather stays within CHUNK_ENTRIES entries and no array grows with
+    the matched tuple pairs.
     "direct" conjugates the seed projector by the Kronecker-product matrix
     at every node of the product grid and is kept as the oracle.  With
     ``trusted_block`` set, the result is the block on the occupations at or
@@ -325,14 +330,41 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
     rows = box_side(spec.cutoff, trusted_block)
 
     if backend == "rank":
-        sectors = _rotation_sectors(spec, rows)
-        rule = _rule_operator(len(sectors), schemes).ravel()
-        out = np.zeros((rows**spec.modes,) * 2, dtype=complex)
         plan = _class_plan(spec.modes, rows, spec.cutoff, schemes.angular.count)
-        for sector, other, runs, starts, matches, reads in plan:
+        sectors = _rotation_sectors(spec, rows)
+        rule = _rule_operator(len(sectors), schemes)
+        out = np.zeros((rows**spec.modes,) * 2, dtype=complex)
+        budget = max(1, CHUNK_ENTRIES // (max(len(at) for at, _ in sectors) + spec.modes))
+        ends = np.cumsum(plan.count)
+        end = 0
+        for sector, other, low, high in plan.pairs:
             (at, ladder), (at_other, ladder_other) = sectors[sector], sectors[other]
-            summed = np.add.reduceat(ladder_other.T[matches] * rule[reads].prod(axis=0)[:, None], starts)
-            out[at[:, None], at_other] = serial_matmul(ladder[:, runs], summed.conj())
+            summed = np.empty((high - low, len(at_other)), dtype=complex)
+            run = low
+            while run < high:
+                if run == end:
+                    # The next window: whole runs within `budget` matches (a wider run alone), formed at once.
+                    begin = end
+                    before = ends[begin] - plan.count[begin]
+                    end = max(begin + 1, np.searchsorted(ends, before + budget, side="right"))
+                    counts = plan.count[begin:end]
+                    stops = ends[begin:end] - before
+                    starts = stops - counts
+                    take = np.repeat(plan.first[begin:end] - starts, counts) + np.arange(stops[-1])
+                    columns = plan.members[take]
+                    left = np.repeat(plan.right[plan.left[begin:end]], counts, axis=0)
+                    weight = rule[left, plan.right[take]].prod(axis=1)[:, None]
+                stop = min(high, end)
+                part = slice(starts[run - begin], stops[stop - 1 - begin])
+                gathered = ladder_other.T[columns[part]]
+                gathered *= weight[part]
+                offsets = starts[run - begin : stop - begin] - part.start
+                np.add.reduceat(gathered, offsets, out=summed[run - low : stop - low])
+                run = stop
+            block = serial_matmul(ladder[:, plan.members[plan.left[low:high]]], summed.conj())
+            out[at[:, None], at_other] = block
+            if other != sector:
+                out[at_other[:, None], at] = block.conj().T
         return out
     dim = spec.space.dim
     projector = seed_projector(spec)

@@ -400,6 +400,25 @@ class TestRuleAliasing:
         expected = stacked @ stacked.conj().T
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
+    def test_one_node_full_box_stays_within_budget(self):
+        # n=3 cutoff 8 with trusted_block = cutoff under the one-node rule Q=1, M=1: a class is one ladder
+        # level, of up to 25 tuples in a sector, so every sector pair couples and 276,555 tuple pairs of
+        # sectors N >= N' match.  Beside the 729 x 729 result (8.5 MB) the op holds V (1.2 MB), its class
+        # plan (0.8 MB, built here), one window's gather (within CHUNK_ENTRIES entries) and index arrays,
+        # and a pair's sums; a plan with an entry per matched pair took 35 MB.  The oracle is the single node.
+        spec = GraphSpec(phi=haar_unitary(3, np.random.default_rng(81)), modes=3, cutoff=8)
+        scheme = polar_scheme(1, 1)
+        graphs._class_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            got = graph_resolution(spec, scheme, backend="rank", trusted_block=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= got.nbytes + 6 * CHUNK_ENTRIES * 16
+        direct = graph_resolution(spec, scheme, backend="direct", trusted_block=8)
+        assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
+
 
 class TestDisplacedSeedFold:
     """displaced_projector_identity folds each radius's angles onto its residue columns."""

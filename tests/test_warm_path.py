@@ -83,23 +83,35 @@ def reference_sector_rows(modes, rows, top):
 
 
 def reference_class_plan(modes, rows, cutoff, angular):
-    # The rotated tuples, total by total from the (T+1)^n box, and every pair of them compared densely,
-    # sector pair by sector pair: a pair matches where the mode-0 occupations agree within the cutoff
-    # and every other occupation agrees mod M.
-    box = np.indices((modes * (rows - 1) + 1,) * modes).reshape(modes, -1).T
-    tuples = [box[box.sum(axis=1) == total] for total in range(modes * (rows - 1) + 1)]
-    top = len(tuples)
-    plan = []
-    for other, there in enumerate(tuples):
-        for sector, here in enumerate(tuples):
+    # The rotated tuples, total by total from the (T+1)^n box.  A sector's members (level <= cutoff) sort by
+    # class, the level and then the residues mod M, and by position; the members of all sectors are numbered
+    # in that order.  Every pair of tuples of sectors N >= N' is compared densely: it matches where the levels
+    # agree within the cutoff and every other occupation agrees mod M.  Each tuple's matches must be
+    # consecutive members, each once, with no other tuple among them.
+    top = modes * (rows - 1)
+    box = np.indices((top + 1,) * modes).reshape(modes, -1).T
+    tuples = [box[box.sum(axis=1) == total] for total in range(top + 1)]
+    members, number = [], []
+    for here in tuples:
+        inside = np.flatnonzero(here[:, 0] <= cutoff)
+        members.append(inside[np.lexsort((here[inside, 1:] % angular).T[::-1].tolist() + [here[inside, 0]])])
+        number.append(np.full(len(here), -1))
+        number[-1][members[-1]] = sum(map(len, members[:-1])) + np.arange(len(members[-1]))
+    pairs, left, first, count = [], [], [], []
+    for sector, here in enumerate(tuples):
+        for other, there in enumerate(tuples[: sector + 1]):
             level = np.equal.outer(here[:, 0], there[:, 0]) & (here[:, 0] <= cutoff)[:, None]
-            residues = np.equal.outer(here[:, 1:] % angular, there[:, 1:] % angular)
-            tuple_rows, matches = np.nonzero(level & np.all(np.diagonal(residues, axis1=1, axis2=3), axis=-1))
-            if matches.size:
-                runs, starts = np.unique(tuple_rows, return_index=True)
-                reads = (here[tuple_rows, 1:] * top + there[matches, 1:]).T
-                plan.append((sector, other, runs, starts, matches, reads))
-    return tuple(plan)
+            match = level & np.all(here[:, None, 1:] % angular == there[None, :, 1:] % angular, axis=-1)
+            matched = np.flatnonzero(match.any(axis=1))
+            if matched.size:
+                spans = [number[other][np.flatnonzero(match[i])] for i in matched]
+                assert all(np.array_equal(span, np.arange(span[0], span[0] + len(span))) for span in spans)
+                pairs.append((sector, other, len(left), len(left) + len(matched)))
+                left.extend(number[sector][matched])
+                first.extend(span[0] for span in spans)
+                count.extend(len(span) for span in spans)
+    right = np.concatenate([here[at, 1:] for here, at in zip(tuples, members)])
+    return np.concatenate(members), right, np.array(pairs), np.array(left), np.array(first), np.array(count)
 
 
 def reference_radius_limit(n, cutoff):
@@ -150,9 +162,8 @@ class TestCacheContract:
 
     @pytest.mark.parametrize("name", sorted(set(CACHES) - {"ladder_radius_limit"}))
     def test_returns_read_only_arrays(self, name):
-        # Plain ints (the class plan's sector numbers) are immutable; every other leaf is an array.
         cached, _, keys = CACHES[name]
-        for array in (leaf for leaf in leaves(cached(*keys[0])) if type(leaf) is not int):
+        for array in leaves(cached(*keys[0])):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
