@@ -5,6 +5,8 @@ reports the case wrote, without ``runtime_ms``, the one field that is not
 deterministic.  The set covers the default suite over thirteen seeds, every
 experiment at n = 2, 3 and 4, ``resolution`` at n = 5, n = 3 cutoff 18 and
 n = 4 cutoff 8 and with aliased rules (at M = 1 every sector pair couples),
+the deepest sectors of both number-operator sweeps (``resolution`` at n = 2
+cutoffs 56 and 63, ``anticlique`` at n = 2 cutoff 56),
 ``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3,
 ``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40, n = 4
 cutoff 8) and with trusted boxes past ``cutoff // n``, and one-mode rules
@@ -82,6 +84,9 @@ CASES = [
     ),
     ("convergence ladder 8-64", {"experiment": "convergence", "cutoff_ladder": [8, 16, 32, 64]}),
     ("resolution n2 c40", {"experiment": "resolution", "n": 2, "cutoff": 40}),
+    ("resolution n2 c56", {"experiment": "resolution", "n": 2, "cutoff": 56}),
+    ("resolution n2 c63", {"experiment": "resolution", "n": 2, "cutoff": 63}),
+    ("anticlique n2 c56", {"experiment": "anticlique", "n": 2, "cutoff": 56}),
     ("resolution n5 c5", {"experiment": "resolution", "n": 5, "cutoff": 5}),
     (
         "resolution n3 c6 Q2 M5",
