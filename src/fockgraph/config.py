@@ -245,6 +245,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(raw_ladder, list) or not raw_ladder:
             raise ConfigError("cutoff_ladder must be a nonempty list of integers")
         cutoff_ladder = tuple(_require_int(v, "cutoff_ladder entry", minimum=4) for v in raw_ladder)
+        if any(low >= high for low, high in zip(cutoff_ladder, cutoff_ladder[1:])):
+            raise ConfigError(f"cutoff_ladder {list(cutoff_ladder)} must be strictly increasing")
         for cut in cutoff_ladder:
             _check_size(f"the space at cutoff_ladder entry {cut}", cut + 1, 1, "rows")
         if any(cut < trusted_block for cut in cutoff_ladder):

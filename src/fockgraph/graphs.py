@@ -156,11 +156,12 @@ def _sector_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarra
     Row ``_sector_plan(...).position[b]`` holds box row b, so each sector
     (the rows of one total occupation N) is one contiguous slice, and column
     k K + p holds level k of shift p.  Sector N has levels k <= N, so it
-    reads the first min(N, cutoff+1) K columns of sector N-1, gathered once
-    as (modes, rows of N, columns), and weighted by sqrt(m_j)/N in place.
-    Two contractions over the modes then fill the sector's slice: the shift
-    term against h_j spread over the levels, and the raising term against
-    c_j sqrt(k), one level up.
+    reads the first min(N, cutoff+1) K columns of sector N-1 at the plan's
+    predecessor positions within that sector, gathered once as (modes, rows
+    of N, columns), and weighted by sqrt(m_j)/N in place.  Two contractions
+    over the modes then fill the sector's slice: the shift term against h_j
+    spread over the levels, and the raising term against c_j sqrt(k), one
+    level up.
     """
     plan = _sector_plan(spec.modes, rows)
     count, rank = len(shifts), spec.cutoff + 1
@@ -168,14 +169,16 @@ def _sector_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarra
     ladder[0, :count] = 1.0
     spread = np.tile(shifts.T, rank)[:, None]
     raising = (spec.phi[:, :1] * np.repeat(np.sqrt(np.arange(1, rank)), count))[:, None]
+    previous = slice(0, 1)
     for occupation, (at, lower, weight) in enumerate(zip(plan.sectors, plan.lower, plan.weight), start=1):
         below, top = min(occupation, rank) * count, min(occupation + 1, rank) * count
-        terms = ladder[lower, :below]
+        terms = ladder[previous][lower, :below]
         np.multiply(terms.view(float), weight, out=terms.view(float))
         raised = (terms[..., : top - count] * raising[..., : top - count]).sum(axis=0)
         sector = ladder[at]
         np.multiply(terms, spread[..., :below], out=terms).sum(axis=0, out=sector[:, :below])
         sector[:, count:top] += raised
+        previous = at
     return ladder
 
 
@@ -186,18 +189,22 @@ class _SectorPlan(NamedTuple):
     position: np.ndarray  # position of each tuple, by that index
     occupations: np.ndarray  # (size, modes) tuple at each position
     sectors: tuple  # per sector N >= 1: the slice of its positions
-    lower: tuple  # per sector N >= 1: (modes, size) positions of m - e_j
+    lower: tuple  # per sector N >= 1: (modes, size) position of m - e_j within sector N-1, 0 where m_j = 0
     weight: tuple  # per sector N >= 1: (modes, size, 1) sqrt(m_j) / N
+    lifted: tuple  # per sector N >= 1: (modes, size) j * (size of N-1) + lower
+    roots: tuple  # per sector N >= 1: (modes, size) sqrt(m_j)
 
 
 @functools.lru_cache(maxsize=None)
 def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
     """The ``rows``^``modes`` box's tuples of total at most ``top`` (default: all), sector by sector, row-major within.
 
-    Enumerated mode by mode, so a capped plan never builds the box.  Where
-    m_j = 0 the predecessor m - e_j is the last position.  For the whole box
-    that is its top row, the whole last sector, which reads no such
-    predecessor, so it is still zero when any other sector reads it.
+    Enumerated mode by mode, so a capped plan never builds the box.  Every
+    predecessor m - e_j is a position within sector N-1; where m_j = 0 it
+    is position 0, with weight and root 0.  So a sweep reads only sector
+    N-1, and such a read adds 0 as long as that sector is finite: V is
+    unitary, and the config's radius limit keeps every ladder entry finite.
+    Cached per shape argument; the arrays are read-only.
     """
     top = modes * (rows - 1) if top is None else top
     occupations = np.zeros((1, 0), dtype=int)
@@ -211,14 +218,23 @@ def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
     order = np.argsort(total, kind="stable")
     position = np.argsort(order)
     occupations, total = occupations[order], total[order]
+    starts = np.searchsorted(total, np.arange(total[-1] + 2))  # sector N is positions starts[N] to starts[N+1]
     lowered = np.minimum(np.searchsorted(keys, keys[order, None] - strides), len(order) - 1)
-    lower = np.where(occupations > 0, position[lowered], len(order) - 1)
+    lower = np.where(occupations > 0, position[lowered] - starts[total - 1, None], 0)
     weight = np.sqrt(occupations) / np.maximum(total, 1)[:, None]
-    sectors = [slice(at[0], at[-1] + 1) for at in (np.flatnonzero(total == n) for n in range(1, total[-1] + 1))]
-    lower = tuple(np.ascontiguousarray(lower[at].T) for at in sectors)
-    weight = tuple(np.ascontiguousarray(weight[at].T)[..., None] for at in sectors)
-    plan = _SectorPlan(order, position, occupations, tuple(sectors), lower, weight)
-    for array in (order, position, occupations, *plan.lower, *plan.weight):
+    lifted = lower + np.diff(starts)[total - 1, None] * np.arange(modes)
+    sectors = tuple(slice(*starts[n : n + 2].tolist()) for n in range(1, total[-1] + 1))
+    plan = _SectorPlan(
+        order,
+        position,
+        occupations,
+        sectors,
+        tuple(np.ascontiguousarray(lower[at].T) for at in sectors),
+        tuple(np.ascontiguousarray(weight[at].T)[..., None] for at in sectors),
+        tuple(np.ascontiguousarray(lifted[at].T) for at in sectors),
+        tuple(np.sqrt(occupations[at].T) for at in sectors),
+    )
+    for array in (order, position, occupations, *plan.lower, *plan.weight, *plan.lifted, *plan.roots):
         array.flags.writeable = False
     return plan
 
@@ -234,50 +250,6 @@ def _trusted_sector_rows(modes: int, rows: int, top: int) -> np.ndarray:
     positions = np.flatnonzero(_sector_plan(modes, rows).occupations.max(axis=1) <= top)[::-1].copy()
     positions.flags.writeable = False
     return positions
-
-
-class _RotationPlan(NamedTuple):
-    """The box-only index arrays of ``_rotation_sectors``, per total occupation N (the lifts from N >= 1)."""
-
-    rows: tuple  # per N: the box rows of total N (row-major indices)
-    lower: tuple  # per N >= 1: (modes, rows) positions of a - e_i within sector N-1 of the box
-    weight: tuple  # per N >= 1: (modes, rows, 1) sqrt(a_i) / N
-    columns: tuple  # per N >= 1: (modes, size) j * (size of N-1) + position of m - e_j within rotated sector N-1
-    roots: tuple  # per N >= 1: (modes, size) sqrt(m_j)
-
-
-@functools.lru_cache(maxsize=None)
-def _rotation_plan(modes: int, rows: int) -> _RotationPlan:
-    """The sector plans of the ``rows``-per-mode box and of its rotated tuples, read as positions within sectors.
-
-    The rotated tuples of total N <= T = modes (rows - 1) come from
-    ``_sector_plan(modes, T + 1, T)``, enumerated without the (T+1)^n box.
-    A predecessor of a_i = 0 or m_j = 0, a plan's last position, has weight
-    0: the modulus takes it to some position of sector N-1 and leaves the
-    others as they are.
-    """
-    box = _sector_plan(modes, rows)
-    top = modes * (rows - 1)
-    rotated = _sector_plan(modes, top + 1, top)
-    previous, previous_rotated = slice(0, 1), slice(0, 1)
-    lower, columns, roots = [], [], []
-    for at, box_lower, here, below in zip(box.sectors, box.lower, rotated.sectors, rotated.lower):
-        size = previous_rotated.stop - previous_rotated.start
-        lower.append((box_lower - previous.start) % (previous.stop - previous.start))
-        columns.append((below - previous_rotated.start) % size + size * np.arange(modes)[:, None])
-        roots.append(np.sqrt(rotated.occupations[here].T))
-        previous, previous_rotated = at, here
-    sectors = (slice(0, 1), *box.sectors)
-    plan = _RotationPlan(
-        tuple(box.order[at] for at in sectors),
-        tuple(lower),
-        box.weight,
-        tuple(columns),
-        tuple(roots),
-    )
-    for array in (*plan.rows, *plan.lower, *plan.columns, *plan.roots):
-        array.flags.writeable = False
-    return plan
 
 
 class _ClassPlan(NamedTuple):
@@ -343,20 +315,25 @@ def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.n
     rotated tuple of total N.  From V_0 = 1 the number operator gives
     N V_N[a, m] = sum_{i,j} sqrt(a_i) phi_ij sqrt(m_j) V_{N-1}[a - e_i, m - e_j],
     stable where the single raising step cancels between the modes (README,
-    numerical notes).  Each step reads its index arrays from the cached
-    :func:`_rotation_plan`, mixes the lifted rows by phi and takes the sum
-    over j as one gather over (mode, column), the terms added in mode order.
-    Returns per N = 0..modes (rows - 1) the box rows (row-major indices) and
-    V_N, column-major, its columns the rotated tuples of total N in order.
+    numerical notes).  Each step reads the positions of a - e_i and m - e_j
+    within sector N-1 from the box's :func:`_sector_plan` and from the
+    rotated tuples' ``_sector_plan(modes, T + 1, T)``, T = modes (rows - 1),
+    enumerated without the (T+1)^n box; it mixes the lifted rows by phi and
+    takes the sum over j as one gather over (mode, column), the terms added
+    in mode order.  Returns per N = 0..T the box rows (row-major indices)
+    and V_N, column-major, its columns the rotated tuples of total N in order.
     """
-    plan = _rotation_plan(spec.modes, rows)
+    box = _sector_plan(spec.modes, rows)
+    top = spec.modes * (rows - 1)
+    rotated = _sector_plan(spec.modes, top + 1, top)
     ladder = np.ones((1, 1), dtype=complex)
-    sectors = [(plan.rows[0], ladder)]
-    for at, lower, weight, columns, roots in zip(plan.rows[1:], plan.lower, plan.weight, plan.columns, plan.roots):
-        mixed = np.einsum("ij,iac->ajc", spec.phi, ladder[lower] * weight).reshape(len(at), -1)
-        out = np.empty((len(at), roots.shape[1]), dtype=complex, order="F")
-        ladder = np.add.reduce(mixed[:, columns] * roots, axis=1, out=out)
-        sectors.append((at, ladder))
+    sectors = [(box.order[:1], ladder)]
+    for at, lower, weight, lifted, roots in zip(box.sectors, box.lower, box.weight, rotated.lifted, rotated.roots):
+        box_rows = box.order[at]
+        mixed = np.einsum("ij,iac->ajc", spec.phi, ladder[lower] * weight).reshape(len(box_rows), -1)
+        out = np.empty((len(box_rows), roots.shape[1]), dtype=complex, order="F")
+        ladder = np.add.reduce(mixed[:, lifted] * roots, axis=1, out=out)
+        sectors.append((box_rows, ladder))
     return sectors
 
 

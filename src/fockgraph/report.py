@@ -15,21 +15,6 @@ from dataclasses import dataclass, field
 
 TOOL_VERSION = "0.1.0"
 
-# JSON key order is part of the report contract.
-_JSON_FIELDS = (
-    "experiment",
-    "parameters",
-    "max_abs_deviation",
-    "frobenius_deviation",
-    "scalar_measured",
-    "scalar_predicted",
-    "trusted_block",
-    "pass",
-    "tolerance",
-    "runtime_ms",
-    "tool_version",
-)
-
 _CSV_HEADER = "cutoff,max_abs_deviation,frobenius_deviation,pass"
 
 
@@ -58,7 +43,8 @@ class VerificationReport:
                 raise ValueError(f"{name} is not finite: {value!r}")
 
     def to_json_dict(self) -> dict:
-        values = {
+        # The key order is part of the report contract.
+        return {
             "experiment": self.experiment,
             "parameters": self.parameters,
             "max_abs_deviation": self.max_abs_deviation,
@@ -71,7 +57,6 @@ class VerificationReport:
             "runtime_ms": self.runtime_ms,
             "tool_version": self.tool_version,
         }
-        return {key: values[key] for key in _JSON_FIELDS}
 
 
 def render_json(report: VerificationReport) -> str:

@@ -10,9 +10,12 @@ projector ``B B^dag`` formed densely, which the runner reads from the
 column norms of the graded ``B``.  The graded seed entries to 50 digits
 with ``fractions`` and ``decimal``, for a rational ``phi``: the precision
 reference for ``graphs._graded_ladder``, and the rule operator to 50
-digits, the precision reference for ``quadrature._rule_operator``.
-``graphs._rotation_sectors`` step by step, each sector's index arrays
-rebuilt, the reference for its cached plan.  The displaced seed ladder by applying truncated displacement
+digits, the precision reference for ``quadrature._rule_operator``.  The
+rotation blocks ``V`` and the displaced seed ladders at n=2 to 50 digits
+by the binomial theorem, the precision reference for both number-operator
+sweeps.  ``graphs._rotation_sectors`` one mode at a time, reading the
+sector plans' predecessor positions directly, the reference for its one
+gather.  The displaced seed ladder by applying truncated displacement
 matrices mode by mode, the oracle for ``graphs.seed_ladders``, which
 builds it by Weyl covariance.  The dense Kronecker Weyl operator
 (``weyl_operator``, ``graph_displacement``) and the displaced seed
@@ -203,26 +206,77 @@ def rule_operator_reference(size: int, scheme) -> list[list[Decimal]]:
         ]
 
 
-def rotation_sectors_loop(spec, rows: int) -> list:
-    """``graphs._rotation_sectors`` step by step: index arrays rebuilt per sector, the sum over modes in Python.
+def two_mode_sweeps_reference(rotation, denominator: int, shift: Fraction, rows: int, cutoff: int):
+    """V of ``graphs._rotation_sectors`` and the tail-factored ``graphs.seed_ladders`` at n=2, to 50 digits.
 
-    The reference for the cached-plan sweep, which takes the same products
-    and sums in the same order, so V must agree bit for bit.
+    phi = ``rotation`` / ``denominator`` is rational, real and orthogonal,
+    and the shift is h = ``shift`` phi[:, 1].  U|m> = (phi_00 a_0^dag +
+    phi_10 a_1^dag)^m_0 (phi_01 a_0^dag + phi_11 a_1^dag)^m_1 / sqrt(m!)
+    |vac>, m! = m_0! m_1!, so by the binomial theorem <a|U|m> is
+    sqrt(a!/m!) / denominator^N times the integer
+    sum_j C(m_0, j) C(m_1, a_0 - j) r_00^j r_10^(m_0 - j) r_01^(a_0 - j) r_11^(m_1 - a_0 + j),
+    r = ``rotation``.  D(h) B_k = U (|k> (x) D(shift)|vac>), and the
+    tail-factored ladder leaves out exp(-shift^2/2), so
+    Y_k[a] = shift^l / sqrt(l!) <a|U|k, l>, l = N - k.  Only the square
+    roots and the divisions round, at 50 digits.  Returns V_N per
+    N = 0..2 (rows - 1), its rows the box rows of total N and its columns
+    the rotated tuples (k, N - k), both in row-major order, and Y's rows in
+    row-major box order, all as lists of Decimals.
+    """
+    (r00, r01), (r10, r11) = rotation
+    top = 2 * (rows - 1)
+    powers = [[entry**k for k in range(top + 1)] for entry in (r00, r01, r10, r11)]
+    factorials = [math.factorial(k) for k in range(top + 1)]
+    blocks, ladders = [], []
+    with localcontext() as context:
+        context.prec = 50
+        for total in range(top + 1):
+            block = []
+            for a0 in range(max(0, total - rows + 1), min(total, rows - 1) + 1):
+                row = []
+                for m0 in range(total + 1):
+                    m1 = total - m0
+                    terms = range(max(0, a0 - m1), min(m0, a0) + 1)
+                    numerator = sum(
+                        math.comb(m0, j) * math.comb(m1, a0 - j)
+                        * powers[0][j] * powers[2][m0 - j] * powers[1][a0 - j] * powers[3][m1 - a0 + j]
+                        for j in terms
+                    )
+                    norm = Decimal(factorials[a0] * factorials[total - a0]) / Decimal(factorials[m0] * factorials[m1])
+                    row.append(Decimal(numerator) / Decimal(denominator) ** total * norm.sqrt())
+                block.append(row)
+            blocks.append(block)
+        tails = [
+            Decimal(shift.numerator) ** l / Decimal(shift.denominator) ** l / Decimal(factorials[l]).sqrt()
+            for l in range(top + 1)
+        ]
+        for a0 in range(rows):
+            for a1 in range(rows):
+                total = a0 + a1
+                row = blocks[total][a0 - max(0, total - rows + 1)]
+                levels = [tails[total - k] * row[k] for k in range(min(total, cutoff) + 1)]
+                ladders.append(levels + [Decimal(0)] * (cutoff - min(total, cutoff)))
+    return blocks, ladders
+
+
+def rotation_sectors_loop(spec, rows: int) -> list:
+    """``graphs._rotation_sectors`` step by step: one mode at a time, the sum over modes in Python.
+
+    Reads the sector plans' positions of a - e_i and m - e_j within sector
+    N-1 directly and takes sqrt(m_j) from the rotated tuples, not the
+    plan's ``lifted`` and ``roots``.  The reference for the sweep's one
+    gather over (mode, column), which takes the same products and sums in
+    the same order, so V must agree bit for bit.
     """
     box = _sector_plan(spec.modes, rows)
     top = spec.modes * (rows - 1)
     rotated = _sector_plan(spec.modes, top + 1, top)
     sectors = [(box.order[:1], np.ones((1, 1), dtype=complex))]
-    box_start = rotated_start = 0
     for at, lower, weight, here, below in zip(box.sectors, box.lower, box.weight, rotated.sectors, rotated.lower):
-        previous = sectors[-1][1]
-        lifted = previous[(lower - box_start) % len(previous)] * weight
-        mixed = np.einsum("ij,iac->jac", spec.phi, lifted)
+        mixed = np.einsum("ij,iac->jac", spec.phi, sectors[-1][1][lower] * weight)
         tuples = rotated.occupations[here]
-        columns = (below - rotated_start) % previous.shape[1]
-        ladder = sum(mixed[j][:, columns[j]] * np.sqrt(tuples[:, j]) for j in range(spec.modes))
+        ladder = sum(mixed[j][:, below[j]] * np.sqrt(tuples[:, j]) for j in range(spec.modes))
         sectors.append((box.order[at], ladder))
-        box_start, rotated_start = at.start, here.start
     return sectors
 
 

@@ -295,6 +295,13 @@ class TestExitCodes:
         assert err.startswith("config error:")
         assert reason in err
 
+    @pytest.mark.parametrize("ladder", [[20, 16, 12], [16, 12], [12, 16, 16]])
+    def test_cutoff_ladder_must_increase_strictly(self, tmp_path, capsys, ladder):
+        # Out of order, the non-increasing deviation check would FAIL a sound integral: a config error instead.
+        path = write_config(tmp_path, {"experiment": "convergence", "cutoff_ladder": ladder})
+        assert main(["--config", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: cutoff_ladder {ladder} must be strictly increasing\n"
+
     # From cutoff 64 the quadrature experiments' derived default radial_order = cutoff + 1
     # passes the rule's bound; the message names that default, where the config never set it.
     @pytest.mark.parametrize("experiment", ["projection", "gs", "covariant_gs", "resolution"])

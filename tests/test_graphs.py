@@ -33,7 +33,7 @@ from fockgraph.fock import displacement_matrix
 from fockgraph.multimode import trusted_mask
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
 from fockgraph.cli import main
-from fockgraph.graphs import _graded_ladder, _sector_ladders, _sector_plan
+from fockgraph.graphs import _graded_ladder, _rotation_sectors, _sector_ladders, _sector_plan
 from fockgraph.quadrature import SERIAL_GEMM_MACS, serial_matmul
 from oracles import (
     dense_generator,
@@ -45,6 +45,7 @@ from oracles import (
     haar_unitary,
     index_of,
     mode_ladder,
+    two_mode_sweeps_reference,
 )
 
 
@@ -257,6 +258,13 @@ PRECISION_PINS = [
 PRECISION_MARGIN = 1.25
 
 
+def decimal_error(got, reference) -> float:
+    """Max-abs of a real float array's rows against rows of Decimals, at 50 digits."""
+    with localcontext() as context:
+        context.prec = 50
+        return float(max(abs(Decimal(x) - y) for row, want in zip(got.tolist(), reference) for x, y in zip(row, want)))
+
+
 class TestSeedBasis:
     def test_zero_power_is_vacuum(self):
         spec = GraphSpec(phi=haar_unitary(2, np.random.default_rng(24)), modes=2, cutoff=4)
@@ -297,9 +305,7 @@ class TestSeedBasis:
         entries = _graded_ladder(spec, _sector_plan(spec.modes, cutoff + 1, cutoff).occupations)
         reference = graded_entries_reference([Fraction(row[0], denominator) for row in rows], cutoff)
         assert not entries.imag.any()
-        with localcontext() as context:
-            context.prec = 50
-            error = float(max(abs(Decimal(x) - y) for x, y in zip(entries.real.tolist(), reference)))
+        error = decimal_error(entries.real[None], [reference])
         assert pin / PRECISION_MARGIN <= error <= pin * PRECISION_MARGIN
 
 
@@ -416,23 +422,56 @@ class TestSectorPlan:
 
     @pytest.mark.parametrize("modes, rows", [(2, 9), (3, 9), (4, 7), (3, 2)])
     def test_predecessors_lie_in_the_previous_sector(self, modes, rows):
-        plan = _sector_plan(modes, rows)
-        occupations = self.occupations(modes, rows, plan)
-        for occupation, (at, lower, weight) in enumerate(zip(plan.sectors, plan.lower, plan.weight), start=1):
-            here = occupations[at]
-            assert lower.shape == weight.shape[:2] == (modes, len(here))
-            for mode in range(modes):
-                held = here[:, mode] > 0
-                # m - e_j where m_j > 0, in sector N - 1, with weight sqrt(m_j) / N.
-                below = occupations[lower[mode, held]]
-                assert np.array_equal(below, here[held] - np.eye(modes, dtype=int)[mode])
-                assert np.all(below.sum(axis=1) == occupation - 1)
-                assert np.array_equal(weight[mode, held, 0], np.sqrt(here[held, mode]) / occupation)
-                # Else the zero row, the last position, with weight 0.
-                assert np.all(lower[mode, ~held] == rows**modes - 1) and np.all(weight[mode, ~held] == 0)
-        # The zero row is the box's top row: the last sector built, which reads no zero row.
-        last = rows**modes - 1
-        assert plan.sectors[-1] == slice(last, last + 1) and np.all(plan.lower[-1] != last)
+        # The whole box, and the tuples of total at most half its top.
+        for plan in (_sector_plan(modes, rows), _sector_plan(modes, rows, modes * (rows - 1) // 2)):
+            previous = slice(0, 1)
+            for occupation, at in enumerate(plan.sectors, start=1):
+                here, there = plan.occupations[at], plan.occupations[previous]
+                lower, weight, lifted, roots = (part[occupation - 1] for part in plan[4:])
+                assert lower.shape == weight.shape[:2] == lifted.shape == roots.shape == (modes, len(here))
+                assert np.all((0 <= lower) & (lower < len(there)))
+                assert np.array_equal(lifted, lower + len(there) * np.arange(modes)[:, None])
+                for mode in range(modes):
+                    held = here[:, mode] > 0
+                    # m - e_j where m_j > 0, a position within sector N - 1, with weight sqrt(m_j) / N, root sqrt(m_j).
+                    assert np.array_equal(there[lower[mode, held]], here[held] - np.eye(modes, dtype=int)[mode])
+                    assert np.array_equal(weight[mode, held, 0], np.sqrt(here[held, mode]) / occupation)
+                    assert np.array_equal(roots[mode, held], np.sqrt(here[held, mode]))
+                    # Else position 0 of that sector, read with weight and root 0.
+                    assert np.all(lower[mode, ~held] == 0) and np.all(weight[mode, ~held] == 0)
+                    assert np.all(roots[mode, ~held] == 0)
+                previous = at
+
+
+class TestSweepPrecision:
+    """Both number-operator sweeps against the 50-digit reference, on the 29-row box at cutoff 56.
+
+    n=2, phi = ROTATION_2 / 5 (the nearest doubles), shift 3/2 along
+    phi[:, 1]: the default resolution's box at cutoff 56, and |h| at
+    draw_generator_params' default radius bound.  Each max-abs error is
+    pinned as the graded entries' are, within PRECISION_MARGIN both ways.
+    """
+
+    ROWS, CUTOFF, SHIFT = 29, 56, Fraction(3, 2)
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        spec = GraphSpec(phi=np.array(ROTATION_2) / 5, modes=2, cutoff=self.CUTOFF)
+        return spec, two_mode_sweeps_reference(ROTATION_2, 5, self.SHIFT, self.ROWS, self.CUTOFF)
+
+    def test_rotation_blocks_match_the_50_digit_reference(self, case):
+        spec, (blocks, _) = case
+        sectors = _rotation_sectors(spec, self.ROWS)
+        assert len(sectors) == len(blocks) and not any(ladder.imag.any() for _, ladder in sectors)
+        error = max(decimal_error(ladder.real, block) for (_, ladder), block in zip(sectors, blocks))
+        assert 4.87e-16 / PRECISION_MARGIN <= error <= 4.87e-16 * PRECISION_MARGIN
+
+    def test_seed_ladders_match_the_50_digit_reference(self, case):
+        spec, (_, ladders) = case
+        ladder = seed_ladders(spec, float(self.SHIFT) * spec.phi[None, :, 1], self.ROWS)[0]
+        assert not ladder.imag.any()
+        error = decimal_error(ladder.real, ladders)
+        assert 9.52e-16 / PRECISION_MARGIN <= error <= 9.52e-16 * PRECISION_MARGIN
 
 
 class TestGraphGenerator:

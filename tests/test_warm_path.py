@@ -77,6 +77,32 @@ class TestWarmProcess:
         assert len(warm["suite-seed-0"][2]) == 5 and warm["suite-seed-0"][2] == warm["suite-seed-0-again"][2]
 
 
+def reference_sector_plan(modes, rows, top=None):
+    # The kept tuples of the np.indices box in row-major order, stable-sorted by total.  Each predecessor
+    # m - e_j is found by comparing m - e_j densely with every tuple of sector N-1; where m_j = 0 it is 0.
+    tuples = np.indices((rows,) * modes).reshape(modes, -1).T
+    tuples = tuples[tuples.sum(axis=1) <= (modes * (rows - 1) if top is None else top)]
+    order = np.argsort(tuples.sum(axis=1), kind="stable")
+    occupations = tuples[order]
+    total = occupations.sum(axis=1)
+    sectors = [occupations[total == n] for n in range(total[-1] + 1)]
+    lower = []
+    for there, here in zip(sectors, sectors[1:]):
+        lowered = here[None] - np.eye(modes, dtype=int)[:, None]
+        match = np.all(lowered[:, :, None] == there[None, None], axis=-1)
+        lower.append(np.where(here.T > 0, match.argmax(axis=-1), 0))
+    sizes = [len(there) for there in sectors]
+    return (
+        order,
+        np.argsort(order),
+        occupations,
+        tuple(lower),
+        tuple(np.sqrt(here.T)[..., None] / n for n, here in enumerate(sectors[1:], start=1)),
+        tuple(at + size * np.arange(modes)[:, None] for at, size in zip(lower, sizes)),
+        tuple(np.sqrt(here.T) for here in sectors[1:]),
+    )
+
+
 def reference_sector_rows(modes, rows, top):
     occupations = _sector_plan(modes, rows).occupations
     return np.flatnonzero(occupations.max(axis=1) <= top)[::-1]
@@ -128,6 +154,11 @@ CACHES = {
         lambda top: np.array([math.lgamma(m + 1) for m in range(top + 1)]),
         [(8,), (16,), (8,)],
     ),
+    "sector_plan": (
+        graphs._sector_plan,
+        reference_sector_plan,
+        [(3, 5), (2, 5), (2, 8), (2, 8, 9), (2, 8, 4), (3, 5)],
+    ),
     "trusted_sector_rows": (
         graphs._trusted_sector_rows,
         reference_sector_rows,
@@ -143,10 +174,10 @@ CACHES = {
 
 
 def leaves(value):
-    """The arrays (or the float) a cache returns, flattened out of tuples."""
+    """The arrays (or the float) a cache returns, flattened out of tuples; slices are not arrays and are skipped."""
     if isinstance(value, tuple):
         return [leaf for item in value for leaf in leaves(item)]
-    return [value]
+    return [] if isinstance(value, slice) else [value]
 
 
 class TestCacheContract:
