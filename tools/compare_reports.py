@@ -9,8 +9,8 @@ the deepest sectors of both number-operator sweeps (``resolution`` at n = 2
 cutoffs 56 and 63, ``anticlique`` at n = 2 cutoff 56),
 ``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3,
 ``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40, n = 4
-cutoff 8) and with trusted boxes past ``cutoff // n``, and one-mode rules
-from exact to aliased and past the kernel's scaling range.
+cutoff 8), at n = 5 (cutoff 5) and with trusted boxes past ``cutoff // n``,
+and one-mode rules from exact to aliased and past the kernel's scaling range.
 Two checkouts give byte-identical output exactly when every report and exit
 code agrees:
 
@@ -61,6 +61,7 @@ CASES = [
     ("projection n2 c16 t9", {"experiment": "projection", "n": 2, "cutoff": 16, "trusted_block": 9}),
     ("projection n3 c8 t3", {"experiment": "projection", "n": 3, "cutoff": 8, "trusted_block": 3}),
     ("projection n4 c8", {"experiment": "projection", "n": 4, "cutoff": 8}),
+    ("projection n5 c5", {"experiment": "projection", "n": 5, "cutoff": 5}),
     ("gs c40", {"experiment": "gs", "cutoff": 40}),
     ("gs c4 Q60 M10", {"experiment": "gs", "cutoff": 4, "radial_order": 60, "angular_order": 10}),
     ("gs c63 Q64", {"experiment": "gs", "cutoff": 63, "radial_order": 64}),
