@@ -25,9 +25,9 @@ the seed ladder is |k> on mode 0 and the graph shift displaces modes
 B C B^dag (B the graded seed ladder) and :func:`graph_resolution` is
 V (P_ladder (x) C (x) ... (x) C) V^dag by residue class, V[a, m] = <a|U(phi)|m>.
 :func:`displaced_projector_identity`'s displaced coherent seed is not
-rotation covariant but its residue columns are: :func:`integrate_dyads`
-evaluates one node per radius, in chunks within CHUNK_ENTRIES entries,
-each added as one product over fixed row blocks (bitwise deterministic).
+rotation covariant but its residue columns are: it evaluates one node per
+radius, in chunks within CHUNK_ENTRIES entries, each added as one product
+over fixed row blocks (bitwise deterministic).
 
 Products with narrow enough output rows are cut into row blocks of at most
 SERIAL_GEMM_MACS multiply-adds (:func:`serial_matmul`), which OpenBLAS runs
@@ -218,32 +218,6 @@ def _rule_operator(size: int, scheme: PolarScheme) -> np.ndarray:
     return np.where(np.equal.outer(residues, residues), serial_matmul(powers, powers.T), 0.0)
 
 
-def integrate_dyads(columns, scheme: PolarScheme, dim: int, rank: int = 1, node_entries: int = 0) -> np.ndarray:
-    """sum_k w_k U_k U_k^dag over the scheme's nodes, for columns that turn with the angle.
-
-    Turning the amplitude by theta must multiply each of U_k's ``rank``
-    columns by a phase common to its rows, so the M angles of a radius, of
-    weight w_i / M each, sum to M times its dyads at angle 0, the one node
-    built.  ``columns(alphas)`` maps K amplitudes sqrt(s_i) to a (K, dim,
-    rank) stack.  With ``node_entries``, the per-node size of its largest
-    array, a chunk holds max(1, CHUNK_ENTRIES // max(node_entries, dim *
-    rank)) nodes, added as one :func:`serial_matmul` product.
-    """
-    radial, weights = scheme.active_radial()
-    count = scheme.angular.count
-    alphas = np.sqrt(radial) + 0j
-    roots = np.sqrt(weights / count)
-    step = max(1, CHUNK_ENTRIES // max(node_entries, dim * rank))
-    acc = np.zeros((dim, dim), dtype=complex)
-    for start in range(0, len(roots), step):
-        chunk = slice(start, start + step)
-        block = np.reshape(columns(alphas[chunk]), (-1, dim, rank))
-        stacked = (roots[chunk, None, None] * block).transpose(1, 0, 2).reshape(dim, -1)
-        acc += serial_matmul(stacked, stacked.conj().T)
-    acc *= count
-    return acc
-
-
 def coherent_identity(cutoff: int, scheme: PolarScheme) -> np.ndarray:
     """(1/pi) Int |alpha><alpha| d^2 alpha over the scheme: the rule operator.
 
@@ -271,29 +245,36 @@ def displaced_projector_identity(
     column is: at theta = 2*pi*j/M, D(e^{i theta} r)_mn = e^{i (m-n) theta}
     D(r)_mn, so the column splits into residue columns
     V_c(r)_m = sum over n with m - n = c (mod M) of D(r)_mn beta_n, each
-    turning by e^{i c theta}, and the M angles of a radius sum to
-    M sum_c V_c V_c^dag.  The residue columns go to :func:`integrate_dyads`
-    as the rank, which evaluates one node per radius and multiplies by M.
-    Only the residues of the differences -cutoff..rows-1 occur:
-    min(M, rows + cutoff) of them.
+    turning by e^{i c theta}, so the M angles of a radius (weight w_i / M
+    each) sum to M sum_c V_c V_c^dag at angle 0.  Radii are built in chunks
+    within CHUNK_ENTRIES entries of a node's widest array, each chunk one
+    :func:`serial_matmul` product.  Only the residues of the differences
+    -cutoff..rows-1 occur: min(M, rows + cutoff) of them.
     """
     seed = coherent_state(beta, cutoff)
     rows = box_side(cutoff, trusted_block)
     span = rows + cutoff
-    rank = min(span, scheme.angular.count)
-    # Entry (m, n) goes to diagonal column m - n + cutoff; a diagonal d
-    # folds onto residue d mod M, so widths beyond M are padded to whole
-    # multiples of M and summed.
+    count = scheme.angular.count
+    rank = min(span, count)
+    # Entry (m, n) goes to diagonal column m - n + cutoff; diagonal d folds onto residue d mod M,
+    # so widths beyond M are padded to whole multiples of M and summed.
     width = -(-span // rank) * rank
     m, n = np.indices((rows, cutoff + 1))
-
-    def residue_columns(alphas):
-        kernel = displacement_matrix(alphas, cutoff, include_gaussian=False, rows=rows)
-        diagonals = np.zeros((len(alphas), rows, width), dtype=complex)
+    radial, weights = scheme.active_radial()
+    alphas = np.sqrt(radial) + 0j
+    roots = np.sqrt(weights / count)
+    step = max(1, CHUNK_ENTRIES // (rows * max(cutoff + 1, width)))
+    acc = np.zeros((rows, rows), dtype=complex)
+    for start in range(0, radial.size, step):
+        chunk = slice(start, start + step)
+        kernel = displacement_matrix(alphas[chunk], cutoff, include_gaussian=False, rows=rows)
+        diagonals = np.zeros((len(kernel), rows, width), dtype=complex)
         diagonals[:, m, m - n + cutoff] = kernel * seed
-        return diagonals.reshape(len(alphas), rows, -1, rank).sum(axis=2)
-
-    return integrate_dyads(residue_columns, scheme, rows, rank, rows * max(cutoff + 1, width))
+        residues = diagonals.reshape(len(kernel), rows, -1, rank).sum(axis=2)
+        stacked = (roots[chunk, None, None] * residues).transpose(1, 0, 2).reshape(rows, -1)
+        acc += serial_matmul(stacked, stacked.conj().T)
+    acc *= count
+    return acc
 
 
 def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | None = None) -> np.ndarray:

@@ -35,7 +35,6 @@ from fockgraph.quadrature import (
     SERIAL_GEMM_MACS,
     RadialScheme,
     box_side,
-    integrate_dyads,
     serial_matmul,
 )
 from fockgraph.runner import run_experiment
@@ -90,43 +89,43 @@ def oracle_graph_resolution(spec, scheme, conjugate):
 
 
 class TestIntegrateDyads:
-    # integrate_dyads builds one node per radius; a chunk holds
-    # CHUNK_ENTRIES // node_entries of them.  The callbacks claim per-node
-    # widths that give 3 nodes a chunk at rank 1 and 2 at rank 17; at rank
-    # 130 a node is wider than the budget and takes a chunk alone.  The
-    # radial orders fall below a chunk, on it and off a multiple of it.
-    NODES_PER_CHUNK = {1: 3, 17: 2, 130: 1}
+    # displaced_projector_identity builds one node per radius, with rank =
+    # min(M, rows + cutoff) residue columns, and a chunk holds CHUNK_ENTRIES
+    # // (rows * max(cutoff + 1, width)) radii, width the diagonal stack's.
+    # The shape of each rank gives 3 radii a chunk at rank 1 (M = 1, 101 x 201
+    # entries a node) and 2 at rank 17 (101 x 255); at rank 4 a node, 256 x
+    # 512 entries, is wider than the budget and takes a chunk alone.  The
+    # radial orders fall below a chunk, on a multiple of it and off one.
+    SHAPES = {1: (100, 100, 3), 17: (150, 100, 2), 4: (255, 255, 1)}
 
     @pytest.mark.parametrize(
         "rank, orders",
-        [(1, (2, 5)), (1, (3, 16)), (1, (10, 20)), (17, (1, 5)), (17, (2, 7)), (17, (3, 10)), (130, (2, 3))],
+        [(1, (2, 1)), (1, (6, 1)), (1, (10, 1)), (17, (1, 17)), (17, (4, 17)), (17, (5, 17)), (4, (2, 4))],
     )
-    def test_matches_per_node_outer_products(self, rank, orders):
-        # Column k turns by e^{i k theta} with the amplitude, so the M angles
-        # of a radius sum to M times its dyads at angle 0.
+    def test_matches_per_node_outer_products(self, monkeypatch, rank, orders):
+        cutoff, block, step = self.SHAPES[rank]
         scheme = polar_scheme(*orders)
-        base = np.random.default_rng(rank).standard_normal((5, rank))
+        rows = box_side(cutoff, block)
+        seed = coherent_state(1.0, cutoff)
+        expected = oracle_dyad_sum(
+            lambda a: displacement_matrix(a, cutoff, include_gaussian=False, rows=rows) @ seed, scheme, rows
+        )
+        sizes, operands = [], []
 
-        def columns(alpha):
-            return base * alpha ** np.arange(rank) * (1.0 + np.arange(5)[:, None] / (1.0 + abs(alpha)))
+        def kernel(alpha, cutoff, include_gaussian=True, rows=None):
+            sizes.append(np.size(alpha))
+            return displacement_matrix(alpha, cutoff, include_gaussian, rows)
 
-        expected = np.zeros((5, 5), dtype=complex)
-        for alpha, weight in oracle_nodes(scheme):
-            block = columns(alpha)
-            for j in range(rank):
-                expected += weight * np.outer(block[:, j], block[:, j].conj())
+        def product(a, b):
+            operands.append(a.shape)
+            return serial_matmul(a, b)
 
-        step = self.NODES_PER_CHUNK[rank]
-        node_entries = CHUNK_ENTRIES // step if step > 1 else CHUNK_ENTRIES + 1
-        sizes = []
-
-        def batched_columns(alphas):
-            sizes.append(len(alphas))
-            return np.stack([columns(alpha) for alpha in alphas])
-
-        got = integrate_dyads(batched_columns, scheme, 5, rank=rank, node_entries=node_entries)
+        monkeypatch.setattr(quadrature, "displacement_matrix", kernel)
+        monkeypatch.setattr(quadrature, "serial_matmul", product)
+        got = displaced_projector_identity(1.0, cutoff, scheme, trusted_block=block)
         assert sizes[:-1] == [step] * (len(sizes) - 1) and 1 <= sizes[-1] <= step
         assert sum(sizes) == orders[0]
+        assert operands == [(rows, size * rank) for size in sizes]
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("orders", [(4, 5), (8, 16), (10, 20)])
@@ -448,20 +447,30 @@ class TestDisplacedSeedFold:
 
     # On the default 9-row box at cutoff 16 the differences m - n run over
     # -16..8, 25 values, which take min(M, 25) residues mod M; the diagonal
-    # stack is padded to a multiple of M (28 wide at M = 7).
+    # stack is padded to a multiple of M (28 wide at M = 7).  The rank is
+    # read from the product's operand, 9 rows by rank columns a radius.
+    # With CHUNK_ENTRIES cut to 9 * width^2, a chunk holds `width` of the
+    # 64 radii exactly when the budget counts the padded stack.
     @pytest.mark.parametrize(
         "angular, rank, width", [(1, 1, 25), (7, 7, 28), (25, 25, 25), (26, 25, 25), (2**17, 25, 25)]
     )
     def test_rank_is_the_residues_that_occur(self, monkeypatch, angular, rank, width):
-        calls = []
+        sizes, operands = [], []
 
-        def recording(columns, scheme, dim, rank=1, node_entries=0):
-            calls.append((dim, rank, node_entries))
-            return integrate_dyads(columns, scheme, dim, rank, node_entries)
+        def kernel(alpha, cutoff, include_gaussian=True, rows=None):
+            sizes.append(np.size(alpha))
+            return displacement_matrix(alpha, cutoff, include_gaussian, rows)
 
-        monkeypatch.setattr(quadrature, "integrate_dyads", recording)
-        got = displaced_projector_identity(1.0, 16, polar_scheme(1, angular), trusted_block=8)
-        assert calls == [(9, rank, 9 * width)]
+        def product(a, b):
+            operands.append(a.shape)
+            return serial_matmul(a, b)
+
+        monkeypatch.setattr(quadrature, "CHUNK_ENTRIES", 9 * width * width)
+        monkeypatch.setattr(quadrature, "displacement_matrix", kernel)
+        monkeypatch.setattr(quadrature, "serial_matmul", product)
+        got = displaced_projector_identity(1.0, 16, polar_scheme(64, angular), trusted_block=8)
+        assert sizes == [width, width, 64 - 2 * width]
+        assert operands == [(9, size * rank) for size in sizes]
         assert got.shape == (9, 9)
 
 
