@@ -127,7 +127,9 @@ def _projection_deviations(spec: GraphSpec, quad: np.ndarray, trusted_block: int
     read as its entry on each tuple of total <= cutoff, and B^dag B is the
     diagonal of the column norms s_k = ||b_k||^2.  P^2 - P =
     B (B^dag B - I) B^dag is the direct sum of (s_k - 1) b_k b_k^dag.  Its
-    max-abs is max_k |s_k - 1| max_m |B[m, k]|^2, and "frobenius" is
+    max-abs is max_k |s_k - 1| max_m |B[m, k]|^2, "trace" is
+    |sum_k s_k - (cutoff + 1)| with numpy's pairwise sum of the s_k in
+    sector order, and "frobenius" is
     ||P^2 - P||_F / ||P||_F = sqrt(sum (s_k - 1)^2 s_k^2 / sum s_k^2).  P is
     Hermitian by construction.  On the trusted box P[m, m'] is
     b_m conj(b_m') where N_m = N_m' <= cutoff, and zero elsewhere.  The
@@ -140,10 +142,7 @@ def _projection_deviations(spec: GraphSpec, quad: np.ndarray, trusted_block: int
     norms = np.add.reduceat(squares, starts)
     idempotency = float(np.max(np.abs(norms - 1.0) * np.maximum.reduceat(squares, starts)))
     frobenius = math.sqrt(float(np.sum((norms - 1.0) ** 2 * norms**2))) / math.sqrt(float(np.sum(norms**2)))
-    # The trace sums P's diagonal |b_m|^2 over the box rows in index order, as a dense complex trace does.
-    rows, side = spec.cutoff + 1, trusted_block + 1
-    diagonal = np.zeros(rows**spec.modes, dtype=complex)
-    diagonal.real[plan.occupations @ rows ** np.arange(spec.modes)[::-1]] = squares
+    side = trusted_block + 1
     inside = plan.occupations.max(axis=1) < side
     boxed = np.zeros(side**spec.modes, dtype=complex)
     boxed[plan.occupations[inside] @ side ** np.arange(spec.modes)[::-1]] = entries[inside]
@@ -151,7 +150,7 @@ def _projection_deviations(spec: GraphSpec, quad: np.ndarray, trusted_block: int
     block = np.multiply.outer(boxed, boxed.conj()) * np.equal.outer(total, total)
     return {
         "idempotency": idempotency,
-        "trace": abs(float(np.sum(diagonal).real) - rows),
+        "trace": abs(float(np.sum(norms)) - (spec.cutoff + 1)),
         "backend": float(np.max(np.abs(block - quad))),
         "frobenius": frobenius,
     }

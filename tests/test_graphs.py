@@ -166,8 +166,10 @@ class TestProjectionCheck:
         spec, _, quad, expected = self.dense_oracle(cfg)
         got = runner._projection_deviations(spec, quad, cfg.trusted_block)
         assert got.keys() == expected.keys() - {"hermiticity"}
-        # Summed over the whole box diagonal in index order, the trace rounds as the dense one does.
-        assert got["trace"] == expected["trace"]
+        # The check sums the sector norms, the oracle the dense diagonal in index order: the same terms in
+        # another order.  Over these cases the two traces differ by at most one unit in the last place of
+        # cutoff + 1; the bound allows two.
+        assert abs(got.pop("trace") - expected["trace"]) <= 2 * math.ulp(cfg.cutoff + 1)
         for key, value in got.items():
             assert abs(value - expected[key]) <= 1e-15, key
         assert run_experiment(cfg).passed == (max(expected.values()) <= cfg.tolerance)
