@@ -5,8 +5,9 @@ and the displacement matrix by exponentiating the truncated generator: none
 of them shares a code path with ``fockgraph.fock``, which is what makes them
 oracles for it.  The Gauss-Laguerre rule with its Jacobi eigenvalues from
 scipy's tridiagonal eigensolver, the oracle for the dense one in
-``quadrature.gauss_laguerre``.  The seed projector checks on the
-projector ``B B^dag`` formed densely, which the runner reads from the
+``quadrature.gauss_laguerre``, and the same rule to 50 digits by Newton's
+method from its nodes, its precision reference.  The seed projector checks
+on the projector ``B B^dag`` formed densely, which the runner reads from the
 column norms of the graded ``B``.  The graded seed entries to 50 digits
 with ``fractions`` and ``decimal``, for a rational ``phi``: the precision
 reference for ``graphs._graded_ladder``, and the rule operator to 50
@@ -91,6 +92,42 @@ def gauss_laguerre_reference(order: int) -> tuple[np.ndarray, np.ndarray]:
     values = laguerre(nodes)
     nodes = nodes - nodes * values[order] / (order * (values[order] - values[order - 1]))
     weights = nodes / (float((order + 1) ** 2) * laguerre(nodes)[order + 1] ** 2)
+    return nodes, weights
+
+
+def gauss_laguerre_decimal(order: int) -> tuple[list[Decimal], list[Decimal]]:
+    """Nodes and weights of the order-``order`` Gauss-Laguerre rule, to 50 digits.
+
+    Newton's method on L_order, with s L_Q'(s) = Q (L_Q(s) - L_{Q-1}(s)),
+    starts from ``quadrature.gauss_laguerre``'s float nodes and stops once a
+    step is below 1e-45 of its node: from float64 starts three steps get
+    there.  The weights are s / ((order+1)^2 L_{order+1}(s)^2).  Every
+    operation rounds at 50 digits; the Laguerre values come from the
+    three-term recurrence.
+    """
+    from fockgraph.quadrature import gauss_laguerre
+
+    def laguerre(degree, s):
+        # (L_{degree-1}(s), L_degree(s)), degree >= 1.
+        previous, current = Decimal(1), 1 - s
+        for k in range(1, degree):
+            previous, current = current, ((2 * k + 1 - s) * current - k * previous) / (k + 1)
+        return previous, current
+
+    nodes, weights = [], []
+    with localcontext() as context:
+        context.prec = 50
+        for s in map(Decimal, gauss_laguerre(order).nodes.tolist()):
+            for _ in range(8):
+                previous, current = laguerre(order, s)
+                step = s * current / (order * (current - previous))
+                s -= step
+                if abs(step) <= s * Decimal("1e-45"):
+                    break
+            else:
+                raise ArithmeticError(f"Newton did not converge at order {order}")
+            nodes.append(s)
+            weights.append(s / ((order + 1) ** 2 * laguerre(order + 1, s)[1] ** 2))
     return nodes, weights
 
 

@@ -40,6 +40,7 @@ from fockgraph.quadrature import (
 from fockgraph.runner import run_experiment
 from oracles import (
     displace_modewise,
+    gauss_laguerre_decimal,
     gauss_laguerre_reference,
     haar_unitary,
     rotation_sectors_loop,
@@ -88,6 +89,23 @@ def oracle_graph_resolution(spec, scheme, conjugate):
     return acc
 
 
+def record_chunks(monkeypatch):
+    """Record the radii of each displacement-kernel call and each serial_matmul left operand's shape in quadrature."""
+    sizes, operands = [], []
+
+    def kernel(alpha, cutoff, include_gaussian=True, rows=None):
+        sizes.append(np.size(alpha))
+        return displacement_matrix(alpha, cutoff, include_gaussian, rows)
+
+    def product(a, b):
+        operands.append(a.shape)
+        return serial_matmul(a, b)
+
+    monkeypatch.setattr(quadrature, "displacement_matrix", kernel)
+    monkeypatch.setattr(quadrature, "serial_matmul", product)
+    return sizes, operands
+
+
 class TestIntegrateDyads:
     # displaced_projector_identity builds one node per radius, with rank =
     # min(M, rows + cutoff) residue columns, and a chunk holds CHUNK_ENTRIES
@@ -110,18 +128,7 @@ class TestIntegrateDyads:
         expected = oracle_dyad_sum(
             lambda a: displacement_matrix(a, cutoff, include_gaussian=False, rows=rows) @ seed, scheme, rows
         )
-        sizes, operands = [], []
-
-        def kernel(alpha, cutoff, include_gaussian=True, rows=None):
-            sizes.append(np.size(alpha))
-            return displacement_matrix(alpha, cutoff, include_gaussian, rows)
-
-        def product(a, b):
-            operands.append(a.shape)
-            return serial_matmul(a, b)
-
-        monkeypatch.setattr(quadrature, "displacement_matrix", kernel)
-        monkeypatch.setattr(quadrature, "serial_matmul", product)
+        sizes, operands = record_chunks(monkeypatch)
         got = displaced_projector_identity(1.0, cutoff, scheme, trusted_block=block)
         assert sizes[:-1] == [step] * (len(sizes) - 1) and 1 <= sizes[-1] <= step
         assert sum(sizes) == orders[0]
@@ -152,13 +159,7 @@ class TestIntegrateDyads:
         expected = oracle_dyad_sum(
             lambda a: displacement_matrix(a, 40, include_gaussian=False) @ seed, scheme, 41
         )
-        sizes = []
-
-        def recording(alpha, cutoff, include_gaussian=True, rows=None):
-            sizes.append(np.size(alpha))
-            return displacement_matrix(alpha, cutoff, include_gaussian, rows)
-
-        monkeypatch.setattr(quadrature, "displacement_matrix", recording)
+        sizes, _ = record_chunks(monkeypatch)
         got = displaced_projector_identity(1.0, 40, scheme)
         assert sizes == [9]
         assert max(sizes) * 41 * 100 <= CHUNK_ENTRIES
@@ -434,13 +435,7 @@ class TestDisplacedSeedFold:
         expected = oracle_dyad_sum(
             lambda a: displacement_matrix(a, 16, include_gaussian=False, rows=rows) @ seed, scheme, rows
         )
-        amplitudes = []
-
-        def recording(alpha, cutoff, include_gaussian=True, rows=None):
-            amplitudes.append(np.size(alpha))
-            return displacement_matrix(alpha, cutoff, include_gaussian, rows)
-
-        monkeypatch.setattr(quadrature, "displacement_matrix", recording)
+        amplitudes, _ = record_chunks(monkeypatch)
         got = displaced_projector_identity(1.0, 16, scheme, trusted_block=block)
         assert sum(amplitudes) == 17
         assert np.abs(got - expected).max() <= 1e-13
@@ -455,19 +450,8 @@ class TestDisplacedSeedFold:
         "angular, rank, width", [(1, 1, 25), (7, 7, 28), (25, 25, 25), (26, 25, 25), (2**17, 25, 25)]
     )
     def test_rank_is_the_residues_that_occur(self, monkeypatch, angular, rank, width):
-        sizes, operands = [], []
-
-        def kernel(alpha, cutoff, include_gaussian=True, rows=None):
-            sizes.append(np.size(alpha))
-            return displacement_matrix(alpha, cutoff, include_gaussian, rows)
-
-        def product(a, b):
-            operands.append(a.shape)
-            return serial_matmul(a, b)
-
         monkeypatch.setattr(quadrature, "CHUNK_ENTRIES", 9 * width * width)
-        monkeypatch.setattr(quadrature, "displacement_matrix", kernel)
-        monkeypatch.setattr(quadrature, "serial_matmul", product)
+        sizes, operands = record_chunks(monkeypatch)
         got = displaced_projector_identity(1.0, 16, polar_scheme(64, angular), trusted_block=8)
         assert sizes == [width, width, 64 - 2 * width]
         assert operands == [(9, size * rank) for size in sizes]
@@ -576,6 +560,22 @@ class TestGaussLaguerre:
         scheme = gauss_laguerre(order)
         assert np.array_equal(scheme.nodes, nodes)
         assert np.array_equal(scheme.weights, weights)
+
+    # Largest relative errors of the float nodes and weights against 50 digits, as measured, pinned within
+    # PRECISION_MARGIN both ways.  Both sit at the smallest nodes: at order 64 the first weight (0.056) is
+    # off by 6.6e-12 of itself, which leaves the weights' sum 3.5e-13 short of 1.
+    @pytest.mark.parametrize(
+        "order, node_pin, weight_pin", [(17, 1.38e-15, 9.30e-14), (33, 2.99e-15, 1.19e-13), (64, 4.14e-14, 6.56e-12)]
+    )
+    def test_rule_matches_the_50_digit_reference(self, order, node_pin, weight_pin):
+        nodes, weights = gauss_laguerre_decimal(order)
+        scheme = gauss_laguerre(order)
+        with localcontext() as context:
+            context.prec = 50
+            node_error = float(max(abs(Decimal(x) - y) / y for x, y in zip(scheme.nodes.tolist(), nodes)))
+            weight_error = float(max(abs(Decimal(x) - y) / y for x, y in zip(scheme.weights.tolist(), weights)))
+        assert node_pin / PRECISION_MARGIN <= node_error <= node_pin * PRECISION_MARGIN
+        assert weight_pin / PRECISION_MARGIN <= weight_error <= weight_pin * PRECISION_MARGIN
 
     @pytest.mark.parametrize("order", range(1, 65))
     def test_every_order_builds(self, order):
