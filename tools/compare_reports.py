@@ -10,7 +10,9 @@ cutoffs 56 and 63, ``anticlique`` at n = 2 cutoff 56),
 ``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3,
 ``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40, n = 4
 cutoff 8), at n = 5 (cutoff 5) and with trusted boxes past ``cutoff // n``,
-and one-mode rules from exact to aliased and past the kernel's scaling range.
+the n = 4 defaults (cutoff 16) of ``projection``, ``resolution`` and
+``anticlique``, which the dimension guard rejects (exit 2), and one-mode
+rules from exact to aliased and past the kernel's scaling range.
 Two checkouts give byte-identical output exactly when every report and exit
 code agrees:
 
@@ -62,6 +64,10 @@ CASES = [
     ("projection n3 c8 t3", {"experiment": "projection", "n": 3, "cutoff": 8, "trusted_block": 3}),
     ("projection n4 c8", {"experiment": "projection", "n": 4, "cutoff": 8}),
     ("projection n5 c5", {"experiment": "projection", "n": 5, "cutoff": 5}),
+    *(
+        (f"{experiment} n4 defaults", {"experiment": experiment, "n": 4})
+        for experiment in ("projection", "resolution", "anticlique")
+    ),
     ("gs c40", {"experiment": "gs", "cutoff": 40}),
     ("gs c4 Q60 M10", {"experiment": "gs", "cutoff": 4, "radial_order": 60, "angular_order": 10}),
     ("gs c63 Q64", {"experiment": "gs", "cutoff": 63, "radial_order": 64}),
