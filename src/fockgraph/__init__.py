@@ -19,7 +19,6 @@ from .graphs import (
     draw_generator_params,
     graph_generator,
     seed_basis,
-    seed_ladders,
     seed_projector,
     seed_projector_quadrature,
 )

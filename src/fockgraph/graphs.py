@@ -31,7 +31,6 @@ __all__ = [
     "draw_generator_params",
     "graph_generator",
     "seed_basis",
-    "seed_ladders",
     "seed_projector",
     "seed_projector_quadrature",
 ]
@@ -134,8 +133,8 @@ def _graded_ladder(spec: GraphSpec, occupations: np.ndarray) -> np.ndarray:
     return ladder * np.exp(0.5 * _log_factorials(spec.modes * top))[occupations.sum(axis=1)]
 
 
-def seed_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarray:
-    """Tail-factored displaced seed ladders Y = D(h) B on the box of ``rows`` per mode.
+def _sector_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarray:
+    """Tail-factored displaced seed ladders Y = D(h) B on the box of ``rows`` per mode, sector-major.
 
     Each shift h (row of ``shifts``, (K, modes)) must be orthogonal to phi's
     first column c, as h = phi[:, 1:] @ alpha is.  Weyl covariance gives
@@ -143,23 +142,14 @@ def seed_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarray:
     into a sweep over total occupation N from the vacuum row (1, 0, ..., 0),
     N Y_k[m] = sum_j sqrt(m_j) (h_j Y_k + sqrt(k) c_j Y_{k-1})[m - e_j], stable
     and exact on any box (README, numerical notes).  Returns a
-    (K, rows^n, cutoff+1) stack in row-major box order, gathered from
-    :func:`_sector_ladders`.
-    """
-    ladder = _sector_ladders(spec, shifts, rows)[_sector_plan(spec.modes, rows).position]
-    return ladder.reshape(rows**spec.modes, spec.cutoff + 1, len(shifts)).transpose(2, 0, 1)
-
-
-def _sector_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarray:
-    """The ladders of :func:`seed_ladders`, sector-major: a (rows^n, (cutoff+1) K) matrix.
-
-    Row ``_sector_plan(...).position[b]`` holds box row b, so each sector
-    (the rows of one total occupation N) is one contiguous slice, and column
-    k K + p holds level k of shift p.  Sector N has levels k <= N, so it
-    reads the first min(N, cutoff+1) K columns of sector N-1 at the plan's
-    predecessor positions within that sector, gathered once as (modes, rows
-    of N, columns), and weighted by sqrt(m_j)/N in place.  Two contractions
-    over the modes then fill the sector's slice: the shift term against h_j
+    (rows^n, (cutoff+1) K) matrix whose row ``i`` is box row
+    ``_sector_plan(modes, rows).order[i]``, so each sector (the rows of one
+    total occupation N) is one contiguous slice, and column k K + p holds
+    level k of shift p.  Sector N has levels k <= N, so it reads the first
+    min(N, cutoff+1) K columns of sector N-1 at the plan's predecessor
+    positions within that sector, gathered once as (modes, rows of N,
+    columns), and weighted by sqrt(m_j)/N in place.  Two contractions over
+    the modes then fill the sector's slice: the shift term against h_j
     spread over the levels, and the raising term against c_j sqrt(k), one
     level up.
     """
@@ -172,7 +162,7 @@ def _sector_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarra
     previous = slice(0, 1)
     for occupation, (at, lower, weight) in enumerate(zip(plan.sectors, plan.lower, plan.weight), start=1):
         below, top = min(occupation, rank) * count, min(occupation + 1, rank) * count
-        terms = ladder[previous][lower, :below]
+        terms = np.take(ladder[previous, :below], lower, axis=0)
         np.multiply(terms.view(float), weight, out=terms.view(float))
         raised = (terms[..., : top - count] * raising[..., : top - count]).sum(axis=0)
         sector = ladder[at]
@@ -183,16 +173,19 @@ def _sector_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarra
 
 
 class _SectorPlan(NamedTuple):
-    """Occupation tuples in sector-major order, with each sector's predecessors and weights."""
+    """Occupation tuples in sector-major order, with each sector's predecessors and weights.
+
+    ``lower``, ``weight``, ``lifted`` and ``roots`` hold, per sector N >= 1,
+    the view of that sector's positions into one (modes, positions) array.
+    """
 
     order: np.ndarray  # at each position, the tuple's index in row-major order (its box row, for a box)
-    position: np.ndarray  # position of each tuple, by that index
-    occupations: np.ndarray  # (size, modes) tuple at each position
+    occupations: np.ndarray  # (positions, modes) tuple at each position
     sectors: tuple  # per sector N >= 1: the slice of its positions
-    lower: tuple  # per sector N >= 1: (modes, size) position of m - e_j within sector N-1, 0 where m_j = 0
-    weight: tuple  # per sector N >= 1: (modes, size, 1) sqrt(m_j) / N
-    lifted: tuple  # per sector N >= 1: (modes, size) j * (size of N-1) + lower
-    roots: tuple  # per sector N >= 1: (modes, size) sqrt(m_j)
+    lower: tuple  # (modes, size) position of m - e_j within sector N-1, 0 where m_j = 0
+    weight: tuple  # (modes, size, 1) sqrt(m_j) / N
+    lifted: tuple  # (modes, size) j * (size of N-1) + lower
+    roots: tuple  # (modes, size) sqrt(m_j)
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,24 +212,16 @@ def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
     position = np.argsort(order)
     occupations, total = occupations[order], total[order]
     starts = np.searchsorted(total, np.arange(total[-1] + 2))  # sector N is positions starts[N] to starts[N+1]
-    lowered = np.minimum(np.searchsorted(keys, keys[order, None] - strides), len(order) - 1)
-    lower = np.where(occupations > 0, position[lowered] - starts[total - 1, None], 0)
-    weight = np.sqrt(occupations) / np.maximum(total, 1)[:, None]
-    lifted = lower + np.diff(starts)[total - 1, None] * np.arange(modes)
+    lowered = np.minimum(np.searchsorted(keys, keys[order] - strides[:, None]), len(order) - 1)
+    lower = np.where(occupations.T > 0, position[lowered] - starts[total - 1], 0)
+    roots = np.sqrt(occupations.T, order="C")
+    weight = roots[..., None] / np.maximum(total, 1)[:, None]
+    lifted = lower + np.arange(modes)[:, None] * np.diff(starts)[total - 1]
     sectors = tuple(slice(*starts[n : n + 2].tolist()) for n in range(1, total[-1] + 1))
-    plan = _SectorPlan(
-        order,
-        position,
-        occupations,
-        sectors,
-        tuple(np.ascontiguousarray(lower[at].T) for at in sectors),
-        tuple(np.ascontiguousarray(weight[at].T)[..., None] for at in sectors),
-        tuple(np.ascontiguousarray(lifted[at].T) for at in sectors),
-        tuple(np.sqrt(occupations[at].T) for at in sectors),
-    )
-    for array in (order, position, occupations, *plan.lower, *plan.weight, *plan.lifted, *plan.roots):
+    for array in (order, occupations, lower, weight, lifted, roots):
         array.flags.writeable = False
-    return plan
+    views = (tuple(array[:, at] for at in sectors) for array in (lower, weight, lifted, roots))
+    return _SectorPlan(order, occupations, sectors, *views)
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,12 +334,16 @@ def graph_generator(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
 
     Sums the cutoff+1 displaced ladder dyads as the Gram matrix Y Y^dag of
     Y = D B, so the result is Hermitian and positive semidefinite by
-    construction; the test suite measures both.  Y is :func:`seed_ladders` on
-    the whole box with its Gaussian exp(-|h|^2/2): B lives on total occupation
-    <= cutoff, so the truncated D B is the exact one on every box row.
+    construction; the test suite measures both.  Y is :func:`_sector_ladders`
+    on the whole box, scattered into box order by the plan's ``order``, with
+    its Gaussian exp(-|h|^2/2): B lives on total occupation <= cutoff, so the
+    truncated D B is the exact one on every box row.
     """
     shift = displaced_mode_amplitudes(spec, params)
-    displaced = seed_ladders(spec, shift[None], spec.cutoff + 1)[0] * np.exp(-0.5 * np.sum(np.abs(shift) ** 2))
+    rows = spec.cutoff + 1
+    sweep = _sector_ladders(spec, shift[None], rows) * np.exp(-0.5 * np.sum(np.abs(shift) ** 2))
+    displaced = np.empty_like(sweep)
+    displaced[_sector_plan(spec.modes, rows).order] = sweep
     return displaced @ displaced.conj().T
 
 

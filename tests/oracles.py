@@ -17,7 +17,7 @@ by the binomial theorem, the precision reference for both number-operator
 sweeps.  ``graphs._rotation_sectors`` one mode at a time, reading the
 sector plans' predecessor positions directly, the reference for its one
 gather.  The displaced seed ladder by applying truncated displacement
-matrices mode by mode, the oracle for ``graphs.seed_ladders``, which
+matrices mode by mode, the oracle for ``graphs._sector_ladders``, which
 builds it by Weyl covariance.  The dense Kronecker Weyl operator
 (``weyl_operator``, ``graph_displacement``) and the displaced seed
 projector built from it (``dense_generator``), the oracles for ``graphs.graph_generator`` and for
@@ -244,7 +244,7 @@ def rule_operator_reference(size: int, scheme) -> list[list[Decimal]]:
 
 
 def two_mode_sweeps_reference(rotation, denominator: int, shift: Fraction, rows: int, cutoff: int):
-    """V of ``graphs._rotation_sectors`` and the tail-factored ``graphs.seed_ladders`` at n=2, to 50 digits.
+    """V of ``graphs._rotation_sectors`` and the tail-factored ``graphs._sector_ladders`` at n=2, to 50 digits.
 
     phi = ``rotation`` / ``denominator`` is rational, real and orthogonal,
     and the shift is h = ``shift`` phi[:, 1].  U|m> = (phi_00 a_0^dag +

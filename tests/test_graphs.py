@@ -23,7 +23,6 @@ from fockgraph import (
     graph_generator,
     polar_scheme,
     seed_basis,
-    seed_ladders,
     seed_projector,
     seed_projector_quadrature,
 )
@@ -52,6 +51,12 @@ from oracles import (
 def block(op, mask):
     idx = np.flatnonzero(mask)
     return op[np.ix_(idx, idx)]
+
+
+def box_ladders(spec, shifts, rows):
+    """_sector_ladders' rows in row-major box order, as a (K, rows^n, cutoff+1) stack."""
+    ladder = _sector_ladders(spec, shifts, rows)[np.argsort(_sector_plan(spec.modes, rows).order)]
+    return ladder.reshape(rows**spec.modes, spec.cutoff + 1, len(shifts)).transpose(2, 0, 1)
 
 
 def mixing_matrix(modes, mixing, rng):
@@ -343,7 +348,7 @@ class TestGraphDisplacement:
 
 
 class TestSeedLadders:
-    """seed_ladders builds D(h) B by Weyl covariance, without displacement matrices."""
+    """The sector sweep builds D(h) B by Weyl covariance, without displacement matrices."""
 
     @staticmethod
     def case(modes, cutoff, seed, max_radius=1.5, count=4):
@@ -374,7 +379,7 @@ class TestSeedLadders:
         spec, _, alphas = self.case(modes, cutoff, seed=modes * cutoff, count=count)
         rows = cutoff + 1 if rows is None else rows
         expected = displace_modewise(spec, seed_basis(spec), alphas, rows)
-        got = seed_ladders(spec, alphas @ spec.phi[:, 1:].T, rows)
+        got = box_ladders(spec, alphas @ spec.phi[:, 1:].T, rows)
         assert got.shape == expected.shape == (len(alphas), rows**modes, cutoff + 1)
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
         assert np.all(got[:, 0, 1:] == 0)
@@ -384,7 +389,7 @@ class TestSeedLadders:
         # With the Gaussian exp(-|h|^2/2) the tail-factored ladder leaves out.
         spec, points, alphas = self.case(modes, cutoff, seed=7 * modes)
         shifts = alphas @ spec.phi[:, 1:].T
-        got = seed_ladders(spec, shifts, cutoff + 1)
+        got = box_ladders(spec, shifts, cutoff + 1)
         for point, shift, ladder in zip(points, shifts, got):
             expected = graph_displacement(spec, point) @ seed_basis(spec)
             gauss = math.exp(-0.5 * float(np.sum(np.abs(shift) ** 2)))
@@ -398,7 +403,7 @@ class TestSeedLadders:
         # keeps the oracle's accuracy.
         spec, _, alphas = self.case(2, 64, seed=64, max_radius=7.0)
         expected = displace_modewise(spec, seed_basis(spec), alphas, 33)
-        got = seed_ladders(spec, alphas @ spec.phi[:, 1:].T, 33)
+        got = box_ladders(spec, alphas @ spec.phi[:, 1:].T, 33)
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
@@ -414,7 +419,6 @@ class TestSectorPlan:
         plan = _sector_plan(modes, rows)
         total = self.occupations(modes, rows, plan).sum(axis=1)
         assert np.array_equal(np.sort(plan.order), np.arange(rows**modes))
-        assert np.array_equal(plan.order[plan.position], np.arange(rows**modes))
         # The vacuum first, then each sector N >= 1 as one slice, just after sector N - 1.
         start = 1
         for occupation, at in enumerate(plan.sectors, start=1):
@@ -429,7 +433,9 @@ class TestSectorPlan:
             previous = slice(0, 1)
             for occupation, at in enumerate(plan.sectors, start=1):
                 here, there = plan.occupations[at], plan.occupations[previous]
-                lower, weight, lifted, roots = (part[occupation - 1] for part in plan[4:])
+                lower, weight, lifted, roots = (
+                    part[occupation - 1] for part in (plan.lower, plan.weight, plan.lifted, plan.roots)
+                )
                 assert lower.shape == weight.shape[:2] == lifted.shape == roots.shape == (modes, len(here))
                 assert np.all((0 <= lower) & (lower < len(there)))
                 assert np.array_equal(lifted, lower + len(there) * np.arange(modes)[:, None])
@@ -443,6 +449,18 @@ class TestSectorPlan:
                     assert np.all(lower[mode, ~held] == 0) and np.all(weight[mode, ~held] == 0)
                     assert np.all(roots[mode, ~held] == 0)
                 previous = at
+
+
+    @pytest.mark.parametrize("modes, rows, top", [(2, 9, None), (3, 9, None), (4, 7, 9), (3, 2, None)])
+    def test_sector_entries_are_read_only_views_of_one_array(self, modes, rows, top):
+        plan = _sector_plan(modes, rows, top)
+        for field in (plan.lower, plan.weight, plan.lifted, plan.roots):
+            whole = field[0].base
+            assert whole.shape[:2] == (modes, len(plan.order)) and not whole.flags.writeable
+            for entry in field:
+                assert entry.base is whole and np.shares_memory(entry, whole)
+                with pytest.raises(ValueError, match="read-only"):
+                    entry[...] = 0
 
 
 class TestSweepPrecision:
@@ -470,7 +488,7 @@ class TestSweepPrecision:
 
     def test_seed_ladders_match_the_50_digit_reference(self, case):
         spec, (_, ladders) = case
-        ladder = seed_ladders(spec, float(self.SHIFT) * spec.phi[None, :, 1], self.ROWS)[0]
+        ladder = box_ladders(spec, float(self.SHIFT) * spec.phi[None, :, 1], self.ROWS)[0]
         assert not ladder.imag.any()
         error = decimal_error(ladder.real, ladders)
         assert 9.52e-16 / PRECISION_MARGIN <= error <= 9.52e-16 * PRECISION_MARGIN
@@ -874,7 +892,7 @@ class TestResidualPruning:
         # The anticlique's top level on the box's last row, in the sector-major sweep the check reads.
         def poisoned(spec, shifts, rows):
             ladder = _sector_ladders(spec, shifts, rows)
-            ladder[_sector_plan(spec.modes, rows).position[-1], -len(shifts)] = np.nan
+            ladder[-1, -len(shifts)] = np.nan
             return ladder
 
         monkeypatch.setattr(fockgraph.graphs, "_sector_ladders", poisoned)

@@ -369,7 +369,7 @@ class TestRuleAliasing:
         def refuse(*args, **kwargs):
             raise AssertionError("a node column was built")
 
-        builders = ((graphs, "seed_ladders"), (graphs, "_sector_ladders"), (quadrature, "displacement_matrix"))
+        builders = ((graphs, "_sector_ladders"), (quadrature, "displacement_matrix"))
         for module, name in builders:
             monkeypatch.setattr(module, name, refuse)
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=16)

@@ -94,7 +94,6 @@ def reference_sector_plan(modes, rows, top=None):
     sizes = [len(there) for there in sectors]
     return (
         order,
-        np.argsort(order),
         occupations,
         tuple(lower),
         tuple(np.sqrt(here.T)[..., None] / n for n, here in enumerate(sectors[1:], start=1)),
