@@ -74,24 +74,26 @@ def displacement_compose_phase(alpha: complex, beta: complex) -> complex:
 def gauss_laguerre_reference(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of ``quadrature.gauss_laguerre(order)``, eigenvalues by ``eigh_tridiagonal``.
 
-    The same Newton polish and closed-form weights, with the Laguerre
-    recurrence at order 0 written out, so that a rule equal to this one bit
-    for bit differs only in its eigensolver.
+    The same Newton polish and the same weights from s L_Q'(s) = Q (L_Q(s) -
+    L_{Q-1}(s)) at the polished nodes, with the Laguerre recurrence at order
+    0 written out, so that a rule equal to this one bit for bit differs only
+    in its eigensolver.
     """
     if order == 1:
         return np.array([1.0]), np.array([1.0])
 
     def laguerre(x):
-        # L_0..L_(order+1) at x by the three-term recurrence.
+        # L_0..L_order at x by the three-term recurrence.
         vals = [np.ones_like(x), 1.0 - x]
-        for n in range(1, order + 1):
+        for n in range(1, order):
             vals.append(((2 * n + 1 - x) * vals[n] - n * vals[n - 1]) / (n + 1))
         return vals
 
     nodes = eigh_tridiagonal(2.0 * np.arange(order) + 1.0, np.arange(1.0, order), eigvals_only=True)
     values = laguerre(nodes)
     nodes = nodes - nodes * values[order] / (order * (values[order] - values[order - 1]))
-    weights = nodes / (float((order + 1) ** 2) * laguerre(nodes)[order + 1] ** 2)
+    values = laguerre(nodes)
+    weights = nodes / (order * (values[order] - values[order - 1])) ** 2
     return nodes, weights
 
 
