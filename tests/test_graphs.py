@@ -450,7 +450,6 @@ class TestSectorPlan:
                     assert np.all(roots[mode, ~held] == 0)
                 previous = at
 
-
     @pytest.mark.parametrize("modes, rows, top", [(2, 9, None), (3, 9, None), (4, 7, 9), (3, 2, None)])
     def test_sector_entries_are_read_only_views_of_one_array(self, modes, rows, top):
         plan = _sector_plan(modes, rows, top)

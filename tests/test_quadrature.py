@@ -562,9 +562,8 @@ class TestGaussLaguerre:
         assert np.array_equal(scheme.weights, weights)
 
     # Largest relative errors of the float nodes and weights against 50 digits, as measured, pinned within
-    # PRECISION_MARGIN both ways.  The node errors sit at the smallest nodes.  The weights come from the
-    # polished nodes by the Newton identity and stay within six node errors; the L_{Q+1} closed form they
-    # replace read 9.30e-14, 1.19e-13 and 6.56e-12 here.
+    # PRECISION_MARGIN both ways.  The node errors sit at the smallest nodes; the weights come from the
+    # polished nodes by the Newton identity and stay within six node errors.
     @pytest.mark.parametrize(
         "order, node_pin, weight_pin", [(17, 1.38e-15, 6.90e-15), (33, 2.99e-15, 1.76e-14), (64, 4.14e-14, 7.33e-14)]
     )
@@ -579,7 +578,7 @@ class TestGaussLaguerre:
         assert weight_pin / PRECISION_MARGIN <= weight_error <= weight_pin * PRECISION_MARGIN
 
     def test_weights_of_every_order_sum_to_one(self):
-        # The zeroth moment of exp(-s), summed exactly; the L_{Q+1} closed form missed it by 6.4e-13 at order 61.
+        # The zeroth moment of exp(-s), summed exactly.
         sums = [math.fsum(gauss_laguerre(order).weights) for order in range(1, 65)]
         assert max(abs(total - 1.0) for total in sums) <= 2e-14
 
