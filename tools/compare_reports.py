@@ -3,15 +3,16 @@
 Each line holds the case name, the ``verify`` exit code and the JSON
 reports the case wrote, without ``runtime_ms``, the one field that is not
 deterministic.  The set covers the default suite over thirteen seeds, every
-experiment at n = 2, 3 and 4, ``resolution`` at n = 5, n = 3 cutoff 18 and
-n = 4 cutoff 8 and with aliased rules (at M = 1 every sector pair couples),
+experiment at n = 2, 3 and 4, ``resolution`` at its n = 3 defaults (cutoff
+16), at n = 5, n = 3 cutoff 18 and n = 4 cutoff 8 and with aliased rules
+(at M = 1 every sector pair couples),
 the deepest sectors of both number-operator sweeps (``resolution`` at n = 2
 cutoffs 56 and 63, ``anticlique`` at n = 2 cutoff 56),
 ``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3,
 ``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40, n = 4
 cutoff 8), at n = 5 (cutoff 5) and with trusted boxes past ``cutoff // n``,
-the n = 4 defaults (cutoff 16) of ``projection``, ``resolution`` and
-``anticlique``, which the dimension guard rejects (exit 2), and one-mode
+the n = 4, 5 and 6 defaults (cutoff 16) of ``projection``, ``resolution``
+and ``anticlique``, which the dimension guard rejects (exit 2), and one-mode
 rules from exact to aliased and past the kernel's scaling range.
 Two checkouts give byte-identical output exactly when every report and exit
 code agrees:
@@ -51,6 +52,7 @@ CASES = [
         for seed in range(10)
     ),
     ("resolution n3 c6", {"experiment": "resolution", "n": 3, "cutoff": 6}),
+    ("resolution n3 defaults", {"experiment": "resolution", "n": 3}),
     ("resolution n4 c4", {"experiment": "resolution", "n": 4, "cutoff": 4}),
     ("anticlique n4 c6", {"experiment": "anticlique", "n": 4, "cutoff": 6}),
     ("anticlique n3 c16", {"experiment": "anticlique", "n": 3, "cutoff": 16}),
@@ -65,7 +67,8 @@ CASES = [
     ("projection n4 c8", {"experiment": "projection", "n": 4, "cutoff": 8}),
     ("projection n5 c5", {"experiment": "projection", "n": 5, "cutoff": 5}),
     *(
-        (f"{experiment} n4 defaults", {"experiment": experiment, "n": 4})
+        (f"{experiment} n{n} defaults", {"experiment": experiment, "n": n})
+        for n in (4, 5, 6)
         for experiment in ("projection", "resolution", "anticlique")
     ),
     ("gs c40", {"experiment": "gs", "cutoff": 40}),
