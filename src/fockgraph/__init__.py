@@ -19,13 +19,11 @@ from .graphs import (
     draw_generator_params,
     graph_generator,
     seed_basis,
-    seed_projector,
     seed_projector_quadrature,
 )
 from .multimode import (
     ModeSpace,
     kron_all,
-    trusted_mask,
     validate_unitary,
 )
 from .quadrature import (

@@ -31,7 +31,6 @@ __all__ = [
     "draw_generator_params",
     "graph_generator",
     "seed_basis",
-    "seed_projector",
     "seed_projector_quadrature",
 ]
 
@@ -93,12 +92,6 @@ def seed_basis(spec: GraphSpec) -> np.ndarray:
     occupations = np.indices((spec.cutoff + 1,) * spec.modes).reshape(spec.modes, -1).T
     total = occupations.sum(axis=1)
     return np.where(total[:, None] == np.arange(spec.cutoff + 1), _graded_ladder(spec, occupations)[:, None], 0.0)
-
-
-def seed_projector(spec: GraphSpec) -> np.ndarray:
-    """Rank-structured seed projector: sum of its orthonormal ladder dyads."""
-    basis = seed_basis(spec)
-    return serial_matmul(basis, basis.conj().T)
 
 
 def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_block: int | None = None) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Truncated n-mode tensor Fock space.
 
-The mode register, Kronecker products, trusted-box masks and the
-unitarity check of a mode-mixing matrix.  Occupation tuples map to flat
-indices row-major with mode 1 slowest.
+The mode register, Kronecker products and the unitarity check of a
+mode-mixing matrix.  Occupation tuples map to flat indices row-major with
+mode 1 slowest.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "ModeSpace",
     "kron_all",
-    "trusted_mask",
     "validate_unitary",
 ]
 
@@ -37,23 +36,10 @@ class ModeSpace:
     def dim(self) -> int:
         return (self.cutoff + 1) ** self.modes
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.cutoff + 1,) * self.modes
-
-    def occupations(self) -> np.ndarray:
-        """All occupation tuples as a (dim, modes) array, in index order."""
-        return np.stack(np.unravel_index(np.arange(self.dim), self.shape), axis=1)
-
 
 def kron_all(factors) -> np.ndarray:
     """Kronecker product of the factors, first factor slowest."""
     return reduce(np.kron, factors)
-
-
-def trusted_mask(space: ModeSpace, max_occupation: int) -> np.ndarray:
-    """Boolean mask of basis states with every mode occupation <= bound."""
-    return space.occupations().max(axis=1) <= max_occupation
 
 
 def validate_unitary(phi, tolerance: float = 1e-12) -> np.ndarray:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import coherent_state, displacement_matrix, laguerre_sequence
-from .multimode import kron_all, trusted_mask
+from .multimode import kron_all
 
 __all__ = [
     "AngularScheme",
@@ -99,10 +99,6 @@ class RadialScheme:
         nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def order(self) -> int:
-        return self.nodes.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,13 +159,6 @@ def gauss_laguerre(order: int) -> RadialScheme:
 
 def polar_scheme(radial_order: int, angular_count: int) -> PolarScheme:
     return PolarScheme(radial=gauss_laguerre(radial_order), angular=AngularScheme(angular_count))
-
-
-def _node_table(scheme: PolarScheme) -> list[tuple[complex, float]]:
-    """The scheme's (amplitude, weight) nodes, angular-major, then radial: (1/pi) (2 pi/M) (w/2) = w/M."""
-    radial, weights = scheme.active_radial()
-    amplitudes = np.exp(1j * scheme.angular.angles)[:, None] * np.sqrt(radial)
-    return list(zip(amplitudes.ravel(), np.tile(weights / scheme.angular.count, scheme.angular.count)))
 
 
 def box_side(cutoff: int, trusted_block: int | None) -> int:
@@ -291,13 +280,14 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
     (widest box sector + modes) of them (a wider run takes a window alone),
     so a gather stays within CHUNK_ENTRIES entries and no array grows with
     the matched tuple pairs.
-    "direct" conjugates the seed projector by the Kronecker-product matrix
-    at every node of the product grid and is kept as the oracle.  With
-    ``trusted_block`` set, the result is the block on the occupations at or
-    below it in every mode (``trusted_mask`` order): "rank" builds only that
-    block, "direct" builds the whole operator and slices it.
+    "direct" conjugates the seed projector B B^dag (B from ``graphs.seed_basis``)
+    by the Kronecker-product matrix at every node of the product grid and is
+    kept as the oracle.  With ``trusted_block`` set, the result is the block
+    on the occupations at or below it in every mode, in row-major order:
+    "rank" builds only that block, "direct" builds the whole operator and
+    slices it.
     """
-    from .graphs import GraphSpec, _class_plan, _rotation_sectors, seed_projector
+    from .graphs import GraphSpec, _class_plan, _rotation_sectors, seed_basis
 
     if not isinstance(spec, GraphSpec):
         raise TypeError("spec must be a GraphSpec")
@@ -347,13 +337,18 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
                 out[at_other[:, None], at] = block.conj().T
         return out
     dim = spec.space.dim
-    projector = seed_projector(spec)
+    basis = seed_basis(spec)
+    projector = serial_matmul(basis, basis.conj().T)
+    # The nodes angular-major, then radial, each weighted (1/pi) (2 pi/M) (w/2) = w/M.
+    radial, weights = schemes.active_radial()
+    amplitudes = np.exp(1j * schemes.angular.angles)[:, None] * np.sqrt(radial)
+    table = list(zip(amplitudes.ravel(), np.tile(weights / schemes.angular.count, schemes.angular.count)))
     acc = np.zeros((dim, dim), dtype=complex)
-    for nodes in itertools.product(_node_table(schemes), repeat=spec.modes - 1):
+    for nodes in itertools.product(table, repeat=spec.modes - 1):
         shifts = spec.phi[:, 1:] @ np.array([alpha for alpha, _ in nodes])
         displacement = kron_all([displacement_matrix(h, spec.cutoff, include_gaussian=False) for h in shifts])
         acc += math.prod(weight for _, weight in nodes) * (displacement @ projector @ displacement.conj().T)
     if trusted_block is None:
         return acc
-    idx = np.flatnonzero(trusted_mask(spec.space, trusted_block))
+    idx = np.flatnonzero(np.indices((spec.cutoff + 1,) * spec.modes).max(axis=0) <= trusted_block)
     return acc[np.ix_(idx, idx)]

@@ -27,7 +27,11 @@ with each of its ``dim_t^2`` entries formed, the oracle for
 ``graphs.compression_check``, which prunes its max-abs sweep and takes its
 Frobenius norm in rank space.  Exponential vectors, the Weyl composition
 phase, ladder operators and occupation indexing on the multimode space,
-and Haar-random mixing matrices, which only the tests use.
+the occupation table (``occupations``), the trusted-box mask
+(``trusted_mask``), the dense seed projector ``B B^dag``
+(``seed_projector``) and Haar-random mixing matrices, which only the tests
+use: ``quadrature.graph_resolution``'s ``direct`` backend, the one package
+caller they had, forms its own projector and mask in place.
 """
 
 import cmath
@@ -45,7 +49,6 @@ from fockgraph import (
     displacement_matrix,
     kron_all,
     seed_basis,
-    trusted_mask,
 )
 from fockgraph.graphs import _compression_residual, _sector_plan
 from fockgraph.multimode import ModeSpace
@@ -402,14 +405,34 @@ def index_of(occupation, space: ModeSpace) -> int:
     for v in occupation:
         if not 0 <= v <= space.cutoff:
             raise ValueError(f"occupation {v} outside [0, {space.cutoff}]")
-    return int(np.ravel_multi_index(occupation, space.shape))
+    return int(np.ravel_multi_index(occupation, _box_shape(space)))
 
 
 def tuple_of(index: int, space: ModeSpace) -> tuple[int, ...]:
     """Occupation tuple of a flat index; inverse of :func:`index_of`."""
     if not 0 <= index < space.dim:
         raise ValueError(f"index {index} outside [0, {space.dim})")
-    return tuple(int(v) for v in np.unravel_index(index, space.shape))
+    return tuple(int(v) for v in np.unravel_index(index, _box_shape(space)))
+
+
+def _box_shape(space: ModeSpace) -> tuple[int, ...]:
+    return (space.cutoff + 1,) * space.modes
+
+
+def occupations(space: ModeSpace) -> np.ndarray:
+    """All occupation tuples as a (dim, modes) array, in index order."""
+    return np.stack(np.unravel_index(np.arange(space.dim), _box_shape(space)), axis=1)
+
+
+def trusted_mask(space: ModeSpace, max_occupation: int) -> np.ndarray:
+    """Boolean mask of basis states with every mode occupation <= bound."""
+    return occupations(space).max(axis=1) <= max_occupation
+
+
+def seed_projector(spec) -> np.ndarray:
+    """Rank-structured seed projector: sum of its orthonormal ladder dyads."""
+    basis = seed_basis(spec)
+    return serial_matmul(basis, basis.conj().T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,18 +27,19 @@ from fockgraph import (
     draw_generator_params,
     graph_resolution,
     polar_scheme,
-    seed_projector,
     seed_projector_quadrature,
 )
 from fockgraph.config import dft_matrix
-from fockgraph.multimode import ModeSpace, trusted_mask
+from fockgraph.multimode import ModeSpace
 from oracles import (
     apply_weyl_to_exponential_check,
     expm_displacement_oracle,
     exponential_vector_embed,
     haar_unitary,
+    seed_projector,
     state_inner,
     trusted_cutoff,
+    trusted_mask,
     weyl_operator,
     weyl_phase,
 )

@@ -23,13 +23,11 @@ from fockgraph import (
     graph_generator,
     polar_scheme,
     seed_basis,
-    seed_projector,
     seed_projector_quadrature,
 )
 from fockgraph import runner
 from fockgraph.config import config_from_dict, dft_matrix
 from fockgraph.fock import displacement_matrix
-from fockgraph.multimode import trusted_mask
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
 from fockgraph.cli import main
 from fockgraph.graphs import _graded_ladder, _rotation_sectors, _sector_ladders, _sector_plan
@@ -44,6 +42,9 @@ from oracles import (
     haar_unitary,
     index_of,
     mode_ladder,
+    occupations,
+    seed_projector,
+    trusted_mask,
     two_mode_sweeps_reference,
 )
 
@@ -242,7 +243,7 @@ def multinomial_oracle(spec):
     """Column k entry at (k_1..k_n), sum k_j = k: sqrt(k!/prod k_j!) prod c_j^k_j."""
     column = spec.phi[:, 0]
     basis = np.zeros((spec.space.dim, spec.cutoff + 1), dtype=complex)
-    for index, occupation in enumerate(spec.space.occupations()):
+    for index, occupation in enumerate(occupations(spec.space)):
         total = int(occupation.sum())
         if total <= spec.cutoff:
             log_coeff = 0.5 * (gammaln(total + 1.0) - sum(gammaln(k + 1.0) for k in occupation))
