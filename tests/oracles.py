@@ -25,13 +25,15 @@ the dense ``P A P`` that ``graphs.compression_check`` never forms: both
 functions read their ladders from that sweep.  The anticlique residual
 with each of its ``dim_t^2`` entries formed, the oracle for
 ``graphs.compression_check``, which prunes its max-abs sweep and takes its
-Frobenius norm in rank space.  Exponential vectors, the Weyl composition
-phase, ladder operators and occupation indexing on the multimode space,
-the occupation table (``occupations``), the trusted-box mask
-(``trusted_mask``), the dense seed projector ``B B^dag``
-(``seed_projector``) and Haar-random mixing matrices, which only the tests
-use: ``quadrature.graph_resolution``'s ``direct`` backend, the one package
-caller they had, forms its own projector and mask in place.
+Frobenius norm in rank space.  The Poisson distribution function to 50
+digits and the cut exponential series e_j(z), for the closed forms of
+``quadrature.displaced_projector_identity`` under an exact rule and of the
+displaced ladders' Grams on the total-occupation simplex.  Exponential
+vectors, the Weyl composition phase, ladder operators and occupation
+indexing on the multimode space, the occupation table (``occupations``),
+the trusted-box mask (``trusted_mask``), the dense seed projector
+``B B^dag`` (``seed_projector``) and Haar-random mixing matrices, which
+only the tests use.
 """
 
 import cmath
@@ -246,6 +248,31 @@ def rule_operator_reference(size: int, scheme) -> list[list[Decimal]]:
             [hankel[m + n] / (norms[m] * norms[n]) if (m - n) % count == 0 else Decimal(0) for n in range(size)]
             for m in range(size)
         ]
+
+
+def poisson_cdf(mean: float, count: int, upper: bool = False) -> float:
+    """P(Poisson(mean) <= count), or P(Poisson(mean) > count) with ``upper``, summed to 50 digits.
+
+    ``mean`` is taken as exact.  The upper tail is 1 minus the sum at 50
+    digits, so it keeps its relative precision far below float epsilon.
+    """
+    with localcontext() as context:
+        context.prec = 50
+        term = (-Decimal(mean)).exp()
+        total = term
+        for j in range(1, count + 1):
+            term = term * Decimal(mean) / j
+            total += term
+        return float(1 - total if upper else total)
+
+
+def exponential_partial_sum(count: int, z: complex) -> complex:
+    """e_count(z) = sum_{s <= count} z^s / s!, the exponential series cut after the power ``count``."""
+    term = total = 1.0 + 0.0j
+    for s in range(1, count + 1):
+        term = term * z / s
+        total += term
+    return total
 
 
 def two_mode_sweeps_reference(rotation, denominator: int, shift: Fraction, rows: int, cutoff: int):

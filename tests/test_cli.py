@@ -14,7 +14,7 @@ import pytest
 
 import fockgraph
 from fockgraph.cli import main
-from fockgraph.config import MAX_DIM, _ladder_radius_limit, config_from_dict
+from fockgraph.config import EXPERIMENTS, MAX_DIM, _ladder_radius_limit, config_from_dict
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -440,6 +440,20 @@ class TestExitCodes:
         missing = tmp_path / "no_such_dir" / "report.json"
         assert main(["--config", str(config), "--out", str(missing)]) == 3
         assert "internal error" in capsys.readouterr().err
+
+
+class TestDefaultsEveryN:
+    # Every experiment at its defaults for n = 2..6 passes or is refused as a config error naming the limit it
+    # hit (today MAX_DIM, for the graph experiments from n=4); never a FAIL and never an internal error.
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_defaults_pass_or_name_their_limit(self, tmp_path, capsys, n, experiment):
+        path = write_config(tmp_path, {"experiment": experiment, "n": n})
+        code = main(["--config", str(path), "--quiet"])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if code == 2:
+            assert re.fullmatch(r"config error: .*\b[A-Z][A-Z_]* = \d+.*\n", err)
 
 
 class TestFlags:

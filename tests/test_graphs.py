@@ -36,6 +36,7 @@ from oracles import (
     dense_generator,
     dense_projection_deviations,
     displace_modewise,
+    exponential_partial_sum,
     full_residual_deviations,
     graded_entries_reference,
     graph_displacement,
@@ -43,6 +44,7 @@ from oracles import (
     index_of,
     mode_ladder,
     occupations,
+    poisson_cdf,
     seed_projector,
     trusted_mask,
     two_mode_sweeps_reference,
@@ -839,6 +841,41 @@ class TestGramSweep:
         assert sweeps == [4, 4, 1]
         assert (2, 729, 36) in gemms
         assert all(2 <= rows and rows * k * n <= SERIAL_GEMM_MACS for rows, k, n in gemms)
+
+
+class TestSimplexClosedForms:
+    """The displaced ladders on the tuples of total occupation <= cutoff, in closed form.
+
+    U(phi) keeps total occupation, and in the rotated frame Y_k is |k> on
+    mode 0 times the coherent state of alpha on the other modes.  So on
+    those rows G = Y_x^dag Y_i is G[k, l] = delta_kl e_{cutoff-k}(<h_x, h_i>)
+    exp(-(|h_x|^2 + |h_i|^2)/2), e_j(z) = sum_{s<=j} z^s / s!, and on the
+    whole box a level loses at most 1 - ||Y_k||^2 <= P(Poisson(|h|^2) > cutoff - k).
+    """
+
+    # Float slack of the loss 1 - ||Y_k||^2 against its bound: the loss exceeded it by at most 1.8e-15.
+    LOSS_FLOOR = 4e-15
+
+    @pytest.mark.parametrize(
+        "modes, cutoff, seed", [(2, 16, 42), (2, 16, 3243419750), (3, 8, 0), (3, 8, 5), (3, 8, 6), (4, 6, 1)]
+    )
+    def test_runner_draws_match_the_closed_forms(self, modes, cutoff, seed):
+        spec, anticlique, generators = runner_case(modes, cutoff, seed)
+        shifts = np.array([displaced_mode_amplitudes(spec, p) for p in (anticlique, *generators)])
+        mass = np.sum(np.abs(shifts) ** 2, axis=1)
+        ladders = box_ladders(spec, shifts, cutoff + 1) * np.exp(-0.5 * mass)[:, None, None]
+        simplex = occupations(spec.space).sum(axis=1) <= cutoff
+        levels = range(cutoff + 1)
+        for ladder, shift, norm in zip(ladders, shifts, mass):
+            gram = ladders[0, simplex].conj().T @ ladder[simplex]
+            overlap = complex(np.vdot(shifts[0], shift))
+            expected = np.array([exponential_partial_sum(cutoff - k, overlap) for k in levels])
+            expected *= np.exp(-0.5 * (mass[0] + norm))
+            # Read at most 2.2e-15.
+            assert np.abs(gram - np.diag(expected)).max() <= 1e-14
+            loss = 1.0 - np.sum(np.abs(ladder) ** 2, axis=0)
+            bound = np.array([poisson_cdf(norm, cutoff - k, upper=True) for k in levels])
+            assert np.all(loss <= bound + self.LOSS_FLOOR)
 
 
 class TestResidualPruning:

@@ -42,6 +42,7 @@ from oracles import (
     gauss_laguerre_reference,
     haar_unitary,
     occupations,
+    poisson_cdf,
     rotation_sectors_loop,
     rule_operator_reference,
     seed_projector,
@@ -676,6 +677,28 @@ class TestDisplacedProjectorIdentity:
             mask[:9] = True
             devs.append(identity_deviation(op, mask))
         assert devs[0] > devs[1] > devs[2] > 0
+
+    # With an exact rule the truncated integral on rows 0..t is P(Poisson(|beta|^2) <= cutoff) I, by the
+    # orthogonality of the Heisenberg-Weyl matrix elements: the seed keeps only its mass up to the cutoff.
+    # The rule is exact when M > t + cutoff (no aliased angular difference) and 2Q - 1 >= t + cutoff.
+    @staticmethod
+    def closed_form_deviation(beta, cutoff, scheme, trusted_block=None):
+        op = displaced_projector_identity(beta, cutoff, scheme, trusted_block)
+        return np.abs(op - poisson_cdf(abs(beta) ** 2, cutoff) * np.eye(len(op))).max()
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("cutoff", [6, 8, 12, 16])
+    def test_default_rule_gives_the_poisson_mass(self, cutoff, beta):
+        # The default rule (cutoff + 1, 2 cutoff + 2) on the whole block, t = cutoff: read at most 3.4e-15.
+        scheme = polar_scheme(cutoff + 1, 2 * cutoff + 2)
+        assert self.closed_form_deviation(beta, cutoff, scheme) <= 1e-14
+
+    # Cutoff 8, t = 4, beta = 1.5: t + cutoff = 12.  (Q, M) = (7, 13) is exact (read 8.9e-16); one radial
+    # order fewer or one angle fewer is not.
+    def test_exact_rule_edges(self):
+        assert self.closed_form_deviation(1.5, 8, polar_scheme(7, 13), 4) <= 1e-14
+        assert self.closed_form_deviation(1.5, 8, polar_scheme(6, 13), 4) == pytest.approx(9.198e-4, rel=1e-3)
+        assert self.closed_form_deviation(1.5, 8, polar_scheme(7, 12), 4) == pytest.approx(9.846e-3, rel=1e-3)
 
 
 class TestGraphResolution:
