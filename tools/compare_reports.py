@@ -1,7 +1,8 @@
 """Print the verification reports of a fixed comparison set, one canonical JSON line per case.
 
-Each line holds the case name, the ``verify`` exit code and the JSON
-reports the case wrote, without ``runtime_ms``, the one field that is not
+Each line holds the case name, the ``verify`` exit code, what ``verify``
+wrote to stderr (the ``config error:`` line, or empty) and the JSON reports
+the case wrote, without ``runtime_ms``, the one field that is not
 deterministic.  The set covers the default suite over thirteen seeds, every
 experiment at n = 2, 3 and 4, ``resolution`` at its n = 3 defaults (cutoff
 16), at n = 5, n = 3 cutoff 18 and n = 4 cutoff 8 and with aliased rules
@@ -28,6 +29,8 @@ another thread count.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -75,6 +78,10 @@ CASES = [
     ("gs c4 Q60 M10", {"experiment": "gs", "cutoff": 4, "radial_order": 60, "angular_order": 10}),
     ("gs c63 Q64", {"experiment": "gs", "cutoff": 63, "radial_order": 64}),
     ("gs c16 Q9 M7", {"experiment": "gs", "cutoff": 16, "radial_order": 9, "angular_order": 7}),
+    (
+        "gs c16 Q5 M34 t3",
+        {"experiment": "gs", "cutoff": 16, "radial_order": 5, "angular_order": 34, "trusted_block": 3},
+    ),
     ("covariant_gs c40", {"experiment": "covariant_gs", "cutoff": 40}),
     (
         "covariant_gs c100 Q17 t40",
@@ -93,6 +100,7 @@ CASES = [
         {"experiment": "covariant_gs", "cutoff": 400, "radial_order": 2, "angular_order": 4, "trusted_block": 200},
     ),
     ("convergence ladder 8-64", {"experiment": "convergence", "cutoff_ladder": [8, 16, 32, 64]}),
+    ("convergence ladder [4, 12]", {"experiment": "convergence", "cutoff_ladder": [4, 12]}),
     ("resolution n2 c40", {"experiment": "resolution", "n": 2, "cutoff": 40}),
     ("resolution n2 c56", {"experiment": "resolution", "n": 2, "cutoff": 56}),
     ("resolution n2 c63", {"experiment": "resolution", "n": 2, "cutoff": 63}),
@@ -119,8 +127,8 @@ CASES = [
 ]
 
 
-def run_case(config, workdir: str) -> tuple[int, list[dict]]:
-    """Exit code of ``verify`` on one case, and its reports in file-name order without ``runtime_ms``."""
+def run_case(config, workdir: str) -> tuple[int, str, list[dict]]:
+    """Exit code and stderr of ``verify`` on one case, and its reports in file-name order without ``runtime_ms``."""
     out = os.path.join(workdir, "report.json")
     argv = config
     if isinstance(config, dict):
@@ -128,7 +136,9 @@ def run_case(config, workdir: str) -> tuple[int, list[dict]]:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(config, handle)
         argv = ["--config", path]
-    code = cli.main([*argv, "--quiet", "--out", out])
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main([*argv, "--quiet", "--out", out])
     reports = []
     for name in sorted(os.listdir(workdir)):
         if name.startswith("report"):
@@ -136,14 +146,14 @@ def run_case(config, workdir: str) -> tuple[int, list[dict]]:
                 report = json.load(handle)
             del report["runtime_ms"]
             reports.append(report)
-    return code, reports
+    return code, stderr.getvalue(), reports
 
 
 def main() -> None:
     for name, config in CASES:
         with tempfile.TemporaryDirectory() as workdir:
-            code, reports = run_case(config, workdir)
-        line = json.dumps({"case": name, "exit": code, "reports": reports}, separators=(",", ":"))
+            code, stderr, reports = run_case(config, workdir)
+        line = json.dumps({"case": name, "exit": code, "stderr": stderr, "reports": reports}, separators=(",", ":"))
         sys.stdout.write(line + "\n")
 
 
