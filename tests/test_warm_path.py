@@ -200,19 +200,15 @@ class TestCacheContract:
     def test_radius_limit_is_an_immutable_float(self):
         assert type(config._ladder_radius_limit(3, 8)) is float
 
-    def test_kernel_layout_is_read_only_and_keyed_on_cutoff_and_rows(self):
+    def test_displacement_rows_follow_cutoff_and_rows(self):
         # Each (cutoff, rows) against the expm oracle, changing one argument at a time.
-        fock._kernel_layout.cache_clear()
+        fock._log_factorials.cache_clear()
         alpha = 0.6 - 0.3j
         for cutoff, rows in [(12, 7), (12, 13), (16, 13), (16, 5), (12, 7)]:
             got = fock.displacement_matrix(alpha, cutoff, rows=rows)
             oracle = expm_displacement_oracle(alpha, cutoff, 40)[:rows]
             assert got.shape == (rows, cutoff + 1)
             assert np.max(np.abs(got - oracle)) < 1e-13, (cutoff, rows)
-        layout = fock._kernel_layout(12, 7)
-        for array in (*layout[:4], *layout.lower_at, *layout.upper_at, *layout[6:]):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
 
     def test_public_dft_matrix_stays_fresh_and_writable(self):
         shared = config._default_phi(3)
