@@ -100,7 +100,8 @@ def _rng(cfg: ExperimentConfig) -> np.random.Generator:
 
 def _run_gs(cfg: ExperimentConfig) -> VerificationReport:
     scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
-    max_abs, frobenius = _identity_deviations(coherent_identity(cfg.cutoff, scheme))
+    side = cfg.trusted_block + 1
+    max_abs, frobenius = _identity_deviations(coherent_identity(cfg.cutoff, scheme)[:side, :side])
     return _report(cfg, max_abs, frobenius)
 
 

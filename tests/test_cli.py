@@ -47,6 +47,18 @@ class TestSingleExperiments:
         assert report["max_abs_deviation"] <= 1e-12
         assert "gs: PASS" in capsys.readouterr().out
 
+    # gs compares the leading trusted_block + 1 rows of its rule operator.  The 5 x 34 rule
+    # is exact up to occupation 9, so the block at 3 passes while the whole 17 x 17 operator,
+    # the default block, fails.
+    @pytest.mark.parametrize("block, code, deviation", [(3, 0, 0.0), (16, 1, 0.5183115874150104)])
+    def test_gs_compares_its_trusted_block(self, tmp_path, block, code, deviation):
+        data = {"experiment": "gs", "cutoff": 16, "radial_order": 5, "angular_order": 34, "trusted_block": block}
+        out = tmp_path / "report.json"
+        assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out), "--quiet"]) == code
+        report = json.loads(out.read_text())
+        assert report["trusted_block"] == block
+        assert abs(report["max_abs_deviation"] - deviation) <= 1e-14
+
     def test_anticlique_self_compression(self, tmp_path):
         # Generator parameters equal to the anticlique parameters compress
         # to scalar 1; cutoff 28 puts the ladder-edge loss below 1e-8.
