@@ -249,8 +249,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"cutoff_ladder {list(cutoff_ladder)} must be strictly increasing")
         for cut in cutoff_ladder:
             _check_size(f"the space at cutoff_ladder entry {cut}", cut + 1, 1, "rows")
-        if any(cut < trusted_block for cut in cutoff_ladder):
-            raise ConfigError("every cutoff_ladder entry must be >= trusted_block")
+        if cutoff_ladder[0] < trusted_block:
+            raise ConfigError(f"cutoff_ladder entry {cutoff_ladder[0]} is below trusted_block = {trusted_block}")
     if experiment in ("covariant_gs", "convergence"):
         # The kernel's powers alpha^k, k <= cutoff, overflow at the largest radial node past this limit.
         node = float(gauss_laguerre(radial_order).nodes[-1])

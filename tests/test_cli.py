@@ -314,6 +314,18 @@ class TestExitCodes:
         assert main(["--config", str(path), "--quiet"]) == 2
         assert capsys.readouterr().err == f"config error: cutoff_ladder {ladder} must be strictly increasing\n"
 
+    @pytest.mark.parametrize(
+        "data, entry, block",
+        [
+            ({"cutoff_ladder": [4, 12]}, 4, 8),
+            ({"cutoff": 20, "trusted_block": 10, "cutoff_ladder": [8, 9, 16]}, 8, 10),
+        ],
+    )
+    def test_cutoff_ladder_below_the_trusted_block_names_both(self, tmp_path, capsys, data, entry, block):
+        path = write_config(tmp_path, {"experiment": "convergence", **data})
+        assert main(["--config", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: cutoff_ladder entry {entry} is below trusted_block = {block}\n"
+
     # From cutoff 64 the quadrature experiments' derived default radial_order = cutoff + 1
     # passes the rule's bound; the message names that default, where the config never set it.
     @pytest.mark.parametrize("experiment", ["projection", "gs", "covariant_gs", "resolution"])
