@@ -145,8 +145,6 @@ def gauss_laguerre(order: int) -> RadialScheme:
     """
     if not 1 <= order <= MAX_RADIAL_ORDER:
         raise ValueError(f"order must be in [1, {MAX_RADIAL_ORDER}], got {order}")
-    if order == 1:
-        return RadialScheme(nodes=np.array([1.0]), weights=np.array([1.0]))
     off_diagonal = np.arange(1.0, order)
     jacobi = np.diag(2.0 * np.arange(order) + 1.0) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
     nodes = np.linalg.eigvalsh(jacobi)
