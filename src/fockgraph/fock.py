@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+
 import numpy as np
 
 __all__ = [
@@ -150,7 +151,7 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     # exp round differently in the last place), so that every entry keeps the
     # bits of the scalar closed form and reports reproduce byte for byte.
     s = np.array([abs(a) ** 2 for a in batch.tolist()])
-    # Rows are the exponent k = m - n: [alpha^k, (-conj alpha)^k] per amplitude.
+    # Rows are the order k = |m - n|: [alpha^k, (-conj alpha)^k] per amplitude.
     powers = np.empty((dim, 2, batch.size), dtype=complex)
     powers[0] = 1.0
     base = np.stack([batch, -batch.conj()])
@@ -176,6 +177,8 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     with np.errstate(over="ignore", invalid="ignore"):
         lag = laguerre_sequence(rows - 1, orders[:, None], s, scale=np.exp2(-shift))
     upper = (m < n).astype(np.intp)
+    # The grid is gathered amplitude-last, where each gather reads whole rows;
+    # the copy hands back the (K, rows, dim) stack C-contiguous.
     out = np.ascontiguousarray(np.moveaxis(ratio * powers[k, upper] * lag[low, k], -1, 0))
     if include_gaussian:
         out *= np.array([math.exp(-0.5 * v) for v in s])[:, None, None]

@@ -171,12 +171,13 @@ class TestDisplacementMatrix:
         alphas = rng.uniform(0.0, 7.0, 40) * np.exp(2j * math.pi * rng.uniform(size=40))
         for gaussian in (True, False):
             stack = displacement_matrix(alphas, cutoff, include_gaussian=gaussian)
-            assert stack.shape == (40, cutoff + 1, cutoff + 1)
+            assert stack.shape == (40, cutoff + 1, cutoff + 1) and stack.flags.c_contiguous
             for alpha, got in zip(alphas, stack):
                 assert np.array_equal(got, displacement_matrix(alpha, cutoff, include_gaussian=gaussian))
             # Building only the first rows gives those rows bitwise.
             for rows in (1, cutoff // 2 + 1, cutoff + 1):
-                assert np.array_equal(displacement_matrix(alphas, cutoff, gaussian, rows=rows), stack[:, :rows])
+                part = displacement_matrix(alphas, cutoff, gaussian, rows=rows)
+                assert part.flags.c_contiguous and np.array_equal(part, stack[:, :rows])
                 assert np.array_equal(displacement_matrix(alphas[0], cutoff, gaussian, rows=rows), stack[0, :rows])
 
     def test_powers_round_like_scalar_arithmetic(self):
