@@ -324,7 +324,8 @@ class TestExitCodes:
     def test_cutoff_ladder_below_the_trusted_block_names_both(self, tmp_path, capsys, data, entry, block):
         path = write_config(tmp_path, {"experiment": "convergence", **data})
         assert main(["--config", str(path), "--quiet"]) == 2
-        assert capsys.readouterr().err == f"config error: cutoff_ladder entry {entry} is below trusted_block = {block}\n"
+        err = capsys.readouterr().err
+        assert err == f"config error: cutoff_ladder entry {entry} is below trusted_block = {block}\n"
 
     # From cutoff 64 the quadrature experiments' derived default radial_order = cutoff + 1
     # passes the rule's bound; the message names that default, where the config never set it.
