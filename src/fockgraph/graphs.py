@@ -101,13 +101,53 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_bloc
     |alpha*phi_j1><alpha*phi_j1|, tail-factored.  Cross-checks the rank sum.
     With ``trusted_block`` set, it is the block on the trusted box.  Row m of
     the product column is alpha^N b_m / sqrt(N!), N = total[m], with b the
-    graded ladder on the box, so the integral is B C B^dag, C the rule
-    operator: entrywise b_m C[N_m, N_m'] conj(b_m'), as B's rows hold one entry.
+    graded ladder on the box, so the integral is B C B^dag, C the rule operator.
     """
-    occupations = np.indices((box_side(spec.cutoff, trusted_block),) * spec.modes).reshape(spec.modes, -1).T
+    side = box_side(spec.cutoff, trusted_block)
+    return _seed_block(spec, side, _rule_operator(spec.modes * (side - 1) + 1, scheme))
+
+
+def projection_deviations(spec: GraphSpec, scheme: PolarScheme, trusted_block: int) -> dict:
+    """Projector checks of P = B B^dag from B's graded entries, and of its box against the quadrature.
+
+    Column k of the seed basis B lives on the tuples of total occupation k,
+    sector k of ``_sector_plan(modes, cutoff + 1, cutoff)``, so B is read as
+    its entry on each tuple of total <= cutoff, and B^dag B is the diagonal
+    of the column norms s_k = ||b_k||^2.  P^2 - P = B (B^dag B - I) B^dag is
+    the direct sum of (s_k - 1) b_k b_k^dag.  Its max-abs is
+    max_k |s_k - 1| max_m |B[m, k]|^2, "trace" is |sum_k s_k - (cutoff + 1)|
+    with numpy's pairwise sum of the s_k in sector order, and "frobenius" is
+    ||P^2 - P||_F / ||P||_F = sqrt(sum (s_k - 1)^2 s_k^2 / sum s_k^2).  P is
+    Hermitian by construction.  On the trusted box P is :func:`_seed_block`
+    of diag(N <= cutoff), and "backend" is its max-abs distance from
+    :func:`seed_projector_quadrature`.  The other values are absolute deviations.
+    """
+    plan = _sector_plan(spec.modes, spec.cutoff + 1, spec.cutoff)
+    entries = _graded_ladder(spec, plan.occupations)
+    starts = [0, *(at.start for at in plan.sectors)]
+    squares = entries.real**2 + entries.imag**2
+    norms = np.add.reduceat(squares, starts)
+    idempotency = float(np.max(np.abs(norms - 1.0) * np.maximum.reduceat(squares, starts)))
+    frobenius = math.sqrt(float(np.sum((norms - 1.0) ** 2 * norms**2))) / math.sqrt(float(np.sum(norms**2)))
+    ladder_depth = np.diag(np.arange(spec.modes * trusted_block + 1) <= spec.cutoff) * 1.0
+    exact = _seed_block(spec, trusted_block + 1, ladder_depth)
+    return {
+        "idempotency": idempotency,
+        "trace": abs(float(np.sum(norms)) - (spec.cutoff + 1)),
+        "backend": float(np.max(np.abs(exact - seed_projector_quadrature(spec, scheme, trusted_block)))),
+        "frobenius": frobenius,
+    }
+
+
+def _seed_block(spec: GraphSpec, side: int, operator: np.ndarray) -> np.ndarray:
+    """B X B^dag on the row-major ``side``^n box, X = ``operator`` indexed by total occupation.
+
+    Entry (m, m') is b_m X[N_m, N_m'] conj(b_m'), with b the graded ladder on the box and N
+    the total occupation: B's rows hold one entry each, in column N.
+    """
+    occupations = np.indices((side,) * spec.modes).reshape(spec.modes, -1).T
     ladder, total = _graded_ladder(spec, occupations), occupations.sum(axis=1)
-    rule = _rule_operator(int(total[-1]) + 1, scheme)
-    return np.multiply.outer(ladder, ladder.conj()) * rule[np.ix_(total, total)]
+    return np.multiply.outer(ladder, ladder.conj()) * operator[np.ix_(total, total)]
 
 
 def _graded_ladder(spec: GraphSpec, occupations: np.ndarray) -> np.ndarray:

@@ -278,14 +278,14 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
     (widest box sector + modes) of them (a wider run takes a window alone),
     so a gather stays within CHUNK_ENTRIES entries and no array grows with
     the matched tuple pairs.
-    "direct" conjugates the seed projector B B^dag (B from ``graphs.seed_basis``)
-    by the Kronecker-product matrix at every node of the product grid and is
-    kept as the oracle.  With ``trusted_block`` set, the result is the block
-    on the occupations at or below it in every mode, in row-major order:
-    "rank" builds only that block, "direct" builds the whole operator and
-    slices it.
+    "direct" conjugates the seed projector B B^dag (``graphs._seed_block`` of
+    diag(N <= cutoff) on the whole box) by the Kronecker-product matrix at
+    every node of the product grid and is kept as the oracle.  With
+    ``trusted_block`` set, the result is the block on the occupations at or
+    below it in every mode, in row-major order: "rank" builds only that
+    block, "direct" builds the whole operator and slices it.
     """
-    from .graphs import GraphSpec, _class_plan, _rotation_sectors, seed_basis
+    from .graphs import GraphSpec, _class_plan, _rotation_sectors, _seed_block
 
     if not isinstance(spec, GraphSpec):
         raise TypeError("spec must be a GraphSpec")
@@ -334,19 +334,16 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
             if other != sector:
                 out[at_other[:, None], at] = block.conj().T
         return out
-    dim = spec.space.dim
-    basis = seed_basis(spec)
-    projector = serial_matmul(basis, basis.conj().T)
+    ladder_depth = np.diag(np.arange(spec.modes * spec.cutoff + 1) <= spec.cutoff) * 1.0
+    projector = _seed_block(spec, spec.cutoff + 1, ladder_depth)
     # The nodes angular-major, then radial, each weighted (1/pi) (2 pi/M) (w/2) = w/M.
     radial, weights = schemes.active_radial()
     amplitudes = np.exp(1j * schemes.angular.angles)[:, None] * np.sqrt(radial)
     table = list(zip(amplitudes.ravel(), np.tile(weights / schemes.angular.count, schemes.angular.count)))
-    acc = np.zeros((dim, dim), dtype=complex)
+    acc = np.zeros_like(projector)
     for nodes in itertools.product(table, repeat=spec.modes - 1):
         shifts = spec.phi[:, 1:] @ np.array([alpha for alpha, _ in nodes])
         displacement = kron_all([displacement_matrix(h, spec.cutoff, include_gaussian=False) for h in shifts])
         acc += math.prod(weight for _, weight in nodes) * (displacement @ projector @ displacement.conj().T)
-    if trusted_block is None:
-        return acc
-    idx = np.flatnonzero(np.indices((spec.cutoff + 1,) * spec.modes).max(axis=0) <= trusted_block)
+    idx = np.flatnonzero(np.indices((spec.cutoff + 1,) * spec.modes).max(axis=0) < rows)
     return acc[np.ix_(idx, idx)]

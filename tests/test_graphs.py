@@ -25,7 +25,6 @@ from fockgraph import (
     seed_basis,
     seed_projector_quadrature,
 )
-from fockgraph import runner
 from fockgraph.config import config_from_dict, dft_matrix
 from fockgraph.fock import displacement_matrix
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
@@ -152,7 +151,7 @@ class TestSeedProjector:
 
 
 class TestProjectionCheck:
-    """The runner's column-norm projector check against the dense one."""
+    """The column-norm projector check, ``graphs.projection_deviations``, against the dense one."""
 
     @staticmethod
     def projection_config(modes, cutoff, phi=None):
@@ -172,7 +171,8 @@ class TestProjectionCheck:
     def check_against_dense_oracle(self, modes, cutoff, phi=None):
         cfg = self.projection_config(modes, cutoff, phi)
         spec, _, quad, expected = self.dense_oracle(cfg)
-        got = runner._projection_deviations(spec, quad, cfg.trusted_block)
+        scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
+        got = fockgraph.graphs.projection_deviations(spec, scheme, cfg.trusted_block)
         assert got.keys() == expected.keys() - {"hermiticity"}
         # The check sums the sector norms, the oracle the dense diagonal in index order: the same terms in
         # another order.  Over these cases the two traces differ by at most one unit in the last place of
@@ -194,7 +194,7 @@ class TestProjectionCheck:
     @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8), (4, 4)])
     def test_dense_hermiticity_is_rounding_alone(self, modes, cutoff):
         # P = B B^dag is Hermitian by construction: P[i, j] and conj(P[j, i]) differ only by the rounding
-        # of one product (about eps/4 max|B|^2), which no defect in B can move, so the runner omits it.
+        # of one product (about eps/4 max|B|^2), which no defect in B can move, so the check omits it.
         for seed in range(5):
             cfg = self.projection_config(modes, cutoff, haar_unitary(modes, np.random.default_rng(seed)))
             _, basis, _, expected = self.dense_oracle(cfg)
@@ -221,7 +221,7 @@ class TestProjectionCheck:
             entries[occupations.sum(axis=1) == 5] *= 1.001
             return entries
 
-        monkeypatch.setattr(runner, "_graded_ladder", scaled)
+        monkeypatch.setattr(fockgraph.graphs, "_graded_ladder", scaled)
         cfg = self.projection_config(2, 16)
         report = run_experiment(cfg)
         assert report.passed is False
