@@ -206,10 +206,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"tolerance must be a positive finite real, got {tolerance!r}")
     tolerance = _as_float(tolerance, "tolerance")
 
+    cutoff_ladder = None
+    if experiment == "convergence":
+        raw_ladder = data.get("cutoff_ladder", list(DEFAULT_LADDER))
+        if not isinstance(raw_ladder, list) or not raw_ladder:
+            raise ConfigError("cutoff_ladder must be a nonempty list of integers")
+        cutoff_ladder = tuple(_require_int(v, "cutoff_ladder entry", minimum=4) for v in raw_ladder)
+        if any(low >= high for low, high in zip(cutoff_ladder, cutoff_ladder[1:])):
+            raise ConfigError(f"cutoff_ladder {list(cutoff_ladder)} must be strictly increasing")
+        for cut in cutoff_ladder:
+            _check_size(f"the space at cutoff_ladder entry {cut}", cut + 1, 1, "rows")
+    runs_at = cutoff if cutoff_ladder is None else cutoff_ladder[0]  # convergence runs at its ladder alone
     trusted_block = _require_int(
-        data.get("trusted_block", _default_trusted(experiment, n, cutoff)), "trusted_block", minimum=0
+        data.get("trusted_block", _default_trusted(experiment, n, runs_at)), "trusted_block", minimum=0
     )
-    if trusted_block > cutoff:
+    if cutoff_ladder is not None and runs_at < trusted_block:
+        raise ConfigError(f"cutoff_ladder entry {runs_at} is below trusted_block = {trusted_block}")
+    if trusted_block > runs_at:
         raise ConfigError(f"trusted_block {trusted_block} exceeds cutoff {cutoff}")
 
     seed = _require_int(data.get("seed", DEFAULT_SEED), "seed", minimum=0)
@@ -239,18 +252,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                     f"the tail-factored ladders overflow at n {n}, cutoff {cutoff}"
                 )
 
-    cutoff_ladder = None
-    if experiment == "convergence":
-        raw_ladder = data.get("cutoff_ladder", list(DEFAULT_LADDER))
-        if not isinstance(raw_ladder, list) or not raw_ladder:
-            raise ConfigError("cutoff_ladder must be a nonempty list of integers")
-        cutoff_ladder = tuple(_require_int(v, "cutoff_ladder entry", minimum=4) for v in raw_ladder)
-        if any(low >= high for low, high in zip(cutoff_ladder, cutoff_ladder[1:])):
-            raise ConfigError(f"cutoff_ladder {list(cutoff_ladder)} must be strictly increasing")
-        for cut in cutoff_ladder:
-            _check_size(f"the space at cutoff_ladder entry {cut}", cut + 1, 1, "rows")
-        if cutoff_ladder[0] < trusted_block:
-            raise ConfigError(f"cutoff_ladder entry {cutoff_ladder[0]} is below trusted_block = {trusted_block}")
     if experiment in ("covariant_gs", "convergence"):
         # The kernel's powers alpha^k, k <= cutoff, overflow at the largest radial node past this limit.
         node = float(gauss_laguerre(radial_order).nodes[-1])

@@ -317,7 +317,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "data, entry, block",
         [
-            ({"cutoff_ladder": [4, 12]}, 4, 8),
+            ({"trusted_block": 8, "cutoff_ladder": [4, 12]}, 4, 8),
             ({"cutoff": 20, "trusted_block": 10, "cutoff_ladder": [8, 9, 16]}, 8, 10),
         ],
     )

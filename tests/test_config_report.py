@@ -111,6 +111,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cutoff_ladder"):
             config_from_dict({"experiment": "convergence", "cutoff_ladder": []})
 
+    @pytest.mark.parametrize(
+        "data, block",
+        [
+            ({}, 6),
+            ({"cutoff_ladder": [4, 12]}, 2),
+            ({"cutoff_ladder": [4]}, 2),
+            ({"cutoff_ladder": [8, 16, 32, 64]}, 4),
+            ({"cutoff_ladder": [20, 40]}, 8),
+            ({"cutoff": 4, "cutoff_ladder": [16, 20]}, 8),
+            ({"cutoff": 4, "trusted_block": 6, "cutoff_ladder": [8, 12]}, 6),
+        ],
+    )
+    def test_convergence_block_follows_the_ladder(self, data, block):
+        # convergence runs at its ladder's cutoffs, never at `cutoff`: the first, the smallest, bounds its block.
+        assert config_from_dict({"experiment": "convergence", **data}).trusted_block == block
+
     def test_overrides_apply_before_defaults(self, tmp_path):
         path = write_config(tmp_path, minimal_config(cutoff=8))
         cfg = parse_config(path, overrides={"cutoff": 12, "seed": 7})
