@@ -315,6 +315,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: cutoff_ladder {ladder} must be strictly increasing\n"
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1]", "config {path} must be a JSON object"),
+            ('{"experiment": "projection", "n": 1}', "experiment 'projection' needs n >= 2, got 1"),
+        ],
+        ids=["not-an-object", "projection-one-mode"],
+    )
+    def test_config_input_checks(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["--config", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize(
         "data, entry, block",
         [
             ({"trusted_block": 8, "cutoff_ladder": [4, 12]}, 4, 8),

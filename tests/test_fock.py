@@ -42,6 +42,12 @@ def laguerre_direct(n, order, x, scale=1):
     return float(total * scale)
 
 
+def test_laguerre_sequence_rejects_a_negative_count():
+    with pytest.raises(ValueError) as caught:
+        laguerre_sequence(-1, 0, 1.0)
+    assert str(caught.value) == "count must be nonnegative"
+
+
 class TestLogFactorials:
     def test_matches_gammaln_to_the_largest_cutoff(self):
         # Every cutoff the schema accepts has cutoff + 1 <= MAX_DIM.

@@ -29,7 +29,7 @@ from fockgraph.config import config_from_dict, dft_matrix
 from fockgraph.fock import displacement_matrix
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
 from fockgraph.cli import main
-from fockgraph.graphs import _graded_ladder, _rotation_sectors, _sector_ladders, _sector_plan
+from fockgraph.graphs import _graded_ladder, _rotation_sectors, _sector_ladders, _sector_plan, _seed_block
 from fockgraph.quadrature import SERIAL_GEMM_MACS, serial_matmul
 from oracles import (
     dense_generator,
@@ -89,6 +89,30 @@ class TestGraphSpec:
         spec = GraphSpec(phi=phi, modes=2, cutoff=4)
         phi[0, 0] = 1.0
         assert np.array_equal(spec.phi, dft_matrix(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GraphSpec(phi=np.eye(2), modes=2, cutoff=0), "cutoff must be >= 1, got 0"),
+        (lambda: GeneratorParams(radii=[0.1, 0.2], phases=[0.0]), "radii and phases must have equal length"),
+        (
+            lambda: displaced_mode_amplitudes(
+                GraphSpec(phi=dft_matrix(3), modes=3, cutoff=4), GeneratorParams([0.1], [0.0])
+            ),
+            "expected 2 parameter pairs, got 1",
+        ),
+        (
+            lambda: compression_constant(GeneratorParams([0.1], [0.0]), GeneratorParams([0.1, 0.2], [0.0, 0.0])),
+            "parameter tuples must have equal length",
+        ),
+    ],
+    ids=["spec-cutoff-0", "params-unequal-lengths", "amplitudes-pair-count", "constant-unequal-tuples"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 class TestGeneratorParams:
@@ -214,6 +238,20 @@ class TestProjectionCheck:
         assert np.all(entries != 0)
         basis[at] = 0.0
         assert not basis.any()
+
+    @pytest.mark.parametrize("mixing", ["dft", "haar"])
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8), (4, 4)])
+    def test_seed_block_is_the_dense_projector_on_the_box(self, modes, cutoff, mixing):
+        # The check's exact block and the direct backend's projector: B diag(N <= cutoff) B^dag, at the
+        # default trusted box and on the whole box, whose rows of total past the cutoff hold exact zeros.
+        spec = GraphSpec(phi=mixing_matrix(modes, mixing, np.random.default_rng(modes)), modes=modes, cutoff=cutoff)
+        dense = seed_projector(spec)
+        for block in (cutoff // modes, cutoff):
+            got = _seed_block(spec, block + 1, np.diag(np.arange(modes * block + 1) <= cutoff) * 1.0)
+            box = np.flatnonzero(trusted_mask(spec.space, block))
+            assert np.abs(got - dense[np.ix_(box, box)]).max() <= 1e-15
+            total = occupations(spec.space)[box].sum(axis=1)
+            assert not got[(total[:, None] != total) | (total[:, None] > cutoff)].any()
 
     def test_scaled_column_fails_on_idempotency(self, monkeypatch):
         def scaled(spec, occupations):

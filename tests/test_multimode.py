@@ -46,6 +46,15 @@ def unitary_with_first_column(c, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+@pytest.mark.parametrize(
+    "modes, cutoff, message", [(0, 4, "modes must be >= 1, got 0"), (2, 0, "cutoff must be >= 1, got 0")]
+)
+def test_mode_space_input_checks(modes, cutoff, message):
+    with pytest.raises(ValueError) as caught:
+        ModeSpace(modes, cutoff)
+    assert str(caught.value) == message
+
+
 class TestIndexing:
     def test_origin(self):
         space = ModeSpace(2, 2)

@@ -606,6 +606,33 @@ class TestRadialScheme:
         assert scheme.nodes.tolist() == [0.5, 2.0] and scheme.weights.tolist() == [0.75, 0.25]
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: RadialScheme([0.5, 2.0], [1.0]), ValueError, "nodes and weights must be matching nonempty vectors"),
+        (lambda: RadialScheme([2.0, 0.5], [0.5, 0.5]), ValueError, "nodes must be strictly increasing and positive"),
+        (lambda: RadialScheme([0.5, 2.0], [1.5, -0.5]), ValueError, "weights must be positive"),
+        (lambda: RadialScheme([0.5, 2.0], [0.5, 0.25]), ValueError, "weights must sum to 1 (zeroth moment of exp(-s))"),
+        (lambda: AngularScheme(0), ValueError, "angular count must be >= 1, got 0"),
+        (lambda: coherent_identity(-1, polar_scheme(2, 4)), ValueError, "cutoff must be nonnegative"),
+        (lambda: graph_resolution(np.eye(4), polar_scheme(2, 4)), TypeError, "spec must be a GraphSpec"),
+    ],
+    ids=[
+        "radial-shapes",
+        "radial-node-order",
+        "radial-weight-sign",
+        "radial-weight-sum",
+        "angular-count",
+        "identity-cutoff",
+        "resolution-spec",
+    ],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 class TestAngularScheme:
     def test_kills_low_harmonics(self):
         count = 17
