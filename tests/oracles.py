@@ -7,8 +7,9 @@ oracles for it.  The Gauss-Laguerre rule with its Jacobi eigenvalues from
 scipy's tridiagonal eigensolver, the oracle for the dense one in
 ``quadrature.gauss_laguerre``, and the same rule to 50 digits by Newton's
 method from its nodes, its precision reference.  The seed projector checks
-on the projector ``B B^dag`` formed densely, which the runner reads from the
-column norms of the graded ``B``.  The graded seed entries to 50 digits
+on the projector ``B B^dag`` formed densely, which
+``graphs.projection_deviations`` reads from the column norms of the graded
+``B``.  The graded seed entries to 50 digits
 with ``fractions`` and ``decimal``, for a rational ``phi``: the precision
 reference for ``graphs._graded_ladder``, and the rule operator to 50
 digits, the precision reference for ``quadrature._rule_operator``.  The
@@ -189,7 +190,7 @@ def dense_projection_deviations(basis: np.ndarray, quad: np.ndarray, box: np.nda
     column of P is an exact zero, and at n=3 cutoff 16 (dim 4913) only 969
     rows remain.  The trace sums P's whole diagonal in index order, zeros
     included, as ``np.trace`` of the full P does.  Keys and meanings as in
-    the runner's graded check, which omits the hermiticity.
+    ``graphs.projection_deviations``, which omits the hermiticity.
     """
     support = np.flatnonzero(np.any(basis != 0, axis=1))
     rows = basis[support]
