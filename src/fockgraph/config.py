@@ -220,7 +220,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     trusted_block = _require_int(
         data.get("trusted_block", _default_trusted(experiment, n, runs_at)), "trusted_block", minimum=0
     )
-    if cutoff_ladder is not None and runs_at < trusted_block:
+    if trusted_block > runs_at and cutoff_ladder is not None:
         raise ConfigError(f"cutoff_ladder entry {runs_at} is below trusted_block = {trusted_block}")
     if trusted_block > runs_at:
         raise ConfigError(f"trusted_block {trusted_block} exceeds cutoff {cutoff}")
