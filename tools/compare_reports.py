@@ -11,7 +11,9 @@ the deepest sectors of both number-operator sweeps (``resolution`` at n = 2
 cutoffs 56 and 63, ``anticlique`` at n = 2 cutoff 56),
 ``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3,
 ``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40, n = 4
-cutoff 8), at n = 5 (cutoff 5) and with trusted boxes past ``cutoff // n``,
+cutoff 8), at n = 5 (cutoff 5), with trusted boxes past ``cutoff // n``
+and where its quadrature comparison decides a FAIL (aliased rules at n = 2
+and at n = 3 on the whole box, and n = 2 cutoff 40 on the whole box),
 the n = 4, 5 and 6 defaults (cutoff 16) of ``projection``, ``resolution``
 and ``anticlique``, which the dimension guard rejects (exit 2), and one-mode
 rules from exact to aliased and past the kernel's scaling range.
@@ -69,6 +71,15 @@ CASES = [
     ("projection n3 c8 t3", {"experiment": "projection", "n": 3, "cutoff": 8, "trusted_block": 3}),
     ("projection n4 c8", {"experiment": "projection", "n": 4, "cutoff": 8}),
     ("projection n5 c5", {"experiment": "projection", "n": 5, "cutoff": 5}),
+    (
+        "projection n2 c16 Q3 M5",
+        {"experiment": "projection", "n": 2, "cutoff": 16, "radial_order": 3, "angular_order": 5},
+    ),
+    (
+        "projection n3 c8 t8 Q2 M3",
+        {"experiment": "projection", "n": 3, "cutoff": 8, "trusted_block": 8, "radial_order": 2, "angular_order": 3},
+    ),
+    ("projection n2 c40 t40", {"experiment": "projection", "n": 2, "cutoff": 40, "trusted_block": 40}),
     *(
         (f"{experiment} n{n} defaults", {"experiment": experiment, "n": n})
         for n in (4, 5, 6)
