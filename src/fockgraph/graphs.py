@@ -18,7 +18,9 @@ import numpy as np
 
 from .multimode import ModeSpace, validate_unitary
 from .fock import _log_factorials, unnormalized_coherent
-from .quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, PolarScheme, _rule_operator, box_side, serial_matmul
+from .quadrature import (
+    CHUNK_ENTRIES, SERIAL_GEMM_MACS, PolarScheme, _rule_operator, box_side, coherent_identity, serial_matmul
+)
 
 __all__ = [
     "CompressionResult",
@@ -110,17 +112,17 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_bloc
 def projection_deviations(spec: GraphSpec, scheme: PolarScheme, trusted_block: int) -> dict:
     """Projector checks of P = B B^dag from B's graded entries, and of its box against the quadrature.
 
-    Column k of the seed basis B lives on the tuples of total occupation k,
-    sector k of ``_sector_plan(modes, cutoff + 1, cutoff)``, so B is read as
-    its entry on each tuple of total <= cutoff, and B^dag B is the diagonal
-    of the column norms s_k = ||b_k||^2.  P^2 - P = B (B^dag B - I) B^dag is
-    the direct sum of (s_k - 1) b_k b_k^dag.  Its max-abs is
-    max_k |s_k - 1| max_m |B[m, k]|^2, "trace" is |sum_k s_k - (cutoff + 1)|
-    with numpy's pairwise sum of the s_k in sector order, and "frobenius" is
-    ||P^2 - P||_F / ||P||_F = sqrt(sum (s_k - 1)^2 s_k^2 / sum s_k^2).  P is
-    Hermitian by construction.  On the trusted box P is :func:`_seed_block`
-    of diag(N <= cutoff), and "backend" is its max-abs distance from
-    :func:`seed_projector_quadrature`.  The other values are absolute deviations.
+    Column k of the seed basis B lives on the tuples of total occupation k, sector k of
+    ``_sector_plan(modes, cutoff + 1, cutoff)``, so B is read as its entry on each tuple of
+    total <= cutoff, and B^dag B is the diagonal of the column norms s_k = ||b_k||^2.
+    P^2 - P = B (B^dag B - I) B^dag is the direct sum of (s_k - 1) b_k b_k^dag.  Its max-abs
+    is max_k |s_k - 1| max_m |B[m, k]|^2, "trace" is |sum_k s_k - (cutoff + 1)| with numpy's
+    pairwise sum of the s_k in sector order, and "frobenius" is ||P^2 - P||_F / ||P||_F =
+    sqrt(sum (s_k - 1)^2 s_k^2 / sum s_k^2).  P is Hermitian by construction.  "backend" is
+    the max-abs of P - B C B^dag on the trusted box, C the rule operator
+    (:func:`seed_projector_quadrature`): entry (m, m') is |b_m| |b_m'| |D - C|[N_m, N_m'],
+    D = diag(N <= cutoff), so it is the largest peak_N peak_N' |D - C|[N, N'], peak_N the
+    largest |b_m| of total N on the box.  The others are absolute deviations.
     """
     plan = _sector_plan(spec.modes, spec.cutoff + 1, spec.cutoff)
     entries = _graded_ladder(spec, plan.occupations)
@@ -129,12 +131,13 @@ def projection_deviations(spec: GraphSpec, scheme: PolarScheme, trusted_block: i
     norms = np.add.reduceat(squares, starts)
     idempotency = float(np.max(np.abs(norms - 1.0) * np.maximum.reduceat(squares, starts)))
     frobenius = math.sqrt(float(np.sum((norms - 1.0) ** 2 * norms**2))) / math.sqrt(float(np.sum(norms**2)))
-    ladder_depth = np.diag(np.arange(spec.modes * trusted_block + 1) <= spec.cutoff) * 1.0
-    exact = _seed_block(spec, trusted_block + 1, ladder_depth)
+    box = _sector_plan(spec.modes, trusted_block + 1)
+    peaks = np.maximum.reduceat(np.abs(_graded_ladder(spec, box.occupations)), [0, *(at.start for at in box.sectors)])
+    gap = np.abs(np.diag(np.arange(len(peaks)) <= spec.cutoff) - coherent_identity(spec.modes * trusted_block, scheme))
     return {
         "idempotency": idempotency,
         "trace": abs(float(np.sum(norms)) - (spec.cutoff + 1)),
-        "backend": float(np.max(np.abs(exact - seed_projector_quadrature(spec, scheme, trusted_block)))),
+        "backend": float(np.max(np.multiply.outer(peaks, peaks) * gap)),
         "frobenius": frobenius,
     }
 
@@ -142,8 +145,8 @@ def projection_deviations(spec: GraphSpec, scheme: PolarScheme, trusted_block: i
 def _seed_block(spec: GraphSpec, side: int, operator: np.ndarray) -> np.ndarray:
     """B X B^dag on the row-major ``side``^n box, X = ``operator`` indexed by total occupation.
 
-    Entry (m, m') is b_m X[N_m, N_m'] conj(b_m'), with b the graded ladder on the box and N
-    the total occupation: B's rows hold one entry each, in column N.
+    Entry (m, m') is b_m X[N_m, N_m'] conj(b_m'), with b the graded ladder on the box and N the
+    total occupation: the quadrature block and the ``direct`` backend's whole-box projector.
     """
     occupations = np.indices((side,) * spec.modes).reshape(spec.modes, -1).T
     ladder, total = _graded_ladder(spec, occupations), occupations.sum(axis=1)
