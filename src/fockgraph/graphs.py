@@ -112,9 +112,9 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_bloc
 def projection_deviations(spec: GraphSpec, scheme: PolarScheme, trusted_block: int) -> dict:
     """Projector checks of P = B B^dag from B's graded entries, and of its box against the quadrature.
 
-    Column k of the seed basis B lives on the tuples of total occupation k, sector k of
-    ``_sector_plan(modes, cutoff + 1, cutoff)``, so B is read as its entry on each tuple of
-    total <= cutoff, and B^dag B is the diagonal of the column norms s_k = ||b_k||^2.
+    B is graded once, on ``_sector_plan(modes, cutoff + 1, max(cutoff, modes t))``, t the
+    trusted block.  Column k of B lives on sector k (the tuples of total occupation k), so
+    B^dag B is the diagonal of the column norms s_k = ||b_k||^2 over sectors k <= cutoff.
     P^2 - P = B (B^dag B - I) B^dag is the direct sum of (s_k - 1) b_k b_k^dag.  Its max-abs
     is max_k |s_k - 1| max_m |B[m, k]|^2, "trace" is |sum_k s_k - (cutoff + 1)| with numpy's
     pairwise sum of the s_k in sector order, and "frobenius" is ||P^2 - P||_F / ||P||_F =
@@ -122,18 +122,20 @@ def projection_deviations(spec: GraphSpec, scheme: PolarScheme, trusted_block: i
     the max-abs of P - B C B^dag on the trusted box, C the rule operator
     (:func:`seed_projector_quadrature`): entry (m, m') is |b_m| |b_m'| |D - C|[N_m, N_m'],
     D = diag(N <= cutoff), so it is the largest peak_N peak_N' |D - C|[N, N'], peak_N the
-    largest |b_m| of total N on the box.  The others are absolute deviations.
+    largest |b_m| of total N over the plan's tuples with every occupation <= t (the others
+    read as 0, and a NaN propagates).  The others are absolute deviations.
     """
-    plan = _sector_plan(spec.modes, spec.cutoff + 1, spec.cutoff)
+    top = spec.modes * trusted_block
+    plan = _sector_plan(spec.modes, spec.cutoff + 1, max(spec.cutoff, top))
     entries = _graded_ladder(spec, plan.occupations)
     starts = [0, *(at.start for at in plan.sectors)]
     squares = entries.real**2 + entries.imag**2
-    norms = np.add.reduceat(squares, starts)
-    idempotency = float(np.max(np.abs(norms - 1.0) * np.maximum.reduceat(squares, starts)))
+    norms = np.add.reduceat(squares, starts)[: spec.cutoff + 1]
+    idempotency = float(np.max(np.abs(norms - 1.0) * np.maximum.reduceat(squares, starts)[: spec.cutoff + 1]))
     frobenius = math.sqrt(float(np.sum((norms - 1.0) ** 2 * norms**2))) / math.sqrt(float(np.sum(norms**2)))
-    box = _sector_plan(spec.modes, trusted_block + 1)
-    peaks = np.maximum.reduceat(np.abs(_graded_ladder(spec, box.occupations)), [0, *(at.start for at in box.sectors)])
-    gap = np.abs(np.diag(np.arange(len(peaks)) <= spec.cutoff) - coherent_identity(spec.modes * trusted_block, scheme))
+    boxed = np.where(np.all(plan.occupations <= trusted_block, axis=1), np.abs(entries), 0.0)
+    peaks = np.maximum.reduceat(boxed, starts)[: top + 1]
+    gap = np.abs(np.diag(np.arange(top + 1) <= spec.cutoff) - coherent_identity(top, scheme))
     return {
         "idempotency": idempotency,
         "trace": abs(float(np.sum(norms)) - (spec.cutoff + 1)),
@@ -258,19 +260,6 @@ def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
         array.flags.writeable = False
     views = (tuple(array[:, at] for at in sectors) for array in (lower, weight, lifted, roots))
     return _SectorPlan(order, occupations, sectors, *views)
-
-
-@functools.lru_cache(maxsize=None)
-def _trusted_sector_rows(modes: int, rows: int, top: int) -> np.ndarray:
-    """Positions in ``_sector_plan(modes, rows)`` of the tuples with every occupation <= ``top``, top sector first.
-
-    compression_check's Y_t takes these rows of Y_x, so that S = Y_t^dag Y_t
-    sums a ladder's small entries first.  With ``top = rows - 1`` they are
-    the whole box, reversed.  Cached per ``(modes, rows, top)``; read-only.
-    """
-    positions = np.flatnonzero(_sector_plan(modes, rows).occupations.max(axis=1) <= top)[::-1].copy()
-    positions.flags.writeable = False
-    return positions
 
 
 class _ClassPlan(NamedTuple):
@@ -557,7 +546,8 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
         gram *= gauss[chunk]
         combined += np.einsum("p,ikp,lkp->il", scale[chunk], gram, gram.conj())
 
-    ladder = ladder[_trusted_sector_rows(spec.modes, rank, top)]
+    # Y_t: the box plan's positions with every occupation <= top, top sector first, so S sums small entries first.
+    ladder = ladder[np.flatnonzero(np.all(_sector_plan(spec.modes, rank).occupations <= top, axis=1))[::-1]]
     overlap = matmul(ladder.conj().T, ladder)
     overlap_norm = float(np.linalg.norm(overlap))
     if overlap_norm == 0.0:

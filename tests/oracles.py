@@ -9,7 +9,8 @@ scipy's tridiagonal eigensolver, the oracle for the dense one in
 method from its nodes, its precision reference.  The seed projector checks
 on the projector ``B B^dag`` formed densely, which
 ``graphs.projection_deviations`` reads from the column norms of the graded
-``B``.  The graded seed entries to 50 digits
+``B``, and the same check with ``B`` graded on two sector plans, the
+reference for its one plan.  The graded seed entries to 50 digits
 with ``fractions`` and ``decimal``, for a rational ``phi``: the precision
 reference for ``graphs._graded_ladder``, and the rule operator to 50
 digits, the precision reference for ``quadrature._rule_operator``.  The
@@ -53,9 +54,9 @@ from fockgraph import (
     kron_all,
     seed_basis,
 )
-from fockgraph.graphs import _compression_residual, _sector_plan
+from fockgraph.graphs import _compression_residual, _graded_ladder, _sector_plan
 from fockgraph.multimode import ModeSpace
-from fockgraph.quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, serial_matmul
+from fockgraph.quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, coherent_identity, serial_matmul
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
@@ -205,6 +206,33 @@ def dense_projection_deviations(basis: np.ndarray, quad: np.ndarray, box: np.nda
         "trace": abs(float(np.sum(diagonal).real) - basis.shape[1]),
         "backend": float(np.abs(boxed @ boxed.conj().T - quad).max()),
         "frobenius": float(np.linalg.norm(residual) / np.linalg.norm(projector)),
+    }
+
+
+def two_plan_projection_deviations(spec, scheme, trusted_block: int) -> dict:
+    """``graphs.projection_deviations`` on two sector plans, each graded on its own.
+
+    The column norms, idempotency, trace and Frobenius values from the
+    capped plan ``_sector_plan(modes, cutoff + 1, cutoff)``, and the
+    backend's ``peaks`` from the trusted box's own plan
+    ``_sector_plan(modes, trusted_block + 1)``: the reference that the
+    one-plan check must equal bit for bit.
+    """
+    plan = _sector_plan(spec.modes, spec.cutoff + 1, spec.cutoff)
+    entries = _graded_ladder(spec, plan.occupations)
+    starts = [0, *(at.start for at in plan.sectors)]
+    squares = entries.real**2 + entries.imag**2
+    norms = np.add.reduceat(squares, starts)
+    idempotency = float(np.max(np.abs(norms - 1.0) * np.maximum.reduceat(squares, starts)))
+    frobenius = math.sqrt(float(np.sum((norms - 1.0) ** 2 * norms**2))) / math.sqrt(float(np.sum(norms**2)))
+    box = _sector_plan(spec.modes, trusted_block + 1)
+    peaks = np.maximum.reduceat(np.abs(_graded_ladder(spec, box.occupations)), [0, *(at.start for at in box.sectors)])
+    gap = np.abs(np.diag(np.arange(len(peaks)) <= spec.cutoff) - coherent_identity(spec.modes * trusted_block, scheme))
+    return {
+        "idempotency": idempotency,
+        "trace": abs(float(np.sum(norms)) - (spec.cutoff + 1)),
+        "backend": float(np.max(np.multiply.outer(peaks, peaks) * gap)),
+        "frobenius": frobenius,
     }
 
 

@@ -47,6 +47,7 @@ from oracles import (
     seed_projector,
     trusted_mask,
     two_mode_sweeps_reference,
+    two_plan_projection_deviations,
 )
 
 
@@ -233,6 +234,54 @@ class TestProjectionCheck:
         # Aliased rules, and whole boxes, whose totals past the cutoff the integral reaches and P does not.
         phi = None if mixing == "dft" else haar_unitary(modes, np.random.default_rng(modes * cutoff))
         self.check_against_dense_oracle(modes, cutoff, phi, **fields)
+
+    # Blocks inside, at and past cutoff // n, and whole boxes, where the plan runs past the cutoff.
+    @pytest.mark.parametrize("mixing", ["dft", "haar"])
+    @pytest.mark.parametrize(
+        "modes, cutoff, block",
+        [(2, 16, 3), (2, 16, 8), (2, 16, 12), (3, 8, 2), (3, 8, 8), (3, 16, 5), (2, 40, 40), (4, 6, 1)],
+    )
+    def test_one_plan_equals_the_two_plan_reference_bitwise(self, modes, cutoff, block, mixing):
+        phi = None if mixing == "dft" else haar_unitary(modes, np.random.default_rng(modes * cutoff))
+        cfg = self.projection_config(modes, cutoff, phi, trusted_block=block)
+        spec = GraphSpec(phi=cfg.phi, modes=modes, cutoff=cutoff)
+        scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
+        got = fockgraph.graphs.projection_deviations(spec, scheme, block)
+        expected = two_plan_projection_deviations(spec, scheme, block)
+        assert list(got) == list(expected)
+        for key, value in expected.items():
+            assert np.float64(got[key]).tobytes() == np.float64(value).tobytes(), key
+
+    @pytest.mark.parametrize("modes, cutoff, block", [(2, 16, 8), (2, 16, 12), (3, 8, 8)])
+    def test_grades_once_on_one_plan(self, monkeypatch, modes, cutoff, block):
+        calls = []
+
+        def counted(name):
+            original = getattr(fockgraph.graphs, name)
+            return lambda *args: calls.append(name) or original(*args)
+
+        for name in ("_sector_plan", "_graded_ladder"):
+            monkeypatch.setattr(fockgraph.graphs, name, counted(name))
+        spec = GraphSpec(phi=dft_matrix(modes), modes=modes, cutoff=cutoff)
+        fockgraph.graphs.projection_deviations(spec, polar_scheme(cutoff + 1, 2 * cutoff + 2), block)
+        assert sorted(calls) == ["_graded_ladder", "_sector_plan"]
+
+    def test_peaks_read_the_box_alone_and_keep_a_nan(self, monkeypatch):
+        # n=2 cutoff 16 at block 12: the plan holds every tuple of total <= 24, and (12, 12) is in the box,
+        # (16, 8) is not.  A NaN on a box tuple past the cutoff reaches only the backend, and stays NaN.
+        spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=16)
+        scheme = polar_scheme(17, 34)
+        for poisoned, backend_is_nan in (((12, 12), True), ((16, 8), False)):
+
+            def nan_at(spec, occupations, poisoned=poisoned):
+                entries = _graded_ladder(spec, occupations)
+                entries[np.all(occupations == poisoned, axis=1)] = np.nan
+                return entries
+
+            monkeypatch.setattr(fockgraph.graphs, "_graded_ladder", nan_at)
+            got = fockgraph.graphs.projection_deviations(spec, scheme, 12)
+            assert math.isnan(got.pop("backend")) is backend_is_nan
+            assert all(math.isfinite(value) for value in got.values())
 
     @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 8), (4, 4)])
     def test_dense_hermiticity_is_rounding_alone(self, modes, cutoff):
@@ -879,6 +928,30 @@ class TestGramSweep:
         self.recording(monkeypatch, recorded)
         compression_check(*runner_case(3, cutoff, 0))
         assert recorded == sweeps
+
+    @pytest.mark.parametrize(
+        "modes, cutoff, seed, trusted_block", [(2, 16, 42, 5), (3, 8, 5, 6), (3, 8, 0, None), (4, 6, 1, 3)]
+    )
+    def test_trusted_rows_are_the_box_plan_rows_top_sector_first(self, monkeypatch, modes, cutoff, seed, trusted_block):
+        # Y_t is the anticlique's columns of the first sweep at the trusted box's rows, taken by decreasing
+        # total and, within a total, by decreasing row-major index: the box plan's order, reversed.
+        sweeps = []
+
+        def recording(spec, shifts, rows):
+            sweeps.append((len(shifts), _sector_ladders(spec, shifts, rows)))
+            return sweeps[-1][1]
+
+        monkeypatch.setattr(fockgraph.graphs, "_sector_ladders", recording)
+        spec, anticlique, generators = runner_case(modes, cutoff, seed)
+        residual = fockgraph.graphs._compression_residual(spec, anticlique, generators, None, trusted_block)
+        count, sweep = sweeps[0]
+        tuples = occupations(spec.space)
+        inside = np.flatnonzero(tuples.max(axis=1) <= (cutoff if trusted_block is None else trusted_block))
+        rows = inside[np.lexsort((inside, tuples[inside].sum(axis=1)))[::-1]]
+        position = np.argsort(_sector_plan(modes, cutoff + 1).order)
+        shifts = np.array([displaced_mode_amplitudes(spec, p) for p in (anticlique, *generators)])
+        gauss = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))[0]
+        assert np.array_equal(residual.ladder, sweep[position[rows], ::count] * gauss)
 
     def test_serial_sweeps_keep_every_gemm_within_budget(self, monkeypatch):
         # Nine points at n=3 cutoff 8 go four to a sweep, so two rows of a Gram product

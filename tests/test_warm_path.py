@@ -18,7 +18,7 @@ import pytest
 from fockgraph import cli, config, fock, graphs, quadrature
 from fockgraph.cli import main
 from fockgraph.config import dft_matrix
-from fockgraph.graphs import GraphSpec, _sector_plan
+from fockgraph.graphs import GraphSpec
 from oracles import expm_displacement_oracle
 from test_cli import normalize_runtime, package_env, write_config
 
@@ -102,11 +102,6 @@ def reference_sector_plan(modes, rows, top=None):
     )
 
 
-def reference_sector_rows(modes, rows, top):
-    occupations = _sector_plan(modes, rows).occupations
-    return np.flatnonzero(occupations.max(axis=1) <= top)[::-1]
-
-
 def reference_class_plan(modes, rows, cutoff, angular):
     # The rotated tuples, total by total from the (T+1)^n box.  A sector's members (level <= cutoff) sort by
     # class, the level and then the residues mod M, and by position; the members of all sectors are numbered
@@ -157,11 +152,6 @@ CACHES = {
         graphs._sector_plan,
         reference_sector_plan,
         [(3, 5), (2, 5), (2, 8), (2, 8, 9), (2, 8, 4), (3, 5)],
-    ),
-    "trusted_sector_rows": (
-        graphs._trusted_sector_rows,
-        reference_sector_rows,
-        [(3, 9, 8), (2, 9, 8), (2, 17, 8), (2, 17, 16), (2, 17, 4), (3, 9, 8)],
     ),
     "class_plan": (
         graphs._class_plan,
