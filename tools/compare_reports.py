@@ -3,7 +3,7 @@
 Each line holds the case name, the ``verify`` exit code, what ``verify``
 wrote to stderr (the ``config error:`` line, or empty) and the JSON reports
 the case wrote, without ``runtime_ms``, the one field that is not
-deterministic.  The set covers the default suite over thirteen seeds, every
+deterministic.  The 78 cases cover the default suite over thirteen seeds, every
 experiment at n = 2, 3 and 4, ``resolution`` at its n = 3 defaults (cutoff
 16), at n = 5, n = 3 cutoff 18 and n = 4 cutoff 8 and with aliased rules
 (at M = 1 every sector pair couples),
@@ -15,8 +15,9 @@ cutoff 8), at n = 5 (cutoff 5), with trusted boxes past ``cutoff // n``
 and where its quadrature comparison decides a FAIL (aliased rules at n = 2
 and at n = 3 on the whole box, and n = 2 cutoff 40 on the whole box),
 the n = 4, 5 and 6 defaults (cutoff 16) of ``projection``, ``resolution``
-and ``anticlique``, which the dimension guard rejects (exit 2), and one-mode
-rules from exact to aliased and past the kernel's scaling range.
+and ``anticlique``, which the dimension guard rejects (exit 2), one-mode
+rules from exact to aliased and past the kernel's scaling range, and
+``convergence`` with its ladder above ``cutoff``.
 Two checkouts give byte-identical output exactly when every report and exit
 code agrees:
 
@@ -112,6 +113,7 @@ CASES = [
     ),
     ("convergence ladder 8-64", {"experiment": "convergence", "cutoff_ladder": [8, 16, 32, 64]}),
     ("convergence ladder [4, 12]", {"experiment": "convergence", "cutoff_ladder": [4, 12]}),
+    ("convergence c4 ladder [16, 20]", {"experiment": "convergence", "cutoff": 4, "cutoff_ladder": [16, 20]}),
     ("resolution n2 c40", {"experiment": "resolution", "n": 2, "cutoff": 40}),
     ("resolution n2 c56", {"experiment": "resolution", "n": 2, "cutoff": 56}),
     ("resolution n2 c63", {"experiment": "resolution", "n": 2, "cutoff": 63}),
