@@ -186,26 +186,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _check_size(f"the space at cutoff {cutoff}", cutoff + 1, 1, "rows")
     phi = _parse_phi(data.get("phi"), n)
 
-    # anticlique reads no quadrature, so its derived default must not exceed the rule's bound.
-    default_radial = min(cutoff + 1, MAX_RADIAL_ORDER) if experiment == "anticlique" else cutoff + 1
-    radial_order = _require_int(data.get("radial_order", default_radial), "radial_order", minimum=1)
-    if radial_order > MAX_RADIAL_ORDER:
-        if "radial_order" in data:
-            raise ConfigError(f"radial_order must be <= {MAX_RADIAL_ORDER}, got {radial_order}")
-        raise ConfigError(
-            f"radial_order must be <= {MAX_RADIAL_ORDER}, got the default cutoff + 1 = {radial_order}; "
-            f"set radial_order <= {MAX_RADIAL_ORDER} in the config"
-        )
-    angular_order = _require_int(data.get("angular_order", 2 * cutoff + 2), "angular_order", minimum=1)
-    if experiment != "anticlique":
-        rule = f"radial_order {radial_order} x angular_order {angular_order}"
-        _check_size(f"the {experiment} quadrature at {rule}", radial_order * angular_order, 1, "nodes")
-
-    tolerance = data.get("tolerance", _DEFAULT_TOLERANCE[experiment])
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
-        raise ConfigError(f"tolerance must be a positive finite real, got {tolerance!r}")
-    tolerance = _as_float(tolerance, "tolerance")
-
     cutoff_ladder = None
     if experiment == "convergence":
         raw_ladder = data.get("cutoff_ladder", list(DEFAULT_LADDER))
@@ -216,6 +196,29 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"cutoff_ladder {list(cutoff_ladder)} must be strictly increasing")
         for cut in cutoff_ladder:
             _check_size(f"the space at cutoff_ladder entry {cut}", cut + 1, 1, "rows")
+    # The default rule follows the largest cutoff the experiment runs at: for convergence, its ladder's last entry.
+    top = cutoff if cutoff_ladder is None else cutoff_ladder[-1]
+    # anticlique reads no quadrature, so its derived default must not exceed the rule's bound.
+    default_radial = min(top + 1, MAX_RADIAL_ORDER) if experiment == "anticlique" else top + 1
+    radial_order = _require_int(data.get("radial_order", default_radial), "radial_order", minimum=1)
+    if radial_order > MAX_RADIAL_ORDER:
+        if "radial_order" in data:
+            raise ConfigError(f"radial_order must be <= {MAX_RADIAL_ORDER}, got {radial_order}")
+        source = "cutoff" if cutoff_ladder is None else f"cutoff_ladder entry {top}"
+        raise ConfigError(
+            f"radial_order must be <= {MAX_RADIAL_ORDER}, got the default {source} + 1 = {radial_order}; "
+            f"set radial_order <= {MAX_RADIAL_ORDER} in the config"
+        )
+    angular_order = _require_int(data.get("angular_order", 2 * top + 2), "angular_order", minimum=1)
+    if experiment != "anticlique":
+        rule = f"radial_order {radial_order} x angular_order {angular_order}"
+        _check_size(f"the {experiment} quadrature at {rule}", radial_order * angular_order, 1, "nodes")
+
+    tolerance = data.get("tolerance", _DEFAULT_TOLERANCE[experiment])
+    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
+        raise ConfigError(f"tolerance must be a positive finite real, got {tolerance!r}")
+    tolerance = _as_float(tolerance, "tolerance")
+
     runs_at = cutoff if cutoff_ladder is None else cutoff_ladder[0]  # convergence runs at its ladder alone
     trusted_block = _require_int(
         data.get("trusted_block", _default_trusted(experiment, n, runs_at)), "trusted_block", minimum=0
@@ -256,7 +259,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         # The kernel's powers alpha^k, k <= cutoff, overflow at the largest radial node past this limit.
         node = float(gauss_laguerre(radial_order).nodes[-1])
         limit = int(math.log(np.finfo(float).max) / (0.5 * math.log(node))) if node > 1.0 else math.inf
-        top = max(cutoff_ladder or (cutoff,))
         if top > limit:
             raise ConfigError(f"cutoff {top} exceeds {limit}: alpha^cutoff overflows at radial_order {radial_order}")
 

@@ -162,6 +162,16 @@ class TestSingleExperiments:
         assert code == 0
         assert json.loads(out.read_text())["pass"] is True
 
+    def test_convergence_rule_is_exact_at_a_ladder_above_cutoff(self, tmp_path):
+        # The default rule follows the ladder's last entry, 21 x 42, not cutoff 4's 5 x 10, under which
+        # the integral at cutoffs 16 and 20 FAILed at 0.1188.
+        data = {"experiment": "convergence", "cutoff": 4, "cutoff_ladder": [16, 20]}
+        out = tmp_path / "ladder.json"
+        assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out), "--quiet"]) == 0
+        report = json.loads(out.read_text())
+        assert (report["parameters"]["radial_order"], report["parameters"]["angular_order"]) == (21, 42)
+        assert report["max_abs_deviation"] <= 1e-14
+
 
 class TestAliasingPins:
     """Under-resolved angular rules keep the deviations of the full node grid.
@@ -355,6 +365,17 @@ class TestExitCodes:
         assert main(["--config", str(path), "--quiet"]) == 2
         assert capsys.readouterr().err == "config error: radial_order must be <= 64, got 65\n"
 
+    # The derived convergence rule follows the ladder's last entry, so past entry 63 it passes the bound.
+    @pytest.mark.parametrize("ladder", [[8, 16, 32, 64], [70]])
+    def test_derived_convergence_rule_names_the_ladder_entry(self, tmp_path, capsys, ladder):
+        path = write_config(tmp_path, {"experiment": "convergence", "cutoff_ladder": ladder})
+        assert main(["--config", str(path), "--quiet"]) == 2
+        top = ladder[-1]
+        assert capsys.readouterr().err == (
+            f"config error: radial_order must be <= 64, got the default cutoff_ladder entry {top} + 1 = {top + 1}; "
+            "set radial_order <= 64 in the config\n"
+        )
+
     # Each of these asks for more than MAX_DIM = 8192 rows or MAX_NODES =
     # 1048576 quadrature nodes; the guard rejects them before any array or
     # scheme is built, n = 10**9 and angular_order = 10**18 included.
@@ -373,7 +394,7 @@ class TestExitCodes:
             ({"experiment": "gs", "n": 8192}, "phi needs more than MAX_DIM = 8192 entries", "MAX_DIM = 8192"),
             ({"experiment": "convergence", "n": 91}, "phi needs more than MAX_DIM = 8192 entries", "MAX_DIM = 8192"),
             (
-                {"experiment": "convergence", "cutoff": 200000, "radial_order": 8},
+                {"experiment": "convergence", "radial_order": 8, "angular_order": 400002},
                 "angular_order 400002",
                 "MAX_NODES = 1048576",
             ),
@@ -404,7 +425,7 @@ class TestExitCodes:
                 "cutoff 480",
                 "exceeds 453",
             ),
-            ({"experiment": "convergence", "cutoff_ladder": [700]}, "cutoff 700", "exceeds 353"),
+            ({"experiment": "convergence", "cutoff_ladder": [700], "radial_order": 17}, "cutoff 700", "exceeds 353"),
             # The tail-factored anticlique ladders overflow past the radius limit.
             (
                 {"experiment": "anticlique", "n": 2, "cutoff": 40, "generator_params": [{"R": [1e6], "Theta": [0.3]}]},
@@ -430,7 +451,7 @@ class TestExitCodes:
             "gs-n-1e9",
             "gs-n-8192",
             "convergence-n-91",
-            "convergence-cutoff-200000",
+            "convergence-angular-400002",
             "gs-angular-3e6",
             "gs-angular-1e18",
             "resolution-n3-angular-2e20",

@@ -117,7 +117,7 @@ class TestParseConfig:
             ({}, 6),
             ({"cutoff_ladder": [4, 12]}, 2),
             ({"cutoff_ladder": [4]}, 2),
-            ({"cutoff_ladder": [8, 16, 32, 64]}, 4),
+            ({"cutoff_ladder": [8, 16, 32, 64], "radial_order": 17}, 4),
             ({"cutoff_ladder": [20, 40]}, 8),
             ({"cutoff": 4, "cutoff_ladder": [16, 20]}, 8),
             ({"cutoff": 4, "trusted_block": 6, "cutoff_ladder": [8, 12]}, 6),
@@ -126,6 +126,23 @@ class TestParseConfig:
     def test_convergence_block_follows_the_ladder(self, data, block):
         # convergence runs at its ladder's cutoffs, never at `cutoff`: the first, the smallest, bounds its block.
         assert config_from_dict({"experiment": "convergence", **data}).trusted_block == block
+
+    @pytest.mark.parametrize(
+        "data, rule",
+        [
+            ({}, (21, 42)),
+            ({"cutoff": 4, "cutoff_ladder": [16, 20]}, (21, 42)),
+            ({"cutoff_ladder": [4, 12]}, (13, 26)),
+            ({"cutoff": 40, "cutoff_ladder": [8, 16]}, (17, 34)),
+            ({"cutoff_ladder": [8, 63]}, (64, 128)),
+            ({"cutoff": 200000, "radial_order": 8}, (8, 42)),
+            ({"cutoff_ladder": [16, 20], "radial_order": 9, "angular_order": 7}, (9, 7)),
+        ],
+    )
+    def test_convergence_rule_follows_the_ladder(self, data, rule):
+        # The default rule is the one exact at the largest cutoff convergence runs at, its ladder's last entry.
+        cfg = config_from_dict({"experiment": "convergence", **data})
+        assert (cfg.radial_order, cfg.angular_order) == rule
 
     def test_overrides_apply_before_defaults(self, tmp_path):
         path = write_config(tmp_path, minimal_config(cutoff=8))
