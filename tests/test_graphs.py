@@ -579,8 +579,10 @@ class TestSweepPrecision:
 
     n=2, phi = ROTATION_2 / 5 (the nearest doubles), shift 3/2 along
     phi[:, 1]: the default resolution's box at cutoff 56, and |h| at
-    draw_generator_params' default radius bound.  Each max-abs error is
-    pinned as the graded entries' are, within PRECISION_MARGIN both ways.
+    draw_generator_params' default radius bound.  The ladder sweep also at
+    shift 3 on the 31-row box at cutoff 30, where its tail-factored entries
+    reach 17.  Each max-abs error is pinned as the graded entries' are,
+    within PRECISION_MARGIN both ways.
     """
 
     ROWS, CUTOFF, SHIFT = 29, 56, Fraction(3, 2)
@@ -603,6 +605,16 @@ class TestSweepPrecision:
         assert not ladder.imag.any()
         error = decimal_error(ladder.real, ladders)
         assert 9.52e-16 / PRECISION_MARGIN <= error <= 9.52e-16 * PRECISION_MARGIN
+
+    def test_seed_ladders_at_shift_3_match_the_50_digit_reference(self):
+        # Entries up to 17.3, which the shift-3/2 case (up to 1.2) does not reach.
+        rows, cutoff, shift = 31, 30, Fraction(3)
+        spec = GraphSpec(phi=np.array(ROTATION_2) / 5, modes=2, cutoff=cutoff)
+        _, ladders = two_mode_sweeps_reference(ROTATION_2, 5, shift, rows, cutoff)
+        ladder = box_ladders(spec, float(shift) * spec.phi[None, :, 1], rows)[0]
+        assert not ladder.imag.any() and np.abs(ladder).max() > 17
+        error = decimal_error(ladder.real, ladders)
+        assert 2.45e-14 / PRECISION_MARGIN <= error <= 2.45e-14 * PRECISION_MARGIN
 
 
 class TestGraphGenerator:
