@@ -258,7 +258,12 @@ class TestProjectionCheck:
 
         def counted(name):
             original = getattr(fockgraph.graphs, name)
-            return lambda *args: calls.append(name) or original(*args)
+
+            def call(*args):
+                calls.append(name)
+                return original(*args)
+
+            return call
 
         for name in ("_sector_plan", "_graded_ladder"):
             monkeypatch.setattr(fockgraph.graphs, name, counted(name))
