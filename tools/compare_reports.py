@@ -3,7 +3,7 @@
 Each line holds the case name, the ``verify`` exit code, what ``verify``
 wrote to stderr (the ``config error:`` line, or empty) and the JSON reports
 the case wrote, without ``runtime_ms``, the one field that is not
-deterministic.  The 78 cases cover the default suite over thirteen seeds, every
+deterministic.  The cases cover the default suite over thirteen seeds, every
 experiment at n = 2, 3 and 4, ``resolution`` at its n = 3 defaults (cutoff
 16), at n = 5, n = 3 cutoff 18 and n = 4 cutoff 8 and with aliased rules
 (at M = 1 every sector pair couples),
@@ -16,8 +16,9 @@ and where its quadrature comparison decides a FAIL (aliased rules at n = 2
 and at n = 3 on the whole box, and n = 2 cutoff 40 on the whole box),
 the n = 4, 5 and 6 defaults (cutoff 16) of ``projection``, ``resolution``
 and ``anticlique``, which the dimension guard rejects (exit 2), one-mode
-rules from exact to aliased and past the kernel's scaling range, and
-``convergence`` with its ladder above ``cutoff``.
+rules from exact to aliased and past the kernel's scaling range, ``gs`` at
+its defaults for cutoffs 64 and 128 (where the default rule reaches
+``MAX_RADIAL_ORDER``), and ``convergence`` with its ladder above ``cutoff``.
 Two checkouts give byte-identical output exactly when every report and exit
 code agrees:
 
@@ -87,6 +88,8 @@ CASES = [
         for experiment in ("projection", "resolution", "anticlique")
     ),
     ("gs c40", {"experiment": "gs", "cutoff": 40}),
+    ("gs c64", {"experiment": "gs", "cutoff": 64}),
+    ("gs c128", {"experiment": "gs", "cutoff": 128}),
     ("gs c4 Q60 M10", {"experiment": "gs", "cutoff": 4, "radial_order": 60, "angular_order": 10}),
     ("gs c63 Q64", {"experiment": "gs", "cutoff": 63, "radial_order": 64}),
     ("gs c16 Q9 M7", {"experiment": "gs", "cutoff": 16, "radial_order": 9, "angular_order": 7}),
