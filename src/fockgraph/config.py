@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import GeneratorParams
 from .multimode import validate_unitary
-from .quadrature import MAX_RADIAL_ORDER, gauss_laguerre
+from .quadrature import MAX_RADIAL_ORDER, exact_rule, gauss_laguerre
 
 __all__ = [
     "ConfigError",
@@ -70,6 +70,17 @@ def _default_trusted(experiment: str, n: int, cutoff: int) -> int:
         # depth of the seed ladder.
         return cutoff // n
     return cutoff
+
+
+def _rule_span(experiment: str, n: int, trusted_block: int, top: int) -> int:
+    """Highest grade of the rule operator the verdict reads; the default rule is :func:`exact_rule` of it."""
+    if experiment == "gs":
+        return trusted_block
+    if experiment in ("projection", "resolution"):
+        # The trusted box's tuples reach total occupation n t, which the rotated frame may put on one mode.
+        return n * trusted_block
+    # covariant_gs and convergence: the seed, kept up to the largest cutoff run, displaces into rows 0..t.
+    return trusted_block + top
 
 
 class ConfigError(ValueError):
@@ -196,29 +207,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"cutoff_ladder {list(cutoff_ladder)} must be strictly increasing")
         for cut in cutoff_ladder:
             _check_size(f"the space at cutoff_ladder entry {cut}", cut + 1, 1, "rows")
-    # The default rule follows the largest cutoff the experiment runs at: for convergence, its ladder's last entry.
-    top = cutoff if cutoff_ladder is None else cutoff_ladder[-1]
-    # anticlique reads no quadrature, so its derived default must not exceed the rule's bound.
-    default_radial = min(top + 1, MAX_RADIAL_ORDER) if experiment == "anticlique" else top + 1
-    radial_order = _require_int(data.get("radial_order", default_radial), "radial_order", minimum=1)
-    if radial_order > MAX_RADIAL_ORDER:
-        if "radial_order" in data:
-            raise ConfigError(f"radial_order must be <= {MAX_RADIAL_ORDER}, got {radial_order}")
-        source = "cutoff" if cutoff_ladder is None else f"cutoff_ladder entry {top}"
-        raise ConfigError(
-            f"radial_order must be <= {MAX_RADIAL_ORDER}, got the default {source} + 1 = {radial_order}; "
-            f"set radial_order <= {MAX_RADIAL_ORDER} in the config"
-        )
-    angular_order = _require_int(data.get("angular_order", 2 * top + 2), "angular_order", minimum=1)
-    if experiment != "anticlique":
-        rule = f"radial_order {radial_order} x angular_order {angular_order}"
-        _check_size(f"the {experiment} quadrature at {rule}", radial_order * angular_order, 1, "nodes")
-
-    tolerance = data.get("tolerance", _DEFAULT_TOLERANCE[experiment])
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
-        raise ConfigError(f"tolerance must be a positive finite real, got {tolerance!r}")
-    tolerance = _as_float(tolerance, "tolerance")
-
     runs_at = cutoff if cutoff_ladder is None else cutoff_ladder[0]  # convergence runs at its ladder alone
     trusted_block = _require_int(
         data.get("trusted_block", _default_trusted(experiment, n, runs_at)), "trusted_block", minimum=0
@@ -227,6 +215,29 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"cutoff_ladder entry {runs_at} is below trusted_block = {trusted_block}")
     if trusted_block > runs_at:
         raise ConfigError(f"trusted_block {trusted_block} exceeds cutoff {cutoff}")
+
+    top = cutoff if cutoff_ladder is None else cutoff_ladder[-1]  # the largest cutoff the experiment runs at
+    span = _rule_span(experiment, n, trusted_block, top)
+    default_rule = exact_rule(span)
+    if experiment == "anticlique":  # reads no quadrature: its echoed default need only stay within the bound
+        default_rule = (min(cutoff + 1, MAX_RADIAL_ORDER), 2 * cutoff + 2)
+    radial_order = _require_int(data.get("radial_order", default_rule[0]), "radial_order", minimum=1)
+    if radial_order > MAX_RADIAL_ORDER:
+        if "radial_order" in data:
+            raise ConfigError(f"radial_order must be <= {MAX_RADIAL_ORDER}, got {radial_order}")
+        raise ConfigError(
+            f"the default rule exact at span {span} needs radial_order {radial_order}, "
+            f"past MAX_RADIAL_ORDER = {MAX_RADIAL_ORDER}"
+        )
+    angular_order = _require_int(data.get("angular_order", default_rule[1]), "angular_order", minimum=1)
+    if experiment != "anticlique":
+        rule = f"radial_order {radial_order} x angular_order {angular_order}"
+        _check_size(f"the {experiment} quadrature at {rule}", radial_order * angular_order, 1, "nodes")
+
+    tolerance = data.get("tolerance", _DEFAULT_TOLERANCE[experiment])
+    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or not 0 < tolerance < math.inf:
+        raise ConfigError(f"tolerance must be a positive finite real, got {tolerance!r}")
+    tolerance = _as_float(tolerance, "tolerance")
 
     seed = _require_int(data.get("seed", DEFAULT_SEED), "seed", minimum=0)
 

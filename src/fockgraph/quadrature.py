@@ -54,6 +54,7 @@ __all__ = [
     "RadialScheme",
     "coherent_identity",
     "displaced_projector_identity",
+    "exact_rule",
     "gauss_laguerre",
     "graph_resolution",
     "polar_scheme",
@@ -204,12 +205,23 @@ def _rule_operator(size: int, scheme: PolarScheme) -> np.ndarray:
     return np.where(np.equal.outer(residues, residues), serial_matmul(powers, powers.T), 0.0)
 
 
+def exact_rule(span: int) -> tuple[int, int]:
+    """The smallest polar rule (radial order Q, angle count M) whose rule operator is exact on grades 0..span.
+
+    Off the diagonal, C[m, n] vanishes unless M divides m - n, which no
+    difference within the span does once M > span.  On it, C[m, m] is the
+    Gauss-Laguerre sum of s^m / m!, exact for m <= 2Q - 1 (Golub & Welsch,
+    Math. Comp. 23, 1969).  So (Q, M) = (ceil((span + 1) / 2), span + 1).
+    """
+    return (span + 2) // 2, span + 1
+
+
 def coherent_identity(cutoff: int, scheme: PolarScheme) -> np.ndarray:
     """(1/pi) Int |alpha><alpha| d^2 alpha over the scheme: the rule operator.
 
-    Exact to floating-point precision (equal to the identity) once the
-    angular count exceeds cutoff and the radial order reaches
-    ceil((cutoff+1)/2).
+    Exact to floating-point precision (equal to the identity) when the
+    scheme's orders reach :func:`exact_rule` of ``cutoff`` in both
+    entries: ``2Q - 1 >= cutoff`` and ``M > cutoff``.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")

@@ -163,13 +163,13 @@ class TestSingleExperiments:
         assert json.loads(out.read_text())["pass"] is True
 
     def test_convergence_rule_is_exact_at_a_ladder_above_cutoff(self, tmp_path):
-        # The default rule follows the ladder's last entry, 21 x 42, not cutoff 4's 5 x 10, under which
-        # the integral at cutoffs 16 and 20 FAILed at 0.1188.
+        # The default rule is exact at block 8 plus the ladder's last entry, 15 x 29, not at cutoff 4, whose
+        # old default 5 x 10 FAILed the integral at cutoffs 16 and 20 at 0.1188.
         data = {"experiment": "convergence", "cutoff": 4, "cutoff_ladder": [16, 20]}
         out = tmp_path / "ladder.json"
         assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out), "--quiet"]) == 0
         report = json.loads(out.read_text())
-        assert (report["parameters"]["radial_order"], report["parameters"]["angular_order"]) == (21, 42)
+        assert (report["parameters"]["radial_order"], report["parameters"]["angular_order"]) == (15, 29)
         assert report["max_abs_deviation"] <= 1e-14
 
 
@@ -192,7 +192,7 @@ class TestAliasingPins:
                 {"experiment": "resolution", "n": 2, "cutoff": 16, "radial_order": 4, "angular_order": 6},
                 0.33344029017857074,
             ),
-            ({"experiment": "projection", "n": 2, "cutoff": 16, "angular_order": 9}, 0.09765107460736858),
+            ({"experiment": "projection", "n": 2, "cutoff": 16, "radial_order": 17, "angular_order": 9}, 0.09765107460736858),
             ({"experiment": "projection", "n": 2, "cutoff": 16, "trusted_block": 9}, 0.18547058105468733),
             ({"experiment": "projection", "n": 2, "cutoff": 16, "trusted_block": 16}, 0.18547058105468733),
             ({"experiment": "projection", "n": 3, "cutoff": 8, "trusted_block": 3}, 0.08535284255448858),
@@ -295,7 +295,7 @@ class TestExitCodes:
             ('{"experiment": "gs", "tolerance": Infinity}', [], "non-finite number Infinity"),
             ('{"experiment": "projection", "phi": [[1e400, 0], [0, 0], [0, 0], [1, 0]]}', [], "phi not unitary"),
             ('{"experiment": "anticlique", "generator_params": [{"R": [1e400], "Theta": [0]}]}', [], "finite"),
-            (None, ["--experiment", "gs", "--cutoff", "64"], "radial_order must be <= 64"),
+            (None, ["--experiment", "gs", "--cutoff", "128"], "needs radial_order 65"),
             ('{"experiment": "anticlique", "cutoff": 64, "radial_order": 65}', [], "radial_order must be <= 64"),
         ],
         ids=[
@@ -351,30 +351,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: cutoff_ladder entry {entry} is below trusted_block = {block}\n"
 
-    # From cutoff 64 the quadrature experiments' derived default radial_order = cutoff + 1
-    # passes the rule's bound; the message names that default, where the config never set it.
-    @pytest.mark.parametrize("experiment", ["projection", "gs", "covariant_gs", "resolution"])
-    def test_derived_radial_order_names_the_default(self, tmp_path, capsys, experiment):
+    # The default rule is exact_rule(span), which passes MAX_RADIAL_ORDER = 64 only from span 128 on; the message
+    # names that span, where the config never set radial_order.
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"experiment": "gs", "cutoff": 128},
+            {"experiment": "projection", "cutoff": 64, "trusted_block": 64},
+            {"experiment": "resolution", "cutoff": 64, "trusted_block": 64},
+            {"experiment": "covariant_gs", "cutoff": 120},
+            {"experiment": "convergence", "cutoff_ladder": [8, 124]},
+        ],
+        ids=["gs", "projection", "resolution", "covariant_gs", "convergence"],
+    )
+    def test_derived_rule_names_its_span(self, tmp_path, capsys, data):
         out = tmp_path / "report.json"
-        assert main(["--experiment", experiment, "--cutoff", "64", "--out", str(out), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert "got the default cutoff + 1 = 65; set radial_order <= 64 in the config" in err
+        assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the default rule exact at span 128 needs radial_order 65, past MAX_RADIAL_ORDER = 64\n"
+        )
         assert not out.exists()
-        path = write_config(tmp_path, {"experiment": experiment, "cutoff": 64, "radial_order": 65})
+        path = write_config(tmp_path, {**data, "radial_order": 65})
         assert main(["--config", str(path), "--quiet"]) == 2
         assert capsys.readouterr().err == "config error: radial_order must be <= 64, got 65\n"
 
-    # The derived convergence rule follows the ladder's last entry, so past entry 63 it passes the bound.
-    @pytest.mark.parametrize("ladder", [[8, 16, 32, 64], [70]])
-    def test_derived_convergence_rule_names_the_ladder_entry(self, tmp_path, capsys, ladder):
-        path = write_config(tmp_path, {"experiment": "convergence", "cutoff_ladder": ladder})
-        assert main(["--config", str(path), "--quiet"]) == 2
-        top = ladder[-1]
-        assert capsys.readouterr().err == (
-            f"config error: radial_order must be <= 64, got the default cutoff_ladder entry {top} + 1 = {top + 1}; "
-            "set radial_order <= 64 in the config\n"
-        )
+    # One span fewer, and at cutoff 64 or a ladder up to 64, where cutoff + 1 used to pass the bound, the
+    # default rule fits.
+    @pytest.mark.parametrize(
+        "data, rule",
+        [
+            ({"experiment": "gs", "cutoff": 127}, (64, 128)),
+            ({"experiment": "gs", "cutoff": 64}, (33, 65)),
+            ({"experiment": "projection", "cutoff": 64}, (33, 65)),
+            ({"experiment": "resolution", "cutoff": 64}, (33, 65)),
+            ({"experiment": "covariant_gs", "cutoff": 64}, (37, 73)),
+            ({"experiment": "convergence", "cutoff_ladder": [8, 16, 32, 64]}, (35, 69)),
+            ({"experiment": "convergence", "cutoff_ladder": [8, 123]}, (64, 128)),
+        ],
+    )
+    def test_derived_rule_fits_below_span_128(self, data, rule):
+        cfg = config_from_dict(data)
+        assert (cfg.radial_order, cfg.angular_order) == rule
 
     # Each of these asks for more than MAX_DIM = 8192 rows or MAX_NODES =
     # 1048576 quadrature nodes; the guard rejects them before any array or
@@ -406,7 +423,7 @@ class TestExitCodes:
             ({"experiment": "gs", "angular_order": 10**18}, "gs quadrature", "MAX_NODES = 1048576"),
             (
                 {"experiment": "resolution", "n": 3, "cutoff": 6, "angular_order": 2**20},
-                "resolution quadrature at radial_order 7 x angular_order 1048576",
+                "resolution quadrature at radial_order 4 x angular_order 1048576",
                 "MAX_NODES = 1048576",
             ),
             (
@@ -504,16 +521,30 @@ class TestExitCodes:
 
 class TestDefaultsEveryN:
     # Every experiment at its defaults for n = 2..6 passes or is refused as a config error naming the limit it
-    # hit (today MAX_DIM, for the graph experiments from n=4); never a FAIL and never an internal error.
+    # hit (today MAX_DIM, for the graph experiments from n=4) or the span past it; never a FAIL and never an
+    # internal error.  One that runs has a rule exact on its span, the highest grade of the rule operator its
+    # verdict reads: 2Q - 1 >= span (the Gauss-Laguerre degree) and M > span (no aliased difference).
+    @staticmethod
+    def span(cfg):
+        if cfg.experiment == "gs":
+            return cfg.trusted_block
+        if cfg.experiment in ("projection", "resolution"):
+            return cfg.n * cfg.trusted_block
+        return cfg.trusted_block + (cfg.cutoff if cfg.cutoff_ladder is None else max(cfg.cutoff_ladder))
+
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     @pytest.mark.parametrize("n", range(2, 7))
     def test_defaults_pass_or_name_their_limit(self, tmp_path, capsys, n, experiment):
-        path = write_config(tmp_path, {"experiment": experiment, "n": n})
-        code = main(["--config", str(path), "--quiet"])
+        data = {"experiment": experiment, "n": n}
+        code = main(["--config", str(write_config(tmp_path, data)), "--quiet"])
         err = capsys.readouterr().err
         assert code in (0, 2)
         if code == 2:
-            assert re.fullmatch(r"config error: .*\b[A-Z][A-Z_]* = \d+.*\n", err)
+            assert re.fullmatch(r"config error: .*(\b[A-Z][A-Z_]* = \d+|\bspan \d+).*\n", err)
+        elif experiment != "anticlique":  # anticlique reads no rule
+            cfg = config_from_dict(data)
+            span = self.span(cfg)
+            assert 2 * cfg.radial_order - 1 >= span and cfg.angular_order > span
 
 
 class TestFlags:
@@ -534,7 +565,7 @@ class TestFlags:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["parameters"]["cutoff"] == 12
-        assert report["parameters"]["radial_order"] == 13
+        assert report["parameters"]["radial_order"] == 7
         assert report["parameters"]["seed"] == 7
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):

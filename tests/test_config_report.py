@@ -99,8 +99,8 @@ class TestParseConfig:
         cfg = config_from_dict({"experiment": "resolution"})
         assert cfg.n == 2
         assert cfg.cutoff == 16
-        assert cfg.radial_order == 17
-        assert cfg.angular_order == 34
+        assert cfg.radial_order == 9
+        assert cfg.angular_order == 17
         assert cfg.seed == 42
         assert cfg.trusted_block == 8
         assert cfg.cutoff_ladder is None
@@ -117,7 +117,7 @@ class TestParseConfig:
             ({}, 6),
             ({"cutoff_ladder": [4, 12]}, 2),
             ({"cutoff_ladder": [4]}, 2),
-            ({"cutoff_ladder": [8, 16, 32, 64], "radial_order": 17}, 4),
+            ({"cutoff_ladder": [8, 16, 32, 64]}, 4),
             ({"cutoff_ladder": [20, 40]}, 8),
             ({"cutoff": 4, "cutoff_ladder": [16, 20]}, 8),
             ({"cutoff": 4, "trusted_block": 6, "cutoff_ladder": [8, 12]}, 6),
@@ -130,17 +130,19 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "data, rule",
         [
-            ({}, (21, 42)),
-            ({"cutoff": 4, "cutoff_ladder": [16, 20]}, (21, 42)),
-            ({"cutoff_ladder": [4, 12]}, (13, 26)),
-            ({"cutoff": 40, "cutoff_ladder": [8, 16]}, (17, 34)),
-            ({"cutoff_ladder": [8, 63]}, (64, 128)),
-            ({"cutoff": 200000, "radial_order": 8}, (8, 42)),
+            ({}, (14, 27)),
+            ({"cutoff": 4, "cutoff_ladder": [16, 20]}, (15, 29)),
+            ({"cutoff_ladder": [4, 12]}, (8, 15)),
+            ({"cutoff": 40, "cutoff_ladder": [8, 16]}, (11, 21)),
+            ({"cutoff_ladder": [8, 63]}, (34, 68)),
+            ({"cutoff_ladder": [8, 16, 32, 64]}, (35, 69)),
+            ({"cutoff": 200000, "radial_order": 8}, (8, 27)),
             ({"cutoff_ladder": [16, 20], "radial_order": 9, "angular_order": 7}, (9, 7)),
         ],
     )
     def test_convergence_rule_follows_the_ladder(self, data, rule):
-        # The default rule is the one exact at the largest cutoff convergence runs at, its ladder's last entry.
+        # The default rule is exact_rule(t + the ladder's last entry): the seed, kept up to the largest cutoff
+        # convergence runs at, displaces into the trusted rows 0..t.
         cfg = config_from_dict({"experiment": "convergence", **data})
         assert (cfg.radial_order, cfg.angular_order) == rule
 
@@ -148,7 +150,7 @@ class TestParseConfig:
         path = write_config(tmp_path, minimal_config(cutoff=8))
         cfg = parse_config(path, overrides={"cutoff": 12, "seed": 7})
         assert cfg.cutoff == 12
-        assert cfg.radial_order == 13
+        assert cfg.radial_order == 7
         assert cfg.seed == 7
 
     def test_default_suite_composition(self):

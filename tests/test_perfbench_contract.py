@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from fockgraph import cli
+from fockgraph.config import default_config
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,7 +45,8 @@ def test_traced_experiments_pass_and_count_nodes(tracer_module):
     finally:
         tracer.uninstall()
     assert codes == {name: 0 for name in runs}
-    # One integrator call each, over radial_order * angular_order = 7 * 14
-    # nodes at cutoff 6, however the integrator batches them; anticlique
-    # integrates nothing.
-    assert nodes == {**{name: [98] for name in integrators}, "anticlique": []}
+    # One integrator call each, over the radial_order * angular_order nodes
+    # of its own default rule at cutoff 6, however the integrator batches
+    # them; anticlique integrates nothing.
+    rules = {name: default_config(name, {"cutoff": 6}) for name in integrators}
+    assert nodes == {**{name: [cfg.radial_order * cfg.angular_order] for name, cfg in rules.items()}, "anticlique": []}

@@ -18,6 +18,7 @@ from fockgraph import (
     compression_check,
     displaced_projector_identity,
     displacement_matrix,
+    exact_rule,
     gauss_laguerre,
     graph_resolution,
     kron_all,
@@ -682,6 +683,68 @@ class TestCoherentIdentity:
         assert pin / PRECISION_MARGIN <= error <= pin * PRECISION_MARGIN
 
 
+class TestExactRule:
+    """exact_rule(span) is the smallest rule whose rule operator is the identity on grades 0..span.
+
+    Every default rule is exact_rule of its experiment's span: ``t`` for
+    ``gs``, ``n t`` for ``projection`` and ``resolution``, ``t`` plus the
+    largest cutoff run for ``covariant_gs`` and ``convergence``.
+    """
+
+    @pytest.mark.parametrize("span", range(21))
+    def test_exact_and_sharp_on_the_rule_operator(self, span):
+        radial, angular = exact_rule(span)
+        assert 2 * radial - 1 >= span and angular > span
+        assert identity_deviation(coherent_identity(span, polar_scheme(radial, angular))) <= 1e-13
+        # Past order 21 the one missing degree, (Q!)^2 / (2Q)! of the top diagonal, sinks below the rounding.
+        if radial > 1:
+            assert identity_deviation(coherent_identity(span, polar_scheme(radial - 1, angular))) > 1e-8
+        if angular > 1:
+            assert identity_deviation(coherent_identity(span, polar_scheme(radial, angular - 1))) > 1e-8
+
+    # The default rule reads at most 1e-13, and one radial order fewer or one angle fewer FAILs.
+    @pytest.mark.parametrize(
+        "data, rule",
+        [
+            ({"experiment": "gs", "cutoff": 8}, (5, 9)),
+            ({"experiment": "gs", "cutoff": 16}, (9, 17)),
+            ({"experiment": "gs", "cutoff": 40}, (21, 41)),
+            ({"experiment": "projection", "cutoff": 16}, (9, 17)),
+            ({"experiment": "projection", "n": 3, "cutoff": 8}, (4, 7)),
+            ({"experiment": "projection", "n": 3, "cutoff": 16}, (8, 16)),
+            ({"experiment": "resolution", "cutoff": 16}, (9, 17)),
+            ({"experiment": "resolution", "n": 3, "cutoff": 8}, (4, 7)),
+            ({"experiment": "resolution", "n": 3, "cutoff": 16}, (8, 16)),
+        ],
+    )
+    def test_default_rule_is_exact_and_sharp(self, data, rule):
+        cfg = config_from_dict(data)
+        assert (cfg.radial_order, cfg.angular_order) == rule
+        report = run_experiment(cfg)
+        assert report.passed and max(report.max_abs_deviation, report.frobenius_deviation) <= 1e-13
+        radial, angular = rule
+        for fewer in ({"radial_order": radial - 1}, {"angular_order": angular - 1}):
+            assert not run_experiment(config_from_dict({**data, **fewer})).passed
+
+    # The displaced seed's top weights |beta_c|^2 ~ 1/c! are tiny, so there the rule is sufficient, not sharp.
+    @pytest.mark.parametrize(
+        "data, rule",
+        [
+            ({"experiment": "covariant_gs", "cutoff": 16}, (13, 25)),
+            ({"experiment": "covariant_gs", "cutoff": 40}, (25, 49)),
+            ({"experiment": "covariant_gs", "cutoff": 40, "trusted_block": 20}, (31, 61)),
+            ({"experiment": "convergence"}, (14, 27)),
+            ({"experiment": "convergence", "cutoff": 4, "cutoff_ladder": [16, 20]}, (15, 29)),
+            ({"experiment": "convergence", "cutoff_ladder": [8, 16, 32, 64]}, (35, 69)),
+        ],
+    )
+    def test_default_displaced_rule_is_exact(self, data, rule):
+        cfg = config_from_dict(data)
+        assert (cfg.radial_order, cfg.angular_order) == rule
+        report = run_experiment(cfg)
+        assert report.passed and max(report.max_abs_deviation, report.frobenius_deviation) <= 1e-13
+
+
 class TestDisplacedProjectorIdentity:
     def test_vacuum_seed_reduces_to_coherent_identity(self):
         scheme = polar_scheme(9, 14)
@@ -716,8 +779,8 @@ class TestDisplacedProjectorIdentity:
     @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("cutoff", [6, 8, 12, 16])
     def test_default_rule_gives_the_poisson_mass(self, cutoff, beta):
-        # The default rule (cutoff + 1, 2 cutoff + 2) on the whole block, t = cutoff: read at most 3.4e-15.
-        scheme = polar_scheme(cutoff + 1, 2 * cutoff + 2)
+        # The default rule on the whole block, t = cutoff: exact at span t + cutoff.
+        scheme = polar_scheme(*exact_rule(2 * cutoff))
         assert self.closed_form_deviation(beta, cutoff, scheme) <= 1e-14
 
     # Cutoff 8, t = 4, beta = 1.5: t + cutoff = 12.  (Q, M) = (7, 13) is exact (read 8.9e-16); one radial
