@@ -32,7 +32,6 @@ from .quadrature import (
     RadialScheme,
     coherent_identity,
     displaced_projector_identity,
-    exact_rule,
     gauss_laguerre,
     graph_resolution,
     polar_scheme,

@@ -18,7 +18,6 @@ from fockgraph import (
     compression_check,
     displaced_projector_identity,
     displacement_matrix,
-    exact_rule,
     gauss_laguerre,
     graph_resolution,
     kron_all,
@@ -34,6 +33,7 @@ from fockgraph.quadrature import (
     SERIAL_GEMM_MACS,
     RadialScheme,
     box_side,
+    exact_rule,
     serial_matmul,
 )
 from fockgraph.runner import run_experiment
