@@ -15,7 +15,9 @@ cutoff 8), at n = 5 (cutoff 5), with trusted boxes past ``cutoff // n``
 and where its quadrature comparison decides a FAIL (aliased rules at n = 2
 and at n = 3 on the whole box, and n = 2 cutoff 40 on the whole box),
 the n = 4, 5 and 6 defaults (cutoff 16) of ``projection``, ``resolution``
-and ``anticlique``, which the dimension guard rejects (exit 2), one-mode
+and ``anticlique``, which the dimension guard rejects (exit 2), an n = 3
+``anticlique`` point so far out that its ladder underflows (exit 2) and an
+n = 3 generator just inside the config's radius limit, one-mode
 rules from exact to aliased and past the kernel's scaling range, ``gs`` at
 its defaults for cutoffs 64 and 128 (where the default rule reaches
 ``MAX_RADIAL_ORDER``), and ``convergence`` with its ladder above ``cutoff``.
@@ -41,6 +43,7 @@ import sys
 import tempfile
 
 from fockgraph import cli
+from fockgraph.config import _ladder_radius_limit
 
 # A fixed non-DFT 3-mode unitary: the real orthogonal (1/3)[[1, 2, 2], [2, 1, -2], [2, -2, 1]] with its
 # columns turned by the phases 1, i and (3 + 4i)/5, as row-major [re, im] pairs.
@@ -64,6 +67,19 @@ CASES = [
     ("anticlique n4 c6", {"experiment": "anticlique", "n": 4, "cutoff": 6}),
     ("anticlique n3 c16", {"experiment": "anticlique", "n": 3, "cutoff": 16}),
     ("anticlique n2 c16 seed 3243419750", {"experiment": "anticlique", "n": 2, "cutoff": 16, "seed": 3243419750}),
+    (
+        "anticlique n3 c8 X 1e3",
+        {"experiment": "anticlique", "n": 3, "cutoff": 8, "anticlique_params": {"X": [1e3, 0.0], "Gamma": [0.3, 0.3]}},
+    ),
+    (
+        "anticlique n3 c8 generator at 0.999 of the radius limit",
+        {
+            "experiment": "anticlique",
+            "n": 3,
+            "cutoff": 8,
+            "generator_params": [{"R": [0.999 * _ladder_radius_limit(3, 8), 0.0], "Theta": [0.3, 0.3]}],
+        },
+    ),
     ("projection n3 c6", {"experiment": "projection", "n": 3, "cutoff": 6}),
     ("projection n4 c4", {"experiment": "projection", "n": 4, "cutoff": 4}),
     ("projection n3 c16", {"experiment": "projection", "n": 3, "cutoff": 16}),
