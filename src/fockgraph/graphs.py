@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .multimode import ModeSpace, validate_unitary
-from .fock import _log_factorials, unnormalized_coherent
+from .fock import _log_factorials, displacement_matrix, unnormalized_coherent
 from .quadrature import (
     CHUNK_ENTRIES, SERIAL_GEMM_MACS, PolarScheme, _rule_operator, box_side, coherent_identity, serial_matmul
 )
@@ -431,14 +431,26 @@ def compression_check(
     error of c against the predicted weighted constant sum.  Real parts of c
     are returned.
 
-    The ladders are swept in sector-major order (:func:`_sector_ladders`),
+    At n >= 3 the check takes Y_x and the Grams from per-mode factors
+    (:func:`_mode_factors`, one displacement_matrix call for every point
+    and mode, Gaussians included): Y_x is their level convolution over the
+    modes (:func:`_level_convolution`, one GEMM per mode), each G_i the 2-D
+    level convolution of the (cutoff+1)-square A_xj^dag A_ij
+    (:func:`_gram_convolution`), and M one product
+    [w_1 G_1, w_2 G_2, ...] [G_1, G_2, ...]^dag.  Beyond Y_x that costs
+    O(n (cutoff+1)^4) per generator, with no (cutoff+1)^n object, and every
+    one of these GEMMs goes through serial_matmul.
+    At n = 2 the ladders are swept in sector-major order (:func:`_sector_ladders`),
     a whole number of points at a time, the anticlique's first with weight 0
     in M, and every Gram of a sweep comes from one product
     Y_x^dag [Y_x, Y_1, ...] (none for the anticlique swept alone).  Y_x is
     the first sweep's point-0 columns, copied once with its Gaussian
     exp(-|h_x|^2/2); the other Gaussians the tail-factored ladders leave
-    out scale the (cutoff+1)-square Grams, not the ladders.  Y_t keeps the
-    rows of the trusted mask, permuted into sector order and taken from the
+    out scale the (cutoff+1)-square Grams, not the ladders.  There the
+    rank reaches 90, where the 2-D level convolution costs more than the
+    sweep and lands further from an extended-precision reference.
+    Either way Y_t keeps the box plan's rows with every occupation <=
+    ``trusted_block`` (all of them at the default), taken from the
     top sector down, and S is its own product over them: it sums a ladder's
     small entries first, where summed large entries first it rounded
     further from the full residual.  No dim_t x dim_t residual is formed.
@@ -453,17 +465,16 @@ def compression_check(
     np.abs and of the norms, so the skipped entries cannot hold the max and
     it equals that of the full sweep bit for bit.  A NaN norm sorts first and
     keeps every row in play.  Beyond the ladders the cost is
-    O(dim (cutoff+1)^2) per point plus dim_t (cutoff+1) per row taken; at
+    O(dim (cutoff+1)^2) plus dim_t (cutoff+1) per row taken; at
     n=3 cutoff 8 the sweep takes 18 to 90 of 729 rows on seeds 0-7.
 
-    A sweep holds as many points as fit CHUNK_ENTRIES entries, so no array
-    has more than max(CHUNK_ENTRIES, dim * (cutoff+1)) entries.  Where eight
-    output rows of a ladder GEMM fit SERIAL_GEMM_MACS (up to n=2 cutoff 19,
-    n=3 cutoff 8 and n=4 cutoff 5), a sweep also holds no more points than
-    keep two rows of its Gram product within that budget (four at n=3
-    cutoff 8, the default anticlique's four points in one sweep), every GEMM
-    is cut into row blocks within it, and no BLAS worker thread is woken;
-    the sector contractions are elementwise and call no BLAS.
+    At n = 2 a sweep holds as many points as fit CHUNK_ENTRIES entries, so
+    no array has more than max(CHUNK_ENTRIES, dim * (cutoff+1)) entries.
+    Where eight output rows of a ladder GEMM fit SERIAL_GEMM_MACS (up to
+    n=2 cutoff 19, n=3 cutoff 8 and n=4 cutoff 5), a sweep also holds no
+    more points than keep two rows of its Gram product within that budget,
+    every GEMM is cut into row blocks within it, and no BLAS worker thread
+    is woken; the sector contractions are elementwise and call no BLAS.
 
     The full-matrix comparison is limited by the mass the top ladder states
     lose to truncation (first order in that loss); the identity is exact in
@@ -527,27 +538,19 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
     serial = 8 * entries <= SERIAL_GEMM_MACS
     matmul = serial_matmul if serial else np.matmul
 
-    points = [anticlique, *generators]
-    shifts = np.array([displaced_mode_amplitudes(spec, p) for p in points])
-    gauss = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))
-    scale = np.array([0.0, *weights])
-    # A Gram product row takes entries multiply-adds per point, and serial_matmul needs two rows in budget.
-    step = max(1, (SERIAL_GEMM_MACS // 2 if serial else CHUNK_ENTRIES) // entries)
-    combined = np.zeros((rank, rank), dtype=complex)
-    for start in range(0, len(points), step):
-        chunk = slice(start, start + step)
-        sweep = _sector_ladders(spec, shifts[chunk], rank)
-        if start == 0:
-            ladder = sweep[:, :: len(shifts[chunk])] * gauss[0]
-            adjoint = ladder.conj().T
-        if not scale[chunk].any():
-            continue  # weight-0 points only (the anticlique swept alone) add nothing to M
-        gram = matmul(adjoint, sweep).reshape(rank, rank, -1)
-        gram *= gauss[chunk]
-        combined += np.einsum("p,ikp,lkp->il", scale[chunk], gram, gram.conj())
-
+    shifts = np.array([displaced_mode_amplitudes(spec, p) for p in (anticlique, *generators)])
+    plan = _sector_plan(spec.modes, rank)
     # Y_t: the box plan's positions with every occupation <= top, top sector first, so S sums small entries first.
-    ladder = ladder[np.flatnonzero(np.all(_sector_plan(spec.modes, rank).occupations <= top, axis=1))[::-1]]
+    if top == spec.cutoff:
+        positions = np.arange(len(plan.order) - 1, -1, -1)
+    else:
+        positions = np.flatnonzero(np.all(plan.occupations <= top, axis=1))[::-1]
+    if spec.modes >= 3:
+        ladder, combined = _factored_grams(spec, shifts, np.array(weights))
+        ladder = ladder[plan.order[positions]]  # the factored ladder's rows are in box order
+    else:
+        ladder, combined = _swept_grams(spec, shifts, weights, serial, matmul)
+        ladder = ladder[positions]
     overlap = matmul(ladder.conj().T, ladder)
     overlap_norm = float(np.linalg.norm(overlap))
     if overlap_norm == 0.0:
@@ -558,6 +561,135 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
     scaled = matmul(ladder, deviation)
     return _Residual(ladder, scaled, deviation, overlap, overlap_norm, measured, predicted, serial, matmul)
 
+
+def _swept_grams(spec, shifts, weights, serial, matmul) -> tuple[np.ndarray, np.ndarray]:
+    """Y_x, rows in sector order, and M = sum_i w_i G_i G_i^dag from sector sweeps of whole points at a time."""
+    rank = spec.cutoff + 1
+    entries = spec.space.dim * rank
+    gauss = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))
+    scale = np.array([0.0, *weights])
+    # A Gram product row takes entries multiply-adds per point, and serial_matmul needs two rows in budget.
+    step = max(1, (SERIAL_GEMM_MACS // 2 if serial else CHUNK_ENTRIES) // entries)
+    combined = np.zeros((rank, rank), dtype=complex)
+    for start in range(0, len(shifts), step):
+        chunk = slice(start, start + step)
+        sweep = _sector_ladders(spec, shifts[chunk], rank)
+        if start == 0:
+            ladder = sweep[:, :: len(shifts[chunk])] * gauss[0]
+            adjoint = ladder.conj().T
+        if not scale[chunk].any():
+            continue  # weight-0 points only (the anticlique swept alone) add nothing to M
+        gram = matmul(adjoint, sweep).reshape(rank, rank, -1)
+        gram *= gauss[chunk]
+        combined += np.einsum("p,ikp,lkp->il", scale[chunk], gram, gram.conj())
+    return ladder, combined
+
+
+def _factored_grams(spec, shifts, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Y_x, rows in box order, and M = sum_i w_i G_i G_i^dag from per-mode factors.
+
+    With A the factors (:func:`_mode_factors`), Y_x is sqrt(k!) times the
+    level convolution of A_xj over the modes and G_i is sqrt(k! l!) times
+    the 2-D level convolution of W_ij = A_xj^dag A_ij, whose entry (a, b)
+    is <Y_x|Y_i> restricted to mode j's occupations a and b.  Each W_j is
+    one GEMM, A_xj^dag [A_1j, A_2j, ...], and M is one more.
+    """
+    modes, count, rank = spec.modes, len(shifts) - 1, spec.cutoff + 1
+    factors = _mode_factors(spec, shifts)
+    roots = np.sqrt([float(math.factorial(k)) for k in range(rank)])
+    ladder = _level_convolution(factors[:, 0], roots)
+    grams = np.empty((modes, count, rank, rank), dtype=complex)
+    for mode, (anticlique, others) in enumerate(zip(factors[:, 0], factors[:, 1:])):
+        products = serial_matmul(anticlique.conj().T, others.transpose(1, 0, 2).reshape(rank, count * rank))
+        grams[mode] = products.reshape(rank, count, rank).transpose(1, 0, 2)
+    gram = (_gram_convolution(grams) * np.multiply.outer(roots, roots)).transpose(1, 0, 2)
+    combined = serial_matmul((gram * weights[:, None]).reshape(rank, -1), gram.reshape(rank, -1).conj().T)
+    return ladder, combined
+
+
+def _mode_factors(spec: GraphSpec, shifts: np.ndarray) -> np.ndarray:
+    """A[j, p, r, a] = D(h_pj)[r, a] c_j^a / sqrt(a!), c = phi[:, 0], for box rows r and levels a <= cutoff.
+
+    D(h) = (x)_j D(h_j) and B_k = sqrt(k!) sum_{|m| = k} prod_j c_j^(m_j) /
+    sqrt(m_j!) |m>, so box row (r_1, ..., r_n) of Y_k = D(h) B_k is sqrt(k!)
+    times the sum over a_1 + ... + a_n = k of prod_j A[j, p, r_j, a_j].  Every
+    entry of the truncated D(h_j) is exact, so that sum is exact on the box.
+    One displacement_matrix call builds every point's and mode's D(h_pj),
+    its Gaussian included.  A point whose exp(-|h_p|^2/2) rounds to 0 gets
+    zero factors without the kernel, whose 2^-shift scaling turns inf * 0
+    into NaN past a per-mode amplitude of about 40: every amplitude of a
+    point whose Gaussian is positive stays below 38.7.
+    """
+    rank = spec.cutoff + 1
+    live = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1)) > 0.0
+    factors = np.zeros((spec.modes, len(shifts), rank, rank), dtype=complex)
+    if live.any():
+        kernel = displacement_matrix(shifts[live].T.ravel(), spec.cutoff)
+        factors[:, live] = kernel.reshape(spec.modes, -1, rank, rank)
+    powers = np.cumprod(np.column_stack([np.ones(spec.modes), spec.phi[:, :1] / np.sqrt(np.arange(1, rank))]), axis=1)
+    factors *= powers[:, None, None, :]
+    return factors
+
+
+@functools.lru_cache(maxsize=None)
+def _convolution_plan(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gathers of the truncated level convolutions from an L x L array flattened with a trailing 0, L = ``levels``.
+
+    ``shift[k', r L + k]`` reads entry (r, k - k') and ``toeplitz[k, b L + k']``
+    entry (k - k', b); both read the trailing 0 where k < k'.  Cached per
+    ``levels``; the arrays are read-only.
+    """
+    steps = np.arange(levels)
+    empty = levels * levels
+    lower, upper = steps[:, None, None], steps[None, None, :]
+    shift = np.where(upper >= lower, steps[None, :, None] * levels + upper - lower, empty)
+    toeplitz = np.where(lower >= upper, (lower - upper) * levels + steps[None, :, None], empty)
+    plan = shift.reshape(levels, empty), toeplitz.reshape(levels, empty)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _level_convolution(factors: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """scale[k] times sum over a_1 + ... + a_n = k of prod_j factors[j, r_j, a_j], at rows (r_1, ..., r_n) and levels k < L.
+
+    ``factors`` is (modes, L, L); the rows come out row-major, mode 0
+    slowest.  Each mode after the first is one :func:`serial_matmul`,
+    Z (L^j, L) @ T_j (L, L^2), with T_j[k', (r, k)] = factors[j, r, k - k']
+    for k >= k' and 0 below, gathered by the ``shift`` of
+    :func:`_convolution_plan`; ``scale`` goes into the last T_j's columns.
+    """
+    modes, rows, levels = factors.shape
+    padded = np.zeros((modes - 1, rows * levels + 1), dtype=complex)
+    padded[:, :-1] = factors[1:].reshape(modes - 1, -1)
+    shifted = np.take(padded, _convolution_plan(levels)[0], axis=1)
+    shifted[-1] *= np.tile(scale, rows)
+    out = factors[0]
+    for right in shifted:
+        out = serial_matmul(out, right).reshape(-1, levels)
+    return out
+
+
+def _gram_convolution(grams: np.ndarray) -> np.ndarray:
+    """G[p, k, l] = sum over a_1 + ... + a_n = k, b_1 + ... + b_n = l of prod_j grams[j, p, a_j, b_j], k, l < L.
+
+    ``grams`` is (modes, points, L, L).  Each mode after the first is one
+    :func:`serial_matmul` per point of W's Toeplitz blocks against shifted
+    copies of the running G, both gathered by :func:`_convolution_plan`:
+    G'[k, l] = sum over (b, k') of W[k - k', b] G[k', l - b], L^4
+    multiply-adds per point.
+    """
+    modes, count, levels, _ = grams.shape
+    shift, toeplitz = _convolution_plan(levels)
+    padded = np.zeros((2, count, levels * levels + 1), dtype=complex)
+    out = grams[0]
+    for gram in grams[1:]:
+        padded[0, :, :-1] = gram.reshape(count, -1)
+        padded[1, :, :-1] = out.reshape(count, -1)
+        left = np.take(padded[0], toeplitz, axis=1)
+        right = np.take(padded[1], shift, axis=1).reshape(count, levels * levels, levels)
+        out = np.stack([serial_matmul(a, b) for a, b in zip(left, right)])
+    return out
 
 def draw_generator_params(modes: int, rng: np.random.Generator, max_radius: float = 1.5) -> GeneratorParams:
     """Seeded generator or anticlique parameters: phases uniform on [0, 2*pi), radii on [0, max_radius]."""

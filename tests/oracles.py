@@ -16,7 +16,8 @@ reference for ``graphs._graded_ladder``, and the rule operator to 50
 digits, the precision reference for ``quadrature._rule_operator``.  The
 rotation blocks ``V`` and the displaced seed ladders at n=2 to 50 digits
 by the binomial theorem, the precision reference for both number-operator
-sweeps.  ``graphs._rotation_sectors`` one mode at a time, reading the
+sweeps, and the displaced seed ladders at n=3 the same way, the precision
+reference for the anticlique check's per-mode factors.  ``graphs._rotation_sectors`` one mode at a time, reading the
 sector plans' predecessor positions directly, the reference for its one
 gather.  The displaced seed ladder by applying truncated displacement
 matrices mode by mode, the oracle for ``graphs._sector_ladders``, which
@@ -355,6 +356,50 @@ def two_mode_sweeps_reference(rotation, denominator: int, shift: Fraction, rows:
                 levels = [tails[total - k] * row[k] for k in range(min(total, cutoff) + 1)]
                 ladders.append(levels + [Decimal(0)] * (cutoff - min(total, cutoff)))
     return blocks, ladders
+
+
+def three_mode_ladder_reference(rotation, denominator: int, shift: Fraction, cutoff: int) -> list[list[Decimal]]:
+    """The displaced seed ladder Y = D(h) B at n=3 on the whole box, its Gaussian included, to 50 digits.
+
+    phi = ``rotation`` / ``denominator`` is rational, real and orthogonal,
+    and h = ``shift`` phi[:, 1], so Y_k = U (|k> (x) |shift> (x) |0>) with U
+    the rotation of ``graphs._rotation_sectors``.  Expanding
+    (sum_i phi_i0 a_i^dag)^k (sum_i phi_i1 a_i^dag)^l |vac> by the binomial
+    theorem gives, at box row a of total N and l = N - k,
+    Y_k[a] = exp(-shift^2/2) shift^l sqrt(k! / a!) e_k(a) / denominator^N,
+    a! = prod_i a_i!, where the integer e_k(a) is the coefficient of t^k in
+    prod_i (r_i0 t + r_i1)^(a_i), r = ``rotation``.  Only the square roots,
+    the exponential and the divisions round, at 50 digits.  No factor of
+    ``graphs._mode_factors`` enters.  Returns the rows in row-major box
+    order, as lists of Decimals.
+    """
+    binomials = [
+        [[math.comb(a, u) * row[0] ** u * row[1] ** (a - u) for u in range(a + 1)] for a in range(cutoff + 1)]
+        for row in rotation
+    ]
+    ladders = []
+    with localcontext() as context:
+        context.prec = 50
+        gauss = (-Decimal(shift.numerator) ** 2 / Decimal(2 * shift.denominator**2)).exp()
+        roots = [Decimal(math.factorial(m)).sqrt() for m in range(cutoff + 1)]
+        for a0, a1, a2 in np.ndindex(*(cutoff + 1,) * 3):
+            product = [1]
+            for poly in (binomials[0][a0], binomials[1][a1], binomials[2][a2]):
+                product = [
+                    sum(product[j] * poly[t - j] for j in range(max(0, t - len(poly) + 1), min(t, len(product) - 1) + 1))
+                    for t in range(len(product) + len(poly) - 1)
+                ]
+            total = a0 + a1 + a2
+            row = []
+            for k in range(cutoff + 1):
+                if k > total:
+                    row.append(Decimal(0))
+                    continue
+                power = Fraction(shift) ** (total - k) / Fraction(denominator) ** total * product[k]
+                scale = roots[k] / (roots[a0] * roots[a1] * roots[a2])
+                row.append(gauss * scale * Decimal(power.numerator) / Decimal(power.denominator))
+            ladders.append(row)
+    return ladders
 
 
 def rotation_sectors_loop(spec, rows: int) -> list:

@@ -255,6 +255,30 @@ class TestExitCodes:
         assert f"radius {math.hypot(*radii):.6g}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("radius", [1e3, 1e6])
+    @pytest.mark.parametrize("n, cutoff", [(3, 8), (4, 6)])
+    def test_anticlique_past_its_gaussian_cannot_be_checked(self, tmp_path, capsys, n, cutoff, radius):
+        # exp(-|h|^2/2) rounds to 0, so the per-mode factors of the point are zero, not the kernel's
+        # inf * 0 = NaN past a per-mode amplitude of about 40: the ladder underflows, a config error.
+        point = {"X": [radius] + [0.0] * (n - 2), "Gamma": [0.3] * (n - 1)}
+        config = write_config(tmp_path, {"experiment": "anticlique", "n": n, "cutoff": cutoff, "anticlique_params": point})
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: anticlique at n {n}") and "cannot be checked" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, cutoff", [(3, 8), (4, 6)])
+    def test_generator_past_its_gaussian_adds_nothing(self, tmp_path, n, cutoff):
+        # Its Gram is exactly 0, as it was from the sector sweep: M = 0 and c = 0 against a predicted 0.
+        point = {"R": [1e3] + [0.0] * (n - 2), "Theta": [0.3] * (n - 1)}
+        config = write_config(tmp_path, {"experiment": "anticlique", "n": n, "cutoff": cutoff, "generator_params": [point]})
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 0
+        report = json.loads(out.read_text())
+        fields = ("max_abs_deviation", "frobenius_deviation", "scalar_measured", "scalar_predicted")
+        assert report["pass"] is True and [report[key] for key in fields] == [0.0] * 4
+
     def test_anticlique_far_but_representable_keeps_its_fail(self, tmp_path):
         # At radius 20 the ladder is tiny but still has a scale: the verdict stays a finite FAIL.
         point = {"X": [20.0], "Gamma": [0.3]}

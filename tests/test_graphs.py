@@ -46,6 +46,7 @@ from oracles import (
     poisson_cdf,
     seed_projector,
     trusted_mask,
+    three_mode_ladder_reference,
     two_mode_sweeps_reference,
     two_plan_projection_deviations,
 )
@@ -927,7 +928,7 @@ class TestCompressionOracle:
 
 
 class TestGramSweep:
-    """compression_check sweeps whole points in sector order and takes their Grams in one product each."""
+    """At n = 2 compression_check sweeps whole points in sector order and takes their Grams in one product each."""
 
     @staticmethod
     def recording(monkeypatch, sweeps):
@@ -937,18 +938,17 @@ class TestGramSweep:
 
         monkeypatch.setattr(fockgraph.graphs, "_sector_ladders", recording)
 
-    # n=3 cutoff 8: the anticlique and its three generators in one sweep.  At cutoff 16 one
-    # point's ladder (4913 x 17) passes CHUNK_ENTRIES, so each point is swept alone.
-    @pytest.mark.parametrize("cutoff, sweeps", [(8, [4]), (16, [1, 1, 1, 1])], ids=["n3-c8", "n3-c16"])
+    # n=2 cutoff 16: the anticlique and its three generators in one sweep.  At cutoff 40 one
+    # point's ladder (1681 x 41) passes CHUNK_ENTRIES, so each point is swept alone.
+    @pytest.mark.parametrize("cutoff, sweeps", [(16, [4]), (40, [1, 1, 1, 1])], ids=["n2-c16", "n2-c40"])
     def test_default_points_share_a_sweep_within_budget(self, monkeypatch, cutoff, sweeps):
         recorded = []
         self.recording(monkeypatch, recorded)
-        compression_check(*runner_case(3, cutoff, 0))
+        compression_check(*runner_case(2, cutoff, 0))
         assert recorded == sweeps
 
-    @pytest.mark.parametrize(
-        "modes, cutoff, seed, trusted_block", [(2, 16, 42, 5), (3, 8, 5, 6), (3, 8, 0, None), (4, 6, 1, 3)]
-    )
+    # With the default trusted block every plan row is kept, read without the mask.
+    @pytest.mark.parametrize("modes, cutoff, seed, trusted_block", [(2, 16, 42, 5), (2, 16, 42, None)])
     def test_trusted_rows_are_the_box_plan_rows_top_sector_first(self, monkeypatch, modes, cutoff, seed, trusted_block):
         # Y_t is the anticlique's columns of the first sweep at the trusted box's rows, taken by decreasing
         # total and, within a total, by decreasing row-major index: the box plan's order, reversed.
@@ -962,19 +962,16 @@ class TestGramSweep:
         spec, anticlique, generators = runner_case(modes, cutoff, seed)
         residual = fockgraph.graphs._compression_residual(spec, anticlique, generators, None, trusted_block)
         count, sweep = sweeps[0]
-        tuples = occupations(spec.space)
-        inside = np.flatnonzero(tuples.max(axis=1) <= (cutoff if trusted_block is None else trusted_block))
-        rows = inside[np.lexsort((inside, tuples[inside].sum(axis=1)))[::-1]]
         position = np.argsort(_sector_plan(modes, cutoff + 1).order)
         shifts = np.array([displaced_mode_amplitudes(spec, p) for p in (anticlique, *generators)])
         gauss = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))[0]
-        assert np.array_equal(residual.ladder, sweep[position[rows], ::count] * gauss)
+        assert np.array_equal(residual.ladder, sweep[position[trusted_rows(spec, trusted_block)], ::count] * gauss)
 
     def test_serial_sweeps_keep_every_gemm_within_budget(self, monkeypatch):
-        # Nine points at n=3 cutoff 8 go four to a sweep, so two rows of a Gram product
-        # (4 x 729 x 9 multiply-adds each) fit SERIAL_GEMM_MACS; every GEMM is cut within it.
-        spec, anticlique, generators = runner_case(3, 8, 0)
-        generators = [*generators, *runner_case(3, 8, 1)[2], *runner_case(3, 8, 2)[2][:2]]
+        # Nine points at n=2 cutoff 16 go six to a sweep, so two rows of a Gram product
+        # (6 x 289 x 17 multiply-adds each) fit SERIAL_GEMM_MACS; every GEMM is cut within it.
+        spec, anticlique, generators = runner_case(2, 16, 0)
+        generators = [*generators, *runner_case(2, 16, 1)[2], *runner_case(2, 16, 2)[2][:2]]
         expected = compression_check(spec, anticlique, generators)
         sweeps, gemms = [], []
         matmul = np.matmul
@@ -988,9 +985,103 @@ class TestGramSweep:
         result = compression_check(spec, anticlique, generators)
         monkeypatch.undo()
         assert result == expected
-        assert sweeps == [4, 4, 1]
-        assert (2, 729, 36) in gemms
+        assert sweeps == [6, 3]
+        assert (2, 289, 102) in gemms
         assert all(2 <= rows and rows * k * n <= SERIAL_GEMM_MACS for rows, k, n in gemms)
+
+
+def trusted_rows(spec, trusted_block):
+    """Row-major box rows with every occupation <= trusted_block, by decreasing total, then decreasing index."""
+    tuples = occupations(spec.space)
+    inside = np.flatnonzero(tuples.max(axis=1) <= (spec.cutoff if trusted_block is None else trusted_block))
+    return inside[np.lexsort((inside, tuples[inside].sum(axis=1)))[::-1]]
+
+
+class TestFactoredGrams:
+    """At n >= 3 compression_check takes Y_x and the Grams from per-mode displacement factors."""
+
+    @pytest.mark.parametrize(
+        "modes, cutoff, seed, trusted_block", [(3, 8, 5, 6), (3, 8, 0, None), (4, 6, 1, 3), (4, 6, 1, None)]
+    )
+    def test_trusted_rows_match_the_modewise_oracle_top_sector_first(self, modes, cutoff, seed, trusted_block):
+        # Y_t in the sweep's row order (the box plan's, reversed), against truncated displacement
+        # matrices applied mode by mode to the seed basis, with the Gaussian exp(-|h_x|^2/2).
+        spec, anticlique, generators = runner_case(modes, cutoff, seed)
+        residual = fockgraph.graphs._compression_residual(spec, anticlique, generators, None, trusted_block)
+        ladder = displace_modewise(spec, seed_basis(spec), anticlique.displacements()[None])[0]
+        gauss = math.exp(-0.5 * float(np.sum(np.abs(displaced_mode_amplitudes(spec, anticlique)) ** 2)))
+        expected = ladder[trusted_rows(spec, trusted_block)] * gauss
+        assert residual.ladder.shape == expected.shape
+        assert np.abs(residual.ladder - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    # The level convolution at n=4 cutoff 6 ends in a (343 x 7) @ (7 x 49) product, 117,649 multiply-adds.
+    @pytest.mark.parametrize(
+        "modes, cutoff, convolution",
+        [(3, 8, [(9, 9, 81), (81, 9, 81)]), (4, 6, [(7, 7, 49), (49, 7, 49), (343, 7, 49)])],
+        ids=["n3-c8", "n4-c6"],
+    )
+    def test_every_gemm_goes_through_serial_matmul(self, monkeypatch, modes, cutoff, convolution):
+        spec, anticlique, generators = runner_case(modes, cutoff, 0)
+        shifts = np.array([displaced_mode_amplitudes(spec, p) for p in (anticlique, *generators)])
+        weights = np.ones(len(generators), dtype=complex)
+        expected = fockgraph.graphs._factored_grams(spec, shifts, weights)
+        serial, gemms = [], []
+        matmul = np.matmul
+
+        def recording_serial(a, b):
+            serial.append((len(a), a.shape[1], b.shape[1]))
+            return serial_matmul(a, b)
+
+        def recording(x, y, **kwargs):
+            gemms.append((len(x), x.shape[1], y.shape[1]))
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(fockgraph.graphs, "serial_matmul", recording_serial)
+        monkeypatch.setattr(np, "matmul", recording)
+        ladder, combined = fockgraph.graphs._factored_grams(spec, shifts, weights)
+        monkeypatch.undo()
+        assert np.array_equal(ladder, expected[0]) and np.array_equal(combined, expected[1])
+        rank, count = cutoff + 1, len(generators)
+        # The level convolution, A_xj^dag [A_1j, A_2j, A_3j] per mode, the Gram convolution per mode after
+        # the first and generator, and M.
+        grams = [(rank, rank, count * rank)] * modes + [(rank, rank * rank, rank)] * ((modes - 1) * count)
+        assert serial == [*convolution, *grams, (rank, count * rank, rank)]
+        assert all(2 <= rows and rows * k * n <= SERIAL_GEMM_MACS for rows, k, n in gemms)
+
+    @pytest.mark.parametrize("cutoff", [8, 12])
+    def test_ladder_and_m_match_the_50_digit_reference(self, cutoff):
+        # phi = ROTATION_3 / 3 (the nearest doubles); the anticlique at shift 3/2 along phi[:, 1], the
+        # generators there and at shift 3.  Each max-abs error is pinned within PRECISION_MARGIN both ways.
+        pins = self.PINS[cutoff]
+        spec = GraphSpec(phi=np.array(ROTATION_3) / 3, modes=3, cutoff=cutoff)
+        references = [three_mode_ladder_reference(ROTATION_3, 3, shift, cutoff) for shift in self.SHIFTS]
+        shifts = np.array([float(shift) * spec.phi[:, 1] for shift in self.SHIFTS])
+        weights = np.ones(len(shifts), dtype=complex)
+        for index, (reference, pin) in enumerate(zip(references, pins)):
+            ladder, _ = fockgraph.graphs._factored_grams(spec, shifts[[index, *range(len(shifts))]], weights)
+            assert not ladder.imag.any()
+            assert pin / PRECISION_MARGIN <= decimal_error(ladder.real, reference) <= pin * PRECISION_MARGIN
+        _, combined = fockgraph.graphs._factored_grams(spec, shifts[[0, *range(len(shifts))]], weights)
+        assert not combined.imag.any()
+        error = decimal_error(combined.real, self.reference_m(references))
+        assert pins[-1] / PRECISION_MARGIN <= error <= pins[-1] * PRECISION_MARGIN
+
+    SHIFTS = (Fraction(3, 2), Fraction(3))
+    # Per cutoff: the ladder's error at each shift (entries up to 0.33), then M's (entries up to 1.11).  The
+    # sector sweep's ladders were 7.6e-17 and 4.1e-17 off, and Grams of them gave M 1.3e-15 and 1.2e-15 off.
+    PINS = {8: (2.43e-16, 1.24e-16, 2.69e-15), 12: (2.65e-16, 1.56e-16, 2.94e-15)}
+
+    @staticmethod
+    def reference_m(references):
+        """M = sum_i G_i G_i^dag, G_i = Y_x^dag Y_i on the box, the anticlique the first reference, to 50 digits."""
+        levels = range(len(references[0][0]))
+        with localcontext() as context:
+            context.prec = 50
+            grams = [
+                [[sum(x[k] * y[l] for x, y in zip(references[0], other)) for l in levels] for k in levels]
+                for other in references
+            ]
+            return [[sum(g[k][j] * g[l][j] for g in grams for j in levels) for l in levels] for k in levels]
 
 
 class TestSimplexClosedForms:
@@ -1076,45 +1167,70 @@ class TestResidualPruning:
         assert 0 < sum(taken) <= spec.space.dim // 10
 
     def test_nan_in_a_deep_ladder_row_exits_three(self, monkeypatch, tmp_path):
-        # The anticlique's top level on the box's last row, in the sector-major sweep the check reads.
+        # The anticlique's top level on the box's last row, (8, 8, 8), of the factored ladder the check reads.
+        def poisoned(factors, scale):
+            ladder = level_convolution(factors, scale)
+            ladder[-1, -1] = np.nan
+            return ladder
+
+        level_convolution = fockgraph.graphs._level_convolution
+        monkeypatch.setattr(fockgraph.graphs, "_level_convolution", poisoned)
+        self.exits_three(runner_case(3, 8, 0), tmp_path, 3)
+
+    def test_nan_in_a_deep_swept_row_exits_three(self, monkeypatch, tmp_path):
+        # The anticlique's top level on the box's last row, in the n = 2 sector-major sweep the check reads.
         def poisoned(spec, shifts, rows):
             ladder = _sector_ladders(spec, shifts, rows)
             ladder[-1, -len(shifts)] = np.nan
             return ladder
 
         monkeypatch.setattr(fockgraph.graphs, "_sector_ladders", poisoned)
-        result = compression_check(*runner_case(3, 8, 0))
+        self.exits_three(runner_case(2, 8, 0), tmp_path, 2)
+
+    @staticmethod
+    def exits_three(case, tmp_path, modes):
+        result = compression_check(*case)
         assert not math.isfinite(result.max_abs_deviation)
         assert not math.isfinite(result.frobenius_deviation)
         config = tmp_path / "config.json"
-        config.write_text('{"experiment": "anticlique", "n": 3, "cutoff": 8, "seed": 0}')
+        config.write_text(f'{{"experiment": "anticlique", "n": {modes}, "cutoff": 8, "seed": 0}}')
         assert main(["--config", str(config), "--out", str(tmp_path / "report.json"), "--quiet"]) == 3
 
 
 class TestNoDisplacementKernel:
-    """The graph experiments build their ladders by Weyl covariance alone."""
+    """projection, resolution and the n = 2 anticlique build their ladders by Weyl covariance alone.
+
+    The n >= 3 anticlique check takes every point's per-mode displacement
+    matrices from one kernel call.
+    """
 
     @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 6)])
-    def test_graph_experiments_never_call_the_kernel(self, monkeypatch, modes, cutoff):
+    def test_graph_experiments_call_the_kernel_only_for_factored_grams(self, monkeypatch, modes, cutoff):
         configs = [
             config_from_dict({"experiment": name, "n": modes, "cutoff": cutoff})
             for name in ("projection", "resolution", "anticlique")
         ]
         expected = [run_experiment(cfg) for cfg in configs]
+        calls = []
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("displacement_matrix called")
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return displacement_matrix(*args, **kwargs)
 
         bound = [
             module
             for name, module in sys.modules.items()
             if name.split(".")[0] == "fockgraph" and vars(module).get("displacement_matrix") is displacement_matrix
         ]
-        assert {"fockgraph", "fockgraph.fock", "fockgraph.quadrature"} <= {module.__name__ for module in bound}
+        assert {"fockgraph", "fockgraph.fock", "fockgraph.graphs", "fockgraph.quadrature"} <= {
+            module.__name__ for module in bound
+        }
         for module in bound:
-            monkeypatch.setattr(module, "displacement_matrix", forbidden)
+            monkeypatch.setattr(module, "displacement_matrix", counting)
         for cfg, before in zip(configs, expected):
+            calls.clear()
             report = run_experiment(cfg)
+            assert len(calls) == (cfg.experiment == "anticlique" and modes >= 3)
             assert (report.passed, report.max_abs_deviation, report.frobenius_deviation) == (
                 before.passed,
                 before.max_abs_deviation,

@@ -1,7 +1,8 @@
 """The warm path: what one process builds once, and what every call still computes.
 
 A process caches only what depends on the process (the argument parser) or
-on a shape (the default DFT phi per n, log-factorials, index layouts).  Each
+on a shape (the default DFT phi per n, log-factorials, index layouts and
+gathers).  Each
 cache returns read-only arrays and keys on every shape argument it takes;
 nothing computed from phi, the seed, explicit points or the rule weights is
 cached, so a warm call redoes all of its numerics.
@@ -134,6 +135,20 @@ def reference_class_plan(modes, rows, cutoff, angular):
     return np.concatenate(members), right, np.array(pairs), np.array(left), np.array(first), np.array(count)
 
 
+def reference_convolution_plan(levels):
+    # Entry by entry: the flat index of (r, k - k') and of (k - k', b) in an L x L array, or L^2 (its trailing 0)
+    # where k < k'.
+    empty = levels * levels
+    shift = np.full((levels, levels, levels), empty)
+    toeplitz = np.full((levels, levels, levels), empty)
+    for low in range(levels):
+        for row in range(levels):
+            for high in range(low, levels):
+                shift[low, row, high] = row * levels + high - low
+                toeplitz[high, row, low] = (high - low) * levels + row
+    return shift.reshape(levels, empty), toeplitz.reshape(levels, empty)
+
+
 def reference_radius_limit(n, cutoff):
     budget = math.log(np.finfo(float).max) - n * math.log(cutoff + 1)
     return math.exp(min((budget + 0.5 * math.lgamma(s + 1)) / s for s in range(1, n * cutoff + 1)))
@@ -158,6 +173,7 @@ CACHES = {
         reference_class_plan,
         [(3, 3, 4, 5), (2, 3, 4, 5), (2, 4, 4, 5), (2, 4, 2, 5), (2, 4, 2, 3), (3, 3, 4, 5)],
     ),
+    "convolution_plan": (graphs._convolution_plan, reference_convolution_plan, [(9,), (7,), (9,)]),
     "ladder_radius_limit": (config._ladder_radius_limit, reference_radius_limit, [(2, 8), (3, 8), (3, 16), (2, 8)]),
 }
 
@@ -218,9 +234,10 @@ class TestNumericsRunOnEveryCall:
         "data, module, helper",
         [
             ({"experiment": "gs", "cutoff": 8}, quadrature, "_rule_operator"),
-            ({"experiment": "anticlique", "n": 3, "cutoff": 8, "seed": 0}, graphs, "_sector_ladders"),
+            ({"experiment": "anticlique", "n": 2, "cutoff": 16, "seed": 0}, graphs, "_sector_ladders"),
+            ({"experiment": "anticlique", "n": 3, "cutoff": 8, "seed": 0}, graphs, "_mode_factors"),
         ],
-        ids=["gs", "anticlique"],
+        ids=["gs", "anticlique-n2", "anticlique"],
     )
     def test_a_repeated_call_is_no_lookup(self, tmp_path, monkeypatch, data, module, helper):
         # Every call of the same config computes the helper's result afresh: a new, writable
