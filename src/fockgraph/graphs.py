@@ -470,6 +470,9 @@ def compression_check(
 
     At n = 2 a sweep holds as many points as fit CHUNK_ENTRIES entries, so
     no array has more than max(CHUNK_ENTRIES, dim * (cutoff+1)) entries.
+    At n >= 3 the arrays are Y_x, the (cutoff+1)^3-entry gathers of one
+    point's Gram convolution and the factors with the kernel's stack, which
+    hold n (cutoff+1)^2 entries per point and so grow with the point count.
     Where eight output rows of a ladder GEMM fit SERIAL_GEMM_MACS (up to
     n=2 cutoff 19, n=3 cutoff 8 and n=4 cutoff 5), a sweep also holds no
     more points than keep two rows of its Gram product within that budget,
@@ -677,19 +680,22 @@ def _gram_convolution(grams: np.ndarray) -> np.ndarray:
     :func:`serial_matmul` per point of W's Toeplitz blocks against shifted
     copies of the running G, both gathered by :func:`_convolution_plan`:
     G'[k, l] = sum over (b, k') of W[k - k', b] G[k', l - b], L^4
-    multiply-adds per point.
+    multiply-adds and two L^3-entry gathers per point.
     """
     modes, count, levels, _ = grams.shape
     shift, toeplitz = _convolution_plan(levels)
-    padded = np.zeros((2, count, levels * levels + 1), dtype=complex)
-    out = grams[0]
-    for gram in grams[1:]:
-        padded[0, :, :-1] = gram.reshape(count, -1)
-        padded[1, :, :-1] = out.reshape(count, -1)
-        left = np.take(padded[0], toeplitz, axis=1)
-        right = np.take(padded[1], shift, axis=1).reshape(count, levels * levels, levels)
-        out = np.stack([serial_matmul(a, b) for a, b in zip(left, right)])
+    padded = np.zeros((2, levels * levels + 1), dtype=complex)
+    out = np.empty((count, levels, levels), dtype=complex)
+    for point in range(count):
+        gram = grams[0, point]
+        for factor in grams[1:, point]:
+            padded[0, :-1] = factor.ravel()
+            padded[1, :-1] = gram.ravel()
+            left, right = np.take(padded[0], toeplitz), np.take(padded[1], shift)
+            gram = serial_matmul(left, right.reshape(levels * levels, levels))
+        out[point] = gram
     return out
+
 
 def draw_generator_params(modes: int, rng: np.random.Generator, max_radius: float = 1.5) -> GeneratorParams:
     """Seeded generator or anticlique parameters: phases uniform on [0, 2*pi), radii on [0, max_radius]."""
