@@ -21,7 +21,8 @@ reference for the anticlique check's per-mode factors.  ``graphs._rotation_secto
 sector plans' predecessor positions directly, the reference for its one
 gather.  The displaced seed ladder by applying truncated displacement
 matrices mode by mode, the oracle for ``graphs._sector_ladders``, which
-builds it by Weyl covariance.  The dense Kronecker Weyl operator
+builds it by Weyl covariance, and for the n >= 3 anticlique check's
+level convolution of per-mode factors.  The dense Kronecker Weyl operator
 (``weyl_operator``, ``graph_displacement``) and the displaced seed
 projector built from it (``dense_generator``), the oracles for ``graphs.graph_generator`` and for
 the dense ``P A P`` that ``graphs.compression_check`` never forms: both
