@@ -8,7 +8,8 @@ experiment at n = 2, 3 and 4, ``resolution`` at its n = 3 defaults (cutoff
 16), at n = 5, n = 3 cutoff 18 and n = 4 cutoff 8 and with aliased rules
 (at M = 1 every sector pair couples),
 the deepest sectors of both number-operator sweeps (``resolution`` at n = 2
-cutoffs 56 and 63, ``anticlique`` at n = 2 cutoff 56),
+cutoffs 56 and 63, ``anticlique`` at n = 2 cutoff 56), the largest n = 2
+``anticlique`` box (cutoff 89), an n = 2 ``anticlique`` with 64 generators,
 ``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3,
 ``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40, n = 4
 cutoff 8), at n = 5 (cutoff 5), with trusted boxes past ``cutoff // n``
@@ -137,6 +138,16 @@ CASES = [
     ("resolution n2 c56", {"experiment": "resolution", "n": 2, "cutoff": 56}),
     ("resolution n2 c63", {"experiment": "resolution", "n": 2, "cutoff": 63}),
     ("anticlique n2 c56", {"experiment": "anticlique", "n": 2, "cutoff": 56}),
+    ("anticlique n2 c89", {"experiment": "anticlique", "n": 2, "cutoff": 89}),
+    (
+        "anticlique n2 c40 64 generators",
+        {
+            "experiment": "anticlique",
+            "n": 2,
+            "cutoff": 40,
+            "generator_params": [{"R": [(i + 1) / 40], "Theta": [i / 10]} for i in range(64)],
+        },
+    ),
     ("resolution n5 c5", {"experiment": "resolution", "n": 5, "cutoff": 5}),
     (
         "resolution n3 c6 Q2 M5",
