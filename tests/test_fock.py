@@ -205,6 +205,15 @@ class TestDisplacementMatrix:
         assert np.all(np.isfinite(rows))
         assert np.abs(np.sum(np.abs(rows) ** 2, axis=1) - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("alpha", [2.0**-5, 0.1])
+    def test_diagonal_keeps_a_small_argument_to_cutoff_89(self, alpha):
+        # Tail-factored, entry (n, n) is L_n(|alpha|^2) itself.  Read at most 1.1e-15 relative against
+        # the exact rational sum; the three-term form 2n + 1 - s lost s's low bits, 3.2e-14 and 2.2e-13.
+        diagonal = np.diag(displacement_matrix(alpha, 89, include_gaussian=False))
+        exact = np.array([laguerre_direct(n, 0, alpha**2) for n in range(90)])
+        assert not diagonal.imag.any()
+        assert np.max(np.abs(diagonal.real - exact) / np.abs(exact)) <= 2e-15
+
     def test_array_form_against_expm_oracle(self):
         alphas = np.array([0.7 + 0.3j, -1.2 + 0.5j, 1.9j, -0.4 - 1.1j])
         stack = displacement_matrix(alphas, 10)
