@@ -307,17 +307,19 @@ def _ladder_radius_limit(n: int, cutoff: int) -> float:
 
     Cached per ``(n, cutoff)``; the value is an immutable float.
 
-    It bounds the n = 2 check, whose sector sweep builds the ladders without
-    their Gaussian.  At total occupation N the rotated-frame ladder
-    Y_k = e^{|h|^2/2} D(h) B_k holds the sector mass rho^(2s) / s!,
-    s = N - k, rho = |h| = |R|, so every entry is at most
-    max_s rho^s / sqrt(s!) over s <= n cutoff.  The sweep's sums and the
-    Gram products add at most dim = (cutoff+1)^n such terms, so the check
-    stays finite while dim max_s rho^s / sqrt(s!) is a double:
-    rho <= min_s ((log(max / dim) + log(s!) / 2) / s), in logs.  The n >= 3
-    check builds its ladders from per-mode displacement matrices, Gaussians
-    included, and gives a point whose Gaussian rounds to 0 zero factors, so
-    it stays finite at any radius; the config keeps the one limit at every n.
+    It bounds the tail-factored sector sweep (``graphs._sector_ladders``),
+    which builds the ladders without their Gaussian.  At total occupation N
+    the rotated-frame ladder Y_k = e^{|h|^2/2} D(h) B_k holds the sector
+    mass rho^(2s) / s!, s = N - k, rho = |h| = |R|, so every entry is at
+    most max_s rho^s / sqrt(s!) over s <= n cutoff.  The sweep's sums and
+    Gram products add at most dim = (cutoff+1)^n such terms, so they stay
+    finite while dim max_s rho^s / sqrt(s!) is a double:
+    rho <= min_s ((log(max / dim) + log(s!) / 2) / s), in logs.  The
+    anticlique check does not sweep: it builds its ladders from per-mode
+    displacement matrices, Gaussians included, and gives a point whose
+    Gaussian rounds to 0 zero factors, so it stays finite at any radius.
+    The limit guards no computation of the check; the config keeps it, at
+    every n, so that no exit code moves.
     """
     budget = math.log(np.finfo(float).max) - n * math.log(cutoff + 1)
     return math.exp(min((budget + 0.5 * math.lgamma(s + 1)) / s for s in range(1, n * cutoff + 1)))

@@ -431,27 +431,18 @@ def compression_check(
     error of c against the predicted weighted constant sum.  Real parts of c
     are returned.
 
-    At n >= 3 the check takes Y_x and the Grams from per-mode factors
-    (:func:`_mode_factors`, one displacement_matrix call for every point
-    and mode, Gaussians included): Y_x is their level convolution over the
-    modes (:func:`_level_convolution`, one GEMM per mode), each G_i the 2-D
-    level convolution of the (cutoff+1)-square A_xj^dag A_ij
-    (:func:`_gram_convolution`), and M one product
-    [w_1 G_1, w_2 G_2, ...] [G_1, G_2, ...]^dag.  Beyond Y_x that costs
-    O(n (cutoff+1)^4) per generator, with no (cutoff+1)^n object, and every
-    one of these GEMMs goes through serial_matmul.
-    At n = 2 the ladders are swept in sector-major order (:func:`_sector_ladders`),
-    a whole number of points at a time, the anticlique's first with weight 0
-    in M, and every Gram of a sweep comes from one product
-    Y_x^dag [Y_x, Y_1, ...] (none for the anticlique swept alone).  Y_x is
-    the first sweep's point-0 columns, copied once with its Gaussian
-    exp(-|h_x|^2/2); the other Gaussians the tail-factored ladders leave
-    out scale the (cutoff+1)-square Grams, not the ladders.  There the
-    rank reaches 90, where the 2-D level convolution costs more than the
-    sweep and lands further from an extended-precision reference.
-    Either way Y_t keeps the box plan's rows with every occupation <=
-    ``trusted_block`` (all of them at the default), taken from the
-    top sector down, and S is its own product over them: it sums a ladder's
+    The check takes Y_x and the Grams from per-mode factors at every n
+    (:func:`_factored_grams`; :func:`_mode_factors` builds them from
+    displacement_matrix, Gaussians included): Y_x is the anticlique's
+    level convolution over the modes (:func:`_level_convolution`, one GEMM
+    per mode), each G_i the 2-D level convolution of the (cutoff+1)-square
+    A_xj^dag A_ij (:func:`_gram_convolution`), and M the sum over chunks of
+    points of one product [w_1 G_1, w_2 G_2, ...] [G_1, G_2, ...]^dag each.
+    Beyond Y_x that costs O(n (cutoff+1)^4) per generator, with no
+    (cutoff+1)^n object, and every one of these GEMMs goes through
+    serial_matmul.  Y_t keeps the box plan's rows with every occupation <=
+    ``trusted_block`` (all of them at the default), taken from the top
+    sector down, and S is its own product over them: it sums a ladder's
     small entries first, where summed large entries first it rounded
     further from the full residual.  No dim_t x dim_t residual is formed.
     With K = M - c I, the Frobenius norm is taken in rank space,
@@ -468,16 +459,16 @@ def compression_check(
     O(dim (cutoff+1)^2) plus dim_t (cutoff+1) per row taken; at
     n=3 cutoff 8 the sweep takes 18 to 90 of 729 rows on seeds 0-7.
 
-    At n = 2 a sweep holds as many points as fit CHUNK_ENTRIES entries, so
-    no array has more than max(CHUNK_ENTRIES, dim * (cutoff+1)) entries.
-    At n >= 3 the arrays are Y_x, the (cutoff+1)^3-entry gathers of one
-    point's Gram convolution and the factors with the kernel's stack, which
-    hold n (cutoff+1)^2 entries per point and so grow with the point count.
-    Where eight output rows of a ladder GEMM fit SERIAL_GEMM_MACS (up to
-    n=2 cutoff 19, n=3 cutoff 8 and n=4 cutoff 5), a sweep also holds no
-    more points than keep two rows of its Gram product within that budget,
-    every GEMM is cut into row blocks within it, and no BLAS worker thread
-    is woken; the sector contractions are elementwise and call no BLAS.
+    The arrays are Y_x and the residual's factors (dim x (cutoff+1) each),
+    the (cutoff+1)^3-entry gathers of one point's Gram convolution, and one
+    chunk's factors with the kernel's stack.  A chunk holds as many points
+    as keep its n (cutoff+1)^2 entries a point within CHUNK_ENTRIES (at
+    least two), so no array grows with the generator count, and the
+    runner's four points take one chunk, one kernel call and one M product
+    at every size MAX_DIM admits.  Where eight output rows of a ladder GEMM
+    fit SERIAL_GEMM_MACS (up to n=2 cutoff 19, n=3 cutoff 8 and n=4 cutoff
+    5), the residual's GEMMs are also cut into row blocks within it, and no
+    BLAS worker thread is woken.
 
     The full-matrix comparison is limited by the mass the top ladder states
     lose to truncation (first order in that loss); the identity is exact in
@@ -542,18 +533,11 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
     matmul = serial_matmul if serial else np.matmul
 
     shifts = np.array([displaced_mode_amplitudes(spec, p) for p in (anticlique, *generators)])
+    ladder, combined = _factored_grams(spec, shifts, np.array(weights))
     plan = _sector_plan(spec.modes, rank)
-    # Y_t: the box plan's positions with every occupation <= top, top sector first, so S sums small entries first.
-    if top == spec.cutoff:
-        positions = np.arange(len(plan.order) - 1, -1, -1)
-    else:
-        positions = np.flatnonzero(np.all(plan.occupations <= top, axis=1))[::-1]
-    if spec.modes >= 3:
-        ladder, combined = _factored_grams(spec, shifts, np.array(weights))
-        ladder = ladder[plan.order[positions]]  # the factored ladder's rows are in box order
-    else:
-        ladder, combined = _swept_grams(spec, shifts, weights, serial, matmul)
-        ladder = ladder[positions]
+    # Y_t: the box plan's rows with every occupation <= top, top sector first, so S sums small entries first.
+    positions = plan.order if top == spec.cutoff else plan.order[np.all(plan.occupations <= top, axis=1)]
+    ladder = ladder[positions[::-1]]  # the factored ladder's rows are in box order
     overlap = matmul(ladder.conj().T, ladder)
     overlap_norm = float(np.linalg.norm(overlap))
     if overlap_norm == 0.0:
@@ -565,48 +549,35 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
     return _Residual(ladder, scaled, deviation, overlap, overlap_norm, measured, predicted, serial, matmul)
 
 
-def _swept_grams(spec, shifts, weights, serial, matmul) -> tuple[np.ndarray, np.ndarray]:
-    """Y_x, rows in sector order, and M = sum_i w_i G_i G_i^dag from sector sweeps of whole points at a time."""
-    rank = spec.cutoff + 1
-    entries = spec.space.dim * rank
-    gauss = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))
-    scale = np.array([0.0, *weights])
-    # A Gram product row takes entries multiply-adds per point, and serial_matmul needs two rows in budget.
-    step = max(1, (SERIAL_GEMM_MACS // 2 if serial else CHUNK_ENTRIES) // entries)
-    combined = np.zeros((rank, rank), dtype=complex)
-    for start in range(0, len(shifts), step):
-        chunk = slice(start, start + step)
-        sweep = _sector_ladders(spec, shifts[chunk], rank)
-        if start == 0:
-            ladder = sweep[:, :: len(shifts[chunk])] * gauss[0]
-            adjoint = ladder.conj().T
-        if not scale[chunk].any():
-            continue  # weight-0 points only (the anticlique swept alone) add nothing to M
-        gram = matmul(adjoint, sweep).reshape(rank, rank, -1)
-        gram *= gauss[chunk]
-        combined += np.einsum("p,ikp,lkp->il", scale[chunk], gram, gram.conj())
-    return ladder, combined
-
-
 def _factored_grams(spec, shifts, weights) -> tuple[np.ndarray, np.ndarray]:
     """Y_x, rows in box order, and M = sum_i w_i G_i G_i^dag from per-mode factors.
 
     With A the factors (:func:`_mode_factors`), Y_x is sqrt(k!) times the
     level convolution of A_xj over the modes and G_i is sqrt(k! l!) times
     the 2-D level convolution of W_ij = A_xj^dag A_ij, whose entry (a, b)
-    is <Y_x|Y_i> restricted to mode j's occupations a and b.  Each W_j is
-    one GEMM, A_xj^dag [A_1j, A_2j, ...], and M is one more.
+    is <Y_x|Y_i> restricted to mode j's occupations a and b.  The points,
+    the anticlique first, are taken in chunks whose factors (n (cutoff+1)^2
+    entries a point) fit CHUNK_ENTRIES, at least two points a chunk; each
+    chunk is one kernel call, each W_j one GEMM, A_xj^dag [A_1j, A_2j, ...],
+    and its share of M one more.
     """
-    modes, count, rank = spec.modes, len(shifts) - 1, spec.cutoff + 1
-    factors = _mode_factors(spec, shifts)
+    modes, rank = spec.modes, spec.cutoff + 1
     roots = np.sqrt([float(math.factorial(k)) for k in range(rank)])
-    ladder = _level_convolution(factors[:, 0], roots)
-    grams = np.empty((modes, count, rank, rank), dtype=complex)
-    for mode, (anticlique, others) in enumerate(zip(factors[:, 0], factors[:, 1:])):
-        products = serial_matmul(anticlique.conj().T, others.transpose(1, 0, 2).reshape(rank, count * rank))
-        grams[mode] = products.reshape(rank, count, rank).transpose(1, 0, 2)
-    gram = (_gram_convolution(grams) * np.multiply.outer(roots, roots)).transpose(1, 0, 2)
-    combined = serial_matmul((gram * weights[:, None]).reshape(rank, -1), gram.reshape(rank, -1).conj().T)
+    step = max(2, CHUNK_ENTRIES // (modes * rank * rank))
+    combined = np.zeros((rank, rank), dtype=complex)
+    for start in range(0, len(shifts), step):
+        factors = _mode_factors(spec, shifts[start : start + step])
+        if start == 0:
+            anticlique, factors = factors[:, 0], factors[:, 1:]
+            ladder = _level_convolution(anticlique, roots)
+        count = factors.shape[1]
+        grams = np.empty((modes, count, rank, rank), dtype=complex)
+        for mode, (left, others) in enumerate(zip(anticlique, factors)):
+            products = serial_matmul(left.conj().T, others.transpose(1, 0, 2).reshape(rank, count * rank))
+            grams[mode] = products.reshape(rank, count, rank).transpose(1, 0, 2)
+        gram = (_gram_convolution(grams) * np.multiply.outer(roots, roots)).transpose(1, 0, 2)
+        scaled = gram * weights[max(start - 1, 0) : start + step - 1, None]
+        combined += serial_matmul(scaled.reshape(rank, -1), gram.reshape(rank, -1).conj().T)
     return ladder, combined
 
 

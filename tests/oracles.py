@@ -16,17 +16,18 @@ reference for ``graphs._graded_ladder``, and the rule operator to 50
 digits, the precision reference for ``quadrature._rule_operator``.  The
 rotation blocks ``V`` and the displaced seed ladders at n=2 to 50 digits
 by the binomial theorem, the precision reference for both number-operator
-sweeps, and the displaced seed ladders at n=3 the same way, the precision
-reference for the anticlique check's per-mode factors.  ``graphs._rotation_sectors`` one mode at a time, reading the
+sweeps and, with the Gaussian put back, for the anticlique check's ladder
+and ``M`` from per-mode factors at n=2, and the displaced seed ladders at
+n=3 the same way, the precision reference for those factors at n=3.  ``graphs._rotation_sectors`` one mode at a time, reading the
 sector plans' predecessor positions directly, the reference for its one
 gather.  The displaced seed ladder by applying truncated displacement
 matrices mode by mode, the oracle for ``graphs._sector_ladders``, which
-builds it by Weyl covariance, and for the n >= 3 anticlique check's
-level convolution of per-mode factors.  The dense Kronecker Weyl operator
+builds it by Weyl covariance, and for the anticlique check's level
+convolution of per-mode factors.  The dense Kronecker Weyl operator
 (``weyl_operator``, ``graph_displacement``) and the displaced seed
 projector built from it (``dense_generator``), the oracles for ``graphs.graph_generator`` and for
-the dense ``P A P`` that ``graphs.compression_check`` never forms: both
-functions read their ladders from that sweep.  The anticlique residual
+the dense ``P A P`` that ``graphs.compression_check`` never forms: the
+first reads its ladder from that sweep, the second from per-mode factors.  The anticlique residual
 with each of its ``dim_t^2`` entries formed, the oracle for
 ``graphs.compression_check``, which prunes its max-abs sweep and takes its
 Frobenius norm in rank space.  The Poisson distribution function to 50

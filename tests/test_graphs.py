@@ -927,69 +927,6 @@ class TestCompressionOracle:
         assert peak < 16 * spec.space.dim**2
 
 
-class TestGramSweep:
-    """At n = 2 compression_check sweeps whole points in sector order and takes their Grams in one product each."""
-
-    @staticmethod
-    def recording(monkeypatch, sweeps):
-        def recording(spec, shifts, rows):
-            sweeps.append(len(shifts))
-            return _sector_ladders(spec, shifts, rows)
-
-        monkeypatch.setattr(fockgraph.graphs, "_sector_ladders", recording)
-
-    # n=2 cutoff 16: the anticlique and its three generators in one sweep.  At cutoff 40 one
-    # point's ladder (1681 x 41) passes CHUNK_ENTRIES, so each point is swept alone.
-    @pytest.mark.parametrize("cutoff, sweeps", [(16, [4]), (40, [1, 1, 1, 1])], ids=["n2-c16", "n2-c40"])
-    def test_default_points_share_a_sweep_within_budget(self, monkeypatch, cutoff, sweeps):
-        recorded = []
-        self.recording(monkeypatch, recorded)
-        compression_check(*runner_case(2, cutoff, 0))
-        assert recorded == sweeps
-
-    # With the default trusted block every plan row is kept, read without the mask.
-    @pytest.mark.parametrize("modes, cutoff, seed, trusted_block", [(2, 16, 42, 5), (2, 16, 42, None)])
-    def test_trusted_rows_are_the_box_plan_rows_top_sector_first(self, monkeypatch, modes, cutoff, seed, trusted_block):
-        # Y_t is the anticlique's columns of the first sweep at the trusted box's rows, taken by decreasing
-        # total and, within a total, by decreasing row-major index: the box plan's order, reversed.
-        sweeps = []
-
-        def recording(spec, shifts, rows):
-            sweeps.append((len(shifts), _sector_ladders(spec, shifts, rows)))
-            return sweeps[-1][1]
-
-        monkeypatch.setattr(fockgraph.graphs, "_sector_ladders", recording)
-        spec, anticlique, generators = runner_case(modes, cutoff, seed)
-        residual = fockgraph.graphs._compression_residual(spec, anticlique, generators, None, trusted_block)
-        count, sweep = sweeps[0]
-        position = np.argsort(_sector_plan(modes, cutoff + 1).order)
-        shifts = np.array([displaced_mode_amplitudes(spec, p) for p in (anticlique, *generators)])
-        gauss = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1))[0]
-        assert np.array_equal(residual.ladder, sweep[position[trusted_rows(spec, trusted_block)], ::count] * gauss)
-
-    def test_serial_sweeps_keep_every_gemm_within_budget(self, monkeypatch):
-        # Nine points at n=2 cutoff 16 go six to a sweep, so two rows of a Gram product
-        # (6 x 289 x 17 multiply-adds each) fit SERIAL_GEMM_MACS; every GEMM is cut within it.
-        spec, anticlique, generators = runner_case(2, 16, 0)
-        generators = [*generators, *runner_case(2, 16, 1)[2], *runner_case(2, 16, 2)[2][:2]]
-        expected = compression_check(spec, anticlique, generators)
-        sweeps, gemms = [], []
-        matmul = np.matmul
-
-        def recording(x, y, **kwargs):
-            gemms.append((len(x), x.shape[1], y.shape[1]))
-            return matmul(x, y, **kwargs)
-
-        self.recording(monkeypatch, sweeps)
-        monkeypatch.setattr(np, "matmul", recording)
-        result = compression_check(spec, anticlique, generators)
-        monkeypatch.undo()
-        assert result == expected
-        assert sweeps == [6, 3]
-        assert (2, 289, 102) in gemms
-        assert all(2 <= rows and rows * k * n <= SERIAL_GEMM_MACS for rows, k, n in gemms)
-
-
 def trusted_rows(spec, trusted_block):
     """Row-major box rows with every occupation <= trusted_block, by decreasing total, then decreasing index."""
     tuples = occupations(spec.space)
@@ -998,13 +935,15 @@ def trusted_rows(spec, trusted_block):
 
 
 class TestFactoredGrams:
-    """At n >= 3 compression_check takes Y_x and the Grams from per-mode displacement factors."""
+    """compression_check takes Y_x and the Grams from per-mode displacement factors at every n."""
 
+    # With the default trusted block every plan row is kept, read without the mask.
     @pytest.mark.parametrize(
-        "modes, cutoff, seed, trusted_block", [(3, 8, 5, 6), (3, 8, 0, None), (4, 6, 1, 3), (4, 6, 1, None)]
+        "modes, cutoff, seed, trusted_block",
+        [(2, 16, 42, 5), (2, 16, 42, None), (3, 8, 5, 6), (3, 8, 0, None), (4, 6, 1, 3), (4, 6, 1, None)],
     )
     def test_trusted_rows_match_the_modewise_oracle_top_sector_first(self, modes, cutoff, seed, trusted_block):
-        # Y_t in the sweep's row order (the box plan's, reversed), against truncated displacement
+        # Y_t top sector first (the box plan's order, reversed), against truncated displacement
         # matrices applied mode by mode to the seed basis, with the Gaussian exp(-|h_x|^2/2).
         spec, anticlique, generators = runner_case(modes, cutoff, seed)
         residual = fockgraph.graphs._compression_residual(spec, anticlique, generators, None, trusted_block)
@@ -1017,8 +956,8 @@ class TestFactoredGrams:
     # The level convolution at n=4 cutoff 6 ends in a (343 x 7) @ (7 x 49) product, 117,649 multiply-adds.
     @pytest.mark.parametrize(
         "modes, cutoff, convolution",
-        [(3, 8, [(9, 9, 81), (81, 9, 81)]), (4, 6, [(7, 7, 49), (49, 7, 49), (343, 7, 49)])],
-        ids=["n3-c8", "n4-c6"],
+        [(2, 16, [(17, 17, 289)]), (3, 8, [(9, 9, 81), (81, 9, 81)]), (4, 6, [(7, 7, 49), (49, 7, 49), (343, 7, 49)])],
+        ids=["n2-c16", "n3-c8", "n4-c6"],
     )
     def test_every_gemm_goes_through_serial_matmul(self, monkeypatch, modes, cutoff, convolution):
         spec, anticlique, generators = runner_case(modes, cutoff, 0)
@@ -1065,6 +1004,76 @@ class TestFactoredGrams:
         assert not combined.imag.any()
         error = decimal_error(combined.real, self.reference_m(references))
         assert pins[-1] / PRECISION_MARGIN <= error <= pins[-1] * PRECISION_MARGIN
+
+    def test_two_mode_ladder_and_m_match_the_50_digit_reference(self):
+        # phi = ROTATION_2 / 5 (the nearest doubles).  The ladder at shift 3/2 along phi[:, 1] on the 29-row
+        # box at cutoff 56, TestSweepPrecision's case, where the tail-factored sweep is 9.52e-16 off (this
+        # ladder's error over its Gaussian exp(-9/8) is 4.3e-15).  M, with generators at shifts 3/2 and 3, at
+        # cutoff 28, whose whole box the reference spans.  Each max-abs error is pinned within
+        # PRECISION_MARGIN both ways.
+        spec = GraphSpec(phi=np.array(ROTATION_2) / 5, modes=2, cutoff=56)
+        shifts = np.array([float(self.SHIFTS[0]) * spec.phi[:, 1]] * 2)
+        ladder, _ = fockgraph.graphs._factored_grams(spec, shifts, np.ones(1, dtype=complex))
+        inside = np.all(occupations(spec.space) <= 28, axis=1)
+        assert not ladder.imag.any()
+        error = decimal_error(ladder.real[inside], self.two_mode_reference(self.SHIFTS[0], 29, 56))
+        assert 1.39e-15 / PRECISION_MARGIN <= error <= 1.39e-15 * PRECISION_MARGIN
+        spec = GraphSpec(phi=np.array(ROTATION_2) / 5, modes=2, cutoff=28)
+        references = [self.two_mode_reference(shift, 29, 28) for shift in self.SHIFTS]
+        shifts = np.array([float(shift) * spec.phi[:, 1] for shift in self.SHIFTS])
+        _, combined = fockgraph.graphs._factored_grams(spec, shifts[[0, 0, 1]], np.ones(2, dtype=complex))
+        assert not combined.imag.any()
+        error = decimal_error(combined.real, self.reference_m(references))
+        assert 3.80e-15 / PRECISION_MARGIN <= error <= 3.80e-15 * PRECISION_MARGIN
+
+    @staticmethod
+    def two_mode_reference(shift, rows, cutoff):
+        """The n=2 ladder of two_mode_sweeps_reference with its Gaussian exp(-shift^2/2), to 50 digits."""
+        _, ladders = two_mode_sweeps_reference(ROTATION_2, 5, shift, rows, cutoff)
+        with localcontext() as context:
+            context.prec = 50
+            gauss = (-Decimal(shift.numerator) ** 2 / Decimal(2 * shift.denominator**2)).exp()
+            return [[gauss * entry for entry in row] for row in ladders]
+
+    def test_chunks_add_up_to_the_one_chunk_m(self, monkeypatch):
+        # With CHUNK_ENTRIES at two points' factors (2 x 3 x 81 entries at n=3 cutoff 8), the anticlique and
+        # six weighted generators go two points to a kernel call, the last alone.  Y_x keeps its bits (a
+        # kernel matrix does not depend on its batch), and M sums the same products in another order.
+        spec, anticlique, generators = runner_case(3, 8, 0)
+        generators = [*generators, *runner_case(3, 8, 1)[2]]
+        shifts = np.array([displaced_mode_amplitudes(spec, p) for p in (anticlique, *generators)])
+        weights = np.array([1.0, 0.5 - 0.25j, 2.0, 0.75j, 1.5, 0.25])
+        ladder, combined = fockgraph.graphs._factored_grams(spec, shifts, weights)
+        calls = []
+
+        def counting(alphas, cutoff):
+            calls.append(len(alphas))
+            return displacement_matrix(alphas, cutoff)
+
+        monkeypatch.setattr(fockgraph.graphs, "CHUNK_ENTRIES", 2 * 3 * 81)
+        monkeypatch.setattr(fockgraph.graphs, "displacement_matrix", counting)
+        chunked = fockgraph.graphs._factored_grams(spec, shifts, weights)
+        assert calls == [6, 6, 6, 3]
+        assert np.array_equal(chunked[0], ladder)
+        assert np.abs(chunked[1] - combined).max() <= 1e-15 * np.abs(combined).max()
+
+    # 512 generators against 3, from one set of draws.  Without chunks the factors and the kernel's stack
+    # grew with the points: the n=3 cutoff 16 peak read 28 MB against 5.4 MB.
+    @pytest.mark.parametrize("modes, cutoff", [(2, 40), (3, 16)])
+    def test_peak_memory_does_not_grow_with_the_generator_count(self, modes, cutoff):
+        spec, anticlique, _ = runner_case(modes, cutoff, 0)
+        rng = np.random.default_rng(512)
+        generators = [draw_generator_params(modes, rng) for _ in range(512)]
+        compression_check(spec, anticlique, generators[:3])  # the cached plans, outside either peak
+        peaks = []
+        for count in (3, 512):
+            tracemalloc.start()
+            try:
+                compression_check(spec, anticlique, generators[:count])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 8 * 2**20
 
     SHIFTS = (Fraction(3, 2), Fraction(3))
     # Per cutoff: the ladder's error at each shift (entries up to 0.33), then M's (entries up to 1.11).  The
@@ -1166,8 +1175,9 @@ class TestResidualPruning:
         compression_check(spec, anticlique, generators)
         assert 0 < sum(taken) <= spec.space.dim // 10
 
-    def test_nan_in_a_deep_ladder_row_exits_three(self, monkeypatch, tmp_path):
-        # The anticlique's top level on the box's last row, (8, 8, 8), of the factored ladder the check reads.
+    @pytest.mark.parametrize("modes", [2, 3])
+    def test_nan_in_a_deep_ladder_row_exits_three(self, monkeypatch, tmp_path, modes):
+        # The anticlique's top level on the box's last row, (8, ..., 8), of the factored ladder the check reads.
         def poisoned(factors, scale):
             ladder = level_convolution(factors, scale)
             ladder[-1, -1] = np.nan
@@ -1175,17 +1185,7 @@ class TestResidualPruning:
 
         level_convolution = fockgraph.graphs._level_convolution
         monkeypatch.setattr(fockgraph.graphs, "_level_convolution", poisoned)
-        self.exits_three(runner_case(3, 8, 0), tmp_path, 3)
-
-    def test_nan_in_a_deep_swept_row_exits_three(self, monkeypatch, tmp_path):
-        # The anticlique's top level on the box's last row, in the n = 2 sector-major sweep the check reads.
-        def poisoned(spec, shifts, rows):
-            ladder = _sector_ladders(spec, shifts, rows)
-            ladder[-1, -len(shifts)] = np.nan
-            return ladder
-
-        monkeypatch.setattr(fockgraph.graphs, "_sector_ladders", poisoned)
-        self.exits_three(runner_case(2, 8, 0), tmp_path, 2)
+        self.exits_three(runner_case(modes, 8, 0), tmp_path, modes)
 
     @staticmethod
     def exits_three(case, tmp_path, modes):
@@ -1198,10 +1198,10 @@ class TestResidualPruning:
 
 
 class TestNoDisplacementKernel:
-    """projection, resolution and the n = 2 anticlique build their ladders by Weyl covariance alone.
+    """projection and resolution build their ladders by Weyl covariance alone.
 
-    The n >= 3 anticlique check takes every point's per-mode displacement
-    matrices from one kernel call.
+    The anticlique check takes every point's per-mode displacement matrices
+    from one kernel call at every n.
     """
 
     @pytest.mark.parametrize("modes, cutoff", [(2, 16), (3, 6)])
@@ -1230,7 +1230,7 @@ class TestNoDisplacementKernel:
         for cfg, before in zip(configs, expected):
             calls.clear()
             report = run_experiment(cfg)
-            assert len(calls) == (cfg.experiment == "anticlique" and modes >= 3)
+            assert len(calls) == (cfg.experiment == "anticlique")
             assert (report.passed, report.max_abs_deviation, report.frobenius_deviation) == (
                 before.passed,
                 before.max_abs_deviation,

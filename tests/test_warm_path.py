@@ -234,7 +234,7 @@ class TestNumericsRunOnEveryCall:
         "data, module, helper",
         [
             ({"experiment": "gs", "cutoff": 8}, quadrature, "_rule_operator"),
-            ({"experiment": "anticlique", "n": 2, "cutoff": 16, "seed": 0}, graphs, "_sector_ladders"),
+            ({"experiment": "anticlique", "n": 2, "cutoff": 16, "seed": 0}, graphs, "_mode_factors"),
             ({"experiment": "anticlique", "n": 3, "cutoff": 8, "seed": 0}, graphs, "_mode_factors"),
         ],
         ids=["gs", "anticlique-n2", "anticlique"],
