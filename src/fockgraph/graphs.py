@@ -557,9 +557,9 @@ def _factored_grams(spec, shifts, weights) -> tuple[np.ndarray, np.ndarray]:
     the 2-D level convolution of W_ij = A_xj^dag A_ij, whose entry (a, b)
     is <Y_x|Y_i> restricted to mode j's occupations a and b.  The points,
     the anticlique first, are taken in chunks whose factors (n (cutoff+1)^2
-    entries a point) fit CHUNK_ENTRIES, at least two points a chunk; each
-    chunk is one kernel call, each W_j one GEMM, A_xj^dag [A_1j, A_2j, ...],
-    and its share of M one more.
+    entries a point) fit CHUNK_ENTRIES, at least two a chunk so that the
+    first holds a generator; each chunk is one kernel call, each W_j one
+    GEMM, A_xj^dag [A_1j, A_2j, ...], and its share of M one more.
     """
     modes, rank = spec.modes, spec.cutoff + 1
     roots = np.sqrt([float(math.factorial(k)) for k in range(rank)])
