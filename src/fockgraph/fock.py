@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,20 +73,6 @@ def laguerre_sequence(count: int, order, x, scale=1.0) -> np.ndarray:
     return vals
 
 
-def _complex_product(a, b) -> np.ndarray:
-    """Elementwise a * b with each real product rounded once.
-
-    numpy's vectorised complex multiply can round differently in the last
-    place from its scalar arithmetic; this schoolbook form gives the scalar
-    bits.  It is also conjugation-covariant: conj(a) * conj(b) is bitwise
-    conj(a * b).
-    """
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     """Fock amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cutoff.
 
@@ -109,14 +96,88 @@ def unnormalized_coherent(alpha, cutoff: int) -> np.ndarray:
     """Tail-factored coherent column alpha^m / sqrt(m!), m = 0..cutoff.
 
     An array of amplitudes gives one column per amplitude, along a new last
-    axis.
+    axis.  Each column is the ascending product c_m = c_(m-1) alpha / sqrt(m)
+    in Python complex arithmetic: its multiply is the schoolbook product,
+    and each part is then multiplied by 1 / sqrt(m), as numpy's
+    complex-by-real division does, so the bits are those of that division
+    stepped level by level in numpy.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    out = np.empty((cutoff + 1, *alpha.shape), dtype=complex)
-    out[0] = 1.0
-    for m in range(1, cutoff + 1):
-        out[m] = _complex_product(out[m - 1], alpha) / math.sqrt(m)
-    return np.moveaxis(out, 0, -1)
+    inverse_roots = [1.0 / math.sqrt(m) for m in range(1, cutoff + 1)]
+    columns = []
+    for amplitude in alpha.ravel().tolist():
+        value = 1.0 + 0.0j
+        column = [value]
+        for inverse in inverse_roots:
+            value *= amplitude
+            value = complex(value.real * inverse, value.imag * inverse)
+            column.append(value)
+        columns.append(column)
+    return np.array(columns, dtype=complex).reshape(*alpha.shape, cutoff + 1)
+
+
+class _KernelGrid(NamedTuple):
+    """The amplitude-free arrays of displacement_matrix for one (cutoff, rows)."""
+
+    order: np.ndarray  # (rows, dim) |m - n|: the power and Laguerre order of entry (m, n)
+    power: np.ndarray  # (rows, dim) 2 |m - n| + [m < n]: its row of the (2 dim, K) powers
+    laguerre: np.ndarray  # (rows, dim) min(m, n) dim + |m - n|: its row of the (rows dim, K) Laguerre values
+    orders: np.ndarray  # (dim, 1) the orders k = 0..cutoff
+    log_bound: np.ndarray  # (dim, 1) log C(n + k, n) at the deepest kept n of order k
+    half_log_ratio: np.ndarray  # (rows, dim, 1) log sqrt(low! / (low + k)!)
+    steps: np.ndarray  # (rows, dim, 1) j + k, as floats, row j for the recurrence's step j
+    signs: np.ndarray  # (dim, 2) (-1)^k and -(-1)^k: (-conj alpha)^k from alpha^k's parts
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_grid(cutoff: int, rows: int) -> _KernelGrid:
+    """displacement_matrix's index grids and factorial tables for rows m < ``rows`` of the ``cutoff`` ladder.
+
+    Cached per (cutoff, rows); the arrays are read-only.
+    """
+    dim = cutoff + 1
+    m, n = np.ogrid[:rows, :dim]
+    low, order = np.minimum(m, n), abs(m - n)
+    log_factorial = _log_factorials(cutoff)
+    orders = np.arange(dim)
+    deepest = np.minimum(rows - 1, cutoff - orders)
+    log_bound = log_factorial[deepest + orders] - log_factorial[deepest] - log_factorial[orders]
+    half_log_ratio = 0.5 * (log_factorial[low] - log_factorial[low + order])
+    signs = np.where(orders % 2, -1.0, 1.0)[:, None] * np.array([1.0, -1.0])
+    grid = _KernelGrid(
+        order,
+        2 * order + (m < n),
+        low * dim + order,
+        orders[:, None],
+        log_bound[:, None],
+        half_log_ratio[..., None],
+        (np.arange(rows)[:, None] + orders).astype(float)[..., None],
+        signs,
+    )
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
+def _power_ladders(amplitudes: list, signs: np.ndarray) -> np.ndarray:
+    """Rows 2k and 2k + 1: alpha^k and (-conj alpha)^k for k < len(``signs``), a column per amplitude.
+
+    alpha^k is the ascending chain of Python complex products, each the
+    schoolbook product, so it has the bits of that chain stepped in numpy.
+    (-conj alpha)^k is (-1)^k conj(alpha^k), the :func:`_kernel_grid`
+    ``signs`` taken on the parts, which is exact.
+    """
+    ladders = []
+    for amplitude in amplitudes:
+        power = 1.0 + 0.0j
+        ladder = [power]
+        for _ in range(len(signs) - 1):
+            power *= amplitude
+            ladder.append(power)
+        ladders.append(ladder)
+    positive = np.array(ladders, dtype=complex).reshape(len(amplitudes), len(signs))
+    negative = (positive.view(float).reshape(*positive.shape, 2) * signs).view(complex)[..., 0]
+    return np.stack([positive.T, negative.T], axis=1).reshape(2 * len(signs), len(amplitudes))
 
 
 def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows: int | None = None) -> np.ndarray:
@@ -132,8 +193,11 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     For m >= n the associated-Laguerre closed form gives
     sqrt(n!/m!) * alpha^(m-n) * exp(-|alpha|^2/2) * L_n^(m-n)(|alpha|^2);
     the upper triangle follows from D(alpha)^dag = D(-alpha).  Factorial
-    ratios are taken in log space; the integer powers are built by repeated
-    schoolbook complex products, so D(-alpha) is bitwise D(alpha)^dag.
+    ratios are taken in log space; the integer powers alpha^k are built by
+    repeated Python complex products, which are schoolbook products, and
+    (-conj alpha)^k is (-1)^k conj(alpha^k), exactly, so D(-alpha) is
+    bitwise D(alpha)^dag.  The grids that depend on the shape alone come
+    from :func:`_kernel_grid`.
 
     With ``include_gaussian=False`` the exp(-|alpha|^2/2) prefactor is left
     out; quadrature code folds that factor into the radial weight instead.
@@ -142,55 +206,44 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     alphas = np.asarray(alpha, dtype=complex)
     if alphas.ndim > 1:
         raise ValueError(f"alpha must be a scalar or a 1-D array, got shape {alphas.shape}")
-    batch = alphas.reshape(-1)
     dim = cutoff + 1
     rows = dim if rows is None else rows
     if not 1 <= rows <= dim:
         raise ValueError(f"rows must be in [1, {dim}], got {rows}")
-    # |alpha|^2 and the Gaussian in Python floats (numpy's vectorised abs and
-    # exp round differently in the last place), so that every entry keeps the
-    # bits of the scalar closed form and reports reproduce byte for byte.
-    s = np.array([abs(a) ** 2 for a in batch.tolist()])
-    # Rows are the order k = |m - n|: [alpha^k, (-conj alpha)^k] per amplitude.
-    powers = np.empty((dim, 2, batch.size), dtype=complex)
-    powers[0] = 1.0
-    base = np.stack([batch, -batch.conj()])
-    for k in range(1, dim):
-        powers[k] = _complex_product(powers[k - 1], base)
-    # Entry (m, n) takes its order k = |m - n| and Laguerre index low = min(m, n);
-    # above the diagonal (m < n) it is the mirror of (n, m) under alpha -> -conj(alpha).
-    m, n = np.ogrid[:rows, :dim]
-    low, k = np.minimum(m, n), abs(m - n)
-    log_factorial = _log_factorials(cutoff)
-    orders = np.arange(dim)
-    deepest = np.minimum(rows - 1, cutoff - orders)
-    log_bound = log_factorial[deepest + orders] - log_factorial[deepest] - log_factorial[orders]
-    # |L_n^(k)(s)| <= C(n + k, n) exp(s/2) (Szego).  Where that bound at the
-    # deepest kept n of order k passes exp(_LAGUERRE_LOG_CEILING), the order's
-    # recurrence runs on L * 2^-shift and the shift goes back in through the
-    # factorial ratio, so L_n^(k) cannot overflow to inf where sqrt(n!/m!)
+    grid = _kernel_grid(cutoff, rows)
+    # |alpha|^2, the powers and the Gaussian in Python scalars (numpy's vectorised abs, complex multiply
+    # and exp round differently in the last place), so that every entry keeps the bits of the scalar
+    # closed form and reports reproduce byte for byte.
+    batch = alphas.reshape(-1).tolist()
+    s = np.array([abs(a) ** 2 for a in batch])
+    powers = _power_ladders(batch, grid.signs)
+    # |L_n^(k)(s)| <= C(n + k, n) exp(s/2) (Szego).  Where that bound at the deepest kept n of order k
+    # passes exp(_LAGUERRE_LOG_CEILING), the order's recurrence runs on L * 2^-shift and the shift goes
+    # back in through the factorial ratio, so L_n^(k) cannot overflow to inf where sqrt(n!/m!)
     # underflows to 0.  Below the ceiling the shift is 0 and changes no bit.
-    shift = np.maximum(0.0, np.ceil((log_bound[:, None] + 0.5 * s - _LAGUERRE_LOG_CEILING) / _LN2))
-    ratio = np.exp(0.5 * (log_factorial[low] - log_factorial[low + k])[..., None] + _LN2 * shift[k])
-    # L_n^(k)(s) 2^-shift for n < rows, by the three-term recurrence in
-    # difference form: with d_n = L_n - L_{n-1}, d_1 = k - s,
-    # (n + 1) d_{n+1} = (n + k) d_n - s L_n.  It carries s itself, where
-    # laguerre_sequence's 2n + 1 + k - s rounds away its low bits: at
-    # |alpha|^2 = 1e-3 that lost 1.3e-13 relative by n = 86, and this form
-    # 5e-16.  It runs to n = rows - 1 for every order; values with
-    # n + k > cutoff are never read, and may overflow.
-    lag = np.empty((rows, dim, batch.size))
+    shift = np.maximum(0.0, np.ceil((grid.log_bound + 0.5 * s - _LAGUERRE_LOG_CEILING) / _LN2))
+    ratio = np.exp(grid.half_log_ratio + _LN2 * shift[grid.order])
+    # L_n^(k)(s) 2^-shift for n < rows, by the three-term recurrence in difference form: with
+    # d_n = L_n - L_{n-1}, d_1 = k - s, (n + 1) d_{n+1} = (n + k) d_n - s L_n.  It carries s itself,
+    # where laguerre_sequence's 2n + 1 + k - s rounds away its low bits: at |alpha|^2 = 1e-3 that lost
+    # 1.3e-13 relative by n = 86, and this form 5e-16.  It runs to n = rows - 1 for every order, in
+    # place; values with n + k > cutoff are never read, and may overflow.
+    lag = np.empty((rows, dim, len(batch)))
     lag[0] = np.exp2(-shift)
-    step = (orders[:, None] - s) * lag[0]
+    step = (grid.orders - s) * lag[0]
+    scratch = np.empty_like(step)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, rows):
-            lag[j] = lag[j - 1] + step
-            step = ((j + orders[:, None]) * step - s * lag[j]) / (j + 1)
-    upper = (m < n).astype(np.intp)
+            np.add(lag[j - 1], step, out=lag[j])
+            np.multiply(grid.steps[j], step, out=step)
+            np.multiply(s, lag[j], out=scratch)
+            np.subtract(step, scratch, out=step)
+            np.divide(step, j + 1, out=step)
     # The grid is gathered amplitude-last, where each gather reads whole rows;
     # the copy hands back the (K, rows, dim) stack C-contiguous.
-    out = np.ascontiguousarray(np.moveaxis(ratio * powers[k, upper] * lag[low, k], -1, 0))
+    laguerre = np.take(lag.reshape(rows * dim, -1), grid.laguerre, axis=0)
+    entries = ratio * np.take(powers, grid.power, axis=0) * laguerre
+    out = np.ascontiguousarray(np.moveaxis(entries, -1, 0))
     if include_gaussian:
         out *= np.array([math.exp(-0.5 * v) for v in s])[:, None, None]
     return out if alphas.ndim else out[0]
-

@@ -9,10 +9,11 @@ compression of the graph is a scalar multiple of themselves.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -349,9 +350,14 @@ def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.n
 
 def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:
     """Per-mode displacement h_j = sum_k e^{i theta_k} r_k phi_{j,k+1}."""
-    if params.radii.shape != (spec.modes - 1,):
-        raise ValueError(f"expected {spec.modes - 1} parameter pairs, got {params.radii.shape[0]}")
-    return spec.phi[:, 1:] @ params.displacements()
+    return _mode_shift(spec, params.displacements())
+
+
+def _mode_shift(spec: GraphSpec, displacement: np.ndarray) -> np.ndarray:
+    """:func:`displaced_mode_amplitudes` from the point's ``displacements()``."""
+    if displacement.shape != (spec.modes - 1,):
+        raise ValueError(f"expected {spec.modes - 1} parameter pairs, got {displacement.shape[0]}")
+    return spec.phi[:, 1:] @ displacement
 
 
 def graph_generator(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
@@ -375,11 +381,14 @@ def graph_generator(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
 def compression_constant(anticlique: GeneratorParams, generator: GeneratorParams) -> float:
     """Predicted compression scalar: the product over parameter pairs of the
     squared coherent overlap exp(-|r e^{i theta} - x e^{i gamma}|^2)."""
-    a = anticlique.displacements()
-    g = generator.displacements()
-    if a.shape != g.shape:
+    return _overlap_constant(anticlique.displacements(), generator.displacements())
+
+
+def _overlap_constant(anticlique: np.ndarray, generator: np.ndarray) -> float:
+    """:func:`compression_constant` from the two points' ``displacements()``."""
+    if anticlique.shape != generator.shape:
         raise ValueError("parameter tuples must have equal length")
-    return float(np.exp(-np.sum(np.abs(g - a) ** 2)))
+    return float(np.exp(-np.sum(np.abs(generator - anticlique) ** 2)))
 
 
 class CompressionResult(NamedTuple):
@@ -406,8 +415,6 @@ class _Residual(NamedTuple):
     overlap_norm: float  # ||S||_F, positive
     measured: complex
     predicted: complex
-    serial: bool  # every GEMM is cut into row blocks on the calling thread
-    matmul: Callable[..., np.ndarray]  # serial_matmul if serial, else np.matmul
 
 
 def compression_check(
@@ -447,28 +454,31 @@ def compression_check(
     further from the full residual.  No dim_t x dim_t residual is formed.
     With K = M - c I, the Frobenius norm is taken in rank space,
     ||Y_t K Y_t^dag||_F^2 = tr(K S K^dag S), in O((cutoff+1)^3).  The
-    max-abs is exact.  Entry (a, b) of the residual
-    is at most |(Y_t K)_a| |Y_b| (Cauchy-Schwarz), so rows are taken by
-    decreasing |(Y_t K)_a| in row blocks, each one GEMM against Y_t^dag, and
-    the sweep stops at the first block whose bound |(Y_t K)_a| max_b |Y_b|,
-    widened by 1 + 8 (cutoff+3) eps, cannot exceed the running max.  That
-    margin covers the rounding of a (cutoff+1)-long complex dot product, of
-    np.abs and of the norms, so the skipped entries cannot hold the max and
-    it equals that of the full sweep bit for bit.  A NaN norm sorts first and
-    keeps every row in play.  Beyond the ladders the cost is
-    O(dim (cutoff+1)^2) plus dim_t (cutoff+1) per row taken; at
-    n=3 cutoff 8 the sweep takes 18 to 90 of 729 rows on seeds 0-7.
+    max-abs is exact, and swept by entries (:func:`_residual_max_abs`).
+    Entry (a, b) of the residual is at most |(Y_t K)_a| |Y_b|
+    (Cauchy-Schwarz); widened by 1 + 8 (cutoff+3) eps, which covers the
+    rounding of a (cutoff+1)-long complex dot product, of np.abs and of the
+    norms, that bound decides which entries can still hold the max.  Rows
+    are taken by decreasing |(Y_t K)_a| and columns by decreasing |Y_b|,
+    and each row block forms only the rows and the prefix of columns whose
+    bound beats the running max, in one GEMM within SERIAL_GEMM_MACS for
+    that width.  A certified floor from the first block's diagonal entries
+    seeds the running max, so the first block is column-pruned too.  Any
+    NaN in the residual's factors gives a NaN max-abs.  Beyond the ladders
+    the cost is O(dim (cutoff+1)^2) plus cutoff+1 multiply-adds per entry
+    formed; at n=3 cutoff 8 the sweep forms 446 to 4,762 of the 531,441
+    entries on seeds 0-7, in two GEMMs each.
 
     The arrays are Y_x and the residual's factors (dim x (cutoff+1) each),
-    the (cutoff+1)^3-entry gathers of one point's Gram convolution, and one
-    chunk's factors with the kernel's stack.  A chunk holds as many points
-    as keep its n (cutoff+1)^2 entries a point within CHUNK_ENTRIES (at
-    least two), so no array grows with the generator count, and the
-    runner's four points take one chunk, one kernel call and one M product
-    at every size MAX_DIM admits.  Where eight output rows of a ladder GEMM
+    the Gram convolution's gathers (within CHUNK_ENTRIES, or one point's
+    (cutoff+1)^3 entries), and one chunk's factors with the kernel's stack.
+    A chunk holds as many points as keep its n (cutoff+1)^2 entries a point
+    within CHUNK_ENTRIES (at least two), so no array grows with the
+    generator count, and the runner's four points take one chunk, one
+    kernel call and one M product at every size MAX_DIM admits.  Where eight output rows of a ladder GEMM
     fit SERIAL_GEMM_MACS (up to n=2 cutoff 19, n=3 cutoff 8 and n=4 cutoff
-    5), the residual's GEMMs are also cut into row blocks within it, and no
-    BLAS worker thread is woken.
+    5), S and Y_t K are also cut into row blocks within it, and no BLAS
+    worker thread is woken.
 
     The full-matrix comparison is limited by the mass the top ladder states
     lose to truncation (first order in that loss); the identity is exact in
@@ -479,25 +489,12 @@ def compression_check(
     :class:`LadderUnderflow` is raised.
     """
     residual = _compression_residual(spec, anticlique, generators, weights, trusted_block)
-    ladder, scaled, deviation, overlap = residual.ladder, residual.scaled, residual.deviation, residual.overlap
-    rank, serial, matmul = spec.cutoff + 1, residual.serial, residual.matmul
+    ladder, deviation, overlap = residual.ladder, residual.deviation, residual.overlap
     # tr(K S K^dag S) is >= 0 but can round below it where the residual vanishes; NaN passes max().
     squares = float(np.sum((deviation @ overlap) * (overlap @ deviation).conj()).real)
     frobenius = math.sqrt(max(squares, 0.0)) / residual.overlap_norm
 
-    # Largest bound first; argsort puts NaN norms last, so the reversal takes them first, and
-    # np.maximum keeps a NaN entry where Python's max would drop it.
-    adjoint = ladder.conj().T
-    norms = np.linalg.norm(scaled, axis=1)
-    reach = float(np.linalg.norm(ladder, axis=1).max()) * (1.0 + 8 * (rank + 2) * np.finfo(float).eps)
-    order = np.argsort(norms)[::-1]
-    rows = SERIAL_GEMM_MACS // (len(ladder) * rank) if serial else max(1, CHUNK_ENTRIES // len(ladder))
-    max_abs = 0.0
-    for start in range(0, len(order), rows):
-        block = order[start : start + rows]
-        if norms[block[0]] * reach <= max_abs:
-            break
-        max_abs = np.maximum(max_abs, np.abs(matmul(scaled[block], adjoint)).max())
+    max_abs = _residual_max_abs(residual.scaled, ladder)
     measured, predicted = residual.measured, residual.predicted
     scalar_error = abs(measured - predicted) / abs(predicted) if predicted != 0 else abs(measured)
     return CompressionResult(
@@ -521,9 +518,11 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
         raise ValueError("weights must match the number of generators")
     top = box_side(spec.cutoff, trusted_block) - 1
 
+    # Each point's displacements once: the anticlique's enter every predicted constant.
+    points = [params.displacements() for params in (anticlique, *generators)]
     predicted = 0.0 + 0.0j
-    for weight, params in zip(weights, generators):
-        predicted += weight * compression_constant(anticlique, params)
+    for weight, point in zip(weights, points[1:]):
+        predicted += weight * _overlap_constant(points[0], point)
 
     rank = spec.cutoff + 1
     entries = spec.space.dim * rank
@@ -532,7 +531,7 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
     serial = 8 * entries <= SERIAL_GEMM_MACS
     matmul = serial_matmul if serial else np.matmul
 
-    shifts = np.array([displaced_mode_amplitudes(spec, p) for p in (anticlique, *generators)])
+    shifts = np.array([_mode_shift(spec, point) for point in points])
     ladder, combined = _factored_grams(spec, shifts, np.array(weights))
     plan = _sector_plan(spec.modes, rank)
     # Y_t: the box plan's rows with every occupation <= top, top sector first, so S sums small entries first.
@@ -546,7 +545,75 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
     measured = complex(np.sum(combined * overlap.T)) / complex(np.trace(overlap))
     deviation = combined - measured * np.eye(rank)
     scaled = matmul(ladder, deviation)
-    return _Residual(ladder, scaled, deviation, overlap, overlap_norm, measured, predicted, serial, matmul)
+    return _Residual(ladder, scaled, deviation, overlap, overlap_norm, measured, predicted)
+
+
+def _residual_max_abs(scaled: np.ndarray, ladder: np.ndarray) -> float:
+    """The max-abs entry of the residual ``scaled`` @ ``ladder``^dag, Y_t K Y_t^dag, forming few of its entries.
+
+    Entry (a, b) is at most |(Y_t K)_a| |Y_b| (Cauchy-Schwarz).  Widened by
+    the margin 1 + 8 (L+2) eps, L the rank, that bound covers the rounding
+    of an L-long complex dot product, of np.abs and of the norms, so an
+    entry whose bound is at most the threshold cannot exceed it.  Rows are
+    taken by decreasing |(Y_t K)_a| and columns by decreasing |Y_b|.  A
+    block forms only the columns whose bound at its first row beats the
+    threshold, a prefix of the sorted columns, and only the rows whose bound
+    at the first column does, as one product whose height also keeps it
+    within SERIAL_GEMM_MACS for that width (or within CHUNK_ENTRIES, for
+    BLAS to thread, where two rows do not fit); the sweep stops at the
+    first block without such a column.  The threshold
+    is the running max, seeded with a floor below which it cannot end: the
+    largest diagonal entry |R_aa| over the first block's rows, each a
+    row-wise dot product, less the allowance 2 * 8 (L+2) eps |(Y_t K)_a|
+    |Y_a| for its rounding and that of the same entry in a GEMM, divided by
+    the margin.  Entry (a, a)'s own bound beats that floor, so the first
+    block forms it.  The norms are dot products of the float views with
+    themselves.  A NaN norm is a NaN row or column of the residual: the max
+    is NaN and no entry is formed; a NaN entry formed is kept and ends the
+    sweep.
+    """
+    rank = ladder.shape[1]
+    allowance = 8 * (rank + 2) * np.finfo(float).eps
+    margin = 1.0 + allowance
+    norms, reach = (np.sqrt(np.einsum("ij,ij->i", part.view(float), part.view(float))) for part in (scaled, ladder))
+    if np.isnan(norms).any() or np.isnan(reach).any():
+        return math.nan
+
+    def height(width: int) -> int:
+        row = width * rank
+        return SERIAL_GEMM_MACS // row if 2 * row <= SERIAL_GEMM_MACS else max(1, CHUNK_ENTRIES // width)
+
+    rows = np.argsort(norms)[::-1]
+    first = rows[: height(len(reach))]
+    diagonal = np.abs(np.einsum("ij,ij->i", scaled[first], ladder[first].conj()))
+    floors = (diagonal - 2 * allowance * norms[first] * reach[first]) / margin
+    threshold = float(floors.max()) if np.isfinite(floors).all() else 0.0
+    # Only the columns whose bound at the largest row beats the floor can enter a block, and only the
+    # rows whose bound at the largest of those columns does.
+    bounds = reach * margin
+    columns = np.flatnonzero(float(norms[rows[0]]) * bounds > threshold)
+    if not columns.size:
+        return 0.0  # every bound, and so every entry, is 0
+    columns = columns[np.argsort(reach[columns])[::-1]]
+    adjoint = ladder[columns]
+    adjoint = np.conj(adjoint, out=adjoint).T
+    bounds = bounds[columns].tolist()
+    tops = norms[rows[: np.count_nonzero(norms * bounds[0] > threshold)]].tolist()
+    max_abs, start = 0.0, 0
+    while start < len(tops):
+        width = bisect.bisect_left(bounds, True, key=lambda bound: tops[start] * bound <= threshold)
+        if width == 0:
+            break
+        stop = bisect.bisect_left(tops, True, start, key=lambda top: top * bounds[0] <= threshold)
+        block = rows[start : min(stop, start + (len(first) if start == 0 else height(width)))]
+        peak = float(np.abs(serial_matmul(scaled[block], adjoint[:, :width])).max())
+        if not peak <= max_abs:
+            max_abs = peak
+            if math.isnan(peak):
+                break
+            threshold = max(threshold, peak)
+        start += len(block)
+    return max_abs
 
 
 def _factored_grams(spec, shifts, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -558,8 +625,9 @@ def _factored_grams(spec, shifts, weights) -> tuple[np.ndarray, np.ndarray]:
     is <Y_x|Y_i> restricted to mode j's occupations a and b.  The points,
     the anticlique first, are taken in chunks whose factors (n (cutoff+1)^2
     entries a point) fit CHUNK_ENTRIES, at least two a chunk so that the
-    first holds a generator; each chunk is one kernel call, each W_j one
-    GEMM, A_xj^dag [A_1j, A_2j, ...], and its share of M one more.
+    first holds a generator; each chunk is one kernel call, one stacked
+    :func:`serial_matmul` for every mode's W_j = A_xj^dag [A_1j, A_2j, ...],
+    and one more product for its share of M.
     """
     modes, rank = spec.modes, spec.cutoff + 1
     roots = np.sqrt([float(math.factorial(k)) for k in range(rank)])
@@ -571,10 +639,10 @@ def _factored_grams(spec, shifts, weights) -> tuple[np.ndarray, np.ndarray]:
             anticlique, factors = factors[:, 0], factors[:, 1:]
             ladder = _level_convolution(anticlique, roots)
         count = factors.shape[1]
-        grams = np.empty((modes, count, rank, rank), dtype=complex)
-        for mode, (left, others) in enumerate(zip(anticlique, factors)):
-            products = serial_matmul(left.conj().T, others.transpose(1, 0, 2).reshape(rank, count * rank))
-            grams[mode] = products.reshape(rank, count, rank).transpose(1, 0, 2)
+        grams = serial_matmul(
+            anticlique.conj().transpose(0, 2, 1), factors.transpose(0, 2, 1, 3).reshape(modes, rank, count * rank)
+        )
+        grams = grams.reshape(modes, rank, count, rank).transpose(0, 2, 1, 3)
         gram = (_gram_convolution(grams) * np.multiply.outer(roots, roots)).transpose(1, 0, 2)
         scaled = gram * weights[max(start - 1, 0) : start + step - 1, None]
         combined += serial_matmul(scaled.reshape(rank, -1), gram.reshape(rank, -1).conj().T)
@@ -647,24 +715,27 @@ def _level_convolution(factors: np.ndarray, scale: np.ndarray) -> np.ndarray:
 def _gram_convolution(grams: np.ndarray) -> np.ndarray:
     """G[p, k, l] = sum over a_1 + ... + a_n = k, b_1 + ... + b_n = l of prod_j grams[j, p, a_j, b_j], k, l < L.
 
-    ``grams`` is (modes, points, L, L).  Each mode after the first is one
-    :func:`serial_matmul` per point of W's Toeplitz blocks against shifted
-    copies of the running G, both gathered by :func:`_convolution_plan`:
-    G'[k, l] = sum over (b, k') of W[k - k', b] G[k', l - b], L^4
-    multiply-adds and two L^3-entry gathers per point.
+    ``grams`` is (modes, points, L, L).  Each mode after the first takes
+    W's Toeplitz blocks against shifted copies of the running G, both
+    gathered by :func:`_convolution_plan`: G'[k, l] = sum over (b, k') of
+    W[k - k', b] G[k', l - b], L^4 multiply-adds and two L^3-entry gathers
+    per point.  The points go in batches whose gathers, L^3 entries a point,
+    fit CHUNK_ENTRIES (at least one point), one stacked
+    :func:`serial_matmul` per batch and mode.
     """
     modes, count, levels, _ = grams.shape
     shift, toeplitz = _convolution_plan(levels)
-    padded = np.zeros((2, levels * levels + 1), dtype=complex)
+    step = max(1, CHUNK_ENTRIES // levels**3)
     out = np.empty((count, levels, levels), dtype=complex)
-    for point in range(count):
-        gram = grams[0, point]
-        for factor in grams[1:, point]:
-            padded[0, :-1] = factor.ravel()
-            padded[1, :-1] = gram.ravel()
-            left, right = np.take(padded[0], toeplitz), np.take(padded[1], shift)
-            gram = serial_matmul(left, right.reshape(levels * levels, levels))
-        out[point] = gram
+    for start in range(0, count, step):
+        gram = grams[0, start : start + step]
+        padded = np.zeros((2, len(gram), levels * levels + 1), dtype=complex)
+        for factor in grams[1:, start : start + step]:
+            padded[0, :, :-1] = factor.reshape(len(gram), -1)
+            padded[1, :, :-1] = gram.reshape(len(gram), -1)
+            left, right = np.take(padded[0], toeplitz, axis=1), np.take(padded[1], shift, axis=1)
+            gram = serial_matmul(left, right.reshape(len(gram), levels * levels, levels))
+        out[start : start + step] = gram
     return out
 
 

@@ -170,20 +170,23 @@ def box_side(cutoff: int, trusted_block: int | None) -> int:
 
 
 def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for 2-D operands, in GEMMs that OpenBLAS runs on the calling thread.
+    """``a @ b`` in GEMMs that OpenBLAS runs on the calling thread.
 
-    Where two output rows fit in SERIAL_GEMM_MACS multiply-adds, the rows
-    are taken in blocks within that budget.  A one-row remainder is taken
-    with the row before it: numpy hands a one-row product to GEMV, which
-    OpenBLAS threads from 4096 multiply-adds.  A product with wider rows is
-    taken whole, for BLAS to thread.
+    The operands are 2-D, or stacks of matrices of one shape, or a stack
+    and a matrix.  Where two output rows fit in SERIAL_GEMM_MACS multiply-adds,
+    the rows are taken in blocks within that budget, the same blocks in
+    every matrix of a stack, so each matrix gets the GEMMs a 2-D product of
+    its own would.  A one-row remainder is taken with the row before it:
+    numpy hands a one-row product to GEMV, which OpenBLAS threads from 4096
+    multiply-adds.  A product with wider rows is taken whole, for BLAS to
+    thread.
     """
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    count, row = a.shape[0], a.shape[1] * b.shape[1]
+    out = np.empty((*(a.shape[:-2] or b.shape[:-2]), a.shape[-2], b.shape[-1]), dtype=np.result_type(a, b))
+    count, row = a.shape[-2], a.shape[-1] * b.shape[-1]
     step = SERIAL_GEMM_MACS // row if 0 < 2 * row <= SERIAL_GEMM_MACS else max(count, 1)
     for start in range(0, count, step):
         start = min(start, max(count - 2, 0))
-        np.matmul(a[start : start + step], b, out=out[start : start + step])
+        np.matmul(a[..., start : start + step, :], b, out=out[..., start : start + step, :])
     return out
 
 

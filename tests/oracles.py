@@ -38,7 +38,9 @@ vectors, the Weyl composition phase, ladder operators and occupation
 indexing on the multimode space, the occupation table (``occupations``),
 the trusted-box mask (``trusted_mask``), the dense seed projector
 ``B B^dag`` (``seed_projector``) and Haar-random mixing matrices, which
-only the tests use.
+only the tests use.  The schoolbook complex product elementwise in numpy
+(``complex_product``), the chain the kernel's scalar power ladders and
+coherent columns are checked against bitwise.
 """
 
 import cmath
@@ -60,6 +62,20 @@ from fockgraph import (
 from fockgraph.graphs import _compression_residual, _graded_ladder, _sector_plan
 from fockgraph.multimode import ModeSpace
 from fockgraph.quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, coherent_identity, serial_matmul
+
+
+def complex_product(a, b) -> np.ndarray:
+    """Elementwise a * b with each real product rounded once.
+
+    numpy's vectorised complex multiply can round differently in the last
+    place from its scalar arithmetic; this schoolbook form gives the scalar
+    bits.  It is also conjugation-covariant: conj(a) * conj(b) is bitwise
+    conj(a * b).
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:

@@ -17,11 +17,13 @@ from fockgraph import (
     coherent_state,
     displacement_matrix,
     laguerre_sequence,
+    unnormalized_coherent,
 )
 from fockgraph.config import MAX_DIM
-from fockgraph.fock import _complex_product, _log_factorials
+from fockgraph.fock import _kernel_grid, _log_factorials, _power_ladders
 from oracles import (
     coherent_overlap,
+    complex_product,
     displacement_compose_phase,
     expm_displacement_oracle,
     min_oracle_buffer,
@@ -137,9 +139,38 @@ class TestComplexProduct:
         rng = np.random.default_rng(12)
         a = 3.0 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
         b = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        got = _complex_product(a, b)
+        got = complex_product(a, b)
         assert np.array_equal(got, np.array([x * y for x, y in zip(a, b)]))
-        assert np.array_equal(_complex_product(a.conj(), b.conj()), got.conj())
+        assert np.array_equal(complex_product(a.conj(), b.conj()), got.conj())
+
+
+# |alpha| from 1e-3 to 38, log-spaced, with every phase: past 38.7 a point's Gaussian rounds to 0 and the
+# anticlique check builds no kernel for it.
+WIDE_AMPLITUDES = np.geomspace(1e-3, 38.0, 60) * np.exp(2j * math.pi * np.random.default_rng(38).uniform(size=60))
+
+
+class TestScalarLadders:
+    """The kernel's Python-scalar ladders against the same recurrences stepped level by level in numpy."""
+
+    @pytest.mark.parametrize("cutoff", [1, 8, 40])
+    def test_power_ladders_match_the_schoolbook_chain(self, cutoff):
+        powers = _power_ladders(WIDE_AMPLITUDES.tolist(), _kernel_grid(cutoff, cutoff + 1).signs)
+        assert powers.shape == (2 * (cutoff + 1), len(WIDE_AMPLITUDES))
+        for column, base in enumerate((WIDE_AMPLITUDES, -WIDE_AMPLITUDES.conj())):
+            chain = np.ones_like(base)
+            for k in range(cutoff + 1):
+                assert np.array_equal(powers[2 * k + column], chain), (k, column)
+                chain = complex_product(chain, base)
+
+    @pytest.mark.parametrize("cutoff", [1, 16, 40])
+    def test_coherent_columns_match_numpy_division(self, cutoff):
+        # numpy divides a complex by a real as a product with the reciprocal, which the scalar ladder copies.
+        got = unnormalized_coherent(WIDE_AMPLITUDES.reshape(3, 20), cutoff)
+        assert got.shape == (3, 20, cutoff + 1)
+        chain = np.ones_like(WIDE_AMPLITUDES)
+        for m in range(cutoff + 1):
+            assert np.array_equal(got[..., m].ravel(), chain), m
+            chain = complex_product(chain, WIDE_AMPLITUDES) / math.sqrt(m + 1)
 
 
 class TestDisplacementMatrix:

@@ -968,11 +968,11 @@ class TestFactoredGrams:
         matmul = np.matmul
 
         def recording_serial(a, b):
-            serial.append((len(a), a.shape[1], b.shape[1]))
+            serial.append((*a.shape, b.shape[-1]))
             return serial_matmul(a, b)
 
         def recording(x, y, **kwargs):
-            gemms.append((len(x), x.shape[1], y.shape[1]))
+            gemms.append(x.shape[-2:] + y.shape[-1:])
             return matmul(x, y, **kwargs)
 
         monkeypatch.setattr(fockgraph.graphs, "serial_matmul", recording_serial)
@@ -981,11 +981,29 @@ class TestFactoredGrams:
         monkeypatch.undo()
         assert np.array_equal(ladder, expected[0]) and np.array_equal(combined, expected[1])
         rank, count = cutoff + 1, len(generators)
-        # The level convolution, A_xj^dag [A_1j, A_2j, A_3j] per mode, the Gram convolution per mode after
-        # the first and generator, and M.
-        grams = [(rank, rank, count * rank)] * modes + [(rank, rank * rank, rank)] * ((modes - 1) * count)
+        # The level convolution, A_xj^dag [A_1j, A_2j, A_3j] stacked over the modes, the Gram convolution
+        # stacked over the generators (one batch, count * rank^3 <= CHUNK_ENTRIES) per mode after the first,
+        # and M.  A stacked product's GEMMs are its matrices' row blocks, each within the budget below.
+        grams = [(modes, rank, rank, count * rank)] + [(count, rank, rank * rank, rank)] * (modes - 1)
         assert serial == [*convolution, *grams, (rank, count * rank, rank)]
         assert all(2 <= rows and rows * k * n <= SERIAL_GEMM_MACS for rows, k, n in gemms)
+
+    def test_gram_convolution_batches_match_one_point_at_a_time(self, monkeypatch):
+        # 30 points at L = 17 go in batches of 13, 13 and 4 (13 L^3 <= CHUNK_ENTRIES), one stacked product
+        # per batch and mode after the first; each point's G is bitwise its own one-point convolution.
+        rng = np.random.default_rng(30)
+        grams = rng.standard_normal((3, 30, 17, 17)) + 1j * rng.standard_normal((3, 30, 17, 17))
+        batches = []
+
+        def recording(a, b):
+            batches.append(len(a))
+            return serial_matmul(a, b)
+
+        monkeypatch.setattr(fockgraph.graphs, "serial_matmul", recording)
+        got = fockgraph.graphs._gram_convolution(grams)
+        assert batches == [13, 13, 13, 13, 4, 4]
+        for point in range(30):
+            assert np.array_equal(got[point], fockgraph.graphs._gram_convolution(grams[:, point : point + 1])[0])
 
     @pytest.mark.parametrize("cutoff", [8, 12])
     def test_ladder_and_m_match_the_50_digit_reference(self, cutoff):
@@ -1160,20 +1178,57 @@ class TestResidualPruning:
         spec = GraphSpec(phi=np.eye(modes, dtype=complex), modes=modes, cutoff=cutoff)
         matches_full_sweep(spec, anticlique, generators)
 
-    def test_sweep_takes_a_tenth_of_the_rows(self, monkeypatch):
-        # Counted from the residual row blocks taken, each one GEMM against Y_t^dag.
-        spec, anticlique, generators = runner_case(3, 8, 0)
-        shape = (spec.cutoff + 1, spec.space.dim)
-        taken = []
+    @staticmethod
+    def sweep_blocks(monkeypatch, case):
+        """compression_check's max-abs and the (rows, columns) of each residual block its sweep forms."""
+        residual = fockgraph.graphs._compression_residual(*case, None, None)
+        blocks = []
 
         def counting(a, b):
-            if b.shape == shape:
-                taken.append(len(a))
+            blocks.append((len(a), b.shape[1]))
             return serial_matmul(a, b)
 
         monkeypatch.setattr(fockgraph.graphs, "serial_matmul", counting)
-        compression_check(spec, anticlique, generators)
-        assert 0 < sum(taken) <= spec.space.dim // 10
+        max_abs = fockgraph.graphs._residual_max_abs(residual.scaled, residual.ladder)
+        monkeypatch.undo()
+        assert max_abs == compression_check(*case).max_abs_deviation
+        return max_abs, blocks
+
+    def test_sweep_forms_a_three_hundredth_of_the_entries(self, monkeypatch):
+        # Each block is one GEMM of the rows whose bound can still beat the running max against the prefix of
+        # the sorted columns whose bound can.  The floor prunes the first block's columns too: its 9 rows take
+        # 48 of the 729 columns.  The row sweep took 18 whole rows here, 13,122 entries.
+        case = runner_case(3, 8, 0)
+        dim = case[0].space.dim
+        max_abs, blocks = self.sweep_blocks(monkeypatch, case)
+        assert max_abs == full_residual_deviations(*case)[0]
+        assert blocks[0] == (SERIAL_GEMM_MACS // (dim * 9), 48)
+        assert 0 < sum(rows * columns for rows, columns in blocks) <= dim * dim // 300
+
+    def test_sweep_by_entries_at_n5_cutoff_10(self, monkeypatch):
+        # A library call past MAX_DIM, which guards configs alone: dim_t 161,051 at n=5 cutoff 10, past
+        # CHUNK_ENTRIES = 65,536, where the row sweep took one-row products.  The max is bitwise the one that
+        # row sweep read, forming every entry; this sweep forms 55,751 of the 2.6e10 entries.
+        max_abs, blocks = self.sweep_blocks(monkeypatch, runner_case(5, 10, 42))
+        assert max_abs == 1.3980863900675715e-08
+        assert sum(rows * columns for rows, columns in blocks) == 55_751
+        assert all(rows * columns * 11 <= SERIAL_GEMM_MACS for rows, columns in blocks)
+
+    def test_floor_stays_below_a_diagonal_that_cancels(self):
+        # Y_0 is orthogonal to (Y_t K)_0 to rounding, so entry (0, 0) is rounding noise, which a row-wise dot
+        # product and a GEMM round differently.  Row 1 of Y_t is (Y_t K)_0's own direction, scaled so that
+        # entry (0, 1) is half that dot product: its bound is at most the dot product, and it beats the
+        # GEMM's value of (0, 0) in 22 of these 200 draws under OpenBLAS 0.3.31.  The floor must leave it in
+        # play; read as the dot product alone, it pruned column 1 in those draws.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            row = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            other = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            other -= np.vdot(row, other) / np.vdot(row, row) * row
+            half = abs(np.einsum("ij,ij->i", row[None], other[None].conj())[0]) / 2
+            ladder = np.array([other, half / np.vdot(row, row).real * row])
+            max_abs = fockgraph.graphs._residual_max_abs(np.array([row, np.zeros(6)]), ladder)
+            assert max_abs >= half * (1 - 1e-13)
 
     @pytest.mark.parametrize("modes", [2, 3])
     def test_nan_in_a_deep_ladder_row_exits_three(self, monkeypatch, tmp_path, modes):

@@ -517,6 +517,27 @@ class TestSerialMatmul:
             assert gemms == [(m, k, n)]
 
 
+    def test_a_stack_takes_each_matrix_in_its_own_row_blocks(self, monkeypatch):
+        # The Gram convolution's product at n=2 cutoff 16, (17 x 289) @ (289 x 17), for 13 points: the rows
+        # go in blocks of 13 and 4 in every matrix, so each matrix is bitwise its own 2-D product.
+        rng = np.random.default_rng(4913)
+        a = rng.standard_normal((13, 17, 289)) + 1j * rng.standard_normal((13, 17, 289))
+        b = rng.standard_normal((13, 289, 17)) + 1j * rng.standard_normal((13, 289, 17))
+        gemms = []
+        matmul = np.matmul
+
+        def recording(x, y, **kwargs):
+            gemms.append(x.shape + y.shape[-1:])
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        got = serial_matmul(a, b)
+        monkeypatch.undo()
+        assert gemms == [(13, 13, 289, 17), (13, 4, 289, 17)]
+        assert all(np.array_equal(matrix, serial_matmul(left, right)) for matrix, left, right in zip(got, a, b))
+        assert np.array_equal(serial_matmul(a, b[0]), np.stack([serial_matmul(left, b[0]) for left in a]))
+
+
 class TestGaussLaguerre:
     def test_order_one(self):
         scheme = gauss_laguerre(1)

@@ -1,8 +1,8 @@
 """The warm path: what one process builds once, and what every call still computes.
 
 A process caches only what depends on the process (the argument parser) or
-on a shape (the default DFT phi per n, log-factorials, index layouts and
-gathers).  Each
+on a shape (the default DFT phi per n, log-factorials, the displacement
+kernel's grids, index layouts and gathers).  Each
 cache returns read-only arrays and keys on every shape argument it takes;
 nothing computed from phi, the seed, explicit points or the rule weights is
 cached, so a warm call redoes all of its numerics.
@@ -149,6 +149,28 @@ def reference_convolution_plan(levels):
     return shift.reshape(levels, empty), toeplitz.reshape(levels, empty)
 
 
+def reference_kernel_grid(cutoff, rows):
+    # Entry by entry from lgamma: entry (m, n)'s order |m - n|, its row 2 |m - n| + [m < n] of the powers and
+    # min(m, n) (cutoff + 1) + |m - n| of the Laguerre values, and log sqrt(min! / (min + order)!); per order
+    # k, log C(d + k, d) at the deepest kept index d = min(rows - 1, cutoff - k), and (-1)^k for both parts
+    # of alpha^k with conj's sign on the second; per step j, j + k.
+    dim = cutoff + 1
+    log_factorial = [math.lgamma(m + 1) for m in range(dim)]
+    entries = [[(abs(m - n), min(m, n)) for n in range(dim)] for m in range(rows)]
+    deepest = [min(rows - 1, cutoff - k) for k in range(dim)]
+    half_log_ratio = [[[0.5 * (log_factorial[low] - log_factorial[low + order])] for order, low in row] for row in entries]
+    return (
+        np.array([[order for order, _ in row] for row in entries]),
+        np.array([[2 * abs(m - n) + (m < n) for n in range(dim)] for m in range(rows)]),
+        np.array([[low * dim + order for order, low in row] for row in entries]),
+        np.arange(dim).reshape(dim, 1),
+        np.array([[log_factorial[d + k] - log_factorial[d] - log_factorial[k]] for k, d in enumerate(deepest)]),
+        np.array(half_log_ratio),
+        np.array([[[float(j + k)] for k in range(dim)] for j in range(rows)]),
+        np.array([[(-1.0) ** k, -((-1.0) ** k)] for k in range(dim)]),
+    )
+
+
 def reference_radius_limit(n, cutoff):
     budget = math.log(np.finfo(float).max) - n * math.log(cutoff + 1)
     return math.exp(min((budget + 0.5 * math.lgamma(s + 1)) / s for s in range(1, n * cutoff + 1)))
@@ -174,6 +196,7 @@ CACHES = {
         [(3, 3, 4, 5), (2, 3, 4, 5), (2, 4, 4, 5), (2, 4, 2, 5), (2, 4, 2, 3), (3, 3, 4, 5)],
     ),
     "convolution_plan": (graphs._convolution_plan, reference_convolution_plan, [(9,), (7,), (9,)]),
+    "kernel_grid": (fock._kernel_grid, reference_kernel_grid, [(8, 9), (8, 5), (12, 5), (8, 9)]),
     "ladder_radius_limit": (config._ladder_radius_limit, reference_radius_limit, [(2, 8), (3, 8), (3, 16), (2, 8)]),
 }
 

@@ -88,9 +88,48 @@ MUTANTS = [
     # The Laguerre recurrence runs on L 2^-shift: its first difference must carry the scale too.
     Mutant(
         "src/fockgraph/fock.py",
-        "    step = (orders[:, None] - s) * lag[0]",
-        "    step = orders[:, None] - s",
+        "    step = (grid.orders - s) * lag[0]",
+        "    step = grid.orders - s",
         ("tests/test_fock.py::TestDisplacementMatrix::test_rows_stay_unit_where_laguerre_values_overflow",),
+    ),
+    # (-conj alpha)^k is (-1)^k conj(alpha^k): without the (-1)^k every odd order above the diagonal flips sign.
+    Mutant(
+        "src/fockgraph/fock.py",
+        "    signs = np.where(orders % 2, -1.0, 1.0)[:, None] * np.array([1.0, -1.0])",
+        "    signs = np.ones((dim, 1)) * np.array([1.0, -1.0])",
+        (
+            "tests/test_fock.py::TestScalarLadders::test_power_ladders_match_the_schoolbook_chain",
+            "tests/test_fock.py::TestDisplacementMatrix::test_adjoint_is_negated_argument_exactly",
+            "tests/test_golden_reports.py::test_comparison_set_matches_golden_file",
+        ),
+    ),
+    # Without its rounding allowance and margin the max-abs floor can pass the GEMM's value of its entry.
+    Mutant(
+        GRAPHS,
+        "    floors = (diagonal - 2 * allowance * norms[first] * reach[first]) / margin",
+        "    floors = diagonal",
+        ("tests/test_graphs.py::TestResidualPruning::test_floor_stays_below_a_diagonal_that_cancels",),
+    ),
+    # A row block forms every column whose bound beats the threshold: one short drops the last of them.
+    Mutant(
+        GRAPHS,
+        "        width = bisect.bisect_left(bounds, True, key=lambda bound: tops[start] * bound <= threshold)",
+        "        width = bisect.bisect_left(bounds, True, key=lambda bound: tops[start] * bound <= threshold) - 1",
+        (
+            "tests/test_graphs.py::TestResidualPruning::test_trusted_blocks_match_full_sweep",
+            "tests/test_graphs.py::TestResidualPruning::test_sweep_by_entries_at_n5_cutoff_10",
+            "tests/test_golden_reports.py::test_comparison_set_matches_golden_file",
+        ),
+    ),
+    # A stack's matrices keep a 2-D product's row blocks: one GEMM per whole matrix passes the serial budget.
+    Mutant(
+        "src/fockgraph/quadrature.py",
+        "    step = SERIAL_GEMM_MACS // row if 0 < 2 * row <= SERIAL_GEMM_MACS else max(count, 1)",
+        "    step = SERIAL_GEMM_MACS // row if 0 < 2 * row <= SERIAL_GEMM_MACS and a.ndim == 2 else max(count, 1)",
+        (
+            "tests/test_quadrature.py::TestSerialMatmul::test_a_stack_takes_each_matrix_in_its_own_row_blocks",
+            "tests/test_graphs.py::TestFactoredGrams::test_every_gemm_goes_through_serial_matmul",
+        ),
     ),
 ]
 
