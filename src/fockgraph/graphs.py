@@ -561,16 +561,15 @@ def _residual_max_abs(scaled: np.ndarray, ladder: np.ndarray) -> float:
     at the first column does, as one product whose height also keeps it
     within SERIAL_GEMM_MACS for that width (or within CHUNK_ENTRIES, for
     BLAS to thread, where two rows do not fit); the sweep stops at the
-    first block without such a column.  The threshold
-    is the running max, seeded with a floor below which it cannot end: the
-    largest diagonal entry |R_aa| over the first block's rows, each a
-    row-wise dot product, less the allowance 2 * 8 (L+2) eps |(Y_t K)_a|
-    |Y_a| for its rounding and that of the same entry in a GEMM, divided by
-    the margin.  Entry (a, a)'s own bound beats that floor, so the first
-    block forms it.  The norms are dot products of the float views with
-    themselves.  A NaN norm is a NaN row or column of the residual: the max
-    is NaN and no entry is formed; a NaN entry formed is kept and ends the
-    sweep.
+    first block without such a column.  The threshold is the running max,
+    seeded with a floor below which it cannot end: the largest diagonal
+    entry |R_aa| over the first block's rows, each a row-wise dot product,
+    less the allowance 2 * 8 (L+2) eps |(Y_t K)_a| |Y_a| for its rounding
+    and that of the same entry in a GEMM, divided by the margin.  Entry
+    (a, a)'s own bound beats that floor, so the first block forms it.  The
+    norms are dot products of the float views with themselves.  A NaN norm
+    is a NaN row or column of the residual: the max is NaN and no entry is
+    formed; a NaN entry formed is kept and ends the sweep.
     """
     rank = ladder.shape[1]
     allowance = 8 * (rank + 2) * np.finfo(float).eps
