@@ -44,7 +44,6 @@ import sys
 import tempfile
 
 from fockgraph import cli
-from fockgraph.config import _ladder_radius_limit
 
 # A fixed non-DFT 3-mode unitary: the real orthogonal (1/3)[[1, 2, 2], [2, 1, -2], [2, -2, 1]] with its
 # columns turned by the phases 1, i and (3 + 4i)/5, as row-major [re, im] pairs.
@@ -78,7 +77,7 @@ CASES = [
             "experiment": "anticlique",
             "n": 3,
             "cutoff": 8,
-            "generator_params": [{"R": [0.999 * _ladder_radius_limit(3, 8), 0.0], "Theta": [0.3, 0.3]}],
+            "generator_params": [{"R": [16592545771324.547, 0.0], "Theta": [0.3, 0.3]}],
         },
     ),
     ("projection n3 c6", {"experiment": "projection", "n": 3, "cutoff": 6}),
