@@ -254,18 +254,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if data.get("anticlique_params") is not None:
         anticlique_params = _parse_point(data["anticlique_params"], n, ("X", "Gamma"), "anticlique_params")
 
-    if experiment == "anticlique":
-        limit = _ladder_radius_limit(n, cutoff)
-        named = [("anticlique_params", anticlique_params)]
-        named += [(f"generator_params entry {i}", point) for i, point in enumerate(generator_params or ())]
-        for what, point in named:
-            radius = math.hypot(*map(float, point.radii)) if point is not None else 0.0
-            if radius > limit:
-                raise ConfigError(
-                    f"{what} radius {radius:.6g} exceeds {limit:.6g}: "
-                    f"the tail-factored ladders overflow at n {n}, cutoff {cutoff}"
-                )
-
     if experiment in ("covariant_gs", "convergence"):
         # The kernel's powers alpha^k, k <= cutoff, overflow at the largest radial node past this limit.
         node = float(gauss_laguerre(radial_order).nodes[-1])
@@ -299,30 +287,6 @@ def default_config(experiment: str, overrides: dict | None = None) -> Experiment
 def default_suite(overrides: dict | None = None) -> list[ExperimentConfig]:
     """The default verification suite: five experiments at the defaults."""
     return [default_config(name, overrides) for name in DEFAULT_SUITE]
-
-
-@functools.lru_cache(maxsize=None)
-def _ladder_radius_limit(n: int, cutoff: int) -> float:
-    """Largest radius |R| of an anticlique point whose tail-factored ladders stay finite.
-
-    Cached per ``(n, cutoff)``; the value is an immutable float.
-
-    It bounds the tail-factored sector sweep (``graphs._sector_ladders``),
-    which builds the ladders without their Gaussian.  At total occupation N
-    the rotated-frame ladder Y_k = e^{|h|^2/2} D(h) B_k holds the sector
-    mass rho^(2s) / s!, s = N - k, rho = |h| = |R|, so every entry is at
-    most max_s rho^s / sqrt(s!) over s <= n cutoff.  The sweep's sums and
-    Gram products add at most dim = (cutoff+1)^n such terms, so they stay
-    finite while dim max_s rho^s / sqrt(s!) is a double:
-    rho <= min_s ((log(max / dim) + log(s!) / 2) / s), in logs.  The
-    anticlique check does not sweep: it builds its ladders from per-mode
-    displacement matrices, Gaussians included, and gives a point whose
-    Gaussian rounds to 0 zero factors, so it stays finite at any radius.
-    The limit guards no computation of the check; the config keeps it, at
-    every n, so that no exit code moves.
-    """
-    budget = math.log(np.finfo(float).max) - n * math.log(cutoff + 1)
-    return math.exp(min((budget + 0.5 * math.lgamma(s + 1)) / s for s in range(1, n * cutoff + 1)))
 
 
 def _reject_constant(name: str):

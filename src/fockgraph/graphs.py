@@ -172,45 +172,6 @@ def _graded_ladder(spec: GraphSpec, occupations: np.ndarray) -> np.ndarray:
     return ladder * np.exp(0.5 * _log_factorials(spec.modes * top))[occupations.sum(axis=1)]
 
 
-def _sector_ladders(spec: GraphSpec, shifts: np.ndarray, rows: int) -> np.ndarray:
-    """Tail-factored displaced seed ladders Y = D(h) B on the box of ``rows`` per mode, sector-major.
-
-    Each shift h (row of ``shifts``, (K, modes)) must be orthogonal to phi's
-    first column c, as h = phi[:, 1:] @ alpha is.  Weyl covariance gives
-    a_j Y_k = h_j Y_k + sqrt(k) c_j Y_{k-1}, which the number operator turns
-    into a sweep over total occupation N from the vacuum row (1, 0, ..., 0),
-    N Y_k[m] = sum_j sqrt(m_j) (h_j Y_k + sqrt(k) c_j Y_{k-1})[m - e_j], stable
-    and exact on any box (README, numerical notes).  Returns a
-    (rows^n, (cutoff+1) K) matrix whose row ``i`` is box row
-    ``_sector_plan(modes, rows).order[i]``, so each sector (the rows of one
-    total occupation N) is one contiguous slice, and column k K + p holds
-    level k of shift p.  Sector N has levels k <= N, so it reads the first
-    min(N, cutoff+1) K columns of sector N-1 at the plan's predecessor
-    positions within that sector, gathered once as (modes, rows of N,
-    columns), and weighted by sqrt(m_j)/N in place.  Two contractions over
-    the modes then fill the sector's slice: the shift term against h_j
-    spread over the levels, and the raising term against c_j sqrt(k), one
-    level up.
-    """
-    plan = _sector_plan(spec.modes, rows)
-    count, rank = len(shifts), spec.cutoff + 1
-    ladder = np.zeros((len(plan.order), rank * count), dtype=complex)
-    ladder[0, :count] = 1.0
-    spread = np.tile(shifts.T, rank)[:, None]
-    raising = (spec.phi[:, :1] * np.repeat(np.sqrt(np.arange(1, rank)), count))[:, None]
-    previous = slice(0, 1)
-    for occupation, (at, lower, weight) in enumerate(zip(plan.sectors, plan.lower, plan.weight), start=1):
-        below, top = min(occupation, rank) * count, min(occupation + 1, rank) * count
-        terms = np.take(ladder[previous, :below], lower, axis=0)
-        np.multiply(terms.view(float), weight, out=terms.view(float))
-        raised = (terms[..., : top - count] * raising[..., : top - count]).sum(axis=0)
-        sector = ladder[at]
-        np.multiply(terms, spread[..., :below], out=terms).sum(axis=0, out=sector[:, :below])
-        sector[:, count:top] += raised
-        previous = at
-    return ladder
-
-
 class _SectorPlan(NamedTuple):
     """Occupation tuples in sector-major order, with each sector's predecessors and weights.
 
@@ -234,8 +195,8 @@ def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
     Enumerated mode by mode, so a capped plan never builds the box.  Every
     predecessor m - e_j is a position within sector N-1; where m_j = 0 it
     is position 0, with weight and root 0.  So a sweep reads only sector
-    N-1, and such a read adds 0 as long as that sector is finite: V is
-    unitary, and the config's radius limit keeps every ladder entry finite.
+    N-1, and such a read adds 0 as long as that sector is finite, as V's
+    is: V is unitary.
     Cached per shape argument; the arrays are read-only.
     """
     top = modes * (rows - 1) if top is None else top
@@ -365,16 +326,16 @@ def graph_generator(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
 
     Sums the cutoff+1 displaced ladder dyads as the Gram matrix Y Y^dag of
     Y = D B, so the result is Hermitian and positive semidefinite by
-    construction; the test suite measures both.  Y is :func:`_sector_ladders`
-    on the whole box, scattered into box order by the plan's ``order``, with
-    its Gaussian exp(-|h|^2/2): B lives on total occupation <= cutoff, so the
-    truncated D B is the exact one on every box row.
+    construction; the test suite measures both.  Y is built as the
+    anticlique check builds its ladder: sqrt(k!) times the level
+    convolution of the point's per-mode factors (:func:`_mode_factors`,
+    :func:`_level_convolution`), rows in box order.  B lives on total
+    occupation <= cutoff, so the truncated D B is the exact one on every box
+    row, and a point whose Gaussian rounds to 0 gives Y = 0.
     """
+    roots = np.sqrt([float(math.factorial(k)) for k in range(spec.cutoff + 1)])
     shift = displaced_mode_amplitudes(spec, params)
-    rows = spec.cutoff + 1
-    sweep = _sector_ladders(spec, shift[None], rows) * np.exp(-0.5 * np.sum(np.abs(shift) ** 2))
-    displaced = np.empty_like(sweep)
-    displaced[_sector_plan(spec.modes, rows).order] = sweep
+    displaced = _level_convolution(_mode_factors(spec, shift[None])[:, 0], roots)
     return displaced @ displaced.conj().T
 
 
@@ -388,7 +349,8 @@ def _overlap_constant(anticlique: np.ndarray, generator: np.ndarray) -> float:
     """:func:`compression_constant` from the two points' ``displacements()``."""
     if anticlique.shape != generator.shape:
         raise ValueError("parameter tuples must have equal length")
-    return float(np.exp(-np.sum(np.abs(generator - anticlique) ** 2)))
+    with np.errstate(over="ignore"):  # a distance past 1.3e154 squares to inf, and exp(-inf) = 0 is the constant
+        return float(np.exp(-np.sum(np.abs(generator - anticlique) ** 2)))
 
 
 class CompressionResult(NamedTuple):
@@ -662,7 +624,8 @@ def _mode_factors(spec: GraphSpec, shifts: np.ndarray) -> np.ndarray:
     point whose Gaussian is positive stays below 38.7.
     """
     rank = spec.cutoff + 1
-    live = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1)) > 0.0
+    with np.errstate(over="ignore"):  # an amplitude past 1.3e154 squares to inf, and exp(-inf) = 0 is its Gaussian
+        live = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1)) > 0.0
     factors = np.zeros((spec.modes, len(shifts), rank, rank), dtype=complex)
     if live.any():
         kernel = displacement_matrix(shifts[live].T.ravel(), spec.cutoff)
@@ -698,9 +661,12 @@ def _level_convolution(factors: np.ndarray, scale: np.ndarray) -> np.ndarray:
     slowest.  Each mode after the first is one :func:`serial_matmul`,
     Z (L^j, L) @ T_j (L, L^2), with T_j[k', (r, k)] = factors[j, r, k - k']
     for k >= k' and 0 below, gathered by the ``shift`` of
-    :func:`_convolution_plan`; ``scale`` goes into the last T_j's columns.
+    :func:`_convolution_plan`; ``scale`` goes into the last T_j's columns
+    (with one mode there is none, and the result is factors[0] times scale).
     """
     modes, rows, levels = factors.shape
+    if modes == 1:
+        return factors[0] * scale
     padded = np.zeros((modes - 1, rows * levels + 1), dtype=complex)
     padded[:, :-1] = factors[1:].reshape(modes - 1, -1)
     shifted = np.take(padded, _convolution_plan(levels)[0], axis=1)

@@ -21,16 +21,19 @@ and ``M`` from per-mode factors at n=2, and the displaced seed ladders at
 n=3 the same way, the precision reference for those factors at n=3.  ``graphs._rotation_sectors`` one mode at a time, reading the
 sector plans' predecessor positions directly, the reference for its one
 gather.  The displaced seed ladder by applying truncated displacement
-matrices mode by mode, the oracle for ``graphs._sector_ladders``, which
-builds it by Weyl covariance, and for the anticlique check's level
-convolution of per-mode factors.  The dense Kronecker Weyl operator
+matrices mode by mode, the oracle for the package's level convolution of
+per-mode factors and for ``sector_ladders``.  That one builds the same
+ladder tail-factored, by Weyl covariance swept over total occupation with
+no displacement matrix: an oracle for the per-mode factored ladder of
+``graphs.graph_generator`` and the anticlique check that shares no
+arithmetic with it.  The dense Kronecker Weyl operator
 (``weyl_operator``, ``graph_displacement``) and the displaced seed
-projector built from it (``dense_generator``), the oracles for ``graphs.graph_generator`` and for
-the dense ``P A P`` that ``graphs.compression_check`` never forms: the
-first reads its ladder from that sweep, the second from per-mode factors.  The anticlique residual
-with each of its ``dim_t^2`` entries formed, the oracle for
-``graphs.compression_check``, which prunes its max-abs sweep and takes its
-Frobenius norm in rank space.  The Poisson distribution function to 50
+projector built from it (``dense_generator``), the oracles for
+``graphs.graph_generator`` and for the dense ``P A P`` that
+``graphs.compression_check`` never forms.  The anticlique residual with
+each of its ``dim_t^2`` entries formed, and the position of its max
+entry, the oracle for ``graphs.compression_check``, which prunes its
+max-abs sweep and takes its Frobenius norm in rank space.  The Poisson distribution function to 50
 digits and the cut exponential series e_j(z), for the closed forms of
 ``quadrature.displaced_projector_identity`` under an exact rule and of the
 displaced ladders' Grams on the total-occupation simplex.  Exponential
@@ -324,7 +327,7 @@ def exponential_partial_sum(count: int, z: complex) -> complex:
 
 
 def two_mode_sweeps_reference(rotation, denominator: int, shift: Fraction, rows: int, cutoff: int):
-    """V of ``graphs._rotation_sectors`` and the tail-factored ``graphs._sector_ladders`` at n=2, to 50 digits.
+    """V of ``graphs._rotation_sectors`` and the tail-factored ``sector_ladders`` at n=2, to 50 digits.
 
     phi = ``rotation`` / ``denominator`` is rational, real and orthogonal,
     and the shift is h = ``shift`` phi[:, 1].  U|m> = (phi_00 a_0^dag +
@@ -420,6 +423,50 @@ def three_mode_ladder_reference(rotation, denominator: int, shift: Fraction, cut
     return ladders
 
 
+def sector_ladders(spec, shifts: np.ndarray, rows: int) -> np.ndarray:
+    """Tail-factored displaced seed ladders Y = D(h) B on the box of ``rows`` per mode, sector-major.
+
+    Each shift h (row of ``shifts``, (K, modes)) must be orthogonal to phi's
+    first column c, as h = phi[:, 1:] @ alpha is.  Weyl covariance gives
+    a_j Y_k = h_j Y_k + sqrt(k) c_j Y_{k-1}, which the number operator turns
+    into a sweep over total occupation N from the vacuum row (1, 0, ..., 0),
+    N Y_k[m] = sum_j sqrt(m_j) (h_j Y_k + sqrt(k) c_j Y_{k-1})[m - e_j], stable
+    and exact on any box (README, numerical notes).  Returns a
+    (rows^n, (cutoff+1) K) matrix whose row ``i`` is box row
+    ``_sector_plan(modes, rows).order[i]``, so each sector (the rows of one
+    total occupation N) is one contiguous slice, and column k K + p holds
+    level k of shift p.  Sector N has levels k <= N, so it reads the first
+    min(N, cutoff+1) K columns of sector N-1 at the plan's predecessor
+    positions within that sector, gathered once as (modes, rows of N,
+    columns), and weighted by sqrt(m_j)/N in place.  Two contractions over
+    the modes then fill the sector's slice: the shift term against h_j
+    spread over the levels, and the raising term against c_j sqrt(k), one
+    level up.  The package builds Y from per-mode displacement matrices
+    instead (``graphs._mode_factors``, ``graphs._level_convolution``), so
+    this sweep shares no arithmetic with it.  Without the Gaussian
+    exp(-|h|^2/2) its entries grow as |h|^s / sqrt(s!), s = N - k, and
+    overflow far out (past |h| = 3.7e19 at n=2 cutoff 8); the tests keep
+    |h| below 8.
+    """
+    plan = _sector_plan(spec.modes, rows)
+    count, rank = len(shifts), spec.cutoff + 1
+    ladder = np.zeros((len(plan.order), rank * count), dtype=complex)
+    ladder[0, :count] = 1.0
+    spread = np.tile(shifts.T, rank)[:, None]
+    raising = (spec.phi[:, :1] * np.repeat(np.sqrt(np.arange(1, rank)), count))[:, None]
+    previous = slice(0, 1)
+    for occupation, (at, lower, weight) in enumerate(zip(plan.sectors, plan.lower, plan.weight), start=1):
+        below, top = min(occupation, rank) * count, min(occupation + 1, rank) * count
+        terms = np.take(ladder[previous, :below], lower, axis=0)
+        np.multiply(terms.view(float), weight, out=terms.view(float))
+        raised = (terms[..., : top - count] * raising[..., : top - count]).sum(axis=0)
+        sector = ladder[at]
+        np.multiply(terms, spread[..., :below], out=terms).sum(axis=0, out=sector[:, :below])
+        sector[:, count:top] += raised
+        previous = at
+    return ladder
+
+
 def rotation_sectors_loop(spec, rows: int) -> list:
     """``graphs._rotation_sectors`` step by step: one mode at a time, the sum over modes in Python.
 
@@ -494,13 +541,15 @@ def displace_modewise(spec, basis: np.ndarray, alphas: np.ndarray, rows: int | N
     return out.reshape(count, rows**spec.modes, -1)
 
 
-def full_residual_deviations(spec, anticlique, generators, weights=None, trusted_block=None) -> tuple[float, float]:
+def full_residual_deviations(spec, anticlique, generators, weights=None, trusted_block=None) -> tuple:
     """Max-abs and Frobenius deviations of ``graphs.compression_check``, every residual entry formed.
 
     The check's own ladders, ``M``, scalar and ``Y_t (M - c I)`` (its
     ``_compression_residual``), then the residual row block by row block
     in row order, with the max and the sum of squares of the magnitudes of
-    each block.
+    each block.  Returns the max-abs, the Frobenius deviation and the
+    (row, column) of the max entry in ``Y_t``'s row order, the first in
+    row-major order where entries tie.
     """
     residual = _compression_residual(spec, anticlique, generators, weights, trusted_block)
     ladder, scaled = residual.ladder, residual.scaled
@@ -509,11 +558,14 @@ def full_residual_deviations(spec, anticlique, generators, weights=None, trusted
     serial = 8 * spec.space.dim * rank <= SERIAL_GEMM_MACS
     rows = SERIAL_GEMM_MACS // (len(ladder) * rank) if serial else max(1, CHUNK_ENTRIES // len(ladder))
     max_abs = squares = 0.0
+    entry = (0, 0)
     for start in range(0, len(ladder), rows):
         magnitude = np.abs(scaled[start : start + rows] @ adjoint)
-        max_abs = max(max_abs, float(magnitude.max()))
+        row, column = np.unravel_index(np.argmax(magnitude), magnitude.shape)
+        if magnitude[row, column] > max_abs:
+            max_abs, entry = float(magnitude[row, column]), (start + int(row), int(column))
         squares += float(np.sum(np.square(magnitude, out=magnitude)))
-    return max_abs, math.sqrt(squares) / float(np.linalg.norm(residual.overlap))
+    return max_abs, math.sqrt(squares) / float(np.linalg.norm(residual.overlap)), entry
 
 
 def index_of(occupation, space: ModeSpace) -> int:

@@ -14,7 +14,7 @@ import pytest
 
 import fockgraph
 from fockgraph.cli import main
-from fockgraph.config import EXPERIMENTS, MAX_DIM, _ladder_radius_limit, config_from_dict
+from fockgraph.config import EXPERIMENTS, MAX_DIM, config_from_dict
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -230,17 +230,34 @@ class TestExitCodes:
         assert report["parameters"]["radial_order"] == 64
         assert math.isfinite(report["max_abs_deviation"])
 
-    @pytest.mark.parametrize("n, cutoff, radius", [(2, 8, 1e14), (2, 8, None), (3, 8, None), (2, 40, None)])
-    def test_anticlique_radius_within_the_ladder_limit_reaches_a_verdict(self, tmp_path, n, cutoff, radius):
-        # Up to the config's radius limit (None: just below it) the ladders stay finite.
-        if radius is None:
-            radius = 0.999 * _ladder_radius_limit(n, cutoff)
-        point = {"R": [radius] + [0.0] * (n - 2), "Theta": [0.3] * (n - 1)}
-        config = write_config(tmp_path, {"experiment": "anticlique", "n": n, "cutoff": cutoff, "generator_params": [point]})
+    # Every finite radius reaches the check, where a point's Gaussian rounds to 0 and its factors are zero, and
+    # no RuntimeWarning is printed on the way.  A generator there adds nothing: M = 0 and c = 0 against a
+    # predicted 0, a PASS.  That is the outcome the check gave at 1.66e13 (the comparison set's far generator)
+    # before these radii reached it; ROADMAP item 1 decides whether a generator the ladders cannot see should
+    # pass.  An anticlique there leaves no ladder to measure against: a config error.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("radius", [1e20, 1e154, 1e155, 1e200, 1.7e308])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("point", ["generator", "anticlique"])
+    def test_far_point_takes_the_outcome_of_its_zero_gaussian(self, tmp_path, capsys, point, n, radius):
+        radii, phases = [radius] + [0.0] * (n - 2), [0.3] * (n - 1)
+        data = {"experiment": "anticlique", "n": n, "cutoff": 8}
+        if point == "generator":
+            data["generator_params"] = [{"R": radii, "Theta": phases}]
+        else:
+            data["anticlique_params"] = {"X": radii, "Gamma": phases}
         out = tmp_path / "report.json"
-        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 0
-        report = json.loads(out.read_text())
-        assert all(math.isfinite(report[key]) for key in ("max_abs_deviation", "frobenius_deviation", "scalar_measured"))
+        code = main(["--config", str(write_config(tmp_path, data)), "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        if point == "generator":
+            assert (code, err) == (0, "")
+            report = json.loads(out.read_text())
+            fields = ("scalar_measured", "scalar_predicted", "max_abs_deviation", "frobenius_deviation")
+            assert [report[key] for key in fields] == [0.0] * 4
+        else:
+            assert code == 2 and not out.exists()
+            assert err.startswith(f"config error: anticlique at n {n}") and err.count("\n") == 1
+            assert "cannot be checked" in err and f"radius {radius:.6g} underflows" in err
 
     @pytest.mark.parametrize("n, radii", [(2, [30.0]), (3, [25.0, 3.0])], ids=["n2-X30", "n3-X25-3"])
     def test_anticlique_ladder_underflow_cannot_be_checked(self, tmp_path, capsys, n, radii):
@@ -270,7 +287,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n, cutoff", [(3, 8), (4, 6)])
     def test_generator_past_its_gaussian_adds_nothing(self, tmp_path, n, cutoff):
-        # Its Gram is exactly 0, as it was from the sector sweep: M = 0 and c = 0 against a predicted 0.
+        # Its Gram is exactly 0: M = 0 and c = 0 against a predicted 0.
         point = {"R": [1e3] + [0.0] * (n - 2), "Theta": [0.3] * (n - 1)}
         config = write_config(tmp_path, {"experiment": "anticlique", "n": n, "cutoff": cutoff, "generator_params": [point]})
         out = tmp_path / "report.json"
@@ -467,22 +484,6 @@ class TestExitCodes:
                 "exceeds 453",
             ),
             ({"experiment": "convergence", "cutoff_ladder": [700], "radial_order": 17}, "cutoff 700", "exceeds 353"),
-            # The tail-factored anticlique ladders overflow past the radius limit.
-            (
-                {"experiment": "anticlique", "n": 2, "cutoff": 40, "generator_params": [{"R": [1e6], "Theta": [0.3]}]},
-                "generator_params entry 0 radius 1e+06",
-                "exceeds 35950.6",
-            ),
-            (
-                {"experiment": "anticlique", "n": 2, "cutoff": 8, "generator_params": [{"R": [1e20], "Theta": [0.3]}]},
-                "generator_params entry 0 radius 1e+20",
-                "exceeds 3.65518e+19",
-            ),
-            (
-                {"experiment": "anticlique", "n": 2, "cutoff": 8, "anticlique_params": {"X": [1e200], "Gamma": [0.3]}},
-                "anticlique_params radius 1e+200",
-                "exceeds 3.65518e+19",
-            ),
         ],
         ids=[
             "projection-n4",
@@ -500,9 +501,6 @@ class TestExitCodes:
             "covariant-cutoff-280-radial-64",
             "covariant-cutoff-480-radial-8",
             "convergence-ladder-700",
-            "anticlique-n2-c40-radius-1e6",
-            "anticlique-n2-c8-radius-1e20",
-            "anticlique-n2-c8-anticlique-radius-1e200",
         ],
     )
     def test_oversized_config_exits_two(self, tmp_path, capsys, data, reason, limit):

@@ -29,7 +29,7 @@ from fockgraph.config import config_from_dict, dft_matrix
 from fockgraph.fock import displacement_matrix
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
 from fockgraph.cli import main
-from fockgraph.graphs import _graded_ladder, _rotation_sectors, _sector_ladders, _sector_plan, _seed_block
+from fockgraph.graphs import _graded_ladder, _rotation_sectors, _sector_plan, _seed_block
 from fockgraph.quadrature import SERIAL_GEMM_MACS, serial_matmul
 from oracles import (
     dense_generator,
@@ -44,6 +44,7 @@ from oracles import (
     mode_ladder,
     occupations,
     poisson_cdf,
+    sector_ladders,
     seed_projector,
     trusted_mask,
     three_mode_ladder_reference,
@@ -58,8 +59,8 @@ def block(op, mask):
 
 
 def box_ladders(spec, shifts, rows):
-    """_sector_ladders' rows in row-major box order, as a (K, rows^n, cutoff+1) stack."""
-    ladder = _sector_ladders(spec, shifts, rows)[np.argsort(_sector_plan(spec.modes, rows).order)]
+    """The oracle sweep's rows in row-major box order, as a (K, rows^n, cutoff+1) stack."""
+    ladder = sector_ladders(spec, shifts, rows)[np.argsort(_sector_plan(spec.modes, rows).order)]
     return ladder.reshape(rows**spec.modes, spec.cutoff + 1, len(shifts)).transpose(2, 0, 1)
 
 
@@ -466,7 +467,7 @@ class TestGraphDisplacement:
 
 
 class TestSeedLadders:
-    """The sector sweep builds D(h) B by Weyl covariance, without displacement matrices."""
+    """The oracle sector sweep builds D(h) B by Weyl covariance, without displacement matrices."""
 
     @staticmethod
     def case(modes, cutoff, seed, max_radius=1.5, count=4):
@@ -642,6 +643,23 @@ class TestGraphGenerator:
         disp = graph_displacement(spec, params)
         direct = disp @ seed_projector(spec) @ disp.conj().T
         assert np.abs(graph_generator(spec, params) - direct).max() < 1e-10
+
+    # Against Y Y^dag of the oracle's tail-factored sweep, with its Gaussian put back, at two draws each.
+    @pytest.mark.parametrize("modes, cutoff", [(2, 16), (2, 40), (3, 8), (3, 12), (4, 6)])
+    def test_matches_the_oracle_sweep(self, modes, cutoff):
+        rng = np.random.default_rng(modes * cutoff)
+        spec = GraphSpec(phi=mixing_matrix(modes, "haar", rng), modes=modes, cutoff=cutoff)
+        for _ in range(2):
+            params = draw_generator_params(modes, rng)
+            shift = displaced_mode_amplitudes(spec, params)
+            ladder = box_ladders(spec, shift[None], cutoff + 1)[0] * math.exp(-0.5 * float(np.sum(np.abs(shift) ** 2)))
+            assert np.abs(graph_generator(spec, params) - ladder @ ladder.conj().T).max() <= 1e-14
+
+    def test_one_mode_is_the_identity(self):
+        # One mode has no displacement: Y is diag(c^k) with |c| = 1, and Y Y^dag the identity.
+        spec = GraphSpec(phi=np.array([[np.exp(0.7j)]]), modes=1, cutoff=6)
+        generator = graph_generator(spec, GeneratorParams(radii=[], phases=[]))
+        assert np.abs(generator - np.eye(7)).max() <= 1e-15
 
     def test_trace_preserves_projector_rank(self):
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=24)
@@ -867,14 +885,37 @@ def criterion_5_combination():
 def matches_full_sweep(spec, anticlique, generators, weights=None, trusted_block=None):
     """compression_check's result, after checking it against every residual entry formed.
 
-    The pruned sweep takes the full sweep's entries, so its max-abs must be
-    equal bit for bit; the rank-space Frobenius norm reorders the sum.
+    A GEMM rounds an entry by its block's shape, so the pruned sweep and the
+    full one can round the max entry differently (by 1 ulp at suite seed 1).
+    The check's max-abs must lie within the sweep's own allowance
+    8 (L+2) eps |(Y_t K)_a| |Y_b| of the exact magnitude of the full
+    sweep's max entry (a, b) (:func:`assert_within_entry_allowance`); the
+    rank-space Frobenius norm reorders the sum.
     """
     result = compression_check(spec, anticlique, generators, weights=weights, trusted_block=trusted_block)
-    max_abs, frobenius = full_residual_deviations(spec, anticlique, generators, weights, trusted_block)
-    assert result.max_abs_deviation == max_abs
+    _, frobenius, entry = full_residual_deviations(spec, anticlique, generators, weights, trusted_block)
+    residual = fockgraph.graphs._compression_residual(spec, anticlique, generators, weights, trusted_block)
+    assert_within_entry_allowance(result.max_abs_deviation, residual, entry)
     assert abs(result.frobenius_deviation - frobenius) <= 1e-15 * frobenius
     return result
+
+
+def assert_within_entry_allowance(max_abs, residual, entry):
+    """``max_abs`` within 8 (L+2) eps |(Y_t K)_a| |Y_b| of |R_ab|, R_ab = (Y_t K)_a . conj(Y_b) to 50 digits.
+
+    The dot product is exact over the same doubles as the check's factors,
+    so the bound is the rounding allowance of ``_residual_max_abs`` alone.
+    """
+    row, column = residual.scaled[entry[0]], residual.ladder[entry[1]]
+    rank = len(row)
+    allowance = 8 * (rank + 2) * np.finfo(float).eps * np.linalg.norm(row) * np.linalg.norm(column)
+    with localcontext() as context:
+        context.prec = 50
+        parts = [(Decimal(x.real), Decimal(x.imag), Decimal(y.real), Decimal(y.imag)) for x, y in zip(row, column)]
+        real = sum(xr * yr + xi * yi for xr, xi, yr, yi in parts)
+        imag = sum(xi * yr - xr * yi for xr, xi, yr, yi in parts)
+        exact = (real * real + imag * imag).sqrt()
+        assert abs(Decimal(max_abs) - exact) <= Decimal(float(allowance))
 
 
 class TestCompressionOracle:
@@ -1149,10 +1190,12 @@ class TestSimplexClosedForms:
 class TestResidualPruning:
     """The pruned max-abs sweep and the rank-space Frobenius norm against the full residual."""
 
-    # n=2 cutoff 24 has wider GEMMs than SERIAL_GEMM_MACS, so its blocks are threaded and larger.
+    # n=2 cutoff 24 has wider GEMMs than SERIAL_GEMM_MACS, so its blocks are threaded and larger.  At seed 1
+    # the two sweeps round the max entry 1 ulp apart.
     @pytest.mark.parametrize(
         "modes, cutoff, seed, trusted_block",
         [
+            (2, 16, 1, None),
             (2, 16, 42, 1),
             (2, 16, 3243419750, 13),
             (3, 8, 5, 1),
@@ -1201,7 +1244,8 @@ class TestResidualPruning:
         case = runner_case(3, 8, 0)
         dim = case[0].space.dim
         max_abs, blocks = self.sweep_blocks(monkeypatch, case)
-        assert max_abs == full_residual_deviations(*case)[0]
+        entry = full_residual_deviations(*case)[2]
+        assert_within_entry_allowance(max_abs, fockgraph.graphs._compression_residual(*case, None, None), entry)
         assert blocks[0] == (SERIAL_GEMM_MACS // (dim * 9), 48)
         assert 0 < sum(rows * columns for rows, columns in blocks) <= dim * dim // 300
 

@@ -368,11 +368,11 @@ class TestRuleAliasing:
 
     def test_default_resolution_evaluates_no_node(self, monkeypatch):
         # n=2 c=16 at the defaults: the 17 x 34 rule is read through its
-        # operator C, so no ladder sweep and no displacement matrix runs.
+        # operator C, so no per-mode ladder factor and no displacement matrix is built.
         def refuse(*args, **kwargs):
             raise AssertionError("a node column was built")
 
-        builders = ((graphs, "_sector_ladders"), (quadrature, "displacement_matrix"))
+        builders = ((graphs, "_mode_factors"), (quadrature, "displacement_matrix"))
         for module, name in builders:
             monkeypatch.setattr(module, name, refuse)
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=16)

@@ -171,11 +171,6 @@ def reference_kernel_grid(cutoff, rows):
     )
 
 
-def reference_radius_limit(n, cutoff):
-    budget = math.log(np.finfo(float).max) - n * math.log(cutoff + 1)
-    return math.exp(min((budget + 0.5 * math.lgamma(s + 1)) / s for s in range(1, n * cutoff + 1)))
-
-
 # Per cache: the cached helper, an independent reference, and keys that
 # each change one argument of the key before, then return to the first.
 CACHES = {
@@ -197,12 +192,11 @@ CACHES = {
     ),
     "convolution_plan": (graphs._convolution_plan, reference_convolution_plan, [(9,), (7,), (9,)]),
     "kernel_grid": (fock._kernel_grid, reference_kernel_grid, [(8, 9), (8, 5), (12, 5), (8, 9)]),
-    "ladder_radius_limit": (config._ladder_radius_limit, reference_radius_limit, [(2, 8), (3, 8), (3, 16), (2, 8)]),
 }
 
 
 def leaves(value):
-    """The arrays (or the float) a cache returns, flattened out of tuples; slices are not arrays and are skipped."""
+    """The arrays a cache returns, flattened out of tuples; slices are not arrays and are skipped."""
     if isinstance(value, tuple):
         return [leaf for item in value for leaf in leaves(item)]
     return [] if isinstance(value, slice) else [value]
@@ -219,15 +213,12 @@ class TestCacheContract:
             for value, want in zip(got, expected):
                 assert np.array_equal(value, want), (name, key)
 
-    @pytest.mark.parametrize("name", sorted(set(CACHES) - {"ladder_radius_limit"}))
+    @pytest.mark.parametrize("name", sorted(CACHES))
     def test_returns_read_only_arrays(self, name):
         cached, _, keys = CACHES[name]
         for array in leaves(cached(*keys[0])):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
-
-    def test_radius_limit_is_an_immutable_float(self):
-        assert type(config._ladder_radius_limit(3, 8)) is float
 
     def test_displacement_rows_follow_cutoff_and_rows(self):
         # Each (cutoff, rows) against the expm oracle, changing one argument at a time.

@@ -18,7 +18,7 @@ and at n = 3 on the whole box, and n = 2 cutoff 40 on the whole box),
 the n = 4, 5 and 6 defaults (cutoff 16) of ``projection``, ``resolution``
 and ``anticlique``, which the dimension guard rejects (exit 2), an n = 3
 ``anticlique`` point so far out that its ladder underflows (exit 2) and an
-n = 3 generator just inside the config's radius limit, one-mode
+n = 3 generator at radius 1.66e13, where its Gaussian rounds to 0, one-mode
 rules from exact to aliased and past the kernel's scaling range, ``gs`` at
 its defaults for cutoffs 64 and 128 (where the default rule reaches
 ``MAX_RADIAL_ORDER``), and ``convergence`` with its ladder above ``cutoff``.
@@ -77,6 +77,7 @@ CASES = [
             "experiment": "anticlique",
             "n": 3,
             "cutoff": 8,
+            # 0.999 of the radius limit the config once set at n=3 cutoff 8; the name stays, and with it the output.
             "generator_params": [{"R": [16592545771324.547, 0.0], "Theta": [0.3, 0.3]}],
         },
     ),

@@ -78,11 +78,31 @@ MUTANTS = [
     # A point whose Gaussian rounds to 0 gets zero factors without the kernel, which turns inf * 0 into NaN.
     Mutant(
         GRAPHS,
-        "    live = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1)) > 0.0",
-        "    live = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1)) >= 0.0",
+        "        live = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1)) > 0.0",
+        "        live = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1)) >= 0.0",
         (
             "tests/test_cli.py::TestExitCodes::test_generator_past_its_gaussian_adds_nothing",
             "tests/test_cli.py::TestExitCodes::test_anticlique_past_its_gaussian_cannot_be_checked",
+        ),
+    ),
+    # graph_generator's ladder is sqrt(k!) times the level convolution: without the scale level k shrinks by 1/k!.
+    Mutant(
+        GRAPHS,
+        "    roots = np.sqrt([float(math.factorial(k)) for k in range(spec.cutoff + 1)])",
+        "    roots = np.ones(spec.cutoff + 1)",
+        (
+            "tests/test_graphs.py::TestGraphGenerator::test_matches_the_oracle_sweep",
+            "tests/test_graphs.py::TestGraphGenerator::test_one_mode_is_the_identity",
+        ),
+    ),
+    # The generator is Y Y^dag: without the conjugate Y Y^T is neither Hermitian nor the projector.
+    Mutant(
+        GRAPHS,
+        "    return displaced @ displaced.conj().T",
+        "    return displaced @ displaced.T",
+        (
+            "tests/test_graphs.py::TestGraphGenerator::test_matches_the_oracle_sweep",
+            "tests/test_graphs.py::TestGraphGenerator::test_one_mode_is_the_identity",
         ),
     ),
     # The Laguerre recurrence runs on L 2^-shift: its first difference must carry the scale too.
