@@ -195,8 +195,8 @@ def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
     Enumerated mode by mode, so a capped plan never builds the box.  Every
     predecessor m - e_j is a position within sector N-1; where m_j = 0 it
     is position 0, with weight and root 0.  So a sweep reads only sector
-    N-1, and such a read adds 0 as long as that sector is finite, as V's
-    is: V is unitary.
+    N-1, and such a read adds 0 as long as that sector is finite, which
+    V's is: V is unitary.
     Cached per shape argument; the arrays are read-only.
     """
     top = modes * (rows - 1) if top is None else top
