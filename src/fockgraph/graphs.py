@@ -113,8 +113,8 @@ def seed_projector_quadrature(spec: GraphSpec, scheme: PolarScheme, trusted_bloc
 def projection_deviations(spec: GraphSpec, scheme: PolarScheme, trusted_block: int) -> dict:
     """Projector checks of P = B B^dag from B's graded entries, and of its box against the quadrature.
 
-    B is graded once, on ``_sector_plan(modes, cutoff + 1, max(cutoff, modes t))``, t the
-    trusted block.  Column k of B lives on sector k (the tuples of total occupation k), so
+    B is graded once, on the tuples of ``_sector_plan(modes, cutoff + 1, max(cutoff, modes t))``,
+    t the trusted block.  Column k of B lives on sector k (the tuples of total occupation k), so
     B^dag B is the diagonal of the column norms s_k = ||b_k||^2 over sectors k <= cutoff.
     P^2 - P = B (B^dag B - I) B^dag is the direct sum of (s_k - 1) b_k b_k^dag.  Its max-abs
     is max_k |s_k - 1| max_m |B[m, k]|^2, "trace" is |sum_k s_k - (cutoff + 1)| with numpy's
@@ -173,30 +173,18 @@ def _graded_ladder(spec: GraphSpec, occupations: np.ndarray) -> np.ndarray:
 
 
 class _SectorPlan(NamedTuple):
-    """Occupation tuples in sector-major order, with each sector's predecessors and weights.
-
-    ``lower``, ``weight``, ``lifted`` and ``roots`` hold, per sector N >= 1,
-    the view of that sector's positions into one (modes, positions) array.
-    """
+    """Occupation tuples in sector-major order: each total occupation N one slice, row-major within."""
 
     order: np.ndarray  # at each position, the tuple's index in row-major order (its box row, for a box)
     occupations: np.ndarray  # (positions, modes) tuple at each position
     sectors: tuple  # per sector N >= 1: the slice of its positions
-    lower: tuple  # (modes, size) position of m - e_j within sector N-1, 0 where m_j = 0
-    weight: tuple  # (modes, size, 1) sqrt(m_j) / N
-    lifted: tuple  # (modes, size) j * (size of N-1) + lower
-    roots: tuple  # (modes, size) sqrt(m_j)
 
 
 @functools.lru_cache(maxsize=None)
 def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
     """The ``rows``^``modes`` box's tuples of total at most ``top`` (default: all), sector by sector, row-major within.
 
-    Enumerated mode by mode, so a capped plan never builds the box.  Every
-    predecessor m - e_j is a position within sector N-1; where m_j = 0 it
-    is position 0, with weight and root 0.  So a sweep reads only sector
-    N-1, and such a read adds 0 as long as that sector is finite, which
-    V's is: V is unitary.
+    Enumerated mode by mode, so a capped plan never builds the box.
     Cached per shape argument; the arrays are read-only.
     """
     top = modes * (rows - 1) if top is None else top
@@ -205,23 +193,41 @@ def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
         counts = np.minimum(rows - 1, top - occupations.sum(axis=1)) + 1
         values = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         occupations = np.column_stack([np.repeat(occupations, counts, axis=0), values])
-    strides = rows ** np.arange(modes)[::-1]
-    keys = occupations @ strides
     total = occupations.sum(axis=1)
     order = np.argsort(total, kind="stable")
-    position = np.argsort(order)
     occupations, total = occupations[order], total[order]
     starts = np.searchsorted(total, np.arange(total[-1] + 2))  # sector N is positions starts[N] to starts[N+1]
-    lowered = np.minimum(np.searchsorted(keys, keys[order] - strides[:, None]), len(order) - 1)
-    lower = np.where(occupations.T > 0, position[lowered] - starts[total - 1], 0)
-    roots = np.sqrt(occupations.T, order="C")
+    sectors = tuple(slice(*starts[n : n + 2].tolist()) for n in range(1, total[-1] + 1))
+    for array in (order, occupations):
+        array.flags.writeable = False
+    return _SectorPlan(order, occupations, sectors)
+
+
+@functools.lru_cache(maxsize=None)
+def _predecessors(modes: int, rows: int, top: int | None = None) -> tuple:
+    """Per sector N >= 1 of ``_sector_plan(modes, rows, top)``, the predecessors :func:`_rotation_sectors` reads.
+
+    ``lower`` (modes, size) holds the position of m - e_j within sector
+    N-1, 0 where m_j = 0, ``weight`` (modes, size, 1) sqrt(m_j) / N,
+    ``lifted`` j * (size of N-1) + lower and ``roots`` sqrt(m_j).  So a
+    sweep reads only sector N-1, and a read at m_j = 0 adds 0 as long as
+    that sector is finite, which V's is: V is unitary.  Cached per shape
+    argument; each entry is a read-only view of one (modes, positions) array.
+    """
+    plan = _sector_plan(modes, rows, top)
+    total = plan.occupations.sum(axis=1)
+    starts = np.array([0, *(at.start for at in plan.sectors), len(total)])
+    strides = rows ** np.arange(modes)[::-1]
+    keys = plan.occupations @ strides
+    position = np.argsort(plan.order)  # keys[position] is in row-major order, so ascending
+    lowered = np.minimum(np.searchsorted(keys[position], keys - strides[:, None]), len(keys) - 1)
+    lower = np.where(plan.occupations.T > 0, position[lowered] - starts[total - 1], 0)
+    roots = np.sqrt(plan.occupations.T, order="C")
     weight = roots[..., None] / np.maximum(total, 1)[:, None]
     lifted = lower + np.arange(modes)[:, None] * np.diff(starts)[total - 1]
-    sectors = tuple(slice(*starts[n : n + 2].tolist()) for n in range(1, total[-1] + 1))
-    for array in (order, occupations, lower, weight, lifted, roots):
+    for array in (lower, weight, lifted, roots):
         array.flags.writeable = False
-    views = (tuple(array[:, at] for at in sectors) for array in (lower, weight, lifted, roots))
-    return _SectorPlan(order, occupations, sectors, *views)
+    return tuple(tuple(array[:, at] for at in plan.sectors) for array in (lower, weight, lifted, roots))
 
 
 class _ClassPlan(NamedTuple):
@@ -239,7 +245,7 @@ class _ClassPlan(NamedTuple):
 def _class_plan(modes: int, rows: int, cutoff: int, angular: int) -> _ClassPlan:
     """The residue classes of the rotated tuples, as ``graph_resolution`` reads them.
 
-    The tuples are ``_sector_plan(modes, T+1, T)``'s, T = modes (rows - 1), and
+    The tuples are ``_sector_plan(modes, T+1, T)``'s (no predecessors), T = modes (rows - 1), and
     P_ladder (x) C (x) ... (x) C links two exactly within one class (m_0 <=
     cutoff, m_1 mod M, ..., m_{n-1} mod M), M = ``angular``.  A run is a
     member of N with its class's members in N' (N >= N'): members ``first``
@@ -288,8 +294,8 @@ def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.n
     N V_N[a, m] = sum_{i,j} sqrt(a_i) phi_ij sqrt(m_j) V_{N-1}[a - e_i, m - e_j],
     stable where the single raising step cancels between the modes (README,
     numerical notes).  Each step reads the positions of a - e_i and m - e_j
-    within sector N-1 from the box's :func:`_sector_plan` and from the
-    rotated tuples' ``_sector_plan(modes, T + 1, T)``, T = modes (rows - 1),
+    within sector N-1 from the :func:`_predecessors` of the box's plan and
+    of the rotated tuples' ``(modes, T + 1, T)``, T = modes (rows - 1),
     enumerated without the (T+1)^n box; it mixes the lifted rows by phi and
     takes the sum over j as one gather over (mode, column), the terms added
     in mode order.  Returns per N = 0..T the box rows (row-major indices)
@@ -297,10 +303,10 @@ def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.n
     """
     box = _sector_plan(spec.modes, rows)
     top = spec.modes * (rows - 1)
-    rotated = _sector_plan(spec.modes, top + 1, top)
+    steps = zip(box.sectors, *_predecessors(spec.modes, rows)[:2], *_predecessors(spec.modes, top + 1, top)[2:])
     ladder = np.ones((1, 1), dtype=complex)
     sectors = [(box.order[:1], ladder)]
-    for at, lower, weight, lifted, roots in zip(box.sectors, box.lower, box.weight, rotated.lifted, rotated.roots):
+    for at, lower, weight, lifted, roots in steps:
         box_rows = box.order[at]
         mixed = np.einsum("ij,iac->ajc", spec.phi, ladder[lower] * weight).reshape(len(box_rows), -1)
         out = np.empty((len(box_rows), roots.shape[1]), dtype=complex, order="F")
@@ -333,10 +339,16 @@ def graph_generator(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
     occupation <= cutoff, so the truncated D B is the exact one on every box
     row, and a point whose Gaussian rounds to 0 gives Y = 0.
     """
-    roots = np.sqrt([float(math.factorial(k)) for k in range(spec.cutoff + 1)])
     shift = displaced_mode_amplitudes(spec, params)
-    displaced = _level_convolution(_mode_factors(spec, shift[None])[:, 0], roots)
+    displaced = _level_convolution(_mode_factors(spec, shift[None])[:, 0], _root_factorials(spec.cutoff + 1))
     return displaced @ displaced.conj().T
+
+
+def _root_factorials(levels: int) -> np.ndarray:
+    """sqrt(k!) for k < ``levels``, each the root of k! rounded to a double, which holds k! up to k = 170."""
+    if levels > 171:
+        raise ValueError(f"sqrt(k!) needs k! as a double, so cutoff must be <= 170, got {levels - 1}")
+    return np.sqrt([float(math.factorial(k)) for k in range(levels)])
 
 
 def compression_constant(anticlique: GeneratorParams, generator: GeneratorParams) -> float:
@@ -401,14 +413,9 @@ def compression_check(
     are returned.
 
     The check takes Y_x and the Grams from per-mode factors at every n
-    (:func:`_factored_grams`; :func:`_mode_factors` builds them from
-    displacement_matrix, Gaussians included): Y_x is the anticlique's
-    level convolution over the modes (:func:`_level_convolution`, one GEMM
-    per mode), each G_i the 2-D level convolution of the (cutoff+1)-square
-    A_xj^dag A_ij (:func:`_gram_convolution`), and M the sum over chunks of
-    points of one product [w_1 G_1, w_2 G_2, ...] [G_1, G_2, ...]^dag each.
-    Beyond Y_x that costs O(n (cutoff+1)^4) per generator, with no
-    (cutoff+1)^n object, and every one of these GEMMs goes through
+    (:func:`_factored_grams`): Y_x is a level convolution over the modes
+    and each G_i a 2-D one, O(n (cutoff+1)^4) per generator beyond Y_x,
+    with no (cutoff+1)^n object, and every one of these GEMMs goes through
     serial_matmul.  Y_t keeps the box plan's rows with every occupation <=
     ``trusted_block`` (all of them at the default), taken from the top
     sector down, and S is its own product over them: it sums a ladder's
@@ -416,28 +423,19 @@ def compression_check(
     further from the full residual.  No dim_t x dim_t residual is formed.
     With K = M - c I, the Frobenius norm is taken in rank space,
     ||Y_t K Y_t^dag||_F^2 = tr(K S K^dag S), in O((cutoff+1)^3).  The
-    max-abs is exact, and swept by entries (:func:`_residual_max_abs`).
-    Entry (a, b) of the residual is at most |(Y_t K)_a| |Y_b|
-    (Cauchy-Schwarz); widened by 1 + 8 (cutoff+3) eps, which covers the
-    rounding of a (cutoff+1)-long complex dot product, of np.abs and of the
-    norms, that bound decides which entries can still hold the max.  Rows
-    are taken by decreasing |(Y_t K)_a| and columns by decreasing |Y_b|,
-    and each row block forms only the rows and the prefix of columns whose
-    bound beats the running max, in one GEMM within SERIAL_GEMM_MACS for
-    that width.  A certified floor from the first block's diagonal entries
-    seeds the running max, so the first block is column-pruned too.  Any
-    NaN in the residual's factors gives a NaN max-abs.  Beyond the ladders
-    the cost is O(dim (cutoff+1)^2) plus cutoff+1 multiply-adds per entry
-    formed; at n=3 cutoff 8 the sweep forms 446 to 4,762 of the 531,441
-    entries on seeds 0-7, in two GEMMs each.
+    max-abs is exact, and swept by entries (:func:`_residual_max_abs`): it
+    forms only the entries whose widened Cauchy-Schwarz bound
+    |(Y_t K)_a| |Y_b| beats the running max, so beyond the ladders the cost
+    is O(dim (cutoff+1)^2) plus cutoff+1 multiply-adds per entry formed; at
+    n=3 cutoff 8 the sweep forms 446 to 4,762 of the 531,441 entries on
+    seeds 0-7, in two GEMMs each.
 
     The arrays are Y_x and the residual's factors (dim x (cutoff+1) each),
     the Gram convolution's gathers (within CHUNK_ENTRIES, or one point's
-    (cutoff+1)^3 entries), and one chunk's factors with the kernel's stack.
-    A chunk holds as many points as keep its n (cutoff+1)^2 entries a point
-    within CHUNK_ENTRIES (at least two), so no array grows with the
-    generator count, and the runner's four points take one chunk, one
-    kernel call and one M product at every size MAX_DIM admits.  Where eight output rows of a ladder GEMM
+    (cutoff+1)^3 entries), and one chunk's factors with the kernel's stack
+    (:func:`_factored_grams`), so no array grows with the generator count,
+    and the runner's four points take one chunk, one kernel call and one M
+    product at every size MAX_DIM admits.  Where eight output rows of a ladder GEMM
     fit SERIAL_GEMM_MACS (up to n=2 cutoff 19, n=3 cutoff 8 and n=4 cutoff
     5), S and Y_t K are also cut into row blocks within it, and no BLAS
     worker thread is woken.
@@ -591,7 +589,7 @@ def _factored_grams(spec, shifts, weights) -> tuple[np.ndarray, np.ndarray]:
     and one more product for its share of M.
     """
     modes, rank = spec.modes, spec.cutoff + 1
-    roots = np.sqrt([float(math.factorial(k)) for k in range(rank)])
+    roots = _root_factorials(rank)
     step = max(2, CHUNK_ENTRIES // (modes * rank * rank))
     combined = np.zeros((rank, rank), dtype=complex)
     for start in range(0, len(shifts), step):

@@ -18,15 +18,17 @@ rotation blocks ``V`` and the displaced seed ladders at n=2 to 50 digits
 by the binomial theorem, the precision reference for both number-operator
 sweeps and, with the Gaussian put back, for the anticlique check's ladder
 and ``M`` from per-mode factors at n=2, and the displaced seed ladders at
-n=3 the same way, the precision reference for those factors at n=3.  ``graphs._rotation_sectors`` one mode at a time, reading the
-sector plans' predecessor positions directly, the reference for its one
-gather.  The displaced seed ladder by applying truncated displacement
-matrices mode by mode, the oracle for the package's level convolution of
-per-mode factors and for ``sector_ladders``.  That one builds the same
-ladder tail-factored, by Weyl covariance swept over total occupation with
-no displacement matrix: an oracle for the per-mode factored ladder of
-``graphs.graph_generator`` and the anticlique check that shares no
-arithmetic with it.  The dense Kronecker Weyl operator
+n=3 the same way, the precision reference for those factors at n=3.
+``graphs._rotation_sectors`` one mode at a time, reading the predecessor
+positions of both its plans (``graphs._predecessors``) directly, the
+reference for its one gather.  The displaced seed ladder by applying
+truncated displacement matrices mode by mode, the oracle for the
+package's level convolution of per-mode factors and for
+``sector_ladders``.  That one builds the same ladder tail-factored, by
+Weyl covariance swept over total occupation with no displacement matrix,
+reading the box's ``graphs._predecessors``: an oracle for the per-mode
+factored ladder of ``graphs.graph_generator`` and the anticlique check
+that shares no arithmetic with it.  The dense Kronecker Weyl operator
 (``weyl_operator``, ``graph_displacement``) and the displaced seed
 projector built from it (``dense_generator``), the oracles for
 ``graphs.graph_generator`` and for the dense ``P A P`` that
@@ -62,7 +64,7 @@ from fockgraph import (
     kron_all,
     seed_basis,
 )
-from fockgraph.graphs import _compression_residual, _graded_ladder, _sector_plan
+from fockgraph.graphs import _compression_residual, _graded_ladder, _predecessors, _sector_plan
 from fockgraph.multimode import ModeSpace
 from fockgraph.quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, coherent_identity, serial_matmul
 
@@ -436,9 +438,9 @@ def sector_ladders(spec, shifts: np.ndarray, rows: int) -> np.ndarray:
     ``_sector_plan(modes, rows).order[i]``, so each sector (the rows of one
     total occupation N) is one contiguous slice, and column k K + p holds
     level k of shift p.  Sector N has levels k <= N, so it reads the first
-    min(N, cutoff+1) K columns of sector N-1 at the plan's predecessor
-    positions within that sector, gathered once as (modes, rows of N,
-    columns), and weighted by sqrt(m_j)/N in place.  Two contractions over
+    min(N, cutoff+1) K columns of sector N-1 at the predecessor positions
+    within that sector (``graphs._predecessors``), gathered once as (modes,
+    rows of N, columns), and weighted by sqrt(m_j)/N in place.  Two contractions over
     the modes then fill the sector's slice: the shift term against h_j
     spread over the levels, and the raising term against c_j sqrt(k), one
     level up.  The package builds Y from per-mode displacement matrices
@@ -455,7 +457,8 @@ def sector_ladders(spec, shifts: np.ndarray, rows: int) -> np.ndarray:
     spread = np.tile(shifts.T, rank)[:, None]
     raising = (spec.phi[:, :1] * np.repeat(np.sqrt(np.arange(1, rank)), count))[:, None]
     previous = slice(0, 1)
-    for occupation, (at, lower, weight) in enumerate(zip(plan.sectors, plan.lower, plan.weight), start=1):
+    steps = zip(plan.sectors, *_predecessors(spec.modes, rows)[:2])
+    for occupation, (at, lower, weight) in enumerate(steps, start=1):
         below, top = min(occupation, rank) * count, min(occupation + 1, rank) * count
         terms = np.take(ladder[previous, :below], lower, axis=0)
         np.multiply(terms.view(float), weight, out=terms.view(float))
@@ -470,17 +473,18 @@ def sector_ladders(spec, shifts: np.ndarray, rows: int) -> np.ndarray:
 def rotation_sectors_loop(spec, rows: int) -> list:
     """``graphs._rotation_sectors`` step by step: one mode at a time, the sum over modes in Python.
 
-    Reads the sector plans' positions of a - e_i and m - e_j within sector
-    N-1 directly and takes sqrt(m_j) from the rotated tuples, not the
-    plan's ``lifted`` and ``roots``.  The reference for the sweep's one
-    gather over (mode, column), which takes the same products and sums in
-    the same order, so V must agree bit for bit.
+    Reads the positions of a - e_i and m - e_j within sector N-1 directly
+    from both plans' ``graphs._predecessors`` and takes sqrt(m_j) from the
+    rotated tuples, not from their ``lifted`` and ``roots``.  The reference
+    for the sweep's one gather over (mode, column), which takes the same
+    products and sums in the same order, so V must agree bit for bit.
     """
     box = _sector_plan(spec.modes, rows)
     top = spec.modes * (rows - 1)
     rotated = _sector_plan(spec.modes, top + 1, top)
     sectors = [(box.order[:1], np.ones((1, 1), dtype=complex))]
-    for at, lower, weight, here, below in zip(box.sectors, box.lower, box.weight, rotated.sectors, rotated.lower):
+    box_steps, rotated_lower = _predecessors(spec.modes, rows)[:2], _predecessors(spec.modes, top + 1, top)[0]
+    for at, lower, weight, here, below in zip(box.sectors, *box_steps, rotated.sectors, rotated_lower):
         mixed = np.einsum("ij,iac->jac", spec.phi, sectors[-1][1][lower] * weight)
         tuples = rotated.occupations[here]
         ladder = sum(mixed[j][:, below[j]] * np.sqrt(tuples[:, j]) for j in range(spec.modes))

@@ -321,13 +321,23 @@ class TestExitCodes:
         assert main(["--config", str(path)]) == 2
         assert "experiment" in capsys.readouterr().err
 
-    def test_non_unitary_phi_exits_two(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
+    # An entry of 1e200 overflows phi^dag phi to inf and NaN: the deviation is not finite, a config error, and
+    # no RuntimeWarning is printed on the way.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "data",
+        [
             {"experiment": "projection", "phi": [[1, 0], [0, 0], [0, 0], [0, 0]]},
-        )
+            {"experiment": "anticlique", "n": 2, "phi": [[1e200, 0], [0, 0], [0, 0], [1, 0]]},
+        ],
+        ids=["rank-one", "entry-1e200"],
+    )
+    def test_non_unitary_phi_exits_two(self, tmp_path, capsys, data):
+        path = write_config(tmp_path, data)
         assert main(["--config", str(path)]) == 2
-        assert "phi not unitary" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "phi not unitary" in err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     # 1e400 parses to infinity: in phi it makes the unitarity deviation NaN.
     @pytest.mark.parametrize(
@@ -347,7 +357,6 @@ class TestExitCodes:
             "anticlique-radial-order-65",
         ],
     )
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_malformed_numbers_exit_two(self, tmp_path, capsys, text, argv, reason):
         if text is not None:
             path = tmp_path / "config.json"

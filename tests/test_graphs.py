@@ -21,6 +21,7 @@ from fockgraph import (
     displaced_mode_amplitudes,
     draw_generator_params,
     graph_generator,
+    graph_resolution,
     polar_scheme,
     seed_basis,
     seed_projector_quadrature,
@@ -29,7 +30,7 @@ from fockgraph.config import config_from_dict, dft_matrix
 from fockgraph.fock import displacement_matrix
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
 from fockgraph.cli import main
-from fockgraph.graphs import _graded_ladder, _rotation_sectors, _sector_plan, _seed_block
+from fockgraph.graphs import _graded_ladder, _predecessors, _rotation_sectors, _sector_plan, _seed_block
 from fockgraph.quadrature import SERIAL_GEMM_MACS, serial_matmul
 from oracles import (
     dense_generator,
@@ -548,13 +549,12 @@ class TestSectorPlan:
     @pytest.mark.parametrize("modes, rows", [(2, 9), (3, 9), (4, 7), (3, 2)])
     def test_predecessors_lie_in_the_previous_sector(self, modes, rows):
         # The whole box, and the tuples of total at most half its top.
-        for plan in (_sector_plan(modes, rows), _sector_plan(modes, rows, modes * (rows - 1) // 2)):
+        for top in (None, modes * (rows - 1) // 2):
+            plan, predecessors = _sector_plan(modes, rows, top), _predecessors(modes, rows, top)
             previous = slice(0, 1)
             for occupation, at in enumerate(plan.sectors, start=1):
                 here, there = plan.occupations[at], plan.occupations[previous]
-                lower, weight, lifted, roots = (
-                    part[occupation - 1] for part in (plan.lower, plan.weight, plan.lifted, plan.roots)
-                )
+                lower, weight, lifted, roots = (part[occupation - 1] for part in predecessors)
                 assert lower.shape == weight.shape[:2] == lifted.shape == roots.shape == (modes, len(here))
                 assert np.all((0 <= lower) & (lower < len(there)))
                 assert np.array_equal(lifted, lower + len(there) * np.arange(modes)[:, None])
@@ -572,13 +572,29 @@ class TestSectorPlan:
     @pytest.mark.parametrize("modes, rows, top", [(2, 9, None), (3, 9, None), (4, 7, 9), (3, 2, None)])
     def test_sector_entries_are_read_only_views_of_one_array(self, modes, rows, top):
         plan = _sector_plan(modes, rows, top)
-        for field in (plan.lower, plan.weight, plan.lifted, plan.roots):
+        for field in _predecessors(modes, rows, top):
             whole = field[0].base
             assert whole.shape[:2] == (modes, len(plan.order)) and not whole.flags.writeable
             for entry in field:
                 assert entry.base is whole and np.shares_memory(entry, whole)
                 with pytest.raises(ValueError, match="read-only"):
                     entry[...] = 0
+
+    def test_the_plan_holds_the_tuples_only(self):
+        assert fockgraph.graphs._SectorPlan._fields == ("order", "occupations", "sectors")
+
+    def test_only_the_resolution_sweep_builds_predecessors(self):
+        # The anticlique check's box plan and the projection's capped plan read only the tuples; the V sweep
+        # of resolution reads the predecessors of its box and of its rotated tuples.
+        _predecessors.cache_clear()
+        rng = np.random.default_rng(4)
+        points = [draw_generator_params(4, rng, max_radius=0.5) for _ in range(3)]
+        compression_check(GraphSpec(phi=dft_matrix(4), modes=4, cutoff=8), points[0], points[1:])
+        spec = GraphSpec(phi=dft_matrix(3), modes=3, cutoff=16)
+        fockgraph.graphs.projection_deviations(spec, polar_scheme(8, 16), 5)
+        assert _predecessors.cache_info().currsize == 0
+        graph_resolution(GraphSpec(phi=dft_matrix(2), modes=2, cutoff=8), polar_scheme(5, 9), trusted_block=4)
+        assert _predecessors.cache_info().currsize == 2
 
 
 class TestSweepPrecision:
@@ -660,6 +676,19 @@ class TestGraphGenerator:
         spec = GraphSpec(phi=np.array([[np.exp(0.7j)]]), modes=1, cutoff=6)
         generator = graph_generator(spec, GeneratorParams(radii=[], phases=[]))
         assert np.abs(generator - np.eye(7)).max() <= 1e-15
+
+    def test_sqrt_factorial_scale_stops_at_cutoff_170(self):
+        # 170! is the largest factorial a double holds: one more is a ValueError naming the limit, for the
+        # generator and for the check, which share the scale.
+        origin = GeneratorParams(radii=[], phases=[])
+        generator = graph_generator(GraphSpec(phi=np.eye(1), modes=1, cutoff=170), origin)
+        assert np.abs(generator - np.eye(171)).max() <= 1e-14
+        roots = [math.sqrt(math.factorial(k)) for k in range(171)]
+        assert np.array_equal(fockgraph.graphs._root_factorials(171), roots)
+        spec = GraphSpec(phi=np.eye(1), modes=1, cutoff=171)
+        for build in (lambda: graph_generator(spec, origin), lambda: compression_check(spec, origin, [origin])):
+            with pytest.raises(ValueError, match=r"cutoff must be <= 170, got 171"):
+                build()
 
     def test_trace_preserves_projector_rank(self):
         spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=24)

@@ -78,15 +78,24 @@ class TestWarmProcess:
         assert len(warm["suite-seed-0"][2]) == 5 and warm["suite-seed-0"][2] == warm["suite-seed-0-again"][2]
 
 
-def reference_sector_plan(modes, rows, top=None):
-    # The kept tuples of the np.indices box in row-major order, stable-sorted by total.  Each predecessor
-    # m - e_j is found by comparing m - e_j densely with every tuple of sector N-1; where m_j = 0 it is 0.
+def reference_tuples(modes, rows, top=None):
+    # The kept tuples of the np.indices box in row-major order, stable-sorted by total, and each sector's tuples.
     tuples = np.indices((rows,) * modes).reshape(modes, -1).T
     tuples = tuples[tuples.sum(axis=1) <= (modes * (rows - 1) if top is None else top)]
     order = np.argsort(tuples.sum(axis=1), kind="stable")
     occupations = tuples[order]
     total = occupations.sum(axis=1)
-    sectors = [occupations[total == n] for n in range(total[-1] + 1)]
+    return order, occupations, [occupations[total == n] for n in range(total[-1] + 1)]
+
+
+def reference_sector_plan(modes, rows, top=None):
+    return reference_tuples(modes, rows, top)[:2]
+
+
+def reference_predecessors(modes, rows, top=None):
+    # Each predecessor m - e_j is found by comparing m - e_j densely with every tuple of sector N-1; where
+    # m_j = 0 it is 0.
+    sectors = reference_tuples(modes, rows, top)[2]
     lower = []
     for there, here in zip(sectors, sectors[1:]):
         lowered = here[None] - np.eye(modes, dtype=int)[:, None]
@@ -94,8 +103,6 @@ def reference_sector_plan(modes, rows, top=None):
         lower.append(np.where(here.T > 0, match.argmax(axis=-1), 0))
     sizes = [len(there) for there in sectors]
     return (
-        order,
-        occupations,
         tuple(lower),
         tuple(np.sqrt(here.T)[..., None] / n for n, here in enumerate(sectors[1:], start=1)),
         tuple(at + size * np.arange(modes)[:, None] for at, size in zip(lower, sizes)),
@@ -183,6 +190,11 @@ CACHES = {
     "sector_plan": (
         graphs._sector_plan,
         reference_sector_plan,
+        [(3, 5), (2, 5), (2, 8), (2, 8, 9), (2, 8, 4), (3, 5)],
+    ),
+    "predecessors": (
+        graphs._predecessors,
+        reference_predecessors,
         [(3, 5), (2, 5), (2, 8), (2, 8, 9), (2, 8, 4), (3, 5)],
     ),
     "class_plan": (

@@ -88,8 +88,8 @@ MUTANTS = [
     # graph_generator's ladder is sqrt(k!) times the level convolution: without the scale level k shrinks by 1/k!.
     Mutant(
         GRAPHS,
-        "    roots = np.sqrt([float(math.factorial(k)) for k in range(spec.cutoff + 1)])",
-        "    roots = np.ones(spec.cutoff + 1)",
+        "    return np.sqrt([float(math.factorial(k)) for k in range(levels)])",
+        "    return np.ones(levels)",
         (
             "tests/test_graphs.py::TestGraphGenerator::test_matches_the_oracle_sweep",
             "tests/test_graphs.py::TestGraphGenerator::test_one_mode_is_the_identity",
@@ -103,6 +103,31 @@ MUTANTS = [
         (
             "tests/test_graphs.py::TestGraphGenerator::test_matches_the_oracle_sweep",
             "tests/test_graphs.py::TestGraphGenerator::test_one_mode_is_the_identity",
+        ),
+    ),
+    # Where m_j = 0 there is no predecessor: without the mask its position is no tuple of sector N-1.
+    Mutant(
+        GRAPHS,
+        "    lower = np.where(plan.occupations.T > 0, position[lowered] - starts[total - 1], 0)",
+        "    lower = position[lowered] - starts[total - 1]",
+        (
+            "tests/test_graphs.py::TestSectorPlan::test_predecessors_lie_in_the_previous_sector",
+            "tests/test_warm_path.py::TestCacheContract::test_keys_on_every_shape_argument[predecessors]",
+        ),
+    ),
+    # A predecessor's position counts from the start of sector N-1.  From sector N's own start it is negative:
+    # as an index into sector N-1 it wraps to the same tuple, but ``lifted`` then reads mode j - 1's column
+    # block for mode j, so V is the sweep of phi with its columns shifted.  That phi is unitary too, so the
+    # resolution still holds, and the comparison set's reports stay within the golden file's float tolerance.
+    Mutant(
+        GRAPHS,
+        "position[lowered] - starts[total - 1], 0)",
+        "position[lowered] - starts[total], 0)",
+        (
+            "tests/test_graphs.py::TestSectorPlan::test_predecessors_lie_in_the_previous_sector",
+            "tests/test_warm_path.py::TestCacheContract::test_keys_on_every_shape_argument[predecessors]",
+            "tests/test_graphs.py::TestSweepPrecision::test_rotation_blocks_match_the_50_digit_reference",
+            "tests/test_quadrature.py::TestIntegrateDyads::test_rotation_sectors_match_the_step_by_step_sweep",
         ),
     ),
     # The Laguerre recurrence runs on L 2^-shift: its first difference must carry the scale too.
