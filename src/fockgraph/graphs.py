@@ -1,10 +1,10 @@
 """Operator-graph constructions on the truncated multimode space.
 
 The seed projector spans the ladder of states generated by the creation
-operator along the first column of a unitary mode-mixing matrix.  Displacing
-it along the remaining columns produces the graph generators; the same
-construction evaluated at anticlique parameters yields the projections whose
-compression of the graph is a scalar multiple of themselves.
+operator along the first column of a unitary mode-mixing matrix, graded by
+``quadrature``.  Displacing it along the remaining columns produces the graph
+generators; the same construction evaluated at anticlique parameters yields
+the projections whose compression of the graph is a scalar multiple of themselves.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .multimode import ModeSpace, validate_unitary
-from .fock import _log_factorials, displacement_matrix, unnormalized_coherent
+from .fock import displacement_matrix
+from .multimode import GraphSpec, _sector_plan
 from .quadrature import (
-    CHUNK_ENTRIES, SERIAL_GEMM_MACS, PolarScheme, _rule_operator, box_side, coherent_identity, serial_matmul
+    CHUNK_ENTRIES, SERIAL_GEMM_MACS, PolarScheme, _graded_ladder, _rule_operator, _seed_block, box_side,
+    coherent_identity, serial_matmul
 )
 
 __all__ = [
@@ -36,28 +37,6 @@ __all__ = [
     "seed_basis",
     "seed_projector_quadrature",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class GraphSpec:
-    """A truncated graph instance: mode-mixing unitary, mode count, cutoff."""
-
-    phi: np.ndarray
-    modes: int
-    cutoff: int
-
-    def __post_init__(self):
-        phi = validate_unitary(np.array(self.phi, dtype=complex))
-        if phi.shape != (self.modes, self.modes):
-            raise ValueError(f"phi must be {self.modes}x{self.modes}, got {phi.shape}")
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        phi.flags.writeable = False
-        object.__setattr__(self, "phi", phi)
-
-    @property
-    def space(self) -> ModeSpace:
-        return ModeSpace(self.modes, self.cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,176 +122,6 @@ def projection_deviations(spec: GraphSpec, scheme: PolarScheme, trusted_block: i
         "backend": float(np.max(np.multiply.outer(peaks, peaks) * gap)),
         "frobenius": frobenius,
     }
-
-
-def _seed_block(spec: GraphSpec, side: int, operator: np.ndarray) -> np.ndarray:
-    """B X B^dag on the row-major ``side``^n box, X = ``operator`` indexed by total occupation.
-
-    Entry (m, m') is b_m X[N_m, N_m'] conj(b_m'), with b the graded ladder on the box and N the
-    total occupation: the quadrature block and the ``direct`` backend's whole-box projector.
-    """
-    occupations = np.indices((side,) * spec.modes).reshape(spec.modes, -1).T
-    ladder, total = _graded_ladder(spec, occupations), occupations.sum(axis=1)
-    return np.multiply.outer(ladder, ladder.conj()) * operator[np.ix_(total, total)]
-
-
-def _graded_ladder(spec: GraphSpec, occupations: np.ndarray) -> np.ndarray:
-    """The seed ladder graded: at each occupation tuple (row of ``occupations``), its entry of column sum(tuple).
-
-    By the multinomial theorem the part of kron_j sum_m c_j^m / sqrt(m!) |m>,
-    c = phi[:, 0], at total k is (sum_j c_j a_j^dag)^k / k! |vac>; times sqrt(k!)
-    it is ladder column k.  Each entry is the ascending product over the
-    modes of c_j^m_j / sqrt(m_j!), times sqrt(k!).
-    """
-    top = int(occupations.max())
-    factors = unnormalized_coherent(spec.phi[:, 0], top)
-    ladder = factors[0, occupations[:, 0]]
-    for mode in range(1, spec.modes):
-        ladder = ladder * factors[mode, occupations[:, mode]]
-    return ladder * np.exp(0.5 * _log_factorials(spec.modes * top))[occupations.sum(axis=1)]
-
-
-class _SectorPlan(NamedTuple):
-    """Occupation tuples in sector-major order: each total occupation N one slice, row-major within."""
-
-    order: np.ndarray  # at each position, the tuple's index in row-major order (its box row, for a box)
-    occupations: np.ndarray  # (positions, modes) tuple at each position
-    sectors: tuple  # per sector N >= 1: the slice of its positions
-
-
-@functools.lru_cache(maxsize=None)
-def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
-    """The ``rows``^``modes`` box's tuples of total at most ``top`` (default: all), sector by sector, row-major within.
-
-    Enumerated mode by mode, so a capped plan never builds the box.
-    Cached per shape argument; the arrays are read-only.
-    """
-    top = modes * (rows - 1) if top is None else top
-    occupations = np.zeros((1, 0), dtype=int)
-    for _ in range(modes):
-        counts = np.minimum(rows - 1, top - occupations.sum(axis=1)) + 1
-        values = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        occupations = np.column_stack([np.repeat(occupations, counts, axis=0), values])
-    total = occupations.sum(axis=1)
-    order = np.argsort(total, kind="stable")
-    occupations, total = occupations[order], total[order]
-    starts = np.searchsorted(total, np.arange(total[-1] + 2))  # sector N is positions starts[N] to starts[N+1]
-    sectors = tuple(slice(*starts[n : n + 2].tolist()) for n in range(1, total[-1] + 1))
-    for array in (order, occupations):
-        array.flags.writeable = False
-    return _SectorPlan(order, occupations, sectors)
-
-
-@functools.lru_cache(maxsize=None)
-def _predecessors(modes: int, rows: int, top: int | None = None) -> tuple:
-    """Per sector N >= 1 of ``_sector_plan(modes, rows, top)``, the predecessors :func:`_rotation_sectors` reads.
-
-    ``lower`` (modes, size) holds the position of m - e_j within sector
-    N-1, 0 where m_j = 0, ``weight`` (modes, size, 1) sqrt(m_j) / N,
-    ``lifted`` j * (size of N-1) + lower and ``roots`` sqrt(m_j).  So a
-    sweep reads only sector N-1, and a read at m_j = 0 adds 0 as long as
-    that sector is finite, which V's is: V is unitary.  Cached per shape
-    argument; each entry is a read-only view of one (modes, positions) array.
-    """
-    plan = _sector_plan(modes, rows, top)
-    total = plan.occupations.sum(axis=1)
-    starts = np.array([0, *(at.start for at in plan.sectors), len(total)])
-    strides = rows ** np.arange(modes)[::-1]
-    keys = plan.occupations @ strides
-    position = np.argsort(plan.order)  # keys[position] is in row-major order, so ascending
-    lowered = np.minimum(np.searchsorted(keys[position], keys - strides[:, None]), len(keys) - 1)
-    lower = np.where(plan.occupations.T > 0, position[lowered] - starts[total - 1], 0)
-    roots = np.sqrt(plan.occupations.T, order="C")
-    weight = roots[..., None] / np.maximum(total, 1)[:, None]
-    lifted = lower + np.arange(modes)[:, None] * np.diff(starts)[total - 1]
-    for array in (lower, weight, lifted, roots):
-        array.flags.writeable = False
-    return tuple(tuple(array[:, at] for at in plan.sectors) for array in (lower, weight, lifted, roots))
-
-
-class _ClassPlan(NamedTuple):
-    """The residue classes of the rotated tuples and the sector pairs that share one, as flat arrays."""
-
-    members: np.ndarray  # tuples with m_0 <= cutoff, sector by sector and class by class: position in their sector
-    right: np.ndarray  # (members, modes - 1) each member's occupations of modes 1..n-1
-    pairs: np.ndarray  # (pairs, 4): N >= N' of each sector pair sharing a class, and the range of its runs
-    left: np.ndarray  # per run, pair by pair: the member of N it sums for, in position order
-    first: np.ndarray  # per run: the first member of its class in N'
-    count: np.ndarray  # per run: the size of its class in N'
-
-
-@functools.lru_cache(maxsize=None)
-def _class_plan(modes: int, rows: int, cutoff: int, angular: int) -> _ClassPlan:
-    """The residue classes of the rotated tuples, as ``graph_resolution`` reads them.
-
-    The tuples are ``_sector_plan(modes, T+1, T)``'s (no predecessors), T = modes (rows - 1), and
-    P_ladder (x) C (x) ... (x) C links two exactly within one class (m_0 <=
-    cutoff, m_1 mod M, ..., m_{n-1} mod M), M = ``angular``.  A run is a
-    member of N with its class's members in N' (N >= N'): members ``first``
-    to ``first + count``, consecutive.  So the plan holds one entry per
-    tuple and per run, at most one per tuple and sector pair, and none per
-    matched tuple pair.  Cached per shape argument; the arrays are read-only.
-    """
-    top = modes * (rows - 1)
-    sectors = _sector_plan(modes, top + 1, top)
-    total = sectors.occupations.sum(axis=1)
-    members = np.flatnonzero(sectors.occupations[:, 0] <= cutoff)
-    moduli = np.minimum((cutoff + 1, *(angular,) * (modes - 1)), top + 1)  # occupations <= T: same residues
-    keys = np.ravel_multi_index((sectors.occupations[members] % moduli).T, moduli)
-    order = np.lexsort((keys, total[members]))
-    members = members[order]
-    keys = keys[order]
-    sector = total[members]
-    # A group is a class within one sector; each member pairs with its class's groups in its own and earlier sectors.
-    heads = np.flatnonzero(np.diff(keys, prepend=-1) | np.diff(sector, prepend=-1))
-    size = np.diff(heads, append=len(members))
-    by = np.lexsort((sector[heads], keys[heads]))
-    rank = np.argsort(by)[np.repeat(np.arange(len(heads)), size)]
-    lowest = np.searchsorted(keys[heads[by]], keys)
-    partners = rank - lowest + 1
-    left = np.repeat(np.arange(len(members)), partners)
-    group = by[np.repeat(lowest - np.cumsum(partners) + partners, partners) + np.arange(len(left))]
-    order = np.lexsort((members[left], sector[heads[group]], sector[left]))
-    left = left[order]
-    group = group[order]
-    cuts = np.flatnonzero(np.diff(sector[left] * (top + 1) + sector[heads[group]], prepend=-1, append=-1))
-    pairs = np.column_stack((sector[left[cuts[:-1]]], sector[heads[group[cuts[:-1]]]], cuts[:-1], cuts[1:]))
-    start = np.array([0, *(at.start for at in sectors.sectors)])
-    plan = _ClassPlan(members - start[sector], sectors.occupations[members, 1:], pairs, left, heads[group], size[group])
-    for array in plan:
-        array.flags.writeable = False
-    return plan
-
-
-def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """V[a, m] = <a|U(phi)|m> for the rows a of the ``rows``-per-mode box, one block per total occupation.
-
-    U(phi), U a_j^dag U^dag = sum_i phi_ij a_i^dag, takes |k, 0, ..., 0> to
-    seed ladder column k and D(0, alpha) to the shift D(phi[:, 1:] alpha).
-    It keeps total occupation: V_N maps the box rows of total N to every
-    rotated tuple of total N.  From V_0 = 1 the number operator gives
-    N V_N[a, m] = sum_{i,j} sqrt(a_i) phi_ij sqrt(m_j) V_{N-1}[a - e_i, m - e_j],
-    stable where the single raising step cancels between the modes (README,
-    numerical notes).  Each step reads the positions of a - e_i and m - e_j
-    within sector N-1 from the :func:`_predecessors` of the box's plan and
-    of the rotated tuples' ``(modes, T + 1, T)``, T = modes (rows - 1),
-    enumerated without the (T+1)^n box; it mixes the lifted rows by phi and
-    takes the sum over j as one gather over (mode, column), the terms added
-    in mode order.  Returns per N = 0..T the box rows (row-major indices)
-    and V_N, column-major, its columns the rotated tuples of total N in order.
-    """
-    box = _sector_plan(spec.modes, rows)
-    top = spec.modes * (rows - 1)
-    steps = zip(box.sectors, *_predecessors(spec.modes, rows)[:2], *_predecessors(spec.modes, top + 1, top)[2:])
-    ladder = np.ones((1, 1), dtype=complex)
-    sectors = [(box.order[:1], ladder)]
-    for at, lower, weight, lifted, roots in steps:
-        box_rows = box.order[at]
-        mixed = np.einsum("ij,iac->ajc", spec.phi, ladder[lower] * weight).reshape(len(box_rows), -1)
-        out = np.empty((len(box_rows), roots.shape[1]), dtype=complex, order="F")
-        ladder = np.add.reduce(mixed[:, lifted] * roots, axis=1, out=out)
-        sectors.append((box_rows, ladder))
-    return sectors
 
 
 def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:

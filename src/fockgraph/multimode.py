@@ -1,18 +1,20 @@
 """Truncated n-mode tensor Fock space.
 
-The mode register, Kronecker products and the unitarity check of a
-mode-mixing matrix.  Occupation tuples map to flat indices row-major with
-mode 1 slowest.
+The mode register, a graph instance on it (:class:`GraphSpec`), Kronecker
+products, the unitarity check of phi and the sector plan the integrators and
+graph checks share.  Occupation tuples index row-major with mode 1 slowest.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "GraphSpec",
     "ModeSpace",
     "kron_all",
     "validate_unitary",
@@ -39,7 +41,7 @@ class ModeSpace:
 
 def kron_all(factors) -> np.ndarray:
     """Kronecker product of the factors, first factor slowest."""
-    return reduce(np.kron, factors)
+    return functools.reduce(np.kron, factors)
 
 
 def validate_unitary(phi, tolerance: float = 1e-12) -> np.ndarray:
@@ -52,3 +54,55 @@ def validate_unitary(phi, tolerance: float = 1e-12) -> np.ndarray:
     if not deviation <= tolerance:
         raise ValueError(f"phi not unitary (max deviation {deviation:.3e} > {tolerance:.0e})")
     return phi
+
+
+@dataclass(frozen=True, eq=False)
+class GraphSpec:
+    """A truncated graph instance: mode-mixing unitary, mode count, cutoff."""
+
+    phi: np.ndarray
+    modes: int
+    cutoff: int
+
+    def __post_init__(self):
+        phi = validate_unitary(np.array(self.phi, dtype=complex))
+        if phi.shape != (self.modes, self.modes):
+            raise ValueError(f"phi must be {self.modes}x{self.modes}, got {phi.shape}")
+        ModeSpace(self.modes, self.cutoff)  # raises on a cutoff below 1
+        phi.flags.writeable = False
+        object.__setattr__(self, "phi", phi)
+
+    @property
+    def space(self) -> ModeSpace:
+        return ModeSpace(self.modes, self.cutoff)
+
+
+class _SectorPlan(NamedTuple):
+    """Occupation tuples in sector-major order: each total occupation N one slice, row-major within."""
+
+    order: np.ndarray  # at each position, the tuple's index in row-major order (its box row, for a box)
+    occupations: np.ndarray  # (positions, modes) tuple at each position
+    sectors: tuple  # per sector N >= 1: the slice of its positions
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
+    """The ``rows``^``modes`` box's tuples of total at most ``top`` (default: all), sector by sector, row-major within.
+
+    Enumerated mode by mode, so a capped plan never builds the box.
+    Cached per shape argument; the arrays are read-only.
+    """
+    top = modes * (rows - 1) if top is None else top
+    occupations = np.zeros((1, 0), dtype=int)
+    for _ in range(modes):
+        counts = np.minimum(rows - 1, top - occupations.sum(axis=1)) + 1
+        values = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        occupations = np.column_stack([np.repeat(occupations, counts, axis=0), values])
+    total = occupations.sum(axis=1)
+    order = np.argsort(total, kind="stable")
+    occupations, total = occupations[order], total[order]
+    starts = np.searchsorted(total, np.arange(total[-1] + 2))  # sector N is positions starts[N] to starts[N+1]
+    sectors = tuple(slice(*starts[n : n + 2].tolist()) for n in range(1, total[-1] + 1))
+    for array in (order, occupations):
+        array.flags.writeable = False
+    return _SectorPlan(order, occupations, sectors)

@@ -22,18 +22,17 @@ with no angular node evaluated; the mask is the rule's aliasing.
 :func:`coherent_identity` is C.  In the rotated mode frame (phi's columns)
 the seed ladder is |k> on mode 0 and the graph shift displaces modes
 1..n-1 by the parameter pairs, so ``graphs.seed_projector_quadrature`` is
-B C B^dag (B the graded seed ladder) and :func:`graph_resolution` is
-V (P_ladder (x) C (x) ... (x) C) V^dag by residue class, V[a, m] = <a|U(phi)|m>.
+B C B^dag (:func:`_seed_block`, B the graded seed ladder) and
+:func:`graph_resolution` is V (P_ladder (x) C (x) ... (x) C) V^dag by residue
+class (:func:`_class_plan`), V[a, m] = <a|U(phi)|m> (:func:`_rotation_sectors`).
 :func:`displaced_projector_identity`'s displaced coherent seed is not
 rotation covariant but its residue columns are: it evaluates one node per
 radius, in chunks within CHUNK_ENTRIES entries, each added as one product
 over fixed row blocks (bitwise deterministic).
 
-Products with narrow enough output rows are cut into row blocks of at most
-SERIAL_GEMM_MACS multiply-adds (:func:`serial_matmul`), which OpenBLAS runs
-on the calling thread.  The verdicts read the operators only on the trusted
-box (occupations <= ``trusted_block`` in every mode), and the integrators
-build only that block, exactly as the full operator holds it.
+The verdicts read the operators only on the trusted box (occupations <=
+``trusted_block`` in every mode), and the integrators build only that
+block, exactly as the full operator holds it.
 """
 
 from __future__ import annotations
@@ -42,11 +41,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .fock import coherent_state, displacement_matrix, laguerre_sequence
-from .multimode import kron_all
+from .fock import _log_factorials, coherent_state, displacement_matrix, laguerre_sequence, unnormalized_coherent
+from .multimode import GraphSpec, _sector_plan, kron_all
 
 __all__ = [
     "AngularScheme",
@@ -284,8 +284,8 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
     Computes (1/pi^(n-1)) Int D Q D^dag prod_k r_k dr_k dtheta_k over the
     polar scheme ``schemes`` taken once per displacement parameter pair.
     Backend "rank" is V (P_ladder (x) C (x) ... (x) C) V^dag, with C the
-    rule operator and V from ``graphs._rotation_sectors``.  Per sector pair
-    N >= N' of ``graphs._class_plan`` the columns of V_N' matched to each
+    rule operator and V from :func:`_rotation_sectors`.  Per sector pair
+    N >= N' of :func:`_class_plan` the columns of V_N' matched to each
     tuple of N are weighted by prod_l C[m_l, m'_l] and summed, and one
     product of those columns of V_N with the sums' adjoint is the block
     (N, N'); block (N', N) is written as its adjoint.  The matches are
@@ -293,15 +293,13 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
     (widest box sector + modes) of them (a wider run takes a window alone),
     so a gather stays within CHUNK_ENTRIES entries and no array grows with
     the matched tuple pairs.
-    "direct" conjugates the seed projector B B^dag (``graphs._seed_block`` of
+    "direct" conjugates the seed projector B B^dag (:func:`_seed_block` of
     diag(N <= cutoff) on the whole box) by the Kronecker-product matrix at
     every node of the product grid and is kept as the oracle.  With
     ``trusted_block`` set, the result is the block on the occupations at or
     below it in every mode, in row-major order: "rank" builds only that
     block, "direct" builds the whole operator and slices it.
     """
-    from .graphs import GraphSpec, _class_plan, _rotation_sectors, _seed_block
-
     if not isinstance(spec, GraphSpec):
         raise TypeError("spec must be a GraphSpec")
     if not isinstance(schemes, PolarScheme):
@@ -362,3 +360,142 @@ def graph_resolution(spec, schemes, backend: str = "rank", trusted_block: int | 
         acc += math.prod(weight for _, weight in nodes) * (displacement @ projector @ displacement.conj().T)
     idx = np.flatnonzero(np.indices((spec.cutoff + 1,) * spec.modes).max(axis=0) < rows)
     return acc[np.ix_(idx, idx)]
+
+
+def _seed_block(spec: GraphSpec, side: int, operator: np.ndarray) -> np.ndarray:
+    """B X B^dag on the row-major ``side``^n box, X = ``operator`` indexed by total occupation.
+
+    Entry (m, m') is b_m X[N_m, N_m'] conj(b_m'), with b the graded ladder on the box and N the
+    total occupation: the quadrature block and the ``direct`` backend's whole-box projector.
+    """
+    occupations = np.indices((side,) * spec.modes).reshape(spec.modes, -1).T
+    ladder, total = _graded_ladder(spec, occupations), occupations.sum(axis=1)
+    return np.multiply.outer(ladder, ladder.conj()) * operator[np.ix_(total, total)]
+
+
+def _graded_ladder(spec: GraphSpec, occupations: np.ndarray) -> np.ndarray:
+    """The seed ladder graded: at each occupation tuple (row of ``occupations``), its entry of column sum(tuple).
+
+    By the multinomial theorem the part of kron_j sum_m c_j^m / sqrt(m!) |m>,
+    c = phi[:, 0], at total k is (sum_j c_j a_j^dag)^k / k! |vac>; times sqrt(k!)
+    it is ladder column k.  Each entry is the ascending product over the
+    modes of c_j^m_j / sqrt(m_j!), times sqrt(k!).
+    """
+    top = int(occupations.max())
+    factors = unnormalized_coherent(spec.phi[:, 0], top)
+    ladder = factors[0, occupations[:, 0]]
+    for mode in range(1, spec.modes):
+        ladder = ladder * factors[mode, occupations[:, mode]]
+    return ladder * np.exp(0.5 * _log_factorials(spec.modes * top))[occupations.sum(axis=1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _predecessors(modes: int, rows: int, top: int | None = None) -> tuple:
+    """Per sector N >= 1 of ``_sector_plan(modes, rows, top)``, the predecessors :func:`_rotation_sectors` reads.
+
+    ``lower`` (modes, size) holds the position of m - e_j within sector
+    N-1, 0 where m_j = 0, ``weight`` (modes, size, 1) sqrt(m_j) / N,
+    ``lifted`` j * (size of N-1) + lower and ``roots`` sqrt(m_j).  So a
+    sweep reads only sector N-1, and a read at m_j = 0 adds 0 as long as
+    that sector is finite, which V's is: V is unitary.  Cached per shape
+    argument; each entry is a read-only view of one (modes, positions) array.
+    """
+    plan = _sector_plan(modes, rows, top)
+    total = plan.occupations.sum(axis=1)
+    starts = np.array([0, *(at.start for at in plan.sectors), len(total)])
+    strides = rows ** np.arange(modes)[::-1]
+    keys = plan.occupations @ strides
+    position = np.argsort(plan.order)  # keys[position] is in row-major order, so ascending
+    lowered = np.minimum(np.searchsorted(keys[position], keys - strides[:, None]), len(keys) - 1)
+    lower = np.where(plan.occupations.T > 0, position[lowered] - starts[total - 1], 0)
+    roots = np.sqrt(plan.occupations.T, order="C")
+    weight = roots[..., None] / np.maximum(total, 1)[:, None]
+    lifted = lower + np.arange(modes)[:, None] * np.diff(starts)[total - 1]
+    for array in (lower, weight, lifted, roots):
+        array.flags.writeable = False
+    return tuple(tuple(array[:, at] for at in plan.sectors) for array in (lower, weight, lifted, roots))
+
+
+class _ClassPlan(NamedTuple):
+    """The residue classes of the rotated tuples and the sector pairs that share one, as flat arrays."""
+
+    members: np.ndarray  # tuples with m_0 <= cutoff, sector by sector and class by class: position in their sector
+    right: np.ndarray  # (members, modes - 1) each member's occupations of modes 1..n-1
+    pairs: np.ndarray  # (pairs, 4): N >= N' of each sector pair sharing a class, and the range of its runs
+    left: np.ndarray  # per run, pair by pair: the member of N it sums for, in position order
+    first: np.ndarray  # per run: the first member of its class in N'
+    count: np.ndarray  # per run: the size of its class in N'
+
+
+@functools.lru_cache(maxsize=None)
+def _class_plan(modes: int, rows: int, cutoff: int, angular: int) -> _ClassPlan:
+    """The residue classes of the rotated tuples, as ``graph_resolution`` reads them.
+
+    The tuples are ``_sector_plan(modes, T+1, T)``'s, T = modes (rows - 1), and
+    P_ladder (x) C (x) ... (x) C links two exactly within one class (m_0 <=
+    cutoff, m_1 mod M, ..., m_{n-1} mod M), M = ``angular``.  A run is a
+    member of N with its class's members in N' (N >= N'): members ``first``
+    to ``first + count``, consecutive.  So the plan holds one entry per
+    tuple and per run, at most one per tuple and sector pair, and none per
+    matched tuple pair.  Cached per shape argument; the arrays are read-only.
+    """
+    top = modes * (rows - 1)
+    sectors = _sector_plan(modes, top + 1, top)
+    total = sectors.occupations.sum(axis=1)
+    members = np.flatnonzero(sectors.occupations[:, 0] <= cutoff)
+    moduli = np.minimum((cutoff + 1, *(angular,) * (modes - 1)), top + 1)  # occupations <= T: same residues
+    keys = np.ravel_multi_index((sectors.occupations[members] % moduli).T, moduli)
+    order = np.lexsort((keys, total[members]))
+    members = members[order]
+    keys = keys[order]
+    sector = total[members]
+    # A group is a class within one sector; each member pairs with its class's groups in its own and earlier sectors.
+    heads = np.flatnonzero(np.diff(keys, prepend=-1) | np.diff(sector, prepend=-1))
+    size = np.diff(heads, append=len(members))
+    by = np.lexsort((sector[heads], keys[heads]))
+    rank = np.argsort(by)[np.repeat(np.arange(len(heads)), size)]
+    lowest = np.searchsorted(keys[heads[by]], keys)
+    partners = rank - lowest + 1
+    left = np.repeat(np.arange(len(members)), partners)
+    group = by[np.repeat(lowest - np.cumsum(partners) + partners, partners) + np.arange(len(left))]
+    order = np.lexsort((members[left], sector[heads[group]], sector[left]))
+    left = left[order]
+    group = group[order]
+    cuts = np.flatnonzero(np.diff(sector[left] * (top + 1) + sector[heads[group]], prepend=-1, append=-1))
+    pairs = np.column_stack((sector[left[cuts[:-1]]], sector[heads[group[cuts[:-1]]]], cuts[:-1], cuts[1:]))
+    start = np.array([0, *(at.start for at in sectors.sectors)])
+    plan = _ClassPlan(members - start[sector], sectors.occupations[members, 1:], pairs, left, heads[group], size[group])
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """V[a, m] = <a|U(phi)|m> for the rows a of the ``rows``-per-mode box, one block per total occupation.
+
+    U(phi), U a_j^dag U^dag = sum_i phi_ij a_i^dag, takes |k, 0, ..., 0> to
+    seed ladder column k and D(0, alpha) to the shift D(phi[:, 1:] alpha).
+    It keeps total occupation: V_N maps the box rows of total N to every
+    rotated tuple of total N.  From V_0 = 1 the number operator gives
+    N V_N[a, m] = sum_{i,j} sqrt(a_i) phi_ij sqrt(m_j) V_{N-1}[a - e_i, m - e_j],
+    stable where the single raising step cancels between the modes (README,
+    numerical notes).  Each step reads the positions of a - e_i and m - e_j
+    within sector N-1 from the :func:`_predecessors` of the box's plan and
+    of the rotated tuples' ``(modes, T + 1, T)``, T = modes (rows - 1),
+    enumerated without the (T+1)^n box; it mixes the lifted rows by phi and
+    takes the sum over j as one gather over (mode, column), the terms added
+    in mode order.  Returns per N = 0..T the box rows (row-major indices)
+    and V_N, column-major, its columns the rotated tuples of total N in order.
+    """
+    box = _sector_plan(spec.modes, rows)
+    top = spec.modes * (rows - 1)
+    steps = zip(box.sectors, *_predecessors(spec.modes, rows)[:2], *_predecessors(spec.modes, top + 1, top)[2:])
+    ladder = np.ones((1, 1), dtype=complex)
+    sectors = [(box.order[:1], ladder)]
+    for at, lower, weight, lifted, roots in steps:
+        box_rows = box.order[at]
+        mixed = np.einsum("ij,iac->ajc", spec.phi, ladder[lower] * weight).reshape(len(box_rows), -1)
+        out = np.empty((len(box_rows), roots.shape[1]), dtype=complex, order="F")
+        ladder = np.add.reduce(mixed[:, lifted] * roots, axis=1, out=out)
+        sectors.append((box_rows, ladder))
+    return sectors

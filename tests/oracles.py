@@ -12,21 +12,21 @@ on the projector ``B B^dag`` formed densely, which
 ``B``, and the same check with ``B`` graded on two sector plans, the
 reference for its one plan.  The graded seed entries to 50 digits
 with ``fractions`` and ``decimal``, for a rational ``phi``: the precision
-reference for ``graphs._graded_ladder``, and the rule operator to 50
+reference for ``quadrature._graded_ladder``, and the rule operator to 50
 digits, the precision reference for ``quadrature._rule_operator``.  The
 rotation blocks ``V`` and the displaced seed ladders at n=2 to 50 digits
 by the binomial theorem, the precision reference for both number-operator
 sweeps and, with the Gaussian put back, for the anticlique check's ladder
 and ``M`` from per-mode factors at n=2, and the displaced seed ladders at
 n=3 the same way, the precision reference for those factors at n=3.
-``graphs._rotation_sectors`` one mode at a time, reading the predecessor
-positions of both its plans (``graphs._predecessors``) directly, the
+``quadrature._rotation_sectors`` one mode at a time, reading the predecessor
+positions of both its plans (``quadrature._predecessors``) directly, the
 reference for its one gather.  The displaced seed ladder by applying
 truncated displacement matrices mode by mode, the oracle for the
 package's level convolution of per-mode factors and for
 ``sector_ladders``.  That one builds the same ladder tail-factored, by
 Weyl covariance swept over total occupation with no displacement matrix,
-reading the box's ``graphs._predecessors``: an oracle for the per-mode
+reading the box's ``quadrature._predecessors``: an oracle for the per-mode
 factored ladder of ``graphs.graph_generator`` and the anticlique check
 that shares no arithmetic with it.  The dense Kronecker Weyl operator
 (``weyl_operator``, ``graph_displacement``) and the displaced seed
@@ -64,9 +64,11 @@ from fockgraph import (
     kron_all,
     seed_basis,
 )
-from fockgraph.graphs import _compression_residual, _graded_ladder, _predecessors, _sector_plan
-from fockgraph.multimode import ModeSpace
-from fockgraph.quadrature import CHUNK_ENTRIES, SERIAL_GEMM_MACS, coherent_identity, serial_matmul
+from fockgraph.graphs import _compression_residual
+from fockgraph.multimode import ModeSpace, _sector_plan
+from fockgraph.quadrature import (
+    CHUNK_ENTRIES, SERIAL_GEMM_MACS, _graded_ladder, _predecessors, coherent_identity, serial_matmul
+)
 
 
 def complex_product(a, b) -> np.ndarray:
@@ -261,12 +263,12 @@ def two_plan_projection_deviations(spec, scheme, trusted_block: int) -> dict:
 
 
 def graded_entries_reference(column, cutoff: int) -> list[Decimal]:
-    """The seed entries sqrt(k!/prod m_j!) prod c_j^m_j of ``graphs._graded_ladder``, to 50 digits.
+    """The seed entries sqrt(k!/prod m_j!) prod c_j^m_j of ``quadrature._graded_ladder``, to 50 digits.
 
     ``column`` is phi's first column as Fractions, so every product of
     powers and the integer multinomial coefficient are exact, and only the
     square root and the one division round, at 50 digits.  In
-    ``graphs._sector_plan(len(column), cutoff + 1, cutoff)`` order.
+    ``multimode._sector_plan(len(column), cutoff + 1, cutoff)`` order.
     """
     modes = len(column)
     entries = []
@@ -329,7 +331,7 @@ def exponential_partial_sum(count: int, z: complex) -> complex:
 
 
 def two_mode_sweeps_reference(rotation, denominator: int, shift: Fraction, rows: int, cutoff: int):
-    """V of ``graphs._rotation_sectors`` and the tail-factored ``sector_ladders`` at n=2, to 50 digits.
+    """V of ``quadrature._rotation_sectors`` and the tail-factored ``sector_ladders`` at n=2, to 50 digits.
 
     phi = ``rotation`` / ``denominator`` is rational, real and orthogonal,
     and the shift is h = ``shift`` phi[:, 1].  U|m> = (phi_00 a_0^dag +
@@ -386,7 +388,7 @@ def three_mode_ladder_reference(rotation, denominator: int, shift: Fraction, cut
 
     phi = ``rotation`` / ``denominator`` is rational, real and orthogonal,
     and h = ``shift`` phi[:, 1], so Y_k = U (|k> (x) |shift> (x) |0>) with U
-    the rotation of ``graphs._rotation_sectors``.  Expanding
+    the rotation of ``quadrature._rotation_sectors``.  Expanding
     (sum_i phi_i0 a_i^dag)^k (sum_i phi_i1 a_i^dag)^l |vac> by the binomial
     theorem gives, at box row a of total N and l = N - k,
     Y_k[a] = exp(-shift^2/2) shift^l sqrt(k! / a!) e_k(a) / denominator^N,
@@ -439,7 +441,7 @@ def sector_ladders(spec, shifts: np.ndarray, rows: int) -> np.ndarray:
     total occupation N) is one contiguous slice, and column k K + p holds
     level k of shift p.  Sector N has levels k <= N, so it reads the first
     min(N, cutoff+1) K columns of sector N-1 at the predecessor positions
-    within that sector (``graphs._predecessors``), gathered once as (modes,
+    within that sector (``quadrature._predecessors``), gathered once as (modes,
     rows of N, columns), and weighted by sqrt(m_j)/N in place.  Two contractions over
     the modes then fill the sector's slice: the shift term against h_j
     spread over the levels, and the raising term against c_j sqrt(k), one
@@ -471,10 +473,10 @@ def sector_ladders(spec, shifts: np.ndarray, rows: int) -> np.ndarray:
 
 
 def rotation_sectors_loop(spec, rows: int) -> list:
-    """``graphs._rotation_sectors`` step by step: one mode at a time, the sum over modes in Python.
+    """``quadrature._rotation_sectors`` step by step: one mode at a time, the sum over modes in Python.
 
     Reads the positions of a - e_i and m - e_j within sector N-1 directly
-    from both plans' ``graphs._predecessors`` and takes sqrt(m_j) from the
+    from both plans' ``quadrature._predecessors`` and takes sqrt(m_j) from the
     rotated tuples, not from their ``lifted`` and ``roots``.  The reference
     for the sweep's one gather over (mode, column), which takes the same
     products and sums in the same order, so V must agree bit for bit.

@@ -30,8 +30,10 @@ from fockgraph.config import config_from_dict, dft_matrix
 from fockgraph.fock import displacement_matrix
 from fockgraph.runner import DEFAULT_DRAW_RADIUS, DEFAULT_GENERATOR_DRAWS, run_experiment
 from fockgraph.cli import main
-from fockgraph.graphs import _graded_ladder, _predecessors, _rotation_sectors, _sector_plan, _seed_block
-from fockgraph.quadrature import SERIAL_GEMM_MACS, serial_matmul
+from fockgraph.multimode import _sector_plan
+from fockgraph.quadrature import (
+    SERIAL_GEMM_MACS, _graded_ladder, _predecessors, _rotation_sectors, _seed_block, serial_matmul
+)
 from oracles import (
     dense_generator,
     dense_projection_deviations,
@@ -370,7 +372,7 @@ def multinomial_oracle(spec):
     return basis
 
 
-# Rational orthogonal phi = rows / denominator and cutoffs, with the max-abs error of graphs._graded_ladder
+# Rational orthogonal phi = rows / denominator and cutoffs, with the max-abs error of quadrature._graded_ladder
 # against the 50-digit reference as measured; the float phi is the nearest double of each entry.  A pin
 # holds within PRECISION_MARGIN of its value both ways: above it the entries lost accuracy, below it the
 # README's figure is stale or the reference rounds as the float code does.
@@ -581,7 +583,7 @@ class TestSectorPlan:
                     entry[...] = 0
 
     def test_the_plan_holds_the_tuples_only(self):
-        assert fockgraph.graphs._SectorPlan._fields == ("order", "occupations", "sectors")
+        assert fockgraph.multimode._SectorPlan._fields == ("order", "occupations", "sectors")
 
     def test_only_the_resolution_sweep_builds_predecessors(self):
         # The anticlique check's box plan and the projection's capped plan read only the tuples; the V sweep

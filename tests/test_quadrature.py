@@ -191,7 +191,7 @@ class TestIntegrateDyads:
         for phi in (dft_matrix(modes), haar_unitary(modes, np.random.default_rng(rows))):
             spec = GraphSpec(phi=phi, modes=modes, cutoff=cutoff)
             expected = rotation_sectors_loop(spec, rows)
-            got = graphs._rotation_sectors(spec, rows)
+            got = quadrature._rotation_sectors(spec, rows)
             assert len(got) == len(expected) == modes * (rows - 1) + 1
             for (at, ladder), (at_ref, ladder_ref) in zip(got, expected):
                 assert np.array_equal(at, at_ref)
@@ -411,7 +411,7 @@ class TestRuleAliasing:
         # and a pair's sums; a plan with an entry per matched pair took 35 MB.  The oracle is the single node.
         spec = GraphSpec(phi=haar_unitary(3, np.random.default_rng(81)), modes=3, cutoff=8)
         scheme = polar_scheme(1, 1)
-        graphs._class_plan.cache_clear()
+        quadrature._class_plan.cache_clear()
         tracemalloc.start()
         try:
             got = graph_resolution(spec, scheme, backend="rank", trusted_block=8)

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from fockgraph import cli, config, fock, graphs, quadrature
+from fockgraph import cli, config, fock, graphs, multimode, quadrature
 from fockgraph.cli import main
 from fockgraph.config import dft_matrix
 from fockgraph.graphs import GraphSpec
@@ -188,17 +188,17 @@ CACHES = {
         [(8,), (16,), (8,)],
     ),
     "sector_plan": (
-        graphs._sector_plan,
+        multimode._sector_plan,
         reference_sector_plan,
         [(3, 5), (2, 5), (2, 8), (2, 8, 9), (2, 8, 4), (3, 5)],
     ),
     "predecessors": (
-        graphs._predecessors,
+        quadrature._predecessors,
         reference_predecessors,
         [(3, 5), (2, 5), (2, 8), (2, 8, 9), (2, 8, 4), (3, 5)],
     ),
     "class_plan": (
-        graphs._class_plan,
+        quadrature._class_plan,
         reference_class_plan,
         [(3, 3, 4, 5), (2, 3, 4, 5), (2, 4, 4, 5), (2, 4, 2, 5), (2, 4, 2, 3), (3, 3, 4, 5)],
     ),

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 GRAPHS = "src/fockgraph/graphs.py"
+QUADRATURE = "src/fockgraph/quadrature.py"
 
 MUTANTS = [
     # M is summed over the chunks of points: keeping only the last chunk's share drops generators.
@@ -107,7 +108,7 @@ MUTANTS = [
     ),
     # Where m_j = 0 there is no predecessor: without the mask its position is no tuple of sector N-1.
     Mutant(
-        GRAPHS,
+        QUADRATURE,
         "    lower = np.where(plan.occupations.T > 0, position[lowered] - starts[total - 1], 0)",
         "    lower = position[lowered] - starts[total - 1]",
         (
@@ -120,7 +121,7 @@ MUTANTS = [
     # block for mode j, so V is the sweep of phi with its columns shifted.  That phi is unitary too, so the
     # resolution still holds, and the comparison set's reports stay within the golden file's float tolerance.
     Mutant(
-        GRAPHS,
+        QUADRATURE,
         "position[lowered] - starts[total - 1], 0)",
         "position[lowered] - starts[total], 0)",
         (
@@ -168,13 +169,109 @@ MUTANTS = [
     ),
     # A stack's matrices keep a 2-D product's row blocks: one GEMM per whole matrix passes the serial budget.
     Mutant(
-        "src/fockgraph/quadrature.py",
+        QUADRATURE,
         "    step = SERIAL_GEMM_MACS // row if 0 < 2 * row <= SERIAL_GEMM_MACS else max(count, 1)",
         "    step = SERIAL_GEMM_MACS // row if 0 < 2 * row <= SERIAL_GEMM_MACS and a.ndim == 2 else max(count, 1)",
         (
             "tests/test_quadrature.py::TestSerialMatmul::test_a_stack_takes_each_matrix_in_its_own_row_blocks",
             "tests/test_graphs.py::TestFactoredGrams::test_every_gemm_goes_through_serial_matmul",
         ),
+    ),
+    # B X B^dag: without the conjugate the box block is B X B^T, which a complex (Haar) phi shows.
+    Mutant(
+        QUADRATURE,
+        "    return np.multiply.outer(ladder, ladder.conj()) * operator[np.ix_(total, total)]",
+        "    return np.multiply.outer(ladder, ladder) * operator[np.ix_(total, total)]",
+        (
+            "tests/test_graphs.py::TestProjectionCheck::test_seed_block_is_the_dense_projector_on_the_box",
+            "tests/test_quadrature.py::TestGraphResolution::test_backends_agree_entrywise",
+        ),
+    ),
+    # The seed projector is diag(N <= cutoff) in total occupation: one grade more moves the backend deviation.
+    Mutant(
+        GRAPHS,
+        "np.diag(np.arange(top + 1) <= spec.cutoff)",
+        "np.diag(np.arange(top + 1) <= spec.cutoff + 1)",
+        (
+            "tests/test_graphs.py::TestProjectionCheck::test_one_plan_equals_the_two_plan_reference_bitwise",
+            "tests/test_graphs.py::TestProjectionCheck::test_matches_dense_oracle_where_the_backend_fails",
+            "tests/test_golden_reports.py::test_comparison_set_matches_golden_file",
+        ),
+    ),
+    # V's number-operator step scaled by 1 + 1e-13: the error compounds over the sectors, past the 50-digit pin.
+    Mutant(
+        QUADRATURE,
+        "        ladder = np.add.reduce(mixed[:, lifted] * roots, axis=1, out=out)",
+        "        ladder = np.add.reduce(mixed[:, lifted] * (roots * (1 + 1e-13)), axis=1, out=out)",
+        (
+            "tests/test_graphs.py::TestSweepPrecision::test_rotation_blocks_match_the_50_digit_reference",
+            "tests/test_quadrature.py::TestIntegrateDyads::test_rotation_sectors_match_the_step_by_step_sweep",
+        ),
+    ),
+    # The backend's peaks read the trusted box alone: without the mask a NaN past it reaches the verdict.
+    Mutant(
+        GRAPHS,
+        "    boxed = np.where(np.all(plan.occupations <= trusted_block, axis=1), np.abs(entries), 0.0)",
+        "    boxed = np.abs(entries)",
+        (
+            "tests/test_graphs.py::TestProjectionCheck::test_peaks_read_the_box_alone_and_keep_a_nan",
+            "tests/test_graphs.py::TestProjectionCheck::test_matches_dense_oracle_where_the_backend_fails",
+        ),
+    ),
+    # exact_rule is the smallest exact rule: one radius short is not exact on the top grade.
+    Mutant(
+        QUADRATURE,
+        "    return (span + 2) // 2, span + 1",
+        "    return span // 2, span + 1",
+        (
+            "tests/test_quadrature.py::TestExactRule::test_exact_and_sharp_on_the_rule_operator",
+            "tests/test_quadrature.py::TestExactRule::test_default_rule_is_exact_and_sharp",
+        ),
+    ),
+    # One radius over is exact but not the smallest: one radius fewer than it still passes.
+    Mutant(
+        QUADRATURE,
+        "return (span + 2) // 2,",
+        "return (span + 4) // 2,",
+        (
+            "tests/test_quadrature.py::TestExactRule::test_exact_and_sharp_on_the_rule_operator",
+            "tests/test_quadrature.py::TestExactRule::test_default_rule_is_exact_and_sharp",
+            "tests/test_golden_reports.py::test_comparison_set_matches_golden_file",
+        ),
+    ),
+    # One angle short aliases grades span apart: M = span divides span - 0.
+    Mutant(
+        QUADRATURE,
+        "// 2, span + 1",
+        "// 2, span",
+        (
+            "tests/test_quadrature.py::TestExactRule::test_exact_and_sharp_on_the_rule_operator",
+            "tests/test_quadrature.py::TestExactRule::test_default_rule_is_exact_and_sharp",
+        ),
+    ),
+    # One angle over is exact but not the smallest.
+    Mutant(
+        QUADRATURE,
+        ", span + 1\n",
+        ", span + 2\n",
+        (
+            "tests/test_quadrature.py::TestExactRule::test_exact_and_sharp_on_the_rule_operator",
+            "tests/test_quadrature.py::TestExactRule::test_default_displaced_rule_is_exact",
+        ),
+    ),
+    # The projection and resolution spans reach total occupation n t: without the n, n >= 3 rules alias.
+    Mutant(
+        "src/fockgraph/config.py",
+        "        return n * trusted_block",
+        "        return trusted_block",
+        ("tests/test_quadrature.py::TestExactRule::test_default_rule_is_exact_and_sharp",),
+    ),
+    # The displaced seed reaches rows 0..t past the largest cutoff: without the t the default rule is too small.
+    Mutant(
+        "src/fockgraph/config.py",
+        "    return trusted_block + top",
+        "    return top",
+        ("tests/test_quadrature.py::TestExactRule::test_default_displaced_rule_is_exact",),
     ),
 ]
 
