@@ -44,15 +44,19 @@ def kron_all(factors) -> np.ndarray:
     return functools.reduce(np.kron, factors)
 
 
-def validate_unitary(phi, tolerance: float = 1e-12) -> np.ndarray:
-    """Return ``phi`` as a complex array after checking unitarity."""
+# The largest entry of |phi^dag phi - I| that validate_unitary admits.
+UNITARY_TOLERANCE = 1e-12
+
+
+def validate_unitary(phi) -> np.ndarray:
+    """Return ``phi`` as a complex array after checking unitarity within UNITARY_TOLERANCE."""
     phi = np.asarray(phi, dtype=complex)
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
         raise ValueError(f"phi must be square, got shape {phi.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite deviation fails the test below
         deviation = np.max(np.abs(phi.conj().T @ phi - np.eye(phi.shape[0])))
-    if not deviation <= tolerance:
-        raise ValueError(f"phi not unitary (max deviation {deviation:.3e} > {tolerance:.0e})")
+    if not deviation <= UNITARY_TOLERANCE:
+        raise ValueError(f"phi not unitary (max deviation {deviation:.3e} > {UNITARY_TOLERANCE:.0e})")
     return phi
 
 

@@ -107,26 +107,28 @@ def displacement_compose_phase(alpha: complex, beta: complex) -> complex:
 def gauss_laguerre_reference(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of ``quadrature.gauss_laguerre(order)``, eigenvalues by ``eigh_tridiagonal``.
 
-    The same Newton polish and the same weights from s L_Q'(s) = Q (L_Q(s) -
-    L_{Q-1}(s)) at the polished nodes, with the Laguerre recurrence at order
-    0 written out, so that a rule equal to this one bit for bit differs only
-    in its eigensolver.
+    The same Newton polish, by s L_Q'(s) = Q (L_Q(s) - L_{Q-1}(s)), and the
+    same weights 1 / (s L_{Q-1}^(1)(s)^2) at the polished nodes, with the
+    Laguerre recurrence's difference form at orders 0 and 1 written out, so
+    that a rule equal to this one bit for bit differs only in its
+    eigensolver.
     """
     if order == 1:
         return np.array([1.0]), np.array([1.0])
 
-    def laguerre(x):
-        # L_0..L_order at x by the three-term recurrence.
-        vals = [np.ones_like(x), 1.0 - x]
-        for n in range(1, order):
-            vals.append(((2 * n + 1 - x) * vals[n] - n * vals[n - 1]) / (n + 1))
+    def laguerre(count, k, x):
+        # L_0^(k)..L_count^(k) at x: d_1 = k - x, (n + 1) d_{n+1} = (n + k) d_n - x L_n, L_n = L_{n-1} + d_n.
+        vals = [np.ones_like(x)]
+        step = (k - x) * vals[0]
+        for n in range(1, count + 1):
+            vals.append(vals[n - 1] + step)
+            step = ((n + k) * step - x * vals[n]) / (n + 1)
         return vals
 
     nodes = eigh_tridiagonal(2.0 * np.arange(order) + 1.0, np.arange(1.0, order), eigvals_only=True)
-    values = laguerre(nodes)
+    values = laguerre(order, 0, nodes)
     nodes = nodes - nodes * values[order] / (order * (values[order] - values[order - 1]))
-    values = laguerre(nodes)
-    weights = nodes / (order * (values[order] - values[order - 1])) ** 2
+    weights = 1.0 / (nodes * laguerre(order - 1, 1, nodes)[order - 1] ** 2)
     return nodes, weights
 
 

@@ -15,6 +15,7 @@ from fockgraph import (
     seed_basis,
     validate_unitary,
 )
+from fockgraph.multimode import UNITARY_TOLERANCE
 from oracles import (
     apply_weyl_to_exponential_check,
     displacement_compose_phase,
@@ -276,6 +277,12 @@ class TestValidateUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             validate_unitary(np.array([[1.0, 0.0], [0.0, 0.5]]))
+
+    def test_admits_up_to_the_tolerance(self):
+        # |phi^dag phi - I| at diag(1, 1 + d) is 2d + d^2.
+        validate_unitary(np.diag([1.0, 1.0 + 0.4 * UNITARY_TOLERANCE]))
+        with pytest.raises(ValueError, match=r"> 1e-12\)$"):
+            validate_unitary(np.diag([1.0, 1.0 + 0.6 * UNITARY_TOLERANCE]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):

@@ -586,10 +586,10 @@ class TestGaussLaguerre:
         assert np.array_equal(scheme.weights, weights)
 
     # Largest relative errors of the float nodes and weights against 50 digits, as measured, pinned within
-    # PRECISION_MARGIN both ways.  The node errors sit at the smallest nodes; the weights come from the
-    # polished nodes by the Newton identity and stay within six node errors.
+    # PRECISION_MARGIN both ways.  The polished nodes are within one rounding; the weights, 1 / (s L_{Q-1}^(1)(s)^2),
+    # carry the order-1 recurrence's error twice and err most at the largest nodes.
     @pytest.mark.parametrize(
-        "order, node_pin, weight_pin", [(17, 1.38e-15, 6.90e-15), (33, 2.99e-15, 1.76e-14), (64, 4.14e-14, 7.33e-14)]
+        "order, node_pin, weight_pin", [(17, 1.06e-16, 6.90e-15), (33, 2.08e-16, 1.31e-14), (64, 1.43e-16, 2.45e-14)]
     )
     def test_rule_matches_the_50_digit_reference(self, order, node_pin, weight_pin):
         nodes, weights = gauss_laguerre_decimal(order)
@@ -604,7 +604,7 @@ class TestGaussLaguerre:
     def test_weights_of_every_order_sum_to_one(self):
         # The zeroth moment of exp(-s), summed exactly.
         sums = [math.fsum(gauss_laguerre(order).weights) for order in range(1, 65)]
-        assert max(abs(total - 1.0) for total in sums) <= 2e-14
+        assert max(abs(total - 1.0) for total in sums) <= 6.7e-16
 
     @pytest.mark.parametrize("order", range(1, 65))
     def test_every_order_builds(self, order):
@@ -693,7 +693,7 @@ class TestCoherentIdentity:
     # reference (float64 nodes and weights exact), pinned within a factor
     # PRECISION_MARGIN both ways: a larger error is a regression, a smaller
     # one a change that should move the pin.
-    @pytest.mark.parametrize("orders, pin", [((32, 128), 2.53e-15), ((33, 66), 4.40e-15), ((17, 34), 4.26e-15)])
+    @pytest.mark.parametrize("orders, pin", [((32, 128), 2.53e-15), ((33, 66), 4.40e-15), ((17, 34), 2.30e-15)])
     def test_rule_operator_matches_the_50_digit_reference(self, orders, pin):
         scheme = polar_scheme(*orders)
         reference = rule_operator_reference(64, scheme)

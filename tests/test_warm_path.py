@@ -160,7 +160,7 @@ def reference_kernel_grid(cutoff, rows):
     # Entry by entry from lgamma: entry (m, n)'s order |m - n|, its row 2 |m - n| + [m < n] of the powers and
     # min(m, n) (cutoff + 1) + |m - n| of the Laguerre values, and log sqrt(min! / (min + order)!); per order
     # k, log C(d + k, d) at the deepest kept index d = min(rows - 1, cutoff - k), and (-1)^k for both parts
-    # of alpha^k with conj's sign on the second; per step j, j + k.
+    # of alpha^k with conj's sign on the second.
     dim = cutoff + 1
     log_factorial = [math.lgamma(m + 1) for m in range(dim)]
     entries = [[(abs(m - n), min(m, n)) for n in range(dim)] for m in range(rows)]
@@ -173,7 +173,6 @@ def reference_kernel_grid(cutoff, rows):
         np.arange(dim).reshape(dim, 1),
         np.array([[log_factorial[d + k] - log_factorial[d] - log_factorial[k]] for k, d in enumerate(deepest)]),
         np.array(half_log_ratio),
-        np.array([[[float(j + k)] for k in range(dim)] for j in range(rows)]),
         np.array([[(-1.0) ** k, -((-1.0) ** k)] for k in range(dim)]),
     )
 

@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
     tests: tuple  # pytest ids, each of which must fail (without its [params], at one parametrization at least)
 
 
+FOCK = "src/fockgraph/fock.py"
 GRAPHS = "src/fockgraph/graphs.py"
 QUADRATURE = "src/fockgraph/quadrature.py"
 
@@ -131,16 +132,36 @@ MUTANTS = [
             "tests/test_quadrature.py::TestIntegrateDyads::test_rotation_sectors_match_the_step_by_step_sweep",
         ),
     ),
-    # The Laguerre recurrence runs on L 2^-shift: its first difference must carry the scale too.
+    # The kernel's Laguerre recurrence runs on L 2^-shift: its first difference must carry the scale too.
     Mutant(
-        "src/fockgraph/fock.py",
-        "    step = (grid.orders - s) * lag[0]",
-        "    step = grid.orders - s",
-        ("tests/test_fock.py::TestDisplacementMatrix::test_rows_stay_unit_where_laguerre_values_overflow",),
+        FOCK,
+        "    step = np.asarray((order - x) * scale, dtype=float)",
+        "    step = np.asarray(order - x, dtype=float)",
+        (
+            "tests/test_fock.py::TestDisplacementMatrix::test_rows_stay_unit_where_laguerre_values_overflow",
+            "tests/test_fock.py::TestLaguerre::test_power_of_two_scale_keeps_values_in_range",
+        ),
+    ),
+    # The recurrence's x L_n term scaled by 1 + 1e-13: past the 50-digit pins of the values and of the rules.
+    Mutant(
+        FOCK,
+        "        np.multiply(x, vals[n], out=scratch)",
+        "        np.multiply(x * (1 + 1e-13), vals[n], out=scratch)",
+        (
+            "tests/test_fock.py::TestLaguerre::test_recurrence_matches_the_50_digit_reference",
+            "tests/test_quadrature.py::TestGaussLaguerre::test_rule_matches_the_50_digit_reference",
+        ),
+    ),
+    # The weights are 1 / (s L_{Q-1}^(1)(s)^2): at order 0 they no longer sum to 1.
+    Mutant(
+        QUADRATURE,
+        "laguerre_sequence(order - 1, 1, nodes)",
+        "laguerre_sequence(order - 1, 0, nodes)",
+        ("tests/test_quadrature.py::TestGaussLaguerre::test_every_order_builds",),
     ),
     # (-conj alpha)^k is (-1)^k conj(alpha^k): without the (-1)^k every odd order above the diagonal flips sign.
     Mutant(
-        "src/fockgraph/fock.py",
+        FOCK,
         "    signs = np.where(orders % 2, -1.0, 1.0)[:, None] * np.array([1.0, -1.0])",
         "    signs = np.ones((dim, 1)) * np.array([1.0, -1.0])",
         (
@@ -196,6 +217,27 @@ MUTANTS = [
             "tests/test_graphs.py::TestProjectionCheck::test_one_plan_equals_the_two_plan_reference_bitwise",
             "tests/test_graphs.py::TestProjectionCheck::test_matches_dense_oracle_where_the_backend_fails",
             "tests/test_golden_reports.py::test_comparison_set_matches_golden_file",
+        ),
+    ),
+    # A layout cache that ignores part of its key: a capped plan's predecessors taken from the uncapped plan.
+    # Their common sectors agree, so the V sweep does not show it; the arrays' length and the key contract do.
+    Mutant(
+        QUADRATURE,
+        "    plan = _sector_plan(modes, rows, top)\n",
+        "    plan = _sector_plan(modes, rows)\n",
+        (
+            "tests/test_warm_path.py::TestCacheContract::test_keys_on_every_shape_argument[predecessors]",
+            "tests/test_graphs.py::TestSectorPlan::test_sector_entries_are_read_only_views_of_one_array[4-7-9]",
+        ),
+    ),
+    # U(phi) maps a_j^dag to sum_i phi_ij a_i^dag: V mixed by phi's columns in reverse mode order is another rotation.
+    Mutant(
+        QUADRATURE,
+        '"ij,iac->ajc", spec.phi,',
+        '"ij,iac->ajc", spec.phi[:, ::-1],',
+        (
+            "tests/test_graphs.py::TestSweepPrecision::test_rotation_blocks_match_the_50_digit_reference",
+            "tests/test_quadrature.py::TestIntegrateDyads::test_rotation_sectors_match_the_step_by_step_sweep",
         ),
     ),
     # V's number-operator step scaled by 1 + 1e-13: the error compounds over the sectors, past the 50-digit pin.
