@@ -44,7 +44,9 @@ def main(argv) -> int:
     if len(argv) != 2:
         print("usage: python tools/golden_moves.py BEFORE AFTER", file=sys.stderr)
         return 2
-    before, after = ([json.loads(line) for line in Path(name).read_text(encoding="utf-8").splitlines()] for name in argv)
+    before, after = (
+        [json.loads(line) for line in Path(name).read_text(encoding="utf-8").splitlines()] for name in argv
+    )
     names = [case["case"] for case in before], [case["case"] for case in after]
     if names[0] != names[1]:
         print(f"cases {names[0]} -> {names[1]}", file=sys.stderr)
