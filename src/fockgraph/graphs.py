@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -44,10 +44,12 @@ class GeneratorParams:
     """Radial amplitudes and phases of one displacement point.
 
     Indexes a graph generator, or the anticlique projection at that point.
+    Both arrays are copied; they and the displacement r e^{i theta}, formed once, are read-only.
     """
 
     radii: np.ndarray
     phases: np.ndarray
+    _displacements: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         radii = np.atleast_1d(np.array(self.radii, dtype=float))
@@ -58,11 +60,12 @@ class GeneratorParams:
             raise ValueError("radii and phases must be finite")
         if np.any(radii < 0):
             raise ValueError("radii must be nonnegative")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "phases", phases)
+        for name, array in (("radii", radii), ("phases", phases), ("_displacements", radii * np.exp(1j * phases))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def displacements(self) -> np.ndarray:
-        return self.radii * np.exp(1j * self.phases)
+        return self._displacements
 
 
 def seed_basis(spec: GraphSpec) -> np.ndarray:
@@ -126,11 +129,7 @@ def projection_deviations(spec: GraphSpec, scheme: PolarScheme, trusted_block: i
 
 def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:
     """Per-mode displacement h_j = sum_k e^{i theta_k} r_k phi_{j,k+1}."""
-    return _mode_shift(spec, params.displacements())
-
-
-def _mode_shift(spec: GraphSpec, displacement: np.ndarray) -> np.ndarray:
-    """:func:`displaced_mode_amplitudes` from the point's ``displacements()``."""
+    displacement = params.displacements()
     if displacement.shape != (spec.modes - 1,):
         raise ValueError(f"expected {spec.modes - 1} parameter pairs, got {displacement.shape[0]}")
     return spec.phi[:, 1:] @ displacement
@@ -163,11 +162,7 @@ def _root_factorials(levels: int) -> np.ndarray:
 def compression_constant(anticlique: GeneratorParams, generator: GeneratorParams) -> float:
     """Predicted compression scalar: the product over parameter pairs of the
     squared coherent overlap exp(-|r e^{i theta} - x e^{i gamma}|^2)."""
-    return _overlap_constant(anticlique.displacements(), generator.displacements())
-
-
-def _overlap_constant(anticlique: np.ndarray, generator: np.ndarray) -> float:
-    """:func:`compression_constant` from the two points' ``displacements()``."""
+    anticlique, generator = anticlique.displacements(), generator.displacements()
     if anticlique.shape != generator.shape:
         raise ValueError("parameter tuples must have equal length")
     with np.errstate(over="ignore"):  # a distance past 1.3e154 squares to inf, and exp(-inf) = 0 is the constant
@@ -218,8 +213,8 @@ def compression_check(
     S = Y_t^dag Y_t, the least-squares scalar is c = tr(M S)/tr(S) and the
     residual is Y_t (M - c I) Y_t^dag.  Returns its max-abs and Frobenius
     deviations (the latter against ||P_t||_F = ||S||_F) with the relative
-    error of c against the predicted weighted constant sum.  Real parts of c
-    are returned.
+    error of c against sum_i w_i :func:`compression_constant`, from each
+    point's stored displacement.  Real parts of c are returned.
 
     The check takes Y_x and the Grams from per-mode factors at every n
     (:func:`_factored_grams`): Y_x is a level convolution over the modes
@@ -276,22 +271,18 @@ def compression_check(
 
 
 def _compression_residual(spec, anticlique, generators, weights, trusted_block) -> _Residual:
-    """compression_check's ladders, M, c and Y_t (M - c I): everything before its two deviations."""
+    """compression_check's ladders, M, c and Y_t (M - c I), before its two deviations: no displacement is re-formed."""
     generators = list(generators)
     if not generators:
         raise ValueError("at least one generator parameter set is required")
-    if weights is None:
-        weights = [1.0] * len(generators)
-    weights = [complex(w) for w in weights]
+    weights = [1.0 + 0.0j] * len(generators) if weights is None else [complex(w) for w in weights]
     if len(weights) != len(generators):
         raise ValueError("weights must match the number of generators")
     top = box_side(spec.cutoff, trusted_block) - 1
 
-    # Each point's displacements once: the anticlique's enter every predicted constant.
-    points = [params.displacements() for params in (anticlique, *generators)]
     predicted = 0.0 + 0.0j
-    for weight, point in zip(weights, points[1:]):
-        predicted += weight * _overlap_constant(points[0], point)
+    for weight, generator in zip(weights, generators):
+        predicted += weight * compression_constant(anticlique, generator)
 
     rank = spec.cutoff + 1
     entries = spec.space.dim * rank
@@ -300,7 +291,7 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
     serial = 8 * entries <= SERIAL_GEMM_MACS
     matmul = serial_matmul if serial else np.matmul
 
-    shifts = np.array([_mode_shift(spec, point) for point in points])
+    shifts = np.array([displaced_mode_amplitudes(spec, params) for params in (anticlique, *generators)])
     ladder, combined = _factored_grams(spec, shifts, np.array(weights))
     plan = _sector_plan(spec.modes, rank)
     # Y_t: the box plan's rows with every occupation <= top, top sector first, so S sums small entries first.

@@ -128,6 +128,24 @@ class TestGeneratorParams:
         radii[0], phases[0] = -5.0, 2.0
         assert params.radii.tolist() == [0.3] and params.phases.tolist() == [0.1]
 
+    def test_caller_arrays_stay_writable(self):
+        radii, phases = np.array([0.3, 1.2]), np.array([0.1, 2.5])
+        GeneratorParams(radii=radii, phases=phases)
+        assert radii.flags.writeable and phases.flags.writeable
+
+    @pytest.mark.parametrize("read", [lambda p: p.radii, lambda p: p.phases, lambda p: p.displacements()],
+                             ids=["radii", "phases", "displacements"])
+    def test_arrays_are_read_only(self, read):
+        params = GeneratorParams(radii=[0.3, 1.2], phases=[0.1, 2.5])
+        with pytest.raises(ValueError):
+            read(params)[0] = 0.0
+
+    def test_displacement_is_formed_once(self):
+        params = GeneratorParams(radii=[0.3, 1.2, 0.0], phases=[0.1, 2.5, 4.0])
+        displacement = params.displacements()
+        assert params.displacements() is displacement
+        assert displacement.tobytes() == (params.radii * np.exp(1j * params.phases)).tobytes()
+
 
 class TestSeedProjector:
     def test_identity_mixing_structure(self):
@@ -672,6 +690,16 @@ class TestGraphGenerator:
             shift = displaced_mode_amplitudes(spec, params)
             ladder = box_ladders(spec, shift[None], cutoff + 1)[0] * math.exp(-0.5 * float(np.sum(np.abs(shift) ** 2)))
             assert np.abs(graph_generator(spec, params) - ladder @ ladder.conj().T).max() <= 1e-14
+
+    def test_displaces_by_r_e_i_theta(self):
+        # The oracles read the shift through displaced_mode_amplitudes; here it is formed from the radii and
+        # phases themselves, so a point that stored another displacement would move the generator.
+        spec = GraphSpec(phi=haar_unitary(3, np.random.default_rng(7)), modes=3, cutoff=8)
+        radii, phases = np.array([0.4, 0.9]), np.array([0.3, 2.0])
+        shift = spec.phi[:, 1:] @ (radii * (np.cos(phases) + 1j * np.sin(phases)))
+        ladder = box_ladders(spec, shift[None], 9)[0] * math.exp(-0.5 * float(np.sum(np.abs(shift) ** 2)))
+        generator = graph_generator(spec, GeneratorParams(radii=radii, phases=phases))
+        assert np.abs(generator - ladder @ ladder.conj().T).max() <= 1e-14
 
     def test_one_mode_is_the_identity(self):
         # One mode has no displacement: Y is diag(c^k) with |c| = 1, and Y Y^dag the identity.
