@@ -65,19 +65,21 @@ def laguerre_sequence(count: int, order, x, scale=1.0) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    order = np.asarray(order)
     x = np.asarray(x, dtype=float)
     # d_1, then each step, is written in place: step is an array and vals[n, ...] a view even where they are 0-d.
     step = np.asarray((order - x) * scale, dtype=float)
+    coefficient = np.array(order, dtype=float)  # n + k, stepped in place: exact for integer orders
     scratch = np.empty_like(step)
     vals = np.empty((count + 1, *step.shape))
     vals[0] = scale
     for n in range(1, count + 1):
         np.add(vals[n - 1], step, out=vals[n, ...])
-        np.multiply(n + order, step, out=step)
-        np.multiply(x, vals[n], out=scratch)
-        np.subtract(step, scratch, out=step)
-        np.divide(step, n + 1, out=step)
+        if n < count:  # d_(count+1) is never read
+            coefficient += 1.0
+            np.multiply(coefficient, step, out=step)
+            np.multiply(x, vals[n], out=scratch)
+            np.subtract(step, scratch, out=step)
+            np.divide(step, n + 1, out=step)
     return vals
 
 
@@ -207,6 +209,8 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
 
     With ``include_gaussian=False`` the exp(-|alpha|^2/2) prefactor is left
     out; quadrature code folds that factor into the radial weight instead.
+    An alpha whose alpha^cutoff is not finite, past the limit cutoff ln|alpha|
+    <= ln(float max) = 709.78 or itself not finite, raises ValueError.
     """
     _require_cutoff(cutoff)
     alphas = np.asarray(alpha, dtype=complex)
@@ -221,8 +225,11 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     # and exp round differently in the last place), so that every entry keeps the bits of the scalar
     # closed form and reports reproduce byte for byte.
     batch = alphas.reshape(-1).tolist()
-    s = np.array([abs(a) ** 2 for a in batch])
     powers = _power_ladders(batch, grid.signs)
+    if not np.isfinite(powers[-2]).all():  # cutoff ln|alpha| > ln(float max), or a non-finite alpha
+        largest, limit = np.abs(alphas).max(), math.exp(math.log(np.finfo(float).max) / cutoff)
+        raise ValueError(f"alpha^cutoff is not finite: largest |alpha| {largest} > limit {limit:.6g}, cutoff {cutoff}")
+    s = np.array([abs(a) ** 2 for a in batch])
     # |L_n^(k)(s)| <= C(n + k, n) exp(s/2) (Szego).  Where that bound at the deepest kept n of order k
     # passes exp(_LAGUERRE_LOG_CEILING), the order's recurrence runs on L * 2^-shift and the shift goes
     # back in through the factorial ratio, so L_n^(k) cannot overflow to inf where sqrt(n!/m!)

@@ -156,6 +156,24 @@ class TestLaguerre:
             assert scaled[n] == pytest.approx(laguerre_direct(n, 600, 1.0, Fraction(1, 2**300)), rel=1e-12)
 
 
+    @pytest.mark.parametrize("cutoff", [4, 8, 16, 89, 170, 300])
+    def test_bitwise_equal_to_the_per_step_loop(self, cutoff):
+        # The in-place float n + k and the skipped last difference change no bit against the loop that formed
+        # n + k as an integer at every step and one difference more; values that overflow compare as bytes too.
+        orders = np.arange(cutoff + 1)[:, None]
+        x = np.array([0.0, 1e-3, 1.0, 30.0, 38.0]) ** 2
+        for scale in (1.0, 2.0**-300):
+            want = np.empty((cutoff + 1, cutoff + 1, len(x)))
+            step = (orders - x) * scale
+            want[0] = scale
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = laguerre_sequence(cutoff, orders, x, scale)
+                for n in range(1, cutoff + 1):
+                    want[n] = want[n - 1] + step
+                    step = ((n + orders) * step - x * want[n]) / (n + 1)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestComplexProduct:
     def test_matches_scalar_arithmetic_and_conjugation(self):
         # The displacement powers rely on both: numpy's scalar complex
@@ -275,6 +293,28 @@ class TestDisplacementMatrix:
         for alpha, got in zip(alphas, stack):
             oracle = expm_displacement_oracle(alpha, 10, min_oracle_buffer(alpha))
             assert np.abs(got - oracle).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "alpha, largest",
+        [(30.0, "30.0"), (12 - 9j, "15.0"), (np.array([0.5, 30.0]), "30.0")],
+        ids=["30", "12-9j", "batch"],
+    )
+    def test_rejects_an_amplitude_whose_power_overflows(self, alpha, largest):
+        # |alpha|^300 passes the float range above |alpha| = exp(709.78 / 300).  Unchecked, the kernel returns
+        # NaN entries here (with a RuntimeWarning at 30, without one at 12 - 9j).
+        with pytest.raises(ValueError) as caught:
+            displacement_matrix(alpha, 300)
+        assert str(caught.value) == f"alpha^cutoff is not finite: largest |alpha| {largest} > limit 10.6541, cutoff 300"
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_a_non_finite_amplitude(self, alpha):
+        with pytest.raises(ValueError, match="alpha\\^cutoff is not finite"):
+            displacement_matrix(alpha, 4)
+
+    @pytest.mark.parametrize("alpha, cutoff", [(38.0, 170), (38.6, 180)])
+    def test_finite_just_inside_the_power_limit(self, alpha, cutoff):
+        assert cutoff * math.log(alpha) < math.log(np.finfo(float).max)
+        assert np.all(np.isfinite(displacement_matrix(alpha, cutoff)))
 
     def test_rejects_matrix_of_amplitudes(self):
         with pytest.raises(ValueError, match="1-D"):
