@@ -145,8 +145,8 @@ MUTANTS = [
     # The recurrence's x L_n term scaled by 1 + 1e-13: past the 50-digit pins of the values and of the rules.
     Mutant(
         FOCK,
-        "        np.multiply(x, vals[n], out=scratch)",
-        "        np.multiply(x * (1 + 1e-13), vals[n], out=scratch)",
+        "            np.multiply(x, vals[n], out=scratch)",
+        "            np.multiply(x * (1 + 1e-13), vals[n], out=scratch)",
         (
             "tests/test_fock.py::TestLaguerre::test_recurrence_matches_the_50_digit_reference",
             "tests/test_quadrature.py::TestGaussLaguerre::test_rule_matches_the_50_digit_reference",
@@ -325,6 +325,63 @@ MUTANTS = [
         "    return trusted_block + top",
         "    return top",
         ("tests/test_quadrature.py::TestExactRule::test_default_displaced_rule_is_exact",),
+    ),
+    # C[m, n] vanishes unless M divides m - n: without the alias mask every pair of grades couples.  The graph
+    # resolution reads C only within a residue class, so the single-mode integrators and the gs reports show it.
+    Mutant(
+        QUADRATURE,
+        "    return np.where(np.equal.outer(residues, residues), serial_matmul(powers, powers.T), 0.0)",
+        "    return serial_matmul(powers, powers.T)",
+        (
+            "tests/test_quadrature.py::TestExactRule::test_exact_and_sharp_on_the_rule_operator",
+            "tests/test_quadrature.py::TestRuleAliasing::test_single_mode_integrators_match_per_node_sum",
+            "tests/test_golden_reports.py::test_comparison_set_matches_golden_file",
+        ),
+    ),
+    # Each member pairs with its class in its own and every earlier sector: only its own sector drops the
+    # off-diagonal blocks of the graph resolution.
+    Mutant(
+        QUADRATURE,
+        "    lowest = np.searchsorted(keys[heads[by]], keys)",
+        "    lowest = rank",
+        (
+            "tests/test_warm_path.py::TestCacheContract::test_keys_on_every_shape_argument[class_plan]",
+            "tests/test_quadrature.py::TestRuleAliasing::test_three_mode_rank_matches_direct",
+            "tests/test_quadrature.py::TestRuleAliasing::test_five_mode_rank_matches_direct",
+        ),
+    ),
+    # P_ladder keeps levels m_0 <= cutoff: without the cutoff, tuples past it join the classes of their residue.
+    Mutant(
+        QUADRATURE,
+        "    members = np.flatnonzero(sectors.occupations[:, 0] <= cutoff)",
+        "    members = np.arange(len(total))",
+        (
+            "tests/test_warm_path.py::TestCacheContract::test_keys_on_every_shape_argument[class_plan]",
+            "tests/test_quadrature.py::TestRuleAliasing::test_three_mode_rank_matches_direct",
+            "tests/test_quadrature.py::TestRuleAliasing::test_five_mode_rank_matches_direct",
+        ),
+    ),
+    # A point's displacement is r e^{i theta}.  Conjugated, every compression_constant stays (|g - a| is invariant
+    # under conjugation), and the oracles read the same stored value: only a test that forms r e^{i theta} itself
+    # shows it.  The comparison set does not: at n=2 its DFT phi is real, so conjugation is a symmetry there.
+    Mutant(
+        GRAPHS,
+        "radii * np.exp(1j * phases)",
+        "radii * np.exp(-1j * phases)",
+        (
+            "tests/test_graphs.py::TestGeneratorParams::test_displacement_is_formed_once",
+            "tests/test_graphs.py::TestGraphGenerator::test_displaces_by_r_e_i_theta",
+        ),
+    ),
+    # Past cutoff ln|alpha| <= ln(float max) alpha^cutoff is inf, and inf times the ratio's 0 is a NaN entry.
+    Mutant(
+        FOCK,
+        "    if not np.isfinite(powers[-2]).all():",
+        "    if False:",
+        (
+            "tests/test_fock.py::TestDisplacementMatrix::test_rejects_an_amplitude_whose_power_overflows",
+            "tests/test_fock.py::TestDisplacementMatrix::test_rejects_a_non_finite_amplitude",
+        ),
     ),
 ]
 
