@@ -155,7 +155,6 @@ class TestLaguerre:
         for n in (1, 37, 300, 600):
             assert scaled[n] == pytest.approx(laguerre_direct(n, 600, 1.0, Fraction(1, 2**300)), rel=1e-12)
 
-
     @pytest.mark.parametrize("cutoff", [4, 8, 16, 89, 170, 300])
     def test_bitwise_equal_to_the_per_step_loop(self, cutoff):
         # The in-place float n + k and the skipped last difference change no bit against the loop that formed

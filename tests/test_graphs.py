@@ -133,8 +133,11 @@ class TestGeneratorParams:
         GeneratorParams(radii=radii, phases=phases)
         assert radii.flags.writeable and phases.flags.writeable
 
-    @pytest.mark.parametrize("read", [lambda p: p.radii, lambda p: p.phases, lambda p: p.displacements()],
-                             ids=["radii", "phases", "displacements"])
+    @pytest.mark.parametrize(
+        "read",
+        [lambda params: params.radii, lambda params: params.phases, lambda params: params.displacements()],
+        ids=["radii", "phases", "displacements"],
+    )
     def test_arrays_are_read_only(self, read):
         params = GeneratorParams(radii=[0.3, 1.2], phases=[0.1, 2.5])
         with pytest.raises(ValueError):
