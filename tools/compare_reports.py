@@ -10,7 +10,9 @@ experiment at n = 2, 3 and 4, ``resolution`` at its n = 3 defaults (cutoff
 the deepest sectors of both number-operator sweeps (``resolution`` at n = 2
 cutoffs 56 and 63, ``anticlique`` at n = 2 cutoff 56), the largest n = 2
 ``anticlique`` box (cutoff 89), an n = 2 ``anticlique`` with 64 generators,
-``resolution`` and ``projection`` with a non-DFT ``phi`` at n = 3,
+``resolution``, ``projection`` and ``anticlique`` with a non-DFT ``phi`` at
+n = 3 (the DFT ``phi``'s conjugate is itself with its modes permuted, so only
+such a ``phi`` shows a conjugated displacement phase),
 ``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40, n = 4
 cutoff 8), at n = 5 (cutoff 5), with trusted boxes past ``cutoff // n``
 and where its quadrature comparison decides a FAIL (aliased rules at n = 2
@@ -167,6 +169,7 @@ CASES = [
         )
         for block in (600, 800, 1000, 1200)
     ),
+    ("anticlique n3 c16 fixed phi", {"experiment": "anticlique", "n": 3, "cutoff": 16, "phi": FIXED_PHI}),
 ]
 
 
