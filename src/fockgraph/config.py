@@ -207,7 +207,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"cutoff_ladder {list(cutoff_ladder)} must be strictly increasing")
         for cut in cutoff_ladder:
             _check_size(f"the space at cutoff_ladder entry {cut}", cut + 1, 1, "rows")
-    runs_at = cutoff if cutoff_ladder is None else cutoff_ladder[0]  # convergence runs at its ladder alone
+    ladder = cutoff_ladder or (cutoff,)  # the cutoffs the experiment runs at: convergence runs at its ladder alone
+    runs_at, top = ladder[0], ladder[-1]
     trusted_block = _require_int(
         data.get("trusted_block", _default_trusted(experiment, n, runs_at)), "trusted_block", minimum=0
     )
@@ -216,7 +217,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if trusted_block > runs_at:
         raise ConfigError(f"trusted_block {trusted_block} exceeds cutoff {cutoff}")
 
-    top = cutoff if cutoff_ladder is None else cutoff_ladder[-1]  # the largest cutoff the experiment runs at
     span = _rule_span(experiment, n, trusted_block, top)
     default_rule = exact_rule(span)
     if experiment == "anticlique":  # reads no quadrature: its echoed default need only stay within the bound

@@ -103,13 +103,6 @@ def _run_gs(cfg: ExperimentConfig) -> VerificationReport:
     return _report(cfg, max_abs, frobenius)
 
 
-def _run_covariant(cfg: ExperimentConfig) -> VerificationReport:
-    scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
-    block = displaced_projector_identity(COVARIANT_SEED_AMPLITUDE, cfg.cutoff, scheme, cfg.trusted_block)
-    max_abs, frobenius = _identity_deviations(block)
-    return _report(cfg, max_abs, frobenius)
-
-
 def _run_projection(cfg: ExperimentConfig) -> VerificationReport:
     spec = GraphSpec(phi=cfg.phi, modes=cfg.n, cutoff=cfg.cutoff)
     deviations = projection_deviations(spec, polar_scheme(cfg.radial_order, cfg.angular_order), cfg.trusted_block)
@@ -155,7 +148,7 @@ def _run_anticlique(cfg: ExperimentConfig) -> VerificationReport:
 def _run_convergence(cfg: ExperimentConfig) -> VerificationReport:
     scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
     rows = []
-    for cutoff in cfg.cutoff_ladder:
+    for cutoff in cfg.cutoff_ladder or (cfg.cutoff,):  # covariant_gs is the one-rung ladder at its cutoff
         block = displaced_projector_identity(COVARIANT_SEED_AMPLITUDE, cutoff, scheme, cfg.trusted_block)
         max_abs, frobenius = _identity_deviations(block)
         rows.append(
@@ -184,7 +177,7 @@ def _run_convergence(cfg: ExperimentConfig) -> VerificationReport:
 
 _RUNNERS = {
     "gs": _run_gs,
-    "covariant_gs": _run_covariant,
+    "covariant_gs": _run_convergence,
     "projection": _run_projection,
     "resolution": _run_resolution,
     "anticlique": _run_anticlique,
