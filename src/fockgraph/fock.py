@@ -30,6 +30,8 @@ __all__ = [
 # under the float maximum (about exp(709.8)).
 _LAGUERRE_LOG_CEILING = 690.0
 _LN2 = math.log(2.0)
+# The largest |alpha| whose exp(-|alpha|^2/2) is positive: past it the Gaussian rounds to 0.
+_GAUSSIAN_EDGE = 38.60396920271129
 
 
 def _require_cutoff(cutoff: int) -> None:
@@ -188,6 +190,25 @@ def _power_ladders(amplitudes: list, signs: np.ndarray) -> np.ndarray:
     return np.stack([positive.T, negative.T], axis=1).reshape(2 * len(signs), len(amplitudes))
 
 
+def _scaled_entries(grid: _KernelGrid, powers: np.ndarray, s: np.ndarray, log_growth: np.ndarray) -> np.ndarray:
+    """Entries sqrt(n!/m!) alpha^k L_n^(k)(s), (rows, dim, K), the order's recurrence run on L * 2^-shift.
+
+    An order's shift keeps C(n + k, n) exp(``log_growth``), a bound on
+    |L_n^(k)(s)| at its deepest kept n, below exp(_LAGUERRE_LOG_CEILING); the
+    shift goes back in through the factorial ratio.  Where the float range
+    cannot hold a product, the entry is inf or NaN, without a warning.
+    """
+    rows, dim = grid.order.shape
+    shift = np.maximum(0.0, np.ceil((grid.log_bound + log_growth - _LAGUERRE_LOG_CEILING) / _LN2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.exp(grid.half_log_ratio + _LN2 * shift[grid.order])
+        # L_n^(k)(s) 2^-shift for n < rows and every order; values with n + k > cutoff are never read.
+        lag = laguerre_sequence(rows - 1, grid.orders, s, np.exp2(-shift))
+        # The grid is gathered amplitude-last, where each gather reads whole rows.
+        laguerre = np.take(lag.reshape(rows * dim, -1), grid.laguerre, axis=0)
+        return ratio * np.take(powers, grid.power, axis=0) * laguerre
+
+
 def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows: int | None = None) -> np.ndarray:
     """Exact matrix elements <m|D(alpha)|n> on the truncated ladder.
 
@@ -209,8 +230,12 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
 
     With ``include_gaussian=False`` the exp(-|alpha|^2/2) prefactor is left
     out; quadrature code folds that factor into the radial weight instead.
-    An alpha whose alpha^cutoff is not finite, past the limit cutoff ln|alpha|
-    <= ln(float max) = 709.78 or itself not finite, raises ValueError.
+    With it, a finite amplitude past |alpha| = 38.604, where the Gaussian
+    rounds to 0, gives a zero matrix.  Every entry returned is finite.  An
+    alpha whose alpha^cutoff is not finite, past the limit cutoff ln|alpha|
+    <= ln(float max) = 709.78 or itself not finite, raises ValueError, and
+    so, without the Gaussian, does one whose |alpha|^2 or entries pass the
+    float range.
     """
     _require_cutoff(cutoff)
     alphas = np.asarray(alpha, dtype=complex)
@@ -220,29 +245,45 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     rows = dim if rows is None else rows
     if not 1 <= rows <= dim:
         raise ValueError(f"rows must be in [1, {dim}], got {rows}")
-    grid = _kernel_grid(cutoff, rows)
     # |alpha|^2, the powers and the Gaussian in Python scalars (numpy's vectorised abs, complex multiply
     # and exp round differently in the last place), so that every entry keeps the bits of the scalar
     # closed form and reports reproduce byte for byte.
     batch = alphas.reshape(-1).tolist()
+    magnitudes = [abs(a) for a in batch]
+    # With the Gaussian, a finite amplitude past the edge has a zero block, decided before its powers or square.
+    dead = [include_gaussian and _GAUSSIAN_EDGE < m < math.inf for m in magnitudes]
+    if any(dead):
+        out = np.zeros((len(batch), rows, dim), dtype=complex)
+        live = np.logical_not(dead)
+        if live.any():
+            out[live] = displacement_matrix(alphas.reshape(-1)[live], cutoff, rows=rows)
+        return out if alphas.ndim else out[0]
+
+    def not_finite(what: str, limit: float) -> ValueError:
+        largest = max(magnitudes)
+        return ValueError(f"{what} is not finite: largest |alpha| {largest} > limit {limit:.6g}, cutoff {cutoff}")
+
+    grid = _kernel_grid(cutoff, rows)
     powers = _power_ladders(batch, grid.signs)
     if not np.isfinite(powers[-2]).all():  # cutoff ln|alpha| > ln(float max), or a non-finite alpha
-        largest, limit = np.abs(alphas).max(), math.exp(math.log(np.finfo(float).max) / cutoff)
-        raise ValueError(f"alpha^cutoff is not finite: largest |alpha| {largest} > limit {limit:.6g}, cutoff {cutoff}")
-    s = np.array([abs(a) ** 2 for a in batch])
-    # |L_n^(k)(s)| <= C(n + k, n) exp(s/2) (Szego).  Where that bound at the deepest kept n of order k
-    # passes exp(_LAGUERRE_LOG_CEILING), the order's recurrence runs on L * 2^-shift and the shift goes
-    # back in through the factorial ratio, so L_n^(k) cannot overflow to inf where sqrt(n!/m!)
-    # underflows to 0.  Below the ceiling the shift is 0 and changes no bit.
-    shift = np.maximum(0.0, np.ceil((grid.log_bound + 0.5 * s - _LAGUERRE_LOG_CEILING) / _LN2))
-    ratio = np.exp(grid.half_log_ratio + _LN2 * shift[grid.order])
-    # L_n^(k)(s) 2^-shift for n < rows and every order; values with n + k > cutoff are never read, and may overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lag = laguerre_sequence(rows - 1, grid.orders, s, np.exp2(-shift))
-    # The grid is gathered amplitude-last, where each gather reads whole rows;
-    # the copy hands back the (K, rows, dim) stack C-contiguous.
-    laguerre = np.take(lag.reshape(rows * dim, -1), grid.laguerre, axis=0)
-    entries = ratio * np.take(powers, grid.power, axis=0) * laguerre
+        raise not_finite("alpha^cutoff", math.exp(math.log(np.finfo(float).max) / cutoff))
+    try:
+        s = np.array([m**2 for m in magnitudes])
+    except OverflowError:  # at cutoff 1 or 2 alpha^cutoff can stay finite where |alpha|^2 does not
+        raise not_finite("|alpha|^2", math.sqrt(np.finfo(float).max)) from None
+    # |L_n^(k)(s)| <= C(n + k, n) exp(s/2) (Szego).  Where that bound passes the ceiling, the recurrence runs
+    # scaled, so L_n^(k) cannot overflow to inf where sqrt(n!/m!) underflows to 0; below it no bit changes.
+    entries = _scaled_entries(grid, powers, s, 0.5 * s)
+    broken = ~np.isfinite(entries)
+    if broken.any():
+        # At large s that bound is loose: its shift overflows ratio * alpha^k where L * 2^-shift underflows, and
+        # inf * 0 is NaN.  Those entries are formed again under |L_n^(k)(s)| <= C(n + k, n) (1 + s)^n.
+        deepest = np.minimum(rows - 1, cutoff - grid.orders)
+        entries[broken] = _scaled_entries(grid, powers, s, np.minimum(0.5 * s, deepest * np.log1p(s)))[broken]
+        if not np.isfinite(entries).all():
+            limit, largest = np.finfo(float).max, max(magnitudes)
+            raise ValueError(f"an entry passes the float limit {limit:.6g}: largest |alpha| {largest}, cutoff {cutoff}")
+    # The copy hands back the (K, rows, dim) stack C-contiguous.
     out = np.ascontiguousarray(np.moveaxis(entries, -1, 0))
     if include_gaussian:
         out *= np.array([math.exp(-0.5 * v) for v in s])[:, None, None]

@@ -417,9 +417,9 @@ def _mode_factors(spec: GraphSpec, shifts: np.ndarray) -> np.ndarray:
     entry of the truncated D(h_j) is exact, so that sum is exact on the box.
     One displacement_matrix call builds every point's and mode's D(h_pj),
     its Gaussian included.  A point whose exp(-|h_p|^2/2) rounds to 0 gets
-    zero factors without the kernel, whose 2^-shift scaling turns inf * 0
-    into NaN past a per-mode amplitude of about 40: every amplitude of a
-    point whose Gaussian is positive stays below 38.7.
+    zero factors without the kernel: its per-mode amplitudes may be inf or
+    NaN (a displacement near the float maximum), which the kernel refuses.
+    Every amplitude of a point whose Gaussian is positive stays below 38.7.
     """
     rank = spec.cutoff + 1
     with np.errstate(over="ignore"):  # an amplitude past 1.3e154 squares to inf, and exp(-inf) = 0 is its Gaussian

@@ -275,8 +275,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("radius", [1e3, 1e6])
     @pytest.mark.parametrize("n, cutoff", [(3, 8), (4, 6)])
     def test_anticlique_past_its_gaussian_cannot_be_checked(self, tmp_path, capsys, n, cutoff, radius):
-        # exp(-|h|^2/2) rounds to 0, so the per-mode factors of the point are zero, not the kernel's
-        # inf * 0 = NaN past a per-mode amplitude of about 40: the ladder underflows, a config error.
+        # exp(-|h|^2/2) rounds to 0, so the per-mode factors of the point are zero, as the kernel's own
+        # blocks are past a per-mode amplitude of 38.604: the ladder underflows, a config error.
         point = {"X": [radius] + [0.0] * (n - 2), "Gamma": [0.3] * (n - 1)}
         config = write_config(tmp_path, {"experiment": "anticlique", "n": n, "cutoff": cutoff, "anticlique_params": point})
         out = tmp_path / "report.json"

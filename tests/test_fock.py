@@ -5,6 +5,7 @@ sums, float series summation for exponentials, Poisson tails, and the
 matrix-exponential oracle for displacement entries.
 """
 
+import cmath
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -21,7 +22,7 @@ from fockgraph import (
     unnormalized_coherent,
 )
 from fockgraph.config import MAX_DIM
-from fockgraph.fock import _kernel_grid, _log_factorials, _power_ladders
+from fockgraph.fock import _GAUSSIAN_EDGE, _kernel_grid, _log_factorials, _power_ladders
 from oracles import (
     coherent_overlap,
     complex_product,
@@ -46,6 +47,28 @@ def laguerre_direct(n, order, x, scale=1):
         for i in range(n + 1)
     )
     return float(total * scale)
+
+
+def tail_factored_direct(alpha: complex, cutoff: int) -> np.ndarray:
+    """sqrt(low!/(low + k)!) alpha^k L_low^(k)(|alpha|^2) below the diagonal and (-conj alpha)^k above, in
+    rationals but for the factorial ratio and its root, taken to 50 digits."""
+    re, im = Fraction(alpha.real), Fraction(alpha.imag)
+    square = re * re + im * im
+    out = np.empty((cutoff + 1, cutoff + 1), dtype=complex)
+    with localcontext() as context:
+        context.prec = 50
+        for m in range(cutoff + 1):
+            for n in range(cutoff + 1):
+                low, high = min(m, n), max(m, n)
+                base, power = (re if m >= n else -re, im), (Fraction(1), Fraction(0))
+                for _ in range(high - low):
+                    power = (power[0] * base[0] - power[1] * base[1], power[0] * base[1] + power[1] * base[0])
+                terms = (Fraction((-1) ** i * math.comb(high, low - i), math.factorial(i)) for i in range(low + 1))
+                value = sum(term * square**i for i, term in enumerate(terms))
+                root = (Decimal(math.factorial(low)) / Decimal(math.factorial(high))).sqrt()
+                parts = [part * value for part in power]
+                out[m, n] = complex(*(float(root * Decimal(p.numerator) / Decimal(p.denominator)) for p in parts))
+    return out
 
 
 def test_laguerre_sequence_rejects_a_negative_count():
@@ -314,6 +337,45 @@ class TestDisplacementMatrix:
     def test_finite_just_inside_the_power_limit(self, alpha, cutoff):
         assert cutoff * math.log(alpha) < math.log(np.finfo(float).max)
         assert np.all(np.isfinite(displacement_matrix(alpha, cutoff)))
+
+    def test_gaussian_edge_is_the_last_positive_gaussian(self):
+        assert math.exp(-0.5 * _GAUSSIAN_EDGE**2) > 0.0
+        assert math.exp(-0.5 * math.nextafter(_GAUSSIAN_EDGE, math.inf) ** 2) == 0.0
+
+    # Past the edge every entry underflows to 0.  Unchecked, the kernel returned NaN here (the scaled Laguerre
+    # values underflow while the ratio or the power overflows) and raised OverflowError squaring 1e160.
+    @pytest.mark.parametrize(
+        "alpha, cutoff",
+        [(math.nextafter(_GAUSSIAN_EDGE, math.inf), 8), (100.0, 8), (1e3j, 16), (-1e30, 8), (1.3e154, 1), (1e160, 1)],
+    )
+    def test_zero_block_where_the_gaussian_rounds_to_zero(self, alpha, cutoff):
+        dim = cutoff + 1
+        assert displacement_matrix(alpha, cutoff).tobytes() == bytes(16 * dim * dim)
+        assert displacement_matrix(alpha, cutoff, rows=1).tobytes() == bytes(16 * dim)
+        batch = displacement_matrix(np.array([alpha, 0.5 - 0.2j, alpha]), cutoff)
+        assert batch.shape == (3, dim, dim) and batch.flags.c_contiguous
+        assert np.array_equal(batch[1], displacement_matrix(0.5 - 0.2j, cutoff)) and not batch[::2].any()
+
+    @pytest.mark.parametrize("alpha, cutoff", [(100.0, 8), (1e3, 16), (60 * cmath.exp(0.7j), 12)])
+    def test_tail_factored_far_amplitude_is_formed(self, alpha, cutoff):
+        # Szego's exp(s/2) asks for a shift that underflows the scaled Laguerre values while the ratio
+        # overflows; the entries themselves, at most 2.5e27 at (100, 8), are representable.
+        got = displacement_matrix(alpha, cutoff, include_gaussian=False)
+        want = tail_factored_direct(complex(alpha), cutoff)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize(
+        "alpha, cutoff, message",
+        [
+            (1e30, 8, "an entry passes the float limit 1.79769e+308: largest |alpha| 1e+30, cutoff 8"),
+            (1e160, 1, "|alpha|^2 is not finite: largest |alpha| 1e+160 > limit 1.34078e+154, cutoff 1"),
+        ],
+        ids=["entries", "square"],
+    )
+    def test_tail_factored_entries_past_the_float_range_raise(self, alpha, cutoff, message):
+        with pytest.raises(ValueError) as caught:
+            displacement_matrix(alpha, cutoff, include_gaussian=False)
+        assert str(caught.value) == message
 
     def test_rejects_matrix_of_amplitudes(self):
         with pytest.raises(ValueError, match="1-D"):
