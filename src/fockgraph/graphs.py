@@ -132,7 +132,8 @@ def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:
     displacement = params.displacements()
     if displacement.shape != (spec.modes - 1,):
         raise ValueError(f"expected {spec.modes - 1} parameter pairs, got {displacement.shape[0]}")
-    return spec.phi[:, 1:] @ displacement
+    with np.errstate(over="ignore", invalid="ignore"):  # a point near the float maximum gives inf or NaN amplitudes
+        return spec.phi[:, 1:] @ displacement
 
 
 def graph_generator(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
