@@ -67,6 +67,10 @@ class GeneratorParams:
     def displacements(self) -> np.ndarray:
         return self._displacements
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor, so their arrays are read-only too.
+        return type(self), (self.radii, self.phases)
+
 
 def seed_basis(spec: GraphSpec) -> np.ndarray:
     """Columns k = 0..cutoff: (a^dag along phi's first column)^k / sqrt(k!) |vac>.

@@ -76,6 +76,10 @@ class GraphSpec:
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor, so their phi is read-only too.
+        return type(self), (self.phi, self.modes, self.cutoff)
+
     @property
     def space(self) -> ModeSpace:
         return ModeSpace(self.modes, self.cutoff)

@@ -101,6 +101,10 @@ class RadialScheme:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor, so their arrays are read-only too.
+        return type(self), (self.nodes, self.weights)
+
 
 @dataclass(frozen=True, eq=False)
 class AngularScheme:

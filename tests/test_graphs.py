@@ -1,6 +1,8 @@
 """Operator-graph tests: seed projectors, generators, anticliques, compression."""
 
+import copy
 import math
+import pickle
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -56,6 +58,11 @@ from oracles import (
 )
 
 
+# A shallow copy, a deep copy and a pickle round trip: each rebuilds through the constructor.
+COPIES = [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
+COPY_IDS = ["copy", "deepcopy", "pickle"]
+
+
 def block(op, mask):
     idx = np.flatnonzero(mask)
     return op[np.ix_(idx, idx)]
@@ -95,6 +102,13 @@ class TestGraphSpec:
         spec = GraphSpec(phi=phi, modes=2, cutoff=4)
         phi[0, 0] = 1.0
         assert np.array_equal(spec.phi, dft_matrix(2))
+
+    @pytest.mark.parametrize("duplicate", COPIES, ids=COPY_IDS)
+    def test_copies_keep_phi_read_only(self, duplicate):
+        spec = GraphSpec(phi=dft_matrix(3), modes=3, cutoff=4)
+        copied = duplicate(spec)
+        assert copied is not spec and (copied.modes, copied.cutoff) == (3, 4)
+        assert not copied.phi.flags.writeable and copied.phi.tobytes() == spec.phi.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -148,6 +162,19 @@ class TestGeneratorParams:
         displacement = params.displacements()
         assert params.displacements() is displacement
         assert displacement.tobytes() == (params.radii * np.exp(1j * params.phases)).tobytes()
+
+    @pytest.mark.parametrize("duplicate", COPIES, ids=COPY_IDS)
+    def test_copies_keep_arrays_read_only(self, duplicate):
+        # A copy's stored displacement must be its own radii's: writable radii would let the two drift apart.
+        params = GeneratorParams(radii=[0.3, 1.2, 0.0], phases=[0.1, 2.5, 4.0])
+        copied = duplicate(params)
+        assert copied is not params
+        for name in ("radii", "phases"):
+            array = getattr(copied, name)
+            assert not array.flags.writeable and array.tobytes() == getattr(params, name).tobytes()
+        displacement = copied.displacements()
+        assert not displacement.flags.writeable and displacement.tobytes() == params.displacements().tobytes()
+        assert displacement.tobytes() == (copied.radii * np.exp(1j * copied.phases)).tobytes()
 
 
 class TestSeedProjector:

@@ -1,8 +1,10 @@
 """Quadrature tests: Gauss-Laguerre rules and identity integrators."""
 
 import cmath
+import copy
 import itertools
 import math
+import pickle
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -626,6 +628,19 @@ class TestRadialScheme:
         scheme = RadialScheme(nodes=nodes, weights=weights)
         nodes[0], weights[0] = -1.0, 3.0
         assert scheme.nodes.tolist() == [0.5, 2.0] and scheme.weights.tolist() == [0.75, 0.25]
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_arrays_read_only(self, duplicate):
+        scheme = gauss_laguerre(5)
+        copied = duplicate(scheme)
+        assert copied is not scheme
+        for name in ("nodes", "weights"):
+            array = getattr(copied, name)
+            assert not array.flags.writeable and array.tobytes() == getattr(scheme, name).tobytes()
 
 
 @pytest.mark.parametrize(
