@@ -77,14 +77,17 @@ MUTANTS = [
             "[3-8-0-None]",
         ),
     ),
-    # A point whose Gaussian rounds to 0 gets zero factors without the kernel, which turns inf * 0 into NaN.
+    # A point whose Gaussian rounds to 0 gets zero factors without the kernel.  The kernel gives a finite far
+    # amplitude a zero block itself, but refuses the inf and NaN amplitudes of a point near the float maximum.
     Mutant(
         GRAPHS,
         "        live = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1)) > 0.0",
         "        live = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1)) >= 0.0",
         (
-            "tests/test_cli.py::TestExitCodes::test_generator_past_its_gaussian_adds_nothing",
-            "tests/test_cli.py::TestExitCodes::test_anticlique_past_its_gaussian_cannot_be_checked",
+            "tests/test_cli.py::TestExitCodes::test_far_point_takes_the_outcome_of_its_zero_gaussian"
+            "[generator-3-two-radii-1.7e+308]",
+            "tests/test_cli.py::TestExitCodes::test_far_point_takes_the_outcome_of_its_zero_gaussian"
+            "[anticlique-3-two-radii-1.7e+308]",
         ),
     ),
     # graph_generator's ladder is sqrt(k!) times the level convolution: without the scale level k shrinks by 1/k!.
@@ -363,7 +366,8 @@ MUTANTS = [
     ),
     # A point's displacement is r e^{i theta}.  Conjugated, every compression_constant stays (|g - a| is invariant
     # under conjugation), and the oracles read the same stored value: only a test that forms r e^{i theta} itself
-    # shows it.  The comparison set does not: at n=2 its DFT phi is real, so conjugation is a symmetry there.
+    # shows it, or the comparison set's anticlique with a non-DFT phi (the DFT phi's conjugate is itself with its
+    # modes permuted, so conjugation is a symmetry of every other case).
     Mutant(
         GRAPHS,
         "radii * np.exp(1j * phases)",
@@ -371,9 +375,48 @@ MUTANTS = [
         (
             "tests/test_graphs.py::TestGeneratorParams::test_displacement_is_formed_once",
             "tests/test_graphs.py::TestGraphGenerator::test_displaces_by_r_e_i_theta",
+            "tests/test_golden_reports.py::test_comparison_set_matches_golden_file",
         ),
     ),
-    # Past cutoff ln|alpha| <= ln(float max) alpha^cutoff is inf, and inf times the ratio's 0 is a NaN entry.
+    # A point near the float maximum has inf or NaN per-mode amplitudes; without errstate numpy warns forming them.
+    Mutant(
+        GRAPHS,
+        'with np.errstate(over="ignore", invalid="ignore"):  # a point near the float maximum',
+        "if True:  # a point near the float maximum",
+        (
+            "tests/test_cli.py::TestExitCodes::test_far_point_takes_the_outcome_of_its_zero_gaussian"
+            "[generator-3-two-radii-1.7e+308]",
+            "tests/test_cli.py::TestExitCodes::test_far_point_takes_the_outcome_of_its_zero_gaussian"
+            "[anticlique-3-two-radii-1.7e+308]",
+        ),
+    ),
+    # Past the Gaussian edge the block is zero; formed instead, (1e30, 8) overflows and 1e160 cannot be squared.
+    Mutant(
+        FOCK,
+        "    dead = [include_gaussian and _GAUSSIAN_EDGE < m < math.inf for m in magnitudes]",
+        "    dead = [False for m in magnitudes]",
+        ("tests/test_fock.py::TestDisplacementMatrix::test_zero_block_where_the_gaussian_rounds_to_zero",),
+    ),
+    # Where Szego's bound asks for too large a shift, the entries are formed again under the tighter bound.
+    Mutant(
+        FOCK,
+        "        entries[broken] = _scaled_entries(",
+        "        entries[broken] = 0 * _scaled_entries(",
+        ("tests/test_fock.py::TestDisplacementMatrix::test_tail_factored_far_amplitude_is_formed",),
+    ),
+    # covariant_gs is convergence on the one-rung ladder at its own cutoff.
+    Mutant(
+        "src/fockgraph/runner.py",
+        "    for cutoff in cfg.cutoff_ladder or (cfg.cutoff,):",
+        "    for cutoff in cfg.cutoff_ladder or (cfg.cutoff + 1,):",
+        (
+            "tests/test_quadrature.py::TestExactRule::test_default_displaced_rule_is_exact",
+            "tests/test_perfbench_contract.py::test_traced_experiments_pass_and_count_nodes",
+            "tests/test_golden_reports.py::test_comparison_set_matches_golden_file",
+        ),
+    ),
+    # Past cutoff ln|alpha| <= ln(float max) alpha^cutoff is inf, and inf times the ratio's 0 is a NaN entry: the
+    # kernel still refuses it, but only as an entry past the float range.
     Mutant(
         FOCK,
         "    if not np.isfinite(powers[-2]).all():",
