@@ -50,24 +50,18 @@ def laguerre_direct(n, order, x, scale=1):
 
 
 def tail_factored_direct(alpha: complex, cutoff: int) -> np.ndarray:
-    """sqrt(low!/(low + k)!) alpha^k L_low^(k)(|alpha|^2) below the diagonal and (-conj alpha)^k above, in
-    rationals but for the factorial ratio and its root, taken to 50 digits."""
+    """sqrt(low!/high!) alpha^k L_low^(k)(|alpha|^2), k = high - low, below the diagonal and with (-conj alpha)^k
+    above it, from the correctly rounded power, Laguerre value and factorial ratio."""
     re, im = Fraction(alpha.real), Fraction(alpha.imag)
-    square = re * re + im * im
     out = np.empty((cutoff + 1, cutoff + 1), dtype=complex)
-    with localcontext() as context:
-        context.prec = 50
-        for m in range(cutoff + 1):
-            for n in range(cutoff + 1):
-                low, high = min(m, n), max(m, n)
-                base, power = (re if m >= n else -re, im), (Fraction(1), Fraction(0))
-                for _ in range(high - low):
-                    power = (power[0] * base[0] - power[1] * base[1], power[0] * base[1] + power[1] * base[0])
-                terms = (Fraction((-1) ** i * math.comb(high, low - i), math.factorial(i)) for i in range(low + 1))
-                value = sum(term * square**i for i, term in enumerate(terms))
-                root = (Decimal(math.factorial(low)) / Decimal(math.factorial(high))).sqrt()
-                parts = [part * value for part in power]
-                out[m, n] = complex(*(float(root * Decimal(p.numerator) / Decimal(p.denominator)) for p in parts))
+    for m in range(cutoff + 1):
+        for n in range(cutoff + 1):
+            low, high = min(m, n), max(m, n)
+            base, power = (re if m >= n else -re, im), (Fraction(1), Fraction(0))
+            for _ in range(high - low):
+                power = (power[0] * base[0] - power[1] * base[1], power[0] * base[1] + power[1] * base[0])
+            root = math.sqrt(math.factorial(low) / math.factorial(high))
+            out[m, n] = root * complex(*map(float, power)) * laguerre_direct(low, high - low, re * re + im * im)
     return out
 
 
@@ -342,8 +336,8 @@ class TestDisplacementMatrix:
         assert math.exp(-0.5 * _GAUSSIAN_EDGE**2) > 0.0
         assert math.exp(-0.5 * math.nextafter(_GAUSSIAN_EDGE, math.inf) ** 2) == 0.0
 
-    # Past the edge every entry underflows to 0.  Unchecked, the kernel returned NaN here (the scaled Laguerre
-    # values underflow while the ratio or the power overflows) and raised OverflowError squaring 1e160.
+    # Past the edge every entry underflows to 0.  Formed, these blocks are NaN (the scaled Laguerre values
+    # underflow while the ratio or the power overflows), and squaring 1e160 raises OverflowError.
     @pytest.mark.parametrize(
         "alpha, cutoff",
         [(math.nextafter(_GAUSSIAN_EDGE, math.inf), 8), (100.0, 8), (1e3j, 16), (-1e30, 8), (1.3e154, 1), (1e160, 1)],
