@@ -90,10 +90,13 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
 
     Magnitudes are assembled in log space (log-factorials), so large n never
     overflows.  The squared norm falls short of 1 by exactly the
-    Poisson(|a|^2) tail beyond the cutoff.
+    Poisson(|a|^2) tail beyond the cutoff.  A non-finite alpha raises
+    ValueError.
     """
     _require_cutoff(cutoff)
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha is not finite: {alpha}")
     if alpha == 0:
         out = np.zeros(cutoff + 1, dtype=complex)
         out[0] = 1.0
@@ -112,7 +115,8 @@ def unnormalized_coherent(alpha, cutoff: int) -> np.ndarray:
     in Python complex arithmetic: its multiply is the schoolbook product,
     and each part is then multiplied by 1 / sqrt(m), as numpy's
     complex-by-real division does, so the bits are those of that division
-    stepped level by level in numpy.
+    stepped level by level in numpy.  Where an entry is not finite, past
+    the float range or from a non-finite alpha, it raises ValueError.
     """
     alpha = np.asarray(alpha, dtype=complex)
     inverse_roots = [1.0 / math.sqrt(m) for m in range(1, cutoff + 1)]
@@ -125,7 +129,10 @@ def unnormalized_coherent(alpha, cutoff: int) -> np.ndarray:
             value = complex(value.real * inverse, value.imag * inverse)
             column.append(value)
         columns.append(column)
-    return np.array(columns, dtype=complex).reshape(*alpha.shape, cutoff + 1)
+    out = np.array(columns, dtype=complex).reshape(*alpha.shape, cutoff + 1)
+    if not np.isfinite(out).all():
+        raise ValueError(f"an entry is not finite: largest |alpha| {np.abs(alpha).max()}, cutoff {cutoff}")
+    return out
 
 
 class _KernelGrid(NamedTuple):
@@ -190,25 +197,6 @@ def _power_ladders(amplitudes: list, signs: np.ndarray) -> np.ndarray:
     return np.stack([positive.T, negative.T], axis=1).reshape(2 * len(signs), len(amplitudes))
 
 
-def _scaled_entries(grid: _KernelGrid, powers: np.ndarray, s: np.ndarray, log_growth: np.ndarray) -> np.ndarray:
-    """Entries sqrt(n!/m!) alpha^k L_n^(k)(s), (rows, dim, K), the order's recurrence run on L * 2^-shift.
-
-    An order's shift keeps C(n + k, n) exp(``log_growth``), a bound on
-    |L_n^(k)(s)| at its deepest kept n, below exp(_LAGUERRE_LOG_CEILING); the
-    shift goes back in through the factorial ratio.  Where the float range
-    cannot hold a product, the entry is inf or NaN, without a warning.
-    """
-    rows, dim = grid.order.shape
-    shift = np.maximum(0.0, np.ceil((grid.log_bound + log_growth - _LAGUERRE_LOG_CEILING) / _LN2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.exp(grid.half_log_ratio + _LN2 * shift[grid.order])
-        # L_n^(k)(s) 2^-shift for n < rows and every order; values with n + k > cutoff are never read.
-        lag = laguerre_sequence(rows - 1, grid.orders, s, np.exp2(-shift))
-        # The grid is gathered amplitude-last, where each gather reads whole rows.
-        laguerre = np.take(lag.reshape(rows * dim, -1), grid.laguerre, axis=0)
-        return ratio * np.take(powers, grid.power, axis=0) * laguerre
-
-
 def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows: int | None = None) -> np.ndarray:
     """Exact matrix elements <m|D(alpha)|n> on the truncated ladder.
 
@@ -226,7 +214,10 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     repeated Python complex products, which are schoolbook products, and
     (-conj alpha)^k is (-1)^k conj(alpha^k), exactly, so D(-alpha) is
     bitwise D(alpha)^dag.  The grids that depend on the shape alone come
-    from :func:`_kernel_grid`.
+    from :func:`_kernel_grid`.  Where the bound |L_n^(k)(s)| <= C(n+k, n)
+    min(e^{s/2}, (1 + s)^n) at the deepest kept n passes e^690, order k's
+    recurrence runs scaled by a power of two, which the factorial ratio
+    puts back, so no Laguerre value overflows where the ratio underflows.
 
     With ``include_gaussian=False`` the exp(-|alpha|^2/2) prefactor is left
     out; quadrature code folds that factor into the radial weight instead.
@@ -249,18 +240,14 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     # and exp round differently in the last place), so that every entry keeps the bits of the scalar
     # closed form and reports reproduce byte for byte.
     batch = alphas.reshape(-1).tolist()
+    # With the Gaussian, a finite amplitude past the edge has a zero block.  It is formed at alpha = 0, so that
+    # neither its powers nor its square are taken, and the block is set to +0.0 at the end.
+    dead = [include_gaussian and _GAUSSIAN_EDGE < abs(a) < math.inf for a in batch]
+    batch = [0j if d else a for a, d in zip(batch, dead)]
     magnitudes = [abs(a) for a in batch]
-    # With the Gaussian, a finite amplitude past the edge has a zero block, decided before its powers or square.
-    dead = [include_gaussian and _GAUSSIAN_EDGE < m < math.inf for m in magnitudes]
-    if any(dead):
-        out = np.zeros((len(batch), rows, dim), dtype=complex)
-        live = np.logical_not(dead)
-        if live.any():
-            out[live] = displacement_matrix(alphas.reshape(-1)[live], cutoff, rows=rows)
-        return out if alphas.ndim else out[0]
 
     def not_finite(what: str, limit: float) -> ValueError:
-        largest = max(magnitudes)
+        largest = max(m for m, d in zip(magnitudes, dead) if not d)  # the messages name live amplitudes only
         return ValueError(f"{what} is not finite: largest |alpha| {largest} > limit {limit:.6g}, cutoff {cutoff}")
 
     grid = _kernel_grid(cutoff, rows)
@@ -271,20 +258,24 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
         s = np.array([m**2 for m in magnitudes])
     except OverflowError:  # at cutoff 1 or 2 alpha^cutoff can stay finite where |alpha|^2 does not
         raise not_finite("|alpha|^2", math.sqrt(np.finfo(float).max)) from None
-    # |L_n^(k)(s)| <= C(n + k, n) exp(s/2) (Szego).  Where that bound passes the ceiling, the recurrence runs
-    # scaled, so L_n^(k) cannot overflow to inf where sqrt(n!/m!) underflows to 0; below it no bit changes.
-    entries = _scaled_entries(grid, powers, s, 0.5 * s)
-    broken = ~np.isfinite(entries)
-    if broken.any():
-        # At large s that bound is loose: its shift overflows ratio * alpha^k where L * 2^-shift underflows, and
-        # inf * 0 is NaN.  Those entries are formed again under |L_n^(k)(s)| <= C(n + k, n) (1 + s)^n.
-        deepest = np.minimum(rows - 1, cutoff - grid.orders)
-        entries[broken] = _scaled_entries(grid, powers, s, np.minimum(0.5 * s, deepest * np.log1p(s)))[broken]
-        if not np.isfinite(entries).all():
-            limit, largest = np.finfo(float).max, max(magnitudes)
-            raise ValueError(f"an entry passes the float limit {limit:.6g}: largest |alpha| {largest}, cutoff {cutoff}")
+    # C(n + k, n) e^{s/2} is Szego's bound on |L_n^(k)(s)|, and C(n + k, n) (1 + s)^n bounds its sum term by term.
+    # Below the ceiling the shift is 0 and no bit changes.
+    deepest = np.minimum(rows - 1, cutoff - grid.orders)
+    growth = grid.log_bound + np.minimum(0.5 * s, deepest * np.log1p(s))
+    shift = np.maximum(0.0, np.ceil((growth - _LAGUERRE_LOG_CEILING) / _LN2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.exp(grid.half_log_ratio + _LN2 * shift[grid.order])
+        # L_n^(k)(s) 2^-shift for n < rows and every order; values with n + k > cutoff are never read.
+        lag = laguerre_sequence(rows - 1, grid.orders, s, np.exp2(-shift))
+        # The grid is gathered amplitude-last, where each gather reads whole rows.
+        laguerre = np.take(lag.reshape(rows * dim, -1), grid.laguerre, axis=0)
+        entries = ratio * np.take(powers, grid.power, axis=0) * laguerre
+    if not np.isfinite(entries).all():  # every live |alpha| is finite here, and a dead one reads 0
+        limit, largest = np.finfo(float).max, max(magnitudes)
+        raise ValueError(f"an entry passes the float limit {limit:.6g}: largest |alpha| {largest}, cutoff {cutoff}")
     # The copy hands back the (K, rows, dim) stack C-contiguous.
     out = np.ascontiguousarray(np.moveaxis(entries, -1, 0))
     if include_gaussian:
         out *= np.array([math.exp(-0.5 * v) for v in s])[:, None, None]
+        out[dead] = 0.0
     return out if alphas.ndim else out[0]

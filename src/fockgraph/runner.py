@@ -134,7 +134,8 @@ def _run_anticlique(cfg: ExperimentConfig) -> VerificationReport:
         result = compression_check(spec, anticlique, generators, trusted_block=cfg.trusted_block)
     except LadderUnderflow as exc:
         radius = math.hypot(*map(float, anticlique.radii))
-        raise _cannot_check(cfg, f"the anticlique ladder at radius {radius:.6g} underflows: {exc}") from exc
+        where = f"radius {radius:.6g}" if radius < math.inf else "a radius past the float maximum"
+        raise _cannot_check(cfg, f"the anticlique ladder at {where} underflows: {exc}") from exc
     return _report(
         cfg,
         result.max_abs_deviation,

@@ -258,7 +258,9 @@ class TestExitCodes:
         else:
             assert code == 2 and not out.exists()
             assert err.startswith(f"config error: anticlique at n {n}") and err.count("\n") == 1
-            assert "cannot be checked" in err and f"radius {math.hypot(*radii):.6g} underflows" in err
+            norm = math.hypot(*radii)  # past the float maximum for two radii at 1.7e308
+            where = f"radius {norm:.6g}" if norm < math.inf else "a radius past the float maximum"
+            assert "cannot be checked" in err and f"ladder at {where} underflows" in err
 
     @pytest.mark.parametrize("n, radii", [(2, [30.0]), (3, [25.0, 3.0])], ids=["n2-X30", "n3-X25-3"])
     def test_anticlique_ladder_underflow_cannot_be_checked(self, tmp_path, capsys, n, radii):

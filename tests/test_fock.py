@@ -231,6 +231,23 @@ class TestScalarLadders:
             chain = complex_product(chain, WIDE_AMPLITUDES) / math.sqrt(m + 1)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 1e200])
+def test_coherent_columns_refuse_what_the_kernel_refuses(alpha):
+    # The kernel refuses a non-finite alpha, and without the Gaussian one whose power passes the float range.
+    # With the Gaussian, 1e200 is past the edge and the kernel's column 0 is zero.
+    if math.isfinite(alpha):
+        assert np.array_equal(coherent_state(alpha, 4), displacement_matrix(alpha, 4)[:, 0])
+    else:
+        for call in (coherent_state, displacement_matrix):
+            with pytest.raises(ValueError, match="not finite"):
+                call(alpha, 4)
+    with pytest.raises(ValueError, match="alpha\\^cutoff is not finite"):
+        displacement_matrix(alpha, 4, include_gaussian=False)
+    with pytest.raises(ValueError) as caught:
+        unnormalized_coherent(np.array([0.5, alpha]), 4)
+    assert str(caught.value) == f"an entry is not finite: largest |alpha| {alpha}, cutoff 4"
+
+
 class TestDisplacementMatrix:
     def test_identity_at_zero(self):
         assert np.array_equal(displacement_matrix(0.0, 5), np.eye(6, dtype=complex))
@@ -350,10 +367,14 @@ class TestDisplacementMatrix:
         assert batch.shape == (3, dim, dim) and batch.flags.c_contiguous
         assert np.array_equal(batch[1], displacement_matrix(0.5 - 0.2j, cutoff)) and not batch[::2].any()
 
-    @pytest.mark.parametrize("alpha, cutoff", [(100.0, 8), (1e3, 16), (60 * cmath.exp(0.7j), 12)])
+    @pytest.mark.parametrize(
+        "alpha, cutoff",
+        [(100.0, 8), (1e3, 16), (60 * cmath.exp(0.7j), 12), (50.0, 24), (52.0, 12), (40.0, 16)],
+    )
     def test_tail_factored_far_amplitude_is_formed(self, alpha, cutoff):
-        # Szego's exp(s/2) asks for a shift that underflows the scaled Laguerre values while the ratio
-        # overflows; the entries themselves, at most 2.5e27 at (100, 8), are representable.
+        # Szego's exp(s/2) alone asks for a shift that underflows the scaled Laguerre values while the ratio
+        # overflows (the first three; the entries, at most 2.5e27 at (100, 8), are representable), or that
+        # rounds away their low bits: under it the last three read 1.1e-13, 1.3e-13 and 1.9e-14 relative.
         got = displacement_matrix(alpha, cutoff, include_gaussian=False)
         want = tail_factored_direct(complex(alpha), cutoff)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

@@ -393,15 +393,23 @@ MUTANTS = [
     # Past the Gaussian edge the block is zero; formed instead, (1e30, 8) overflows and 1e160 cannot be squared.
     Mutant(
         FOCK,
-        "    dead = [include_gaussian and _GAUSSIAN_EDGE < m < math.inf for m in magnitudes]",
-        "    dead = [False for m in magnitudes]",
+        "    dead = [include_gaussian and _GAUSSIAN_EDGE < abs(a) < math.inf for a in batch]",
+        "    dead = [False for a in batch]",
         ("tests/test_fock.py::TestDisplacementMatrix::test_zero_block_where_the_gaussian_rounds_to_zero",),
     ),
-    # Where Szego's bound asks for too large a shift, the entries are formed again under the tighter bound.
+    # A dead amplitude is formed at alpha = 0: without the assignment its block is D(0), the identity.
     Mutant(
         FOCK,
-        "        entries[broken] = _scaled_entries(",
-        "        entries[broken] = 0 * _scaled_entries(",
+        "        out[dead] = 0.0\n",
+        "",
+        ("tests/test_fock.py::TestDisplacementMatrix::test_zero_block_where_the_gaussian_rounds_to_zero",),
+    ),
+    # Under Szego's bound alone the shift is too large at large s: the scaled Laguerre values underflow while the
+    # ratio overflows, or lose their low bits.
+    Mutant(
+        FOCK,
+        "np.minimum(0.5 * s, deepest * np.log1p(s))",
+        "0.5 * s",
         ("tests/test_fock.py::TestDisplacementMatrix::test_tail_factored_far_amplitude_is_formed",),
     ),
     # covariant_gs is convergence on the one-rung ladder at its own cutoff.
