@@ -225,8 +225,7 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     rounds to 0, gives a zero matrix.  Every entry returned is finite.  An
     alpha whose alpha^cutoff is not finite, past the limit cutoff ln|alpha|
     <= ln(float max) = 709.78 or itself not finite, raises ValueError, and
-    so, without the Gaussian, does one whose |alpha|^2 or entries pass the
-    float range.
+    so, without the Gaussian, does one whose entries pass the float range.
     """
     _require_cutoff(cutoff)
     alphas = np.asarray(alpha, dtype=complex)
@@ -245,25 +244,20 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     dead = [include_gaussian and _GAUSSIAN_EDGE < abs(a) < math.inf for a in batch]
     batch = [0j if d else a for a, d in zip(batch, dead)]
     magnitudes = [abs(a) for a in batch]
-
-    def not_finite(what: str, limit: float) -> ValueError:
-        largest = max(m for m, d in zip(magnitudes, dead) if not d)  # the messages name live amplitudes only
-        return ValueError(f"{what} is not finite: largest |alpha| {largest} > limit {limit:.6g}, cutoff {cutoff}")
-
     grid = _kernel_grid(cutoff, rows)
     powers = _power_ladders(batch, grid.signs)
     if not np.isfinite(powers[-2]).all():  # cutoff ln|alpha| > ln(float max), or a non-finite alpha
-        raise not_finite("alpha^cutoff", math.exp(math.log(np.finfo(float).max) / cutoff))
-    try:
-        s = np.array([m**2 for m in magnitudes])
-    except OverflowError:  # at cutoff 1 or 2 alpha^cutoff can stay finite where |alpha|^2 does not
-        raise not_finite("|alpha|^2", math.sqrt(np.finfo(float).max)) from None
-    # C(n + k, n) e^{s/2} is Szego's bound on |L_n^(k)(s)|, and C(n + k, n) (1 + s)^n bounds its sum term by term.
-    # Below the ceiling the shift is 0 and no bit changes.
-    deepest = np.minimum(rows - 1, cutoff - grid.orders)
-    growth = grid.log_bound + np.minimum(0.5 * s, deepest * np.log1p(s))
-    shift = np.maximum(0.0, np.ceil((growth - _LAGUERRE_LOG_CEILING) / _LN2))
+        limit = math.exp(math.log(np.finfo(float).max) / cutoff)
+        largest = max(m for m, d in zip(magnitudes, dead) if not d)  # the message names live amplitudes only
+        raise ValueError(f"alpha^cutoff is not finite: largest |alpha| {largest} > limit {limit:.6g}, cutoff {cutoff}")
+    # The IEEE product is the correctly rounded square, and past the float range it is inf, which the final check meets.
+    s = np.array([m * m for m in magnitudes])
     with np.errstate(over="ignore", invalid="ignore"):
+        # C(n + k, n) e^{s/2} is Szego's bound on |L_n^(k)(s)|, and C(n + k, n) (1 + s)^n bounds its sum term by
+        # term.  Below the ceiling the shift is 0 and no bit changes.
+        deepest = np.minimum(rows - 1, cutoff - grid.orders)
+        growth = grid.log_bound + np.minimum(0.5 * s, deepest * np.log1p(s))
+        shift = np.maximum(0.0, np.ceil((growth - _LAGUERRE_LOG_CEILING) / _LN2))
         ratio = np.exp(grid.half_log_ratio + _LN2 * shift[grid.order])
         # L_n^(k)(s) 2^-shift for n < rows and every order; values with n + k > cutoff are never read.
         lag = laguerre_sequence(rows - 1, grid.orders, s, np.exp2(-shift))

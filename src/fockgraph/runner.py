@@ -98,8 +98,7 @@ def _rng(cfg: ExperimentConfig) -> np.random.Generator:
 
 def _run_gs(cfg: ExperimentConfig) -> VerificationReport:
     scheme = polar_scheme(cfg.radial_order, cfg.angular_order)
-    side = cfg.trusted_block + 1
-    max_abs, frobenius = _identity_deviations(coherent_identity(cfg.cutoff, scheme)[:side, :side])
+    max_abs, frobenius = _identity_deviations(coherent_identity(cfg.trusted_block, scheme))
     return _report(cfg, max_abs, frobenius)
 
 

@@ -354,7 +354,7 @@ class TestDisplacementMatrix:
         assert math.exp(-0.5 * math.nextafter(_GAUSSIAN_EDGE, math.inf) ** 2) == 0.0
 
     # Past the edge every entry underflows to 0.  Formed, these blocks are NaN (the scaled Laguerre values
-    # underflow while the ratio or the power overflows), and squaring 1e160 raises OverflowError.
+    # underflow while the ratio or the power overflows), and 1e160 squared is inf.
     @pytest.mark.parametrize(
         "alpha, cutoff",
         [(math.nextafter(_GAUSSIAN_EDGE, math.inf), 8), (100.0, 8), (1e3j, 16), (-1e30, 8), (1.3e154, 1), (1e160, 1)],
@@ -383,7 +383,8 @@ class TestDisplacementMatrix:
         "alpha, cutoff, message",
         [
             (1e30, 8, "an entry passes the float limit 1.79769e+308: largest |alpha| 1e+30, cutoff 8"),
-            (1e160, 1, "|alpha|^2 is not finite: largest |alpha| 1e+160 > limit 1.34078e+154, cutoff 1"),
+            # 1e160 squared is inf, and the entries formed from it are not finite.
+            (1e160, 1, "an entry passes the float limit 1.79769e+308: largest |alpha| 1e+160, cutoff 1"),
         ],
         ids=["entries", "square"],
     )
@@ -391,6 +392,11 @@ class TestDisplacementMatrix:
         with pytest.raises(ValueError) as caught:
             displacement_matrix(alpha, cutoff, include_gaussian=False)
         assert str(caught.value) == message
+
+    def test_squared_modulus_is_the_correctly_rounded_product(self):
+        # Entry (1, 1) without the Gaussian is L_1(s) = 1 - s.  glibc's pow(x, 2), x**2, is one ulp off x * x here.
+        x = 34.11451446950815
+        assert displacement_matrix(x, 1, include_gaussian=False)[1, 1] == 1 - x * x
 
     def test_rejects_matrix_of_amplitudes(self):
         with pytest.raises(ValueError, match="1-D"):
