@@ -12,7 +12,9 @@ cutoffs 56 and 63, ``anticlique`` at n = 2 cutoff 56), the largest n = 2
 ``anticlique`` box (cutoff 89), an n = 2 ``anticlique`` with 64 generators,
 ``resolution``, ``projection`` and ``anticlique`` with a non-DFT ``phi`` at
 n = 3 (the DFT ``phi``'s conjugate is itself with its modes permuted, so only
-such a ``phi`` shows a conjugated displacement phase),
+such a ``phi`` shows a conjugated displacement phase), ``anticlique`` at
+n = 3 cutoff 12 and n = 2 cutoff 20, where two rows of a ladder GEMM fit
+``SERIAL_GEMM_MACS`` and eight do not,
 ``projection`` with large grades (n = 3 cutoff 16, n = 2 cutoff 40, n = 4
 cutoff 8), at n = 5 (cutoff 5), with trusted boxes past ``cutoff // n``
 and where its quadrature comparison decides a FAIL (aliased rules at n = 2
@@ -170,6 +172,8 @@ CASES = [
         for block in (600, 800, 1000, 1200)
     ),
     ("anticlique n3 c16 fixed phi", {"experiment": "anticlique", "n": 3, "cutoff": 16, "phi": FIXED_PHI}),
+    ("anticlique n3 c12", {"experiment": "anticlique", "n": 3, "cutoff": 12}),
+    ("anticlique n2 c20 seed 1", {"experiment": "anticlique", "n": 2, "cutoff": 20, "seed": 1}),
 ]
 
 
