@@ -137,7 +137,7 @@ def displaced_mode_amplitudes(spec: GraphSpec, params) -> np.ndarray:
     if displacement.shape != (spec.modes - 1,):
         raise ValueError(f"expected {spec.modes - 1} parameter pairs, got {displacement.shape[0]}")
     with np.errstate(over="ignore", invalid="ignore"):  # a point near the float maximum gives inf or NaN amplitudes
-        return spec.phi[:, 1:] @ displacement
+        return serial_matmul(spec.phi[:, 1:], displacement[:, None])[:, 0]
 
 
 def graph_generator(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
@@ -244,10 +244,9 @@ def compression_check(
     (cutoff+1)^3 entries), and one chunk's factors with the kernel's stack
     (:func:`_factored_grams`), so no array grows with the generator count,
     and the runner's four points take one chunk, one kernel call and one M
-    product at every size MAX_DIM admits.  Where eight output rows of a ladder GEMM
-    fit SERIAL_GEMM_MACS (up to n=2 cutoff 19, n=3 cutoff 8 and n=4 cutoff
-    5), S and Y_t K are also cut into row blocks within it, and no BLAS
-    worker thread is woken.
+    product at every size MAX_DIM admits.  S, Y_t K and the two rank-space
+    products of the Frobenius norm go through serial_matmul too, whose rule
+    is the check's one threading decision.
 
     The full-matrix comparison is limited by the mass the top ladder states
     lose to truncation (first order in that loss); the identity is exact in
@@ -260,7 +259,7 @@ def compression_check(
     residual = _compression_residual(spec, anticlique, generators, weights, trusted_block)
     ladder, deviation, overlap = residual.ladder, residual.deviation, residual.overlap
     # tr(K S K^dag S) is >= 0 but can round below it where the residual vanishes; NaN passes max().
-    squares = float(np.sum((deviation @ overlap) * (overlap @ deviation).conj()).real)
+    squares = float(np.sum(serial_matmul(deviation, overlap) * serial_matmul(overlap, deviation).conj()).real)
     frobenius = math.sqrt(max(squares, 0.0)) / residual.overlap_norm
 
     max_abs = _residual_max_abs(residual.scaled, ladder)
@@ -290,26 +289,20 @@ def _compression_residual(spec, anticlique, generators, weights, trusted_block) 
         predicted += weight * compression_constant(anticlique, generator)
 
     rank = spec.cutoff + 1
-    entries = spec.space.dim * rank
-    # Where eight output rows of a GEMM (dim * rank multiply-adds each) fit the serial budget, every GEMM
-    # is cut into row blocks that OpenBLAS runs on the calling thread; wider ones are faster threaded.
-    serial = 8 * entries <= SERIAL_GEMM_MACS
-    matmul = serial_matmul if serial else np.matmul
-
     shifts = np.array([displaced_mode_amplitudes(spec, params) for params in (anticlique, *generators)])
     ladder, combined = _factored_grams(spec, shifts, np.array(weights))
     plan = _sector_plan(spec.modes, rank)
     # Y_t: the box plan's rows with every occupation <= top, top sector first, so S sums small entries first.
     positions = plan.order if top == spec.cutoff else plan.order[np.all(plan.occupations <= top, axis=1)]
     ladder = ladder[positions[::-1]]  # the factored ladder's rows are in box order
-    overlap = matmul(ladder.conj().T, ladder)
+    overlap = serial_matmul(ladder.conj().T, ladder)
     overlap_norm = float(np.linalg.norm(overlap))
     if overlap_norm == 0.0:
         # Far out, exp(-|h_x|^2/2) leaves S too small to square: c and the Frobenius ratio are 0/0.
         raise LadderUnderflow("||Y_t^dag Y_t||_F rounds to 0 on the trusted box")
     measured = complex(np.sum(combined * overlap.T)) / complex(np.trace(overlap))
     deviation = combined - measured * np.eye(rank)
-    scaled = matmul(ladder, deviation)
+    scaled = serial_matmul(ladder, deviation)
     return _Residual(ladder, scaled, deviation, overlap, overlap_norm, measured, predicted)
 
 

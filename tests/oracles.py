@@ -67,7 +67,7 @@ from fockgraph import (
 from fockgraph.graphs import _compression_residual
 from fockgraph.multimode import ModeSpace, _sector_plan
 from fockgraph.quadrature import (
-    CHUNK_ENTRIES, SERIAL_GEMM_MACS, _graded_ladder, _predecessors, coherent_identity, serial_matmul
+    CHUNK_ENTRIES, _graded_ladder, _predecessors, coherent_identity, serial_matmul
 )
 
 
@@ -554,21 +554,20 @@ def full_residual_deviations(spec, anticlique, generators, weights=None, trusted
 
     The check's own ladders, ``M``, scalar and ``Y_t (M - c I)`` (its
     ``_compression_residual``), then the residual row block by row block
-    in row order, with the max and the sum of squares of the magnitudes of
-    each block.  Returns the max-abs, the Frobenius deviation and the
-    (row, column) of the max entry in ``Y_t``'s row order, the first in
-    row-major order where entries tie.
+    in row order, blocks of at most CHUNK_ENTRIES entries, each product by
+    ``serial_matmul``, with the max and the sum of squares of the
+    magnitudes of each block.  Returns the max-abs, the Frobenius deviation
+    and the (row, column) of the max entry in ``Y_t``'s row order, the
+    first in row-major order where entries tie.
     """
     residual = _compression_residual(spec, anticlique, generators, weights, trusted_block)
     ladder, scaled = residual.ladder, residual.scaled
     adjoint = ladder.conj().T
-    rank = spec.cutoff + 1
-    serial = 8 * spec.space.dim * rank <= SERIAL_GEMM_MACS
-    rows = SERIAL_GEMM_MACS // (len(ladder) * rank) if serial else max(1, CHUNK_ENTRIES // len(ladder))
+    rows = max(1, CHUNK_ENTRIES // len(ladder))
     max_abs = squares = 0.0
     entry = (0, 0)
     for start in range(0, len(ladder), rows):
-        magnitude = np.abs(scaled[start : start + rows] @ adjoint)
+        magnitude = np.abs(serial_matmul(scaled[start : start + rows], adjoint))
         row, column = np.unravel_index(np.argmax(magnitude), magnitude.shape)
         if magnitude[row, column] > max_abs:
             max_abs, entry = float(magnitude[row, column]), (start + int(row), int(column))

@@ -1118,6 +1118,35 @@ class TestFactoredGrams:
         assert serial == [*convolution, *grams, (rank, count * rank, rank)]
         assert all(2 <= rows and rows * k * n <= SERIAL_GEMM_MACS for rows, k, n in gemms)
 
+    # Two rows of a ladder GEMM fit SERIAL_GEMM_MACS at these sizes and eight do not; S at n=3 cutoff 12 whole
+    # would be one GEMM of 13 x 2197 x 13 multiply-adds.
+    @pytest.mark.parametrize("modes, cutoff", [(3, 12), (4, 6), (2, 24)], ids=["n3-c12", "n4-c6", "n2-c24"])
+    def test_check_products_go_through_serial_matmul(self, monkeypatch, modes, cutoff):
+        case = runner_case(modes, cutoff, 0)
+        expected = compression_check(*case)
+        serial, gemms = [], []
+        matmul = np.matmul
+
+        def recording_serial(a, b):
+            serial.append((*a.shape, b.shape[-1]))
+            return serial_matmul(a, b)
+
+        def recording(x, y, **kwargs):
+            gemms.append(x.shape[-2:] + y.shape[-1:])
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(fockgraph.graphs, "serial_matmul", recording_serial)
+        monkeypatch.setattr(np, "matmul", recording)
+        got = compression_check(*case)
+        monkeypatch.undo()
+        assert got == expected
+        rank, dim = cutoff + 1, case[0].space.dim
+        # S = Y_t^dag Y_t, Y_t K, then K S and S K of the rank-space Frobenius norm.
+        at = serial.index((rank, dim, rank))
+        assert serial[at : at + 4] == [(rank, dim, rank), (dim, rank, rank), (rank, rank, rank), (rank, rank, rank)]
+        assert 2 * dim * rank <= SERIAL_GEMM_MACS < 8 * dim * rank
+        assert all(rows * k * n <= SERIAL_GEMM_MACS for rows, k, n in gemms)
+
     def test_gram_convolution_batches_match_one_point_at_a_time(self, monkeypatch):
         # 30 points at L = 17 go in batches of 13, 13 and 4 (13 L^3 <= CHUNK_ENTRIES), one stacked product
         # per batch and mode after the first; each point's G is bitwise its own one-point convolution.
@@ -1279,8 +1308,8 @@ class TestSimplexClosedForms:
 class TestResidualPruning:
     """The pruned max-abs sweep and the rank-space Frobenius norm against the full residual."""
 
-    # n=2 cutoff 24 has wider GEMMs than SERIAL_GEMM_MACS, so its blocks are threaded and larger.  At seed 1
-    # the two sweeps round the max entry 1 ulp apart.
+    # At n=2 cutoff 24 two ladder rows fit SERIAL_GEMM_MACS and eight do not: S and Y_t K go through
+    # serial_matmul's row blocks all the same.  At suite seed 1 the two sweeps round the max entry 1 ulp apart.
     @pytest.mark.parametrize(
         "modes, cutoff, seed, trusted_block",
         [
