@@ -32,6 +32,8 @@ _LAGUERRE_LOG_CEILING = 690.0
 _LN2 = math.log(2.0)
 # The largest |alpha| whose exp(-|alpha|^2/2) is positive: past it the Gaussian rounds to 0.
 _GAUSSIAN_EDGE = 38.60396920271129
+# exp(-x) is a normal float up to x = 708: the normal range ends at 2^-1022 = exp(-708.40).
+_NORMAL_LOG_FLOOR = 708.0
 
 
 def _require_cutoff(cutoff: int) -> None:
@@ -218,6 +220,8 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     min(e^{s/2}, (1 + s)^n) at the deepest kept n passes e^690, order k's
     recurrence runs scaled by a power of two, which the factorial ratio
     puts back, so no Laguerre value overflows where the ratio underflows.
+    Past |alpha| = 37.64, where exp(-|alpha|^2/2) is subnormal, the ratio
+    carries its powers of two below the normal range too.
 
     With ``include_gaussian=False`` the exp(-|alpha|^2/2) prefactor is left
     out; quadrature code folds that factor into the radial weight instead.
@@ -258,7 +262,9 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
         deepest = np.minimum(rows - 1, cutoff - grid.orders)
         growth = grid.log_bound + np.minimum(0.5 * s, deepest * np.log1p(s))
         shift = np.maximum(0.0, np.ceil((growth - _LAGUERRE_LOG_CEILING) / _LN2))
-        ratio = np.exp(grid.half_log_ratio + _LN2 * shift[grid.order])
+        # The powers of two by which exp(-s/2) passes below the normal range; the remainder is multiplied in last.
+        carry = np.maximum(0.0, np.ceil((0.5 * s - _NORMAL_LOG_FLOOR) / _LN2)) if include_gaussian else np.zeros_like(s)
+        ratio = np.exp(grid.half_log_ratio + _LN2 * (shift - carry)[grid.order])
         # L_n^(k)(s) 2^-shift for n < rows and every order; values with n + k > cutoff are never read.
         lag = laguerre_sequence(rows - 1, grid.orders, s, np.exp2(-shift))
         # The grid is gathered amplitude-last, where each gather reads whole rows.
@@ -270,6 +276,6 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     # The copy hands back the (K, rows, dim) stack C-contiguous.
     out = np.ascontiguousarray(np.moveaxis(entries, -1, 0))
     if include_gaussian:
-        out *= np.array([math.exp(-0.5 * v) for v in s])[:, None, None]
+        out *= np.array([math.exp(-0.5 * v + _LN2 * c) for v, c in zip(s, carry)])[:, None, None]
         out[dead] = 0.0
     return out if alphas.ndim else out[0]

@@ -379,6 +379,26 @@ class TestDisplacementMatrix:
         want = tail_factored_direct(complex(alpha), cutoff)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
+    @pytest.mark.parametrize("magnitude", [38.0, 38.3, 38.6])
+    def test_normal_entries_keep_their_bits_where_the_gaussian_is_subnormal(self, magnitude):
+        # Past |alpha| = 37.64 exp(-|alpha|^2/2) is below the normal range.  Multiplied in as that float, it left
+        # the worst entry that is a normal float 4.6e-11, 3.3e-6 and 0.72 relative off here.
+        alpha, cutoff = magnitude * cmath.exp(0.7j), 24
+        got = displacement_matrix(alpha, cutoff)
+        with localcontext() as context:
+            context.prec = 60
+            re, im = Decimal(alpha.real), Decimal(alpha.imag)
+            gaussian = (-(re * re + im * im) / 2).exp()
+            want = np.array(
+                [
+                    complex(float(Decimal(z.real) * gaussian), float(Decimal(z.imag) * gaussian))
+                    for z in tail_factored_direct(alpha, cutoff).ravel()
+                ]
+            ).reshape(got.shape)
+        normal = np.abs(want) >= np.finfo(float).tiny
+        assert normal.sum() >= 100
+        assert np.all(np.abs(got - want)[normal] <= 2e-13 * np.abs(want)[normal])
+
     @pytest.mark.parametrize(
         "alpha, cutoff, message",
         [
