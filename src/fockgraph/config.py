@@ -134,7 +134,7 @@ class ExperimentConfig:
 
 def dft_matrix(n: int) -> np.ndarray:
     """Discrete-Fourier unitary of size n, built fresh and writable."""
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    j, k = np.arange(n)[:, None], np.arange(n)
     return np.exp(-2j * math.pi * j * k / n) / math.sqrt(n)
 
 

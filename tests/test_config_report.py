@@ -31,6 +31,12 @@ class TestParseConfig:
         assert cfg.cutoff == 16
         assert np.abs(cfg.phi - dft_matrix(2)).max() < 1e-12
 
+    def test_dft_matrix_is_bitwise_the_meshgrid_form(self):
+        # The broadcast index grids take the same elementwise steps as the meshgrid form they replace.
+        for n in range(1, 91):
+            j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+            assert dft_matrix(n).tobytes() == (np.exp(-2j * math.pi * j * k / n) / math.sqrt(n)).tobytes()
+
     def test_missing_experiment_field(self, tmp_path):
         path = write_config(tmp_path, {"cutoff": 8})
         with pytest.raises(ConfigError, match="experiment"):
