@@ -441,6 +441,24 @@ MUTANTS = [
             "tests/test_fock.py::TestDisplacementMatrix::test_rejects_a_non_finite_amplitude",
         ),
     ),
+    # The check's own threading switch restored: S taken whole, for BLAS to thread, once eight rows pass the budget.
+    Mutant(
+        GRAPHS,
+        "    overlap = serial_matmul(ladder.conj().T, ladder)\n",
+        "    matmul = serial_matmul if 8 * ladder.size <= SERIAL_GEMM_MACS else np.matmul\n"
+        "    overlap = matmul(ladder.conj().T, ladder)\n",
+        ("tests/test_graphs.py::TestFactoredGrams::test_check_products_go_through_serial_matmul",),
+    ),
+    # Without the carry the Gaussian is multiplied in as a subnormal float past |alpha| = 37.64.
+    Mutant(
+        FOCK,
+        "np.maximum(0.0, np.ceil((0.5 * s - _NORMAL_LOG_FLOOR) / _LN2)) if include_gaussian else np.zeros_like(s)",
+        "np.zeros_like(s)",
+        (
+            "tests/test_fock.py::TestDisplacementMatrix::"
+            "test_normal_entries_keep_their_bits_where_the_gaussian_is_subnormal",
+        ),
+    ),
 ]
 
 
