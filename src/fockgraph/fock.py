@@ -256,14 +256,14 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
         raise ValueError(f"alpha^cutoff is not finite: largest |alpha| {largest} > limit {limit:.6g}, cutoff {cutoff}")
     # The IEEE product is the correctly rounded square, and past the float range it is inf, which the final check meets.
     s = np.array([m * m for m in magnitudes])
+    # With the Gaussian, the powers of two by which exp(-s/2) passes below the normal range: the ratio carries them.
+    carry = [max(0, math.ceil((0.5 * v - _NORMAL_LOG_FLOOR) / _LN2)) if include_gaussian else 0 for v in s.tolist()]
     with np.errstate(over="ignore", invalid="ignore"):
         # C(n + k, n) e^{s/2} is Szego's bound on |L_n^(k)(s)|, and C(n + k, n) (1 + s)^n bounds its sum term by
         # term.  Below the ceiling the shift is 0 and no bit changes.
         deepest = np.minimum(rows - 1, cutoff - grid.orders)
         growth = grid.log_bound + np.minimum(0.5 * s, deepest * np.log1p(s))
         shift = np.maximum(0.0, np.ceil((growth - _LAGUERRE_LOG_CEILING) / _LN2))
-        # The powers of two by which exp(-s/2) passes below the normal range; the remainder is multiplied in last.
-        carry = np.maximum(0.0, np.ceil((0.5 * s - _NORMAL_LOG_FLOOR) / _LN2)) if include_gaussian else np.zeros_like(s)
         ratio = np.exp(grid.half_log_ratio + _LN2 * (shift - carry)[grid.order])
         # L_n^(k)(s) 2^-shift for n < rows and every order; values with n + k > cutoff are never read.
         lag = laguerre_sequence(rows - 1, grid.orders, s, np.exp2(-shift))
@@ -276,6 +276,6 @@ def displacement_matrix(alpha, cutoff: int, include_gaussian: bool = True, rows:
     # The copy hands back the (K, rows, dim) stack C-contiguous.
     out = np.ascontiguousarray(np.moveaxis(entries, -1, 0))
     if include_gaussian:
-        out *= np.array([math.exp(-0.5 * v + _LN2 * c) for v, c in zip(s, carry)])[:, None, None]
+        out *= np.array([math.exp(-0.5 * v + _LN2 * c) for v, c in zip(s.tolist(), carry)])[:, None, None]
         out[dead] = 0.0
     return out if alphas.ndim else out[0]

@@ -452,8 +452,8 @@ MUTANTS = [
     # Without the carry the Gaussian is multiplied in as a subnormal float past |alpha| = 37.64.
     Mutant(
         FOCK,
-        "np.maximum(0.0, np.ceil((0.5 * s - _NORMAL_LOG_FLOOR) / _LN2)) if include_gaussian else np.zeros_like(s)",
-        "np.zeros_like(s)",
+        "max(0, math.ceil((0.5 * v - _NORMAL_LOG_FLOOR) / _LN2)) if include_gaussian else 0 for v",
+        "0 for v",
         (
             "tests/test_fock.py::TestDisplacementMatrix::"
             "test_normal_entries_keep_their_bits_where_the_gaussian_is_subnormal",
