@@ -58,11 +58,11 @@ def _load_configs(args) -> list:
     return default_suite(overrides)
 
 
-def _out_path(base: str, experiment: str, multiple: bool) -> str:
+def _out_path(base: str, experiment: str, multiple: bool, fmt: str) -> str:
     if not multiple:
         return base
     stem, ext = os.path.splitext(base)
-    return f"{stem}_{experiment}{ext or '.json'}"
+    return f"{stem}_{experiment}{ext or '.' + fmt}"
 
 
 def main(argv=None) -> int:
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
         multiple = len(reports) > 1
         for report in reports:
             if args.out:
-                emit_report(report, _out_path(args.out, report.experiment, multiple), args.format)
+                emit_report(report, _out_path(args.out, report.experiment, multiple, args.format), args.format)
             if not args.quiet:
                 verdict = "PASS" if report.passed else "FAIL"
                 line = (

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .fock import _read_only
 from .graphs import GeneratorParams
 from .multimode import validate_unitary
 from .quadrature import MAX_RADIAL_ORDER, exact_rule, gauss_laguerre
@@ -144,9 +145,7 @@ def _default_phi(n: int) -> np.ndarray:
 
     Every config that omits ``phi`` shares it: a write raises.
     """
-    phi = dft_matrix(n)
-    phi.flags.writeable = False
-    return phi
+    return _read_only(dft_matrix(n))
 
 
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:

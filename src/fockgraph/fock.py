@@ -11,6 +11,7 @@ matrix products.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 from typing import NamedTuple
@@ -41,15 +42,31 @@ def _require_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
 
 
+def _read_only(value):
+    """Make each array in ``value``, through tuples, and each array it views (``.base``) read-only; return ``value``."""
+    if isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif isinstance(value, np.ndarray):
+        value.flags.writeable = False
+        _read_only(value.base)
+    return value
+
+
+class _RebuildOnCopy:
+    """Copies and pickles of a frozen dataclass rebuild through its constructor, so its arrays stay read-only."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, field.name) for field in dataclasses.fields(self) if field.init)
+
+
 @functools.lru_cache(maxsize=None)
 def _log_factorials(top: int) -> np.ndarray:
     """log(m!) for m = 0..top, one ``math.lgamma`` call per entry.
 
     Cached per ``top``; the array is shared and read-only.
     """
-    values = np.array([math.lgamma(m + 1) for m in range(top + 1)])
-    values.flags.writeable = False
-    return values
+    return _read_only(np.array([math.lgamma(m + 1) for m in range(top + 1)]))
 
 
 def laguerre_sequence(count: int, order, x, scale=1.0) -> np.ndarray:
@@ -173,9 +190,7 @@ def _kernel_grid(cutoff: int, rows: int) -> _KernelGrid:
         half_log_ratio[..., None],
         signs,
     )
-    for array in grid:
-        array.flags.writeable = False
-    return grid
+    return _read_only(grid)
 
 
 def _power_ladders(amplitudes: list, signs: np.ndarray) -> np.ndarray:

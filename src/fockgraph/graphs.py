@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import displacement_matrix
+from .fock import _read_only, _RebuildOnCopy, displacement_matrix
 from .multimode import GraphSpec, _sector_plan
 from .quadrature import (
     CHUNK_ENTRIES, SERIAL_GEMM_MACS, PolarScheme, _graded_ladder, _rule_operator, _seed_block, box_side,
@@ -40,7 +40,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class GeneratorParams:
+class GeneratorParams(_RebuildOnCopy):
     """Radial amplitudes and phases of one displacement point.
 
     Indexes a graph generator, or the anticlique projection at that point.
@@ -61,15 +61,10 @@ class GeneratorParams:
         if np.any(radii < 0):
             raise ValueError("radii must be nonnegative")
         for name, array in (("radii", radii), ("phases", phases), ("_displacements", radii * np.exp(1j * phases))):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+            object.__setattr__(self, name, _read_only(array))
 
     def displacements(self) -> np.ndarray:
         return self._displacements
-
-    def __reduce__(self):
-        # Copies and pickles rebuild through the constructor, so their arrays are read-only too.
-        return type(self), (self.radii, self.phases)
 
 
 def seed_basis(spec: GraphSpec) -> np.ndarray:
@@ -445,9 +440,7 @@ def _convolution_plan(levels: int) -> tuple[np.ndarray, np.ndarray]:
     shift = np.where(upper >= lower, steps[None, :, None] * levels + upper - lower, empty)
     toeplitz = np.where(lower >= upper, (lower - upper) * levels + steps[None, :, None], empty)
     plan = shift.reshape(levels, empty), toeplitz.reshape(levels, empty)
-    for array in plan:
-        array.flags.writeable = False
-    return plan
+    return _read_only(plan)
 
 
 def _level_convolution(factors: np.ndarray, scale: np.ndarray) -> np.ndarray:

@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fock import _read_only, _RebuildOnCopy
+
 __all__ = [
     "GraphSpec",
     "ModeSpace",
@@ -61,7 +63,7 @@ def validate_unitary(phi) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GraphSpec:
+class GraphSpec(_RebuildOnCopy):
     """A truncated graph instance: mode-mixing unitary, mode count, cutoff."""
 
     phi: np.ndarray
@@ -73,12 +75,7 @@ class GraphSpec:
         if phi.shape != (self.modes, self.modes):
             raise ValueError(f"phi must be {self.modes}x{self.modes}, got {phi.shape}")
         ModeSpace(self.modes, self.cutoff)  # raises on a cutoff below 1
-        phi.flags.writeable = False
-        object.__setattr__(self, "phi", phi)
-
-    def __reduce__(self):
-        # Copies and pickles rebuild through the constructor, so their phi is read-only too.
-        return type(self), (self.phi, self.modes, self.cutoff)
+        object.__setattr__(self, "phi", _read_only(phi))
 
     @property
     def space(self) -> ModeSpace:
@@ -111,6 +108,4 @@ def _sector_plan(modes: int, rows: int, top: int | None = None) -> _SectorPlan:
     occupations, total = occupations[order], total[order]
     starts = np.searchsorted(total, np.arange(total[-1] + 2))  # sector N is positions starts[N] to starts[N+1]
     sectors = tuple(slice(*starts[n : n + 2].tolist()) for n in range(1, total[-1] + 1))
-    for array in (order, occupations):
-        array.flags.writeable = False
-    return _SectorPlan(order, occupations, sectors)
+    return _read_only(_SectorPlan(order, occupations, sectors))

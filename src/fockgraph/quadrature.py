@@ -45,7 +45,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import _log_factorials, coherent_state, displacement_matrix, laguerre_sequence, unnormalized_coherent
+from .fock import (
+    _log_factorials, _read_only, _RebuildOnCopy, coherent_state, displacement_matrix, laguerre_sequence,
+    unnormalized_coherent
+)
 from .multimode import GraphSpec, _sector_plan, kron_all
 
 __all__ = [
@@ -80,7 +83,7 @@ SERIAL_GEMM_MACS = 2**16 - 1
 
 
 @dataclass(frozen=True, eq=False)
-class RadialScheme:
+class RadialScheme(_RebuildOnCopy):
     """Gauss-Laguerre nodes/weights in s = r^2 for the weight exp(-s)."""
 
     nodes: np.ndarray
@@ -97,13 +100,8 @@ class RadialScheme:
             raise ValueError("weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 (zeroth moment of exp(-s))")
-        nodes.flags.writeable = weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def __reduce__(self):
-        # Copies and pickles rebuild through the constructor, so their arrays are read-only too.
-        return type(self), (self.nodes, self.weights)
+        object.__setattr__(self, "nodes", _read_only(nodes))
+        object.__setattr__(self, "weights", _read_only(weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,9 +413,7 @@ def _predecessors(modes: int, rows: int, top: int | None = None) -> tuple:
     roots = np.sqrt(plan.occupations.T, order="C")
     weight = roots[..., None] / np.maximum(total, 1)[:, None]
     lifted = lower + np.arange(modes)[:, None] * np.diff(starts)[total - 1]
-    for array in (lower, weight, lifted, roots):
-        array.flags.writeable = False
-    return tuple(tuple(array[:, at] for at in plan.sectors) for array in (lower, weight, lifted, roots))
+    return _read_only(tuple(tuple(array[:, at] for at in plan.sectors) for array in (lower, weight, lifted, roots)))
 
 
 class _ClassPlan(NamedTuple):
@@ -469,9 +465,7 @@ def _class_plan(modes: int, rows: int, cutoff: int, angular: int) -> _ClassPlan:
     pairs = np.column_stack((sector[left[cuts[:-1]]], sector[heads[group[cuts[:-1]]]], cuts[:-1], cuts[1:]))
     start = np.array([0, *(at.start for at in sectors.sectors)])
     plan = _ClassPlan(members - start[sector], sectors.occupations[members, 1:], pairs, left, heads[group], size[group])
-    for array in plan:
-        array.flags.writeable = False
-    return plan
+    return _read_only(plan)
 
 
 def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -626,6 +626,16 @@ class TestDefaultSuite:
             assert report["pass"] is True, name
             assert report["parameters"]["seed"] == 42
 
+    # Without an extension in --out, each report takes its format's suffix.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reports_take_the_suffix_of_their_format(self, tmp_path, fmt):
+        assert main(["--out", str(tmp_path / "rep"), "--format", fmt, "--quiet"]) == 0
+        names = ["gs", "covariant_gs", "projection", "resolution", "anticlique"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(f"rep_{name}.{fmt}" for name in names)
+        for name in names:
+            text = (tmp_path / f"rep_{name}.{fmt}").read_text()
+            assert text.startswith("cutoff,") if fmt == "csv" else json.loads(text)["experiment"] == name
+
     def test_deterministic_modulo_runtime(self, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"

@@ -61,3 +61,16 @@ def test_imports_point_down_the_layers(module):
         if name not in LAYERS[: LAYERS.index(module)]
     ]
     assert not upward
+
+
+@pytest.mark.parametrize("module", [layer for layer in LAYERS if layer != "fock"])
+def test_only_fock_freezes_arrays(module):
+    # fock._read_only and fock._RebuildOnCopy are the package's one read-only rule: no other module assigns
+    # ``flags.writeable`` or writes its own ``__reduce__``.
+    sites = [
+        f"{module}.py:{node.lineno}"
+        for node in ast.walk(parse(module))
+        if (isinstance(node, ast.Attribute) and node.attr == "writeable" and isinstance(node.ctx, ast.Store))
+        or (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__reduce__")
+    ]
+    assert not sites

@@ -3,13 +3,17 @@
 A process caches only what depends on the process (the argument parser) or
 on a shape (the default DFT phi per n, log-factorials, the displacement
 kernel's grids, index layouts and gathers).  Each
-cache returns read-only arrays and keys on every shape argument it takes;
+cache keys on every shape argument it takes and returns read-only arrays,
+whose bases refuse writes too;
 nothing computed from phi, the seed, explicit points or the rule weights is
 cached, so a warm call redoes all of its numerics.
 """
 
 import argparse
+import copy
+import dataclasses
 import math
+import pickle
 import subprocess
 import sys
 
@@ -19,7 +23,7 @@ import pytest
 from fockgraph import cli, config, fock, graphs, multimode, quadrature
 from fockgraph.cli import main
 from fockgraph.config import dft_matrix
-from fockgraph.graphs import GraphSpec
+from fockgraph.graphs import GeneratorParams, GraphSpec
 from oracles import expm_displacement_oracle
 from test_cli import normalize_runtime, package_env, write_config
 
@@ -206,11 +210,27 @@ CACHES = {
 }
 
 
-def leaves(value):
-    """The arrays a cache returns, flattened out of tuples; slices are not arrays and are skipped."""
+# Value classes whose arrays refuse writes as a cache's do, in their deep copies and pickle round trips too.
+VALUES = {
+    "generator_params": lambda: GeneratorParams([0.4, 0.7], [0.1, 2.0]),
+    "generator_params_scalar": lambda: GeneratorParams(0.5, 0.25),  # its radii and phases view 0-d copies
+    "graph_spec": lambda: GraphSpec(phi=dft_matrix(3), modes=3, cutoff=4),
+    "radial_scheme": lambda: quadrature.RadialScheme([0.5, 2.0], [0.75, 0.25]),
+}
+
+
+def leaves(value, bases=False):
+    """The arrays a cache returns or a value class holds, flattened out of tuples and fields; other values are skipped.
+
+    With ``bases``, each array is followed by every array it views, down its ``.base`` chain.
+    """
+    if dataclasses.is_dataclass(value):
+        value = tuple(getattr(value, field.name) for field in dataclasses.fields(value))
     if isinstance(value, tuple):
-        return [leaf for item in value for leaf in leaves(item)]
-    return [] if isinstance(value, slice) else [value]
+        return [leaf for item in value for leaf in leaves(item, bases)]
+    if not isinstance(value, np.ndarray):
+        return []
+    return [value, *leaves(value.base, bases)] if bases else [value]
 
 
 class TestCacheContract:
@@ -224,10 +244,19 @@ class TestCacheContract:
             for value, want in zip(got, expected):
                 assert np.array_equal(value, want), (name, key)
 
-    @pytest.mark.parametrize("name", sorted(CACHES))
+    @pytest.mark.parametrize("name", sorted(CACHES) + sorted(VALUES))
     def test_returns_read_only_arrays(self, name):
-        cached, _, keys = CACHES[name]
-        for array in leaves(cached(*keys[0])):
+        # Every array reachable from the result, and every array those view: a write through a base
+        # would change what the view, and so the next call, reads.
+        if name in VALUES:
+            value = VALUES[name]()
+            values = (value, copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+        else:
+            cached, _, keys = CACHES[name]
+            values = cached(*keys[0])
+        arrays = leaves(values, bases=True)
+        assert arrays, name
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 

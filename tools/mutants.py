@@ -459,6 +459,24 @@ MUTANTS = [
             "test_normal_entries_keep_their_bits_where_the_gaussian_is_subnormal",
         ),
     ),
+    # The read-only rule without its view step: a cache's views refuse writes, but the arrays they view do not,
+    # so a write through ``orders.base`` moves every later displacement matrix of that shape.
+    Mutant(
+        FOCK,
+        "        _read_only(value.base)\n",
+        "",
+        (
+            "tests/test_warm_path.py::TestCacheContract::test_returns_read_only_arrays[kernel_grid]",
+            "tests/test_warm_path.py::TestCacheContract::test_returns_read_only_arrays[convolution_plan]",
+        ),
+    ),
+    # GraphSpec without the rebuild mixin: a deep copy copies phi as a plain, writable array.
+    Mutant(
+        "src/fockgraph/multimode.py",
+        "class GraphSpec(_RebuildOnCopy):",
+        "class GraphSpec:",
+        ("tests/test_graphs.py::TestGraphSpec::test_copies_keep_phi_read_only",),
+    ),
 ]
 
 
