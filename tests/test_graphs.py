@@ -1269,6 +1269,36 @@ class TestFactoredGrams:
             ]
             return [[sum(g[k][j] * g[l][j] for g in grams for j in levels) for l in levels] for k in levels]
 
+    # Every radius 6, where the level convolution cancels most.  Entry (k, l) of S is compared with the
+    # np.clongdouble product in units of sqrt(S_kk S_ll); the worst reads 4.2e-13 (n=3 c=8), 2.1e-12 (n=3 c=12)
+    # and 1.8e-11 (n=4 c=6), all on the diagonal, so FAR_OVERLAP_BOUND leaves 2.8 times headroom.
+    FAR_OVERLAP_BOUND = 5e-11
+
+    @pytest.mark.parametrize("modes, cutoff", [(3, 8), (3, 12), (4, 6)])
+    def test_overlap_far_out_matches_the_extended_precision_product(self, modes, cutoff):
+        rank = cutoff + 1
+        steps = np.arange(rank)
+        below = steps[None, :] - steps[:, None]  # k - k', read where it is >= 0
+        roots = np.sqrt(np.array([math.factorial(k) for k in range(rank)], dtype=np.longdouble))
+        rows = _sector_plan(modes, rank).order[::-1]
+        worst = 0.0
+        for seed in range(8):
+            spec, anticlique, generators = runner_case(modes, cutoff, seed)
+            far = [GeneratorParams(np.full(modes - 1, 6.0), point.phases) for point in (anticlique, *generators)]
+            anticlique, generators = far[0], far[1:]
+            overlap = fockgraph.graphs._compression_residual(spec, anticlique, generators, None, None).overlap
+            shift = displaced_mode_amplitudes(spec, anticlique)
+            factors = fockgraph.graphs._mode_factors(spec, shift[None])[:, 0].astype(np.clongdouble)
+            ladder = factors[0]
+            for factor in factors[1:]:
+                toeplitz = np.where(below[:, None] >= 0, factor[:, np.maximum(below, 0)].transpose(1, 0, 2), 0)
+                ladder = np.einsum("pk,krl->prl", ladder, toeplitz).reshape(-1, rank)
+            ladder = (ladder * roots)[rows]
+            reference = ladder.conj().T @ ladder
+            scale = np.sqrt(np.abs(np.diag(reference)))
+            worst = max(worst, float(np.max(np.abs(overlap - reference) / np.multiply.outer(scale, scale))))
+        assert worst <= self.FAR_OVERLAP_BOUND
+
 
 class TestSimplexClosedForms:
     """The displaced ladders on the tuples of total occupation <= cutoff, in closed form.
