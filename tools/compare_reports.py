@@ -19,6 +19,8 @@ n = 3 cutoff 12 and n = 2 cutoff 20, where two rows of a ladder GEMM fit
 cutoff 8), at n = 5 (cutoff 5), with trusted boxes past ``cutoff // n``
 and where its quadrature comparison decides a FAIL (aliased rules at n = 2
 and at n = 3 on the whole box, and n = 2 cutoff 40 on the whole box),
+``projection`` at n = 2 cutoff 89 on the whole box, whose totals reach 178,
+past 170, the last k whose k! is a double,
 the n = 4, 5 and 6 defaults (cutoff 16) of ``projection``, ``resolution``
 and ``anticlique``, which the dimension guard rejects (exit 2), an n = 3
 ``anticlique`` point so far out that its ladder underflows (exit 2) and an
@@ -174,6 +176,10 @@ CASES = [
     ("anticlique n3 c16 fixed phi", {"experiment": "anticlique", "n": 3, "cutoff": 16, "phi": FIXED_PHI}),
     ("anticlique n3 c12", {"experiment": "anticlique", "n": 3, "cutoff": 12}),
     ("anticlique n2 c20 seed 1", {"experiment": "anticlique", "n": 2, "cutoff": 20, "seed": 1}),
+    (
+        "projection n2 c89 t89 Q64 M179",
+        {"experiment": "projection", "n": 2, "cutoff": 89, "trusted_block": 89, "radial_order": 64, "angular_order": 179},
+    ),
 ]
 
 
