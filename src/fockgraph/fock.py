@@ -69,6 +69,20 @@ def _log_factorials(top: int) -> np.ndarray:
     return _read_only(np.array([math.lgamma(m + 1) for m in range(top + 1)]))
 
 
+@functools.lru_cache(maxsize=None)
+def _root_factorials(top: int) -> np.ndarray:
+    """sqrt(k!) for k = 0..top, each rounded once from the exact integer k!.
+
+    isqrt(k! 2^256) is sqrt(k!) 2^128 cut to an integer, and one true
+    division by 2^128 rounds it to the nearest double.  sqrt(300!) is the
+    last such root below the float maximum, so a ``top`` past 300 raises
+    ValueError.  Cached per ``top``; the array is shared and read-only.
+    """
+    if top > 300:
+        raise ValueError(f"sqrt(k!) passes the float maximum past k = 300, got top {top}")
+    return _read_only(np.array([math.isqrt(math.factorial(k) << 256) / (1 << 128) for k in range(top + 1)]))
+
+
 def laguerre_sequence(count: int, order, x, scale=1.0) -> np.ndarray:
     """Associated Laguerre values scale * L_n^(order)(x) for n = 0..count.
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import _read_only, _RebuildOnCopy, displacement_matrix
+from .fock import _read_only, _RebuildOnCopy, _root_factorials, displacement_matrix
 from .multimode import GraphSpec, _sector_plan
 from .quadrature import (
     CHUNK_ENTRIES, SERIAL_GEMM_MACS, PolarScheme, _graded_ladder, _rule_operator, _seed_block, box_side,
@@ -148,15 +148,8 @@ def graph_generator(spec: GraphSpec, params: GeneratorParams) -> np.ndarray:
     row, and a point whose Gaussian rounds to 0 gives Y = 0.
     """
     shift = displaced_mode_amplitudes(spec, params)
-    displaced = _level_convolution(_mode_factors(spec, shift[None])[:, 0], _root_factorials(spec.cutoff + 1))
+    displaced = _level_convolution(_mode_factors(spec, shift[None])[:, 0], _root_factorials(spec.cutoff))
     return displaced @ displaced.conj().T
-
-
-def _root_factorials(levels: int) -> np.ndarray:
-    """sqrt(k!) for k < ``levels``, each the root of k! rounded to a double, which holds k! up to k = 170."""
-    if levels > 171:
-        raise ValueError(f"sqrt(k!) needs k! as a double, so cutoff must be <= 170, got {levels - 1}")
-    return np.sqrt([float(math.factorial(k)) for k in range(levels)])
 
 
 def compression_constant(anticlique: GeneratorParams, generator: GeneratorParams) -> float:
@@ -372,17 +365,18 @@ def _factored_grams(spec, shifts, weights) -> tuple[np.ndarray, np.ndarray]:
     """Y_x, rows in box order, and M = sum_i w_i G_i G_i^dag from per-mode factors.
 
     With A the factors (:func:`_mode_factors`), Y_x is sqrt(k!) times the
-    level convolution of A_xj over the modes and G_i is sqrt(k! l!) times
-    the 2-D level convolution of W_ij = A_xj^dag A_ij, whose entry (a, b)
+    level convolution of A_xj over the modes and G_i is sqrt(k!) sqrt(l!)
+    times the 2-D level convolution of W_ij = A_xj^dag A_ij, whose entry (a, b)
     is <Y_x|Y_i> restricted to mode j's occupations a and b.  The points,
     the anticlique first, are taken in chunks whose factors (n (cutoff+1)^2
     entries a point) fit CHUNK_ENTRIES, at least two a chunk so that the
     first holds a generator; each chunk is one kernel call, one stacked
     :func:`serial_matmul` for every mode's W_j = A_xj^dag [A_1j, A_2j, ...],
-    and one more product for its share of M.
+    and one more product for its share of M.  Each sqrt(k!) is an entry of
+    ``fock._root_factorials``, as for the graded seed ladder.
     """
     modes, rank = spec.modes, spec.cutoff + 1
-    roots = _root_factorials(rank)
+    roots = _root_factorials(spec.cutoff)
     step = max(2, CHUNK_ENTRIES // (modes * rank * rank))
     combined = np.zeros((rank, rank), dtype=complex)
     for start in range(0, len(shifts), step):
@@ -413,7 +407,12 @@ def _mode_factors(spec: GraphSpec, shifts: np.ndarray) -> np.ndarray:
     zero factors without the kernel: its per-mode amplitudes may be inf or
     NaN (a displacement near the float maximum), which the kernel refuses.
     Every amplitude of a point whose Gaussian is positive stays below 38.7.
+    The Grams scale level pairs by sqrt(k!) sqrt(l!), a double up to
+    k = l = 170, so a cutoff past 170 raises ValueError here, for the
+    generator and the check alike.
     """
+    if spec.cutoff > 170:
+        raise ValueError(f"sqrt(k!) sqrt(l!) must stay a double, so cutoff must be <= 170, got {spec.cutoff}")
     rank = spec.cutoff + 1
     with np.errstate(over="ignore"):  # an amplitude past 1.3e154 squares to inf, and exp(-inf) = 0 is its Gaussian
         live = np.exp(-0.5 * np.sum(np.abs(shifts) ** 2, axis=1)) > 0.0

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import (
-    _log_factorials, _read_only, _RebuildOnCopy, coherent_state, displacement_matrix, laguerre_sequence,
+    _read_only, _RebuildOnCopy, _root_factorials, coherent_state, displacement_matrix, laguerre_sequence,
     unnormalized_coherent
 )
 from .multimode import GraphSpec, _sector_plan, kron_all
@@ -381,14 +381,14 @@ def _graded_ladder(spec: GraphSpec, occupations: np.ndarray) -> np.ndarray:
     By the multinomial theorem the part of kron_j sum_m c_j^m / sqrt(m!) |m>,
     c = phi[:, 0], at total k is (sum_j c_j a_j^dag)^k / k! |vac>; times sqrt(k!)
     it is ladder column k.  Each entry is the ascending product over the
-    modes of c_j^m_j / sqrt(m_j!), times sqrt(k!).
+    modes of c_j^m_j / sqrt(m_j!), times sqrt(k!) from :func:`fock._root_factorials`.
     """
-    top = int(occupations.max())
-    factors = unnormalized_coherent(spec.phi[:, 0], top)
+    factors = unnormalized_coherent(spec.phi[:, 0], int(occupations.max()))
     ladder = factors[0, occupations[:, 0]]
     for mode in range(1, spec.modes):
         ladder = ladder * factors[mode, occupations[:, mode]]
-    return ladder * np.exp(0.5 * _log_factorials(spec.modes * top))[occupations.sum(axis=1)]
+    total = occupations.sum(axis=1)
+    return ladder * _root_factorials(int(total.max()))[total]
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,8 @@ on the projector ``B B^dag`` formed densely, which
 ``B``, and the same check with ``B`` graded on two sector plans, the
 reference for its one plan.  The graded seed entries to 50 digits
 with ``fractions`` and ``decimal``, for a rational ``phi``: the precision
-reference for ``quadrature._graded_ladder``, and the rule operator to 50
+reference for ``quadrature._graded_ladder``, sqrt(k!) to 80 digits rounded
+once, the reference for ``fock._root_factorials``, and the rule operator to 50
 digits, the precision reference for ``quadrature._rule_operator``.  The
 rotation blocks ``V`` and the displaced seed ladders at n=2 to 50 digits
 by the binomial theorem, the precision reference for both number-operator
@@ -281,6 +282,13 @@ def graded_entries_reference(column, cutoff: int) -> list[Decimal]:
             power = math.prod((c**m for c, m in zip(column, occupation)), start=Fraction(1))
             entries.append(Decimal(multinomial).sqrt() * Decimal(power.numerator) / Decimal(power.denominator))
     return entries
+
+
+def root_factorials_reference(top: int) -> list[float]:
+    """sqrt(k!) for k = 0..top: the root of the exact k! to 80 digits, then rounded to the nearest double."""
+    with localcontext() as context:
+        context.prec = 80
+        return [float(Decimal(math.factorial(k)).sqrt()) for k in range(top + 1)]
 
 
 def rule_operator_reference(size: int, scheme) -> list[list[Decimal]]:

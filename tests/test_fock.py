@@ -22,13 +22,14 @@ from fockgraph import (
     unnormalized_coherent,
 )
 from fockgraph.config import MAX_DIM
-from fockgraph.fock import _GAUSSIAN_EDGE, _kernel_grid, _log_factorials, _power_ladders
+from fockgraph.fock import _GAUSSIAN_EDGE, _kernel_grid, _log_factorials, _power_ladders, _root_factorials
 from oracles import (
     coherent_overlap,
     complex_product,
     displacement_compose_phase,
     expm_displacement_oracle,
     min_oracle_buffer,
+    root_factorials_reference,
     trusted_cutoff,
 )
 
@@ -78,6 +79,18 @@ class TestLogFactorials:
         expected = gammaln(np.arange(MAX_DIM) + 1.0)
         assert got[:2].tolist() == [0.0, 0.0]
         assert np.all(np.abs(got[2:] - expected[2:]) <= 1e-15 * expected[2:])
+
+
+class TestRootFactorials:
+    def test_every_root_is_the_80_digit_root_rounded_once(self):
+        # sqrt(float(k!)) rounds twice and differs from this at 19 k <= 170, the first k = 32; exp(lgamma / 2)
+        # is up to 6.2e-14 off (k = 132).
+        assert np.array_equal(_root_factorials(300), root_factorials_reference(300))
+
+    def test_refuses_a_root_past_the_float_maximum(self):
+        # sqrt(301!) is 3.0e308.
+        with pytest.raises(ValueError, match=r"past k = 300, got top 301"):
+            _root_factorials(301)
 
 
 class TestCoherentState:

@@ -13,6 +13,7 @@ import pytest
 from scipy.special import gammaln
 
 import fockgraph.graphs
+import fockgraph.quadrature
 from fockgraph import (
     CompressionResult,
     GeneratorParams,
@@ -49,6 +50,7 @@ from oracles import (
     mode_ladder,
     occupations,
     poisson_cdf,
+    root_factorials_reference,
     sector_ladders,
     seed_projector,
     trusted_mask,
@@ -426,11 +428,12 @@ def multinomial_oracle(spec):
 # README's figure is stale or the reference rounds as the float code does.
 ROTATION_2 = ((3, 4), (4, -3))
 ROTATION_3 = ((1, 2, 2), (2, 1, -2), (2, -2, 1))
+# With sqrt(k!) as exp(lgamma(k + 1) / 2) the four read 2.89e-15, 6.21e-15, 6.21e-15 and 4.99e-16.
 PRECISION_PINS = [
-    (ROTATION_2, 5, 40, 2.89e-15),
-    (ROTATION_2, 5, 56, 6.21e-15),
-    (ROTATION_2, 5, 63, 6.21e-15),
-    (ROTATION_3, 3, 16, 4.99e-16),
+    (ROTATION_2, 5, 40, 5.51e-16),
+    (ROTATION_2, 5, 56, 5.99e-16),
+    (ROTATION_2, 5, 63, 5.99e-16),
+    (ROTATION_3, 3, 16, 2.30e-16),
 ]
 PRECISION_MARGIN = 1.25
 
@@ -484,6 +487,34 @@ class TestSeedBasis:
         assert not entries.imag.any()
         error = decimal_error(entries.real[None], [reference])
         assert pin / PRECISION_MARGIN <= error <= pin * PRECISION_MARGIN
+
+    # The n=2 box at cutoff 89, the largest MAX_DIM admits: totals up to 178, past 170.
+    BOX_89 = np.indices((90, 90)).reshape(2, -1).T
+
+    def test_graded_scale_is_the_correctly_rounded_root(self, monkeypatch):
+        # With unit per-mode grades the ladder is its scale alone: sqrt(N!) at total N, correctly rounded.
+        monkeypatch.setattr(fockgraph.quadrature, "unnormalized_coherent", lambda alpha, top: np.ones((2, top + 1)))
+        spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=89)
+        scale = _graded_ladder(spec, self.BOX_89)
+        assert np.array_equal(scale, np.array(root_factorials_reference(178))[self.BOX_89.sum(axis=1)])
+
+    def test_graded_entries_to_total_178_match_the_80_digit_reference(self):
+        # DFT phi: both grades are c = 0.7071067811865475 (the double, taken as exact), so entry m is
+        # sqrt(N! / (m_0! m_1!)) c^N, N = m_0 + m_1.  The worst relative error, 1.87e-15 (14 units in the last
+        # place, from the ascending products of the grades), is pinned within PRECISION_MARGIN both ways; with
+        # sqrt(N!) as exp(lgamma(N + 1) / 2) it read 6.3e-14.
+        spec = GraphSpec(phi=dft_matrix(2), modes=2, cutoff=89)
+        entries = _graded_ladder(spec, self.BOX_89)
+        assert not entries.imag.any()
+        with localcontext() as context:
+            context.prec = 80
+            roots = [Decimal(math.factorial(k)).sqrt() for k in range(179)]
+            powers = [Decimal(float(spec.phi[0, 0].real)) ** k for k in range(179)]
+            error = max(
+                abs(Decimal(x) / (roots[a + b] / (roots[a] * roots[b]) * powers[a + b]) - 1)
+                for x, (a, b) in zip(entries.real.tolist(), self.BOX_89.tolist())
+            )
+        assert 1.87e-15 / PRECISION_MARGIN <= float(error) <= 1.87e-15 * PRECISION_MARGIN
 
 
 class TestGraphDisplacement:
@@ -738,13 +769,12 @@ class TestGraphGenerator:
         assert np.abs(generator - np.eye(7)).max() <= 1e-15
 
     def test_sqrt_factorial_scale_stops_at_cutoff_170(self):
-        # 170! is the largest factorial a double holds: one more is a ValueError naming the limit, for the
-        # generator and for the check, which share the scale.
+        # sqrt(k!) sqrt(l!) is a double up to k = l = 170: one more is a ValueError naming the limit, for the
+        # generator and for the check, which share the scale, the correctly rounded roots of fock.
         origin = GeneratorParams(radii=[], phases=[])
         generator = graph_generator(GraphSpec(phi=np.eye(1), modes=1, cutoff=170), origin)
         assert np.abs(generator - np.eye(171)).max() <= 1e-14
-        roots = [math.sqrt(math.factorial(k)) for k in range(171)]
-        assert np.array_equal(fockgraph.graphs._root_factorials(171), roots)
+        assert np.array_equal(fockgraph.fock._root_factorials(170), root_factorials_reference(170))
         spec = GraphSpec(phi=np.eye(1), modes=1, cutoff=171)
         for build in (lambda: graph_generator(spec, origin), lambda: compression_check(spec, origin, [origin])):
             with pytest.raises(ValueError, match=r"cutoff must be <= 170, got 171"):

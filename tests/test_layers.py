@@ -74,3 +74,17 @@ def test_only_fock_freezes_arrays(module):
         or (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__reduce__")
     ]
     assert not sites
+
+
+@pytest.mark.parametrize("module", [layer for layer in LAYERS if layer != "fock"])
+def test_only_fock_takes_factorials(module):
+    # fock._log_factorials and fock._root_factorials are the package's factorial tables: no other module calls
+    # ``math.factorial`` or ``math.lgamma``, or imports either from ``math``.
+    names = {"factorial", "lgamma"}
+    sites = [
+        f"{module}.py:{node.lineno}"
+        for node in ast.walk(parse(module))
+        if (isinstance(node, ast.Attribute) and node.attr in names and getattr(node.value, "id", None) == "math")
+        or (isinstance(node, ast.ImportFrom) and node.module == "math" and names & {a.name for a in node.names})
+    ]
+    assert not sites

@@ -1,8 +1,8 @@
 """The warm path: what one process builds once, and what every call still computes.
 
 A process caches only what depends on the process (the argument parser) or
-on a shape (the default DFT phi per n, log-factorials, the displacement
-kernel's grids, index layouts and gathers).  Each
+on a shape (the default DFT phi per n, log-factorials, the roots sqrt(k!),
+the displacement kernel's grids, index layouts and gathers).  Each
 cache keys on every shape argument it takes and returns read-only arrays,
 whose bases refuse writes too;
 nothing computed from phi, the seed, explicit points or the rule weights is
@@ -24,7 +24,7 @@ from fockgraph import cli, config, fock, graphs, multimode, quadrature
 from fockgraph.cli import main
 from fockgraph.config import dft_matrix
 from fockgraph.graphs import GeneratorParams, GraphSpec
-from oracles import expm_displacement_oracle
+from oracles import expm_displacement_oracle, root_factorials_reference
 from test_cli import normalize_runtime, package_env, write_config
 
 UNDERFLOW = {"experiment": "anticlique", "n": 2, "cutoff": 8, "anticlique_params": {"X": [30], "Gamma": [0.3]}}
@@ -189,6 +189,11 @@ CACHES = {
         fock._log_factorials,
         lambda top: np.array([math.lgamma(m + 1) for m in range(top + 1)]),
         [(8,), (16,), (8,)],
+    ),
+    "root_factorials": (
+        fock._root_factorials,
+        lambda top: np.array(root_factorials_reference(top)),
+        [(8,), (40,), (8,)],
     ),
     "sector_plan": (
         multimode._sector_plan,

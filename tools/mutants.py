@@ -92,13 +92,42 @@ MUTANTS = [
     ),
     # graph_generator's ladder is sqrt(k!) times the level convolution: without the scale level k shrinks by 1/k!.
     Mutant(
-        GRAPHS,
-        "    return np.sqrt([float(math.factorial(k)) for k in range(levels)])",
-        "    return np.ones(levels)",
+        FOCK,
+        "    return _read_only(np.array([math.isqrt(math.factorial(k) << 256) / (1 << 128) for k in range(top + 1)]))",
+        "    return _read_only(np.ones(top + 1))",
         (
             "tests/test_graphs.py::TestGraphGenerator::test_matches_the_oracle_sweep",
             "tests/test_graphs.py::TestGraphGenerator::test_one_mode_is_the_identity",
         ),
+    ),
+    # sqrt(k!) is rounded once from the exact k!: the root of k! rounded to a double rounds twice, one ulp off at
+    # 19 k <= 170 (the first k = 32), and past k = 170 k! is no double.
+    Mutant(
+        FOCK,
+        "math.isqrt(math.factorial(k) << 256) / (1 << 128)",
+        "math.sqrt(math.factorial(k))",
+        (
+            "tests/test_fock.py::TestRootFactorials::test_every_root_is_the_80_digit_root_rounded_once",
+            "tests/test_graphs.py::TestGraphGenerator::test_sqrt_factorial_scale_stops_at_cutoff_170",
+        ),
+    ),
+    # The graded ladder's scale is fock's root table: exp(lgamma(N + 1) / 2) is up to 6.2e-14 off sqrt(N!).
+    Mutant(
+        QUADRATURE,
+        "    return ladder * _root_factorials(int(total.max()))[total]",
+        "    return ladder * np.exp([0.5 * math.lgamma(k + 1) for k in range(int(total.max()) + 1)])[total]",
+        (
+            "tests/test_graphs.py::TestSeedBasis::test_graded_scale_is_the_correctly_rounded_root",
+            "tests/test_graphs.py::TestSeedBasis::test_graded_entries_to_total_178_match_the_80_digit_reference",
+        ),
+    ),
+    # The check's Grams hold sqrt(k!) sqrt(l!), a double up to k = l = 170: past it the generator and the
+    # check both refuse the cutoff.
+    Mutant(
+        GRAPHS,
+        "    if spec.cutoff > 170:",
+        "    if False:",
+        ("tests/test_graphs.py::TestGraphGenerator::test_sqrt_factorial_scale_stops_at_cutoff_170",),
     ),
     # The generator is Y Y^dag: without the conjugate Y Y^T is neither Hermitian nor the projector.
     Mutant(
