@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import _read_only, _RebuildOnCopy, _root_factorials, displacement_matrix
+from .fock import _read_only, _RebuildOnCopy, _root_factorials, displacement_matrix, unnormalized_coherent
 from .multimode import GraphSpec, _sector_plan
 from .quadrature import (
     CHUNK_ENTRIES, SERIAL_GEMM_MACS, PolarScheme, _graded_ladder, _rule_operator, _seed_block, box_side,
@@ -402,7 +402,8 @@ def _mode_factors(spec: GraphSpec, shifts: np.ndarray) -> np.ndarray:
     sqrt(m_j!) |m>, so box row (r_1, ..., r_n) of Y_k = D(h) B_k is sqrt(k!)
     times the sum over a_1 + ... + a_n = k of prod_j A[j, p, r_j, a_j].  Every
     entry of the truncated D(h_j) is exact, so that sum is exact on the box.
-    One displacement_matrix call builds every point's and mode's D(h_pj),
+    The grades c_j^a / sqrt(a!) are ``fock.unnormalized_coherent``'s, the
+    table the graded seed ladder reads.  One displacement_matrix call builds every point's and mode's D(h_pj),
     its Gaussian included.  A point whose exp(-|h_p|^2/2) rounds to 0 gets
     zero factors without the kernel: its per-mode amplitudes may be inf or
     NaN (a displacement near the float maximum), which the kernel refuses.
@@ -420,8 +421,7 @@ def _mode_factors(spec: GraphSpec, shifts: np.ndarray) -> np.ndarray:
     if live.any():
         kernel = displacement_matrix(shifts[live].T.ravel(), spec.cutoff)
         factors[:, live] = kernel.reshape(spec.modes, -1, rank, rank)
-    powers = np.cumprod(np.column_stack([np.ones(spec.modes), spec.phi[:, :1] / np.sqrt(np.arange(1, rank))]), axis=1)
-    factors *= powers[:, None, None, :]
+    factors *= unnormalized_coherent(spec.phi[:, 0], spec.cutoff)[:, None, None, :]
     return factors
 
 
