@@ -485,9 +485,9 @@ def _rotation_sectors(spec: GraphSpec, rows: int) -> list[tuple[np.ndarray, np.n
     in mode order.  Returns per N = 0..T the box rows (row-major indices)
     and V_N, column-major, its columns the rotated tuples of total N in order.
     """
-    box = _sector_plan(spec.modes, rows)
     top = spec.modes * (rows - 1)
-    steps = zip(box.sectors, *_predecessors(spec.modes, rows)[:2], *_predecessors(spec.modes, top + 1, top)[2:])
+    box = _sector_plan(spec.modes, rows, top)
+    steps = zip(box.sectors, *_predecessors(spec.modes, rows, top)[:2], *_predecessors(spec.modes, top + 1, top)[2:])
     ladder = np.ones((1, 1), dtype=complex)
     sectors = [(box.order[:1], ladder)]
     for at, lower, weight, lifted, roots in steps:

@@ -287,6 +287,26 @@ class TestCacheContract:
         second = config.config_from_dict({"experiment": "anticlique", "n": 3, "cutoff": 8, "seed": 9})
         assert first.phi is second.phi is config._default_phi(3)
 
+    def test_a_default_suite_builds_each_sector_plan_once(self, tmp_path, monkeypatch):
+        # A plan is its (modes, rows, top), top = modes (rows - 1) when it is left out or None: calls that
+        # name one plan two ways would build it under two cache keys, as two objects.
+        built = {}
+        original = multimode._sector_plan
+
+        def recording(modes, rows, *top):
+            plan = original(modes, rows, *top)
+            whole = modes * (rows - 1)
+            shape = (modes, rows, whole if top in ((), (None,)) else min(top[0], whole))
+            built.setdefault(shape, set()).add(id(plan))
+            return plan
+
+        for module in (quadrature, graphs):
+            monkeypatch.setattr(module, "_sector_plan", recording)
+        for cache in (multimode._sector_plan, quadrature._predecessors, quadrature._class_plan):
+            cache.cache_clear()
+        assert main(["--quiet", "--out", str(tmp_path / "report.json")]) == 0
+        assert len(built) == 3 and all(len(plans) == 1 for plans in built.values()), built
+
 
 class TestNumericsRunOnEveryCall:
     @pytest.mark.parametrize(
