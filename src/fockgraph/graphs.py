@@ -372,8 +372,7 @@ def _factored_grams(spec, shifts, weights) -> tuple[np.ndarray, np.ndarray]:
     entries a point) fit CHUNK_ENTRIES, at least two a chunk so that the
     first holds a generator; each chunk is one kernel call, one stacked
     :func:`serial_matmul` for every mode's W_j = A_xj^dag [A_1j, A_2j, ...],
-    and one more product for its share of M.  Each sqrt(k!) is an entry of
-    ``fock._root_factorials``, as for the graded seed ladder.
+    and one more product for its share of M.
     """
     modes, rank = spec.modes, spec.cutoff + 1
     roots = _root_factorials(spec.cutoff)
@@ -402,15 +401,15 @@ def _mode_factors(spec: GraphSpec, shifts: np.ndarray) -> np.ndarray:
     sqrt(m_j!) |m>, so box row (r_1, ..., r_n) of Y_k = D(h) B_k is sqrt(k!)
     times the sum over a_1 + ... + a_n = k of prod_j A[j, p, r_j, a_j].  Every
     entry of the truncated D(h_j) is exact, so that sum is exact on the box.
-    The grades c_j^a / sqrt(a!) are ``fock.unnormalized_coherent``'s, the
-    table the graded seed ladder reads.  One displacement_matrix call builds every point's and mode's D(h_pj),
-    its Gaussian included.  A point whose exp(-|h_p|^2/2) rounds to 0 gets
-    zero factors without the kernel: its per-mode amplitudes may be inf or
-    NaN (a displacement near the float maximum), which the kernel refuses.
-    Every amplitude of a point whose Gaussian is positive stays below 38.7.
-    The Grams scale level pairs by sqrt(k!) sqrt(l!), a double up to
-    k = l = 170, so a cutoff past 170 raises ValueError here, for the
-    generator and the check alike.
+    The grades c_j^a / sqrt(a!) are :func:`unnormalized_coherent`'s, as for
+    the graded seed ladder.  One displacement_matrix call builds every
+    point's and mode's D(h_pj), its Gaussian included.  A point whose
+    exp(-|h_p|^2/2) rounds to 0 gets zero factors without the kernel: its
+    per-mode amplitudes may be inf or NaN (a displacement near the float
+    maximum), which the kernel refuses.  Every amplitude of a point whose
+    Gaussian is positive stays below 38.7.  The Grams scale levels k, l by
+    sqrt(k!) sqrt(l!), a double up to 170, so a cutoff past 170 raises
+    ValueError here, for the generator and the check alike.
     """
     if spec.cutoff > 170:
         raise ValueError(f"sqrt(k!) sqrt(l!) must stay a double, so cutoff must be <= 170, got {spec.cutoff}")

@@ -381,7 +381,7 @@ def _graded_ladder(spec: GraphSpec, occupations: np.ndarray) -> np.ndarray:
     By the multinomial theorem the part of kron_j sum_m c_j^m / sqrt(m!) |m>,
     c = phi[:, 0], at total k is (sum_j c_j a_j^dag)^k / k! |vac>; times sqrt(k!)
     it is ladder column k.  Each entry is the ascending product over the
-    modes of c_j^m_j / sqrt(m_j!), times sqrt(k!) from :func:`fock._root_factorials`.
+    modes of c_j^m_j / sqrt(m_j!), times sqrt(k!) (``fock._root_factorials``).
     """
     factors = unnormalized_coherent(spec.phi[:, 0], int(occupations.max()))
     ladder = factors[0, occupations[:, 0]]
